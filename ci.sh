@@ -262,6 +262,12 @@ if [ "${MTASC_TSAN:-0}" = "1" ]; then
         --target "$(rustc -vV | sed -n 's/^host: //p')" -q
 fi
 
+echo "==> benchmark crate gate (simbench/check.sh)"
+# The benchmark crate has its own workspace: fmt, clippy -D warnings,
+# unit tests, the path-deps-only check, and a smoke run that checks every
+# op against a reference run with fusion off, SIMD off and one segment.
+simbench/check.sh
+
 echo "==> cargo bench --no-run (benches compile)"
 cargo bench --workspace --no-run
 

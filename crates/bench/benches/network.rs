@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use asc_isa::{ReduceOp, Width, Word};
 use asc_network::{MultipleResponseResolver, Network, NetworkConfig};
-use asc_pe::ActiveMask;
+use asc_pe::{ActiveMask, SegmentGeometry};
 
 fn bench_reductions(c: &mut Criterion) {
     let mut g = c.benchmark_group("network_reduce");
@@ -17,6 +17,36 @@ fn bench_reductions(c: &mut Criterion) {
         for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Or] {
             g.bench_with_input(BenchmarkId::new(format!("{op}"), p), &p, |b, _| {
                 b.iter(|| black_box(net.reduce(op, &values, &active, Width::W16)))
+            });
+        }
+    }
+    g.finish();
+}
+
+/// The saturating sum at 2²⁰ PEs: the dense unmasked sum, and a masked sum
+/// over one 1024-PE cluster (the clustered key/value layout of the
+/// `pe_scaling` bench), each under the automatic segmentation and forced
+/// monolithic, at the detected SIMD tier (`MTASC_NO_SIMD=1` for scalar).
+/// The dense rows measure the tile kernel; the clustered rows measure
+/// occupancy pruning, which must hold at both geometries.
+fn bench_sum_at_scale(c: &mut Criterion) {
+    let mut g = c.benchmark_group("network_reduce");
+    let p = 1usize << 20;
+    let w = Width::W16;
+    let values: Vec<Word> = (0..p).map(|i| Word::new((i as u32).wrapping_mul(7) & 31, w)).collect();
+    let dense = ActiveMask::all(p);
+    let mut plane = vec![0u64; p / 64];
+    let cluster = 517 * 1024 / 64;
+    plane[cluster..cluster + 1024 / 64].fill(u64::MAX);
+    let mut clustered = ActiveMask::new(p);
+    clustered.copy_from_plane(&plane);
+    for (geo, requested) in [("auto", 0usize), ("1seg", 1)] {
+        let cfg = NetworkConfig::new(p, 4).with_segments(SegmentGeometry::new(p, requested));
+        let net = Network::new(cfg);
+        for (label, mask) in [("dense", &dense), ("cluster1024", &clustered)] {
+            let id = BenchmarkId::new(format!("{}-{label}-{geo}", ReduceOp::Sum), p);
+            g.bench_with_input(id, &p, |b, _| {
+                b.iter(|| black_box(net.reduce(ReduceOp::Sum, &values, mask, w)))
             });
         }
     }
@@ -97,6 +127,7 @@ fn bench_lang_compile(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_reductions,
+    bench_sum_at_scale,
     bench_resolver,
     bench_assembler,
     bench_encode_decode,

@@ -213,7 +213,8 @@ impl MachineConfig {
     /// The SIMD dispatch tier this machine will execute at: the host's
     /// best compiled-in tier, or [`asc_pe::SimdLevel::Scalar`] when vector
     /// execution is disabled by config or by `MTASC_NO_SIMD`. Resolved
-    /// here once so the PE array and the block compiler always agree.
+    /// here once so the PE array, the sum unit and the block compiler
+    /// always agree.
     pub fn simd_level(&self) -> asc_pe::SimdLevel {
         if self.simd {
             asc_pe::SimdLevel::detect()
@@ -270,6 +271,7 @@ impl MachineConfig {
     pub fn network(&self) -> NetworkConfig {
         NetworkConfig::new(self.num_pes, self.broadcast_arity)
             .with_segments(self.segment_geometry())
+            .with_simd(self.simd_level())
     }
 
     /// PE array geometry for this machine.
@@ -289,7 +291,9 @@ impl MachineConfig {
 
     /// Pipeline timing parameters for this machine.
     pub fn timing(&self) -> Timing {
-        let net = self.network();
+        // the latencies depend on the PE count and arity alone, so skip
+        // resolving the segment override and the `--no-simd` flag
+        let net = NetworkConfig::new(self.num_pes, self.broadcast_arity);
         Timing {
             b: net.broadcast_latency(),
             r: net.reduction_latency(),
@@ -339,6 +343,11 @@ mod tests {
         assert_eq!(geo.count(), 4);
         assert_eq!(c.array().segments, geo);
         assert_eq!(c.network().segments, geo);
+        // the SIMD tier reaches the network as it reaches the array
+        assert_eq!(c.network().simd, c.array().simd);
+        let scalar = c.without_simd();
+        assert_eq!(scalar.network().simd, asc_pe::SimdLevel::Scalar);
+        assert_eq!(scalar.array().simd, asc_pe::SimdLevel::Scalar);
         // timing is segment-invariant: same b/r as the monolithic build
         assert_eq!(c.timing(), MachineConfig::new(1 << 16).with_segments(1).timing());
         // default requests the automatic slicing

@@ -44,7 +44,7 @@ pub use tree::{reduction_latency, tree_depth, DelayLine, PipelinedUnit};
 pub use unit::NetUnit;
 
 use asc_isa::{ReduceOp, Width, Word};
-use asc_pe::{ActiveMask, SegmentGeometry};
+use asc_pe::{ActiveMask, SegmentGeometry, SimdLevel};
 
 /// Geometry and latency of the whole broadcast/reduction network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,27 +54,46 @@ pub struct NetworkConfig {
     /// Arity (k) of the broadcast tree — "variable and chosen so as to
     /// maximize system performance".
     pub broadcast_arity: usize,
-    /// Core-affine segmentation of the PE array. When segmented, every
-    /// reduction runs as a two-level tree: a leaf reduction per segment
-    /// feeding a root combiner over the segment partials. Results and
-    /// latencies are identical to the flat tree at every segment count.
+    /// Core-affine segmentation of the PE array. When segmented, the
+    /// associative reductions run as a two-level tree: a leaf reduction
+    /// per segment feeding a root combiner over the segment partials. The
+    /// saturating sum's tile tree already splits on tile boundaries, so
+    /// it takes one path at every segment count. Results and latencies
+    /// are identical to the flat tree at every segment count.
     pub segments: SegmentGeometry,
+    /// SIMD tier of the sum unit's tile kernel (see
+    /// [`asc_pe::SumTileKernel`]); results are identical at every tier.
+    pub simd: SimdLevel,
 }
 
 impl NetworkConfig {
     /// Construct; `num_pes >= 1`, `broadcast_arity >= 2`. The segment
     /// geometry defaults to the automatic slicing (one segment per 4096
-    /// lanes); see [`NetworkConfig::with_segments`].
+    /// lanes; see [`NetworkConfig::with_segments`]) and the SIMD tier to
+    /// [`SimdLevel::detect`], as for the PE array, so `MTASC_NO_SIMD`
+    /// applies here too. A machine passes its resolved tier, which also
+    /// honours `--no-simd`, through [`NetworkConfig::with_simd`].
     pub fn new(num_pes: usize, broadcast_arity: usize) -> NetworkConfig {
         assert!(num_pes >= 1, "need at least one PE");
         assert!(broadcast_arity >= 2, "broadcast tree arity must be >= 2");
-        NetworkConfig { num_pes, broadcast_arity, segments: SegmentGeometry::new(num_pes, 0) }
+        NetworkConfig {
+            num_pes,
+            broadcast_arity,
+            segments: SegmentGeometry::new(num_pes, 0),
+            simd: SimdLevel::detect(),
+        }
     }
 
     /// Replace the segment geometry (must cover the same number of PEs).
     pub fn with_segments(mut self, segments: SegmentGeometry) -> NetworkConfig {
         assert_eq!(segments.num_pes(), self.num_pes, "segment geometry covers a different array");
         self.segments = segments;
+        self
+    }
+
+    /// Replace the SIMD tier.
+    pub fn with_simd(mut self, simd: SimdLevel) -> NetworkConfig {
+        self.simd = simd;
         self
     }
 
@@ -119,12 +138,13 @@ impl NetworkConfig {
 #[derive(Debug, Clone)]
 pub struct Network {
     cfg: NetworkConfig,
+    sum: SumUnit,
 }
 
 impl Network {
     /// Build the network for a given geometry.
     pub fn new(cfg: NetworkConfig) -> Network {
-        Network { cfg }
+        Network { cfg, sum: SumUnit::new(cfg.simd) }
     }
 
     /// Network geometry.
@@ -140,31 +160,26 @@ impl Network {
     pub fn reduce(&self, op: ReduceOp, values: &[Word], active: &ActiveMask, w: Width) -> Word {
         debug_assert_eq!(values.len(), self.cfg.num_pes);
         debug_assert_eq!(active.lanes(), self.cfg.num_pes);
-        if self.cfg.segments.is_segmented() {
-            return self.reduce_two_level(op, values, active, w);
-        }
         match op {
+            ReduceOp::Sum => self.sum.reduce(values, active, w),
+            _ if self.cfg.segments.is_segmented() => self.reduce_two_level(op, values, active, w),
             ReduceOp::And | ReduceOp::Or => LogicUnit::reduce(op, values, active, w),
             ReduceOp::Max | ReduceOp::Min | ReduceOp::MaxU | ReduceOp::MinU => {
                 MaxMinUnit::reduce(op, values, active, w)
             }
-            ReduceOp::Sum => SumUnit::reduce(values, active, w),
         }
     }
 
-    /// The segmented two-level tree: a leaf reduction per segment feeding
-    /// a root combiner over the segment partials. Segments whose lanes are
-    /// all inactive — one bit test against the mask's occupancy summary —
-    /// are skipped entirely, so a reduction over a responder set confined
-    /// to a few segments never walks the rest of a million-lane plane.
+    /// The segmented two-level tree of the associative units: a leaf
+    /// reduction per segment feeding a root fold over the segment
+    /// partials. Segments whose lanes are all inactive — one bit test
+    /// against the mask's occupancy summary — are skipped entirely, so a
+    /// reduction over a responder set confined to a few segments never
+    /// walks the rest of a million-lane plane.
     ///
-    /// Bit-exactness at every segment count: for the associative units the
-    /// root fold is `ReduceOp::combine` over in-order partials, and a
-    /// skipped segment would have contributed the identity, which is
-    /// neutral; for the non-associative saturating sum the root runs the
-    /// canonical masked tree over the segment partials, which reproduces
-    /// the flat tree's association order exactly because segment lengths
-    /// are a power of two (see [`tree::tree_reduce_masked_range`]). The
+    /// Bit-exact at every segment count: the root fold is
+    /// `ReduceOp::combine` over in-order partials, and a skipped segment
+    /// would have contributed the identity, which is neutral. The
     /// occupancy summary is conservative (a stale bit may mark an all-zero
     /// segment as occupied) — never wrong, because such a segment just
     /// contributes the identity.
@@ -176,30 +191,7 @@ impl Network {
         w: Width,
     ) -> Word {
         let geo = self.cfg.segments;
-        let id = op.identity(w);
-        if let ReduceOp::Sum = op {
-            // Segment-occupancy bits on the stack (MAX_SEGMENTS = 256):
-            // the root tree's mask, pruning empty segments by subtree.
-            let mut occ = [0u64; asc_pe::segments::MAX_SEGMENTS / 64];
-            let mut any = false;
-            for s in 0..geo.count() {
-                if active.range_occupied(geo.seg_tile_range(s)) {
-                    occ[s / 64] |= 1 << (s % 64);
-                    any = true;
-                }
-            }
-            if !any {
-                return id;
-            }
-            return tree::tree_reduce_masked(
-                geo.count(),
-                id,
-                &occ,
-                &|s| SumUnit::reduce_tiles(values, active, geo.seg_tile_range(s), w),
-                &|a, b| a.saturating_add_signed(b, w),
-            );
-        }
-        let mut acc = id;
+        let mut acc = op.identity(w);
         for s in 0..geo.count() {
             let tiles = geo.seg_tile_range(s);
             if !active.range_occupied(tiles.clone()) {
@@ -212,7 +204,7 @@ impl Network {
                 ReduceOp::Max | ReduceOp::Min | ReduceOp::MaxU | ReduceOp::MinU => {
                     MaxMinUnit::reduce_tiles(op, values, active, tiles, w)
                 }
-                ReduceOp::Sum => unreachable!(),
+                ReduceOp::Sum => unreachable!("the sum unit takes one path at every geometry"),
             };
             acc = op.combine(acc, partial, w);
         }

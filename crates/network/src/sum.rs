@@ -4,53 +4,95 @@
 //! computing the sum, the result saturates to the largest or smallest
 //! representable value — at *every* tree node, which makes the operation
 //! non-associative; the result is defined by the canonical tree order of
-//! [`crate::tree::tree_reduce`], which [`crate::tree::tree_reduce_with`]
-//! reproduces without materializing the leaves.
+//! [`crate::tree::tree_reduce`].
+//!
+//! ## The tile tree
+//!
+//! Zero is the identity of the saturating add and never saturates, so the
+//! canonical tree over `n` leaves equals the perfect binary tree over the
+//! leaves zero-padded to any power of two at or above `n` (an odd node
+//! that passes through a level is the same node added to a zero), and an
+//! inactive PE is just one more zero leaf. A perfect tree over `64^k`
+//! lanes is made of perfect 64-leaf subtrees at every sixth level, so the
+//! unit computes it as a radix-64 tree of tiles: the
+//! [`asc_pe::SumTileKernel`] reduces each 64-lane tile, then the same
+//! kernel reduces each run of 64 tile partials, and so on up. Every node
+//! wider than a tile splits on a multiple of 64 lanes, so the result does
+//! not depend on how the array is segmented, and one path serves flat and
+//! segmented networks alike. Subtrees with no active lane are skipped on
+//! the mask's occupancy summary (4096 lanes per bit) and its tile words,
+//! so a masked sum costs about as many kernel calls as it has occupied
+//! tiles.
+
+use std::ops::Range;
 
 use asc_isa::{ReduceOp, Width, Word};
-use asc_pe::ActiveMask;
+use asc_pe::{select_sum_tile, ActiveMask, SimdLevel, SumTileKernel, TILE_LANES};
 
-use crate::tree::{tree_reduce_masked, tree_reduce_masked_range};
+/// Children of one node of the tile tree (tiles, or runs of tiles): the
+/// tile kernel's 64 inputs.
+const RADIX: usize = TILE_LANES;
 
-/// Functional model of the saturating sum reduction unit.
-pub struct SumUnit;
+/// Functional model of the saturating sum reduction unit, carrying the
+/// tile kernel of the machine's SIMD tier.
+#[derive(Debug, Clone, Copy)]
+pub struct SumUnit {
+    tile: SumTileKernel,
+}
 
 impl SumUnit {
-    /// Saturating signed sum over the active set (inactive PEs contribute
-    /// zero), reading the register plane in place. The saturating add is
-    /// non-associative, so the canonical tree order must be preserved —
-    /// the mask-pruned tree keeps it exactly (adding the zero identity
-    /// never changes a value or saturates, so eliding inactive leaves is
-    /// an identity transformation on the node values).
-    pub fn reduce(values: &[Word], active: &ActiveMask, w: Width) -> Word {
-        debug_assert_eq!(values.len(), active.lanes());
-        tree_reduce_masked(values.len(), Word::ZERO, active.words(), &|i| values[i], &|a, b| {
-            a.saturating_add_signed(b, w)
-        })
+    /// The unit at a SIMD tier; the tile kernel is selected here, once.
+    pub fn new(level: SimdLevel) -> SumUnit {
+        SumUnit { tile: select_sum_tile(level) }
     }
 
-    /// One segment's leaf adder tree: the canonical masked tree over the
-    /// 64-lane tiles in `tiles` only. Because segment lengths are a power
-    /// of two, combining these partials with the canonical tree over the
-    /// segments reproduces [`SumUnit::reduce`] exactly — association
-    /// order, node-by-node saturation and all (see
-    /// [`crate::tree::tree_reduce_masked_range`]).
-    pub fn reduce_tiles(
+    /// Saturating signed sum over the active set (inactive PEs contribute
+    /// zero), reading the register plane in place, in the canonical tree
+    /// order (see the [module docs](self)).
+    pub fn reduce(&self, values: &[Word], active: &ActiveMask, w: Width) -> Word {
+        debug_assert_eq!(values.len(), active.lanes());
+        let tiles = active.words().len();
+        let mut span = 1;
+        while span * RADIX < tiles {
+            span *= RADIX;
+        }
+        self.node(values, active, 0..tiles, span, w)
+    }
+
+    /// The node over `tiles`: the perfect tree over its (at most 64)
+    /// children of `span` tiles each, missing children entering as zero.
+    fn node(
+        &self,
         values: &[Word],
         active: &ActiveMask,
-        tiles: std::ops::Range<usize>,
+        tiles: Range<usize>,
+        span: usize,
         w: Width,
     ) -> Word {
-        let start = tiles.start * 64;
-        let end = values.len().min(tiles.end * 64);
-        tree_reduce_masked_range(
-            start,
-            end - start,
-            Word::ZERO,
-            active.words(),
-            &|i| values[i],
-            &|a, b| a.saturating_add_signed(b, w),
-        )
+        let mut partials = [Word::ZERO; RADIX];
+        let mut occupied = 0u64;
+        for (i, start) in tiles.clone().step_by(span).enumerate() {
+            let end = tiles.end.min(start + span);
+            partials[i] = if span == 1 {
+                let mw = active.tile_word(start);
+                if mw == 0 {
+                    continue;
+                }
+                (self.tile)(&values[start * TILE_LANES..values.len().min(end * TILE_LANES)], w, mw)
+            } else {
+                if !active.range_occupied(start..end) {
+                    continue;
+                }
+                self.node(values, active, start..end, span / RADIX, w)
+            };
+            occupied |= 1 << i;
+        }
+        match occupied.count_ones() {
+            0 => Word::ZERO,
+            // every other leaf is zero, which passes the one child through
+            1 => partials[occupied.trailing_zeros() as usize],
+            _ => (self.tile)(&partials, w, occupied),
+        }
     }
 
     /// Reference: the exact (unbounded) signed sum, clamped once at the
@@ -75,10 +117,54 @@ impl SumUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::tree_reduce;
+    use crate::{Network, NetworkConfig};
+    use asc_pe::SegmentGeometry;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn words(vs: &[i64], w: Width) -> Vec<Word> {
         vs.iter().map(|&v| Word::from_i64(v, w)).collect()
+    }
+
+    /// The sum at the scalar tier, checked equal at every other tier.
+    fn reduce(vals: &[Word], act: &ActiveMask, w: Width) -> Word {
+        let want = SumUnit::new(SimdLevel::Scalar).reduce(vals, act, w);
+        for level in SimdLevel::available() {
+            assert_eq!(SumUnit::new(level).reduce(vals, act, w), want, "{level:?}");
+        }
+        want
+    }
+
+    /// The oracle: the canonical level-order tree over every lane, the
+    /// inactive ones as zero leaves.
+    fn identity_padded_tree(vals: &[Word], act: &ActiveMask, w: Width) -> Word {
+        let leaves: Vec<Word> = vals
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if act.is_active(i) { v } else { Word::ZERO })
+            .collect();
+        tree_reduce(&leaves, Word::ZERO, |a, b| a.saturating_add_signed(b, w))
+    }
+
+    /// Full-range values, so that tree nodes saturate.
+    fn full_range(rng: &mut StdRng, n: usize, w: Width) -> Vec<Word> {
+        (0..n).map(|_| Word::from_i64(rng.random_range(w.smin()..=w.smax()), w)).collect()
+    }
+
+    /// `Network::reduce(Sum)` at every tier and segment request.
+    fn check_every_strategy(vals: &[Word], act: &ActiveMask, w: Width, want: Word) {
+        let n = vals.len();
+        for level in SimdLevel::available() {
+            for req in [0usize, 1, 2, 3, 7] {
+                let cfg = NetworkConfig::new(n, 2)
+                    .with_segments(SegmentGeometry::new(n, req))
+                    .with_simd(level);
+                let got = Network::new(cfg).reduce(ReduceOp::Sum, vals, act, w);
+                assert_eq!(got, want, "{w} n={n} {level:?} {req} segments");
+            }
+        }
     }
 
     #[test]
@@ -86,7 +172,7 @@ mod tests {
         let w = Width::W8;
         let vals = words(&[1, 2, 3, 4, 5], w);
         let act = ActiveMask::all(5);
-        assert_eq!(SumUnit::reduce(&vals, &act, w).to_i64(w), 15);
+        assert_eq!(reduce(&vals, &act, w).to_i64(w), 15);
         assert_eq!(SumUnit::exact_clamped(&vals, &act, w).to_i64(w), 15);
     }
 
@@ -95,9 +181,9 @@ mod tests {
         let w = Width::W8;
         let all = ActiveMask::all(3);
         let vals = words(&[100, 100, 100], w);
-        assert_eq!(SumUnit::reduce(&vals, &all, w).to_i64(w), 127);
+        assert_eq!(reduce(&vals, &all, w).to_i64(w), 127);
         let vals = words(&[-100, -100, -100], w);
-        assert_eq!(SumUnit::reduce(&vals, &all, w).to_i64(w), -128);
+        assert_eq!(reduce(&vals, &all, w).to_i64(w), -128);
     }
 
     #[test]
@@ -105,8 +191,8 @@ mod tests {
         let w = Width::W16;
         let vals = words(&[1000, 2000, 3000], w);
         let some = ActiveMask::from_bools(&[true, false, true]);
-        assert_eq!(SumUnit::reduce(&vals, &some, w).to_i64(w), 4000);
-        assert_eq!(SumUnit::reduce(&vals, &ActiveMask::new(3), w).to_i64(w), 0);
+        assert_eq!(reduce(&vals, &some, w).to_i64(w), 4000);
+        assert_eq!(reduce(&vals, &ActiveMask::new(3), w).to_i64(w), 0);
     }
 
     #[test]
@@ -117,8 +203,32 @@ mod tests {
         let w = Width::W8;
         let vals = words(&[100, 100, -100, 0], w);
         let all = ActiveMask::all(4);
-        assert_eq!(SumUnit::reduce(&vals, &all, w).to_i64(w), 27);
+        assert_eq!(reduce(&vals, &all, w).to_i64(w), 27);
         assert_eq!(SumUnit::exact_clamped(&vals, &all, w).to_i64(w), 100);
+    }
+
+    #[test]
+    fn upper_tile_levels_match_the_canonical_tree() {
+        // Past 64 tiles the unit recurses over runs of tiles and prunes on
+        // the occupancy summary; the proptest below stays under that size.
+        // 262_145 lanes take three radix-64 levels above the tiles.
+        let mut rng = StdRng::seed_from_u64(12);
+        for n in [4095usize, 4097, 70_001, 262_145] {
+            for w in [Width::W8, Width::W16, Width::W32] {
+                let vals = full_range(&mut rng, n, w);
+                let sparse: Vec<bool> = (0..n).map(|_| rng.random_bool(0.001)).collect();
+                // a cleared lane leaves its occupancy bit set: the summary
+                // is conservative, and an all-zero "occupied" group must
+                // still come out as zero
+                let mut stale = ActiveMask::new(n);
+                stale.set(0, true);
+                stale.set(n - 1, true);
+                stale.set(n - 1, false);
+                for act in [ActiveMask::all(n), ActiveMask::from_bools(&sparse), stale] {
+                    check_every_strategy(&vals, &act, w, identity_padded_tree(&vals, &act, w));
+                }
+            }
+        }
     }
 
     proptest! {
@@ -131,10 +241,7 @@ mod tests {
             let w = Width::W8;
             let vals = words(&raw, w);
             let act = ActiveMask::all(vals.len());
-            prop_assert_eq!(
-                SumUnit::reduce(&vals, &act, w),
-                SumUnit::exact_clamped(&vals, &act, w)
-            );
+            prop_assert_eq!(reduce(&vals, &act, w), SumUnit::exact_clamped(&vals, &act, w));
         }
 
         /// If the exact sum of absolute values fits in the width, no node
@@ -148,33 +255,35 @@ mod tests {
             let act = ActiveMask::all(vals.len());
             let abs_sum: i64 = raw.iter().map(|v| v.abs()).sum();
             prop_assume!(abs_sum <= 127);
-            prop_assert_eq!(
-                SumUnit::reduce(&vals, &act, w).to_i64(w),
-                raw.iter().sum::<i64>()
-            );
+            prop_assert_eq!(reduce(&vals, &act, w).to_i64(w), raw.iter().sum::<i64>());
         }
 
-        /// The mask-pruned tree must match the identity-padded canonical
-        /// tree on every mask — including masks spanning several packed
-        /// words and values whose intermediate nodes saturate, where any
-        /// deviation from the canonical association order would show.
+        /// The tile tree must match the identity-padded canonical tree at
+        /// every width, SIMD tier and segment geometry, on dense, sparse
+        /// and single-cluster masks over ragged multi-tile arrays, with
+        /// full-range values whose nodes saturate — where any deviation
+        /// from the canonical association order would show.
         #[test]
         fn masked_tree_matches_identity_padded_tree(
-            raw in proptest::collection::vec(-128i64..=127, 1..200),
-            actives in proptest::collection::vec(any::<bool>(), 200),
+            n in 1usize..=1000,
+            shape in 0u8..3,
+            seed in any::<u64>(),
         ) {
-            let w = Width::W8;
-            let n = raw.len();
-            let vals = words(&raw, w);
-            let act = ActiveMask::from_bools(&actives[..n]);
-            let leaf = |i: usize| if act.is_active(i) { vals[i] } else { Word::ZERO };
-            let reference = crate::tree::tree_reduce_with(
-                n,
-                Word::ZERO,
-                &leaf,
-                &|a, b| a.saturating_add_signed(b, w),
-            );
-            prop_assert_eq!(SumUnit::reduce(&vals, &act, w), reference);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let active: Vec<bool> = match shape {
+                0 => vec![true; n],
+                1 => (0..n).map(|_| rng.random_bool(0.05)).collect(),
+                _ => {
+                    let start = rng.random_range(0..n);
+                    let end = rng.random_range(start + 1..=n);
+                    (0..n).map(|i| (start..end).contains(&i)).collect()
+                }
+            };
+            let act = ActiveMask::from_bools(&active);
+            for w in [Width::W8, Width::W16, Width::W32] {
+                let vals = full_range(&mut rng, n, w);
+                check_every_strategy(&vals, &act, w, identity_padded_tree(&vals, &act, w));
+            }
         }
     }
 }

@@ -1,5 +1,9 @@
 //! Tree geometry, the canonical binary-tree reduction order, and the
 //! structural pipeline primitives ([`DelayLine`], [`PipelinedUnit`]).
+//!
+//! [`tree_reduce`] is the definition of the order, kept as the test oracle:
+//! the sum unit computes the same tree tile by tile (see
+//! [`crate::sum`]), and its tests compare the two on saturating values.
 
 use std::collections::VecDeque;
 
@@ -28,9 +32,10 @@ pub fn reduction_latency(num_pes: usize) -> u64 {
 /// the association order of the hardware adder/comparator trees.
 ///
 /// This matters: the saturating sum is **not associative**, so the result
-/// is *defined* as the value produced by this tree shape. All functional
-/// models and the reference implementations in the tests use this same
-/// order.
+/// is *defined* as the value produced by this tree shape. The root splits
+/// its `n` leaves after the largest power of two below `n`, so the tree
+/// equals the perfect tree over the leaves padded with the identity to
+/// the next power of two — the form [`crate::SumUnit`] computes.
 pub fn tree_reduce<T: Copy>(values: &[T], identity: T, combine: impl Fn(T, T) -> T) -> T {
     if values.is_empty() {
         return identity;
@@ -44,136 +49,6 @@ pub fn tree_reduce<T: Copy>(values: &[T], identity: T, combine: impl Fn(T, T) ->
         level = next;
     }
     level[0]
-}
-
-/// Allocation-free variant of [`tree_reduce`]: reduces the `n` leaves
-/// produced by `leaf(0..n)` in **exactly the same association order** as
-/// `tree_reduce` over a materialized slice, without building the leaf
-/// vector or any intermediate levels.
-///
-/// The equivalence rests on one observation about the level-order tree:
-/// the root combines the subtree over the first `s` leaves with the
-/// subtree over the rest, where `s` is the largest power of two strictly
-/// less than `n` (for `n` an exact power of two, the halves). The
-/// recursion applies that split at every node.
-pub fn tree_reduce_with<T: Copy>(
-    n: usize,
-    identity: T,
-    leaf: &impl Fn(usize) -> T,
-    combine: &impl Fn(T, T) -> T,
-) -> T {
-    fn go<T: Copy>(
-        start: usize,
-        len: usize,
-        leaf: &impl Fn(usize) -> T,
-        combine: &impl Fn(T, T) -> T,
-    ) -> T {
-        match len {
-            1 => leaf(start),
-            2 => combine(leaf(start), leaf(start + 1)),
-            _ => {
-                // the boundary of the root's left subtree: half of len
-                // rounded up to a power of two (= largest power of two
-                // strictly below len, except exact powers, which halve)
-                let split = len.next_power_of_two() >> 1;
-                combine(
-                    go(start, split, leaf, combine),
-                    go(start + split, len - split, leaf, combine),
-                )
-            }
-        }
-    }
-    if n == 0 {
-        return identity;
-    }
-    go(0, n, leaf, combine)
-}
-
-/// True if any bit of `mask` is set in lane range `[start, end)`.
-/// `mask` is packed 64 lanes per word, bit `i % 64` of word `i / 64`.
-#[inline]
-fn any_set(mask: &[u64], start: usize, end: usize) -> bool {
-    let w0 = start / 64;
-    let w1 = (end - 1) / 64;
-    let lo = u64::MAX << (start % 64);
-    let hi = u64::MAX >> (63 - (end - 1) % 64);
-    if w0 == w1 {
-        mask[w0] & lo & hi != 0
-    } else {
-        mask[w0] & lo != 0 || mask[w1] & hi != 0 || mask[w0 + 1..w1].iter().any(|&m| m != 0)
-    }
-}
-
-/// Mask-pruned [`tree_reduce_with`]: the same association order with the
-/// inactive leaves *eliminated* rather than materialized as identity
-/// values. Exact whenever `combine(x, id) == combine(id, x) == x` — true
-/// of every reduction unit's (combine, identity) pair, including the
-/// non-associative saturating sum (adding zero never changes a value or
-/// saturates) — because eliding an identity operand leaves the other
-/// subtree's value unchanged at that node. Subtrees containing no active
-/// leaf are skipped after a packed-word test, so the cost scales with the
-/// number of *active* lanes, not the array size: the associative kernels
-/// spend most of their reductions over small responder sets carved out of
-/// a large array, where the full `2n - 1`-node walk of the identity-padded
-/// tree is almost entirely identity traffic.
-///
-/// `mask` is the packed active set (64 lanes per `u64`, tail bits zero);
-/// `leaf` is only ever invoked for active lane indices.
-pub fn tree_reduce_masked<T: Copy>(
-    n: usize,
-    identity: T,
-    mask: &[u64],
-    leaf: &impl Fn(usize) -> T,
-    combine: &impl Fn(T, T) -> T,
-) -> T {
-    tree_reduce_masked_range(0, n, identity, mask, leaf, combine)
-}
-
-/// [`tree_reduce_masked`] over the leaf range `[start, start + len)` — the
-/// entry point of the two-level segmented tree. When `start` is a multiple
-/// of a power-of-two segment length `S` and `len <= S`, the recursion here
-/// is **identical** to the subtree the flat canonical tree builds over the
-/// same range (every flat-tree node covering more than `S` leaves splits
-/// at a multiple of `S`), so per-segment reductions combined by a canonical
-/// tree over the segment partials reproduce the flat result bit for bit —
-/// including the non-associative saturating sum.
-pub fn tree_reduce_masked_range<T: Copy>(
-    start: usize,
-    len: usize,
-    identity: T,
-    mask: &[u64],
-    leaf: &impl Fn(usize) -> T,
-    combine: &impl Fn(T, T) -> T,
-) -> T {
-    if len == 0 || !any_set(mask, start, start + len) {
-        return identity;
-    }
-    go_masked(start, len, mask, leaf, combine)
-}
-
-fn go_masked<T: Copy>(
-    start: usize,
-    len: usize,
-    mask: &[u64],
-    leaf: &impl Fn(usize) -> T,
-    combine: &impl Fn(T, T) -> T,
-) -> T {
-    // invariant: [start, start + len) holds at least one active leaf
-    if len == 1 {
-        return leaf(start);
-    }
-    let split = len.next_power_of_two() >> 1;
-    let left = any_set(mask, start, start + split);
-    let right = any_set(mask, start + split, start + len);
-    match (left, right) {
-        (true, true) => combine(
-            go_masked(start, split, mask, leaf, combine),
-            go_masked(start + split, len - split, mask, leaf, combine),
-        ),
-        (true, false) => go_masked(start, split, mask, leaf, combine),
-        (false, true) => go_masked(start + split, len - split, mask, leaf, combine),
-        (false, false) => unreachable!("range invariant violated"),
-    }
 }
 
 /// A fixed-latency, fully pipelined delay line: the structural model of a
@@ -293,80 +168,6 @@ mod tests {
             Box::leak(format!("({a}{b})").into_boxed_str())
         });
         assert_eq!(order, "(((ab)(cd))e)");
-    }
-
-    #[test]
-    fn tree_reduce_with_matches_tree_reduce_association() {
-        // The allocation-free recursion must reproduce the level-order
-        // association exactly (the saturating sum is non-associative, so
-        // any deviation is a behavioral change).
-        let combine = |a: &'static str, b: &'static str| -> &'static str {
-            Box::leak(format!("({a}{b})").into_boxed_str())
-        };
-        let names = ["a", "b", "c", "d", "e", "f", "g", "h", "i"];
-        for n in 0..=names.len() {
-            let by_slice = tree_reduce(&names[..n], "", combine);
-            let by_leaf = tree_reduce_with(n, "", &|i| names[i], &combine);
-            assert_eq!(by_slice, by_leaf, "n={n}");
-        }
-        // and for a larger, non-associative numeric combine
-        let sat = |a: i64, b: i64| (a + b).clamp(-100, 100);
-        for n in [31usize, 32, 33, 100, 1000] {
-            let leaves: Vec<i64> = (0..n as i64).map(|i| i * 7 % 23 - 11).collect();
-            assert_eq!(
-                tree_reduce(&leaves, 0, sat),
-                tree_reduce_with(n, 0, &|i| leaves[i], &sat),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn segmented_composition_matches_flat_tree() {
-        // Per-segment canonical trees joined by a canonical tree over the
-        // segment partials must equal the flat masked tree bit for bit —
-        // for a non-associative (saturating) combine, power-of-two segment
-        // lengths, ragged tails, and arbitrary masks. This is the
-        // correctness theorem behind the two-level reduction network.
-        let sat = |a: i64, b: i64| (a + b).clamp(-100, 100);
-        for n in [5usize, 64, 65, 127, 128, 300, 1000] {
-            let leaves: Vec<i64> = (0..n as i64).map(|i| i * 13 % 37 - 18).collect();
-            let mask: Vec<u64> = (0..n.div_ceil(64))
-                .map(|w| (w as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-                .collect();
-            let flat = tree_reduce_masked(n, 0, &mask, &|i| leaves[i], &sat);
-            for s_tiles in [1usize, 2, 4] {
-                let s = s_tiles * 64;
-                let segs = n.div_ceil(s);
-                let partial = |si: usize| {
-                    let start = si * s;
-                    tree_reduce_masked_range(
-                        start,
-                        (n - start).min(s),
-                        0,
-                        &mask,
-                        &|i| leaves[i],
-                        &sat,
-                    )
-                };
-                // exact segment occupancy
-                let mut occ = vec![0u64; segs.div_ceil(64)];
-                for si in 0..segs {
-                    let start = si * s;
-                    if any_set(&mask, start, start + (n - start).min(s)) {
-                        occ[si / 64] |= 1 << (si % 64);
-                    }
-                }
-                let two_level = tree_reduce_masked(segs, 0, &occ, &partial, &sat);
-                assert_eq!(two_level, flat, "n={n} seg={s}");
-                // conservative occupancy (every bit set) must agree too:
-                // a spuriously "occupied" empty segment contributes the
-                // identity, which is neutral at every node.
-                let all = vec![u64::MAX; segs.div_ceil(64)];
-                let conservative = tree_reduce_masked(segs, 0, &all, &partial, &sat);
-                assert_eq!(conservative, flat, "n={n} seg={s} conservative");
-            }
-        }
     }
 
     #[test]

@@ -28,13 +28,15 @@
 //! semantics of associative masked execution. Dense mask words take a
 //! branch-free 64-lane loop; sparse words a trailing-zeros scan.
 //!
-//! For large arrays (the scaling experiments run up to 2¹⁸ PEs) the lane
-//! loops run under Rayon via `par_chunks_mut` (64 lanes per chunk, so chunk
-//! index = mask word index); below [`ArrayConfig::parallel_threshold`] —
-//! or whenever the Rayon pool has a single worker, where a dispatch is
-//! pure overhead — they run serially, and both paths produce identical
-//! results. Stores stay serial: their writes scatter through local
-//! memory, which defeats safe chunking.
+//! The lane loops also have a Rayon form (`par_chunks_mut` over whole
+//! segments) for arrays at or above [`ArrayConfig::parallel_threshold`],
+//! taken only when the Rayon pool has more than one worker. The
+//! workspace's `rayon` is the serial stand-in in `compat/rayon`, whose
+//! `current_num_threads()` returns 1, so `pool_parallel` is always false:
+//! every lane loop runs serially on the calling thread, and only the unit
+//! tests that force the flag reach the Rayon form (which produces
+//! identical results). Stores have no Rayon form: their writes scatter
+//! through local memory, which defeats safe chunking.
 
 use asc_isa::{AluOp, CmpOp, FlagOp, Mask, PFlag, PReg, Width, Word};
 use rayon::prelude::*;

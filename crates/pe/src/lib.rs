@@ -42,7 +42,7 @@ pub use muldiv::{DividerConfig, MultiplierKind, SequentialUnit};
 pub use regfile::{FlagFile, RegFile};
 pub use segments::SegmentGeometry;
 pub use simd::{
-    alu_vectorizes, select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, simd_disabled,
-    AluRrKernel, AluRsKernel, CmpRrKernel, CmpRsKernel, SimdLevel,
+    alu_vectorizes, select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, select_sum_tile,
+    simd_disabled, AluRrKernel, AluRsKernel, CmpRrKernel, CmpRsKernel, SimdLevel, SumTileKernel,
 };
 pub use tiles::{RawTiles, ThreadTiles, TileWindow, TILE_LANES};

@@ -3,26 +3,25 @@
 //! A *segment* is a contiguous run of whole 64-PE tiles. Segments are the
 //! unit of scale-out: register planes, flag bitplanes and local-memory
 //! rows are committed (first touched) per segment, the dispatch loops
-//! hand one segment per Rayon task, and the interconnect composes as a
-//! two-level tree — a leaf reduction per segment feeding a root combiner
-//! over the segment partials.
+//! walk the array a segment at a time, skipping segments with no active
+//! lane, and the associative reductions compose as a two-level tree — a
+//! leaf reduction per segment feeding a root combiner over the segment
+//! partials.
 //!
-//! Two invariants make the composition exact rather than approximate:
+//! Segmentation is an execution strategy only:
 //!
 //! * every segment except possibly the last spans `tiles_per_seg` tiles,
-//!   and `tiles_per_seg` is a **power of two**. The canonical reduction
-//!   tree over `n` leaves splits at `len.next_power_of_two() / 2`, so a
-//!   power-of-two segment length makes the flat tree decompose *exactly*
-//!   into per-segment subtrees joined by the same canonical tree over the
-//!   segment partials — saturating-sum association order is preserved
-//!   across segment boundaries bit for bit;
+//!   and `tiles_per_seg` is a **power of two**, so the two-level tree's
+//!   stage depths add up to the flat ⌈log₂ p⌉ exactly;
+//! * the associative reductions are exact under any bracketing, and the
+//!   non-associative saturating sum does not see the segments at all: its
+//!   tile tree splits every node wider than 64 lanes on a multiple of 64,
+//!   so one path serves every segment count;
 //! * the last segment may be ragged (fewer tiles, and its last tile may
-//!   cover fewer than 64 lanes), which the range-based tree entry points
-//!   handle the same way the flat tree handles a non-power-of-two `n`.
+//!   cover fewer than 64 lanes).
 //!
-//! The segment count is capped at [`MAX_SEGMENTS`] so a reduction's root
-//! stage can keep its segment-occupancy mask on the stack (no allocation
-//! on the instruction path).
+//! The segment count is capped at [`MAX_SEGMENTS`], which bounds the
+//! per-segment loops of every reduction and plane sweep.
 
 use crate::bitmask::{words_for, BITS_PER_WORD};
 

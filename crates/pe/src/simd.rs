@@ -24,10 +24,18 @@
 //! either ISA extension); the vector kernels fall through to the scalar
 //! loop for them, so the selector is total over [`AluOp`].
 //!
+//! A fifth primitive serves the reduction network rather than the plane
+//! operations: the saturating-sum *tile* ([`SumTileKernel`]), the perfect
+//! pairwise adder tree over one 64-lane tile with a clamp at every node.
+//! At `W8`/`W16` a node sum fits in an `i32` lane, so each tree level is
+//! one vector add plus a min/max clamp; `W32` sums can leave `i32`, so
+//! the vector tiers fall back to the scalar tree there.
+//!
 //! The tier is resolved **once per machine construction** by
 //! [`SimdLevel::detect`] (hardware probe + the `MTASC_NO_SIMD` escape
-//! hatch) and carried in [`crate::ArrayConfig`]; nothing here reads
-//! global mutable state. Building with `--cfg mtasc_force_scalar` (the
+//! hatch) and carried in [`crate::ArrayConfig`] (and in the reduction
+//! network's config, for the sum tile); nothing here reads global mutable
+//! state. Building with `--cfg mtasc_force_scalar` (the
 //! CI portability check) compiles the intrinsics out entirely and the
 //! selectors degrade to the scalar tier.
 //!
@@ -141,6 +149,10 @@ pub type AluRsKernel = fn(dst: &mut [Word], a: &[Word], s: Word, w: Width, mw: u
 pub type CmpRrKernel = fn(a: &[Word], b: &[Word], w: Width) -> u64;
 /// Compare chunk primitive against a broadcast scalar.
 pub type CmpRsKernel = fn(a: &[Word], s: Word, w: Width) -> u64;
+/// Saturating-sum tile primitive: the perfect pairwise adder tree over one
+/// 64-lane tile, saturating at every node, with the lanes whose `mw` bit
+/// is clear (and lanes at or above `values.len()`) entering as zero.
+pub type SumTileKernel = fn(values: &[Word], w: Width, mw: u64) -> Word;
 
 /// Ops the vector tiers fall through to the scalar loop for.
 const fn scalar_only(op_code: u8) -> bool {
@@ -254,6 +266,28 @@ fn cmp_rs_scalar<const OP: u8>(a: &[Word], s: Word, w: Width) -> u64 {
     cmp_lanes::<true>(cmp_of::<OP>(), a, &[], s, w, 0)
 }
 
+/// Scalar sum tile: the reference for the vector tiers, and their
+/// fallback at `W32`, where a node sum can leave `i32`.
+fn sum_tile_scalar(values: &[Word], w: Width, mw: u64) -> Word {
+    debug_assert!(values.len() <= 64 && mw & !chunk_mask(values.len()) == 0);
+    let mut node = [0i64; 64];
+    let mut m = mw;
+    while m != 0 {
+        let i = m.trailing_zeros() as usize;
+        node[i] = values[i].to_i64(w);
+        m &= m - 1;
+    }
+    let (lo, hi) = (w.smin(), w.smax());
+    let mut len = 64;
+    while len > 1 {
+        len /= 2;
+        for i in 0..len {
+            node[i] = (node[2 * i] + node[2 * i + 1]).clamp(lo, hi);
+        }
+    }
+    Word::from_i64(node[0], w)
+}
+
 /// Monomorphize `$f` over every [`AluOp`] code.
 macro_rules! alu_table {
     ($op:expr, $f:ident) => {{
@@ -344,6 +378,18 @@ pub fn select_cmp_rs(level: SimdLevel, op: CmpOp) -> CmpRsKernel {
     }
     let _ = level;
     cmp_table!(op, cmp_rs_scalar)
+}
+
+/// The saturating-sum tile kernel for a tier.
+pub fn select_sum_tile(level: SimdLevel) -> SumTileKernel {
+    #[cfg(all(target_arch = "x86_64", not(mtasc_force_scalar)))]
+    match level {
+        SimdLevel::Avx2 => return x86::sum_tile_avx2,
+        SimdLevel::Avx512 => return x86::sum_tile_avx512,
+        SimdLevel::Scalar => {}
+    }
+    let _ = level;
+    sum_tile_scalar
 }
 
 // ------------------------------------------------------------------ x86
@@ -605,11 +651,139 @@ mod x86 {
         }
     }
 
+    // -------------------------------------------------------- sum tiles
+    //
+    // W8/W16 lanes sign-extend into i32, where the sum of two saturated
+    // nodes cannot overflow, so each tree level is a 32-bit add plus a
+    // clamp to the width's signed range. The tree shape is fixed: every
+    // level adds exactly the sibling pairs of the perfect tree, whatever
+    // lane order the shuffles leave them in (the add is commutative).
+
+    /// `values` as a full tile: the slice itself, or a zero-padded copy
+    /// in `buf` for a ragged tail tile (never read past the slice).
+    #[inline(always)]
+    fn full_tile<'a>(values: &'a [Word], buf: &'a mut [Word; 64]) -> &'a [Word] {
+        if values.len() == 64 {
+            return values;
+        }
+        buf[..values.len()].copy_from_slice(values);
+        buf
+    }
+
+    /// Clamp each lane into `[lo, hi]`: one saturating tree level.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn clamp256(v: __m256i, lo: __m256i, hi: __m256i) -> __m256i {
+        unsafe { _mm256_min_epi32(_mm256_max_epi32(v, lo), hi) }
+    }
+
+    /// Lanes `8g..8g + 8` of the tile, sign-extended, inactive lanes zero.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and `p` must point at a tile of 64
+    /// readable lanes with `g < 8`.
+    #[inline(always)]
+    unsafe fn sum_load256(p: *const i32, g: usize, mw: u64, bits: u32) -> __m256i {
+        unsafe {
+            // lane i's mask bit shifted up to the sign bit, which is the
+            // per-lane enable of vpmaskmovd
+            let to_sign = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
+            let gm = _mm256_set1_epi32((mw >> (g * 8)) as i32 & 0xff);
+            let v = _mm256_maskload_epi32(p.add(g * 8), _mm256_sllv_epi32(gm, to_sign));
+            sext256(v, bits)
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn sum_tile_avx2_impl(values: &[Word], w: Width, mw: u64) -> Word {
+        if w == Width::W32 {
+            return sum_tile_scalar(values, w, mw);
+        }
+        let mut buf = [Word::ZERO; 64];
+        let p = lanes_ptr(full_tile(values, &mut buf));
+        let bits = w.bits();
+        // SAFETY: the caller guarantees AVX2; `p` points at 64 lanes
+        // (`full_tile`), and `v` loads groups 0..8 only.
+        unsafe {
+            let lo = _mm256_set1_epi32(w.smin() as i32);
+            let hi = _mm256_set1_epi32(w.smax() as i32);
+            let v = |g| sum_load256(p, g, mw, bits);
+            let level = |a, b| clamp256(_mm256_hadd_epi32(a, b), lo, hi);
+            // levels 1-2: vphaddd adds adjacent lanes within each 128-bit
+            // half, which pairs siblings twice over; after level 2, half
+            // 0 holds the first 4-lane node of every 8-lane group and
+            // half 1 the second:
+            // q0 = [0-3, 8-11, 16-19, 24-27 | 4-7, 12-15, 20-23, 28-31]
+            let q0 = level(level(v(0), v(1)), level(v(2), v(3)));
+            let q1 = level(level(v(4), v(5)), level(v(6), v(7)));
+            // level 3 adds the halves: the eight 8-lane nodes, in order
+            let r = clamp256(
+                _mm256_add_epi32(
+                    _mm256_permute2x128_si256::<0x20>(q0, q1),
+                    _mm256_permute2x128_si256::<0x31>(q0, q1),
+                ),
+                lo,
+                hi,
+            );
+            // levels 4-5: [0-15, 16-31, .. | 32-47, 48-63, ..], then
+            // [0-31, .. | 32-63, ..]; level 6 joins the two halves
+            let s = level(r, r);
+            let t = level(s, s);
+            let root = _mm256_cvtsi256_si32(t) as i64 + _mm256_extract_epi32::<4>(t) as i64;
+            Word::from_i64(root.clamp(w.smin(), w.smax()), w)
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn sum_tile_avx512_impl(values: &[Word], w: Width, mw: u64) -> Word {
+        if w == Width::W32 {
+            return sum_tile_scalar(values, w, mw);
+        }
+        let mut buf = [Word::ZERO; 64];
+        let p = lanes_ptr(full_tile(values, &mut buf));
+        let bits = w.bits();
+        // SAFETY: the caller guarantees AVX-512F; `p` points at 64 lanes
+        // (`full_tile`), and `v` loads groups 0..4 only.
+        unsafe {
+            let lo = _mm512_set1_epi32(w.smin() as i32);
+            let hi = _mm512_set1_epi32(w.smax() as i32);
+            let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+            let odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
+            let v = |g: usize| {
+                sext512(_mm512_maskz_loadu_epi32((mw >> (g * 16)) as u16, p.add(g * 16)), bits)
+            };
+            // the 16 parents of the 32 ordered nodes `a ++ b`, in order
+            let level = |a, b| {
+                let s = _mm512_add_epi32(
+                    _mm512_permutex2var_epi32(a, even, b),
+                    _mm512_permutex2var_epi32(a, odd, b),
+                );
+                _mm512_min_epi32(_mm512_max_epi32(s, lo), hi)
+            };
+            // levels 1-2 leave the sixteen 4-lane nodes in order; levels
+            // 3-6 halve them within one vector (upper lanes are copies)
+            let mut t = level(level(v(0), v(1)), level(v(2), v(3)));
+            for _ in 0..4 {
+                t = level(t, t);
+            }
+            Word::from_i64(_mm_cvtsi128_si32(_mm512_castsi512_si128(t)) as i64, w)
+        }
+    }
+
     // --------------------------------------------- safe kernel entries
     //
-    // SAFETY (all of these): the selectors only hand out AVX2/AVX-512
-    // entries for a [`SimdLevel`] produced by [`SimdLevel::detect`], which
-    // probed the feature at runtime.
+    // SAFETY (all of these): the selectors hand out AVX2/AVX-512 entries
+    // for the tier they are given. The tier reaches them through the
+    // public fields `ArrayConfig::simd` and `NetworkConfig::simd` (the sum
+    // tile); the contract is that callers set those only to a tier
+    // returned by [`SimdLevel::detect`], [`SimdLevel::detect_hw`] or
+    // [`SimdLevel::available`], which probed the features at runtime.
 
     fn alu_rr_avx2<const OP: u8>(dst: &mut [Word], a: &[Word], b: &[Word], w: Width, mw: u64) {
         unsafe { alu_avx2::<OP, false>(dst, a, b, Word::ZERO, w, mw) }
@@ -641,6 +815,14 @@ mod x86 {
 
     fn cmp_rs_avx512<const OP: u8>(a: &[Word], s: Word, w: Width) -> u64 {
         unsafe { cmp_avx512_impl::<OP, true>(a, &[], s, w) }
+    }
+
+    pub(super) fn sum_tile_avx2(values: &[Word], w: Width, mw: u64) -> Word {
+        unsafe { sum_tile_avx2_impl(values, w, mw) }
+    }
+
+    pub(super) fn sum_tile_avx512(values: &[Word], w: Width, mw: u64) -> Word {
+        unsafe { sum_tile_avx512_impl(values, w, mw) }
     }
 
     // --------------------------------------- per-tier dispatch tables
@@ -706,6 +888,11 @@ mod tests {
                         select_alu_rs(level, op)(&mut got_s, &a, s, w, mw);
                         assert_eq!(got_s, want_s, "{level:?} {op} rs {w} n={n} mw={mw:#x}");
                     }
+                    assert_eq!(
+                        select_sum_tile(level)(&a, w, mw),
+                        sum_tile_scalar(&a, w, mw),
+                        "{level:?} sum tile {w} n={n} mw={mw:#x}"
+                    );
                     for &op in CmpOp::ALL {
                         let want = cmp_lanes::<false>(op, &a, &b, Word::ZERO, w, 0) & mw;
                         let got = select_cmp_rr(level, op)(&a, &b, w) & mw;
