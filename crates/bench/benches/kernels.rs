@@ -4,8 +4,7 @@
 //! Besides the criterion micro-benches, this target maintains the
 //! committed wall-time baseline `BENCH_kernels.json` (schema
 //! `mtasc.kernels.v1`): five representative kernels at p = 4096 PEs,
-//! which is exactly the default `parallel_threshold`, so the baseline
-//! exercises the tiled + rayon execution path.
+//! 64 tiles each for the fused-block sweep, in one auto-sized segment.
 //!
 //! - `cargo bench --bench kernels -- --save-baseline` re-measures and
 //!   rewrites `BENCH_kernels.json` at the repository root.
@@ -101,8 +100,8 @@ criterion_group!(
 
 // ------------------------------------------------------------- baseline
 
-/// PE count of every baseline kernel: the paper's "large array" point and
-/// the default `parallel_threshold`, so the tiled rayon path is on.
+/// PE count of every baseline kernel: the paper's "large array" point, one
+/// full occupancy group and auto-sized segment.
 const BASELINE_PES: usize = 4096;
 
 /// Schema tag written into (and expected from) `BENCH_kernels.json`.

@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use asc_isa::{ReduceOp, Width, Word};
 use asc_network::{MultipleResponseResolver, Network, NetworkConfig};
-use asc_pe::{ActiveMask, SegmentGeometry};
+use asc_pe::ActiveMask;
 
 fn bench_reductions(c: &mut Criterion) {
     let mut g = c.benchmark_group("network_reduce");
@@ -23,13 +23,13 @@ fn bench_reductions(c: &mut Criterion) {
     g.finish();
 }
 
-/// The saturating sum at 2²⁰ PEs: the dense unmasked sum, and a masked sum
-/// over one 1024-PE cluster (the clustered key/value layout of the
-/// `pe_scaling` bench), each under the automatic segmentation and forced
-/// monolithic, at the detected SIMD tier (`MTASC_NO_SIMD=1` for scalar).
-/// The dense rows measure the tile kernel; the clustered rows measure
-/// occupancy pruning, which must hold at both geometries.
-fn bench_sum_at_scale(c: &mut Criterion) {
+/// Reductions at 2²⁰ PEs: the saturating sum, unsigned max and logic OR,
+/// each unmasked and masked to one 1024-PE cluster (the clustered
+/// key/value layout of the `pe_scaling` bench), at the detected SIMD tier
+/// (`MTASC_NO_SIMD=1` for scalar). The dense rows measure the sum's tile
+/// kernel and the one-pass units' word loops; the clustered rows measure
+/// occupancy pruning.
+fn bench_reductions_at_scale(c: &mut Criterion) {
     let mut g = c.benchmark_group("network_reduce");
     let p = 1usize << 20;
     let w = Width::W16;
@@ -40,13 +40,12 @@ fn bench_sum_at_scale(c: &mut Criterion) {
     plane[cluster..cluster + 1024 / 64].fill(u64::MAX);
     let mut clustered = ActiveMask::new(p);
     clustered.copy_from_plane(&plane);
-    for (geo, requested) in [("auto", 0usize), ("1seg", 1)] {
-        let cfg = NetworkConfig::new(p, 4).with_segments(SegmentGeometry::new(p, requested));
-        let net = Network::new(cfg);
+    let net = Network::new(NetworkConfig::new(p, 4));
+    for op in [ReduceOp::Sum, ReduceOp::MaxU, ReduceOp::Or] {
         for (label, mask) in [("dense", &dense), ("cluster1024", &clustered)] {
-            let id = BenchmarkId::new(format!("{}-{label}-{geo}", ReduceOp::Sum), p);
+            let id = BenchmarkId::new(format!("{op}-{label}"), p);
             g.bench_with_input(id, &p, |b, _| {
-                b.iter(|| black_box(net.reduce(ReduceOp::Sum, &values, mask, w)))
+                b.iter(|| black_box(net.reduce(op, &values, mask, w)))
             });
         }
     }
@@ -127,7 +126,7 @@ fn bench_lang_compile(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_reductions,
-    bench_sum_at_scale,
+    bench_reductions_at_scale,
     bench_resolver,
     bench_assembler,
     bench_encode_decode,

@@ -2,7 +2,7 @@
 //! preloaded database at every power-of-two array size from 2⁴ to 2²⁰,
 //! with the core-affine segmentation both enabled (the default automatic
 //! slicing) and forced off (`--segments 1`), so the committed table
-//! proves the two-level reduction win point by point.
+//! compares the two geometries point by point.
 //!
 //! The database holds one record per PE with keys sorted into contiguous
 //! clusters (all PEs sharing a key are adjacent), the layout an

@@ -735,9 +735,9 @@ pub fn dispatch(mut args: Vec<String>) -> Result<String, CliError> {
 }
 
 /// `mtasc --version`: crate version, every schema this tool emits, and
-/// the resolved execution strategy (host SIMD tier, segment slicing,
-/// Rayon threshold — all after their env overrides), so a pasted version
-/// line pins down how wall times were produced.
+/// the resolved execution strategy (host SIMD tier and segment slicing,
+/// both after their env overrides), so a pasted version line pins down
+/// how wall times were produced.
 pub fn version_text() -> String {
     let cfg = MachineConfig::new(MachineOpts::default().pes);
     let segments = match cfg.effective_segments() {
@@ -747,12 +747,10 @@ pub fn version_text() -> String {
     format!(
         "mtasc {}\nschemas: {REPORT_SCHEMA}, {PROFILE_SCHEMA}, mtasc.lint.v1, \
          {RUN_META_SCHEMA}, {PROGRESS_SCHEMA}, {STATS_DIFF_SCHEMA}, {HTTP_SCHEMA}\n\
-         execution: simd {} (MTASC_NO_SIMD), segments {} (MTASC_SEGMENTS), \
-         par-threshold {} (MTASC_PAR_THRESHOLD)\n",
+         execution: simd {} (MTASC_NO_SIMD), segments {} (MTASC_SEGMENTS)\n",
         env!("CARGO_PKG_VERSION"),
         cfg.simd_level().label(),
         segments,
-        cfg.effective_parallel_threshold(),
     )
 }
 
@@ -1894,7 +1892,7 @@ mod tests {
         assert!(text.contains("execution: simd "), "{text}");
         assert!(text.contains("segments "), "{text}");
         assert!(text.contains("MTASC_SEGMENTS"), "{text}");
-        assert!(text.contains("MTASC_PAR_THRESHOLD"), "{text}");
+        assert!(!text.contains("THRESHOLD"), "{text}");
     }
 
     #[test]

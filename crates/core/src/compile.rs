@@ -30,8 +30,7 @@ use asc_pe::simd::{
     select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, AluRrKernel, AluRsKernel,
     CmpRrKernel, CmpRsKernel, SimdLevel,
 };
-use asc_pe::{ActiveMask, PeFault, SegmentGeometry, ThreadTiles, TileWindow, TILE_LANES};
-use rayon::prelude::*;
+use asc_pe::{ActiveMask, PeFault, ThreadTiles, TileWindow, TILE_LANES};
 
 /// What a compiled op writes — recorded at compile time so the fusion
 /// engine can mark plane commitment (lazy-materialization telemetry)
@@ -463,46 +462,28 @@ fn k_idx(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<
 
 // ------------------------------------------------------------ execution
 
-/// Run a compiled chain over every tile of `tiles`: the whole chain over
-/// one tile before the next. Returns the fault to attribute, chosen as
-/// the lowest `(op index, PE)` across the sweep — the same identity the
-/// instruction-major executor would have stopped at. In the parallel
-/// regime whole core-affine segments are distributed over rayon workers
-/// (tiles stay serial inside a segment, so each worker streams a
-/// contiguous slice of every touched plane); distinct tiles touch
-/// disjoint memory either way.
+/// Run a compiled chain over every tile of `tiles`, lowest first: the
+/// whole chain over one tile before the next. Returns the fault to
+/// attribute, chosen as the lowest `(op index, PE)` across the sweep —
+/// the same identity the instruction-major executor would have stopped
+/// at.
 pub(crate) fn run_chain_tiles(
     chain: &[CompiledOp],
     tiles: &mut ThreadTiles<'_>,
     all: &ActiveMask,
-    parallel: bool,
-    geo: SegmentGeometry,
 ) -> Option<(u32, PeFault)> {
-    let nt = tiles.num_tiles();
-    let raw = tiles.raw();
-    let per_tile = |tile: usize| -> Option<(u32, PeFault)> {
-        // SAFETY: every invocation names a distinct tile index, and the
-        // iteration below visits each tile exactly once.
-        let mut win = unsafe { raw.window(tile) };
-        let mut first: Option<(u32, PeFault)> = None;
+    let mut fault: Option<(u32, PeFault)> = None;
+    for tile in 0..tiles.num_tiles() {
+        let mut win = tiles.window(tile);
         for (k, op) in chain.iter().enumerate() {
             if let Some(f) = (op.run)(op, &mut win, all) {
-                if first.is_none() {
-                    first = Some((k as u32, f));
+                // tiles run in lane order, so the first fault of an op
+                // is its lowest faulting PE
+                if fault.is_none_or(|(fk, _)| (k as u32) < fk) {
+                    fault = Some((k as u32, f));
                 }
             }
         }
-        first
-    };
-    if parallel {
-        debug_assert_eq!(geo.seg_tile_range(geo.count() - 1).end, nt);
-        let per_seg = |s: usize| -> Option<(u32, PeFault)> {
-            geo.seg_tile_range(s).filter_map(per_tile).min_by_key(|&(k, f)| (k, f.pe))
-        };
-        // The global minimum over (op index, PE) equals the minimum over
-        // the per-segment minima: same fault identity as the flat sweep.
-        (0..geo.count()).into_par_iter().filter_map(per_seg).min_by_key(|&(k, f)| (k, f.pe))
-    } else {
-        (0..nt).filter_map(per_tile).min_by_key(|&(k, f)| (k, f.pe))
     }
+    fault
 }

@@ -79,8 +79,6 @@ pub struct MachineConfig {
     pub forwarding: bool,
     /// Instruction-fetch model.
     pub fetch: FetchModel,
-    /// PE-loop Rayon threshold (see [`ArrayConfig::parallel_threshold`]).
-    pub parallel_threshold: usize,
     /// Execute fusible parallel basic blocks tile-by-tile (the block
     /// fusion engine). Purely an execution strategy: cycle counts, stats,
     /// and architectural results are bit-identical either way. Disable
@@ -94,8 +92,9 @@ pub struct MachineConfig {
     /// `MTASC_NO_SIMD=1`) to cross-check or to time the scalar loops.
     pub simd: bool,
     /// Requested segment count for the core-affine sharding of the PE
-    /// array (`0` = automatic, one segment per 4096 lanes; `1` = the
-    /// monolithic flat layout; overridable with `MTASC_SEGMENTS`). Purely
+    /// array, the granularity at which plane writes are recorded (`0` =
+    /// automatic, one segment per 4096 lanes; `1` = the monolithic flat
+    /// layout; overridable with `MTASC_SEGMENTS`). Purely
     /// an execution strategy — results, cycle counts, stats and profiles
     /// are bit-identical at every count; see [`asc_pe::SegmentGeometry`].
     pub segments: usize,
@@ -130,7 +129,6 @@ impl MachineConfig {
             sched: SchedPolicy::FineGrain,
             forwarding: true,
             fetch: FetchModel::Ideal,
-            parallel_threshold: 4096,
             fusion: true,
             simd: true,
             segments: 0,
@@ -253,25 +251,16 @@ impl MachineConfig {
         env_usize("MTASC_SCHED_SEED").map(|s| s as u64).unwrap_or(self.sched_seed)
     }
 
-    /// The Rayon dispatch threshold after the `MTASC_PAR_THRESHOLD`
-    /// override.
-    pub fn effective_parallel_threshold(&self) -> usize {
-        env_usize("MTASC_PAR_THRESHOLD").unwrap_or(self.parallel_threshold)
-    }
-
     /// The resolved segment slicing this machine will execute with
-    /// (requested count, env override, rounding and capping applied).
-    /// Resolved here once so the PE array, the network and the block
-    /// compiler always agree.
+    /// (requested count, env override, rounding and capping applied): the
+    /// granularity of the PE array's commit map.
     pub fn segment_geometry(&self) -> asc_pe::SegmentGeometry {
         asc_pe::SegmentGeometry::new(self.num_pes, self.effective_segments())
     }
 
     /// Network geometry for this machine.
     pub fn network(&self) -> NetworkConfig {
-        NetworkConfig::new(self.num_pes, self.broadcast_arity)
-            .with_segments(self.segment_geometry())
-            .with_simd(self.simd_level())
+        NetworkConfig::new(self.num_pes, self.broadcast_arity).with_simd(self.simd_level())
     }
 
     /// PE array geometry for this machine.
@@ -283,7 +272,6 @@ impl MachineConfig {
             flags: asc_isa::NUM_FLAGS,
             lmem_words: self.lmem_words,
             width: self.width,
-            parallel_threshold: self.effective_parallel_threshold(),
             simd: self.simd_level(),
             segments: self.segment_geometry(),
         }
@@ -292,7 +280,7 @@ impl MachineConfig {
     /// Pipeline timing parameters for this machine.
     pub fn timing(&self) -> Timing {
         // the latencies depend on the PE count and arity alone, so skip
-        // resolving the segment override and the `--no-simd` flag
+        // resolving the `--no-simd` flag
         let net = NetworkConfig::new(self.num_pes, self.broadcast_arity);
         Timing {
             b: net.broadcast_latency(),
@@ -342,7 +330,6 @@ mod tests {
         let geo = c.segment_geometry();
         assert_eq!(geo.count(), 4);
         assert_eq!(c.array().segments, geo);
-        assert_eq!(c.network().segments, geo);
         // the SIMD tier reaches the network as it reaches the array
         assert_eq!(c.network().simd, c.array().simd);
         let scalar = c.without_simd();
@@ -352,6 +339,6 @@ mod tests {
         assert_eq!(c.timing(), MachineConfig::new(1 << 16).with_segments(1).timing());
         // default requests the automatic slicing
         assert_eq!(MachineConfig::new(16).segments, 0);
-        assert!(!MachineConfig::new(16).segment_geometry().is_segmented());
+        assert_eq!(MachineConfig::new(16).segment_geometry().count(), 1);
     }
 }

@@ -26,9 +26,8 @@
 //! tile — so a tile's working set (a handful of 64-word register slices
 //! and one word per flag plane) stays resident across the block. Lane
 //! locality of fusible instructions makes tile-major order bit-identical
-//! to instruction-major order. In the parallel regime the rayon path
-//! distributes *tiles* (not one instruction's lanes) over workers;
-//! distinct tiles touch disjoint memory, so no synchronization is needed.
+//! to instruction-major order. Tiles run in lane order on the calling
+//! thread.
 //!
 //! ## Timing is unchanged
 //!
@@ -383,8 +382,6 @@ impl Machine {
         // (read per tile at execution order, preserving self-masking
         // semantics).
         self.array.fill_active(tid, asc_isa::Mask::All, &mut self.amask);
-        let geo = self.array.segments();
-        let parallel = self.cfg.num_pes >= self.array.config().parallel_threshold;
         let chain = plan.chain(pc, len);
         // The chain writes planes through raw tile windows, bypassing the
         // array's marking mutators — commit its destinations up front.
@@ -400,7 +397,7 @@ impl Machine {
         let fault = {
             let mut tiles = self.array.thread_tiles(tid);
             self.fusion_dyn.tile_chains += tiles.num_tiles() as u64;
-            run_chain_tiles(chain, &mut tiles, &self.amask, parallel, geo)
+            run_chain_tiles(chain, &mut tiles, &self.amask)
         };
         self.fusion_dyn.blocks_executed += 1;
         self.fusion_dyn.instrs_fused += len as u64;

@@ -43,8 +43,6 @@ pub struct MachineMeta {
     /// Execution strategy only — results are bit-identical at every
     /// count — but recorded so wall-time comparisons are fair.
     pub segments: u64,
-    /// Resolved Rayon dispatch threshold (after `MTASC_PAR_THRESHOLD`).
-    pub par_threshold: u64,
 }
 
 /// A complete, serializable account of one simulation run.
@@ -86,7 +84,6 @@ impl RunReport {
             sched,
             simd: m.simd_level().label().to_string(),
             segments: cfg.segment_geometry().count() as u64,
-            par_threshold: cfg.effective_parallel_threshold() as u64,
         };
         let stats = m.stats().clone();
         let mut metrics = stats.to_registry();
@@ -139,7 +136,6 @@ impl RunReport {
             ("sched".into(), Json::str(&m.sched)),
             ("simd".into(), Json::str(&m.simd)),
             ("segments".into(), Json::U64(m.segments)),
-            ("par_threshold".into(), Json::U64(m.par_threshold)),
         ]);
         let s = &self.totals;
         let totals = Json::Obj(vec![
@@ -208,7 +204,6 @@ impl RunReport {
             simd: m.get("simd").and_then(Json::as_str).unwrap_or("scalar").to_string(),
             // absent in pre-segmentation reports, which were monolithic
             segments: m.get("segments").and_then(Json::as_u64).unwrap_or(1),
-            par_threshold: m.get("par_threshold").and_then(Json::as_u64).unwrap_or(0),
         };
         let metrics = Registry::from_json(v.get("metrics")?)?;
         let t = v.get("totals")?;
@@ -382,25 +377,28 @@ loop:   paddi p1, p1, 1
             report.machine.simd
         );
         assert!(report.machine.segments >= 1);
-        assert_eq!(report.machine.par_threshold, 4096);
-        // pre-SIMD / pre-segmentation reports carry no `simd`, `segments`
-        // or `par_threshold` keys; they all ran scalar and monolithic
-        let mut v = report.to_json();
-        if let Json::Obj(entries) = &mut v {
-            for (k, val) in entries.iter_mut() {
-                if k == "machine" {
-                    if let Json::Obj(machine) = val {
-                        machine.retain(|(k, _)| {
-                            k != "simd" && k != "segments" && k != "par_threshold"
-                        });
-                    }
+        assert!(!report.to_json().to_pretty().contains("par_threshold"));
+        // a serialized report with its `machine` object edited
+        let with_machine = |edit: fn(&mut Vec<(String, Json)>)| {
+            let mut v = report.to_json();
+            if let Json::Obj(entries) = &mut v {
+                if let Some((_, Json::Obj(machine))) =
+                    entries.iter_mut().find(|(k, _)| k == "machine")
+                {
+                    edit(machine);
                 }
             }
-        }
-        let old = RunReport::from_json(&v).expect("schema-compatible");
+            v
+        };
+        // pre-SIMD / pre-segmentation reports carry no `simd` or
+        // `segments` keys; they all ran scalar and monolithic
+        let old = with_machine(|m| m.retain(|(k, _)| k != "simd" && k != "segments"));
+        let old = RunReport::from_json(&old).expect("schema-compatible");
         assert_eq!(old.machine.simd, "scalar");
         assert_eq!(old.machine.segments, 1);
-        assert_eq!(old.machine.par_threshold, 0);
+        // reports that still carry the retired `par_threshold` key load
+        let parent = with_machine(|m| m.push(("par_threshold".into(), Json::U64(4096))));
+        assert_eq!(RunReport::from_json(&parent).expect("schema-compatible"), report);
     }
 
     #[test]

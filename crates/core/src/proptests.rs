@@ -343,11 +343,10 @@ proptest! {
     /// random straight-line program leaves bit-identical machine state,
     /// cycle counts, and statistics across every (fusion × SIMD)
     /// combination — compiled SIMD kernels, compiled scalar kernels, and
-    /// the instruction-major executor at both tiers — in the serial
-    /// execution regime and in the rayon-over-tiles regime (forced via
-    /// `parallel_threshold`, with a short tail tile).
+    /// the instruction-major executor at both tiers — on one short tile
+    /// and on one full tile plus a short tail tile.
     #[test]
-    fn fusion_is_bit_identical(seed in any::<u64>(), force_parallel in any::<bool>()) {
+    fn fusion_is_bit_identical(seed in any::<u64>(), short_tail in any::<bool>()) {
         use asc_isa::gen::random_straightline_instr;
         use asc_isa::Instr;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -366,11 +365,7 @@ proptest! {
         }
         words.push(asc_isa::encode(&Instr::Halt));
 
-        let mut cfg = MachineConfig::new(if force_parallel { 100 } else { 8 })
-            .with_width(Width::W8);
-        if force_parallel {
-            cfg.parallel_threshold = 1;
-        }
+        let cfg = MachineConfig::new(if short_tail { 100 } else { 8 }).with_width(Width::W8);
         let run = |cfg: MachineConfig| {
             let mut m = Machine::new(cfg);
             m.load_words(&words).unwrap();

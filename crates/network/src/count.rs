@@ -7,7 +7,9 @@
 //! With the flag file stored as packed bitplanes the functional model is a
 //! handful of `count_ones` instructions: each `u64` word ANDs the
 //! responder plane with the active mask and popcounts 64 PEs at once —
-//! no per-PE loop and no allocation.
+//! no per-PE loop and no allocation. The pass runs over
+//! [`ActiveMask::active_tiles`], which skips every 4096-lane group with no
+//! active lane.
 
 use asc_isa::{Width, Word};
 use asc_pe::ActiveMask;
@@ -23,26 +25,15 @@ impl ResponseCounter {
     /// semantics — the prototype's PE counts never approach this).
     pub fn count(flags: &[u64], active: &ActiveMask, w: Width) -> Word {
         debug_assert_eq!(flags.len(), active.words().len());
-        let total = Self::count_tiles(flags, active, 0..flags.len());
+        let total: u64 =
+            active.active_tiles().map(|(t, a)| u64::from((flags[t] & a).count_ones())).sum();
         Word::new(total.min(w.mask() as u64) as u32, w)
-    }
-
-    /// Raw (unsaturated) responder count over the tiles in `tiles` — one
-    /// segment's partial in the two-level adder tree. The root sums the
-    /// partials in `u64` and saturates once, which is exactly what the
-    /// width-unconstrained internal tree of the hardware does.
-    pub fn count_tiles(flags: &[u64], active: &ActiveMask, tiles: std::ops::Range<usize>) -> u64 {
-        flags[tiles.clone()]
-            .iter()
-            .zip(&active.words()[tiles])
-            .map(|(&f, &a)| u64::from((f & a).count_ones()))
-            .sum()
     }
 
     /// The some/none binary test the ASC model minimally requires: any
     /// word of the plane with a responder under the mask.
     pub fn any(flags: &[u64], active: &ActiveMask) -> bool {
-        flags.iter().zip(active.words()).any(|(&f, &a)| f & a != 0)
+        active.active_tiles().any(|(t, a)| flags[t] & a != 0)
     }
 }
 

@@ -24,6 +24,12 @@
 //! respecting the tree association order, which matters for the saturating
 //! sum) and **structural** models ([`DelayLine`], [`PipelinedUnit`]) that
 //! the cycle-accurate simulator uses to track occupancy and latency.
+//!
+//! Each reduction unit has one functional path. The associative units
+//! (logic, max/min, counter, resolver) make one pass over the active
+//! mask's tiles ([`asc_pe::ActiveMask::active_tiles`]), and the sum unit
+//! reduces a tree of 64-lane tiles; both skip every 4096-lane group with
+//! no active lane. Neither depends on how the PE array is segmented.
 
 pub mod broadcast;
 pub mod count;
@@ -44,7 +50,7 @@ pub use tree::{reduction_latency, tree_depth, DelayLine, PipelinedUnit};
 pub use unit::NetUnit;
 
 use asc_isa::{ReduceOp, Width, Word};
-use asc_pe::{ActiveMask, SegmentGeometry, SimdLevel};
+use asc_pe::{ActiveMask, SimdLevel};
 
 /// Geometry and latency of the whole broadcast/reduction network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,41 +60,21 @@ pub struct NetworkConfig {
     /// Arity (k) of the broadcast tree — "variable and chosen so as to
     /// maximize system performance".
     pub broadcast_arity: usize,
-    /// Core-affine segmentation of the PE array. When segmented, the
-    /// associative reductions run as a two-level tree: a leaf reduction
-    /// per segment feeding a root combiner over the segment partials. The
-    /// saturating sum's tile tree already splits on tile boundaries, so
-    /// it takes one path at every segment count. Results and latencies
-    /// are identical to the flat tree at every segment count.
-    pub segments: SegmentGeometry,
     /// SIMD tier of the sum unit's tile kernel (see
     /// [`asc_pe::SumTileKernel`]); results are identical at every tier.
     pub simd: SimdLevel,
 }
 
 impl NetworkConfig {
-    /// Construct; `num_pes >= 1`, `broadcast_arity >= 2`. The segment
-    /// geometry defaults to the automatic slicing (one segment per 4096
-    /// lanes; see [`NetworkConfig::with_segments`]) and the SIMD tier to
-    /// [`SimdLevel::detect`], as for the PE array, so `MTASC_NO_SIMD`
-    /// applies here too. A machine passes its resolved tier, which also
-    /// honours `--no-simd`, through [`NetworkConfig::with_simd`].
+    /// Construct; `num_pes >= 1`, `broadcast_arity >= 2`. The SIMD tier
+    /// defaults to [`SimdLevel::detect`], as for the PE array, so
+    /// `MTASC_NO_SIMD` applies here too. A machine passes its resolved
+    /// tier, which also honours `--no-simd`, through
+    /// [`NetworkConfig::with_simd`].
     pub fn new(num_pes: usize, broadcast_arity: usize) -> NetworkConfig {
         assert!(num_pes >= 1, "need at least one PE");
         assert!(broadcast_arity >= 2, "broadcast tree arity must be >= 2");
-        NetworkConfig {
-            num_pes,
-            broadcast_arity,
-            segments: SegmentGeometry::new(num_pes, 0),
-            simd: SimdLevel::detect(),
-        }
-    }
-
-    /// Replace the segment geometry (must cover the same number of PEs).
-    pub fn with_segments(mut self, segments: SegmentGeometry) -> NetworkConfig {
-        assert_eq!(segments.num_pes(), self.num_pes, "segment geometry covers a different array");
-        self.segments = segments;
-        self
+        NetworkConfig { num_pes, broadcast_arity, simd: SimdLevel::detect() }
     }
 
     /// Replace the SIMD tier.
@@ -98,36 +84,14 @@ impl NetworkConfig {
     }
 
     /// Broadcast latency `b` = ⌈log_k p⌉ cycles.
-    ///
-    /// This flat formula stays authoritative under segmentation: a k-ary
-    /// tree over the segments feeding k-ary subtrees inside each segment
-    /// has depth ⌈log_k s⌉ + ⌈log_k S⌉, which equals ⌈log_k p⌉ exactly
-    /// when the segment length `S` is a power of `k` and overshoots by at
-    /// most one stage otherwise — the model charges the flat depth so
-    /// cycle counts are segment-invariant.
     pub fn broadcast_latency(&self) -> u64 {
         tree_depth(self.num_pes, self.broadcast_arity)
     }
 
     /// Reduction latency `r` = ⌈log₂ p⌉ cycles (all reduction units are
-    /// binary trees). Equals the sum of the two stages of
-    /// [`NetworkConfig::two_level_reduction_latency`], so the segmented
-    /// network charges the same latency as the flat one.
+    /// binary trees).
     pub fn reduction_latency(&self) -> u64 {
         reduction_latency(self.num_pes)
-    }
-
-    /// The `(leaf, root)` stage depths of the two-level reduction tree:
-    /// ⌈log₂ S⌉ cycles in each segment's tree plus ⌈log₂ s⌉ in the root
-    /// combiner over the `s` segment partials. Because full segments span
-    /// a power-of-two number of lanes, the stages compose exactly:
-    /// `leaf + root == reduction_latency()` at every segment count.
-    pub fn two_level_reduction_latency(&self) -> (u64, u64) {
-        let geo = self.segments;
-        if !geo.is_segmented() {
-            return (self.reduction_latency(), 0);
-        }
-        (reduction_latency(geo.lanes_per_seg()), reduction_latency(geo.count()))
     }
 }
 
@@ -162,53 +126,11 @@ impl Network {
         debug_assert_eq!(active.lanes(), self.cfg.num_pes);
         match op {
             ReduceOp::Sum => self.sum.reduce(values, active, w),
-            _ if self.cfg.segments.is_segmented() => self.reduce_two_level(op, values, active, w),
             ReduceOp::And | ReduceOp::Or => LogicUnit::reduce(op, values, active, w),
             ReduceOp::Max | ReduceOp::Min | ReduceOp::MaxU | ReduceOp::MinU => {
                 MaxMinUnit::reduce(op, values, active, w)
             }
         }
-    }
-
-    /// The segmented two-level tree of the associative units: a leaf
-    /// reduction per segment feeding a root fold over the segment
-    /// partials. Segments whose lanes are all inactive — one bit test
-    /// against the mask's occupancy summary — are skipped entirely, so a
-    /// reduction over a responder set confined to a few segments never
-    /// walks the rest of a million-lane plane.
-    ///
-    /// Bit-exact at every segment count: the root fold is
-    /// `ReduceOp::combine` over in-order partials, and a skipped segment
-    /// would have contributed the identity, which is neutral. The
-    /// occupancy summary is conservative (a stale bit may mark an all-zero
-    /// segment as occupied) — never wrong, because such a segment just
-    /// contributes the identity.
-    fn reduce_two_level(
-        &self,
-        op: ReduceOp,
-        values: &[Word],
-        active: &ActiveMask,
-        w: Width,
-    ) -> Word {
-        let geo = self.cfg.segments;
-        let mut acc = op.identity(w);
-        for s in 0..geo.count() {
-            let tiles = geo.seg_tile_range(s);
-            if !active.range_occupied(tiles.clone()) {
-                continue;
-            }
-            let partial = match op {
-                ReduceOp::And | ReduceOp::Or => {
-                    LogicUnit::reduce_tiles(op, values, active, tiles, w)
-                }
-                ReduceOp::Max | ReduceOp::Min | ReduceOp::MaxU | ReduceOp::MinU => {
-                    MaxMinUnit::reduce_tiles(op, values, active, tiles, w)
-                }
-                ReduceOp::Sum => unreachable!("the sum unit takes one path at every geometry"),
-            };
-            acc = op.combine(acc, partial, w);
-        }
-        acc
     }
 
     /// Responder detection: OR (any) / AND (all) over a packed flag
@@ -219,40 +141,12 @@ impl Network {
         flags: &[u64],
         active: &ActiveMask,
     ) -> bool {
-        let geo = self.cfg.segments;
-        if geo.is_segmented() {
-            let mut acc = op.identity();
-            for s in 0..geo.count() {
-                let tiles = geo.seg_tile_range(s);
-                if !active.range_occupied(tiles.clone()) {
-                    continue; // no active lane: contributes the identity
-                }
-                acc = op.combine(acc, LogicUnit::reduce_flags_tiles(op, flags, active, tiles));
-                // short-circuit exactly as the flat word scan does
-                if acc != op.identity() {
-                    return acc;
-                }
-            }
-            return acc;
-        }
         LogicUnit::reduce_flags(op, flags, active)
     }
 
     /// Exact responder count from the packed bitplane, saturating at the
     /// word width.
     pub fn count_responders(&self, flags: &[u64], active: &ActiveMask, w: Width) -> Word {
-        let geo = self.cfg.segments;
-        if geo.is_segmented() {
-            // Per-segment raw counts summed in u64, saturated once at the
-            // root — identical to the flat unit's width-unconstrained
-            // internal adder tree.
-            let total: u64 = (0..geo.count())
-                .map(|s| geo.seg_tile_range(s))
-                .filter(|tiles| active.range_occupied(tiles.clone()))
-                .map(|tiles| ResponseCounter::count_tiles(flags, active, tiles))
-                .sum();
-            return Word::new(total.min(w.mask() as u64) as u32, w);
-        }
         ResponseCounter::count(flags, active, w)
     }
 
@@ -260,18 +154,6 @@ impl Network {
     /// (The hardware's one-hot parallel output is materialized by the PE
     /// array only when an instruction stores it to a flag plane.)
     pub fn first_responder(&self, flags: &[u64], active: &ActiveMask) -> Option<usize> {
-        let geo = self.cfg.segments;
-        if geo.is_segmented() {
-            // Segments are scanned in ascending order, so the first
-            // occupied segment with a responder holds the global winner —
-            // the min-PE-index semantics of the flat resolver.
-            return (0..geo.count()).map(|s| geo.seg_tile_range(s)).find_map(|tiles| {
-                if !active.range_occupied(tiles.clone()) {
-                    return None;
-                }
-                MultipleResponseResolver::first_responder_tiles(flags, active, tiles)
-            });
-        }
         MultipleResponseResolver::first_responder(flags, active)
     }
 }
@@ -279,6 +161,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::tree_reduce;
 
     #[test]
     fn latencies_match_paper_prototype() {
@@ -309,68 +192,61 @@ mod tests {
     }
 
     #[test]
-    fn two_level_latency_composes_exactly() {
-        // leaf + root == flat ⌈log₂ p⌉ at every geometry: the stage split
-        // re-associates the tree without adding depth, because full
-        // segments span a power-of-two number of lanes.
-        for p in [1usize, 16, 100, 4096, 4097, 70_000, 1 << 18, (1 << 20) - 3, 1 << 20] {
-            for req in [0usize, 1, 2, 7, 64, 256] {
-                let cfg = NetworkConfig::new(p, 4).with_segments(SegmentGeometry::new(p, req));
-                let (leaf, root) = cfg.two_level_reduction_latency();
-                assert_eq!(leaf + root, cfg.reduction_latency(), "p={p} req={req}");
-            }
-        }
-    }
-
-    #[test]
     fn saturating_sum_association_across_segment_boundary() {
-        // 130 PEs, 1-tile segments: lanes 63|64 and 127|128 straddle
-        // segment boundaries. The values are chosen so node-by-node
-        // saturation is order-sensitive: the canonical tree pairs (100,
-        // 100) -> 127 (saturated), then 127 + (-100) = 27 — any
-        // re-association across the boundary (e.g. summing segment 0
-        // fully before segment 1) would change the result.
+        // 130 PEs: lanes 63|64 and 127|128 straddle tile boundaries. The
+        // values are chosen so node-by-node saturation is order-sensitive:
+        // the canonical tree pairs (100, 100) -> 127 (saturated), then
+        // 127 + (-100) = 27 — any re-association across the boundary
+        // (e.g. summing tile 0 fully before tile 1) would change the
+        // result.
         let w = Width::W8;
         let n = 130;
         let mut vals = vec![Word::ZERO; n];
         vals[62] = Word::from_i64(100, w);
-        vals[63] = Word::from_i64(100, w); // pairs with 62 inside seg 0
-        vals[64] = Word::from_i64(-100, w); // first lane of seg 1
-        vals[128] = Word::from_i64(77, w); // ragged last segment
+        vals[63] = Word::from_i64(100, w); // pairs with 62 inside tile 0
+        vals[64] = Word::from_i64(-100, w); // first lane of tile 1
+        vals[128] = Word::from_i64(77, w); // ragged last tile
         let mut active = ActiveMask::new(n);
         for i in [62, 63, 64, 128] {
             active.set(i, true);
         }
-        let flat = Network::new(NetworkConfig::new(n, 2)).reduce(ReduceOp::Sum, &vals, &active, w);
-        for req in [2usize, 3, 130] {
-            let cfg = NetworkConfig::new(n, 2).with_segments(SegmentGeometry::new(n, req));
-            let seg = Network::new(cfg).reduce(ReduceOp::Sum, &vals, &active, w);
-            assert_eq!(seg, flat, "req={req}");
-        }
-        // Document the actual value: ((100+100)->127) + (-100) = 27, +77 = 104.
-        assert_eq!(flat.to_i64(w), 104);
+        let sum = Network::new(NetworkConfig::new(n, 2)).reduce(ReduceOp::Sum, &vals, &active, w);
+        // ((100+100)->127) + (-100) = 27, +77 = 104.
+        assert_eq!(sum.to_i64(w), 104);
     }
 
+    /// Every value and flag reduction at 70,001 lanes (18 occupancy
+    /// groups, ragged tail) against a lane-by-lane reference, on dense,
+    /// sparse, clustered and empty masks, and on a mask whose only
+    /// occupancy bit is stale, which must give each op's identity.
     #[test]
-    fn segmented_network_matches_flat_on_all_ops() {
+    fn units_match_lane_references_at_scale() {
         use asc_isa::FlagReduceOp;
         let w = Width::W16;
-        let n = 70_001; // many segments at 1-tile granularity, ragged tail
+        let n = 70_001;
         let vals: Vec<Word> =
             (0..n).map(|i| Word::from_i64((i as i64 * 37 % 4001) - 2000, w)).collect();
-        let mut bools = vec![false; n];
-        for i in (0..n).step_by(97) {
-            bools[i] = true;
-        }
-        bools[n - 1] = true;
-        let active = ActiveMask::from_bools(&bools);
-        let flags: Vec<u64> = active.words().to_vec();
-        let flat = Network::new(NetworkConfig::new(n, 4));
-        for req in [3usize, 16, 256] {
-            let seg =
-                Network::new(NetworkConfig::new(n, 4).with_segments(SegmentGeometry::new(n, req)));
+        let sparse: Vec<bool> = (0..n).map(|i| i % 97 == 0 || i == n - 1).collect();
+        let cluster: Vec<bool> = (0..n).map(|i| (40_000..41_024).contains(&i)).collect();
+        let mut stale = ActiveMask::new(n);
+        stale.set(50_000, true);
+        stale.set(50_000, false);
+        let masks = [
+            ("dense", ActiveMask::all(n)),
+            ("sparse", ActiveMask::from_bools(&sparse)),
+            ("cluster", ActiveMask::from_bools(&cluster)),
+            ("empty", ActiveMask::new(n)),
+            ("stale", stale),
+        ];
+        let pattern: Vec<bool> = (0..n).map(|i| i * 7 % 5 != 0).collect();
+        let net = Network::new(NetworkConfig::new(n, 4));
+        for (name, active) in &masks {
+            let lanes: Vec<usize> = (0..n).filter(|&i| active.is_active(i)).collect();
+            let leaves: Vec<Word> =
+                (0..n).map(|i| if active.is_active(i) { vals[i] } else { Word::ZERO }).collect();
+            let sum = tree_reduce(&leaves, Word::ZERO, |a, b| a.saturating_add_signed(b, w));
+            assert_eq!(net.reduce(ReduceOp::Sum, &vals, active, w), sum, "{name} Sum");
             for op in [
-                ReduceOp::Sum,
                 ReduceOp::Max,
                 ReduceOp::Min,
                 ReduceOp::MaxU,
@@ -378,33 +254,25 @@ mod tests {
                 ReduceOp::And,
                 ReduceOp::Or,
             ] {
-                assert_eq!(
-                    seg.reduce(op, &vals, &active, w),
-                    flat.reduce(op, &vals, &active, w),
-                    "req={req} op={op:?}"
-                );
+                let want = lanes.iter().fold(op.identity(w), |a, &i| op.combine(a, vals[i], w));
+                assert_eq!(net.reduce(op, &vals, active, w), want, "{name} {op:?}");
+                if lanes.is_empty() {
+                    assert_eq!(want, op.identity(w), "{name} {op:?}");
+                }
             }
-            assert_eq!(
-                seg.count_responders(&flags, &active, w),
-                flat.count_responders(&flags, &active, w),
-                "req={req}"
-            );
-            assert_eq!(
-                seg.first_responder(&flags, &active),
-                flat.first_responder(&flags, &active),
-                "req={req}"
-            );
-            for op in [FlagReduceOp::Any, FlagReduceOp::All] {
-                assert_eq!(
-                    seg.reduce_flags(op, &flags, &active),
-                    flat.reduce_flags(op, &flags, &active),
-                    "req={req} op={op:?}"
-                );
+            // a patterned flag plane, and the mask itself (every active
+            // lane responds)
+            for flags in [ActiveMask::from_bools(&pattern).words(), active.words()] {
+                let set = |i: usize| flags[i / 64] >> (i % 64) & 1 == 1;
+                let responders: Vec<usize> = lanes.iter().copied().filter(|&i| set(i)).collect();
+                let count = Word::new(responders.len().min(w.mask() as usize) as u32, w);
+                assert_eq!(net.count_responders(flags, active, w), count, "{name} count");
+                assert_eq!(net.first_responder(flags, active), responders.first().copied());
+                let any = lanes.iter().any(|&i| set(i));
+                let all = lanes.iter().all(|&i| set(i));
+                assert_eq!(net.reduce_flags(FlagReduceOp::Any, flags, active), any, "{name}");
+                assert_eq!(net.reduce_flags(FlagReduceOp::All, flags, active), all, "{name}");
             }
-            // empty active set: identities everywhere
-            let none = ActiveMask::new(n);
-            assert_eq!(seg.reduce(ReduceOp::Sum, &vals, &none, w), Word::ZERO);
-            assert_eq!(seg.first_responder(&flags, &none), None);
         }
     }
 

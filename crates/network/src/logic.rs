@@ -8,6 +8,8 @@
 //! (AND/OR are associative and commutative, so the fold equals the
 //! hardware tree — no temporary leaf vector, no identity traffic); flag
 //! reduction operates word-parallel on packed bitplanes, 64 PEs per `u64`.
+//! Both take one pass over [`ActiveMask::active_tiles`], which skips
+//! every 4096-lane group with no active lane.
 
 use asc_isa::{FlagReduceOp, ReduceOp, Width, Word};
 use asc_pe::ActiveMask;
@@ -23,20 +25,6 @@ impl LogicUnit {
     /// Panics if `op` is not `And` or `Or`.
     pub fn reduce(op: ReduceOp, values: &[Word], active: &ActiveMask, w: Width) -> Word {
         debug_assert_eq!(values.len(), active.lanes());
-        Self::reduce_tiles(op, values, active, 0..active.words().len(), w)
-    }
-
-    /// [`LogicUnit::reduce`] restricted to the 64-lane tiles in `tiles` —
-    /// one segment's leaf reduction in the two-level tree. AND/OR are
-    /// associative, so segment partials combine with `ReduceOp::combine`
-    /// in any grouping.
-    pub fn reduce_tiles(
-        op: ReduceOp,
-        values: &[Word],
-        active: &ActiveMask,
-        tiles: std::ops::Range<usize>,
-        w: Width,
-    ) -> Word {
         assert!(matches!(op, ReduceOp::And | ReduceOp::Or), "logic unit only does AND/OR");
         // Bitwise AND/OR are associative and commutative, so the
         // hardware's tree order (AND being the OR tree with inverted
@@ -51,11 +39,7 @@ impl LogicUnit {
             _ => unreachable!(),
         };
         let mut acc = id;
-        for wi in tiles {
-            let mw = active.words()[wi];
-            if mw == 0 {
-                continue;
-            }
+        for (wi, mw) in active.active_tiles() {
             let base = wi * 64;
             if mw == u64::MAX {
                 for &v in &values[base..base + 64] {
@@ -79,24 +63,10 @@ impl LogicUnit {
     /// the partial last word fall out for free.
     pub fn reduce_flags(op: FlagReduceOp, flags: &[u64], active: &ActiveMask) -> bool {
         debug_assert_eq!(flags.len(), active.words().len());
-        Self::reduce_flags_tiles(op, flags, active, 0..flags.len())
-    }
-
-    /// [`LogicUnit::reduce_flags`] restricted to the tiles in `tiles`:
-    /// one segment's responder detection. A segment with no active lane
-    /// contributes the identity (`false` for `Any`, `true` for `All`), so
-    /// skipping unoccupied segments is exact.
-    pub fn reduce_flags_tiles(
-        op: FlagReduceOp,
-        flags: &[u64],
-        active: &ActiveMask,
-        tiles: std::ops::Range<usize>,
-    ) -> bool {
-        let f = &flags[tiles.clone()];
-        let a = &active.words()[tiles];
+        let mut tiles = active.active_tiles();
         match op {
-            FlagReduceOp::Any => f.iter().zip(a).any(|(&f, &a)| f & a != 0),
-            FlagReduceOp::All => f.iter().zip(a).all(|(&f, &a)| !f & a == 0),
+            FlagReduceOp::Any => tiles.any(|(t, a)| flags[t] & a != 0),
+            FlagReduceOp::All => tiles.all(|(t, a)| !flags[t] & a == 0),
         }
     }
 }

@@ -14,26 +14,13 @@ pub struct MaxMinUnit;
 
 impl MaxMinUnit {
     /// Tree reduction for `Max`/`Min`/`MaxU`/`MinU` over the active set,
-    /// reading the register plane in place (no leaf vector).
+    /// reading the register plane in place (no leaf vector), in one pass
+    /// over [`ActiveMask::active_tiles`].
     ///
     /// # Panics
     /// Panics if `op` is not a max/min operation.
     pub fn reduce(op: ReduceOp, values: &[Word], active: &ActiveMask, w: Width) -> Word {
         debug_assert_eq!(values.len(), active.lanes());
-        Self::reduce_tiles(op, values, active, 0..active.words().len(), w)
-    }
-
-    /// [`MaxMinUnit::reduce`] restricted to the 64-lane tiles in `tiles` —
-    /// one segment's leaf reduction in the two-level tree. Max/min are
-    /// associative, so segment partials combine with `ReduceOp::combine`
-    /// in any grouping.
-    pub fn reduce_tiles(
-        op: ReduceOp,
-        values: &[Word],
-        active: &ActiveMask,
-        tiles: std::ops::Range<usize>,
-        w: Width,
-    ) -> Word {
         assert!(
             matches!(op, ReduceOp::Max | ReduceOp::Min | ReduceOp::MaxU | ReduceOp::MinU),
             "max/min unit got {op:?}"
@@ -63,11 +50,7 @@ impl MaxMinUnit {
             }
         };
         let mut acc = op.identity(w).0 ^ flip;
-        for wi in tiles {
-            let mw = active.words()[wi];
-            if mw == 0 {
-                continue;
-            }
+        for (wi, mw) in active.active_tiles() {
             let base = wi * 64;
             if mw == u64::MAX {
                 acc = values[base..base + 64].iter().fold(acc, |a, &v| fold(a, v));

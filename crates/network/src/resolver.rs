@@ -22,29 +22,17 @@ impl MultipleResponseResolver {
     /// first nonzero `flags & active` word; `trailing_zeros` picks the
     /// lowest-numbered PE within it. This is the path the executor uses —
     /// the one-hot output vector of the hardware is reconstructed by the
-    /// PE array when (and only when) an instruction stores it.
+    /// PE array when (and only when) an instruction stores it. The scan
+    /// runs over [`ActiveMask::active_tiles`], lowest tile first, so it
+    /// skips every 4096-lane group with no active lane.
     pub fn first_responder(flags: &[u64], active: &ActiveMask) -> Option<usize> {
         debug_assert_eq!(flags.len(), active.words().len());
-        Self::first_responder_tiles(flags, active, 0..flags.len())
+        active.active_tiles().find_map(|(t, a)| {
+            let r = flags[t] & a;
+            (r != 0).then(|| t * 64 + r.trailing_zeros() as usize)
+        })
     }
 
-    /// [`MultipleResponseResolver::first_responder`] restricted to the
-    /// tiles in `tiles`: one segment's resolution. Because segments are
-    /// scanned in ascending order, the first segment with a responder
-    /// yields the global minimum PE index.
-    pub fn first_responder_tiles(
-        flags: &[u64],
-        active: &ActiveMask,
-        tiles: std::ops::Range<usize>,
-    ) -> Option<usize> {
-        let base = tiles.start;
-        flags[tiles.clone()].iter().zip(&active.words()[tiles]).enumerate().find_map(
-            |(wi, (&f, &a))| {
-                let r = f & a;
-                (r != 0).then(|| (base + wi) * 64 + r.trailing_zeros() as usize)
-            },
-        )
-    }
     /// Parallel-prefix implementation, as the hardware computes it.
     pub fn resolve(flags: &[bool], active: &[bool]) -> Vec<bool> {
         let n = flags.len();

@@ -16,13 +16,10 @@
 //! lanes is made of perfect 64-leaf subtrees at every sixth level, so the
 //! unit computes it as a radix-64 tree of tiles: the
 //! [`asc_pe::SumTileKernel`] reduces each 64-lane tile, then the same
-//! kernel reduces each run of 64 tile partials, and so on up. Every node
-//! wider than a tile splits on a multiple of 64 lanes, so the result does
-//! not depend on how the array is segmented, and one path serves flat and
-//! segmented networks alike. Subtrees with no active lane are skipped on
-//! the mask's occupancy summary (4096 lanes per bit) and its tile words,
-//! so a masked sum costs about as many kernel calls as it has occupied
-//! tiles.
+//! kernel reduces each run of 64 tile partials, and so on up. Subtrees
+//! with no active lane are skipped on the mask's occupancy summary (4096
+//! lanes per bit) and its tile words, so a masked sum costs about as many
+//! kernel calls as it has occupied tiles.
 
 use std::ops::Range;
 
@@ -119,7 +116,6 @@ mod tests {
     use super::*;
     use crate::tree::tree_reduce;
     use crate::{Network, NetworkConfig};
-    use asc_pe::SegmentGeometry;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -153,17 +149,13 @@ mod tests {
         (0..n).map(|_| Word::from_i64(rng.random_range(w.smin()..=w.smax()), w)).collect()
     }
 
-    /// `Network::reduce(Sum)` at every tier and segment request.
-    fn check_every_strategy(vals: &[Word], act: &ActiveMask, w: Width, want: Word) {
+    /// `Network::reduce(Sum)` at every tier.
+    fn check_every_tier(vals: &[Word], act: &ActiveMask, w: Width, want: Word) {
         let n = vals.len();
         for level in SimdLevel::available() {
-            for req in [0usize, 1, 2, 3, 7] {
-                let cfg = NetworkConfig::new(n, 2)
-                    .with_segments(SegmentGeometry::new(n, req))
-                    .with_simd(level);
-                let got = Network::new(cfg).reduce(ReduceOp::Sum, vals, act, w);
-                assert_eq!(got, want, "{w} n={n} {level:?} {req} segments");
-            }
+            let cfg = NetworkConfig::new(n, 2).with_simd(level);
+            let got = Network::new(cfg).reduce(ReduceOp::Sum, vals, act, w);
+            assert_eq!(got, want, "{w} n={n} {level:?}");
         }
     }
 
@@ -225,7 +217,7 @@ mod tests {
                 stale.set(n - 1, true);
                 stale.set(n - 1, false);
                 for act in [ActiveMask::all(n), ActiveMask::from_bools(&sparse), stale] {
-                    check_every_strategy(&vals, &act, w, identity_padded_tree(&vals, &act, w));
+                    check_every_tier(&vals, &act, w, identity_padded_tree(&vals, &act, w));
                 }
             }
         }
@@ -259,8 +251,8 @@ mod tests {
         }
 
         /// The tile tree must match the identity-padded canonical tree at
-        /// every width, SIMD tier and segment geometry, on dense, sparse
-        /// and single-cluster masks over ragged multi-tile arrays, with
+        /// every width and SIMD tier, on dense, sparse and single-cluster
+        /// masks over ragged multi-tile arrays, with
         /// full-range values whose nodes saturate — where any deviation
         /// from the canonical association order would show.
         #[test]
@@ -282,7 +274,7 @@ mod tests {
             let act = ActiveMask::from_bools(&active);
             for w in [Width::W8, Width::W16, Width::W32] {
                 let vals = full_range(&mut rng, n, w);
-                check_every_strategy(&vals, &act, w, identity_padded_tree(&vals, &act, w));
+                check_every_tier(&vals, &act, w, identity_padded_tree(&vals, &act, w));
             }
         }
     }

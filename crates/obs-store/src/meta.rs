@@ -227,14 +227,13 @@ pub fn program_hash(source: &str) -> String {
 
 /// The registry's one-line config fingerprint for a machine geometry,
 /// including the host execution strategy the run executed with — the
-/// SIMD dispatch tier, the resolved segment count and the Rayon dispatch
-/// threshold (both env-overridable via `MTASC_SEGMENTS` /
-/// `MTASC_PAR_THRESHOLD`). Two runs with the same geometry but different
-/// strategies are not comparable on wall time, so all three are part of
-/// the machine-config identity.
+/// SIMD dispatch tier and the resolved segment count (env-overridable via
+/// `MTASC_NO_SIMD` / `MTASC_SEGMENTS`). Two runs with the same geometry
+/// but different strategies are not comparable on wall time, so both are
+/// part of the machine-config identity.
 pub fn config_fingerprint(meta: &MachineMeta) -> String {
     format!(
-        "pes={} threads={} arity={} w{} b={} r={} {} simd={} seg={} pt={}",
+        "pes={} threads={} arity={} w{} b={} r={} {} simd={} seg={}",
         meta.pes,
         meta.threads,
         meta.arity,
@@ -243,8 +242,7 @@ pub fn config_fingerprint(meta: &MachineMeta) -> String {
         meta.r,
         meta.sched,
         meta.simd,
-        meta.segments,
-        meta.par_threshold
+        meta.segments
     )
 }
 
@@ -258,8 +256,7 @@ mod tests {
             kind: "run".into(),
             name: "prog.asc".into(),
             program_hash: program_hash("halt"),
-            config: "pes=16 threads=16 arity=4 w16 b=2 r=4 fine-grain simd=avx2 seg=1 pt=4096"
-                .into(),
+            config: "pes=16 threads=16 arity=4 w16 b=2 r=4 fine-grain simd=avx2 seg=1".into(),
             pes: 16,
             started_unix_ms: 1_700_000_000_000,
             finished_unix_ms: (status != RunStatus::Running).then_some(1_700_000_001_500),
@@ -287,11 +284,10 @@ mod tests {
             sched: "fine-grain".into(),
             simd: "avx512".into(),
             segments: 4,
-            par_threshold: 4096,
         };
         assert_eq!(
             config_fingerprint(&meta),
-            "pes=16 threads=16 arity=4 w16 b=2 r=4 fine-grain simd=avx512 seg=4 pt=4096"
+            "pes=16 threads=16 arity=4 w16 b=2 r=4 fine-grain simd=avx512 seg=4"
         );
     }
 

@@ -25,21 +25,16 @@
 //! Every parallel operation takes the issuing *thread* (register files are
 //! split per thread) and an [`ActiveMask`] derived from the instruction's
 //! mask flag. Inactive PEs are completely unaffected — the defining
-//! semantics of associative masked execution. Dense mask words take a
-//! branch-free 64-lane loop; sparse words a trailing-zeros scan.
+//! semantics of associative masked execution. Every sweep walks the mask
+//! through [`ActiveMask::active_tiles`], serially on the calling thread: a
+//! 4096-lane group with no active lane costs one bit test, dense mask
+//! words take a branch-free 64-lane loop, sparse words a trailing-zeros
+//! scan.
 //!
-//! The lane loops also have a Rayon form (`par_chunks_mut` over whole
-//! segments) for arrays at or above [`ArrayConfig::parallel_threshold`],
-//! taken only when the Rayon pool has more than one worker. The
-//! workspace's `rayon` is the serial stand-in in `compat/rayon`, whose
-//! `current_num_threads()` returns 1, so `pool_parallel` is always false:
-//! every lane loop runs serially on the calling thread, and only the unit
-//! tests that force the flag reach the Rayon form (which produces
-//! identical results). Stores have no Rayon form: their writes scatter
-//! through local memory, which defeats safe chunking.
+//! A memory fault stops a load or store at the lowest faulting active PE:
+//! the lanes below it have been applied, the lanes above it are unchanged.
 
 use asc_isa::{AluOp, CmpOp, FlagOp, Mask, PFlag, PReg, Width, Word};
-use rayon::prelude::*;
 
 use crate::bitmask::{for_each_set, words_for, ActiveMask, BITS_PER_WORD};
 use crate::memory::MemFault;
@@ -61,15 +56,12 @@ pub struct ArrayConfig {
     pub lmem_words: usize,
     /// Datapath width.
     pub width: Width,
-    /// Use Rayon when `num_pes` is at least this large.
-    pub parallel_threshold: usize,
     /// SIMD tier for the dense lane loops (see [`crate::simd`]); resolved
     /// once at construction and never re-probed.
     pub simd: SimdLevel,
     /// Core-affine slicing of the array (see [`crate::segments`]): the
-    /// granularity of Rayon dispatch, of lazy plane commitment, and of
-    /// the two-level reduction tree. Results are bit-identical at every
-    /// segment count.
+    /// granularity at which the commit map records plane writes. Results
+    /// are bit-identical at every segment count.
     pub segments: SegmentGeometry,
 }
 
@@ -84,7 +76,6 @@ impl ArrayConfig {
             flags: asc_isa::NUM_FLAGS,
             lmem_words: 512,
             width: Width::W16,
-            parallel_threshold: 4096,
             simd: SimdLevel::detect(),
             segments: SegmentGeometry::new(16, 0),
         }
@@ -120,48 +111,37 @@ impl std::fmt::Display for PeFault {
 
 impl std::error::Error for PeFault {}
 
-/// Run `f` for every active lane, lowest first. Dense words (all 64 lanes
-/// active) take the branch-free range loop; sparse words the
-/// trailing-zeros scan; zero words cost one test per 64 PEs.
+/// Run `f(base, mask word, chunk)` for every tile of `plane` with an
+/// active lane, lowest first, where `chunk` is the tile's span of
+/// `plane`, starting at lane `base` (64 lanes, fewer in a short last
+/// tile).
 #[inline]
-fn for_each_lane(active: &ActiveMask, mut f: impl FnMut(usize)) {
-    for (wi, &mw) in active.words().iter().enumerate() {
-        if mw == 0 {
-            continue;
-        }
+fn for_each_active_chunk(
+    plane: &mut [Word],
+    active: &ActiveMask,
+    mut f: impl FnMut(usize, u64, &mut [Word]),
+) {
+    for (wi, mw) in active.active_tiles() {
         let base = wi * BITS_PER_WORD;
-        if mw == u64::MAX {
-            for lane in base..base + BITS_PER_WORD {
-                f(lane);
-            }
-        } else {
-            for_each_set(mw, base, &mut f);
-        }
+        let end = plane.len().min(base + BITS_PER_WORD);
+        f(base, mw, &mut plane[base..end]);
     }
 }
 
 /// Lowest active lane, if any.
 #[inline]
 fn first_active(active: &ActiveMask) -> Option<usize> {
-    active
-        .words()
-        .iter()
-        .enumerate()
-        .find(|(_, &w)| w != 0)
-        .map(|(wi, &w)| wi * BITS_PER_WORD + w.trailing_zeros() as usize)
+    active.active_tiles().next().map(|(wi, w)| wi * BITS_PER_WORD + w.trailing_zeros() as usize)
 }
 
-/// Like [`for_each_lane`] but stops at the first fault, attributing it to
-/// the lane (the serial early-stop fault policy).
+/// Run `f` for every active lane, lowest first, and stop at the first
+/// fault, attributing it to the lane (the array's fault policy).
 #[inline]
 fn try_for_each_lane(
     active: &ActiveMask,
     mut f: impl FnMut(usize) -> Result<(), MemFault>,
 ) -> Result<(), PeFault> {
-    for (wi, &mw) in active.words().iter().enumerate() {
-        if mw == 0 {
-            continue;
-        }
+    for (wi, mw) in active.active_tiles() {
         let base = wi * BITS_PER_WORD;
         let mut m = mw;
         while m != 0 {
@@ -299,11 +279,6 @@ pub struct PeArray {
     /// alias a source plane (no per-instruction allocation).
     scratch_a: Vec<Word>,
     scratch_b: Vec<Word>,
-    /// Whether the rayon path is worth taking at all, resolved once at
-    /// construction (like the SIMD tier): a one-worker pool makes every
-    /// `par_iter` dispatch pure coordination overhead — microseconds per
-    /// plane op on a single-core host — for byte-identical results.
-    pool_parallel: bool,
     /// Which (plane, segment) slices have been written (telemetry for the
     /// lazy zero-page-backed planes).
     committed: CommitMap,
@@ -323,7 +298,6 @@ impl PeArray {
             lmem: zeroed_words(cfg.lmem_words * n),
             scratch_a: zeroed_words(n),
             scratch_b: zeroed_words(n),
-            pool_parallel: rayon::current_num_threads() > 1,
             committed: CommitMap::new(&cfg),
             cfg,
         }
@@ -459,10 +433,6 @@ impl PeArray {
         (thread * self.cfg.flags + flag) * self.words_per_plane()
     }
 
-    fn parallel(&self) -> bool {
-        self.pool_parallel && self.cfg.num_pes >= self.cfg.parallel_threshold
-    }
-
     /// Fill `out` with the active set for a thread and mask, without
     /// allocating: all PEs, or the PEs whose mask flag is set.
     pub fn fill_active(&self, thread: usize, mask: Mask, out: &mut ActiveMask) {
@@ -504,7 +474,6 @@ impl PeArray {
         }
         let w = self.width();
         let n = self.cfg.num_pes;
-        let parallel = self.parallel();
         self.latch_a(thread, pa.index());
         let scalar = match src {
             Src::Reg(pb) => {
@@ -523,41 +492,16 @@ impl PeArray {
             Some(s) => Kern::Rs(simd::select_alu_rs(self.cfg.simd, op), s),
         };
         self.mark_gpr_plane(thread, pd.index());
-        let seg_lanes = self.cfg.segments.lanes_per_seg();
         let dst_base = self.gpr_base(thread, pd.index());
         let (sa, sb) = (&self.scratch_a, &self.scratch_b);
         let dst = &mut self.gprs[dst_base..dst_base + n];
-        let mask_words = active.words();
-        let chunk_op = |wi: usize, chunk: &mut [Word]| {
-            let mw = mask_words[wi];
-            if mw == 0 {
-                return;
-            }
-            let base = wi * BITS_PER_WORD;
+        for_each_active_chunk(dst, active, |base, mw, chunk| {
             let a = &sa[base..base + chunk.len()];
             match kern {
                 Kern::Rr(f) => f(chunk, a, &sb[base..base + chunk.len()], w, mw),
                 Kern::Rs(f, s) => f(chunk, a, s, w, mw),
             }
-        };
-        // one segment per Rayon task; a fully-inactive segment costs one
-        // occupancy test instead of 64 mask-word tests
-        let seg_op = |si: usize, seg: &mut [Word]| {
-            let w0 = si * (seg_lanes / BITS_PER_WORD);
-            if !active.range_occupied(w0..w0 + seg.len().div_ceil(BITS_PER_WORD)) {
-                return;
-            }
-            for (wj, chunk) in seg.chunks_mut(BITS_PER_WORD).enumerate() {
-                chunk_op(w0 + wj, chunk);
-            }
-        };
-        if parallel {
-            dst.par_chunks_mut(seg_lanes).enumerate().for_each(|(si, seg)| seg_op(si, seg));
-        } else {
-            for (si, seg) in dst.chunks_mut(seg_lanes).enumerate() {
-                seg_op(si, seg);
-            }
-        }
+        });
     }
 
     /// Parallel comparison (associative search): `fd = pa cmp src` in
@@ -589,23 +533,13 @@ impl PeArray {
             None => Kern::Rs(simd::select_cmp_rs(self.cfg.simd, op), scalar),
         };
         self.mark_flag_plane(thread, fd.index());
-        let parallel = self.parallel();
-        let tps = self.cfg.segments.tiles_per_seg();
         let fd_base = self.flag_base(thread, fd.index());
-        let wpp = self.words_per_plane();
         let (gprs, flags) = (&self.gprs, &mut self.flags);
         let a_plane = &gprs[pa_base..pa_base + n];
         let b_plane = b_base.map(|bb| &gprs[bb..bb + n]);
-        let dst = &mut flags[fd_base..fd_base + wpp];
-        let mask_words = active.words();
-
         // inactive lanes may be computed (compares are side-effect free);
         // the merge under the mask word keeps their flag bits
-        let word_op = |wi: usize, dw: &mut u64| {
-            let mw = mask_words[wi];
-            if mw == 0 {
-                return;
-            }
+        for (wi, mw) in active.active_tiles() {
             let base = wi * BITS_PER_WORD;
             let len = BITS_PER_WORD.min(n - base);
             let a = &a_plane[base..base + len];
@@ -615,24 +549,8 @@ impl PeArray {
                 }
                 Kern::Rs(f, s) => f(a, s, w),
             };
+            let dw = &mut flags[fd_base + wi];
             *dw = (*dw & !mw) | (res & mw);
-        };
-
-        let seg_op = |si: usize, words: &mut [u64]| {
-            let w0 = si * tps;
-            if !active.range_occupied(w0..w0 + words.len()) {
-                return;
-            }
-            for (wj, dw) in words.iter_mut().enumerate() {
-                word_op(w0 + wj, dw);
-            }
-        };
-        if parallel {
-            dst.par_chunks_mut(tps).enumerate().for_each(|(si, words)| seg_op(si, words));
-        } else {
-            for (si, words) in dst.chunks_mut(tps).enumerate() {
-                seg_op(si, words);
-            }
         }
     }
 
@@ -651,12 +569,7 @@ impl PeArray {
         let b_base = self.flag_base(thread, fb.index());
         let d_base = self.flag_base(thread, fd.index());
         self.mark_flag_plane(thread, fd.index());
-        let wpp = self.words_per_plane();
-        for wi in 0..wpp {
-            let mw = active.words()[wi];
-            if mw == 0 {
-                continue;
-            }
+        for (wi, mw) in active.active_tiles() {
             // read before write: fd may alias fa or fb
             let a = self.flags[a_base + wi];
             let b = self.flags[b_base + wi];
@@ -683,12 +596,8 @@ impl PeArray {
         }
     }
 
-    /// Parallel load: `pd = lmem[pa + off]` in active PEs.
-    ///
-    /// Fault policy matches the legacy array-of-structures paths: below the
-    /// parallel threshold the lane loop stops at the first faulting PE;
-    /// at/above it every non-faulting lane completes and the lowest
-    /// faulting PE is reported.
+    /// Parallel load: `pd = lmem[pa + off]` in active PEs. A fault stops
+    /// the sweep at the lowest faulting active PE (see the module docs).
     pub fn load(
         &mut self,
         thread: usize,
@@ -717,75 +626,18 @@ impl PeArray {
         }
 
         self.mark_gpr_plane(thread, pd.index());
-        if self.parallel() {
-            self.latch_a(thread, base.index()); // pd may alias the base reg
-            let seg_lanes = self.cfg.segments.lanes_per_seg();
-            let dst_base = self.gpr_base(thread, pd.index());
-            let (sa, lmem) = (&self.scratch_a, &self.lmem);
-            let dst = &mut self.gprs[dst_base..dst_base + n];
-            let mask_words = active.words();
-            // one segment per task; within a segment the word loop runs
-            // in lane order, so the first fault seen is the segment's
-            // lowest-PE fault
-            let fault = dst
-                .par_chunks_mut(seg_lanes)
-                .enumerate()
-                .filter_map(|(si, seg)| {
-                    let w0 = si * (seg_lanes / BITS_PER_WORD);
-                    if !active.range_occupied(w0..w0 + seg.len().div_ceil(BITS_PER_WORD)) {
-                        return None;
-                    }
-                    let mut fault: Option<PeFault> = None;
-                    for (wj, chunk) in seg.chunks_mut(BITS_PER_WORD).enumerate() {
-                        let wi = w0 + wj;
-                        let mw = mask_words[wi];
-                        if mw == 0 {
-                            continue;
-                        }
-                        let base = wi * BITS_PER_WORD;
-                        let len = chunk.len();
-                        let mut lane_op = |lane: usize| {
-                            let ea = Self::effective_addr(sa[lane], off);
-                            match Self::check_addr(ea, cap, false) {
-                                Ok(addr) => chunk[lane - base] = lmem[addr * n + lane],
-                                Err(f) if fault.is_none() => {
-                                    fault = Some(PeFault { pe: lane, fault: f })
-                                }
-                                Err(_) => {}
-                            }
-                        };
-                        if mw == u64::MAX {
-                            for lane in base..base + len {
-                                lane_op(lane);
-                            }
-                        } else {
-                            for_each_set(mw, base, lane_op);
-                        }
-                    }
-                    fault
-                })
-                .min_by_key(|pf| pf.pe);
-            match fault {
-                Some(pf) => Err(pf),
-                None => Ok(()),
-            }
-        } else {
-            let dst_base = self.gpr_base(thread, pd.index());
-            let (gprs, lmem) = (&mut self.gprs, &self.lmem);
-            try_for_each_lane(active, |lane| {
-                let ea = Self::effective_addr(gprs[base_b + lane], off);
-                let addr = Self::check_addr(ea, cap, false)?;
-                gprs[dst_base + lane] = lmem[addr * n + lane];
-                Ok(())
-            })
-        }
+        let dst_base = self.gpr_base(thread, pd.index());
+        let (gprs, lmem) = (&mut self.gprs, &self.lmem);
+        try_for_each_lane(active, |lane| {
+            let ea = Self::effective_addr(gprs[base_b + lane], off);
+            let addr = Self::check_addr(ea, cap, false)?;
+            gprs[dst_base + lane] = lmem[addr * n + lane];
+            Ok(())
+        })
     }
 
-    /// Parallel store: `lmem[pa + off] = ps` in active PEs. The writes
-    /// scatter through the column-major buffer, so the lane loop is always
-    /// serial; the fault policy still matches the legacy paths (early stop
-    /// below the parallel threshold, apply-all with lowest-PE fault at or
-    /// above it).
+    /// Parallel store: `lmem[pa + off] = ps` in active PEs. A fault stops
+    /// the sweep at the lowest faulting active PE (see the module docs).
     pub fn store(
         &mut self,
         thread: usize,
@@ -801,43 +653,22 @@ impl PeArray {
         let cap = self.cfg.lmem_words;
         let base_b = self.gpr_base(thread, base.index());
         let ps_base = self.gpr_base(thread, ps.index());
-        let parallel = self.parallel();
         let seg_lanes = self.cfg.segments.lanes_per_seg();
         let seg_count = self.committed.seg_count;
         let lmem_bits = &mut self.committed.lmem;
         let (gprs, lmem) = (&self.gprs, &mut self.lmem);
-        if parallel {
-            let mut fault: Option<PeFault> = None;
-            for_each_lane(active, |lane| {
-                let ea = Self::effective_addr(gprs[base_b + lane], off);
-                match Self::check_addr(ea, cap, true) {
-                    Ok(addr) => {
-                        lmem[addr * n + lane] = gprs[ps_base + lane];
-                        CommitMap::mark(lmem_bits, addr * seg_count + lane / seg_lanes);
-                    }
-                    Err(f) if fault.is_none() => fault = Some(PeFault { pe: lane, fault: f }),
-                    Err(_) => {}
-                }
-            });
-            match fault {
-                Some(pf) => Err(pf),
-                None => Ok(()),
-            }
-        } else {
-            try_for_each_lane(active, |lane| {
-                let ea = Self::effective_addr(gprs[base_b + lane], off);
-                let addr = Self::check_addr(ea, cap, true)?;
-                lmem[addr * n + lane] = gprs[ps_base + lane];
-                CommitMap::mark(lmem_bits, addr * seg_count + lane / seg_lanes);
-                Ok(())
-            })
-        }
+        try_for_each_lane(active, |lane| {
+            let ea = Self::effective_addr(gprs[base_b + lane], off);
+            let addr = Self::check_addr(ea, cap, true)?;
+            lmem[addr * n + lane] = gprs[ps_base + lane];
+            CommitMap::mark(lmem_bits, addr * seg_count + lane / seg_lanes);
+            Ok(())
+        })
     }
 
     /// Uniform-address load (`base` = the zero register): one bounds
-    /// check, then a masked row copy. The fault policy degenerates to the
-    /// same answer on both the serial and parallel paths: all active
-    /// lanes fault together, so the lowest active PE is reported.
+    /// check, then a masked row copy. All active lanes fault together, so
+    /// a fault reports the lowest active PE and applies no lane.
     fn load_uniform(
         &mut self,
         thread: usize,
@@ -859,18 +690,13 @@ impl PeArray {
         let (lmem, gprs) = (&self.lmem, &mut self.gprs);
         let row = &lmem[addr * n..(addr + 1) * n];
         let dst = &mut gprs[dst_base..dst_base + n];
-        for (wi, chunk) in dst.chunks_mut(BITS_PER_WORD).enumerate() {
-            let mw = active.words()[wi];
-            if mw == 0 {
-                continue;
-            }
-            let base = wi * BITS_PER_WORD;
+        for_each_active_chunk(dst, active, |base, mw, chunk| {
             if mw == chunk_mask(chunk.len()) {
                 chunk.copy_from_slice(&row[base..base + chunk.len()]);
             } else {
                 for_each_set(mw, base, |lane| chunk[lane - base] = row[lane]);
             }
-        }
+        });
         Ok(())
     }
 
@@ -894,18 +720,13 @@ impl PeArray {
         let (gprs, lmem) = (&self.gprs, &mut self.lmem);
         let src = &gprs[ps_base..ps_base + n];
         let row = &mut lmem[addr * n..(addr + 1) * n];
-        for (wi, chunk) in row.chunks_mut(BITS_PER_WORD).enumerate() {
-            let mw = active.words()[wi];
-            if mw == 0 {
-                continue;
-            }
-            let base = wi * BITS_PER_WORD;
+        for_each_active_chunk(row, active, |base, mw, chunk| {
             if mw == chunk_mask(chunk.len()) {
                 chunk.copy_from_slice(&src[base..base + chunk.len()]);
             } else {
                 for_each_set(mw, base, |lane| chunk[lane - base] = src[lane]);
             }
-        }
+        });
         Ok(())
     }
 
@@ -917,16 +738,9 @@ impl PeArray {
         let w = self.width();
         let n = self.cfg.num_pes;
         self.mark_gpr_plane(thread, pd.index());
-        let seg_lanes = self.cfg.segments.lanes_per_seg();
         let dst_base = self.gpr_base(thread, pd.index());
         let dst = &mut self.gprs[dst_base..dst_base + n];
-        let mask_words = active.words();
-        let word_op = |wi: usize, chunk: &mut [Word]| {
-            let mw = mask_words[wi];
-            if mw == 0 {
-                return;
-            }
-            let base = wi * BITS_PER_WORD;
+        for_each_active_chunk(dst, active, |base, mw, chunk| {
             let len = chunk.len();
             let mut lane_op = |lane: usize| chunk[lane - base] = Word::new(lane as u32, w);
             if mw == u64::MAX {
@@ -936,23 +750,7 @@ impl PeArray {
             } else {
                 for_each_set(mw, base, lane_op);
             }
-        };
-        let seg_op = |si: usize, seg: &mut [Word]| {
-            let w0 = si * (seg_lanes / BITS_PER_WORD);
-            if !active.range_occupied(w0..w0 + seg.len().div_ceil(BITS_PER_WORD)) {
-                return;
-            }
-            for (wj, chunk) in seg.chunks_mut(BITS_PER_WORD).enumerate() {
-                word_op(w0 + wj, chunk);
-            }
-        };
-        if self.pool_parallel && n >= self.cfg.parallel_threshold {
-            dst.par_chunks_mut(seg_lanes).enumerate().for_each(|(si, seg)| seg_op(si, seg));
-        } else {
-            for (si, seg) in dst.chunks_mut(seg_lanes).enumerate() {
-                seg_op(si, seg);
-            }
-        }
+        });
     }
 
     /// Inter-PE shift through the interconnection network:
@@ -966,17 +764,10 @@ impl PeArray {
         let n = self.cfg.num_pes;
         self.latch_a(thread, pa.index());
         self.mark_gpr_plane(thread, pd.index());
-        let seg_lanes = self.cfg.segments.lanes_per_seg();
         let dst_base = self.gpr_base(thread, pd.index());
         let sa = &self.scratch_a;
         let dst = &mut self.gprs[dst_base..dst_base + n];
-        let mask_words = active.words();
-        let word_op = |wi: usize, chunk: &mut [Word]| {
-            let mw = mask_words[wi];
-            if mw == 0 {
-                return;
-            }
-            let base = wi * BITS_PER_WORD;
+        for_each_active_chunk(dst, active, |base, mw, chunk| {
             let len = chunk.len();
             let mut lane_op = |lane: usize| {
                 let src = lane as i64 - dist as i64;
@@ -990,23 +781,7 @@ impl PeArray {
             } else {
                 for_each_set(mw, base, lane_op);
             }
-        };
-        let seg_op = |si: usize, seg: &mut [Word]| {
-            let w0 = si * (seg_lanes / BITS_PER_WORD);
-            if !active.range_occupied(w0..w0 + seg.len().div_ceil(BITS_PER_WORD)) {
-                return;
-            }
-            for (wj, chunk) in seg.chunks_mut(BITS_PER_WORD).enumerate() {
-                word_op(w0 + wj, chunk);
-            }
-        };
-        if self.pool_parallel && n >= self.cfg.parallel_threshold {
-            dst.par_chunks_mut(seg_lanes).enumerate().for_each(|(si, seg)| seg_op(si, seg));
-        } else {
-            for (si, seg) in dst.chunks_mut(seg_lanes).enumerate() {
-                seg_op(si, seg);
-            }
-        }
+        });
     }
 
     /// Broadcast a scalar into `pd` of active PEs.
@@ -1016,38 +791,15 @@ impl PeArray {
         }
         let n = self.cfg.num_pes;
         self.mark_gpr_plane(thread, pd.index());
-        let seg_lanes = self.cfg.segments.lanes_per_seg();
         let dst_base = self.gpr_base(thread, pd.index());
         let dst = &mut self.gprs[dst_base..dst_base + n];
-        let mask_words = active.words();
-        let word_op = |wi: usize, chunk: &mut [Word]| {
-            let mw = mask_words[wi];
-            if mw == 0 {
-                return;
-            }
+        for_each_active_chunk(dst, active, |base, mw, chunk| {
             if mw == u64::MAX {
                 chunk.fill(value);
             } else {
-                let base = wi * BITS_PER_WORD;
                 for_each_set(mw, base, |lane| chunk[lane - base] = value);
             }
-        };
-        let seg_op = |si: usize, seg: &mut [Word]| {
-            let w0 = si * (seg_lanes / BITS_PER_WORD);
-            if !active.range_occupied(w0..w0 + seg.len().div_ceil(BITS_PER_WORD)) {
-                return;
-            }
-            for (wj, chunk) in seg.chunks_mut(BITS_PER_WORD).enumerate() {
-                word_op(w0 + wj, chunk);
-            }
-        };
-        if self.pool_parallel && n >= self.cfg.parallel_threshold {
-            dst.par_chunks_mut(seg_lanes).enumerate().for_each(|(si, seg)| seg_op(si, seg));
-        } else {
-            for (si, seg) in dst.chunks_mut(seg_lanes).enumerate() {
-                seg_op(si, seg);
-            }
-        }
+        });
     }
 
     /// Write a whole flag column (e.g. a resolver result computed as
@@ -1062,11 +814,7 @@ impl PeArray {
         debug_assert_eq!(values.len(), self.cfg.num_pes);
         let d_base = self.flag_base(thread, fd.index());
         self.mark_flag_plane(thread, fd.index());
-        for wi in 0..self.words_per_plane() {
-            let mw = active.words()[wi];
-            if mw == 0 {
-                continue;
-            }
+        for (wi, mw) in active.active_tiles() {
             let base = wi * BITS_PER_WORD;
             let mut bits = 0u64;
             for_each_set(mw, base, |lane| bits |= u64::from(values[lane]) << (lane - base));
@@ -1087,11 +835,8 @@ impl PeArray {
     ) {
         let d_base = self.flag_base(thread, fd.index());
         self.mark_flag_plane(thread, fd.index());
-        for wi in 0..self.words_per_plane() {
-            let mw = active.words()[wi];
-            if mw != 0 {
-                self.flags[d_base + wi] &= !mw;
-            }
+        for (wi, mw) in active.active_tiles() {
+            self.flags[d_base + wi] &= !mw;
         }
         if let Some(pe) = winner {
             debug_assert!(active.is_active(pe), "resolver winner must be active");
@@ -1281,7 +1026,6 @@ mod tests {
             flags: 8,
             lmem_words: 32,
             width: Width::W16,
-            parallel_threshold: 4096,
             simd: SimdLevel::detect(),
             segments: SegmentGeometry::new(8, 0),
         })
@@ -1375,6 +1119,51 @@ mod tests {
         assert_eq!(e.fault.addr, 32);
     }
 
+    /// Only one middle lane faults: the sweep reports that PE, has applied
+    /// every active lane below it and leaves every lane above it unchanged,
+    /// for stores and loads, in one segment and with the fault in the
+    /// second of two segments.
+    #[test]
+    fn fault_stops_at_the_faulting_lane() {
+        for (n, segs, bad) in [(8usize, 1usize, 4usize), (100, 2, 70)] {
+            let mut a = PeArray::new(ArrayConfig {
+                num_pes: n,
+                threads: 1,
+                gprs: 16,
+                flags: 8,
+                lmem_words: 32,
+                width: Width::W16,
+                simd: SimdLevel::detect(),
+                segments: SegmentGeometry::new(n, segs),
+            });
+            assert_eq!(a.segments().count(), segs);
+            let all = ActiveMask::all(n);
+            // base address 2 in every lane but `bad`, whose base is out of
+            // range; stored values 100 + PE index
+            a.movs(0, p(1), Word(2), &all);
+            a.set_gpr(bad, 0, 1, Word(1000));
+            a.pidx(0, p(2), &all);
+            a.alu(0, AluOp::Add, p(2), p(2), Src::Imm(Word(100)), &all);
+
+            let e = a.store(0, p(2), p(1), 3, &all).unwrap_err();
+            assert_eq!((e.pe, e.fault.addr, e.fault.is_store), (bad, 1003, true), "n={n}");
+            for i in 0..n {
+                let want = if i < bad { 100 + i as u32 } else { 0 };
+                assert_eq!(a.lmem_word(i, 5).unwrap().to_u32(), want, "n={n} store lane {i}");
+            }
+
+            let row: Vec<Word> = (0..n as u32).map(|i| Word(50 + i)).collect();
+            a.scatter_column(5, &row).unwrap();
+            a.movs(0, p(3), Word(9), &all);
+            let e = a.load(0, p(3), p(1), 3, &all).unwrap_err();
+            assert_eq!((e.pe, e.fault.addr, e.fault.is_store), (bad, 1003, false), "n={n}");
+            for i in 0..n {
+                let want = if i < bad { 50 + i as u32 } else { 9 };
+                assert_eq!(a.gpr(i, 0, 3).to_u32(), want, "n={n} load lane {i}");
+            }
+        }
+    }
+
     #[test]
     fn masked_pes_cannot_fault() {
         let mut a = small();
@@ -1412,37 +1201,6 @@ mod tests {
         assert_eq!(a.lmem_word(2, 2).unwrap(), Word::ZERO, "other PEs untouched");
         assert!(a.lmem_load_slice(0, 31, &[Word(0); 2]).is_err());
         assert!(a.lmem_word(0, 32).is_err());
-    }
-
-    #[test]
-    fn rayon_path_matches_serial() {
-        let mk = |threshold| {
-            let mut a = PeArray::new(ArrayConfig {
-                num_pes: 100,
-                threads: 1,
-                gprs: 16,
-                flags: 8,
-                lmem_words: 8,
-                width: Width::W8,
-                parallel_threshold: threshold,
-                simd: SimdLevel::detect(),
-                // Two ragged segments (64 + 36 lanes) so the par branches
-                // exercise a segment boundary too.
-                segments: SegmentGeometry::new(100, 2),
-            });
-            // The serial rayon stand-in reports a one-worker pool, which
-            // normally disables the par branches; force them on so this
-            // test keeps comparing both code paths.
-            a.pool_parallel = true;
-            let all = ActiveMask::all(100);
-            a.pidx(0, p(1), &all);
-            a.alu(0, AluOp::Mul, p(2), p(1), Src::Reg(p(1)), &all);
-            a.cmp(0, CmpOp::LtU, pf(1), p(2), Src::Imm(Word(50)), &all);
-            a.store(0, p(2), p(0), 3, &all).unwrap();
-            a.load(0, p(3), p(0), 3, &all).unwrap();
-            (a.gpr_column(0, 2), a.flag_column(0, 1), a.gpr_column(0, 3))
-        };
-        assert_eq!(mk(usize::MAX), mk(1));
     }
 
     #[test]
@@ -1565,7 +1323,6 @@ mod tests {
             flags: 8,
             lmem_words: 8,
             width: Width::W16,
-            parallel_threshold: 4096,
             simd: SimdLevel::detect(),
             segments: SegmentGeometry::new(100, 2), // 64 + 36 lanes
         });
@@ -1602,7 +1359,6 @@ mod tests {
             flags: 8,
             lmem_words: 16,
             width: Width::W32,
-            parallel_threshold: 4096,
             simd: SimdLevel::detect(),
             segments: SegmentGeometry::new(1 << 20, 0),
         });

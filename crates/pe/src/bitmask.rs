@@ -11,8 +11,8 @@
 //! fills once per masked instruction — replacing the per-instruction
 //! `Vec<bool>` allocation of the old array-of-structures datapath. Dense
 //! mask words (`u64::MAX`) drive branch-free 64-lane loops; sparse words
-//! are walked with trailing-zeros iteration, so fully-masked-off regions
-//! cost one word test per 64 PEs.
+//! are walked with trailing-zeros iteration, and fully-masked-off regions
+//! cost one bit test per 4096 PEs ([`ActiveMask::active_tiles`]).
 
 /// Lanes per plane word.
 pub const BITS_PER_WORD: usize = 64;
@@ -56,10 +56,11 @@ pub fn for_each_set(word: u64, base: usize, mut f: impl FnMut(usize)) {
 /// masked instruction; none of the fill or query operations allocate.
 /// The mask also keeps a conservative *occupancy summary*: one bit per
 /// [`OCC_GROUP_WORDS`]-word group, clear only when every word of the
-/// group is known zero. The two-level reduction tree and the segmented
-/// dispatch loops test a group bit instead of scanning 64 words, so
-/// fully-inactive segments cost one bit test. The summary is exact after
-/// the bulk fills ([`ActiveMask::set_all`], [`ActiveMask::clear_all`],
+/// group is known zero. Every plane sweep and reduction walks the mask
+/// through [`ActiveMask::active_tiles`], which tests a group bit instead
+/// of scanning 64 words, so a fully-inactive group costs one bit test at
+/// every segment count. The summary is exact after the bulk fills
+/// ([`ActiveMask::set_all`], [`ActiveMask::clear_all`],
 /// [`ActiveMask::copy_from_plane`] — the executor's paths) and degrades
 /// conservatively (bit left set) when single lanes are cleared.
 #[derive(Debug, Clone)]
@@ -158,7 +159,7 @@ impl ActiveMask {
     /// execution path: the mask *is* the flag bitplane, copied so the
     /// instruction may overwrite the flag it is masked by). The occupancy
     /// summary is folded in during the copy, so sparse masks become
-    /// segment-skippable at no extra pass.
+    /// group-skippable at no extra pass.
     pub fn copy_from_plane(&mut self, plane: &[u64]) {
         debug_assert_eq!(plane.len(), self.words.len());
         self.all = false;
@@ -215,6 +216,16 @@ impl ActiveMask {
         (g0..=g1).any(|g| self.occ[g / BITS_PER_WORD] >> (g % BITS_PER_WORD) & 1 == 1)
     }
 
+    /// Every tile with an active lane, lowest first, as `(tile, mask
+    /// word)` pairs. Groups whose occupancy bit is clear are skipped on
+    /// one bit test; a stale set bit only costs a scan of zero words.
+    /// This is the one walk behind every masked plane sweep and every
+    /// reduction unit.
+    #[inline]
+    pub fn active_tiles(&self) -> ActiveTiles<'_> {
+        ActiveTiles { mask: self, tile: 0, end: 0 }
+    }
+
     /// Is `lane` active?
     #[inline]
     pub fn is_active(&self, lane: usize) -> bool {
@@ -249,6 +260,45 @@ impl ActiveMask {
     /// Expand to one `bool` per lane (host/test convenience).
     pub fn to_bools(&self) -> Vec<bool> {
         (0..self.lanes).map(|i| self.is_active(i)).collect()
+    }
+}
+
+/// Iterator over the non-zero words of an [`ActiveMask`] that skips clear
+/// occupancy groups (see [`ActiveMask::active_tiles`]).
+pub struct ActiveTiles<'a> {
+    mask: &'a ActiveMask,
+    /// Next tile to examine.
+    tile: usize,
+    /// End of the occupied group `tile` lies in (`tile == end` between
+    /// groups).
+    end: usize,
+}
+
+impl Iterator for ActiveTiles<'_> {
+    type Item = (usize, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, u64)> {
+        let words = &self.mask.words;
+        loop {
+            while self.tile < self.end {
+                let t = self.tile;
+                self.tile += 1;
+                if words[t] != 0 {
+                    return Some((t, words[t]));
+                }
+            }
+            // `end` is group-aligned here, or the end of the plane
+            if self.end >= words.len() {
+                return None;
+            }
+            let g = self.end / OCC_GROUP_WORDS;
+            let group_end = words.len().min(self.end + OCC_GROUP_WORDS);
+            if self.mask.occ[g / BITS_PER_WORD] >> (g % BITS_PER_WORD) & 1 == 0 {
+                self.tile = group_end;
+            }
+            self.end = group_end;
+        }
     }
 }
 
@@ -389,6 +439,31 @@ mod tests {
         m.clear_all();
         m.set_all();
         assert_eq!(m.count(), lanes);
+    }
+
+    #[test]
+    fn active_tiles_skip_clear_groups_and_zero_words() {
+        // 3 groups and a ragged tail: lanes in group 0 and the last word
+        let lanes = 2 * OCC_GROUP_WORDS * BITS_PER_WORD + 70;
+        let mut m = ActiveMask::new(lanes);
+        assert_eq!(m.active_tiles().next(), None);
+        m.set(3, true);
+        m.set(lanes - 1, true);
+        let last = words_for(lanes) - 1;
+        assert_eq!(m.active_tiles().collect::<Vec<_>>(), vec![(0, 0b1000), (last, 1 << 5)]);
+        // a stale occupancy bit yields nothing
+        m.set(3, false);
+        assert_eq!(m.active_tiles().collect::<Vec<_>>(), vec![(last, 1 << 5)]);
+        m.set_all();
+        assert_eq!(m.active_tiles().count(), words_for(lanes));
+        assert_eq!(m.active_tiles().map(|(_, w)| w.count_ones() as usize).sum::<usize>(), lanes);
+        assert_eq!(ActiveMask::new(0).active_tiles().next(), None);
+
+        // a group summarized past the first occupancy word
+        let mut m = ActiveMask::new(70 * OCC_GROUP_WORDS * BITS_PER_WORD);
+        let lane = 66 * OCC_GROUP_WORDS * BITS_PER_WORD + 5;
+        m.set(lane, true);
+        assert_eq!(m.active_tiles().collect::<Vec<_>>(), vec![(lane / BITS_PER_WORD, 1 << 5)]);
     }
 
     #[test]

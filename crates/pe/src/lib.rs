@@ -19,9 +19,10 @@
 //! This crate implements the functional state and the structural occupancy
 //! model of the sequential units; pipeline timing lives in `asc-core`.
 //! Whole-array operations go through [`PeArray`], which stores state as
-//! structure-of-arrays planes (see `array`), drives masked execution with
-//! the packed [`ActiveMask`] bitset (see `bitmask`), and transparently uses
-//! Rayon for large arrays (the scaling experiments run up to 2¹⁶ PEs).
+//! structure-of-arrays planes (see `array`) and drives masked execution
+//! with the packed [`ActiveMask`] bitset (see `bitmask`), whose occupancy
+//! summary lets every sweep skip inactive 4096-lane groups (the scaling
+//! experiments run up to 2²⁰ PEs). Every sweep runs on the calling thread.
 
 pub mod array;
 pub mod bitmask;
@@ -45,4 +46,4 @@ pub use simd::{
     alu_vectorizes, select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, select_sum_tile,
     simd_disabled, AluRrKernel, AluRsKernel, CmpRrKernel, CmpRsKernel, SimdLevel, SumTileKernel,
 };
-pub use tiles::{RawTiles, ThreadTiles, TileWindow, TILE_LANES};
+pub use tiles::{ThreadTiles, TileWindow, TILE_LANES};

@@ -22,7 +22,7 @@ const PES: usize = 70; // not a multiple of 64: exercises the tail word
 const THREADS: usize = 2;
 const LMEM: usize = 16;
 
-fn cfg_at(width: Width, simd: SimdLevel, parallel_threshold: usize) -> ArrayConfig {
+fn cfg_at(width: Width, simd: SimdLevel) -> ArrayConfig {
     ArrayConfig {
         num_pes: PES,
         threads: THREADS,
@@ -30,7 +30,6 @@ fn cfg_at(width: Width, simd: SimdLevel, parallel_threshold: usize) -> ArrayConf
         flags: 8,
         lmem_words: LMEM,
         width,
-        parallel_threshold,
         simd,
         // 70 PEs as two ragged segments keeps every differential run
         // crossing a segment boundary.
@@ -39,7 +38,7 @@ fn cfg_at(width: Width, simd: SimdLevel, parallel_threshold: usize) -> ArrayConf
 }
 
 fn cfg() -> ArrayConfig {
-    cfg_at(Width::W8, SimdLevel::detect(), 4096)
+    cfg_at(Width::W8, SimdLevel::detect())
 }
 
 /// Per-PE reference model: the array-of-structures layout, operated on
@@ -273,16 +272,13 @@ proptest! {
     /// SIMD ≡ scalar: the same random masked plane-op sequence leaves an
     /// array on each available vector tier in bit-identical architectural
     /// state to one forced scalar — over random ops (all ALU and compare
-    /// kinds), masks, widths, and both the serial and Rayon dispatch
-    /// paths. This is the differential gate for the `crate::simd` kernels
-    /// embedded in the array's plane loops.
+    /// kinds), masks and widths. This is the differential gate for the
+    /// `crate::simd` kernels embedded in the array's plane loops.
     #[test]
     fn simd_tiers_match_scalar_plane_ops(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let widths = [Width::W8, Width::W16, Width::W32];
         let w = widths[rng.random_range(0..widths.len())];
-        // threshold below/above PES forces the Rayon or serial lane path
-        let threshold = if rng.random() { 1 } else { 4096 };
         let value = |rng: &mut StdRng| Word(rng.random_range(0..=w.mask()));
         let reg = |rng: &mut StdRng| PReg::from_index(rng.random_range(0..16));
         // a script of (thread, mask, op) replayed identically per tier
@@ -315,7 +311,7 @@ proptest! {
             })
             .collect();
         let run = |level: SimdLevel| {
-            let mut a = PeArray::new(cfg_at(w, level, threshold));
+            let mut a = PeArray::new(cfg_at(w, level));
             // seed every register plane with irregular values first
             let all = ActiveMask::all(PES);
             for r in 1..16u8 {

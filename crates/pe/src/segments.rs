@@ -1,27 +1,21 @@
 //! Core-affine segmentation of the PE array.
 //!
-//! A *segment* is a contiguous run of whole 64-PE tiles. Segments are the
-//! unit of scale-out: register planes, flag bitplanes and local-memory
-//! rows are committed (first touched) per segment, the dispatch loops
-//! walk the array a segment at a time, skipping segments with no active
-//! lane, and the associative reductions compose as a two-level tree — a
-//! leaf reduction per segment feeding a root combiner over the segment
-//! partials.
+//! A *segment* is a contiguous run of whole 64-PE tiles. Register planes,
+//! flag bitplanes and local-memory rows are committed (first touched) per
+//! segment: the segment is the granularity of the array's commit map,
+//! and nothing else reads it. Plane sweeps and reductions skip inactive
+//! lanes on the active mask's 4096-lane occupancy groups and walk the
+//! same tiles in the same order at every segment count.
 //!
 //! Segmentation is an execution strategy only:
 //!
 //! * every segment except possibly the last spans `tiles_per_seg` tiles,
-//!   and `tiles_per_seg` is a **power of two**, so the two-level tree's
-//!   stage depths add up to the flat ⌈log₂ p⌉ exactly;
-//! * the associative reductions are exact under any bracketing, and the
-//!   non-associative saturating sum does not see the segments at all: its
-//!   tile tree splits every node wider than 64 lanes on a multiple of 64,
-//!   so one path serves every segment count;
+//!   and `tiles_per_seg` is a **power of two**;
 //! * the last segment may be ragged (fewer tiles, and its last tile may
 //!   cover fewer than 64 lanes).
 //!
 //! The segment count is capped at [`MAX_SEGMENTS`], which bounds the
-//! per-segment loops of every reduction and plane sweep.
+//! commit map's bits per plane.
 
 use crate::bitmask::{words_for, BITS_PER_WORD};
 
@@ -29,17 +23,16 @@ use crate::bitmask::{words_for, BITS_PER_WORD};
 pub const MAX_SEGMENTS: usize = 256;
 
 /// Tiles per segment when the segment count is chosen automatically:
-/// 64 tiles = 4096 lanes, matching the default Rayon dispatch threshold
-/// so a segment is the smallest unit worth handing to another core.
+/// 64 tiles = 4096 lanes, one occupancy group of the active mask, so a
+/// commit-map bit covers the same lanes as an occupancy bit.
 pub const AUTO_TILES_PER_SEG: usize = 64;
 
 /// How the PE array is sliced into core-affine segments.
 ///
 /// Constructed once per machine from the configured (or
-/// `MTASC_SEGMENTS`-overridden) segment count; carried by both the array
-/// and the network config so execution and the two-level reduction tree
-/// always agree on the slicing. Purely an execution strategy: results,
-/// cycle counts, stats and profiles are bit-identical at every count.
+/// `MTASC_SEGMENTS`-overridden) segment count and carried by the array's
+/// config. Purely an execution strategy: results, cycle counts, stats and
+/// profiles are bit-identical at every count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentGeometry {
     num_pes: usize,
@@ -53,10 +46,10 @@ impl SegmentGeometry {
     ///
     /// `requested == 0` picks the segment size automatically
     /// ([`AUTO_TILES_PER_SEG`] tiles per segment); `requested == 1` forces
-    /// the monolithic single-segment layout (the flat pre-scale-out
-    /// execution paths). Any other request is rounded so that segments
-    /// span a power-of-two number of tiles and the count stays within
-    /// [`MAX_SEGMENTS`]; small arrays collapse to a single segment.
+    /// the monolithic single-segment layout. Any other request is rounded
+    /// so that segments span a power-of-two number of tiles and the count
+    /// stays within [`MAX_SEGMENTS`]; small arrays collapse to a single
+    /// segment.
     pub fn new(num_pes: usize, requested: usize) -> SegmentGeometry {
         assert!(num_pes >= 1, "a PE array needs at least one PE");
         let tiles = words_for(num_pes);
@@ -85,11 +78,6 @@ impl SegmentGeometry {
     /// Number of segments.
     pub fn count(&self) -> usize {
         self.count
-    }
-
-    /// Is the array actually sliced (more than one segment)?
-    pub fn is_segmented(&self) -> bool {
-        self.count > 1
     }
 
     /// Tiles (64-lane groups / plane words) per full segment.
@@ -126,7 +114,6 @@ mod tests {
     fn auto_geometry_scales() {
         let g = SegmentGeometry::new(16, 0);
         assert_eq!(g.count(), 1, "small arrays stay monolithic");
-        assert!(!g.is_segmented());
 
         let g = SegmentGeometry::new(1 << 20, 0);
         assert_eq!(g.count(), 256);

@@ -29,7 +29,8 @@
 //! pairwise adder tree over one 64-lane tile with a clamp at every node.
 //! At `W8`/`W16` a node sum fits in an `i32` lane, so each tree level is
 //! one vector add plus a min/max clamp; `W32` sums can leave `i32`, so
-//! the vector tiers fall back to the scalar tree there.
+//! the vector kernel falls back to the scalar tree there. The sum tile
+//! has one vector kernel, AVX2, which the AVX-512 tier uses too.
 //!
 //! The tier is resolved **once per machine construction** by
 //! [`SimdLevel::detect`] (hardware probe + the `MTASC_NO_SIMD` escape
@@ -93,10 +94,11 @@ impl SimdLevel {
     pub fn detect_hw() -> SimdLevel {
         #[cfg(all(target_arch = "x86_64", not(mtasc_force_scalar)))]
         {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return SimdLevel::Avx512;
-            }
+            // the AVX-512 tier also runs the AVX2 sum tile
             if std::arch::is_x86_feature_detected!("avx2") {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return SimdLevel::Avx512;
+                }
                 return SimdLevel::Avx2;
             }
         }
@@ -384,8 +386,7 @@ pub fn select_cmp_rs(level: SimdLevel, op: CmpOp) -> CmpRsKernel {
 pub fn select_sum_tile(level: SimdLevel) -> SumTileKernel {
     #[cfg(all(target_arch = "x86_64", not(mtasc_force_scalar)))]
     match level {
-        SimdLevel::Avx2 => return x86::sum_tile_avx2,
-        SimdLevel::Avx512 => return x86::sum_tile_avx512,
+        SimdLevel::Avx2 | SimdLevel::Avx512 => return x86::sum_tile_avx2,
         SimdLevel::Scalar => {}
     }
     let _ = level;
@@ -738,52 +739,16 @@ mod x86 {
         }
     }
 
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn sum_tile_avx512_impl(values: &[Word], w: Width, mw: u64) -> Word {
-        if w == Width::W32 {
-            return sum_tile_scalar(values, w, mw);
-        }
-        let mut buf = [Word::ZERO; 64];
-        let p = lanes_ptr(full_tile(values, &mut buf));
-        let bits = w.bits();
-        // SAFETY: the caller guarantees AVX-512F; `p` points at 64 lanes
-        // (`full_tile`), and `v` loads groups 0..4 only.
-        unsafe {
-            let lo = _mm512_set1_epi32(w.smin() as i32);
-            let hi = _mm512_set1_epi32(w.smax() as i32);
-            let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-            let odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
-            let v = |g: usize| {
-                sext512(_mm512_maskz_loadu_epi32((mw >> (g * 16)) as u16, p.add(g * 16)), bits)
-            };
-            // the 16 parents of the 32 ordered nodes `a ++ b`, in order
-            let level = |a, b| {
-                let s = _mm512_add_epi32(
-                    _mm512_permutex2var_epi32(a, even, b),
-                    _mm512_permutex2var_epi32(a, odd, b),
-                );
-                _mm512_min_epi32(_mm512_max_epi32(s, lo), hi)
-            };
-            // levels 1-2 leave the sixteen 4-lane nodes in order; levels
-            // 3-6 halve them within one vector (upper lanes are copies)
-            let mut t = level(level(v(0), v(1)), level(v(2), v(3)));
-            for _ in 0..4 {
-                t = level(t, t);
-            }
-            Word::from_i64(_mm_cvtsi128_si32(_mm512_castsi512_si128(t)) as i64, w)
-        }
-    }
-
     // --------------------------------------------- safe kernel entries
     //
     // SAFETY (all of these): the selectors hand out AVX2/AVX-512 entries
-    // for the tier they are given. The tier reaches them through the
-    // public fields `ArrayConfig::simd` and `NetworkConfig::simd` (the sum
-    // tile); the contract is that callers set those only to a tier
-    // returned by [`SimdLevel::detect`], [`SimdLevel::detect_hw`] or
-    // [`SimdLevel::available`], which probed the features at runtime.
+    // for the tier they are given, and the AVX2 sum tile at the AVX-512
+    // tier too, which `detect_hw` grants only when both are present. The
+    // tier reaches them through the public fields `ArrayConfig::simd` and
+    // `NetworkConfig::simd` (the sum tile); the contract is that callers
+    // set those only to a tier returned by [`SimdLevel::detect`],
+    // [`SimdLevel::detect_hw`] or [`SimdLevel::available`], which probed
+    // the features at runtime.
 
     fn alu_rr_avx2<const OP: u8>(dst: &mut [Word], a: &[Word], b: &[Word], w: Width, mw: u64) {
         unsafe { alu_avx2::<OP, false>(dst, a, b, Word::ZERO, w, mw) }
@@ -819,10 +784,6 @@ mod x86 {
 
     pub(super) fn sum_tile_avx2(values: &[Word], w: Width, mw: u64) -> Word {
         unsafe { sum_tile_avx2_impl(values, w, mw) }
-    }
-
-    pub(super) fn sum_tile_avx512(values: &[Word], w: Width, mw: u64) -> Word {
-        unsafe { sum_tile_avx512_impl(values, w, mw) }
     }
 
     // --------------------------------------- per-tier dispatch tables

@@ -10,18 +10,14 @@
 //! instead of being evicted between every pair of dependent full-array
 //! sweeps.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`ThreadTiles`] — a safe view borrowing one thread's GPR and flag
 //!   regions (plus local memory, which is shared hardware but lane-local
 //!   per PE). Constructed by [`crate::PeArray::thread_tiles`].
-//! * [`RawTiles`] — a `Sync` raw-parts handle derived from a
-//!   `ThreadTiles` borrow, from which per-tile windows are carved.
-//! * [`TileWindow`] — one tile's window: every access it offers is
-//!   confined to that tile's 64 lanes, so windows over *distinct* tiles
-//!   touch provably disjoint memory. That disjointness is what lets the
-//!   rayon execution regime parallelize over tiles (instead of over one
-//!   instruction's lanes) without locks.
+//! * [`TileWindow`] — one tile's window, made by [`ThreadTiles::window`],
+//!   which borrows the view mutably, so one window is live at a time.
+//!   Every access it offers is confined to that tile's 64 lanes.
 //!
 //! The architectural invariants are enforced at this layer: writes
 //! through [`TileWindow::gpr_mut`] must skip register 0 (debug-asserted —
@@ -86,11 +82,15 @@ impl<'a> ThreadTiles<'a> {
         self.width
     }
 
-    /// The raw-parts handle tile windows are carved from. The handle
-    /// borrows `self` mutably, so no other access to the thread's state
-    /// can coexist with the windows.
-    pub fn raw(&mut self) -> RawTiles<'_> {
-        RawTiles {
+    /// The window over one tile. It borrows `self` mutably, so no other
+    /// access to the thread's state can coexist with it.
+    ///
+    /// # Panics
+    /// Panics if `tile` is out of range.
+    pub fn window(&mut self, tile: usize) -> TileWindow<'_> {
+        assert!(tile < self.num_tiles(), "tile {tile} out of range");
+        let base = tile * TILE_LANES;
+        let raw = RawTiles {
             gprs: self.gprs.as_mut_ptr(),
             flags: self.flags.as_mut_ptr(),
             lmem: self.lmem.as_mut_ptr(),
@@ -98,25 +98,15 @@ impl<'a> ThreadTiles<'a> {
             lmem_words: self.lmem_words,
             width: self.width,
             _lifetime: PhantomData,
-        }
-    }
-
-    /// A safe window over one tile (serial use; for the parallel regime
-    /// go through [`ThreadTiles::raw`]).
-    pub fn window(&mut self, tile: usize) -> TileWindow<'_> {
-        let raw = self.raw();
-        // SAFETY: `raw` borrows `self` mutably and is consumed here, so
-        // this is the only window alive for that borrow.
-        unsafe { raw.window(tile) }
+        };
+        TileWindow { raw, tile, base, lanes: TILE_LANES.min(self.num_pes - base) }
     }
 }
 
-/// `Sync` raw-parts handle over one thread's tiles, carved into per-tile
-/// [`TileWindow`]s. Exists so the rayon regime can hand distinct tiles to
-/// distinct workers: every window access is confined to its own tile's
-/// lanes, so windows over distinct tiles never alias.
-#[derive(Debug, Clone, Copy)]
-pub struct RawTiles<'a> {
+/// The raw parts of a [`ThreadTiles`] borrow that a [`TileWindow`]
+/// addresses its tile through.
+#[derive(Debug)]
+struct RawTiles<'a> {
     gprs: *mut Word,
     flags: *mut u64,
     lmem: *mut Word,
@@ -126,31 +116,10 @@ pub struct RawTiles<'a> {
     _lifetime: PhantomData<&'a mut Word>,
 }
 
-// SAFETY: the handle is only a capability to construct per-tile windows;
-// the unsafe contract of `window` (distinct live tiles) makes concurrent
-// use race-free, and the PhantomData ties it to the ThreadTiles borrow.
-unsafe impl Send for RawTiles<'_> {}
-unsafe impl Sync for RawTiles<'_> {}
-
-impl<'a> RawTiles<'a> {
-    /// Number of 64-PE tiles.
-    pub fn num_tiles(&self) -> usize {
+impl RawTiles<'_> {
+    /// Number of 64-PE tiles (= flag plane words).
+    fn num_tiles(&self) -> usize {
         words_for(self.num_pes)
-    }
-
-    /// Carve out the window for `tile`.
-    ///
-    /// # Safety
-    ///
-    /// `tile` must be in range, and no two *live* windows from handles
-    /// over the same `ThreadTiles` borrow may name the same tile. Windows
-    /// over distinct tiles are disjoint by construction (every access is
-    /// bounds-confined to the tile's lanes), so they may be used from
-    /// different threads concurrently.
-    pub unsafe fn window(self, tile: usize) -> TileWindow<'a> {
-        debug_assert!(tile < self.num_tiles());
-        let base = tile * TILE_LANES;
-        TileWindow { raw: self, tile, base, lanes: TILE_LANES.min(self.num_pes - base) }
     }
 }
 
@@ -264,9 +233,7 @@ impl TileWindow<'_> {
     ) -> Result<(), MemFault> {
         let addr = self.check_addr(base, off, true)?;
         debug_assert!(j < self.lanes);
-        // SAFETY: `addr` is bounds-checked; `base + j` is a valid lane,
-        // and local memory is lane-local, so distinct tiles' stores are
-        // disjoint.
+        // SAFETY: `addr` is bounds-checked; `base + j` is a valid lane.
         unsafe { *self.raw.lmem.add(addr * self.raw.num_pes + self.base + j) = v }
         Ok(())
     }
@@ -288,7 +255,6 @@ impl TileWindow<'_> {
     }
 
     /// Mutable row access; same contract as [`TileWindow::lmem_row`].
-    /// Local memory is lane-local, so distinct tiles' rows are disjoint.
     #[inline]
     pub fn lmem_row_mut(&mut self, addr: usize) -> &mut [Word] {
         debug_assert!(addr < self.raw.lmem_words);
@@ -336,7 +302,6 @@ mod tests {
             flags: 8,
             lmem_words: 32,
             width: Width::W16,
-            parallel_threshold: 4096,
             simd: crate::simd::SimdLevel::detect(),
             segments: crate::segments::SegmentGeometry::new(n, 0),
         })
@@ -389,15 +354,20 @@ mod tests {
     }
 
     #[test]
-    fn raw_windows_cover_distinct_tiles() {
+    fn windows_cover_distinct_tiles() {
         let mut a = array(128);
         let mut t = a.thread_tiles(0);
-        let raw = t.raw();
-        // SAFETY: distinct tiles.
-        let (mut w0, mut w1) = unsafe { (raw.window(0), raw.window(1)) };
-        w0.gpr_mut(1)[0] = Word::new(1, Width::W16);
-        w1.gpr_mut(1)[0] = Word::new(2, Width::W16);
+        t.window(0).gpr_mut(1)[0] = Word::new(1, Width::W16);
+        t.window(1).gpr_mut(1)[0] = Word::new(2, Width::W16);
         assert_eq!(a.gpr(0, 0, 1).to_u32(), 1);
         assert_eq!(a.gpr(64, 0, 1).to_u32(), 2);
+        assert_eq!(a.gpr(1, 0, 1).to_u32(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn window_past_the_last_tile_panics() {
+        let mut a = array(100);
+        a.thread_tiles(0).window(2);
     }
 }

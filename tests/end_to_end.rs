@@ -85,8 +85,8 @@ fn resource_model_and_machine_share_the_prototype() {
 }
 
 #[test]
-fn wide_machine_runs_with_rayon_path() {
-    // 8192 PEs crosses the default Rayon threshold (4096)
+fn wide_machine_runs_across_segments() {
+    // 8192 PEs span two auto-sized segments (and occupancy groups)
     let mut cfg = MachineConfig::new(8192);
     cfg.lmem_words = 4;
     let program = asc::asm::assemble(

@@ -1,23 +1,20 @@
 //! Differential tests pinning the block-fusion engine: every kernel must
 //! produce bit-identical results, cycle counts, and statistics with
-//! fusion on (the default) and off (`MachineConfig::without_fusion`), in
-//! both execution regimes, and memory faults must carry the same
-//! identity either way.
+//! fusion on (the default) and off (`MachineConfig::without_fusion`), on
+//! whole tiles and with a short tail tile, and memory faults must carry
+//! the same identity either way.
 
 use asc::core::{Machine, MachineConfig, RunError};
 use asc::kernels::{image, mst, search, sort, string_match};
 
-/// A machine that exercises the rayon-over-tiles path with a short tail
-/// tile (100 PEs = one full tile + 36 lanes).
-fn parallel_cfg() -> MachineConfig {
-    let mut cfg = MachineConfig::new(100);
-    cfg.parallel_threshold = 1;
-    cfg
+/// A machine with a short tail tile (100 PEs = one full tile + 36 lanes).
+fn short_tail_cfg() -> MachineConfig {
+    MachineConfig::new(100)
 }
 
 #[test]
 fn kernels_bit_identical_with_and_without_fusion() {
-    for cfg in [MachineConfig::new(64), parallel_cfg()] {
+    for cfg in [MachineConfig::new(64), short_tail_cfg()] {
         let un = cfg.without_fusion();
 
         let values: Vec<i64> = (0..cfg.num_pes as i64).map(|i| (i * 37 + 11) % 101 - 50).collect();
