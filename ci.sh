@@ -241,12 +241,15 @@ MTASC_SEGMENTS=4 cargo test -p asc-core --features proptest -q fusion
 MTASC_SEGMENTS=4 cargo test -p asc-core --features proptest -q proptests
 MTASC_SEGMENTS=4 MTASC_NO_SIMD=1 cargo test -p asc-core --features proptest -q fusion
 
-echo "==> sparse 2^20-PE construction budget"
+echo "==> 2^20-PE planes: sparse construction budget and plane reuse"
 # Lazily-materialized planes: a million-PE machine must construct in
 # microseconds (budget 500ms for slow CI hosts) with zero bytes
 # committed until the first write. Run in release so the budget
-# measures the allocator, not debug-mode overhead.
-cargo test --release -p asc-pe -q sparse_million_pe_array_constructs_cheaply
+# measures the allocator, not debug-mode overhead. The same build runs
+# the plane-reuse test at the 2^20 shape, where debug builds are slow:
+# a machine built on a dropped one's planes must read zero everywhere.
+cargo test --release -p asc-pe -q -- sparse_million_pe_array_constructs_cheaply \
+    reused_planes_read_zero_at_2_20
 
 echo "==> portability check (intrinsics compiled out)"
 # --cfg mtasc_force_scalar removes the x86 intrinsics at compile time;

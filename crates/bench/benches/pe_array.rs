@@ -1,13 +1,16 @@
 //! Criterion benchmarks of the PE-array datapath hot paths: the sort
-//! kernel at 4096 PEs (masked ALU/compare + reductions every step) and a
+//! kernel at 4096 PEs (masked ALU/compare + reductions every step), a
 //! response-count microbench at 2¹⁴ PEs (the associative some/none test
-//! issued back to back). These are the workloads the structure-of-arrays
-//! PE array is optimised for; run them before and after datapath changes.
+//! issued back to back), and the build-touch-drop cycle of a 2²⁰-PE
+//! machine (plane construction and first-touch writes). These are the
+//! workloads the structure-of-arrays PE array is optimised for; run them
+//! before and after datapath changes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use asc_core::{Machine, MachineConfig};
+use asc_isa::Word;
 use asc_kernels::sort;
 
 /// Sort 256 values on a 4096-PE array: every associative step runs its
@@ -50,5 +53,28 @@ loop:   {rcounts}
     });
 }
 
-criterion_group!(benches, bench_sort_4096, bench_rcount_16k);
+/// Build a single-thread 2²⁰-PE machine, scatter two local-memory
+/// columns, run the two-`plw` block that loads them into registers, and
+/// drop the machine: the set-up and first block of a million-PE query.
+/// Each iteration writes four 4 MiB planes, so it times plane
+/// construction and first-touch writes, the planes layer alone.
+fn bench_build_touch_1m(c: &mut Criterion) {
+    const PES: usize = 1 << 20;
+    let program =
+        asc_asm::assemble("plw p2, 0(p0)\nplw p3, 1(p0)\nhalt\n").expect("two-plw block assembles");
+    let mut cfg = MachineConfig::new(PES).single_threaded();
+    cfg.lmem_words = 2;
+    let keys: Vec<Word> = (0..PES as u32).map(|pe| Word(pe >> 10)).collect();
+    let vals: Vec<Word> = (0..PES as u32).map(|pe| Word(pe % 32)).collect();
+    c.bench_function("pe_array/build_touch_1048576", |b| {
+        b.iter(|| {
+            let mut m = Machine::with_program(cfg, &program).unwrap();
+            m.array_mut().scatter_column(0, &keys).unwrap();
+            m.array_mut().scatter_column(1, &vals).unwrap();
+            black_box(m.run(10_000).unwrap().cycles)
+        })
+    });
+}
+
+criterion_group!(benches, bench_sort_4096, bench_rcount_16k, bench_build_touch_1m);
 criterion_main!(benches);

@@ -2628,8 +2628,13 @@ mod tests {
         let shown = runs(&["show", &b]).unwrap();
         assert!(shown.contains("status   ok"), "{shown}");
         assert!(shown.contains("cycles"), "{shown}");
-        // unique prefix resolves too
-        assert!(runs(&["show", &b[..10]]).is_ok());
+        // the shortest prefix that tells `b` from `a` resolves; the prefix
+        // they share is ambiguous (runs recorded in the same millisecond
+        // share the whole 10-character timestamp)
+        let shared = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
+        assert!(runs(&["show", &b[..shared + 1]]).unwrap().contains(&b));
+        let e = runs(&["show", &b[..shared]]);
+        assert!(matches!(&e, Err(CliError::Failure(m)) if m.contains("ambiguous")), "{e:?}");
 
         // diff: same-kind artifacts via registry ids
         let diffed = runs(&["diff", &a, &a]).unwrap();

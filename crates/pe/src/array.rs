@@ -33,6 +33,21 @@
 //!
 //! A memory fault stops a load or store at the lowest faulting active PE:
 //! the lanes below it have been applied, the lanes above it are unchanged.
+//!
+//! ## Plane memory
+//!
+//! A fresh array's planes are allocated zeroed (`zeroed_words`); large
+//! ones are untouched zero pages, so construction costs the same at any
+//! size and a page is faulted in on its first write. A commit map
+//! records which (plane, segment) slices have been written since
+//! construction. When an array is dropped, its planes and commit map
+//! become this thread's *spare*; the next array of the same shape built
+//! on the thread takes them and zeroes only the slices the map marks,
+//! which costs a memset of the pages the previous machine wrote instead
+//! of a page fault per page (see [`PeArray::new`]). A thread holds at
+//! most one spare, and keeps it until its next construction or its exit.
+
+use std::cell::Cell;
 
 use asc_isa::{AluOp, CmpOp, FlagOp, Mask, PFlag, PReg, Width, Word};
 
@@ -79,6 +94,13 @@ impl ArrayConfig {
             simd: SimdLevel::detect(),
             segments: SegmentGeometry::new(16, 0),
         }
+    }
+
+    /// The fields that fix every plane buffer's length: two arrays with
+    /// the same shape can trade planes whatever their segment count,
+    /// SIMD tier or width.
+    fn shape(&self) -> [usize; 5] {
+        [self.num_pes, self.threads, self.gprs, self.flags, self.lmem_words]
     }
 }
 
@@ -157,10 +179,12 @@ fn try_for_each_lane(
 /// large array stay mmap-backed. By default the threshold adapts upward
 /// when a mmap'd block is freed, after which same-sized allocations come
 /// from the sbrk heap — where `calloc` must memset the whole plane
-/// instead of handing out untouched zero pages. Simulations that build a
-/// machine per run (the kernel suite, the benches) hit that path on
-/// every construction; pinning the threshold keeps plane allocation
-/// proportional to the memory actually touched.
+/// instead of handing out untouched zero pages. Pinning it keeps a fresh
+/// array's construction independent of its size; a machine-per-run loop
+/// (the kernel suite, the benches) that builds the same shape again
+/// reuses the previous array's planes instead (see [`PeArray::new`]), so
+/// it pays a memset of the pages actually written rather than a fault
+/// per page.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 fn pin_mmap_threshold() {
     use std::sync::Once;
@@ -183,9 +207,10 @@ fn pin_mmap_threshold() {}
 
 /// Allocate `n` zero words via the `vec![0u32; n]` zero-value
 /// specialization, which maps to `alloc_zeroed` — the large register and
-/// local-memory planes of a big array come from untouched zero pages
-/// instead of an explicit clearing pass, making machine construction
-/// cheap for short kernel runs that only ever touch a few planes.
+/// local-memory planes of a fresh array come from untouched zero pages
+/// instead of an explicit clearing pass. Construction is cheap at any
+/// size, and each page costs a fault on its first write. Reused spare
+/// planes skip this allocation (see [`PeArray::new`]).
 fn zeroed_words(n: usize) -> Vec<Word> {
     let mut raw = std::mem::ManuallyDrop::new(vec![0u32; n]);
     let (ptr, len, cap) = (raw.as_mut_ptr(), raw.len(), raw.capacity());
@@ -195,17 +220,31 @@ fn zeroed_words(n: usize) -> Vec<Word> {
     unsafe { Vec::from_raw_parts(ptr as *mut Word, len, cap) }
 }
 
-/// Per-segment commitment tracking for the lazily materialized planes.
+/// Zero a slice. Out of line so the fill compiles to a `memset` call:
+/// inlined into [`CommitMap::scrub`]'s walk it became a 16-byte store
+/// loop, which cleared a resident 4 MiB plane about 40% slower.
+#[inline(never)]
+fn zero<T: Copy + Default>(s: &mut [T]) {
+    s.fill(T::default());
+}
+
+/// Which (plane, segment) slices of an array have been written since it
+/// was constructed.
 ///
-/// The planes themselves are zero-page-backed (`zeroed_words` +
-/// [`pin_mmap_threshold`]), so a 2²⁰-PE machine constructs in
-/// microseconds and physical pages appear only on first touch. This map
-/// records which (plane, segment) slices have been written, making the
-/// real footprint observable: [`PeArray::committed_bytes`] is the
-/// bytes-actually-touched figure the scaling bench reports per PE.
+/// The map is the array's record of where non-zero state can be, so it
+/// must cover every plane write: every unmarked slice is zero. Three
+/// things trust that:
+///
+/// * [`PeArray::clear_thread`] (`tspawn`) zeroes only a thread's marked
+///   slices;
+/// * a reused spare ([`PeArray::new`]) zeroes only the marked slices, so
+///   a missed mark leaks the previous machine's state into the next;
+/// * [`PeArray::committed_bytes`] reports the marked bytes, the
+///   bytes-written figure the scaling bench reports per PE.
+///
 /// All bitsets are preallocated at construction; marking a write is a
 /// couple of word ORs, so the instruction path stays allocation-free.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct CommitMap {
     /// Segments per plane (the geometry's segment count).
     seg_count: usize,
@@ -233,9 +272,13 @@ impl CommitMap {
         bits[idx / BITS_PER_WORD] |= 1u64 << (idx % BITS_PER_WORD);
     }
 
+    /// Unmark `idx`, returning whether it was marked.
     #[inline]
-    fn is_marked(bits: &[u64], idx: usize) -> bool {
-        bits[idx / BITS_PER_WORD] >> (idx % BITS_PER_WORD) & 1 == 1
+    fn take(bits: &mut [u64], idx: usize) -> bool {
+        let (w, bit) = (idx / BITS_PER_WORD, 1u64 << (idx % BITS_PER_WORD));
+        let marked = bits[w] & bit != 0;
+        bits[w] &= !bit;
+        marked
     }
 
     /// Mark every segment of one plane (dense plane-wide writes).
@@ -245,10 +288,39 @@ impl CommitMap {
         }
     }
 
-    fn clear_plane(bits: &mut [u64], plane: usize, seg_count: usize) {
-        for s in 0..seg_count {
-            let idx = plane * seg_count + s;
-            bits[idx / BITS_PER_WORD] &= !(1u64 << (idx % BITS_PER_WORD));
+    /// Zero and unmark the marked slices of `planes` in `buf`, where plane
+    /// `p` starts at `p * plane_len` and segment `s` spans `seg(s)`
+    /// within it. Each run of marked segments of a plane is cleared with
+    /// one fill, and the walk skips unmarked map words, so the cost is a
+    /// memset of what was written, not of the buffer or the map.
+    fn scrub<T: Copy + Default>(
+        bits: &mut [u64],
+        seg_count: usize,
+        planes: std::ops::Range<usize>,
+        buf: &mut [T],
+        plane_len: usize,
+        seg: impl Fn(usize) -> std::ops::Range<usize>,
+    ) {
+        let (mut idx, hi) = (planes.start * seg_count, planes.end * seg_count);
+        while idx < hi {
+            let (w, b) = (idx / BITS_PER_WORD, idx % BITS_PER_WORD);
+            let ahead = bits[w] >> b;
+            if ahead == 0 {
+                idx += BITS_PER_WORD - b;
+                continue;
+            }
+            idx += ahead.trailing_zeros() as usize;
+            if idx >= hi {
+                break;
+            }
+            // the run of marked segments from `first` to the end of its plane
+            let (first, plane) = (idx, idx / seg_count);
+            while idx < (plane + 1) * seg_count && Self::take(bits, idx) {
+                idx += 1;
+            }
+            let base = plane * plane_len;
+            let (from, to) = (seg(first % seg_count).start, seg((idx - 1) % seg_count).end);
+            zero(&mut buf[base + from..base + to]);
         }
     }
 
@@ -276,21 +348,65 @@ pub struct PeArray {
     /// Local memory, column-major: `lmem[addr * num_pes + pe]`.
     lmem: Vec<Word>,
     /// Reusable source latches for operations whose destination plane may
-    /// alias a source plane (no per-instruction allocation).
+    /// alias a source plane (no per-instruction allocation). Every read of
+    /// a latch follows a full-plane copy into it ([`PeArray::latch_a`],
+    /// [`PeArray::latch_b`]), so their contents never carry over and a
+    /// reused spare's latches are not scrubbed.
     scratch_a: Vec<Word>,
     scratch_b: Vec<Word>,
-    /// Which (plane, segment) slices have been written (telemetry for the
-    /// lazy zero-page-backed planes).
+    /// Which (plane, segment) slices have been written since construction
+    /// (see [`CommitMap`]).
     committed: CommitMap,
 }
 
+/// The planes and commit map of a dropped array, kept for the next array
+/// of the same shape built on this thread (see [`PeArray::new`]).
+struct Spare {
+    /// The dropped array's config; its segment geometry is the one the
+    /// commit map was recorded at.
+    cfg: ArrayConfig,
+    gprs: Vec<Word>,
+    flags: Vec<u64>,
+    lmem: Vec<Word>,
+    scratch_a: Vec<Word>,
+    scratch_b: Vec<Word>,
+    committed: CommitMap,
+}
+
+thread_local! {
+    /// This thread's spare plane set: the planes of the last array
+    /// dropped on it. Thread-local, so the drop path takes no lock,
+    /// and a new thread starts with no spare.
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
+}
+
 impl PeArray {
-    /// Allocate a zeroed array. The plane buffers are zero-page-backed:
-    /// construction cost is a handful of `mmap` reservations, independent
-    /// of `num_pes`, and segments materialize on first write.
+    /// Build a zeroed array.
+    ///
+    /// If this thread holds a spare plane set (the planes of the last
+    /// array dropped on it) with the same `num_pes`, `threads`, `gprs`,
+    /// `flags` and `lmem_words`, the array takes it and zeroes exactly the
+    /// slices the spare's commit map marks: the cost is a memset of what
+    /// the previous array wrote. The segment count, SIMD tier and width
+    /// may differ.
+    ///
+    /// Otherwise the spare is freed before the new planes are allocated,
+    /// so the two never coexist, and the planes are allocated
+    /// zero-page-backed: a handful of `mmap` reservations, independent of
+    /// `num_pes`, with segments materializing on first write. A spare is
+    /// released only here or when its thread exits: until then the thread
+    /// keeps every page its last array wrote.
+    ///
+    /// Either way the array starts with an empty commit map.
     pub fn new(cfg: ArrayConfig) -> PeArray {
         pin_mmap_threshold();
         debug_assert_eq!(cfg.segments.num_pes(), cfg.num_pes, "segment geometry mismatch");
+        if let Some(spare) = SPARE.try_with(Cell::take).ok().flatten() {
+            if spare.cfg.shape() == cfg.shape() {
+                return PeArray::from_spare(cfg, spare);
+            }
+            drop(spare);
+        }
         let n = cfg.num_pes;
         PeArray {
             gprs: zeroed_words(cfg.threads * cfg.gprs * n),
@@ -301,6 +417,33 @@ impl PeArray {
             committed: CommitMap::new(&cfg),
             cfg,
         }
+    }
+
+    /// Rebuild the spare's array under its old config, zero every slice
+    /// its commit map marks (the walk `tspawn` trusts), then switch to
+    /// `cfg` with a fresh commit map.
+    fn from_spare(cfg: ArrayConfig, spare: Spare) -> PeArray {
+        let mut a = PeArray {
+            cfg: spare.cfg,
+            gprs: spare.gprs,
+            flags: spare.flags,
+            lmem: spare.lmem,
+            scratch_a: spare.scratch_a,
+            scratch_b: spare.scratch_b,
+            committed: spare.committed,
+        };
+        for thread in 0..a.cfg.threads {
+            a.clear_thread(thread);
+        }
+        let geo = a.cfg.segments;
+        let rows = 0..a.cfg.lmem_words;
+        let segs = a.committed.seg_count;
+        CommitMap::scrub(&mut a.committed.lmem, segs, rows, &mut a.lmem, a.cfg.num_pes, |s| {
+            geo.seg_lane_range(s)
+        });
+        a.committed = CommitMap::new(&cfg);
+        a.cfg = cfg;
+        a
     }
 
     /// Array geometry.
@@ -345,8 +488,14 @@ impl PeArray {
             + self.flags.len() * std::mem::size_of::<u64>()
     }
 
-    /// Telemetry hook for executors that write planes through raw tile
+    /// Commit hook for executors that write planes through raw tile
     /// windows (the block-fusion engine): record a write of `reg`'s plane.
+    ///
+    /// Not telemetry alone: a plane write the commit map misses survives
+    /// `tspawn`'s [`PeArray::clear_thread`], and it leaks into the next
+    /// same-shape array built on this thread, which zeroes only the
+    /// marked slices of the planes it reuses (see [`PeArray::new`]).
+    /// Call it for every plane the executor may write.
     pub fn note_gpr_write(&mut self, thread: usize, reg: usize) {
         if reg != 0 {
             self.mark_gpr_plane(thread, reg);
@@ -848,6 +997,12 @@ impl PeArray {
     /// local memory — the substrate of fused-block execution (see
     /// [`crate::tiles`]). Borrows only that thread's plane regions, so the
     /// view cannot observe or disturb other threads' state.
+    ///
+    /// Writes through the view bypass the commit map: the caller must call
+    /// [`PeArray::note_gpr_write`], [`PeArray::note_flag_write`] or
+    /// [`PeArray::note_lmem_write`] for every plane and row it writes, or
+    /// `tspawn` leaves that state in place and the next array built on
+    /// this thread's reused planes inherits it.
     pub fn thread_tiles(&mut self, thread: usize) -> crate::tiles::ThreadTiles<'_> {
         let n = self.cfg.num_pes;
         let wpp = self.words_per_plane();
@@ -900,28 +1055,16 @@ impl PeArray {
         // actually touched, not to the reserved footprint.
         let geo = self.cfg.segments;
         let segs = self.committed.seg_count;
-        for reg in 0..self.cfg.gprs {
-            let plane = thread * self.cfg.gprs + reg;
-            let base = self.gpr_base(thread, reg);
-            for s in 0..segs {
-                if CommitMap::is_marked(&self.committed.gpr, plane * segs + s) {
-                    let r = geo.seg_lane_range(s);
-                    self.gprs[base + r.start..base + r.end].fill(Word::ZERO);
-                }
-            }
-            CommitMap::clear_plane(&mut self.committed.gpr, plane, segs);
-        }
-        for flag in 0..self.cfg.flags {
-            let plane = thread * self.cfg.flags + flag;
-            let base = self.flag_base(thread, flag);
-            for s in 0..segs {
-                if CommitMap::is_marked(&self.committed.flag, plane * segs + s) {
-                    let r = geo.seg_tile_range(s);
-                    self.flags[base + r.start..base + r.end].fill(0);
-                }
-            }
-            CommitMap::clear_plane(&mut self.committed.flag, plane, segs);
-        }
+        let (g, f) = (self.cfg.gprs, self.cfg.flags);
+        let (n, wpp) = (self.cfg.num_pes, self.words_per_plane());
+        let gpr_planes = thread * g..(thread + 1) * g;
+        CommitMap::scrub(&mut self.committed.gpr, segs, gpr_planes, &mut self.gprs, n, |s| {
+            geo.seg_lane_range(s)
+        });
+        let flag_planes = thread * f..(thread + 1) * f;
+        CommitMap::scrub(&mut self.committed.flag, segs, flag_planes, &mut self.flags, wpp, |s| {
+            geo.seg_tile_range(s)
+        });
     }
 
     // ---------------------------------------------------------- host API
@@ -1011,6 +1154,26 @@ impl PeArray {
         let a = Self::check_addr(addr as i64, self.cfg.lmem_words, false)
             .map_err(|fault| PeFault { pe: 0, fault })?;
         Ok(self.lmem[a * n..(a + 1) * n].to_vec())
+    }
+}
+
+impl Drop for PeArray {
+    /// Keep the planes as this thread's spare instead of freeing them
+    /// (see [`PeArray::new`]), replacing any spare the thread held. The
+    /// scrub runs when the next array takes them, so its cost lands in
+    /// that array's construction. A thread tearing down its locals frees
+    /// the planes instead.
+    fn drop(&mut self) {
+        let spare = Spare {
+            cfg: self.cfg,
+            gprs: std::mem::take(&mut self.gprs),
+            flags: std::mem::take(&mut self.flags),
+            lmem: std::mem::take(&mut self.lmem),
+            scratch_a: std::mem::take(&mut self.scratch_a),
+            scratch_b: std::mem::take(&mut self.scratch_b),
+            committed: std::mem::take(&mut self.committed),
+        };
+        let _ = SPARE.try_with(|slot| slot.set(Some(spare)));
     }
 }
 
@@ -1214,6 +1377,8 @@ mod tests {
         assert_eq!(a.gpr(0, 0, 4), Word::ZERO);
         assert!(!a.flag(0, 0, 2));
         assert_eq!(a.gpr(0, 1, 4), Word(8), "other threads keep their state");
+        let plane = 8 * std::mem::size_of::<Word>();
+        assert_eq!(a.committed_bytes(), plane, "other threads keep their marks");
     }
 
     #[test]
@@ -1376,6 +1541,144 @@ mod tests {
         // Touch one lane: exactly one 4096-lane segment slice commits.
         a.set_gpr(123_456, 0, 1, Word(1));
         assert_eq!(a.committed_bytes(), 4096 * std::mem::size_of::<Word>());
+    }
+
+    /// The reuse tests' shape: two threads, and 16 lmem rows to hold the
+    /// rows `dirty_every_write_path` writes.
+    fn reuse_cfg(num_pes: usize, segments: usize) -> ArrayConfig {
+        ArrayConfig {
+            num_pes,
+            threads: 2,
+            gprs: 16,
+            flags: 8,
+            lmem_words: 16,
+            width: Width::W16,
+            simd: SimdLevel::detect(),
+            segments: SegmentGeometry::new(num_pes, segments),
+        }
+    }
+
+    /// Write non-zero state through every path that marks the commit map,
+    /// each into its own plane or rows, so a path that stops marking
+    /// leaves state no other path's mark covers.
+    fn dirty_every_write_path(a: &mut PeArray) {
+        let n = a.num_pes();
+        let all = ActiveMask::all(n);
+        let odd = every(n, |i| i % 2 == 1);
+        // instruction-major GPR writes, thread 0
+        a.pidx(0, p(1), &all);
+        a.alu(0, AluOp::Add, p(2), p(1), Src::Reg(p(1)), &all);
+        a.alu(0, AluOp::Add, p(3), p(1), Src::Imm(Word(5)), &odd);
+        a.shift(0, p(4), p(1), 1, &all);
+        a.movs(1, p(5), Word(7), &all);
+        // per-lane store and load: p6 = 4 + (lane & 3) addresses rows 4..8
+        a.alu(0, AluOp::And, p(6), p(1), Src::Imm(Word(3)), &all);
+        a.alu(0, AluOp::Add, p(6), p(6), Src::Imm(Word(4)), &all);
+        a.store(0, p(3), p(6), 0, &all).unwrap();
+        a.load(0, p(7), p(6), 0, &all).unwrap();
+        // uniform-address store (row 1) and load
+        a.store(0, p(4), p(0), 1, &odd).unwrap();
+        a.load(0, p(8), p(0), 1, &all).unwrap();
+        // flag writes
+        a.cmp(0, CmpOp::Lt, pf(1), p(1), Src::Scalar(Word(1000)), &all);
+        a.flag_op(0, FlagOp::Set, pf(2), pf(2), pf(2), &odd);
+        a.write_flag_column(1, pf(3), &vec![true; n], &all);
+        a.write_first_responder(0, pf(4), Some(n - 1), &all);
+        // a chain through tile windows, committed through the note_* hooks
+        let row = 12;
+        {
+            let mut tiles = a.thread_tiles(1);
+            for t in 0..tiles.num_tiles() {
+                let mut w = tiles.window(t);
+                w.gpr_mut(9).fill(Word(3));
+                w.set_flag_word(5, u64::MAX);
+                w.lmem_row_mut(row).fill(Word(6));
+            }
+        }
+        a.note_gpr_write(1, 9);
+        a.note_flag_write(1, 5);
+        a.note_lmem_write(Some(row as i64));
+        // host paths
+        a.set_gpr(n / 2, 0, 10, Word(11));
+        a.set_flag(n - 1, 1, 6, true);
+        a.scatter_column(2, &vec![Word(13); n]).unwrap();
+        a.lmem_load_slice(n / 3, 10, &[Word(14), Word(15)]).unwrap();
+    }
+
+    /// Whether this thread holds a spare plane set.
+    fn spare_held() -> bool {
+        SPARE.with(|slot| {
+            let spare = slot.take();
+            let held = spare.is_some();
+            slot.set(spare);
+            held
+        })
+    }
+
+    /// Dirty an array at segment count `from`, drop it, build the same
+    /// shape at `to`: the new array must take the old planes and read
+    /// zero everywhere, with nothing committed.
+    fn assert_reuse_is_invisible(num_pes: usize, from: usize, to: usize) {
+        let mut a = PeArray::new(reuse_cfg(num_pes, from));
+        dirty_every_write_path(&mut a);
+        assert!(a.committed_bytes() > 0);
+        let planes = a.gpr_plane(0, 0).as_ptr();
+        drop(a);
+        assert!(spare_held());
+
+        let b = PeArray::new(reuse_cfg(num_pes, to));
+        assert_eq!(b.segments().count(), SegmentGeometry::new(num_pes, to).count());
+        assert_eq!(b.gpr_plane(0, 0).as_ptr(), planes, "the spare planes were not reused");
+        assert!(!spare_held());
+        assert_eq!(b.committed_bytes(), 0);
+        let cfg = *b.config();
+        for t in 0..cfg.threads {
+            for r in 0..cfg.gprs {
+                assert!(b.gpr_plane(t, r).iter().all(|&w| w == Word::ZERO), "gpr {t}/{r}");
+            }
+            for f in 0..cfg.flags {
+                assert!(b.flag_plane(t, f).iter().all(|&w| w == 0), "flag {t}/{f}");
+            }
+        }
+        for row in 0..cfg.lmem_words as u32 {
+            assert!(b.gather_column(row).unwrap().iter().all(|&w| w == Word::ZERO), "row {row}");
+        }
+    }
+
+    #[test]
+    fn reused_planes_read_zero() {
+        // 313 tiles, the last one 32 lanes: auto slicing gives 5 segments
+        // and a request for 3 gives 128 + 128 + 57 tiles
+        let n = 20_000;
+        assert_reuse_is_invisible(n, 1, 0);
+        assert_reuse_is_invisible(n, 0, 3);
+        // a two-tile array, one segment either way: small planes are reused too
+        assert_reuse_is_invisible(100, 1, 0);
+    }
+
+    /// The million-PE shape, where the planes are largest.
+    #[test]
+    fn reused_planes_read_zero_at_2_20() {
+        assert_reuse_is_invisible(1 << 20, 1, 0);
+        assert_reuse_is_invisible(1 << 20, 0, 3);
+    }
+
+    #[test]
+    fn another_shape_frees_the_spare() {
+        drop(PeArray::new(reuse_cfg(20_000, 0)));
+        assert!(spare_held());
+        let other = PeArray::new(reuse_cfg(20_064, 0));
+        assert!(!spare_held(), "a construction that misses the spare must free it");
+        drop(other);
+        assert!(spare_held());
+        // an array of any size parks its planes, replacing the spare
+        let a = small();
+        assert!(!spare_held());
+        drop(a);
+        assert!(spare_held());
+        let b = PeArray::new(reuse_cfg(20_000, 0));
+        assert!(!spare_held());
+        drop(b);
     }
 
     #[test]

@@ -337,6 +337,9 @@ mod tests {
             w.lmem_checked_write(Word::new(4, Width::W16), 1, 70 - 64, v7).unwrap();
             assert!(w.lmem_checked_read(Word::new(40, Width::W16), 0, 0).is_err());
         }
+        a.note_gpr_write(1, 3);
+        a.note_flag_write(1, 2);
+        a.note_lmem_write(Some(5));
         assert_eq!(a.gpr(70, 1, 3), v7);
         assert!(a.flag(99, 1, 2));
         assert_eq!(a.flag_plane(1, 2)[1], (1u64 << 36) - 1);
@@ -359,6 +362,7 @@ mod tests {
         let mut t = a.thread_tiles(0);
         t.window(0).gpr_mut(1)[0] = Word::new(1, Width::W16);
         t.window(1).gpr_mut(1)[0] = Word::new(2, Width::W16);
+        a.note_gpr_write(0, 1);
         assert_eq!(a.gpr(0, 0, 1).to_u32(), 1);
         assert_eq!(a.gpr(64, 0, 1).to_u32(), 2);
         assert_eq!(a.gpr(1, 0, 1).to_u32(), 0);

@@ -108,20 +108,19 @@ fn list_show_artifact_and_errors() {
     let (status, _) = get(addr, "/api/v1/runs?status=bogus");
     assert_eq!(status, 400);
 
-    // unique-prefix resolution on /api/v1/runs/<id>
-    let prefix = &id_b[..10];
-    let (status, body) = get(addr, &format!("/api/v1/runs/{prefix}"));
+    // unique-prefix resolution on /api/v1/runs/<id>: the shortest prefix
+    // that tells id_b from id_a resolves, and the prefix they share is
+    // ambiguous (runs recorded in the same millisecond share the whole
+    // 10-character timestamp)
+    let shared = id_a.bytes().zip(id_b.bytes()).take_while(|(x, y)| x == y).count();
+    let (status, body) = get(addr, &format!("/api/v1/runs/{}", &id_b[..shared + 1]));
     assert_eq!(status, 200);
     let meta = Json::parse(&body).unwrap();
     assert_eq!(meta.get("id").and_then(Json::as_str), Some(id_b.as_str()));
     let (status, _) = get(addr, "/api/v1/runs/ZZZZZZ");
     assert_eq!(status, 404);
-    // ULIDs recorded in the same millisecond share a long prefix; the
-    // first character is enough to be ambiguous across two runs
-    let (status, body) = get(addr, &format!("/api/v1/runs/{}", &id_a[..1]));
-    if status != 200 {
-        assert_eq!(status, 409, "{body}");
-    }
+    let (status, body) = get(addr, &format!("/api/v1/runs/{}", &id_b[..shared]));
+    assert_eq!(status, 409, "{body}");
 
     // report artifact is served verbatim
     let (status, body) = get(addr, &format!("/api/v1/runs/{id_a}/report"));
