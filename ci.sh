@@ -241,15 +241,38 @@ MTASC_SEGMENTS=4 cargo test -p asc-core --features proptest -q fusion
 MTASC_SEGMENTS=4 cargo test -p asc-core --features proptest -q proptests
 MTASC_SEGMENTS=4 MTASC_NO_SIMD=1 cargo test -p asc-core --features proptest -q fusion
 
-echo "==> 2^20-PE planes: sparse construction budget and plane reuse"
+echo "==> 2^20-PE planes and split sweeps (release)"
 # Lazily-materialized planes: a million-PE machine must construct in
 # microseconds (budget 500ms for slow CI hosts) with zero bytes
 # committed until the first write. Run in release so the budget
 # measures the allocator, not debug-mode overhead. The same build runs
-# the plane-reuse test at the 2^20 shape, where debug builds are slow:
-# a machine built on a dropped one's planes must read zero everywhere.
-cargo test --release -p asc-pe -q -- sparse_million_pe_array_constructs_cheaply \
-    reused_planes_read_zero_at_2_20
+# the tests whose arrays are large, where debug builds are slow: the
+# plane-reuse test at the 2^20 shape (a machine built on a dropped one's
+# planes must read zero everywhere), and the split-geometry tests at
+# 2^18 + 70 PEs, where sweeps pass the worker pool's gate and run on
+# every host core (lane-local sweeps against the per-PE reference, every
+# reduction unit against lane references, a fused block faulting in two
+# occupancy groups against --no-fuse).
+cargo test --release -p asc-pe --features proptest -q -- \
+    sparse_million_pe_array_constructs_cheaply reused_planes_read_zero_at_2_20 \
+    split_sweeps_match_per_pe_reference
+cargo test --release -p asc-network -q -- units_match_lane_references_at_scale
+cargo test --release --test fusion -q -- split_block_faults_keep_their_identity
+
+echo "==> single-CPU reference (taskset -c 0: the worker pool has no helpers)"
+# The pool sizes itself from available_parallelism(), so one CPU means no
+# helper threads and every sweep on its caller. Rerunning the pool tests
+# and the split-geometry tests there proves that serial path.
+if command -v taskset > /dev/null; then
+    taskset -c 0 cargo test --release -p asc-pe --features proptest -q \
+        --test workers --test workers_alloc
+    taskset -c 0 cargo test --release -p asc-pe --features proptest -q --lib -- \
+        split_sweeps_match_per_pe_reference
+    taskset -c 0 cargo test --release -p asc-network -q -- units_match_lane_references_at_scale
+    taskset -c 0 cargo test --release --test fusion -q -- split_block_faults_keep_their_identity
+else
+    echo "taskset not found: single-CPU reference skipped"
+fi
 
 echo "==> portability check (intrinsics compiled out)"
 # --cfg mtasc_force_scalar removes the x86 intrinsics at compile time;

@@ -736,8 +736,9 @@ pub fn dispatch(mut args: Vec<String>) -> Result<String, CliError> {
 
 /// `mtasc --version`: crate version, every schema this tool emits, and
 /// the resolved execution strategy (host SIMD tier and segment slicing,
-/// both after their env overrides), so a pasted version line pins down
-/// how wall times were produced.
+/// both after their env overrides, and the host workers that large PE
+/// sweeps are split across), so a pasted version line pins down how wall
+/// times were produced.
 pub fn version_text() -> String {
     let cfg = MachineConfig::new(MachineOpts::default().pes);
     let segments = match cfg.effective_segments() {
@@ -747,10 +748,11 @@ pub fn version_text() -> String {
     format!(
         "mtasc {}\nschemas: {REPORT_SCHEMA}, {PROFILE_SCHEMA}, mtasc.lint.v1, \
          {RUN_META_SCHEMA}, {PROGRESS_SCHEMA}, {STATS_DIFF_SCHEMA}, {HTTP_SCHEMA}\n\
-         execution: simd {} (MTASC_NO_SIMD), segments {} (MTASC_SEGMENTS)\n",
+         execution: simd {} (MTASC_NO_SIMD), segments {} (MTASC_SEGMENTS), host workers {}\n",
         env!("CARGO_PKG_VERSION"),
         cfg.simd_level().label(),
         segments,
+        asc_core::host_workers(),
     )
 }
 
@@ -1892,6 +1894,8 @@ mod tests {
         assert!(text.contains("execution: simd "), "{text}");
         assert!(text.contains("segments "), "{text}");
         assert!(text.contains("MTASC_SEGMENTS"), "{text}");
+        let workers = format!("host workers {}", asc_core::host_workers());
+        assert!(text.contains(&workers), "{text}");
         assert!(!text.contains("THRESHOLD"), "{text}");
     }
 

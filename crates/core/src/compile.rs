@@ -13,7 +13,10 @@
 //! then a tight loop over the chain: one indirect call per (op, tile),
 //! no instruction decode, no per-op dispatch, and the dense ALU/compare
 //! work runs through `asc-pe`'s vector kernels (AVX2/AVX-512 when the
-//! host has them, scalar otherwise).
+//! host has them, scalar otherwise). The tiles are taken one 4096-lane
+//! occupancy group at a time, and a chain large enough to pass the
+//! worker pool's gate runs its groups on every host core
+//! ([`run_chain_tiles`]).
 //!
 //! Semantics are pinned to the instruction-major executor
 //! (`Machine::execute_instr`): sources are latched before destinations
@@ -21,15 +24,18 @@
 //! target its own mask flag), writes to GPR 0 are dropped at compile
 //! time, flag writes preserve the bitplane tail invariant, and memory
 //! faults report the lowest faulting lane of the earliest faulting
-//! instruction while non-faulting lanes still apply. The
+//! instruction, over all groups, while non-faulting lanes still apply. The
 //! `fusion_is_bit_identical` differential suite holds this equivalence
 //! for every (fusion × SIMD) combination.
+
+use std::sync::Mutex;
 
 use asc_isa::{FlagOp, Instr, Mask, Width, Word};
 use asc_pe::simd::{
     select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, AluRrKernel, AluRsKernel,
     CmpRrKernel, CmpRsKernel, SimdLevel,
 };
+use asc_pe::workers::GROUP_LANES;
 use asc_pe::{ActiveMask, PeFault, ThreadTiles, TileWindow, TILE_LANES};
 
 /// What a compiled op writes — recorded at compile time so the fusion
@@ -307,14 +313,10 @@ fn k_alu_rs(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Opti
 fn k_cmp_rr(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
     let mw = mask_word(op.mask, win, all);
     if mw != 0 {
-        let w = win.width();
-        let (mut a, mut b) = ([Word::ZERO; TILE_LANES], [Word::ZERO; TILE_LANES]);
-        let n = win.lanes();
-        win.copy_gprs(op.a as usize, &mut a);
-        win.copy_gprs(op.b as usize, &mut b);
         // The kernel computes all lanes (compares are side-effect free);
-        // inactive lanes are dropped by the merge.
-        let res = (op.cmp_rr)(&a[..n], &b[..n], w);
+        // inactive lanes are dropped by the merge. The sources are read in
+        // place: the destination is a flag word.
+        let res = (op.cmp_rr)(win.gpr(op.a as usize), win.gpr(op.b as usize), win.width());
         let old = win.flag_word(op.d as usize);
         win.set_flag_word(op.d as usize, (old & !mw) | (res & mw));
     }
@@ -324,11 +326,7 @@ fn k_cmp_rr(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Opti
 fn k_cmp_rs(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
     let mw = mask_word(op.mask, win, all);
     if mw != 0 {
-        let w = win.width();
-        let mut a = [Word::ZERO; TILE_LANES];
-        let n = win.lanes();
-        win.copy_gprs(op.a as usize, &mut a);
-        let res = (op.cmp_rs)(&a[..n], op.imm, w);
+        let res = (op.cmp_rs)(win.gpr(op.a as usize), op.imm, win.width());
         let old = win.flag_word(op.d as usize);
         win.set_flag_word(op.d as usize, (old & !mw) | (res & mw));
     }
@@ -462,28 +460,46 @@ fn k_idx(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<
 
 // ------------------------------------------------------------ execution
 
-/// Run a compiled chain over every tile of `tiles`, lowest first: the
-/// whole chain over one tile before the next. Returns the fault to
-/// attribute, chosen as the lowest `(op index, PE)` across the sweep —
-/// the same identity the instruction-major executor would have stopped
-/// at.
+/// Run a compiled chain over every tile of `tiles`: the whole chain over
+/// one tile before the next. Tiles run one 4096-lane occupancy group at a
+/// time, in lane order within a group; a chain whose work (groups × 4096
+/// lanes × ops) passes the worker pool's gate runs its groups on every
+/// host core (see [`asc_pe::workers`]), each writing only its own tiles.
+/// Returns the fault to attribute: the lowest `(op index, PE)` over all
+/// groups — the same identity the instruction-major executor would have
+/// stopped at. Every non-faulting lane of every op still applies.
 pub(crate) fn run_chain_tiles(
     chain: &[CompiledOp],
     tiles: &mut ThreadTiles<'_>,
     all: &ActiveMask,
 ) -> Option<(u32, PeFault)> {
-    let mut fault: Option<(u32, PeFault)> = None;
-    for tile in 0..tiles.num_tiles() {
-        let mut win = tiles.window(tile);
-        for (k, op) in chain.iter().enumerate() {
-            if let Some(f) = (op.run)(op, &mut win, all) {
-                // tiles run in lane order, so the first fault of an op
-                // is its lowest faulting PE
-                if fault.is_none_or(|(fk, _)| (k as u32) < fk) {
-                    fault = Some((k as u32, f));
+    let lane_ops = tiles.num_pes().div_ceil(GROUP_LANES) * GROUP_LANES * chain.len();
+    let lowest: Mutex<Option<(u32, PeFault)>> = Mutex::new(None);
+    // inlined into the serial call as well as into the split path
+    tiles.for_each_group(
+        lane_ops,
+        #[inline(always)]
+        |group| {
+            let mut fault: Option<(u32, PeFault)> = None;
+            for tile in group.tiles() {
+                let mut win = group.window(tile);
+                for (k, op) in chain.iter().enumerate() {
+                    if let Some(f) = (op.run)(op, &mut win, all) {
+                        // tiles run in lane order, so the first fault of an op
+                        // in this group is its lowest faulting PE here
+                        if fault.is_none_or(|(fk, _)| (k as u32) < fk) {
+                            fault = Some((k as u32, f));
+                        }
+                    }
                 }
             }
-        }
-    }
-    fault
+            if let Some((k, f)) = fault {
+                let mut lowest = lowest.lock().expect("no group panics holding the fault lock");
+                if lowest.is_none_or(|(lk, lf)| (k, f.pe) < (lk, lf.pe)) {
+                    *lowest = Some((k, f));
+                }
+            }
+        },
+    );
+    lowest.into_inner().expect("no group panics holding the fault lock")
 }

@@ -26,8 +26,10 @@
 //! tile — so a tile's working set (a handful of 64-word register slices
 //! and one word per flag plane) stays resident across the block. Lane
 //! locality of fusible instructions makes tile-major order bit-identical
-//! to instruction-major order. Tiles run in lane order on the calling
-//! thread.
+//! to instruction-major order. A block whose work (4096-lane groups × ops)
+//! passes the worker pool's gate runs its groups on every host core
+//! (`asc_pe::workers`), each group's tiles in lane order; a smaller one
+//! runs every tile in lane order on the calling thread.
 //!
 //! ## Timing is unchanged
 //!
@@ -49,8 +51,9 @@
 //!
 //! A faulting `plw`/`psw` lane reports the same error identity as the
 //! instruction-major executor — lowest faulting PE of the *earliest*
-//! faulting instruction, at that instruction's PC — but the sweep still
-//! applies all non-faulting lanes of the whole block first. On the error
+//! faulting instruction, at that instruction's PC, taken over every group
+//! however the groups were split — but the sweep still applies all
+//! non-faulting lanes of the whole block first. On the error
 //! path (and only there) the partial architectural state left behind may
 //! differ from the unfused executor's; successful runs are bit-identical.
 

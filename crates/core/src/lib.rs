@@ -47,6 +47,7 @@ mod machine;
 
 // Re-exported: `MachineConfig::simd_level` / `Machine::simd_level` return
 // it, so consumers can name the tier without depending on `asc-pe`.
+pub use asc_pe::workers::host_workers;
 pub use asc_pe::SimdLevel;
 pub use config::{FetchModel, MachineConfig, SchedPolicy};
 pub use emulator::Emulator;

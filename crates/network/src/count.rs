@@ -7,11 +7,13 @@
 //! With the flag file stored as packed bitplanes the functional model is a
 //! handful of `count_ones` instructions: each `u64` word ANDs the
 //! responder plane with the active mask and popcounts 64 PEs at once —
-//! no per-PE loop and no allocation. The pass runs over
-//! [`ActiveMask::active_tiles`], which skips every 4096-lane group with no
-//! active lane.
+//! no per-PE loop and no allocation. The pass skips every 4096-lane group
+//! with no active lane; a count over enough occupied groups to pass the
+//! worker pool's gate counts each group on some host core and sums the
+//! groups' counts in group order ([`asc_pe::workers::fold_groups`]).
 
 use asc_isa::{Width, Word};
+use asc_pe::workers;
 use asc_pe::ActiveMask;
 
 /// Functional model of the response counter.
@@ -25,8 +27,20 @@ impl ResponseCounter {
     /// semantics — the prototype's PE counts never approach this).
     pub fn count(flags: &[u64], active: &ActiveMask, w: Width) -> Word {
         debug_assert_eq!(flags.len(), active.words().len());
-        let total: u64 =
-            active.active_tiles().map(|(t, a)| u64::from((flags[t] & a).count_ones())).sum();
+        let lane_ops = workers::mask_work(active);
+        // inlined into the serial call as well as into the split path
+        let total = workers::fold_groups(
+            active.groups(),
+            lane_ops,
+            #[inline(always)]
+            |groups| {
+                active
+                    .group_tiles(groups)
+                    .map(|(t, a)| u64::from((flags[t] & a).count_ones()))
+                    .sum()
+            },
+            |a, b| a + b,
+        );
         Word::new(total.min(w.mask() as u64) as u32, w)
     }
 

@@ -26,10 +26,16 @@
 //! the cycle-accurate simulator uses to track occupancy and latency.
 //!
 //! Each reduction unit has one functional path. The associative units
-//! (logic, max/min, counter, resolver) make one pass over the active
-//! mask's tiles ([`asc_pe::ActiveMask::active_tiles`]), and the sum unit
-//! reduces a tree of 64-lane tiles; both skip every 4096-lane group with
-//! no active lane. Neither depends on how the PE array is segmented.
+//! (logic, max/min, counter, resolver) walk the active mask's tiles
+//! ([`asc_pe::ActiveMask::active_tiles`]), and the sum unit reduces a tree
+//! of 64-lane tiles; both skip every 4096-lane group with no active lane.
+//! Neither depends on how the PE array is segmented. A dense reduction —
+//! the sum, max/min, logic or count over enough occupied groups to pass
+//! the worker pool's gate — reduces each group on some host core
+//! (`asc_pe::workers`) and combines the groups' partials on the calling
+//! thread in group order (the sum: in its canonical tree order); a smaller
+//! one, the resolver and the any/all responder tests run on the calling
+//! thread.
 
 pub mod broadcast;
 pub mod count;
@@ -50,7 +56,50 @@ pub use tree::{reduction_latency, tree_depth, DelayLine, PipelinedUnit};
 pub use unit::NetUnit;
 
 use asc_isa::{ReduceOp, Width, Word};
+use asc_pe::workers;
 use asc_pe::{ActiveMask, SimdLevel};
+
+/// Fold the active lanes of `values`, lowest first, with `lane` starting
+/// from `id`. A fold over enough occupied 4096-lane groups to pass the
+/// worker pool's gate folds each group on some host core and `join`s the
+/// groups' partials in group order ([`workers::fold_groups`]); below the
+/// gate it is one pass over the active tiles. The callers' folds are
+/// associative and commutative with identity `id`, so both give the same
+/// word.
+pub(crate) fn fold_active(
+    values: &[Word],
+    active: &ActiveMask,
+    id: u32,
+    lane: impl Fn(u32, Word) -> u32 + Sync,
+    join: impl Fn(u32, u32) -> u32,
+) -> u32 {
+    let lane_ops = workers::mask_work(active);
+    let join = |a: u64, b: u64| u64::from(join(a as u32, b as u32));
+    // inlined into the serial call as well as into the split path
+    let fold = workers::fold_groups(
+        active.groups(),
+        lane_ops,
+        #[inline(always)]
+        |groups| {
+            let fold = active.group_tiles(groups).fold(id, |mut acc, (t, mw)| {
+                let base = t * 64;
+                if mw == u64::MAX {
+                    acc = values[base..base + 64].iter().fold(acc, |a, &v| lane(a, v));
+                } else {
+                    let mut m = mw;
+                    while m != 0 {
+                        acc = lane(acc, values[base + m.trailing_zeros() as usize]);
+                        m &= m - 1;
+                    }
+                }
+                acc
+            });
+            u64::from(fold)
+        },
+        join,
+    );
+    fold as u32
+}
 
 /// Geometry and latency of the whole broadcast/reduction network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,63 +264,84 @@ mod tests {
         assert_eq!(sum.to_i64(w), 104);
     }
 
-    /// Every value and flag reduction at 70,001 lanes (18 occupancy
-    /// groups, ragged tail) against a lane-by-lane reference, on dense,
-    /// sparse, clustered and empty masks, and on a mask whose only
-    /// occupancy bit is stale, which must give each op's identity.
+    /// Every value and flag reduction against a lane-by-lane reference,
+    /// on dense, sparse, clustered and empty masks and on a mask whose
+    /// only occupancy bit is stale, which must give each op's identity:
+    /// at 70,001 lanes (18 occupancy groups, ragged tail), and at 2¹⁸ + 70
+    /// lanes (65 groups), where a sweep over a dense or sparse mask, or one
+    /// with an empty group, reaches the worker pool's gate and is split.
+    /// The larger array holds full-range W8 values, so the sum's tree
+    /// nodes saturate and any change of association would show.
     #[test]
     fn units_match_lane_references_at_scale() {
         use asc_isa::FlagReduceOp;
-        let w = Width::W16;
-        let n = 70_001;
-        let vals: Vec<Word> =
-            (0..n).map(|i| Word::from_i64((i as i64 * 37 % 4001) - 2000, w)).collect();
-        let sparse: Vec<bool> = (0..n).map(|i| i % 97 == 0 || i == n - 1).collect();
-        let cluster: Vec<bool> = (0..n).map(|i| (40_000..41_024).contains(&i)).collect();
-        let mut stale = ActiveMask::new(n);
-        stale.set(50_000, true);
-        stale.set(50_000, false);
-        let masks = [
-            ("dense", ActiveMask::all(n)),
-            ("sparse", ActiveMask::from_bools(&sparse)),
-            ("cluster", ActiveMask::from_bools(&cluster)),
-            ("empty", ActiveMask::new(n)),
-            ("stale", stale),
-        ];
-        let pattern: Vec<bool> = (0..n).map(|i| i * 7 % 5 != 0).collect();
-        let net = Network::new(NetworkConfig::new(n, 4));
-        for (name, active) in &masks {
-            let lanes: Vec<usize> = (0..n).filter(|&i| active.is_active(i)).collect();
-            let leaves: Vec<Word> =
-                (0..n).map(|i| if active.is_active(i) { vals[i] } else { Word::ZERO }).collect();
-            let sum = tree_reduce(&leaves, Word::ZERO, |a, b| a.saturating_add_signed(b, w));
-            assert_eq!(net.reduce(ReduceOp::Sum, &vals, active, w), sum, "{name} Sum");
-            for op in [
-                ReduceOp::Max,
-                ReduceOp::Min,
-                ReduceOp::MaxU,
-                ReduceOp::MinU,
-                ReduceOp::And,
-                ReduceOp::Or,
-            ] {
-                let want = lanes.iter().fold(op.identity(w), |a, &i| op.combine(a, vals[i], w));
-                assert_eq!(net.reduce(op, &vals, active, w), want, "{name} {op:?}");
-                if lanes.is_empty() {
-                    assert_eq!(want, op.identity(w), "{name} {op:?}");
+        use asc_pe::workers::{mask_work, GROUP_LANES, SPLIT_LANE_OPS};
+        for (n, w) in [(70_001, Width::W16), ((1 << 18) + 70, Width::W8)] {
+            let vals: Vec<Word> = (0..n)
+                .map(|i| match w {
+                    Width::W8 => Word::from_i64(((i as i64 * 2_654_435_761) >> 9) % 256 - 128, w),
+                    _ => Word::from_i64((i as i64 * 37 % 4001) - 2000, w),
+                })
+                .collect();
+            let sparse: Vec<bool> = (0..n).map(|i| i % 97 == 0 || i == n - 1).collect();
+            let cluster: Vec<bool> = (0..n).map(|i| (40_000..41_024).contains(&i)).collect();
+            let holed: Vec<bool> = (0..n).map(|i| i / GROUP_LANES != 3 && i % 5 != 1).collect();
+            let mut stale = ActiveMask::new(n);
+            stale.set(50_000, true);
+            stale.set(50_000, false);
+            let masks = [
+                ("dense", ActiveMask::all(n)),
+                ("sparse", ActiveMask::from_bools(&sparse)),
+                ("cluster", ActiveMask::from_bools(&cluster)),
+                ("holed", ActiveMask::from_bools(&holed)),
+                ("empty", ActiveMask::new(n)),
+                ("stale", stale),
+            ];
+            if n > 1 << 18 {
+                for (name, active) in &masks[..4] {
+                    let split = mask_work(active) >= SPLIT_LANE_OPS;
+                    assert_eq!(split, *name != "cluster", "{name}: gate");
                 }
             }
-            // a patterned flag plane, and the mask itself (every active
-            // lane responds)
-            for flags in [ActiveMask::from_bools(&pattern).words(), active.words()] {
-                let set = |i: usize| flags[i / 64] >> (i % 64) & 1 == 1;
-                let responders: Vec<usize> = lanes.iter().copied().filter(|&i| set(i)).collect();
-                let count = Word::new(responders.len().min(w.mask() as usize) as u32, w);
-                assert_eq!(net.count_responders(flags, active, w), count, "{name} count");
-                assert_eq!(net.first_responder(flags, active), responders.first().copied());
-                let any = lanes.iter().any(|&i| set(i));
-                let all = lanes.iter().all(|&i| set(i));
-                assert_eq!(net.reduce_flags(FlagReduceOp::Any, flags, active), any, "{name}");
-                assert_eq!(net.reduce_flags(FlagReduceOp::All, flags, active), all, "{name}");
+            let pattern: Vec<bool> = (0..n).map(|i| i * 7 % 5 != 0).collect();
+            let net = Network::new(NetworkConfig::new(n, 4));
+            for (name, active) in &masks {
+                let lanes: Vec<usize> = (0..n).filter(|&i| active.is_active(i)).collect();
+                let leaves: Vec<Word> = (0..n)
+                    .map(|i| if active.is_active(i) { vals[i] } else { Word::ZERO })
+                    .collect();
+                let sum = tree_reduce(&leaves, Word::ZERO, |a, b| a.saturating_add_signed(b, w));
+                assert_eq!(net.reduce(ReduceOp::Sum, &vals, active, w), sum, "{n} {name} Sum");
+                for op in [
+                    ReduceOp::Max,
+                    ReduceOp::Min,
+                    ReduceOp::MaxU,
+                    ReduceOp::MinU,
+                    ReduceOp::And,
+                    ReduceOp::Or,
+                ] {
+                    let want = lanes.iter().fold(op.identity(w), |a, &i| op.combine(a, vals[i], w));
+                    assert_eq!(net.reduce(op, &vals, active, w), want, "{n} {name} {op:?}");
+                    if lanes.is_empty() {
+                        assert_eq!(want, op.identity(w), "{n} {name} {op:?}");
+                    }
+                }
+                // a patterned flag plane, and the mask itself (every active
+                // lane responds)
+                for flags in [ActiveMask::from_bools(&pattern).words(), active.words()] {
+                    let set = |i: usize| flags[i / 64] >> (i % 64) & 1 == 1;
+                    let responders: Vec<usize> =
+                        lanes.iter().copied().filter(|&i| set(i)).collect();
+                    let count = Word::new(responders.len().min(w.mask() as usize) as u32, w);
+                    let wide = Word::new(responders.len() as u32, Width::W32);
+                    assert_eq!(net.count_responders(flags, active, w), count, "{n} {name}");
+                    assert_eq!(net.count_responders(flags, active, Width::W32), wide, "{name}");
+                    assert_eq!(net.first_responder(flags, active), responders.first().copied());
+                    let any = lanes.iter().any(|&i| set(i));
+                    let all = lanes.iter().all(|&i| set(i));
+                    assert_eq!(net.reduce_flags(FlagReduceOp::Any, flags, active), any, "{name}");
+                    assert_eq!(net.reduce_flags(FlagReduceOp::All, flags, active), all, "{name}");
+                }
             }
         }
     }

@@ -8,8 +8,9 @@
 //! (AND/OR are associative and commutative, so the fold equals the
 //! hardware tree — no temporary leaf vector, no identity traffic); flag
 //! reduction operates word-parallel on packed bitplanes, 64 PEs per `u64`.
-//! Both take one pass over [`ActiveMask::active_tiles`], which skips
-//! every 4096-lane group with no active lane.
+//! Both skip every 4096-lane group with no active lane; the integer
+//! reduction folds one group at a time and splits a large one across the
+//! host workers (see the crate docs).
 
 use asc_isa::{FlagReduceOp, ReduceOp, Width, Word};
 use asc_pe::ActiveMask;
@@ -32,28 +33,13 @@ impl LogicUnit {
         // the set bits of the packed active mask — which skips 64
         // inactive lanes per word test instead of feeding the tree
         // identity leaves.
-        let id = op.identity(w);
-        let combine = |a: Word, b: Word| match op {
-            ReduceOp::Or => a.or(b),
-            ReduceOp::And => Word::new(a.to_u32() & b.to_u32(), w),
-            _ => unreachable!(),
-        };
-        let mut acc = id;
-        for (wi, mw) in active.active_tiles() {
-            let base = wi * 64;
-            if mw == u64::MAX {
-                for &v in &values[base..base + 64] {
-                    acc = combine(acc, v);
-                }
-            } else {
-                let mut m = mw;
-                while m != 0 {
-                    acc = combine(acc, values[base + m.trailing_zeros() as usize]);
-                    m &= m - 1;
-                }
-            }
-        }
-        acc
+        // Words are width-truncated, so AND and OR stay within the width.
+        // One fold per op keeps the lane loop branch-free (vectorizable).
+        let id = op.identity(w).0;
+        Word(match op {
+            ReduceOp::Or => crate::fold_active(values, active, id, |a, v| a | v.0, |a, b| a | b),
+            _ => crate::fold_active(values, active, id, |a, v| a & v.0, |a, b| a & b),
+        })
     }
 
     /// Flag reduction: responder detection over a packed bitplane. `Any` is

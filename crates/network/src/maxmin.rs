@@ -14,8 +14,8 @@ pub struct MaxMinUnit;
 
 impl MaxMinUnit {
     /// Tree reduction for `Max`/`Min`/`MaxU`/`MinU` over the active set,
-    /// reading the register plane in place (no leaf vector), in one pass
-    /// over [`ActiveMask::active_tiles`].
+    /// reading the register plane in place (no leaf vector), one
+    /// occupancy group at a time (see the crate docs on splitting).
     ///
     /// # Panics
     /// Panics if `op` is not a max/min operation.
@@ -41,28 +41,9 @@ impl MaxMinUnit {
         let signed = matches!(op, ReduceOp::Max | ReduceOp::Min);
         let maximize = matches!(op, ReduceOp::Max | ReduceOp::MaxU);
         let flip = if signed { 1u32 << (w.bits() - 1) } else { 0 };
-        let fold = |acc: u32, v: Word| {
-            let key = v.0 ^ flip;
-            if maximize {
-                acc.max(key)
-            } else {
-                acc.min(key)
-            }
-        };
-        let mut acc = op.identity(w).0 ^ flip;
-        for (wi, mw) in active.active_tiles() {
-            let base = wi * 64;
-            if mw == u64::MAX {
-                acc = values[base..base + 64].iter().fold(acc, |a, &v| fold(a, v));
-            } else {
-                let mut m = mw;
-                while m != 0 {
-                    acc = fold(acc, values[base + m.trailing_zeros() as usize]);
-                    m &= m - 1;
-                }
-            }
-        }
-        Word(acc ^ flip)
+        let join = move |acc: u32, key: u32| if maximize { acc.max(key) } else { acc.min(key) };
+        let id = op.identity(w).0 ^ flip;
+        Word(crate::fold_active(values, active, id, |acc, v| join(acc, v.0 ^ flip), join) ^ flip)
     }
 
     /// The Falkoff bit-serial maximum: examine one bit per step from the

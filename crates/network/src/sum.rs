@@ -20,15 +20,26 @@
 //! with no active lane are skipped on the mask's occupancy summary (4096
 //! lanes per bit) and its tile words, so a masked sum costs about as many
 //! kernel calls as it has occupied tiles.
+//!
+//! A 4096-lane occupancy group is exactly the subtree over 64 tiles, so
+//! the groups' partials are whole subtrees of the canonical tree. A sum
+//! over enough occupied groups to pass the worker pool's gate computes
+//! them on every host core ([`asc_pe::workers::map_groups`]); the caller
+//! then combines the levels above them in the same order as the serial
+//! walk, which computes each group's partial where the walk reaches it.
 
 use std::ops::Range;
 
 use asc_isa::{ReduceOp, Width, Word};
+use asc_pe::workers::{self, GROUP_LANES};
 use asc_pe::{select_sum_tile, ActiveMask, SimdLevel, SumTileKernel, TILE_LANES};
 
 /// Children of one node of the tile tree (tiles, or runs of tiles): the
 /// tile kernel's 64 inputs.
 const RADIX: usize = TILE_LANES;
+
+/// Tiles in one occupancy group: the subtree one participant reduces.
+const GROUP_TILES: usize = GROUP_LANES / TILE_LANES;
 
 /// Functional model of the saturating sum reduction unit, carrying the
 /// tile kernel of the machine's SIMD tier.
@@ -49,46 +60,78 @@ impl SumUnit {
     pub fn reduce(&self, values: &[Word], active: &ActiveMask, w: Width) -> Word {
         debug_assert_eq!(values.len(), active.lanes());
         let tiles = active.words().len();
-        let mut span = 1;
-        while span * RADIX < tiles {
-            span *= RADIX;
-        }
-        self.node(values, active, 0..tiles, span, w)
+        let group = |g: usize| {
+            let start = g * GROUP_TILES;
+            u64::from(self.group(values, active, start..tiles.min(start + GROUP_TILES), w).0)
+        };
+        let lane_ops = workers::mask_work(active);
+        workers::map_groups(active.groups(), lane_ops, group, |group| {
+            let group = |g| Word(group(g) as u32);
+            if tiles <= GROUP_TILES {
+                return group(0);
+            }
+            let mut span = GROUP_TILES;
+            while span * RADIX < tiles {
+                span *= RADIX;
+            }
+            self.node(active, 0..tiles, span, w, &group)
+        })
     }
 
-    /// The node over `tiles`: the perfect tree over its (at most 64)
-    /// children of `span` tiles each, missing children entering as zero.
+    /// The subtree over one occupancy group's (at most 64) tiles: the
+    /// perfect tree over the tiles' partials, inactive tiles entering as
+    /// zero.
+    fn group(&self, values: &[Word], active: &ActiveMask, tiles: Range<usize>, w: Width) -> Word {
+        let mut partials = [Word::ZERO; RADIX];
+        let mut occupied = 0u64;
+        for (i, t) in tiles.enumerate() {
+            let mw = active.tile_word(t);
+            if mw != 0 {
+                let lanes = t * TILE_LANES..values.len().min((t + 1) * TILE_LANES);
+                partials[i] = (self.tile)(&values[lanes], w, mw);
+                occupied |= 1 << i;
+            }
+        }
+        self.combine(&partials, occupied, w)
+    }
+
+    /// The node over `tiles` above the groups: the perfect tree over its
+    /// (at most 64) children of `span` tiles each, missing children
+    /// entering as zero, and each group-sized child's partial read from
+    /// `group`.
     fn node(
         &self,
-        values: &[Word],
         active: &ActiveMask,
         tiles: Range<usize>,
         span: usize,
         w: Width,
+        group: &dyn Fn(usize) -> Word,
     ) -> Word {
         let mut partials = [Word::ZERO; RADIX];
         let mut occupied = 0u64;
         for (i, start) in tiles.clone().step_by(span).enumerate() {
             let end = tiles.end.min(start + span);
-            partials[i] = if span == 1 {
-                let mw = active.tile_word(start);
-                if mw == 0 {
-                    continue;
-                }
-                (self.tile)(&values[start * TILE_LANES..values.len().min(end * TILE_LANES)], w, mw)
+            if !active.range_occupied(start..end) {
+                continue;
+            }
+            partials[i] = if span == GROUP_TILES {
+                group(start / GROUP_TILES)
             } else {
-                if !active.range_occupied(start..end) {
-                    continue;
-                }
-                self.node(values, active, start..end, span / RADIX, w)
+                self.node(active, start..end, span / RADIX, w, group)
             };
             occupied |= 1 << i;
         }
+        self.combine(&partials, occupied, w)
+    }
+
+    /// One node from its children's partials (`occupied` marks those
+    /// present).
+    fn combine(&self, partials: &[Word; RADIX], occupied: u64, w: Width) -> Word {
         match occupied.count_ones() {
             0 => Word::ZERO,
             // every other leaf is zero, which passes the one child through
             1 => partials[occupied.trailing_zeros() as usize],
-            _ => (self.tile)(&partials, w, occupied),
+            _ => (self.tile)(partials, w, occupied),
         }
     }
 

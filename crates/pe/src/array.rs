@@ -26,13 +26,23 @@
 //! split per thread) and an [`ActiveMask`] derived from the instruction's
 //! mask flag. Inactive PEs are completely unaffected — the defining
 //! semantics of associative masked execution. Every sweep walks the mask
-//! through [`ActiveMask::active_tiles`], serially on the calling thread: a
-//! 4096-lane group with no active lane costs one bit test, dense mask
-//! words take a branch-free 64-lane loop, sparse words a trailing-zeros
-//! scan.
+//! one 4096-lane occupancy group at a time ([`ActiveMask::group_tiles`]):
+//! a group with no active lane costs one bit test, dense mask words take a
+//! branch-free 64-lane loop, sparse words a trailing-zeros scan.
 //!
-//! A memory fault stops a load or store at the lowest faulting active PE:
-//! the lanes below it have been applied, the lanes above it are unchanged.
+//! The lane-local sweeps (`alu`, `cmp`, `flag_op`, `pidx`, `movs` and the
+//! uniform-address `plw`/`psw`) hand their destination plane to the worker
+//! pool one group's span at a time ([`crate::tiles::for_each_group_span`]),
+//! so a sweep large enough to pass the pool's gate runs on every host core
+//! (see [`crate::workers`]) and a smaller one runs on the calling thread;
+//! each group writes only its own lanes. Commit-map marks are made before
+//! the sweep. The rest always run on the calling thread: `shift` reads
+//! across lanes, `write_flag_column` and `write_first_responder` are
+//! single passes, and per-lane loads and stores stop at a fault.
+//!
+//! A memory fault stops a per-lane load or store at the lowest faulting
+//! active PE: the lanes below it have been applied, the lanes above it are
+//! unchanged.
 //!
 //! ## Plane memory
 //!
@@ -51,10 +61,12 @@ use std::cell::Cell;
 
 use asc_isa::{AluOp, CmpOp, FlagOp, Mask, PFlag, PReg, Width, Word};
 
-use crate::bitmask::{for_each_set, words_for, ActiveMask, BITS_PER_WORD};
+use crate::bitmask::{for_each_set, words_for, ActiveMask, BITS_PER_WORD, OCC_GROUP_WORDS};
 use crate::memory::MemFault;
 use crate::segments::SegmentGeometry;
 use crate::simd::{self, chunk_mask, SimdLevel};
+use crate::tiles::for_each_group_span;
+use crate::workers;
 
 /// Geometry of the PE array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,21 +145,61 @@ impl std::fmt::Display for PeFault {
 
 impl std::error::Error for PeFault {}
 
-/// Run `f(base, mask word, chunk)` for every tile of `plane` with an
-/// active lane, lowest first, where `chunk` is the tile's span of
-/// `plane`, starting at lane `base` (64 lanes, fewer in a short last
-/// tile).
+/// Split a run of `len`-element planes into plane `d`, to write, and a
+/// lookup of the others, to read: `None` for `d` itself.
 #[inline]
-fn for_each_active_chunk(
-    plane: &mut [Word],
+fn split_planes<'a, T>(
+    region: &'a mut [T],
+    d: usize,
+    len: usize,
+) -> (&'a mut [T], impl Fn(usize) -> Option<&'a [T]> + Copy + 'a) {
+    let (below, rest) = region.split_at_mut(d * len);
+    let (dst, above) = rest.split_at_mut(len);
+    let (below, above) = (&*below, &*above);
+    let planes = move |r: usize| match r.cmp(&d) {
+        std::cmp::Ordering::Less => Some(&below[r * len..(r + 1) * len]),
+        std::cmp::Ordering::Equal => None,
+        std::cmp::Ordering::Greater => Some(&above[(r - d - 1) * len..(r - d) * len]),
+    };
+    (dst, planes)
+}
+
+/// Run `f(base, mask word, chunk)` for every tile of `plane` with an
+/// active lane, lowest first within a group — the lane-local sweeps'
+/// shared mask walk — where `chunk` is the tile's span of `plane`,
+/// starting at element `base`: `per_tile` elements (64 lanes of a GPR
+/// plane or local-memory row, fewer in a short last tile; one word of a
+/// flag plane). The walk goes one 4096-lane occupancy group at a time and
+/// is split across the host workers when the occupied groups' lanes reach
+/// the pool's gate ([`crate::tiles::for_each_group_span`]); `f` writes
+/// only its chunk.
+#[inline]
+fn sweep<T: Send>(
+    plane: &mut [T],
+    per_tile: usize,
     active: &ActiveMask,
-    mut f: impl FnMut(usize, u64, &mut [Word]),
+    f: impl Fn(usize, u64, &mut [T]) + Sync + Copy,
 ) {
-    for (wi, mw) in active.active_tiles() {
-        let base = wi * BITS_PER_WORD;
-        let end = plane.len().min(base + BITS_PER_WORD);
-        f(base, mw, &mut plane[base..end]);
-    }
+    let lane_ops = workers::mask_work(active);
+    let per_group = OCC_GROUP_WORDS * per_tile;
+    // inlined into the serial call as well as into the split path
+    for_each_group_span(
+        plane,
+        per_group,
+        lane_ops,
+        #[inline(always)]
+        move |groups, span| {
+            // a local copy keeps the op's operands in registers across the
+            // writes through `span`
+            let f = f;
+            let first = groups.start * per_group;
+            for (tile, mw) in active.group_tiles(groups) {
+                let base = tile * per_tile;
+                let end = span.len().min(base - first + per_tile);
+                f(base, mw, &mut span[base - first..end]);
+            }
+        },
+    );
 }
 
 /// Lowest active lane, if any.
@@ -347,13 +399,11 @@ pub struct PeArray {
     flags: Vec<u64>,
     /// Local memory, column-major: `lmem[addr * num_pes + pe]`.
     lmem: Vec<Word>,
-    /// Reusable source latches for operations whose destination plane may
-    /// alias a source plane (no per-instruction allocation). Every read of
-    /// a latch follows a full-plane copy into it ([`PeArray::latch_a`],
-    /// [`PeArray::latch_b`]), so their contents never carry over and a
-    /// reused spare's latches are not scrubbed.
-    scratch_a: Vec<Word>,
-    scratch_b: Vec<Word>,
+    /// Reusable source latch for `shift`, whose destination plane may
+    /// alias its source (no per-instruction allocation). Every read of the
+    /// latch follows a full-plane copy into it, so its contents never
+    /// carry over and a reused spare's latch is not scrubbed.
+    scratch: Vec<Word>,
     /// Which (plane, segment) slices have been written since construction
     /// (see [`CommitMap`]).
     committed: CommitMap,
@@ -368,8 +418,7 @@ struct Spare {
     gprs: Vec<Word>,
     flags: Vec<u64>,
     lmem: Vec<Word>,
-    scratch_a: Vec<Word>,
-    scratch_b: Vec<Word>,
+    scratch: Vec<Word>,
     committed: CommitMap,
 }
 
@@ -412,8 +461,7 @@ impl PeArray {
             gprs: zeroed_words(cfg.threads * cfg.gprs * n),
             flags: vec![0; cfg.threads * cfg.flags * words_for(n)],
             lmem: zeroed_words(cfg.lmem_words * n),
-            scratch_a: zeroed_words(n),
-            scratch_b: zeroed_words(n),
+            scratch: zeroed_words(n),
             committed: CommitMap::new(&cfg),
             cfg,
         }
@@ -428,8 +476,7 @@ impl PeArray {
             gprs: spare.gprs,
             flags: spare.flags,
             lmem: spare.lmem,
-            scratch_a: spare.scratch_a,
-            scratch_b: spare.scratch_b,
+            scratch: spare.scratch,
             committed: spare.committed,
         };
         for thread in 0..a.cfg.threads {
@@ -484,7 +531,7 @@ impl PeArray {
     /// [`PeArray::committed_bytes`] approaches as planes are touched.
     pub fn footprint_bytes(&self) -> usize {
         let word = std::mem::size_of::<Word>();
-        (self.gprs.len() + self.lmem.len() + self.scratch_a.len() + self.scratch_b.len()) * word
+        (self.gprs.len() + self.lmem.len() + self.scratch.len()) * word
             + self.flags.len() * std::mem::size_of::<u64>()
     }
 
@@ -592,23 +639,12 @@ impl PeArray {
         }
     }
 
-    /// Latch the `(thread, reg)` GPR plane into `scratch_a`.
-    fn latch_a(&mut self, thread: usize, reg: usize) {
-        let base = self.gpr_base(thread, reg);
-        self.scratch_a.copy_from_slice(&self.gprs[base..base + self.cfg.num_pes]);
-    }
-
-    /// Latch the `(thread, reg)` GPR plane into `scratch_b`.
-    fn latch_b(&mut self, thread: usize, reg: usize) {
-        let base = self.gpr_base(thread, reg);
-        self.scratch_b.copy_from_slice(&self.gprs[base..base + self.cfg.num_pes]);
-    }
-
     /// Parallel ALU operation: `pd = pa op src` in active PEs.
     ///
     /// The op's chunk kernel is selected once (monomorphized per op and
-    /// SIMD tier, see [`crate::simd`]) and applied 64 lanes at a time;
-    /// sources are latched first so the destination plane may alias them.
+    /// SIMD tier, see [`crate::simd`]) and applied 64 lanes at a time. A
+    /// source that is the destination plane is latched first, so the
+    /// destination may alias it.
     pub fn alu(
         &mut self,
         thread: usize,
@@ -618,37 +654,38 @@ impl PeArray {
         src: Src,
         active: &ActiveMask,
     ) {
-        if pd.index() == 0 {
+        let d = pd.index();
+        if d == 0 {
             return; // writes to the zero register have no effect
         }
-        let w = self.width();
-        let n = self.cfg.num_pes;
-        self.latch_a(thread, pa.index());
-        let scalar = match src {
-            Src::Reg(pb) => {
-                self.latch_b(thread, pb.index());
-                None
-            }
-            Src::Scalar(v) | Src::Imm(v) => Some(v),
-        };
+        let (w, n) = (self.width(), self.cfg.num_pes);
         #[derive(Clone, Copy)]
         enum Kern {
             Rr(simd::AluRrKernel),
             Rs(simd::AluRsKernel, Word),
         }
-        let kern = match scalar {
-            None => Kern::Rr(simd::select_alu_rr(self.cfg.simd, op)),
-            Some(s) => Kern::Rs(simd::select_alu_rs(self.cfg.simd, op), s),
+        let (kern, b) = match src {
+            Src::Reg(pb) => (Kern::Rr(simd::select_alu_rr(self.cfg.simd, op)), Some(pb.index())),
+            Src::Scalar(v) | Src::Imm(v) => {
+                (Kern::Rs(simd::select_alu_rs(self.cfg.simd, op), v), None)
+            }
         };
-        self.mark_gpr_plane(thread, pd.index());
-        let dst_base = self.gpr_base(thread, pd.index());
-        let (sa, sb) = (&self.scratch_a, &self.scratch_b);
-        let dst = &mut self.gprs[dst_base..dst_base + n];
-        for_each_active_chunk(dst, active, |base, mw, chunk| {
-            let a = &sa[base..base + chunk.len()];
+        self.mark_gpr_plane(thread, d);
+        let base = self.gpr_base(thread, 0);
+        if pa.index() == d || b == Some(d) {
+            self.scratch.copy_from_slice(&self.gprs[base + d * n..base + (d + 1) * n]);
+        }
+        let region = &mut self.gprs[base..base + self.cfg.gprs * n];
+        let (dst, planes) = split_planes(region, d, n);
+        let latched = &self.scratch[..];
+        let read = |r: usize| planes(r).unwrap_or(latched);
+        let (a, b) = (read(pa.index()), b.map(read));
+        sweep(dst, BITS_PER_WORD, active, move |base, mw, chunk| {
+            let lanes = base..base + chunk.len();
+            let x = &a[lanes.clone()];
             match kern {
-                Kern::Rr(f) => f(chunk, a, &sb[base..base + chunk.len()], w, mw),
-                Kern::Rs(f, s) => f(chunk, a, s, w, mw),
+                Kern::Rr(f) => f(chunk, x, &b.expect("rr kernel has a b plane")[lanes], w, mw),
+                Kern::Rs(f, s) => f(chunk, x, s, w, mw),
             }
         });
     }
@@ -683,12 +720,13 @@ impl PeArray {
         };
         self.mark_flag_plane(thread, fd.index());
         let fd_base = self.flag_base(thread, fd.index());
+        let wpp = self.words_per_plane();
         let (gprs, flags) = (&self.gprs, &mut self.flags);
         let a_plane = &gprs[pa_base..pa_base + n];
         let b_plane = b_base.map(|bb| &gprs[bb..bb + n]);
         // inactive lanes may be computed (compares are side-effect free);
         // the merge under the mask word keeps their flag bits
-        for (wi, mw) in active.active_tiles() {
+        sweep(&mut flags[fd_base..fd_base + wpp], 1, active, move |wi, mw, dw| {
             let base = wi * BITS_PER_WORD;
             let len = BITS_PER_WORD.min(n - base);
             let a = &a_plane[base..base + len];
@@ -698,9 +736,8 @@ impl PeArray {
                 }
                 Kern::Rs(f, s) => f(a, s, w),
             };
-            let dw = &mut flags[fd_base + wi];
-            *dw = (*dw & !mw) | (res & mw);
-        }
+            dw[0] = (dw[0] & !mw) | (res & mw);
+        });
     }
 
     /// Parallel flag logic: `fd = fa op fb` in active PEs — word-parallel,
@@ -714,18 +751,20 @@ impl PeArray {
         fb: PFlag,
         active: &ActiveMask,
     ) {
-        let a_base = self.flag_base(thread, fa.index());
-        let b_base = self.flag_base(thread, fb.index());
-        let d_base = self.flag_base(thread, fd.index());
-        self.mark_flag_plane(thread, fd.index());
-        for (wi, mw) in active.active_tiles() {
-            // read before write: fd may alias fa or fb
-            let a = self.flags[a_base + wi];
-            let b = self.flags[b_base + wi];
-            let d = &mut self.flags[d_base + wi];
+        let (d, wpp) = (fd.index(), self.words_per_plane());
+        self.mark_flag_plane(thread, d);
+        let base = self.flag_base(thread, 0);
+        let region = &mut self.flags[base..base + self.cfg.flags * wpp];
+        // `None`: the source is fd, read from the destination word before
+        // the write
+        let (dst, planes) = split_planes(region, d, wpp);
+        let (a, b) = (planes(fa.index()), planes(fb.index()));
+        sweep(dst, 1, active, move |wi, mw, dw| {
+            let own = dw[0];
+            let (x, y) = (a.map_or(own, |p| p[wi]), b.map_or(own, |p| p[wi]));
             // the mask's zero tail bits keep the plane's tail invariant
-            *d = (*d & !mw) | (op.apply_word(a, b) & mw);
-        }
+            dw[0] = (dw[0] & !mw) | (op.apply_word(x, y) & mw);
+        });
     }
 
     /// Effective address: unsigned base register plus sign-extended offset,
@@ -838,8 +877,7 @@ impl PeArray {
         let dst_base = self.gpr_base(thread, pd.index());
         let (lmem, gprs) = (&self.lmem, &mut self.gprs);
         let row = &lmem[addr * n..(addr + 1) * n];
-        let dst = &mut gprs[dst_base..dst_base + n];
-        for_each_active_chunk(dst, active, |base, mw, chunk| {
+        sweep(&mut gprs[dst_base..dst_base + n], BITS_PER_WORD, active, move |base, mw, chunk| {
             if mw == chunk_mask(chunk.len()) {
                 chunk.copy_from_slice(&row[base..base + chunk.len()]);
             } else {
@@ -868,14 +906,18 @@ impl PeArray {
         let ps_base = self.gpr_base(thread, ps.index());
         let (gprs, lmem) = (&self.gprs, &mut self.lmem);
         let src = &gprs[ps_base..ps_base + n];
-        let row = &mut lmem[addr * n..(addr + 1) * n];
-        for_each_active_chunk(row, active, |base, mw, chunk| {
-            if mw == chunk_mask(chunk.len()) {
-                chunk.copy_from_slice(&src[base..base + chunk.len()]);
-            } else {
-                for_each_set(mw, base, |lane| chunk[lane - base] = src[lane]);
-            }
-        });
+        sweep(
+            &mut lmem[addr * n..(addr + 1) * n],
+            BITS_PER_WORD,
+            active,
+            move |base, mw, chunk| {
+                if mw == chunk_mask(chunk.len()) {
+                    chunk.copy_from_slice(&src[base..base + chunk.len()]);
+                } else {
+                    for_each_set(mw, base, |lane| chunk[lane - base] = src[lane]);
+                }
+            },
+        );
         Ok(())
     }
 
@@ -888,18 +930,22 @@ impl PeArray {
         let n = self.cfg.num_pes;
         self.mark_gpr_plane(thread, pd.index());
         let dst_base = self.gpr_base(thread, pd.index());
-        let dst = &mut self.gprs[dst_base..dst_base + n];
-        for_each_active_chunk(dst, active, |base, mw, chunk| {
-            let len = chunk.len();
-            let mut lane_op = |lane: usize| chunk[lane - base] = Word::new(lane as u32, w);
-            if mw == u64::MAX {
-                for lane in base..base + len {
-                    lane_op(lane);
+        sweep(
+            &mut self.gprs[dst_base..dst_base + n],
+            BITS_PER_WORD,
+            active,
+            move |base, mw, chunk| {
+                let len = chunk.len();
+                let mut lane_op = |lane: usize| chunk[lane - base] = Word::new(lane as u32, w);
+                if mw == u64::MAX {
+                    for lane in base..base + len {
+                        lane_op(lane);
+                    }
+                } else {
+                    for_each_set(mw, base, lane_op);
                 }
-            } else {
-                for_each_set(mw, base, lane_op);
-            }
-        });
+            },
+        );
     }
 
     /// Inter-PE shift through the interconnection network:
@@ -911,26 +957,25 @@ impl PeArray {
             return;
         }
         let n = self.cfg.num_pes;
-        self.latch_a(thread, pa.index());
+        let pa_base = self.gpr_base(thread, pa.index());
+        self.scratch.copy_from_slice(&self.gprs[pa_base..pa_base + n]);
         self.mark_gpr_plane(thread, pd.index());
         let dst_base = self.gpr_base(thread, pd.index());
-        let sa = &self.scratch_a;
+        let sa = &self.scratch;
         let dst = &mut self.gprs[dst_base..dst_base + n];
-        for_each_active_chunk(dst, active, |base, mw, chunk| {
-            let len = chunk.len();
-            let mut lane_op = |lane: usize| {
+        for (wi, mw) in active.active_tiles() {
+            let base = wi * BITS_PER_WORD;
+            let lane_op = |lane: usize| {
                 let src = lane as i64 - dist as i64;
-                chunk[lane - base] =
+                dst[lane] =
                     if (0..n as i64).contains(&src) { sa[src as usize] } else { Word::ZERO };
             };
             if mw == u64::MAX {
-                for lane in base..base + len {
-                    lane_op(lane);
-                }
+                (base..base + BITS_PER_WORD).for_each(lane_op);
             } else {
                 for_each_set(mw, base, lane_op);
             }
-        });
+        }
     }
 
     /// Broadcast a scalar into `pd` of active PEs.
@@ -941,14 +986,18 @@ impl PeArray {
         let n = self.cfg.num_pes;
         self.mark_gpr_plane(thread, pd.index());
         let dst_base = self.gpr_base(thread, pd.index());
-        let dst = &mut self.gprs[dst_base..dst_base + n];
-        for_each_active_chunk(dst, active, |base, mw, chunk| {
-            if mw == u64::MAX {
-                chunk.fill(value);
-            } else {
-                for_each_set(mw, base, |lane| chunk[lane - base] = value);
-            }
-        });
+        sweep(
+            &mut self.gprs[dst_base..dst_base + n],
+            BITS_PER_WORD,
+            active,
+            move |_, mw, chunk| {
+                if mw == u64::MAX {
+                    chunk.fill(value);
+                } else {
+                    for_each_set(mw, 0, |j| chunk[j] = value);
+                }
+            },
+        );
     }
 
     /// Write a whole flag column (e.g. a resolver result computed as
@@ -1003,6 +1052,7 @@ impl PeArray {
     /// [`PeArray::note_lmem_write`] for every plane and row it writes, or
     /// `tspawn` leaves that state in place and the next array built on
     /// this thread's reused planes inherits it.
+    #[inline]
     pub fn thread_tiles(&mut self, thread: usize) -> crate::tiles::ThreadTiles<'_> {
         let n = self.cfg.num_pes;
         let wpp = self.words_per_plane();
@@ -1169,8 +1219,7 @@ impl Drop for PeArray {
             gprs: std::mem::take(&mut self.gprs),
             flags: std::mem::take(&mut self.flags),
             lmem: std::mem::take(&mut self.lmem),
-            scratch_a: std::mem::take(&mut self.scratch_a),
-            scratch_b: std::mem::take(&mut self.scratch_b),
+            scratch: std::mem::take(&mut self.scratch),
             committed: std::mem::take(&mut self.committed),
         };
         let _ = SPARE.try_with(|slot| slot.set(Some(spare)));

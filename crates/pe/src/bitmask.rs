@@ -223,7 +223,29 @@ impl ActiveMask {
     /// reduction unit.
     #[inline]
     pub fn active_tiles(&self) -> ActiveTiles<'_> {
-        ActiveTiles { mask: self, tile: 0, end: 0 }
+        ActiveTiles { words: &self.words, occ: &self.occ, tile: 0, end: 0, stop: self.words.len() }
+    }
+
+    /// Number of occupancy groups ([`OCC_GROUP_WORDS`] words each, the
+    /// last possibly short).
+    #[inline]
+    pub fn groups(&self) -> usize {
+        self.words.len().div_ceil(OCC_GROUP_WORDS)
+    }
+
+    /// Groups whose occupancy bit is set: the groups a sweep visits.
+    #[inline]
+    pub fn occupied_groups(&self) -> usize {
+        self.occ.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// [`ActiveMask::active_tiles`] restricted to the occupancy groups
+    /// `groups`, skipping those whose occupancy bit is clear.
+    #[inline]
+    pub fn group_tiles(&self, groups: core::ops::Range<usize>) -> ActiveTiles<'_> {
+        let start = groups.start * OCC_GROUP_WORDS;
+        let stop = self.words.len().min(groups.end * OCC_GROUP_WORDS);
+        ActiveTiles { words: &self.words, occ: &self.occ, tile: start, end: start, stop }
     }
 
     /// Is `lane` active?
@@ -266,12 +288,15 @@ impl ActiveMask {
 /// Iterator over the non-zero words of an [`ActiveMask`] that skips clear
 /// occupancy groups (see [`ActiveMask::active_tiles`]).
 pub struct ActiveTiles<'a> {
-    mask: &'a ActiveMask,
+    words: &'a [u64],
+    occ: &'a [u64],
     /// Next tile to examine.
     tile: usize,
     /// End of the occupied group `tile` lies in (`tile == end` between
     /// groups).
     end: usize,
+    /// End of the walk: the plane's end or a group boundary.
+    stop: usize,
 }
 
 impl Iterator for ActiveTiles<'_> {
@@ -279,7 +304,7 @@ impl Iterator for ActiveTiles<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(usize, u64)> {
-        let words = &self.mask.words;
+        let words = self.words;
         loop {
             while self.tile < self.end {
                 let t = self.tile;
@@ -288,13 +313,13 @@ impl Iterator for ActiveTiles<'_> {
                     return Some((t, words[t]));
                 }
             }
-            // `end` is group-aligned here, or the end of the plane
-            if self.end >= words.len() {
+            // `end` is group-aligned here, or the end of the walk
+            if self.end >= self.stop {
                 return None;
             }
             let g = self.end / OCC_GROUP_WORDS;
-            let group_end = words.len().min(self.end + OCC_GROUP_WORDS);
-            if self.mask.occ[g / BITS_PER_WORD] >> (g % BITS_PER_WORD) & 1 == 0 {
+            let group_end = self.stop.min(self.end + OCC_GROUP_WORDS);
+            if self.occ[g / BITS_PER_WORD] >> (g % BITS_PER_WORD) & 1 == 0 {
                 self.tile = group_end;
             }
             self.end = group_end;
@@ -464,6 +489,22 @@ mod tests {
         let lane = 66 * OCC_GROUP_WORDS * BITS_PER_WORD + 5;
         m.set(lane, true);
         assert_eq!(m.active_tiles().collect::<Vec<_>>(), vec![(lane / BITS_PER_WORD, 1 << 5)]);
+    }
+
+    #[test]
+    fn group_tiles_partition_active_tiles() {
+        // 3 groups and a ragged tail group of 2 words; group 1 empty
+        let lanes = 3 * OCC_GROUP_WORDS * BITS_PER_WORD + 70;
+        let bools: Vec<bool> =
+            (0..lanes).map(|i| i / (OCC_GROUP_WORDS * BITS_PER_WORD) != 1 && i % 3 == 0).collect();
+        let m = ActiveMask::from_bools(&bools);
+        assert_eq!((m.groups(), m.occupied_groups()), (4, 3));
+        assert_eq!(m.group_tiles(1..2).next(), None);
+        let joined: Vec<_> = (0..m.groups()).flat_map(|g| m.group_tiles(g..g + 1)).collect();
+        assert_eq!(joined, m.active_tiles().collect::<Vec<_>>());
+        assert_eq!(m.group_tiles(0..m.groups()).collect::<Vec<_>>(), joined);
+        assert_eq!(m.group_tiles(3..4).map(|(t, _)| t).collect::<Vec<_>>(), vec![192, 193]);
+        assert_eq!((ActiveMask::new(0).groups(), ActiveMask::all(1).occupied_groups()), (0, 1));
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! structure-of-arrays planes (see `array`) and drives masked execution
 //! with the packed [`ActiveMask`] bitset (see `bitmask`), whose occupancy
 //! summary lets every sweep skip inactive 4096-lane groups (the scaling
-//! experiments run up to 2²⁰ PEs). Every sweep runs on the calling thread.
+//! experiments run up to 2²⁰ PEs). Those groups are also the unit of work
+//! of the host worker pool (see `workers`): a sweep large enough to pass
+//! its gate runs on every host core, a smaller one on the calling thread.
 
 pub mod array;
 pub mod bitmask;
@@ -32,6 +34,7 @@ pub mod regfile;
 pub mod segments;
 pub mod simd;
 pub mod tiles;
+pub mod workers;
 
 #[cfg(all(test, feature = "proptest"))]
 mod proptests;
@@ -46,4 +49,4 @@ pub use simd::{
     alu_vectorizes, select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, select_sum_tile,
     simd_disabled, AluRrKernel, AluRsKernel, CmpRrKernel, CmpRsKernel, SimdLevel, SumTileKernel,
 };
-pub use tiles::{ThreadTiles, TileWindow, TILE_LANES};
+pub use tiles::{GroupTiles, ThreadTiles, TileWindow, TILE_LANES};

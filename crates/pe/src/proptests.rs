@@ -4,6 +4,9 @@
 //! masked operation sequences, including the invariants the ISSUE calls
 //! out: inactive PEs bit-for-bit unaffected, GPR 0 reads zero / ignores
 //! writes, and flag bitplanes round-tripping through `flag_column`.
+//! `split_sweeps_match_per_pe_reference` holds the same model against an
+//! array large enough for the lane-local sweeps to run on every host
+//! worker (see `crate::workers`).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,7 +53,10 @@ struct RefArray {
 
 impl RefArray {
     fn new() -> RefArray {
-        let c = cfg();
+        RefArray::of(&cfg())
+    }
+
+    fn of(c: &ArrayConfig) -> RefArray {
         RefArray {
             pes: (0..c.num_pes)
                 .map(|_| {
@@ -122,12 +128,13 @@ fn src_value(pe: &(RegFile, FlagFile, LocalMemory), thread: usize, src: Src, _w:
 /// Apply `op` to the reference model, lane by lane over the active set.
 fn apply_ref(a: &mut RefArray, thread: usize, op: Op, active: &[bool]) {
     let w = a.w;
+    let pes = a.pes.len();
     if let Op::Shift(pd, pa, dist) = op {
         let col: Vec<Word> = a.pes.iter().map(|pe| pe.0.read(thread, pa as usize)).collect();
         for (i, pe) in a.pes.iter_mut().enumerate() {
             if active[i] {
                 let src = i as i64 - dist as i64;
-                let v = if (0..PES as i64).contains(&src) { col[src as usize] } else { Word::ZERO };
+                let v = if (0..pes as i64).contains(&src) { col[src as usize] } else { Word::ZERO };
                 pe.0.write(thread, pd as usize, v);
             }
         }
@@ -188,7 +195,7 @@ fn apply_soa(a: &mut PeArray, thread: usize, op: Op, active: &ActiveMask) {
 
 /// Compare every architectural bit of the two models.
 fn assert_state_matches(soa: &PeArray, reference: &RefArray) -> TestCaseResult {
-    let c = cfg();
+    let c = *soa.config();
     for t in 0..c.threads {
         for r in 0..c.gprs {
             let plane = soa.gpr_plane(t, r);
@@ -217,6 +224,71 @@ fn assert_state_matches(soa: &PeArray, reference: &RefArray) -> TestCaseResult {
         }
     }
     Ok(())
+}
+
+/// Every lane-local sweep the worker pool splits (ALU register and
+/// immediate forms, a destination that is a source, compares, flag logic
+/// with fd = fa, uniform-address loads and stores, `pidx`, `movs`) at
+/// 2¹⁸ + 70 PEs: 65 occupancy groups, the last two tiles long and ragged,
+/// so a one-op sweep over a dense mask, or over one with an empty group,
+/// reaches the gate. Each op runs under a dense mask, a random mask with
+/// one empty occupancy group, and a sparse one, and the array must match
+/// the per-PE reference lane for lane.
+#[test]
+fn split_sweeps_match_per_pe_reference() {
+    use crate::workers::{self, GROUP_LANES, SPLIT_LANE_OPS};
+    let n = (1 << 18) + 70;
+    let c = ArrayConfig {
+        num_pes: n,
+        threads: 1,
+        lmem_words: 4,
+        width: Width::W16,
+        segments: SegmentGeometry::new(n, 0),
+        ..cfg()
+    };
+    let mut soa = PeArray::new(c);
+    let mut reference = RefArray::of(&c);
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let empty = 7;
+    let dense = vec![true; n];
+    let holed: Vec<bool> =
+        (0..n).map(|i| i / GROUP_LANES != empty && rng.random_bool(0.6)).collect();
+    let sparse: Vec<bool> = (0..n).map(|i| i % 97 == 3 || i == n - 1).collect();
+    let holed_mask = ActiveMask::from_bools(&holed);
+    assert_eq!(holed_mask.groups(), 65);
+    assert_eq!(holed_mask.occupied_groups(), 64);
+    assert!(workers::mask_work(&holed_mask) >= SPLIT_LANE_OPS, "below the gate");
+    let v = |rng: &mut StdRng| Word::new(rng.random_range(0..1 << 16), Width::W16);
+    let p = |i: u8| PReg::from_index(i);
+    // irregular register contents and local memory first
+    let mut script = vec![Op::Pidx(1), Op::Movs(2, Word(0x1234))];
+    script.extend([Op::Alu(AluOp::Mul, 3, 1, Src::Imm(Word(0x9e3))), Op::Store(3, 0, 1)]);
+    script.push(Op::Alu(AluOp::Xor, 4, 3, Src::Reg(p(1))));
+    for _ in 0..3 {
+        script.extend([
+            Op::Alu(AluOp::Add, 5, 3, Src::Reg(p(4))),
+            Op::Alu(AluOp::Sub, 6, 5, Src::Scalar(v(&mut rng))),
+            Op::Alu(AluOp::Min, 5, 5, Src::Reg(p(6))),
+            Op::Alu(AluOp::Srl, 6, 4, Src::Reg(p(6))),
+            Op::Cmp(CmpOp::Lt, 1, 5, Src::Reg(p(6))),
+            Op::Cmp(CmpOp::LeU, 2, 3, Src::Imm(v(&mut rng))),
+            Op::Flag(FlagOp::AndNot, 3, 1, 2),
+            Op::Flag(FlagOp::Xor, 1, 1, 3),
+            Op::Load(7, 0, 1),
+            Op::Store(5, 0, 2),
+            Op::Load(8, 0, 2),
+            Op::Pidx(9),
+            Op::Movs(10, v(&mut rng)),
+        ]);
+    }
+    for op in script {
+        for bools in [&dense, &holed, &sparse] {
+            let mask = ActiveMask::from_bools(bools);
+            apply_soa(&mut soa, 0, op, &mask);
+            apply_ref(&mut reference, 0, op, bools);
+        }
+    }
+    assert_state_matches(&soa, &reference).expect("split sweeps match the per-PE model");
 }
 
 proptest! {

@@ -18,6 +18,15 @@
 //! * [`TileWindow`] — one tile's window, made by [`ThreadTiles::window`],
 //!   which borrows the view mutably, so one window is live at a time.
 //!   Every access it offers is confined to that tile's 64 lanes.
+//! * [`GroupTiles`] — the tiles of a range of 4096-lane occupancy groups,
+//!   handed to a sweep's group body by [`ThreadTiles::for_each_group`]. A
+//!   sweep large enough to pass the worker pool's gate (see
+//!   [`crate::workers`]) runs on every host core, each group on the one
+//!   participant that claimed it; a smaller one runs the body once over
+//!   every group on the calling thread. Tiles of different groups share no
+//!   lane, flag word or local-memory column, so the split cannot be
+//!   observed. [`for_each_group_span`] splits one plane the same way, for
+//!   the instruction-major sweeps that write a single plane.
 //!
 //! The architectural invariants are enforced at this layer: writes
 //! through [`TileWindow::gpr_mut`] must skip register 0 (debug-asserted —
@@ -26,11 +35,13 @@
 //! the flag-plane tail invariant propagates.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use asc_isa::{Width, Word};
 
-use crate::bitmask::{tail_mask, words_for, BITS_PER_WORD};
+use crate::bitmask::{tail_mask, words_for, BITS_PER_WORD, OCC_GROUP_WORDS};
 use crate::memory::MemFault;
+use crate::workers;
 
 /// Lanes per tile: one flag-bitplane word.
 pub const TILE_LANES: usize = BITS_PER_WORD;
@@ -89,8 +100,46 @@ impl<'a> ThreadTiles<'a> {
     /// Panics if `tile` is out of range.
     pub fn window(&mut self, tile: usize) -> TileWindow<'_> {
         assert!(tile < self.num_tiles(), "tile {tile} out of range");
-        let base = tile * TILE_LANES;
-        let raw = RawTiles {
+        self.raw().window(tile)
+    }
+
+    /// Run `body` over the 4096-lane occupancy groups of the view, each
+    /// call with a [`GroupTiles`] that windows only the tiles of its
+    /// groups.
+    ///
+    /// `lane_ops` is the sweep's work, occupied groups ×
+    /// [`workers::GROUP_LANES`] × ops: at or above
+    /// [`workers::SPLIT_LANE_OPS`] the body runs on every host worker, one
+    /// group per call, in no fixed order; otherwise it runs once over all
+    /// the groups on the calling thread (see [`workers::for_each_group`]).
+    /// Either way each group is covered exactly once and a call writes
+    /// only its own tiles, so a body whose effects are lane-local gives
+    /// the same state both ways.
+    #[inline]
+    pub fn for_each_group(&mut self, lane_ops: usize, body: impl Fn(&mut GroupTiles<'_>) + Sync) {
+        let tiles = self.num_tiles();
+        let groups = tiles.div_ceil(OCC_GROUP_WORDS);
+        if workers::splits(groups, lane_ops) {
+            return self.split_groups(lane_ops, &body);
+        }
+        body(&mut GroupTiles { raw: self.raw(), tiles: 0..tiles })
+    }
+
+    /// The split half of [`ThreadTiles::for_each_group`], out of line so
+    /// that the serial call inlines into the sweep.
+    #[inline(never)]
+    fn split_groups(&mut self, lane_ops: usize, body: &(dyn Fn(&mut GroupTiles<'_>) + Sync)) {
+        let tiles = self.num_tiles();
+        let shared = Shared(self.raw());
+        workers::for_each_group(tiles.div_ceil(OCC_GROUP_WORDS), lane_ops, |groups| {
+            let span = groups.start * OCC_GROUP_WORDS..tiles.min(groups.end * OCC_GROUP_WORDS);
+            body(&mut GroupTiles { raw: shared.get(), tiles: span })
+        });
+    }
+
+    #[inline]
+    fn raw(&mut self) -> RawTiles<'_> {
+        RawTiles {
             gprs: self.gprs.as_mut_ptr(),
             flags: self.flags.as_mut_ptr(),
             lmem: self.lmem.as_mut_ptr(),
@@ -98,14 +147,119 @@ impl<'a> ThreadTiles<'a> {
             lmem_words: self.lmem_words,
             width: self.width,
             _lifetime: PhantomData,
-        };
-        TileWindow { raw, tile, base, lanes: TILE_LANES.min(self.num_pes - base) }
+        }
+    }
+}
+
+/// The tiles of a range of occupancy groups of a [`ThreadTiles`] view, as
+/// one call of a sweep's group body sees them (see
+/// [`ThreadTiles::for_each_group`]).
+#[derive(Debug)]
+pub struct GroupTiles<'a> {
+    raw: RawTiles<'a>,
+    tiles: Range<usize>,
+}
+
+impl GroupTiles<'_> {
+    /// The groups' tiles, in lane order (64 per group except in a short
+    /// last group).
+    #[inline]
+    pub fn tiles(&self) -> Range<usize> {
+        self.tiles.clone()
+    }
+
+    /// The window over one of the groups' tiles; like
+    /// [`ThreadTiles::window`], one window is live at a time.
+    ///
+    /// # Panics
+    /// Panics if `tile` is not one of the groups' tiles.
+    #[inline]
+    pub fn window(&mut self, tile: usize) -> TileWindow<'_> {
+        assert!(self.tiles.contains(&tile), "tile {tile} outside tiles {:?}", self.tiles);
+        self.raw.window(tile)
+    }
+}
+
+/// Run `body` over the 4096-lane occupancy groups of one plane, each call
+/// with its groups' span of `plane`: a group spans `per_group` elements
+/// (4096 words of a GPR plane or local-memory row, 64 words of a flag
+/// plane), the last group possibly fewer.
+///
+/// Split like [`ThreadTiles::for_each_group`]: at or above the pool's
+/// gate the body runs on every host worker, one group per call, and
+/// otherwise once over the whole plane on the calling thread. Each group's
+/// span is written by exactly one call.
+#[inline]
+pub fn for_each_group_span<T: Send>(
+    plane: &mut [T],
+    per_group: usize,
+    lane_ops: usize,
+    body: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
+    let groups = plane.len().div_ceil(per_group);
+    if workers::splits(groups, lane_ops) {
+        return split_spans(plane, per_group, lane_ops, &body);
+    }
+    body(0..groups, plane)
+}
+
+/// The split half of [`for_each_group_span`], out of line so that the
+/// serial call inlines into the sweep.
+#[inline(never)]
+fn split_spans<T: Send>(
+    plane: &mut [T],
+    per_group: usize,
+    lane_ops: usize,
+    body: &(dyn Fn(Range<usize>, &mut [T]) + Sync),
+) {
+    let (len, groups) = (plane.len(), plane.len().div_ceil(per_group));
+    let shared = Shared(plane.as_mut_ptr());
+    workers::for_each_group(groups, lane_ops, |groups| {
+        let span = groups.start * per_group..len.min(groups.end * per_group);
+        // SAFETY: `span` lies within `plane`, which is mutably borrowed for
+        // the whole sweep; `workers::for_each_group` hands each group to
+        // exactly one call, and spans of different groups are disjoint, so
+        // this is the only live reference to these elements.
+        let span =
+            unsafe { std::slice::from_raw_parts_mut(shared.get().add(span.start), span.len()) };
+        body(groups, span)
+    });
+}
+
+/// The raw parts of a mutable borrow — a [`ThreadTiles`] view's planes or
+/// one plane's elements — shared by the participants of one group sweep
+/// ([`ThreadTiles::for_each_group`], [`for_each_group_span`]).
+struct Shared<P>(P);
+
+// SAFETY: a participant derives from the raw parts only the elements of
+// the groups it was handed: a `GroupTiles` windows only its groups' tiles,
+// and `for_each_group_span` spans only its groups' elements. The pool
+// hands each group to exactly one participant (`workers::for_each_group`),
+// and different groups cover disjoint lanes — disjoint spans of every GPR
+// plane and local-memory row, and disjoint flag-plane words — so no two
+// participants reach the same element. The underlying `&mut` borrow lasts
+// for the whole sweep, so nothing else accesses the elements meanwhile,
+// and they are `Send` (`Word`, `u64`, or a plane's `T: Send`), so any
+// participant may write them.
+unsafe impl<P: RawParts> Sync for Shared<P> {}
+
+/// What [`Shared`] may hold.
+trait RawParts: Copy {}
+
+impl RawParts for RawTiles<'_> {}
+
+impl<T: Send> RawParts for *mut T {}
+
+impl<P: RawParts> Shared<P> {
+    #[inline]
+    fn get(&self) -> P {
+        self.0
     }
 }
 
 /// The raw parts of a [`ThreadTiles`] borrow that a [`TileWindow`]
 /// addresses its tile through.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct RawTiles<'a> {
     gprs: *mut Word,
     flags: *mut u64,
@@ -116,10 +270,17 @@ struct RawTiles<'a> {
     _lifetime: PhantomData<&'a mut Word>,
 }
 
-impl RawTiles<'_> {
+impl<'a> RawTiles<'a> {
     /// Number of 64-PE tiles (= flag plane words).
     fn num_tiles(&self) -> usize {
         words_for(self.num_pes)
+    }
+
+    /// The window over `tile`, which must be in range.
+    #[inline]
+    fn window(self, tile: usize) -> TileWindow<'a> {
+        let base = tile * TILE_LANES;
+        TileWindow { raw: self, tile, base, lanes: TILE_LANES.min(self.num_pes - base) }
     }
 }
 
@@ -163,19 +324,25 @@ impl TileWindow<'_> {
         }
     }
 
+    /// This tile's slice of a GPR plane.
+    #[inline]
+    pub fn gpr(&self, reg: usize) -> &[Word] {
+        // SAFETY: confined to this tile's lanes of plane `reg`; the `&self`
+        // borrow keeps `gpr_mut` from writing it meanwhile.
+        unsafe {
+            std::slice::from_raw_parts(
+                self.raw.gprs.add(reg * self.raw.num_pes + self.base),
+                self.lanes,
+            )
+        }
+    }
+
     /// Latch this tile's slice of a GPR plane into a caller-owned buffer
     /// (so a destination plane may alias the source). Returns the latched
     /// slice.
     #[inline]
     pub fn copy_gprs<'b>(&self, reg: usize, out: &'b mut [Word; TILE_LANES]) -> &'b [Word] {
-        // SAFETY: confined to this tile's lanes of plane `reg`.
-        let src = unsafe {
-            std::slice::from_raw_parts(
-                self.raw.gprs.add(reg * self.raw.num_pes + self.base),
-                self.lanes,
-            )
-        };
-        out[..self.lanes].copy_from_slice(src);
+        out[..self.lanes].copy_from_slice(self.gpr(reg));
         &out[..self.lanes]
     }
 

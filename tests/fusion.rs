@@ -5,6 +5,7 @@
 //! the same identity either way.
 
 use asc::core::{Machine, MachineConfig, RunError};
+use asc::isa::Word;
 use asc::kernels::{image, mst, search, sort, string_match};
 
 /// A machine with a short tail tile (100 PEs = one full tile + 36 lanes).
@@ -110,6 +111,54 @@ fn memory_faults_keep_their_identity_under_fusion() {
     match &errs[0] {
         RunError::PeMemoryFault { thread, pc, fault } => {
             assert_eq!((*thread, *pc, fault.pe), (0, 2, 0), "fault identity");
+        }
+        other => panic!("expected a PE memory fault, got {other:?}"),
+    }
+}
+
+/// A fused block whose per-lane `plw` and `psw` fault in different
+/// occupancy groups at different ops, on an array large enough (2¹⁸ + 70
+/// PEs, 65 groups) for the block's tile chain to run on every host
+/// worker: the block reports the earliest faulting op and, within it, the
+/// lowest faulting PE, as `--no-fuse` does, although a later op faults at
+/// a lower PE.
+#[test]
+fn split_block_faults_keep_their_identity() {
+    const GROUP: usize = 4096;
+    let n = (1 << 18) + 70;
+    let src = "
+        plw    p1, 0(p0)
+        plw    p4, 1(p0)
+        plw    p2, 2(p1)
+        paddi  p3, p2, 1
+        psw    p3, 3(p4)
+        halt
+    ";
+    // row 0 bases the plw at pc 2, row 1 the psw at pc 4; lanes given an
+    // out-of-range base fault there
+    let (plw_x, plw_z, psw_y) = (3 * GROUP + 17, 40 * GROUP + 5, GROUP + 9);
+    let program = asc::asm::assemble(src).unwrap();
+    let mut cfg = MachineConfig::new(n).single_threaded();
+    cfg.lmem_words = 4;
+    let run = |cfg: MachineConfig| {
+        let mut m = Machine::with_program(cfg, &program).unwrap();
+        for (row, lanes) in [(0, [plw_x, plw_z]), (1, [psw_y, psw_y])] {
+            let mut col = vec![Word::ZERO; n];
+            for lane in lanes {
+                col[lane] = Word(1000);
+            }
+            m.array_mut().scatter_column(row, &col).unwrap();
+        }
+        let err = m.run(100_000).unwrap_err();
+        (err, m.fusion_stats().blocks_executed)
+    };
+    let (fused, blocks) = run(cfg);
+    let (unfused, _) = run(cfg.without_fusion());
+    assert_eq!(blocks, 1, "the block ran fused");
+    assert_eq!(fused, unfused, "fused and unfused faults must agree");
+    match fused {
+        RunError::PeMemoryFault { thread, pc, fault } => {
+            assert_eq!((thread, pc, fault.pe, fault.fault.is_store), (0, 2, plw_x, false));
         }
         other => panic!("expected a PE memory fault, got {other:?}"),
     }
