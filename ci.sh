@@ -13,6 +13,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> tablegen output matches the experiment archive"
+# `tablegen` is deterministic, and its output is every simulated number
+# the reproduction reports (EXPERIMENTS.md quotes it verbatim), across
+# fine and coarse grain, forwarding off, sequential multiply and divide,
+# and the finite fetch model. Any change in a cycle count fails here;
+# after an intended model change, regenerate the archive with
+# ./target/release/tablegen > docs/experiments_output.txt
+./target/release/tablegen | diff - docs/experiments_output.txt
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -9,11 +9,12 @@
 
 use asc_asm::Program;
 use asc_isa::{Instr, Word};
-use asc_pe::{DividerConfig, MultiplierKind, PeArray};
+use asc_pe::PeArray;
 
 use crate::config::MachineConfig;
 use crate::error::RunError;
 use crate::exec::Effect;
+use crate::issue::UnitUse;
 use crate::machine::Machine;
 use crate::threads::ThreadState;
 
@@ -99,13 +100,11 @@ impl Emulator {
         self.rr = (tid + 1) % n;
 
         let pc = self.m.threads.get(tid).pc;
-        let instr = self.m.fetch(tid, pc)?;
-        if instr.uses_multiplier() && self.m.config().multiplier == MultiplierKind::None {
-            return Err(RunError::MissingUnit { thread: tid, pc, unit: "multiplier" });
+        let e = self.m.fetch(tid, pc)?;
+        if let UnitUse::Missing(unit) = e.unit {
+            return Err(RunError::MissingUnit { thread: tid, pc, unit });
         }
-        if instr.uses_divider() && self.m.config().divider == DividerConfig::None {
-            return Err(RunError::MissingUnit { thread: tid, pc, unit: "divider" });
-        }
+        let instr = e.instr;
         let effect = self.m.execute_instr(tid, pc, &instr)?;
         self.executed += 1;
         match effect {
@@ -115,9 +114,7 @@ impl Emulator {
                 self.m.threads.get_mut(tid).pc = pc + 1;
                 self.m.force_halt();
             }
-            Effect::Exit => {
-                self.m.threads.release(tid);
-            }
+            Effect::Exit => self.m.threads.release(tid, |_| {}),
             Effect::JoinWait(target) => {
                 let row = self.m.threads.get_mut(tid);
                 row.pc = pc + 1;
@@ -171,6 +168,6 @@ impl Emulator {
             return Err(RunError::Deadlock { cycle: self.executed });
         };
         let pc = self.m.threads.get(tid).pc;
-        self.m.fetch(tid, pc)
+        self.m.fetch(tid, pc).map(|e| e.instr)
     }
 }

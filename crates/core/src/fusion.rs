@@ -162,7 +162,7 @@ pub struct FusibleRun {
 /// instruction stream, each annotated with the boundary that ends it.
 /// Runs shorter than [`MIN_BLOCK_LEN`] are not blocks and are skipped.
 pub fn fusible_runs(imem: &[Result<Instr, DecodeError>], cfg: &MachineConfig) -> Vec<FusibleRun> {
-    let plan = FusionPlan::build(imem, cfg);
+    let plan = FusionPlan::build(imem.len(), |pc| imem[pc].as_ref().ok(), cfg);
     let mut out = Vec::new();
     let mut pc = 0usize;
     while pc < imem.len() {
@@ -210,24 +210,26 @@ pub(crate) struct FusionPlan {
 const NO_CHAIN: u32 = u32::MAX;
 
 impl FusionPlan {
-    /// Scan the decoded instruction stream, record every fusible run, and
-    /// lower each maximal block to a compiled kernel chain specialized
-    /// for this machine's width and SIMD tier (see [`crate::compile`]).
+    /// Scan the decoded instruction stream of `n` words (`instr_at(pc)`
+    /// is the instruction at `pc`, `None` where the word does not
+    /// decode), record every fusible run, and lower each maximal block to
+    /// a compiled kernel chain specialized for this machine's width and
+    /// SIMD tier (see [`crate::compile`]).
     ///
     /// An instruction that would trap on this machine (`mul`/`div` with
     /// the unit absent) is excluded from fusion at plan time, so the
     /// [`RunError::MissingUnit`] error still fires at that instruction's
     /// own issue, not a block's entry.
-    pub(crate) fn build(imem: &[Result<Instr, DecodeError>], cfg: &MachineConfig) -> FusionPlan {
-        let n = imem.len();
+    pub(crate) fn build<'a>(
+        n: usize,
+        instr_at: impl Fn(usize) -> Option<&'a Instr>,
+        cfg: &MachineConfig,
+    ) -> FusionPlan {
         let level = cfg.simd_level();
         let mut run_len = vec![0u32; n];
         // Backward scan: run_len[pc] = 1 + run_len[pc + 1] where fusible.
         for pc in (0..n).rev() {
-            let fusible = match &imem[pc] {
-                Ok(i) => cut_reason(i, cfg).is_none(),
-                Err(_) => false,
-            };
+            let fusible = instr_at(pc).is_some_and(|i| cut_reason(i, cfg).is_none());
             if fusible {
                 run_len[pc] = 1 + run_len.get(pc + 1).copied().unwrap_or(0);
             }
@@ -244,9 +246,8 @@ impl FusionPlan {
                 static_blocks += 1;
                 static_fused_instrs += len as u64;
                 for k in 0..len as usize {
-                    let i = imem[pc + k]
-                        .as_ref()
-                        .expect("fusible runs only cover decodable instructions");
+                    let i =
+                        instr_at(pc + k).expect("fusible runs only cover decodable instructions");
                     chain_start[pc + k] = ops.len() as u32;
                     ops.push(CompiledOp::compile(i, cfg.width, level));
                     simd_ops += u64::from(CompiledOp::vectorizes(i, level));

@@ -43,6 +43,7 @@ pub mod timing;
 mod compile;
 mod exec;
 mod fusion;
+mod issue;
 mod machine;
 
 // Re-exported: `MachineConfig::simd_level` / `Machine::simd_level` return

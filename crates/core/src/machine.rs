@@ -11,6 +11,14 @@
 //! table* ([`crate::scoreboard::Scoreboard`]): each architectural register
 //! records when its latest in-flight writer's value becomes forwardable.
 //!
+//! The scan runs every cycle over every live thread, so it never decodes:
+//! [`Machine::load_words`] decodes the program once into a per-PC issue
+//! table (`crate::issue`), and each check reads the entry at the thread's
+//! PC — the instruction's class, its source operands with their consume
+//! offsets, its destinations, its produce and retire offsets, and the
+//! multiplier or divider it needs — all filled from [`crate::Timing`] and
+//! the instruction's own operand and class definitions.
+//!
 //! Simplifications, stated: instruction fetch is ideal (per-thread buffers
 //! always full; the branch-redirect bubble models the refill); write-back
 //! ports are unlimited; inter-thread register transfers are serialized at
@@ -20,18 +28,17 @@
 use std::collections::VecDeque;
 
 use asc_asm::Program;
-use asc_isa::{decode, DecodeError, Instr, InstrClass, Operand, RegClass, Word};
+use asc_isa::{Instr, InstrClass, RegClass, Word};
 use asc_network::{NetUnit, Network};
-use asc_pe::{
-    DividerConfig, FlagFile, LocalMemory, MultiplierKind, PeArray, RegFile, SequentialUnit,
-};
+use asc_pe::{FlagFile, LocalMemory, PeArray, RegFile, SequentialUnit};
 
 use crate::config::{FetchModel, MachineConfig, SchedPolicy};
 use crate::error::RunError;
 use crate::exec::Effect;
+use crate::issue::{IssueEntry, IssueTable, UnitUse};
 use crate::obs::profile::Profile;
 use crate::obs::progress::{ProgressSample, ProgressSampler};
-use crate::obs::{SeqUnit, SinkHandle, ThreadTransition, TraceEvent};
+use crate::obs::{SinkHandle, ThreadTransition, TraceEvent};
 use crate::scoreboard::{Scoreboard, NO_PRODUCER_PC};
 use crate::stats::{StallReason, Stats};
 use crate::threads::{ThreadState, ThreadTable};
@@ -93,7 +100,8 @@ struct Blocked {
 pub struct Machine {
     pub(crate) cfg: MachineConfig,
     pub(crate) timing: Timing,
-    pub(crate) imem: Vec<Result<Instr, DecodeError>>,
+    /// The loaded program, decoded once into per-PC issue entries.
+    pub(crate) table: IssueTable,
     pub(crate) sregs: RegFile,
     pub(crate) sflags: FlagFile,
     pub(crate) smem: LocalMemory,
@@ -105,10 +113,9 @@ pub struct Machine {
     pub(crate) net: Network,
     pub(crate) threads: ThreadTable,
     score: Scoreboard,
-    mul_scalar: SequentialUnit,
-    div_scalar: SequentialUnit,
-    mul_parallel: SequentialUnit,
-    div_parallel: SequentialUnit,
+    /// The sequential multipliers and dividers, indexed by
+    /// [`crate::obs::SeqUnit`].
+    seq_units: [SequentialUnit; 4],
     pub(crate) cycle: u64,
     halted: bool,
     rotate: usize,
@@ -165,7 +172,7 @@ impl Machine {
         let red_cap = (timing.b + 1 + timing.r) as usize + 2;
         Machine {
             timing,
-            imem: Vec::new(),
+            table: IssueTable::default(),
             sregs: RegFile::new(cfg.threads, asc_isa::NUM_GPRS),
             sflags: FlagFile::new(cfg.threads, asc_isa::NUM_FLAGS),
             smem: LocalMemory::new(cfg.smem_words),
@@ -174,10 +181,7 @@ impl Machine {
             net: Network::new(cfg.network()),
             threads: ThreadTable::new(cfg.threads),
             score: Scoreboard::new(cfg.threads),
-            mul_scalar: SequentialUnit::new(),
-            div_scalar: SequentialUnit::new(),
-            mul_parallel: SequentialUnit::new(),
-            div_parallel: SequentialUnit::new(),
+            seq_units: Default::default(),
             cycle: 0,
             halted: false,
             rotate: 0,
@@ -215,8 +219,8 @@ impl Machine {
     }
 
     /// Load raw machine words into instruction memory. Words are
-    /// pre-decoded; a word that fails to decode only raises
-    /// [`RunError::IllegalInstruction`] if it is ever executed.
+    /// pre-decoded into the issue table; a word that fails to decode only
+    /// raises [`RunError::IllegalInstruction`] if it is ever executed.
     pub fn load_words(&mut self, words: &[u32]) -> Result<(), RunError> {
         if words.len() > self.cfg.imem_words {
             return Err(RunError::ProgramTooLarge {
@@ -224,18 +228,20 @@ impl Machine {
                 capacity: self.cfg.imem_words,
             });
         }
-        self.imem = words.iter().map(|&w| decode(w)).collect();
+        self.table.load(words, &self.timing);
         // (Re)build the fusible-block plan — the per-(program, entry PC)
         // cache of compiled kernel chains — and drop any state from a
         // previous program.
-        self.fusion_plan =
-            self.cfg.fusion.then(|| crate::fusion::FusionPlan::build(&self.imem, &self.cfg));
+        let table = &self.table;
+        self.fusion_plan = self.cfg.fusion.then(|| {
+            crate::fusion::FusionPlan::build(table.len(), |pc| table.instr(pc), &self.cfg)
+        });
         self.fusion_dyn = crate::fusion::FusionStats::default();
         self.fused_remaining.iter_mut().for_each(|r| *r = 0);
         // re-shape the profiler's row table for the new program (pre-sized
         // here so the record path never allocates)
         if let Some(p) = &mut self.profiler {
-            p.reset(self.cfg.threads, self.imem.len());
+            p.reset(self.cfg.threads, self.table.len());
         }
         Ok(())
     }
@@ -273,7 +279,7 @@ impl Machine {
     /// program immediately, so the hot record path never allocates. With
     /// no profiler attached each hook costs one `Option` check.
     pub fn attach_profiler(&mut self) {
-        self.profiler = Some(Box::new(Profile::new(self.cfg.threads, self.imem.len())));
+        self.profiler = Some(Box::new(Profile::new(self.cfg.threads, self.table.len())));
     }
 
     /// The attached profiler's current attribution, if any. Finalized
@@ -462,14 +468,12 @@ impl Machine {
         Some(tid)
     }
 
-    /// Fetch and decode the instruction at `pc` for `thread`.
-    pub(crate) fn fetch(&self, thread: usize, pc: u32) -> Result<Instr, RunError> {
-        if pc as usize >= self.imem.len() {
-            return Err(RunError::PcOutOfRange { thread, pc, len: self.imem.len() as u32 });
-        }
-        match &self.imem[pc as usize] {
-            Ok(i) => Ok(*i),
-            Err(cause) => Err(RunError::IllegalInstruction { thread, pc, cause: *cause }),
+    /// Fetch the issue entry of the instruction at `pc` for `thread`.
+    pub(crate) fn fetch(&self, thread: usize, pc: u32) -> Result<&IssueEntry, RunError> {
+        match self.table.get(pc) {
+            Some(Ok(e)) => Ok(e),
+            Some(Err(cause)) => Err(RunError::IllegalInstruction { thread, pc, cause: *cause }),
+            None => Err(RunError::PcOutOfRange { thread, pc, len: self.table.len() as u32 }),
         }
     }
 
@@ -514,7 +518,7 @@ impl Machine {
                 continue;
             }
             // don't fetch past the end of the program
-            if (row.pc as usize + self.ibuf[tid]) >= self.imem.len() {
+            if (row.pc as usize + self.ibuf[tid]) >= self.table.len() {
                 continue;
             }
             pick = Some(tid);
@@ -560,9 +564,9 @@ impl Machine {
         let mut scan = self.threads.rotation_live(self.rotate);
         while let Some(tid) = scan.next() {
             match self.thread_ready(tid)? {
-                Ok(instr) => {
+                Ok(()) => {
                     drop(scan);
-                    self.issue(tid, instr)?;
+                    self.issue(tid)?;
                     self.rotate = self.next_rotate(tid);
                     return Ok(Step::Issued { thread: tid });
                 }
@@ -582,9 +586,9 @@ impl Machine {
         // Coarse-grain MT: run the current thread until it would stall
         // longer than the switch penalty, then flush and switch.
         match self.thread_ready(self.current)? {
-            Ok(instr) => {
+            Ok(()) => {
                 let tid = self.current;
-                self.issue(tid, instr)?;
+                self.issue(tid)?;
                 Ok(Step::Issued { thread: tid })
             }
             Err(b) => {
@@ -681,9 +685,10 @@ impl Machine {
         Ok(Step::Stalled { reason, cycles: delta })
     }
 
-    /// Can `tid` issue at the current cycle? Returns the decoded
-    /// instruction, or why not.
-    fn thread_ready(&self, tid: usize) -> Result<Result<Instr, Blocked>, RunError> {
+    /// Can `tid` issue at the current cycle? Returns why not, if it
+    /// cannot. Everything asked of the instruction itself is read from its
+    /// issue-table entry.
+    fn thread_ready(&self, tid: usize) -> Result<Result<(), Blocked>, RunError> {
         let row = *self.threads.get(tid);
         let blocked = |reason, earliest, waiting_on| Blocked {
             reason,
@@ -708,28 +713,25 @@ impl Machine {
             return Ok(Err(blocked(StallReason::FetchEmpty, self.cycle + 1, NO_PRODUCER_PC)));
         }
         let pc = row.pc;
-        let instr = self.fetch(tid, pc)?;
+        let e = self.fetch(tid, pc)?;
 
         // Missing functional units are illegal instructions on this
         // machine.
-        if instr.uses_multiplier() && self.cfg.multiplier == MultiplierKind::None {
-            return Err(RunError::MissingUnit { thread: tid, pc, unit: "multiplier" });
-        }
-        if instr.uses_divider() && self.cfg.divider == DividerConfig::None {
-            return Err(RunError::MissingUnit { thread: tid, pc, unit: "divider" });
+        if let UnitUse::Missing(unit) = e.unit {
+            return Err(RunError::MissingUnit { thread: tid, pc, unit });
         }
 
-        // RAW hazards against the instruction status table.
-        let class = instr.class();
+        // RAW hazards against the instruction status table: the worst
+        // wait wins, and a tie keeps the earlier operand.
         let mut worst: Option<Blocked> = None;
-        for op in instr.reads() {
+        for (op, offset) in e.reads.into_iter().zip(e.consume) {
             // the scoreboard stores the first cycle at which a value may
             // be consumed (produce end + 1)
-            let consume = self.cycle + self.timing.consume_offset(class, op.class);
+            let consume = self.cycle + u64::from(offset);
             let available = self.score.ready_time(tid, op);
             if available > consume {
                 let producer = self.score.producer_class(tid, op);
-                let reason = classify_hazard(producer, class, op);
+                let reason = classify_hazard(producer, e.class, op.class);
                 let earliest = self.cycle + (available - consume);
                 let b = blocked(reason, earliest, self.score.producer_pc(tid, op));
                 worst = Some(match worst {
@@ -744,9 +746,9 @@ impl Machine {
 
         // WAW interlock: an instruction may not issue if an older, slower
         // writer of the same register would complete after it.
-        for op in instr.writes() {
+        let mine = self.cycle + e.avail;
+        for op in e.writes {
             let pending = self.score.ready_time(tid, op);
-            let mine = self.cycle + self.timing.produce_offset(&instr) + 1;
             if pending > mine {
                 return Ok(Err(blocked(
                     StallReason::DataHazard,
@@ -757,98 +759,40 @@ impl Machine {
         }
 
         // Structural hazards on the sequential multiplier/divider.
-        if let Some(b) = self.structural_block(tid, pc, &instr, class) {
-            return Ok(Err(b));
-        }
-
-        Ok(Ok(instr))
-    }
-
-    fn structural_block(
-        &self,
-        tid: usize,
-        pc: u32,
-        instr: &Instr,
-        class: InstrClass,
-    ) -> Option<Blocked> {
-        let ex = self.cycle + self.timing.ex_start(class);
-        let unit = self.sequential_unit(instr, class)?;
-        if unit.is_free(ex) {
-            None
-        } else {
-            Some(Blocked {
-                reason: StallReason::Structural,
-                // the unit frees at free_at(); our EX is `ex_start` after
-                // issue, so we could issue once free_at - ex_start arrives
-                earliest: unit
-                    .free_at()
-                    .saturating_sub(self.timing.ex_start(class))
-                    .max(self.cycle + 1),
-                thread: tid,
-                pc,
-                waiting_on: NO_PRODUCER_PC,
-            })
-        }
-    }
-
-    fn sequential_unit(&self, instr: &Instr, class: InstrClass) -> Option<&SequentialUnit> {
-        let scalar = class == InstrClass::Scalar;
-        if instr.uses_multiplier() {
-            if let MultiplierKind::Sequential { .. } = self.cfg.multiplier {
-                return Some(if scalar { &self.mul_scalar } else { &self.mul_parallel });
+        if let UnitUse::Sequential(unit, _) = e.unit {
+            let unit = &self.seq_units[unit as usize];
+            let ex_start = self.timing.ex_start(e.class);
+            if !unit.is_free(self.cycle + ex_start) {
+                return Ok(Err(blocked(
+                    StallReason::Structural,
+                    // the unit frees at free_at(); our EX is `ex_start`
+                    // after issue, so we could issue once free_at -
+                    // ex_start arrives
+                    unit.free_at().saturating_sub(ex_start).max(self.cycle + 1),
+                    NO_PRODUCER_PC,
+                )));
             }
         }
-        if instr.uses_divider() {
-            if let DividerConfig::Sequential { .. } = self.cfg.divider {
-                return Some(if scalar { &self.div_scalar } else { &self.div_parallel });
-            }
-        }
-        None
+
+        Ok(Ok(()))
     }
 
-    fn claim_sequential_unit(&mut self, tid: usize, instr: &Instr, class: InstrClass) {
-        let ex = self.cycle + self.timing.ex_start(class);
-        let scalar = class == InstrClass::Scalar;
-        if instr.uses_multiplier() {
-            if let MultiplierKind::Sequential { cycles } = self.cfg.multiplier {
-                let unit = if scalar { &mut self.mul_scalar } else { &mut self.mul_parallel };
-                let claimed = unit.try_claim(ex, cycles);
-                debug_assert!(claimed.is_some(), "structural check preceded issue");
-                if let Some(sink) = &self.sink {
-                    let unit = if scalar { SeqUnit::ScalarMul } else { SeqUnit::ParallelMul };
-                    sink.emit(&TraceEvent::UnitBusy {
-                        cycle: ex,
-                        thread: tid,
-                        unit,
-                        busy_for: cycles,
-                    });
-                }
-            }
-        }
-        if instr.uses_divider() {
-            if let DividerConfig::Sequential { cycles } = self.cfg.divider {
-                let unit = if scalar { &mut self.div_scalar } else { &mut self.div_parallel };
-                let claimed = unit.try_claim(ex, cycles);
-                debug_assert!(claimed.is_some(), "structural check preceded issue");
-                if let Some(sink) = &self.sink {
-                    let unit = if scalar { SeqUnit::ScalarDiv } else { SeqUnit::ParallelDiv };
-                    sink.emit(&TraceEvent::UnitBusy {
-                        cycle: ex,
-                        thread: tid,
-                        unit,
-                        busy_for: cycles,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Issue one instruction from `tid`: execute it functionally, record
-    /// its writes in the scoreboard, and update thread/PC state.
-    fn issue(&mut self, tid: usize, instr: Instr) -> Result<(), RunError> {
+    /// Issue the next instruction of `tid` (which [`Machine::thread_ready`]
+    /// cleared): execute it functionally, record its writes in the
+    /// scoreboard, and update thread/PC state.
+    fn issue(&mut self, tid: usize) -> Result<(), RunError> {
         let pc = self.threads.get(tid).pc;
-        let class = instr.class();
-        self.claim_sequential_unit(tid, &instr, class);
+        // a copy, so the executor below may borrow the machine
+        let e = *self.fetch(tid, pc)?;
+        let (instr, class) = (e.instr, e.class);
+        if let UnitUse::Sequential(unit, cycles) = e.unit {
+            let ex = self.cycle + self.timing.ex_start(class);
+            let claimed = self.seq_units[unit as usize].try_claim(ex, cycles);
+            debug_assert!(claimed.is_some(), "structural check preceded issue");
+            if let Some(sink) = &self.sink {
+                sink.emit(&TraceEvent::UnitBusy { cycle: ex, thread: tid, unit, busy_for: cycles });
+            }
+        }
         if matches!(self.cfg.fetch, FetchModel::Finite { .. }) {
             debug_assert!(self.ibuf[tid] > 0);
             self.ibuf[tid] -= 1;
@@ -886,11 +830,11 @@ impl Machine {
         }
 
         // store "available from": the cycle after the result is produced
-        let available = self.cycle + self.timing.produce_offset(&instr) + 1;
-        for op in instr.writes() {
+        let available = self.cycle + e.avail;
+        for op in e.writes {
             self.score.record_write(tid, op, available, class, pc);
         }
-        let retire = self.cycle + self.timing.retire_offset(&instr);
+        let retire = self.cycle + e.retire;
         self.stats.last_writeback = self.stats.last_writeback.max(retire);
 
         if let Some(sink) = &self.sink {
@@ -934,21 +878,23 @@ impl Machine {
                 self.halted = true;
             }
             Effect::Exit => {
-                let woken = self.threads.release(tid);
-                if let Some(sink) = &self.sink {
+                let (cycle, sink) = (self.cycle, &self.sink);
+                if let Some(sink) = sink {
                     sink.emit(&TraceEvent::Thread {
-                        cycle: self.cycle,
+                        cycle,
                         thread: tid,
                         transition: ThreadTransition::Exited,
                     });
-                    for w in woken {
+                }
+                self.threads.release(tid, |w| {
+                    if let Some(sink) = sink {
                         sink.emit(&TraceEvent::Thread {
-                            cycle: self.cycle,
+                            cycle,
                             thread: w,
                             transition: ThreadTransition::Woken,
                         });
                     }
-                }
+                });
             }
             Effect::JoinWait(target) => {
                 let row = self.threads.get_mut(tid);
@@ -1039,12 +985,12 @@ impl Machine {
 
 /// Classify a RAW stall by the classes of producer and consumer — the
 /// taxonomy of Section 4.2.
-fn classify_hazard(producer: InstrClass, consumer: InstrClass, op: Operand) -> StallReason {
+fn classify_hazard(producer: InstrClass, consumer: InstrClass, side: RegClass) -> StallReason {
     match (producer, consumer) {
         (InstrClass::Reduction, InstrClass::Scalar) => StallReason::ReductionHazard,
         (InstrClass::Reduction, _) => StallReason::BroadcastReductionHazard,
         (InstrClass::Scalar, InstrClass::Parallel | InstrClass::Reduction)
-            if matches!(op.class, RegClass::SGpr | RegClass::SFlag) =>
+            if matches!(side, RegClass::SGpr | RegClass::SFlag) =>
         {
             StallReason::BroadcastHazard
         }

@@ -41,7 +41,10 @@ impl Histogram {
             // it a single overflow bucket so it still totals correctly
             self.counts = vec![0];
         }
-        let i = self.bounds.partition_point(|&b| b < v);
+        // a forward scan: there are a handful of bounds, and most samples
+        // (queue depths and stall spans, taken once per issue or stall)
+        // land in the first few buckets
+        let i = self.bounds.iter().position(|&b| v <= b).unwrap_or(self.bounds.len());
         self.counts[i] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);

@@ -4,6 +4,10 @@
 //! value can be consumed (through forwarding, or via the register file when
 //! forwarding is disabled), and the pipeline class of that writer (needed
 //! to classify a stall as a reduction hazard vs. an ordinary data hazard).
+//!
+//! The scheduler queries it for every live thread every cycle, for the
+//! operands the thread's next issue-table entry lists (`crate::issue`),
+//! and records an entry's destinations when it issues.
 
 use asc_isa::{InstrClass, Operand, RegClass};
 

@@ -275,6 +275,30 @@ fn stall_accounting_attributes_reduction_hazards() {
     assert_eq!(stats.stalls_for(StallReason::BroadcastHazard), 0);
 }
 
+/// Two source operands whose producers finish in the same cycle: the stall
+/// is charged to the earlier operand in `Instr::reads` order, which
+/// decides both its reason and the producer the profiler says it waited
+/// on.
+#[test]
+fn tied_raw_hazards_charge_the_earlier_operand() {
+    // rsum at cycle 0 and lw at cycle 5 both make their value available
+    // at cycle 8 (b = 2, r = 4); the add at cycle 6 consumes both at 7
+    for (add, reason, producer_pc) in [
+        ("add s3, s1, s2", StallReason::ReductionHazard, 0),
+        ("add s3, s2, s1", StallReason::DataHazard, 5),
+    ] {
+        let src = format!("rsum s1, p1\nnop\nnop\nnop\nnop\nlw s2, 0(s0)\n{add}\nhalt\n");
+        let mut m = Machine::with_program(proto(), &assemble(&src).unwrap()).unwrap();
+        m.attach_profiler();
+        let stats = m.run(MAX).unwrap();
+        assert_eq!(stats.stall_cycles, 1, "{add}");
+        assert_eq!(stats.stalls_for(reason), 1, "{add}");
+        let row = m.profile().unwrap().row(0, 6);
+        assert_eq!(row.stalls[reason.index()], 1, "{add}");
+        assert_eq!(row.longest_wait_pc, producer_pc, "{add}");
+    }
+}
+
 #[test]
 fn hazard_latency_grows_with_pe_count() {
     // §5: "the latency of a reduction operation depends on the number of
@@ -668,6 +692,12 @@ fn emulator_error_paths() {
     let mut e = Emulator::new(proto());
     e.machine_mut().load_words(&[0x0000_0000]).unwrap(); // single nop
     assert!(matches!(e.run(1000), Err(RunError::PcOutOfRange { .. })));
+    // missing units, multiplier and divider
+    for (src, unit) in [("mul s1, s2, s3\n", "multiplier"), ("nop\npdiv p1, p2, p3\n", "divider")] {
+        let mut e = Emulator::with_program(proto(), &assemble(src).unwrap()).unwrap();
+        let pc = src.lines().count() as u32 - 1;
+        assert_eq!(e.run(1000), Err(RunError::MissingUnit { thread: 0, pc, unit }));
+    }
     // step limit
     let prog = assemble("loop: j loop\n").unwrap();
     let mut e = Emulator::with_program(proto(), &prog).unwrap();
@@ -720,6 +750,89 @@ fn illegal_instruction_word() {
 fn pc_out_of_range_without_halt() {
     let err = run_source(proto(), "nop\nnop\n", MAX).unwrap_err();
     assert!(matches!(err, RunError::PcOutOfRange { pc: 2, .. }));
+}
+
+/// A boot thread that spawns a worker and stalls on reductions while the
+/// worker runs `worker_tail` and then whatever `extra` words follow the
+/// program. Returns the words and the PC just past the assembled code.
+fn worker_fault_program(worker_tail: &str, extra: &[u32]) -> (Vec<u32>, u32) {
+    let src = format!(
+        "main:   li     s1, worker
+        tspawn s2, s1
+        pidx   p1
+        rsum   s3, p1
+        add    s4, s3, s3
+        rmax   s5, p1
+        add    s4, s4, s5
+        tjoin  s2
+        halt
+worker: paddi  p2, p1, 1
+        rmax   s5, p2
+        addi   s6, s5, 1
+        {worker_tail}
+"
+    );
+    let mut words = assemble(&src).unwrap().words();
+    let end = words.len() as u32;
+    words.extend_from_slice(extra);
+    (words, end)
+}
+
+/// Run `words` under fine grain and under coarse grain (penalty 2) to
+/// the first error; each result is the error and the cycle it stopped at.
+fn faults(cfg: MachineConfig, words: &[u32]) -> [(RunError, u64); 2] {
+    [cfg, cfg.coarse_grain(2)].map(|cfg| {
+        let mut m = Machine::new(cfg);
+        m.load_words(words).unwrap();
+        let err = m.run(MAX).unwrap_err();
+        (err, m.cycle())
+    })
+}
+
+/// An undecodable word raises nothing until a thread reaches it; then the
+/// error names that thread and PC, at the cycle the thread would have
+/// issued it, under either scheduler.
+#[test]
+fn undecodable_words_fault_only_when_reached() {
+    let illegal = 0xff00_0000;
+    let cause = asc_isa::decode(illegal).unwrap_err();
+    // never reached: the word follows the worker's texit
+    let (words, _) = worker_fault_program("texit", &[illegal]);
+    for cfg in [proto(), proto().coarse_grain(2)] {
+        let mut m = Machine::new(cfg);
+        m.load_words(&words).unwrap();
+        m.run(MAX).expect("an unreached undecodable word is harmless");
+        assert_eq!(m.sreg(0, 3).to_u32(), (0..16).sum::<u32>());
+    }
+    // reached by the worker
+    let (words, end) = worker_fault_program("", &[illegal]);
+    let [fine, coarse] = faults(proto(), &words);
+    assert_eq!(fine, (RunError::IllegalInstruction { thread: 1, pc: end, cause }, 14));
+    assert_eq!(coarse, (RunError::IllegalInstruction { thread: 1, pc: end, cause }, 15));
+}
+
+#[test]
+fn missing_units_fault_at_their_issue_slot() {
+    let (words, end) = worker_fault_program("mul s7, s6, s6", &[]);
+    let fault = RunError::MissingUnit { thread: 1, pc: end - 1, unit: "multiplier" };
+    assert_eq!(faults(proto(), &words), [(fault.clone(), 14), (fault, 15)]);
+    let (words, end) = worker_fault_program("pdiv p3, p2, p1", &[]);
+    let fault = RunError::MissingUnit { thread: 1, pc: end - 1, unit: "divider" };
+    assert_eq!(faults(proto(), &words), [(fault.clone(), 14), (fault, 15)]);
+    // with both units present the same programs only fall off the end
+    let mut cfg = proto();
+    cfg.multiplier = MultiplierKind::Sequential { cycles: 16 };
+    cfg.divider = DividerConfig::Sequential { cycles: 18 };
+    let [(fine, _), (coarse, _)] = faults(cfg, &words);
+    assert_eq!(fine, RunError::PcOutOfRange { thread: 1, pc: end, len: end });
+    assert_eq!(coarse, fine);
+}
+
+#[test]
+fn pc_out_of_range_names_the_thread_that_ran_off() {
+    let (words, end) = worker_fault_program("", &[]);
+    let fault = RunError::PcOutOfRange { thread: 1, pc: end, len: end };
+    assert_eq!(faults(proto(), &words), [(fault.clone(), 14), (fault, 15)]);
 }
 
 #[test]

@@ -21,6 +21,12 @@
 //!   stage) in its EX; the dependent instruction stalls **b+r** cycles;
 //! * **broadcast-reduction hazard** — a parallel consumer needs it at B1;
 //!   also **b+r** stall cycles.
+//!
+//! The scheduler does not evaluate these per cycle. Loading a program
+//! fills one issue-table entry per instruction word from them
+//! (`crate::issue`); the `*_of` forms take the class and unit latency the
+//! fill has already derived, and the public forms derive them from the
+//! instruction, so each rule is written once.
 
 use asc_isa::{Instr, InstrClass, RegClass};
 use asc_pe::{DividerConfig, MultiplierKind};
@@ -48,13 +54,19 @@ impl Timing {
     /// Execution latency of the instruction's functional unit (1 for the
     /// ALU, more for multiplier/divider).
     pub fn unit_latency(&self, i: &Instr) -> u64 {
-        if i.uses_multiplier() {
+        self.unit_latency_of(i.uses_multiplier(), i.uses_divider())
+    }
+
+    /// [`Timing::unit_latency`] of an instruction that uses the multiplier
+    /// (`mul`) or the divider (`div`).
+    pub(crate) fn unit_latency_of(&self, mul: bool, div: bool) -> u64 {
+        if mul {
             match self.multiplier {
                 MultiplierKind::None => 1, // rejected earlier as illegal
                 MultiplierKind::Pipelined { latency } => latency.max(1),
                 MultiplierKind::Sequential { cycles } => cycles.max(1),
             }
-        } else if i.uses_divider() {
+        } else if div {
             match self.divider {
                 DividerConfig::None => 1,
                 DividerConfig::Sequential { cycles } => cycles.max(1),
@@ -78,13 +90,19 @@ impl Timing {
     /// Cycle offset (from issue) at the end of which the instruction's
     /// result is available through forwarding.
     pub fn produce_offset(&self, i: &Instr) -> u64 {
+        self.produce_offset_of(i, i.class(), self.unit_latency(i))
+    }
+
+    /// [`Timing::produce_offset`] of `i`, given its class and
+    /// [`Timing::unit_latency`] (the issue table derives those once per
+    /// instruction).
+    pub(crate) fn produce_offset_of(&self, i: &Instr, class: InstrClass, lat: u64) -> u64 {
         if !self.forwarding {
             // ablation: the value only becomes visible via the register
             // file, at the end of WB
-            return self.retire_offset(i);
+            return self.retire_offset_of(class, lat);
         }
-        let lat = self.unit_latency(i);
-        match i.class() {
+        match class {
             InstrClass::Scalar => {
                 if matches!(i, Instr::Lw { .. }) {
                     2 // end of MA
@@ -132,8 +150,14 @@ impl Timing {
     /// Cycle offset (from issue) at the end of which the instruction
     /// leaves the pipeline (its WB stage) — used for the final drain.
     pub fn retire_offset(&self, i: &Instr) -> u64 {
-        let extra = self.unit_latency(i).saturating_sub(1);
-        match i.class() {
+        self.retire_offset_of(i.class(), self.unit_latency(i))
+    }
+
+    /// [`Timing::retire_offset`] of an instruction of `class` whose unit
+    /// latency is `lat`.
+    pub(crate) fn retire_offset_of(&self, class: InstrClass, lat: u64) -> u64 {
+        let extra = lat.saturating_sub(1);
+        match class {
             InstrClass::Scalar => 3 + extra,
             InstrClass::Parallel => self.b + 4 + extra,
             InstrClass::Reduction => self.b + self.r + 2,
