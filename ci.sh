@@ -261,12 +261,15 @@ echo "==> 2^20-PE planes and split sweeps (release)"
 # 2^18 + 70 PEs, where sweeps pass the worker pool's gate and run on
 # every host core (lane-local sweeps against the per-PE reference, every
 # reduction unit against lane references, a fused block faulting in two
-# occupancy groups against --no-fuse).
+# occupancy groups against --no-fuse, and a fused block whose operands
+# alias its destinations, read in place, against --no-fuse, --no-simd and
+# a host-computed answer).
 cargo test --release -p asc-pe --features proptest -q -- \
     sparse_million_pe_array_constructs_cheaply reused_planes_read_zero_at_2_20 \
     split_sweeps_match_per_pe_reference
 cargo test --release -p asc-network -q -- units_match_lane_references_at_scale
-cargo test --release --test fusion -q -- split_block_faults_keep_their_identity
+cargo test --release --test fusion -q -- split_block_faults_keep_their_identity \
+    aliased_operands_fuse_when_split
 
 echo "==> single-CPU reference (taskset -c 0: the worker pool has no helpers)"
 # The pool sizes itself from available_parallelism(), so one CPU means no
@@ -278,7 +281,8 @@ if command -v taskset > /dev/null; then
     taskset -c 0 cargo test --release -p asc-pe --features proptest -q --lib -- \
         split_sweeps_match_per_pe_reference
     taskset -c 0 cargo test --release -p asc-network -q -- units_match_lane_references_at_scale
-    taskset -c 0 cargo test --release --test fusion -q -- split_block_faults_keep_their_identity
+    taskset -c 0 cargo test --release --test fusion -q -- split_block_faults_keep_their_identity \
+        aliased_operands_fuse_when_split
 else
     echo "taskset not found: single-CPU reference skipped"
 fi

@@ -19,14 +19,21 @@
 //! ([`run_chain_tiles`]).
 //!
 //! Semantics are pinned to the instruction-major executor
-//! (`Machine::execute_instr`): sources are latched before destinations
-//! are written (so a destination may alias its sources and a compare may
-//! target its own mask flag), writes to GPR 0 are dropped at compile
-//! time, flag writes preserve the bitplane tail invariant, and memory
-//! faults report the lowest faulting lane of the earliest faulting
-//! instruction, over all groups, while non-faulting lanes still apply. The
+//! (`Machine::execute_instr`). Every op reads its sources in place, as a
+//! PE reads its own register file: a source that is the destination
+//! reaches the ALU kernel as `None` ([`TileWindow::split`]), and every
+//! kernel reads a lane's operands before it writes that lane, so a
+//! destination may alias its sources. A compare or flag op reads its
+//! mask and source words before it writes its destination word, so it
+//! may target its own mask flag; a per-lane load collects its values
+//! before it writes any destination lane, so it may overwrite its own
+//! base. Writes to GPR 0 are dropped at compile time, flag writes
+//! preserve the bitplane tail invariant, and memory faults report the
+//! lowest faulting lane of the earliest faulting instruction, over all
+//! groups, while non-faulting lanes still apply. The
 //! `fusion_is_bit_identical` differential suite holds this equivalence
-//! for every (fusion × SIMD) combination.
+//! for every (fusion × SIMD) combination, and `asc_pe::simd`'s tests pin
+//! the in-place reads of every kernel against a lane-by-lane oracle.
 
 use std::sync::Mutex;
 
@@ -36,7 +43,7 @@ use asc_pe::simd::{
     CmpRrKernel, CmpRsKernel, SimdLevel,
 };
 use asc_pe::workers::GROUP_LANES;
-use asc_pe::{ActiveMask, PeFault, ThreadTiles, TileWindow, TILE_LANES};
+use asc_pe::{ActiveMask, PeFault, Plane, ThreadTiles, TileWindow, TILE_LANES};
 
 /// What a compiled op writes — recorded at compile time so the fusion
 /// engine can mark plane commitment (lazy-materialization telemetry)
@@ -100,10 +107,10 @@ pub(crate) struct CompiledOp {
 }
 
 /// Placeholder for an unused kernel slot — never invoked.
-fn no_alu_rr(_: &mut [Word], _: &[Word], _: &[Word], _: Width, _: u64) {
+fn no_alu_rr(_: &mut [Word], _: Option<&[Word]>, _: Option<&[Word]>, _: Width, _: u64) {
     unreachable!("ALU rr kernel slot unused by this compiled op");
 }
-fn no_alu_rs(_: &mut [Word], _: &[Word], _: Word, _: Width, _: u64) {
+fn no_alu_rs(_: &mut [Word], _: Option<&[Word]>, _: Word, _: Width, _: u64) {
     unreachable!("ALU rs kernel slot unused by this compiled op");
 }
 fn no_cmp_rr(_: &[Word], _: &[Word], _: Width) -> u64 {
@@ -285,15 +292,20 @@ fn k_nop(_op: &CompiledOp, _win: &mut TileWindow<'_>, _all: &ActiveMask) -> Opti
     None
 }
 
+/// The GPR plane of register index `r`.
+#[inline]
+fn gpr(r: u8) -> Plane {
+    Plane::Gpr(r as usize)
+}
+
 fn k_alu_rr(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
     let mw = mask_word(op.mask, win, all);
     if mw != 0 {
         let w = win.width();
-        let (mut a, mut b) = ([Word::ZERO; TILE_LANES], [Word::ZERO; TILE_LANES]);
-        let n = win.lanes();
-        win.copy_gprs(op.a as usize, &mut a);
-        win.copy_gprs(op.b as usize, &mut b);
-        (op.alu_rr)(win.gpr_mut(op.d as usize), &a[..n], &b[..n], w, mw);
+        // a source that is the destination comes back `None`, and the
+        // kernel reads it in place
+        let (dst, [a, b]) = win.split(gpr(op.d), [gpr(op.a), gpr(op.b)]);
+        (op.alu_rr)(dst, a, b, w, mw);
     }
     None
 }
@@ -302,10 +314,8 @@ fn k_alu_rs(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Opti
     let mw = mask_word(op.mask, win, all);
     if mw != 0 {
         let w = win.width();
-        let mut a = [Word::ZERO; TILE_LANES];
-        let n = win.lanes();
-        win.copy_gprs(op.a as usize, &mut a);
-        (op.alu_rs)(win.gpr_mut(op.d as usize), &a[..n], op.imm, w, mw);
+        let (dst, [a]) = win.split(gpr(op.d), [gpr(op.a)]);
+        (op.alu_rs)(dst, a, op.imm, w, mw);
     }
     None
 }
@@ -349,10 +359,10 @@ fn k_load(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option
     if mw == 0 {
         return None;
     }
-    let mut bb = [Word::ZERO; TILE_LANES];
-    win.copy_gprs(op.a as usize, &mut bb);
-    // Load into a lane-indexed latch first: faulting lanes never write
-    // the destination, and the destination plane may alias the base.
+    // The base plane is read in place: the loop loads into a lane-indexed
+    // buffer and writes the destination, which may be the base, only after
+    // it; faulting lanes never write it.
+    let bb = win.gpr(op.a as usize);
     let mut vals = [Word::ZERO; TILE_LANES];
     let mut ok = 0u64;
     let mut fault: Option<PeFault> = None;
@@ -387,13 +397,11 @@ fn k_load_uniform(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -
         Err(f) => Some(PeFault { pe: win.base() + mw.trailing_zeros() as usize, fault: f }),
         Ok(addr) => {
             if op.d != 0 {
-                let mut row = [Word::ZERO; TILE_LANES];
-                let n = win.lanes();
-                row[..n].copy_from_slice(win.lmem_row(addr));
                 let full = win.full_word();
-                let dst = win.gpr_mut(op.d as usize);
+                let (dst, [row]) = win.split(gpr(op.d), [Plane::Row(addr)]);
+                let row = row.expect("a memory row is never a GPR plane");
                 if mw == full {
-                    dst.copy_from_slice(&row[..n]);
+                    dst.copy_from_slice(row);
                 } else {
                     for_each_masked(mw, |j| dst[j] = row[j]);
                 }
@@ -408,12 +416,12 @@ fn k_store(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Optio
     if mw == 0 {
         return None;
     }
-    let (mut pv, mut bb) = ([Word::ZERO; TILE_LANES], [Word::ZERO; TILE_LANES]);
-    win.copy_gprs(op.a as usize, &mut pv);
-    win.copy_gprs(op.b as usize, &mut bb);
     let mut fault: Option<PeFault> = None;
     for_each_masked(mw, |j| {
-        if let Err(f) = win.lmem_checked_write(bb[j], op.off, j, pv[j]) {
+        // a lane's value and base are read before its store, which writes
+        // local memory, never a register
+        let (v, b) = (win.gpr(op.a as usize)[j], win.gpr(op.b as usize)[j]);
+        if let Err(f) = win.lmem_checked_write(b, op.off, j, v) {
             if fault.is_none() {
                 fault = Some(PeFault { pe: win.base() + j, fault: f });
             }
@@ -432,13 +440,11 @@ fn k_store_uniform(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) 
     match win.lmem_addr(Word::ZERO, op.off, true) {
         Err(f) => Some(PeFault { pe: win.base() + mw.trailing_zeros() as usize, fault: f }),
         Ok(addr) => {
-            let mut src = [Word::ZERO; TILE_LANES];
-            let n = win.lanes();
-            win.copy_gprs(op.a as usize, &mut src);
             let full = win.full_word();
-            let row = win.lmem_row_mut(addr);
+            let (row, [src]) = win.split(Plane::Row(addr), [gpr(op.a)]);
+            let src = src.expect("a GPR plane is never a memory row");
             if mw == full {
-                row.copy_from_slice(&src[..n]);
+                row.copy_from_slice(src);
             } else {
                 for_each_masked(mw, |j| row[j] = src[j]);
             }

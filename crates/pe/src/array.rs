@@ -399,10 +399,11 @@ pub struct PeArray {
     flags: Vec<u64>,
     /// Local memory, column-major: `lmem[addr * num_pes + pe]`.
     lmem: Vec<Word>,
-    /// Reusable source latch for `shift`, whose destination plane may
-    /// alias its source (no per-instruction allocation). Every read of the
-    /// latch follows a full-plane copy into it, so its contents never
-    /// carry over and a reused spare's latch is not scrubbed.
+    /// Reusable source latch for `shift`, the one plane op that reads
+    /// other lanes than it writes, so its destination may not be read in
+    /// place (no per-instruction allocation). Every read of the latch
+    /// follows a full-plane copy into it, so its contents never carry over
+    /// and a reused spare's latch is not scrubbed.
     scratch: Vec<Word>,
     /// Which (plane, segment) slices have been written since construction
     /// (see [`CommitMap`]).
@@ -643,8 +644,8 @@ impl PeArray {
     ///
     /// The op's chunk kernel is selected once (monomorphized per op and
     /// SIMD tier, see [`crate::simd`]) and applied 64 lanes at a time. A
-    /// source that is the destination plane is latched first, so the
-    /// destination may alias it.
+    /// source that is the destination plane reaches the kernel as `None`
+    /// and is read in place, each chunk before the kernel writes it.
     pub fn alu(
         &mut self,
         thread: usize,
@@ -658,33 +659,26 @@ impl PeArray {
         if d == 0 {
             return; // writes to the zero register have no effect
         }
-        let (w, n) = (self.width(), self.cfg.num_pes);
+        let (w, n, level) = (self.width(), self.cfg.num_pes, self.cfg.simd);
         #[derive(Clone, Copy)]
-        enum Kern {
-            Rr(simd::AluRrKernel),
+        enum Kern<'p> {
+            Rr(simd::AluRrKernel, Option<&'p [Word]>),
             Rs(simd::AluRsKernel, Word),
         }
-        let (kern, b) = match src {
-            Src::Reg(pb) => (Kern::Rr(simd::select_alu_rr(self.cfg.simd, op)), Some(pb.index())),
-            Src::Scalar(v) | Src::Imm(v) => {
-                (Kern::Rs(simd::select_alu_rs(self.cfg.simd, op), v), None)
-            }
-        };
         self.mark_gpr_plane(thread, d);
         let base = self.gpr_base(thread, 0);
-        if pa.index() == d || b == Some(d) {
-            self.scratch.copy_from_slice(&self.gprs[base + d * n..base + (d + 1) * n]);
-        }
         let region = &mut self.gprs[base..base + self.cfg.gprs * n];
         let (dst, planes) = split_planes(region, d, n);
-        let latched = &self.scratch[..];
-        let read = |r: usize| planes(r).unwrap_or(latched);
-        let (a, b) = (read(pa.index()), b.map(read));
+        let a = planes(pa.index());
+        let kern = match src {
+            Src::Reg(pb) => Kern::Rr(simd::select_alu_rr(level, op), planes(pb.index())),
+            Src::Scalar(v) | Src::Imm(v) => Kern::Rs(simd::select_alu_rs(level, op), v),
+        };
         sweep(dst, BITS_PER_WORD, active, move |base, mw, chunk| {
             let lanes = base..base + chunk.len();
-            let x = &a[lanes.clone()];
+            let x = a.map(|p| &p[lanes.clone()]);
             match kern {
-                Kern::Rr(f) => f(chunk, x, &b.expect("rr kernel has a b plane")[lanes], w, mw),
+                Kern::Rr(f, b) => f(chunk, x, b.map(|p| &p[lanes]), w, mw),
                 Kern::Rs(f, s) => f(chunk, x, s, w, mw),
             }
         });

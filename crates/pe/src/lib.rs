@@ -49,4 +49,4 @@ pub use simd::{
     alu_vectorizes, select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, select_sum_tile,
     simd_disabled, AluRrKernel, AluRsKernel, CmpRrKernel, CmpRsKernel, SimdLevel, SumTileKernel,
 };
-pub use tiles::{GroupTiles, ThreadTiles, TileWindow, TILE_LANES};
+pub use tiles::{GroupTiles, Plane, ThreadTiles, TileWindow, TILE_LANES};

@@ -47,9 +47,15 @@
 //! [`crate::ActiveMask`] tail invariant). ALU kernels leave `dst` lanes
 //! with a clear mask bit untouched and may read all `n` lanes of the
 //! sources; compare kernels return a result bit per lane and may compute
-//! inactive lanes (callers merge under `mw`). Reading `dst` before
-//! writing is allowed, so `dst` may alias neither source — callers latch
-//! sources first (the arrays already do, for in-place plane ops).
+//! inactive lanes (callers merge under `mw`).
+//!
+//! An ALU source that is `None` is the destination itself, read in
+//! place: a PE reads both operands from its own register file, so
+//! `pd = pd op pb` needs no copy of `pd`. Every tier reads a lane
+//! group's operands before that group's masked store (the scalar loop: a
+//! lane's operands before it writes that lane), so each lane computes
+//! from its old value. `split_planes` in the array and
+//! [`crate::TileWindow::split`] hand out sources in this form.
 
 use asc_isa::{AluOp, CmpOp, Width, Word};
 
@@ -141,11 +147,12 @@ impl SimdLevel {
 }
 
 /// ALU chunk primitive against a register plane: `dst = a op b` under
-/// `mw`.
-pub type AluRrKernel = fn(dst: &mut [Word], a: &[Word], b: &[Word], w: Width, mw: u64);
+/// `mw`, where a `None` source is `dst` itself (see the kernel contract).
+pub type AluRrKernel =
+    fn(dst: &mut [Word], a: Option<&[Word]>, b: Option<&[Word]>, w: Width, mw: u64);
 /// ALU chunk primitive against a broadcast scalar: `dst = a op s` under
-/// `mw`.
-pub type AluRsKernel = fn(dst: &mut [Word], a: &[Word], s: Word, w: Width, mw: u64);
+/// `mw`, where a `None` source is `dst` itself.
+pub type AluRsKernel = fn(dst: &mut [Word], a: Option<&[Word]>, s: Word, w: Width, mw: u64);
 /// Compare chunk primitive against a register plane; bit `i` of the
 /// result is `a[i] cmp b[i]` (only meaningful under the caller's mask).
 pub type CmpRrKernel = fn(a: &[Word], b: &[Word], w: Width) -> u64;
@@ -197,37 +204,42 @@ pub fn chunk_mask(n: usize) -> u64 {
 // --------------------------------------------------------------- scalar
 
 /// Scalar ALU lanes `[from..n)` under `mw`; the shared reference loop and
-/// the vector kernels' tail/fallback. `RS` selects the broadcast form (b
-/// is ignored and may be empty).
+/// the vector kernels' tail/fallback. `RS` selects the broadcast form (`b`
+/// is ignored). A `None` source is `dst`, whose lane is read before it is
+/// written.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // mirrors the vector kernels' signature
 fn alu_lanes<const RS: bool>(
     op: AluOp,
     dst: &mut [Word],
-    a: &[Word],
-    b: &[Word],
+    a: Option<&[Word]>,
+    b: Option<&[Word]>,
     s: Word,
     w: Width,
     mw: u64,
     from: usize,
 ) {
     let n = dst.len();
-    debug_assert!(n <= 64 && a.len() == n && (RS || b.len() == n));
+    debug_assert!(n <= 64 && a.is_none_or(|a| a.len() == n));
+    debug_assert!(RS || b.is_none_or(|b| b.len() == n));
     if from >= n {
         return;
     }
+    let lane = |dst: &[Word], i: usize| {
+        let lhs = a.map_or(dst[i], |a| a[i]);
+        let rhs = if RS { s } else { b.map_or(dst[i], |b| b[i]) };
+        op.apply(lhs, rhs, w)
+    };
     let rest = mw & (u64::MAX << from);
     if rest == chunk_mask(n) & (u64::MAX << from) {
         for i in from..n {
-            let rhs = if RS { s } else { b[i] };
-            dst[i] = op.apply(a[i], rhs, w);
+            dst[i] = lane(dst, i);
         }
     } else {
         let mut m = rest;
         while m != 0 {
             let i = m.trailing_zeros() as usize;
-            let rhs = if RS { s } else { b[i] };
-            dst[i] = op.apply(a[i], rhs, w);
+            dst[i] = lane(dst, i);
             m &= m - 1;
         }
     }
@@ -252,12 +264,18 @@ fn cmp_lanes<const RS: bool>(
     res
 }
 
-fn alu_rr_scalar<const OP: u8>(dst: &mut [Word], a: &[Word], b: &[Word], w: Width, mw: u64) {
+fn alu_rr_scalar<const OP: u8>(
+    dst: &mut [Word],
+    a: Option<&[Word]>,
+    b: Option<&[Word]>,
+    w: Width,
+    mw: u64,
+) {
     alu_lanes::<false>(op_of::<OP>(), dst, a, b, Word::ZERO, w, mw, 0);
 }
 
-fn alu_rs_scalar<const OP: u8>(dst: &mut [Word], a: &[Word], s: Word, w: Width, mw: u64) {
-    alu_lanes::<true>(op_of::<OP>(), dst, a, &[], s, w, mw, 0);
+fn alu_rs_scalar<const OP: u8>(dst: &mut [Word], a: Option<&[Word]>, s: Word, w: Width, mw: u64) {
+    alu_lanes::<true>(op_of::<OP>(), dst, a, None, s, w, mw, 0);
 }
 
 fn cmp_rr_scalar<const OP: u8>(a: &[Word], b: &[Word], w: Width) -> u64 {
@@ -408,6 +426,23 @@ mod x86 {
         s.as_ptr() as *const i32
     }
 
+    /// Where an ALU kernel reads a source's `n` lanes: the source slice,
+    /// or the destination `dst` itself for `None`.
+    ///
+    /// # Panics
+    /// Panics if a source slice is not `n` lanes long: the vector loops
+    /// read it without bounds checks.
+    #[inline(always)]
+    fn src_lanes(src: Option<&[Word]>, dst: *mut i32, n: usize) -> *const i32 {
+        match src {
+            Some(s) => {
+                assert_eq!(s.len(), n, "ALU source and destination lengths differ");
+                lanes_ptr(s)
+            }
+            None => dst,
+        }
+    }
+
     // ------------------------------------------------------------- AVX2
 
     /// Sign-extend each lane from the datapath width to 32 bits.
@@ -464,11 +499,13 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     unsafe fn alu_avx2<const OP: u8, const RS: bool>(
         dst: &mut [Word],
-        a: &[Word],
-        b: &[Word],
+        a: Option<&[Word]>,
+        b: Option<&[Word]>,
         s: Word,
         w: Width,
         mw: u64,
@@ -478,6 +515,15 @@ mod x86 {
         }
         let n = dst.len();
         let bits = w.bits();
+        // reads and writes of `dst` all go through this one pointer
+        let pd = dst.as_mut_ptr() as *mut i32;
+        let pa = src_lanes(a, pd, n);
+        let pb = if RS { pd } else { src_lanes(b, pd, n) };
+        // SAFETY: the caller guarantees AVX2. `pd`, `pa` and `pb` each
+        // point at `n` lanes (`src_lanes` checks a source's length), and
+        // group `g < n / 8` touches lanes `8g..8g + 8` only. A group loads
+        // both operands before its store, so a source that is `dst` is
+        // read before any of its lanes in the group is written.
         unsafe {
             let vm = _mm256_set1_epi32(w.mask() as i32);
             let vs = _mm256_set1_epi32(s.to_u32() as i32);
@@ -487,22 +533,18 @@ mod x86 {
                 if gm == 0 {
                     continue;
                 }
-                let va = _mm256_loadu_si256(lanes_ptr(a).add(g * 8) as *const __m256i);
-                let vb = if RS {
-                    vs
-                } else {
-                    _mm256_loadu_si256(lanes_ptr(b).add(g * 8) as *const __m256i)
-                };
+                let va = _mm256_loadu_si256(pa.add(g * 8) as *const __m256i);
+                let vb = if RS { vs } else { _mm256_loadu_si256(pb.add(g * 8) as *const __m256i) };
                 let vr = v_alu256::<OP>(va, vb, vm, bits);
-                let pd = dst.as_mut_ptr().add(g * 8) as *mut __m256i;
+                let pg = pd.add(g * 8) as *mut __m256i;
                 if gm == 0xff {
-                    _mm256_storeu_si256(pd, vr);
+                    _mm256_storeu_si256(pg, vr);
                 } else {
-                    _mm256_storeu_si256(pd, blend256(_mm256_loadu_si256(pd), vr, gm));
+                    _mm256_storeu_si256(pg, blend256(_mm256_loadu_si256(pg), vr, gm));
                 }
             }
-            alu_lanes::<RS>(op_of::<OP>(), dst, a, b, s, w, mw, groups * 8);
         }
+        alu_lanes::<RS>(op_of::<OP>(), dst, a, b, s, w, mw, (n / 8) * 8);
     }
 
     /// One vector compare on 8 lanes, as an 8-bit result mask.
@@ -582,11 +624,13 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    /// The CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
     unsafe fn alu_avx512_impl<const OP: u8, const RS: bool>(
         dst: &mut [Word],
-        a: &[Word],
-        b: &[Word],
+        a: Option<&[Word]>,
+        b: Option<&[Word]>,
         s: Word,
         w: Width,
         mw: u64,
@@ -596,22 +640,30 @@ mod x86 {
         }
         let n = dst.len();
         let bits = w.bits();
+        // reads and writes of `dst` all go through this one pointer
+        let pd = dst.as_mut_ptr() as *mut i32;
+        let pa = src_lanes(a, pd, n);
+        let pb = if RS { pd } else { src_lanes(b, pd, n) };
+        // SAFETY: the caller guarantees AVX-512F. `pd`, `pa` and `pb` each
+        // point at `n` lanes (`src_lanes` checks a source's length), and
+        // group `g < n / 16` touches lanes `16g..16g + 16` only. A group
+        // loads both operands before its masked store, so a source that
+        // is `dst` is read before any of its lanes in the group is written.
         unsafe {
             let vm = _mm512_set1_epi32(w.mask() as i32);
             let vs = _mm512_set1_epi32(s.to_u32() as i32);
-            let groups = n / 16;
-            for g in 0..groups {
+            for g in 0..n / 16 {
                 let k = (mw >> (g * 16)) as u16;
                 if k == 0 {
                     continue;
                 }
-                let va = _mm512_loadu_epi32(lanes_ptr(a).add(g * 16));
-                let vb = if RS { vs } else { _mm512_loadu_epi32(lanes_ptr(b).add(g * 16)) };
+                let va = _mm512_loadu_epi32(pa.add(g * 16));
+                let vb = if RS { vs } else { _mm512_loadu_epi32(pb.add(g * 16)) };
                 let vr = v_alu512::<OP>(va, vb, vm, bits);
-                _mm512_mask_storeu_epi32(dst.as_mut_ptr().add(g * 16) as *mut i32, k, vr);
+                _mm512_mask_storeu_epi32(pd.add(g * 16), k, vr);
             }
-            alu_lanes::<RS>(op_of::<OP>(), dst, a, b, s, w, mw, groups * 16);
         }
+        alu_lanes::<RS>(op_of::<OP>(), dst, a, b, s, w, mw, (n / 16) * 16);
     }
 
     /// One vector compare on 16 lanes, as a 16-bit result mask.
@@ -750,12 +802,18 @@ mod x86 {
     // [`SimdLevel::detect_hw`] or [`SimdLevel::available`], which probed
     // the features at runtime.
 
-    fn alu_rr_avx2<const OP: u8>(dst: &mut [Word], a: &[Word], b: &[Word], w: Width, mw: u64) {
+    fn alu_rr_avx2<const OP: u8>(
+        dst: &mut [Word],
+        a: Option<&[Word]>,
+        b: Option<&[Word]>,
+        w: Width,
+        mw: u64,
+    ) {
         unsafe { alu_avx2::<OP, false>(dst, a, b, Word::ZERO, w, mw) }
     }
 
-    fn alu_rs_avx2<const OP: u8>(dst: &mut [Word], a: &[Word], s: Word, w: Width, mw: u64) {
-        unsafe { alu_avx2::<OP, true>(dst, a, &[], s, w, mw) }
+    fn alu_rs_avx2<const OP: u8>(dst: &mut [Word], a: Option<&[Word]>, s: Word, w: Width, mw: u64) {
+        unsafe { alu_avx2::<OP, true>(dst, a, None, s, w, mw) }
     }
 
     fn cmp_rr_avx2<const OP: u8>(a: &[Word], b: &[Word], w: Width) -> u64 {
@@ -766,12 +824,24 @@ mod x86 {
         unsafe { cmp_avx2::<OP, true>(a, &[], s, w) }
     }
 
-    fn alu_rr_avx512<const OP: u8>(dst: &mut [Word], a: &[Word], b: &[Word], w: Width, mw: u64) {
+    fn alu_rr_avx512<const OP: u8>(
+        dst: &mut [Word],
+        a: Option<&[Word]>,
+        b: Option<&[Word]>,
+        w: Width,
+        mw: u64,
+    ) {
         unsafe { alu_avx512_impl::<OP, false>(dst, a, b, Word::ZERO, w, mw) }
     }
 
-    fn alu_rs_avx512<const OP: u8>(dst: &mut [Word], a: &[Word], s: Word, w: Width, mw: u64) {
-        unsafe { alu_avx512_impl::<OP, true>(dst, a, &[], s, w, mw) }
+    fn alu_rs_avx512<const OP: u8>(
+        dst: &mut [Word],
+        a: Option<&[Word]>,
+        s: Word,
+        w: Width,
+        mw: u64,
+    ) {
+        unsafe { alu_avx512_impl::<OP, true>(dst, a, None, s, w, mw) }
     }
 
     fn cmp_rr_avx512<const OP: u8>(a: &[Word], b: &[Word], w: Width) -> u64 {
@@ -840,13 +910,13 @@ mod tests {
                     for &op in AluOp::ALL {
                         let mut want = sample_plane(w, 9, n);
                         let mut got = want.clone();
-                        alu_lanes::<false>(op, &mut want, &a, &b, Word::ZERO, w, mw, 0);
-                        select_alu_rr(level, op)(&mut got, &a, &b, w, mw);
+                        alu_lanes::<false>(op, &mut want, Some(&a), Some(&b), Word::ZERO, w, mw, 0);
+                        select_alu_rr(level, op)(&mut got, Some(&a), Some(&b), w, mw);
                         assert_eq!(got, want, "{level:?} {op} rr {w} n={n} mw={mw:#x}");
                         let mut want_s = sample_plane(w, 9, n);
                         let mut got_s = want_s.clone();
-                        alu_lanes::<true>(op, &mut want_s, &a, &[], s, w, mw, 0);
-                        select_alu_rs(level, op)(&mut got_s, &a, s, w, mw);
+                        alu_lanes::<true>(op, &mut want_s, Some(&a), None, s, w, mw, 0);
+                        select_alu_rs(level, op)(&mut got_s, Some(&a), s, w, mw);
                         assert_eq!(got_s, want_s, "{level:?} {op} rs {w} n={n} mw={mw:#x}");
                     }
                     assert_eq!(
@@ -871,6 +941,53 @@ mod tests {
     fn every_available_tier_matches_the_scalar_reference() {
         for level in SimdLevel::available() {
             check_level(level);
+        }
+    }
+
+    /// `op` applied lane by lane to copies of the inputs: `lhs op rhs(i)`
+    /// in the lanes of `mw`, `old` elsewhere.
+    fn lane_oracle(
+        op: AluOp,
+        old: &[Word],
+        lhs: &[Word],
+        rhs: impl Fn(usize) -> Word,
+        w: Width,
+        mw: u64,
+    ) -> Vec<Word> {
+        (0..old.len())
+            .map(|i| if mw >> i & 1 == 1 { op.apply(lhs[i], rhs(i), w) } else { old[i] })
+            .collect()
+    }
+
+    /// A destination that is also a source (`None`) reads each lane's old
+    /// value, at every tier, op, tail length and mask.
+    #[test]
+    fn in_place_sources_read_the_old_destination() {
+        for level in SimdLevel::available() {
+            for &w in &[Width::W8, Width::W16, Width::W32] {
+                for &n in &[64usize, 37, 8, 5, 1] {
+                    let (a, b) = (sample_plane(w, 1, n), sample_plane(w, 0x55, n));
+                    let s = Word::new(0x2f & w.mask(), w);
+                    for mw in [chunk_mask(n), chunk_mask(n) & 0x5f3a_c6e9_1b4d_8872] {
+                        for &op in AluOp::ALL {
+                            let (rr, rs) = (select_alu_rr(level, op), select_alu_rs(level, op));
+                            let at = format!("{level:?} {op} {w} n={n} mw={mw:#x}");
+                            let mut d = a.clone();
+                            rr(&mut d, None, Some(&b), w, mw);
+                            assert_eq!(d, lane_oracle(op, &a, &a, |i| b[i], w, mw), "d=a {at}");
+                            let mut d = b.clone();
+                            rr(&mut d, Some(&a), None, w, mw);
+                            assert_eq!(d, lane_oracle(op, &b, &a, |i| b[i], w, mw), "d=b {at}");
+                            let mut d = a.clone();
+                            rr(&mut d, None, None, w, mw);
+                            assert_eq!(d, lane_oracle(op, &a, &a, |i| a[i], w, mw), "d=a=b {at}");
+                            let mut d = a.clone();
+                            rs(&mut d, None, s, w, mw);
+                            assert_eq!(d, lane_oracle(op, &a, &a, |_| s, w, mw), "rs d=a {at}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -17,7 +17,11 @@
 //!   per PE). Constructed by [`crate::PeArray::thread_tiles`].
 //! * [`TileWindow`] — one tile's window, made by [`ThreadTiles::window`],
 //!   which borrows the view mutably, so one window is live at a time.
-//!   Every access it offers is confined to that tile's 64 lanes.
+//!   Every access it offers is confined to that tile's 64 lanes, and
+//!   every register, flag, row and lane index it is given is checked
+//!   against the view's counts, so safe code cannot reach past them.
+//!   [`TileWindow::split`] hands out one [`Plane`] to write with the
+//!   others to read, so a kernel reads its sources in place.
 //! * [`GroupTiles`] — the tiles of a range of 4096-lane occupancy groups,
 //!   handed to a sweep's group body by [`ThreadTiles::for_each_group`]. A
 //!   sweep large enough to pass the worker pool's gate (see
@@ -72,7 +76,9 @@ impl<'a> ThreadTiles<'a> {
         lmem_words: usize,
         width: Width,
     ) -> ThreadTiles<'a> {
-        debug_assert_eq!(lmem.len(), lmem_words * num_pes);
+        // the windows check rows against `lmem_words`, so the buffer must
+        // hold that many
+        assert_eq!(lmem.len(), lmem_words * num_pes, "local memory is lmem_words rows");
         debug_assert_eq!(gprs.len() % num_pes, 0);
         debug_assert_eq!(flags.len() % words_for(num_pes), 0);
         ThreadTiles { gprs, flags, lmem, num_pes, lmem_words, width }
@@ -144,6 +150,9 @@ impl<'a> ThreadTiles<'a> {
             flags: self.flags.as_mut_ptr(),
             lmem: self.lmem.as_mut_ptr(),
             num_pes: self.num_pes,
+            // whole planes only, so every index below a count is in bounds
+            gpr_planes: self.gprs.len() / self.num_pes,
+            flag_planes: self.flags.len() / words_for(self.num_pes),
             lmem_words: self.lmem_words,
             width: self.width,
             _lifetime: PhantomData,
@@ -265,6 +274,11 @@ struct RawTiles<'a> {
     flags: *mut u64,
     lmem: *mut Word,
     num_pes: usize,
+    /// GPR planes in `gprs`, `num_pes` words each.
+    gpr_planes: usize,
+    /// Flag bitplanes in `flags`, one word per tile each.
+    flag_planes: usize,
+    /// Local-memory rows in `lmem`, `num_pes` words each.
     lmem_words: usize,
     width: Width,
     _lifetime: PhantomData<&'a mut Word>,
@@ -282,6 +296,50 @@ impl<'a> RawTiles<'a> {
         let base = tile * TILE_LANES;
         TileWindow { raw: self, tile, base, lanes: TILE_LANES.min(self.num_pes - base) }
     }
+
+    /// Pointer to lane `base` of `plane`.
+    ///
+    /// # Panics
+    /// Panics if `plane` is out of range.
+    #[inline(always)]
+    fn lanes_of(&self, plane: Plane, base: usize) -> *mut Word {
+        let (buf, index) = match plane {
+            Plane::Gpr(reg) => {
+                assert!(reg < self.gpr_planes, "GPR {reg} out of range");
+                (self.gprs, reg)
+            }
+            Plane::Row(addr) => {
+                assert!(addr < self.lmem_words, "local-memory row {addr} out of range");
+                (self.lmem, addr)
+            }
+        };
+        // SAFETY: `index` is a whole plane of `buf` (checked above), and
+        // `base` is a window's first lane, below `num_pes`.
+        unsafe { buf.add(index * self.num_pes + base) }
+    }
+
+    /// The word of flag bitplane `flag` at `tile`.
+    ///
+    /// # Panics
+    /// Panics if `flag` is out of range.
+    #[inline]
+    fn flag_at(&self, flag: usize, tile: usize) -> *mut u64 {
+        assert!(flag < self.flag_planes, "flag {flag} out of range");
+        // SAFETY: `flag` is a whole bitplane of `flags` (checked above),
+        // and `tile` is a window's tile, below `num_tiles`.
+        unsafe { self.flags.add(flag * self.num_tiles() + tile) }
+    }
+}
+
+/// A plane of one word per PE that a [`TileWindow`] reaches: a GPR plane
+/// of the view's thread, or a row of local memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plane {
+    /// GPR plane `reg` of the view's thread.
+    Gpr(usize),
+    /// Local-memory row `addr` (one word per PE, the same address in every
+    /// column).
+    Row(usize),
 }
 
 /// One tile's mutable window: the tile's 64-lane span of every GPR plane,
@@ -325,71 +383,112 @@ impl TileWindow<'_> {
     }
 
     /// This tile's slice of a GPR plane.
+    ///
+    /// # Panics
+    /// Panics if `reg` is out of range.
     #[inline]
     pub fn gpr(&self, reg: usize) -> &[Word] {
-        // SAFETY: confined to this tile's lanes of plane `reg`; the `&self`
-        // borrow keeps `gpr_mut` from writing it meanwhile.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.raw.gprs.add(reg * self.raw.num_pes + self.base),
-                self.lanes,
-            )
-        }
-    }
-
-    /// Latch this tile's slice of a GPR plane into a caller-owned buffer
-    /// (so a destination plane may alias the source). Returns the latched
-    /// slice.
-    #[inline]
-    pub fn copy_gprs<'b>(&self, reg: usize, out: &'b mut [Word; TILE_LANES]) -> &'b [Word] {
-        out[..self.lanes].copy_from_slice(self.gpr(reg));
-        &out[..self.lanes]
+        self.read(Plane::Gpr(reg))
     }
 
     /// Mutable tile slice of a GPR plane. Register 0 is hardwired zero;
     /// callers must skip writes to it.
+    ///
+    /// # Panics
+    /// Panics if `reg` is out of range.
     #[inline]
     pub fn gpr_mut(&mut self, reg: usize) -> &mut [Word] {
-        debug_assert_ne!(reg, 0, "writes to the zero register must be skipped by the caller");
-        // SAFETY: confined to this tile's lanes of plane `reg`; `&mut
-        // self` makes this the window's only live view.
+        self.split(Plane::Gpr(reg), []).0
+    }
+
+    /// This tile's slice of `dst`, to write, and of each of `srcs`, to
+    /// read: `None` for a source that is `dst` itself, which the caller
+    /// reads through the returned `dst` slice (the in-place form the
+    /// [`crate::simd`] ALU kernels take). Register 0 is hardwired zero;
+    /// callers must not write it.
+    ///
+    /// # Panics
+    /// Panics if `dst` or any of `srcs` is out of range.
+    #[inline(always)]
+    pub fn split<const K: usize>(
+        &mut self,
+        dst: Plane,
+        srcs: [Plane; K],
+    ) -> (&mut [Word], [Option<&[Word]>; K]) {
+        debug_assert_ne!(
+            dst,
+            Plane::Gpr(0),
+            "writes to the zero register must be skipped by the caller"
+        );
+        let (raw, base, lanes) = (self.raw, self.base, self.lanes);
+        let d = raw.lanes_of(dst, base);
+        // SAFETY: every slice covers this tile's lanes of one in-range
+        // plane (`lanes_of` checks it). Distinct planes share no word: GPR
+        // planes are disjoint spans of the thread's region, rows disjoint
+        // spans of local memory, and the two are separate buffers. No
+        // source is `dst`, so the mutable slice overlaps no shared one.
+        // All of them borrow `self` mutably, so no other accessor of the
+        // window runs while they live.
         unsafe {
-            std::slice::from_raw_parts_mut(
-                self.raw.gprs.add(reg * self.raw.num_pes + self.base),
-                self.lanes,
-            )
+            let mut out = [None; K];
+            for (k, &p) in srcs.iter().enumerate() {
+                if p != dst {
+                    out[k] = Some(std::slice::from_raw_parts(raw.lanes_of(p, base), lanes));
+                }
+            }
+            (std::slice::from_raw_parts_mut(d, lanes), out)
         }
     }
 
+    /// This tile's slice of `plane`, to read.
+    #[inline]
+    fn read(&self, plane: Plane) -> &[Word] {
+        // SAFETY: the tile's lanes of one in-range plane (`lanes_of`
+        // checks it); the `&self` borrow keeps every writing accessor out
+        // while the slice lives.
+        unsafe { std::slice::from_raw_parts(self.raw.lanes_of(plane, self.base), self.lanes) }
+    }
+
     /// This tile's word of a flag bitplane.
+    ///
+    /// # Panics
+    /// Panics if `flag` is out of range.
     #[inline]
     pub fn flag_word(&self, flag: usize) -> u64 {
-        // SAFETY: one word per (flag, tile), confined to this tile.
-        unsafe { *self.raw.flags.add(flag * self.raw.num_tiles() + self.tile) }
+        // SAFETY: one in-range word per (flag, tile), confined to this tile.
+        unsafe { *self.raw.flag_at(flag, self.tile) }
     }
 
     /// Overwrite this tile's word of a flag bitplane, preserving the tail
     /// invariant (bits at lanes ≥ `num_pes` are forced to zero).
+    ///
+    /// # Panics
+    /// Panics if `flag` is out of range.
     #[inline]
     pub fn set_flag_word(&mut self, flag: usize, word: u64) {
         let clipped = word & self.full_word();
-        // SAFETY: one word per (flag, tile), confined to this tile.
-        unsafe { *self.raw.flags.add(flag * self.raw.num_tiles() + self.tile) = clipped }
+        // SAFETY: one in-range word per (flag, tile), confined to this
+        // tile; `&mut self` makes this the window's only access.
+        unsafe { *self.raw.flag_at(flag, self.tile) = clipped }
     }
 
     /// Bounds-checked load from lane `j`'s local-memory column at
     /// `base + off` (`j` is a lane index *within* the tile). Address
     /// arithmetic matches the array executor: unsigned base plus
     /// sign-extended offset at full precision.
+    ///
+    /// # Panics
+    /// Panics if `j` is not one of the tile's lanes.
     #[inline]
     pub fn lmem_checked_read(&self, base: Word, off: i32, j: usize) -> Result<Word, MemFault> {
         let addr = self.check_addr(base, off, false)?;
-        debug_assert!(j < self.lanes);
-        // SAFETY: `addr` is bounds-checked; `base + j` is a valid lane.
-        Ok(unsafe { *self.raw.lmem.add(addr * self.raw.num_pes + self.base + j) })
+        Ok(self.read(Plane::Row(addr))[j])
     }
 
     /// Bounds-checked store to lane `j`'s local-memory column.
+    ///
+    /// # Panics
+    /// Panics if `j` is not one of the tile's lanes.
     #[inline]
     pub fn lmem_checked_write(
         &mut self,
@@ -399,40 +498,19 @@ impl TileWindow<'_> {
         v: Word,
     ) -> Result<(), MemFault> {
         let addr = self.check_addr(base, off, true)?;
-        debug_assert!(j < self.lanes);
-        // SAFETY: `addr` is bounds-checked; `base + j` is a valid lane.
-        unsafe { *self.raw.lmem.add(addr * self.raw.num_pes + self.base + j) = v }
+        self.lmem_row_mut(addr)[j] = v;
         Ok(())
     }
 
     /// This tile's lanes of the local-memory row at `addr` (one word per
-    /// lane, same address in every column). Callers must have
-    /// bounds-checked `addr` via [`TileWindow::lmem_addr`].
-    #[inline]
-    pub fn lmem_row(&self, addr: usize) -> &[Word] {
-        debug_assert!(addr < self.raw.lmem_words);
-        // SAFETY: `addr` is in range and the slice is confined to this
-        // tile's lanes of the row.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.raw.lmem.add(addr * self.raw.num_pes + self.base),
-                self.lanes,
-            )
-        }
-    }
-
-    /// Mutable row access; same contract as [`TileWindow::lmem_row`].
+    /// lane, same address in every column), to write; resolve a guest
+    /// address with [`TileWindow::lmem_addr`].
+    ///
+    /// # Panics
+    /// Panics if `addr` is out of range.
     #[inline]
     pub fn lmem_row_mut(&mut self, addr: usize) -> &mut [Word] {
-        debug_assert!(addr < self.raw.lmem_words);
-        // SAFETY: `addr` is in range, the slice is confined to this
-        // tile's lanes, and `&mut self` makes this the only live view.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.raw.lmem.add(addr * self.raw.num_pes + self.base),
-                self.lanes,
-            )
-        }
+        self.split(Plane::Row(addr), []).0
     }
 
     /// Resolve and bounds-check a lane-uniform effective address (the
@@ -459,6 +537,7 @@ impl TileWindow<'_> {
 mod tests {
     use asc_isa::{Width, Word};
 
+    use super::Plane;
     use crate::array::{ArrayConfig, PeArray};
 
     fn array(n: usize) -> PeArray {
@@ -496,8 +575,7 @@ mod tests {
         {
             let mut t = a.thread_tiles(1);
             let mut w = t.window(1);
-            let mut latch = [Word::ZERO; super::TILE_LANES];
-            assert_eq!(w.copy_gprs(3, &mut latch)[70 - 64], v42);
+            assert_eq!(w.gpr(3)[70 - 64], v42);
             assert_eq!(w.flag_word(2), 1u64 << (70 - 64));
             w.gpr_mut(3)[70 - 64] = v7;
             w.set_flag_word(2, u64::MAX); // tail bits must be clipped
@@ -519,8 +597,100 @@ mod tests {
         a.set_gpr(0, 0, 5, Word::new(9, Width::W16));
         let mut t = a.thread_tiles(1);
         let w = t.window(0);
-        let mut latch = [Word::ZERO; super::TILE_LANES];
-        assert_eq!(w.copy_gprs(5, &mut latch)[0], Word::ZERO, "thread 1 must not see thread 0");
+        assert_eq!(w.gpr(5)[0], Word::ZERO, "thread 1 must not see thread 0");
+    }
+
+    #[test]
+    fn split_reads_other_planes_and_leaves_the_destination_to_the_caller() {
+        let mut a = array(100);
+        a.set_gpr(70, 0, 2, Word::new(5, Width::W16));
+        a.scatter_column(7, &[Word::new(9, Width::W16); 100]).unwrap();
+        let mut t = a.thread_tiles(0);
+        let mut w = t.window(1);
+        let (dst, [own, other, row]) =
+            w.split(Plane::Gpr(2), [Plane::Gpr(2), Plane::Gpr(3), Plane::Row(7)]);
+        assert!(own.is_none(), "the destination is read through its own slice");
+        assert_eq!((dst.len(), dst[70 - 64]), (36, Word::new(5, Width::W16)));
+        assert_eq!(other.unwrap(), &[Word::ZERO; 36][..]);
+        assert_eq!(row.unwrap(), &[Word::new(9, Width::W16); 36][..]);
+        let (row, [gpr]) = w.split(Plane::Row(7), [Plane::Gpr(2)]);
+        row[0] = gpr.unwrap()[70 - 64];
+        assert_eq!(
+            w.lmem_checked_read(Word::new(7, Width::W16), 0, 0),
+            Ok(Word::new(5, Width::W16))
+        );
+    }
+
+    /// Two threads of two GPRs and one flag, four local-memory rows: an
+    /// unchecked index past thread 0's planes would land in thread 1's,
+    /// or past the end of a buffer.
+    fn narrow() -> PeArray {
+        PeArray::new(ArrayConfig {
+            num_pes: 100,
+            threads: 2,
+            gprs: 2,
+            flags: 1,
+            lmem_words: 4,
+            width: Width::W16,
+            simd: crate::simd::SimdLevel::detect(),
+            segments: crate::segments::SegmentGeometry::new(100, 0),
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "GPR 3 out of range")]
+    fn gpr_past_the_thread_panics() {
+        narrow().thread_tiles(0).window(0).gpr(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "GPR 2 out of range")]
+    fn gpr_mut_past_the_thread_panics() {
+        narrow().thread_tiles(0).window(0).gpr_mut(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "GPR 2 out of range")]
+    fn split_source_past_the_thread_panics() {
+        narrow().thread_tiles(0).window(1).split(Plane::Gpr(1), [Plane::Gpr(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flag 5 out of range")]
+    fn flag_word_past_the_thread_panics() {
+        narrow().thread_tiles(0).window(0).flag_word(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "flag 1 out of range")]
+    fn set_flag_word_past_the_thread_panics() {
+        narrow().thread_tiles(1).window(1).set_flag_word(1, u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "local-memory row 4 out of range")]
+    fn split_row_past_the_end_panics() {
+        narrow().thread_tiles(0).window(1).split(Plane::Gpr(1), [Plane::Row(4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "local-memory row 9 out of range")]
+    fn lmem_row_mut_past_the_end_panics() {
+        narrow().thread_tiles(0).window(0).lmem_row_mut(9);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn lmem_read_past_the_tile_panics() {
+        // lane 36 of the 36-lane last tile
+        let _ = narrow().thread_tiles(0).window(1).lmem_checked_read(Word::ZERO, 0, 36);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn lmem_write_past_the_tile_panics() {
+        let _ =
+            narrow().thread_tiles(0).window(0).lmem_checked_write(Word::ZERO, 0, 64, Word::ZERO);
     }
 
     #[test]

@@ -163,3 +163,113 @@ fn split_block_faults_keep_their_identity() {
         other => panic!("expected a PE memory fault, got {other:?}"),
     }
 }
+
+/// Every aliasing form in one fused block: reg–reg ops whose destination
+/// is the first source, the second, and both; a reg–immediate op and a
+/// masked op in place; a per-lane `plw` over its own base; and stores of
+/// the aliased results. The fused, `--no-fuse` and `--no-simd` runs must
+/// leave the same machine and statistics, and the stored rows must equal
+/// the answer computed here.
+fn aliased_block_matches_host(n: usize) {
+    const W: u32 = 0xffff;
+    let src = "
+        plw    p2, 0(p0)
+        plw    p4, 1(p0)
+        plw    p5, 2(p0)
+        plw    p7, 3(p0)
+        plw    p3, 4(p0)
+        pclt   pf1, p2, p4
+        padd   p4, p4, p5
+        psub   p5, p4, p5
+        pxor   p6, p6, p6
+        psrli  p7, p7, 1
+        pmin   p7, p2, p7 ?pf1
+        plw    p3, 0(p3)
+        psw    p4, 5(p0)
+        psw    p5, 6(p0)
+        psw    p6, 7(p0)
+        psw    p7, 8(p0)
+        psw    p3, 9(p0)
+        halt
+    ";
+    let program = asc::asm::assemble(src).unwrap();
+    // rows 0-3: x, y, z, u over the whole 16-bit range; row 4: a per-lane
+    // address into rows 0-4
+    let mut seed = 0x2545_f491_4f6c_dd1du64;
+    let mut rows: Vec<Vec<u32>> = (0..4)
+        .map(|_| {
+            (0..n)
+                .map(|_| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    (seed >> 16) as u32 & W
+                })
+                .collect()
+        })
+        .collect();
+    rows.push((0..n as u32).map(|pe| pe * 7 % 5).collect());
+    let s16 = |v: u32| v as u16 as i16 as i64;
+    let want: Vec<Vec<u32>> = {
+        let (x, y, z, u, addr) = (&rows[0], &rows[1], &rows[2], &rows[3], &rows[4]);
+        let p4: Vec<u32> = (0..n).map(|i| (y[i] + z[i]) & W).collect();
+        let p5: Vec<u32> = (0..n).map(|i| p4[i].wrapping_sub(z[i]) & W).collect();
+        let p7: Vec<u32> = (0..n)
+            .map(|i| {
+                let shifted = u[i] >> 1;
+                let masked = s16(x[i]) < s16(y[i]);
+                if masked && s16(x[i]) < s16(shifted) {
+                    x[i]
+                } else {
+                    shifted
+                }
+            })
+            .collect();
+        let p3: Vec<u32> = (0..n).map(|i| rows[addr[i] as usize][i]).collect();
+        vec![p4, p5, vec![0; n], p7, p3]
+    };
+
+    let mut cfg = MachineConfig::new(n).single_threaded();
+    cfg.lmem_words = 10;
+    let run = |cfg: MachineConfig| {
+        let mut m = Machine::with_program(cfg, &program).unwrap();
+        for (row, col) in rows.iter().enumerate() {
+            let col: Vec<Word> = col.iter().map(|&v| Word(v)).collect();
+            m.array_mut().scatter_column(row as u32, &col).unwrap();
+        }
+        m.run(100_000).unwrap();
+        let a = m.array();
+        let gprs: Vec<Vec<Word>> = (0..16).map(|r| a.gpr_plane(0, r).to_vec()).collect();
+        let flags: Vec<Vec<u64>> = (0..8).map(|f| a.flag_plane(0, f).to_vec()).collect();
+        let lmem: Vec<Vec<Word>> = (0..10).map(|r| a.gather_column(r).unwrap()).collect();
+        (gprs, flags, lmem, m.stats().clone(), m.fusion_stats().blocks_executed)
+    };
+    let fused = run(cfg);
+    assert_eq!(fused.4, 1, "the block ran fused");
+    for (i, want) in want.iter().enumerate() {
+        let got: Vec<u32> = fused.2[5 + i].iter().map(|w| w.to_u32()).collect();
+        assert!(got == *want, "n={n}: stored row {} differs from the host answer", 5 + i);
+    }
+    for (other, how) in
+        [(run(cfg.without_fusion()), "--no-fuse"), (run(cfg.without_simd()), "--no-simd")]
+    {
+        assert_eq!(other.4, if how == "--no-fuse" { 0 } else { 1 }, "{how} fused blocks");
+        assert!(fused.0 == other.0, "n={n}: GPR planes differ under {how}");
+        assert!(fused.1 == other.1, "n={n}: flag planes differ under {how}");
+        assert!(fused.2 == other.2, "n={n}: local memory differs under {how}");
+        assert_eq!(fused.3, other.3, "n={n}: statistics differ under {how}");
+    }
+}
+
+/// 100 PEs: one full tile and a ragged 36-lane last tile.
+#[test]
+fn aliased_operands_fuse_on_a_ragged_tile() {
+    aliased_block_matches_host(100);
+}
+
+/// 2¹⁸ + 70 PEs (65 occupancy groups): the block's tile chain passes the
+/// worker pool's gate and runs on every host worker.
+#[test]
+fn aliased_operands_fuse_when_split() {
+    aliased_block_matches_host((1 << 18) + 70);
+}
