@@ -1,17 +1,19 @@
 //! Criterion benchmarks of the PE-array datapath hot paths: the sort
 //! kernel at 4096 PEs (masked ALU/compare + reductions every step), a
 //! response-count microbench at 2¹⁴ PEs (the associative some/none test
-//! issued back to back), and the build-touch-drop cycle of a 2²⁰-PE
-//! machine (plane construction and first-touch writes). These are the
-//! workloads the structure-of-arrays PE array is optimised for; run them
-//! before and after datapath changes.
+//! issued back to back), the build-touch-drop cycle of a 2²⁰-PE machine
+//! (plane construction and first-touch writes), and single
+//! instruction-major sweeps through the ALU and compare span kernels.
+//! These are the workloads the structure-of-arrays PE array is optimised
+//! for; run them before and after datapath changes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use asc_core::{Machine, MachineConfig};
-use asc_isa::Word;
+use asc_isa::{AluOp, CmpOp, PFlag, PReg, Word};
 use asc_kernels::sort;
+use asc_pe::{ActiveMask, PeArray, Src};
 
 /// Sort 256 values on a 4096-PE array: every associative step runs its
 /// masked compares and reductions across all 4096 lanes.
@@ -76,5 +78,39 @@ fn bench_build_touch_1m(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_sort_4096, bench_rcount_16k, bench_build_touch_1m);
+/// One instruction-major sweep under an all-active mask, called on the
+/// array directly: the per-call cost of the span kernels, without the
+/// scheduler. `paddi` runs the ALU kernel and `pceqs` (a compare against
+/// a broadcast scalar) the compare kernel. 256 PEs with 16 thread
+/// contexts is the multithreaded fleet's array, one call over four
+/// dense tiles; at 2²⁰ PEs a `pceqs` is 256 group calls, split across
+/// the host workers.
+fn bench_single_sweeps(c: &mut Criterion) {
+    for (cfg, label) in [
+        (MachineConfig::new(256), "256x16"),
+        (MachineConfig::new(1 << 20).single_threaded(), "1048576"),
+    ] {
+        let mut a = PeArray::new(cfg.array());
+        let all = ActiveMask::all(cfg.num_pes);
+        let (p1, p2, pf1) = (PReg::from_index(1), PReg::from_index(2), PFlag::from_index(1));
+        a.pidx(0, p1, &all);
+        if cfg.num_pes == 256 {
+            c.bench_function(&format!("pe_array/paddi_{label}"), |b| {
+                b.iter(|| a.alu(0, AluOp::Add, p2, p1, Src::Imm(Word(3)), black_box(&all)))
+            });
+        }
+        c.bench_function(&format!("pe_array/pceqs_{label}"), |b| {
+            b.iter(|| a.cmp(0, CmpOp::Eq, pf1, p1, Src::Scalar(Word(7)), black_box(&all)))
+        });
+        black_box(a.flag_plane(0, 1));
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_sort_4096,
+    bench_rcount_16k,
+    bench_build_touch_1m,
+    bench_single_sweeps
+);
 criterion_main!(benches);

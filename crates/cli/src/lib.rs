@@ -912,7 +912,7 @@ pub fn cmd_run(source: &str, opts: MachineOpts) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "  compile: {} kernel ops ({} SIMD-bound at {}), {} tile chain dispatches",
+            "  compile: {} kernel ops ({} SIMD-bound at {}), {} tiles swept",
             fs.compiled_ops,
             fs.simd_ops,
             m.simd_level().label(),

@@ -10,27 +10,29 @@
 //! a flat record holding the resolved register indices, the pre-extended
 //! immediate, the mask selector, and a monomorphized kernel function
 //! pointer chosen for the machine's [`SimdLevel`]. Executing a block is
-//! then a tight loop over the chain: one indirect call per (op, tile),
+//! then a tight loop over the chain, one 4096-lane occupancy group at a
+//! time and op by op within the group: one indirect call per (op, group),
 //! no instruction decode, no per-op dispatch, and the dense ALU/compare
-//! work runs through `asc-pe`'s vector kernels (AVX2/AVX-512 when the
-//! host has them, scalar otherwise). The tiles are taken one 4096-lane
-//! occupancy group at a time, and a chain large enough to pass the
-//! worker pool's gate runs its groups on every host core
-//! ([`run_chain_tiles`]).
+//! work runs through `asc-pe`'s span kernels (AVX2/AVX-512 when the host
+//! has them, scalar otherwise), one call over the group's 64 tiles with
+//! one mask word per tile. A chain large enough to pass the worker pool's
+//! gate runs its groups on every host core ([`run_chain_tiles`]).
 //!
 //! Semantics are pinned to the instruction-major executor
 //! (`Machine::execute_instr`). Every op reads its sources in place, as a
 //! PE reads its own register file: a source that is the destination
 //! reaches the ALU kernel as `None` ([`TileWindow::split`]), and every
-//! kernel reads a lane's operands before it writes that lane, so a
-//! destination may alias its sources. A compare or flag op reads its
-//! mask and source words before it writes its destination word, so it
-//! may target its own mask flag; a per-lane load collects its values
-//! before it writes any destination lane, so it may overwrite its own
-//! base. Writes to GPR 0 are dropped at compile time, flag writes
-//! preserve the bitplane tail invariant, and memory faults report the
-//! lowest faulting lane of the earliest faulting instruction, over all
-//! groups, while non-faulting lanes still apply. The
+//! kernel reads a tile's operands before it writes that tile, so a
+//! destination may alias its sources. The runner latches an op's mask
+//! words just before the op runs on a group, so the op sees what the
+//! block's earlier ops wrote, and a compare or flag op may target its own
+//! mask flag; a compare merges into its flag words under those masks and
+//! reads its source words before it writes, and a per-lane load collects
+//! a tile's values before it writes any of the tile's destination lanes,
+//! so it may overwrite its own base. Writes to GPR 0 are dropped at
+//! compile time, flag writes preserve the bitplane tail invariant, and
+//! memory faults report the lowest faulting lane of the earliest faulting
+//! instruction, over all groups, while non-faulting lanes still apply. The
 //! `fusion_is_bit_identical` differential suite holds this equivalence
 //! for every (fusion × SIMD) combination, and `asc_pe::simd`'s tests pin
 //! the in-place reads of every kernel against a lane-by-lane oracle.
@@ -38,9 +40,10 @@
 use std::sync::Mutex;
 
 use asc_isa::{FlagOp, Instr, Mask, Width, Word};
+use asc_pe::bitmask::{for_each_set, OCC_GROUP_WORDS};
 use asc_pe::simd::{
-    select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, AluRrKernel, AluRsKernel,
-    CmpRrKernel, CmpRsKernel, SimdLevel,
+    copy_masked, flag_span, index_span, select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs,
+    AluRrKernel, AluRsKernel, CmpRrKernel, CmpRsKernel, SimdLevel,
 };
 use asc_pe::workers::GROUP_LANES;
 use asc_pe::{ActiveMask, PeFault, Plane, ThreadTiles, TileWindow, TILE_LANES};
@@ -64,9 +67,10 @@ pub(crate) enum DstKind {
     LmemRows,
 }
 
-/// Tile executor of one compiled op: applies the op to one 64-PE window
-/// and reports the lowest faulting lane, if any.
-pub(crate) type TileKernel = fn(&CompiledOp, &mut TileWindow<'_>, &ActiveMask) -> Option<PeFault>;
+/// Executor of one compiled op: applies the op to a window of tiles under
+/// the op's mask words (one per tile, latched by the runner) and reports
+/// the lowest faulting lane, if any.
+pub(crate) type TileKernel = fn(&CompiledOp, &mut TileWindow<'_>, &[u64]) -> Option<PeFault>;
 
 /// One block instruction, lowered: operands resolved, immediate
 /// pre-extended, mask selector latched, and the executor (plus the dense
@@ -98,25 +102,26 @@ pub(crate) struct CompiledOp {
     imm: Word,
     /// Local-memory offset, sign-extended once.
     off: i32,
-    /// Mask selector, resolved per tile at execution order (an op may
-    /// overwrite its own mask flag; later tiles must still see the
-    /// pre-write word on *their* tile, which per-tile resolution gives).
+    /// Mask selector, latched by the runner just before the op runs on a
+    /// group: the op sees the words every earlier op of the block left,
+    /// and an op that overwrites its own mask flag still sees the
+    /// pre-write words.
     mask: Mask,
     /// The plane this op writes (commit-map telemetry).
     dst: DstKind,
 }
 
 /// Placeholder for an unused kernel slot — never invoked.
-fn no_alu_rr(_: &mut [Word], _: Option<&[Word]>, _: Option<&[Word]>, _: Width, _: u64) {
+fn no_alu_rr(_: &mut [Word], _: Option<&[Word]>, _: Option<&[Word]>, _: Width, _: &[u64]) {
     unreachable!("ALU rr kernel slot unused by this compiled op");
 }
-fn no_alu_rs(_: &mut [Word], _: Option<&[Word]>, _: Word, _: Width, _: u64) {
+fn no_alu_rs(_: &mut [Word], _: Option<&[Word]>, _: Word, _: Width, _: &[u64]) {
     unreachable!("ALU rs kernel slot unused by this compiled op");
 }
-fn no_cmp_rr(_: &[Word], _: &[Word], _: Width) -> u64 {
+fn no_cmp_rr(_: &mut [u64], _: &[Word], _: &[Word], _: Width, _: &[u64]) {
     unreachable!("compare rr kernel slot unused by this compiled op");
 }
-fn no_cmp_rs(_: &[Word], _: Word, _: Width) -> u64 {
+fn no_cmp_rs(_: &mut [u64], _: &[Word], _: Word, _: Width, _: &[u64]) {
     unreachable!("compare rs kernel slot unused by this compiled op");
 }
 
@@ -264,31 +269,17 @@ impl CompiledOp {
     }
 }
 
-/// The mask word governing an op on this tile, latched before the op's
-/// writes (an instruction that overwrites its own mask flag must see the
-/// pre-write word). `Mask::All` reads the machine's all-active
-/// [`ActiveMask`] (filled once per block) through its tile-scoped view.
+/// The lowest active lane of a window's mask words, as a lane index
+/// within the window.
 #[inline]
-fn mask_word(mask: Mask, win: &TileWindow<'_>, all: &ActiveMask) -> u64 {
-    match mask {
-        Mask::All => all.tile_word(win.tile()),
-        Mask::Flag(f) => win.flag_word(f.index()),
-    }
-}
-
-/// Visit every masked lane in ascending order.
-#[inline]
-fn for_each_masked(mw: u64, mut f: impl FnMut(usize)) {
-    let mut m = mw;
-    while m != 0 {
-        f(m.trailing_zeros() as usize);
-        m &= m - 1;
-    }
+fn first_masked(masks: &[u64]) -> Option<usize> {
+    let t = masks.iter().position(|&mw| mw != 0)?;
+    Some(t * TILE_LANES + masks[t].trailing_zeros() as usize)
 }
 
 // ------------------------------------------------------------- executors
 
-fn k_nop(_op: &CompiledOp, _win: &mut TileWindow<'_>, _all: &ActiveMask) -> Option<PeFault> {
+fn k_nop(_op: &CompiledOp, _win: &mut TileWindow<'_>, _masks: &[u64]) -> Option<PeFault> {
     None
 }
 
@@ -298,179 +289,144 @@ fn gpr(r: u8) -> Plane {
     Plane::Gpr(r as usize)
 }
 
-fn k_alu_rr(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw != 0 {
-        let w = win.width();
-        // a source that is the destination comes back `None`, and the
-        // kernel reads it in place
-        let (dst, [a, b]) = win.split(gpr(op.d), [gpr(op.a), gpr(op.b)]);
-        (op.alu_rr)(dst, a, b, w, mw);
-    }
+fn k_alu_rr(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    let w = win.width();
+    // a source that is the destination comes back `None`, and the kernel
+    // reads it in place
+    let (dst, [a, b]) = win.split(gpr(op.d), [gpr(op.a), gpr(op.b)]);
+    (op.alu_rr)(dst, a, b, w, masks);
     None
 }
 
-fn k_alu_rs(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw != 0 {
-        let w = win.width();
-        let (dst, [a]) = win.split(gpr(op.d), [gpr(op.a)]);
-        (op.alu_rs)(dst, a, op.imm, w, mw);
-    }
+fn k_alu_rs(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    let w = win.width();
+    let (dst, [a]) = win.split(gpr(op.d), [gpr(op.a)]);
+    (op.alu_rs)(dst, a, op.imm, w, masks);
     None
 }
 
-fn k_cmp_rr(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw != 0 {
-        // The kernel computes all lanes (compares are side-effect free);
-        // inactive lanes are dropped by the merge. The sources are read in
-        // place: the destination is a flag word.
-        let res = (op.cmp_rr)(win.gpr(op.a as usize), win.gpr(op.b as usize), win.width());
-        let old = win.flag_word(op.d as usize);
-        win.set_flag_word(op.d as usize, (old & !mw) | (res & mw));
-    }
+fn k_cmp_rr(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    // The kernel merges into the flag words under the masks. The sources
+    // are read in place: the destination is a flag plane.
+    let w = win.width();
+    let (fd, [], [a, b]) = win.split_flags(op.d as usize, [], [gpr(op.a), gpr(op.b)]);
+    (op.cmp_rr)(fd, a, b, w, masks);
     None
 }
 
-fn k_cmp_rs(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw != 0 {
-        let res = (op.cmp_rs)(win.gpr(op.a as usize), op.imm, win.width());
-        let old = win.flag_word(op.d as usize);
-        win.set_flag_word(op.d as usize, (old & !mw) | (res & mw));
-    }
+fn k_cmp_rs(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    let w = win.width();
+    let (fd, [], [a]) = win.split_flags(op.d as usize, [], [gpr(op.a)]);
+    (op.cmp_rs)(fd, a, op.imm, w, masks);
     None
 }
 
-fn k_flag_op(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw != 0 {
-        let a = win.flag_word(op.a as usize);
-        let b = win.flag_word(op.b as usize);
-        let old = win.flag_word(op.d as usize);
-        win.set_flag_word(op.d as usize, (old & !mw) | (op.fop.apply_word(a, b) & mw));
-    }
+fn k_flag_op(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    // a source that is the destination comes back `None` and is read from
+    // the destination word before the write
+    let (fd, [a, b], []) = win.split_flags(op.d as usize, [op.a as usize, op.b as usize], []);
+    flag_span(op.fop, fd, a, b, masks);
     None
 }
 
-fn k_load(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw == 0 {
-        return None;
-    }
-    // The base plane is read in place: the loop loads into a lane-indexed
-    // buffer and writes the destination, which may be the base, only after
-    // it; faulting lanes never write it.
-    let bb = win.gpr(op.a as usize);
+fn k_load(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    // The base plane is read in place: each tile's loop loads into a
+    // lane-indexed buffer and writes the destination, which may be the
+    // base, only after it; faulting lanes never write it.
     let mut vals = [Word::ZERO; TILE_LANES];
-    let mut ok = 0u64;
     let mut fault: Option<PeFault> = None;
-    for_each_masked(mw, |j| match win.lmem_checked_read(bb[j], op.off, j) {
-        Ok(v) => {
-            vals[j] = v;
-            ok |= 1 << j;
-        }
-        Err(f) => {
-            if fault.is_none() {
-                fault = Some(PeFault { pe: win.base() + j, fault: f });
+    for (t, &mw) in masks.iter().enumerate().filter(|&(_, &mw)| mw != 0) {
+        let first = t * TILE_LANES;
+        let bb = win.gpr(op.a as usize);
+        let mut ok = 0u64;
+        for_each_set(mw, first, |lane| match win.lmem_checked_read(bb[lane], op.off, lane) {
+            Ok(v) => {
+                vals[lane - first] = v;
+                ok |= 1 << (lane - first);
             }
+            Err(f) => {
+                if fault.is_none() {
+                    fault = Some(PeFault { pe: win.base() + lane, fault: f });
+                }
+            }
+        });
+        if op.d != 0 && ok != 0 {
+            let dst = win.gpr_mut(op.d as usize);
+            for_each_set(ok, first, |lane| dst[lane] = vals[lane - first]);
         }
-    });
-    if op.d != 0 && ok != 0 {
-        let dst = win.gpr_mut(op.d as usize);
-        for_each_masked(ok, |j| dst[j] = vals[j]);
     }
     fault
 }
 
 /// `plw` with the hardwired-zero base: every lane reads the same row, so
-/// one bounds check covers the tile and the masked lanes copy from the
+/// one bounds check covers the window and the masked lanes copy from the
 /// contiguous row slice. Fault identity matches the per-lane kernel: all
 /// active lanes fault together, so the lowest active lane is reported.
-fn k_load_uniform(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw == 0 {
-        return None;
-    }
+fn k_load_uniform(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    let first = first_masked(masks)?;
     match win.lmem_addr(Word::ZERO, op.off, false) {
-        Err(f) => Some(PeFault { pe: win.base() + mw.trailing_zeros() as usize, fault: f }),
+        Err(f) => Some(PeFault { pe: win.base() + first, fault: f }),
         Ok(addr) => {
             if op.d != 0 {
-                let full = win.full_word();
                 let (dst, [row]) = win.split(gpr(op.d), [Plane::Row(addr)]);
-                let row = row.expect("a memory row is never a GPR plane");
-                if mw == full {
-                    dst.copy_from_slice(row);
-                } else {
-                    for_each_masked(mw, |j| dst[j] = row[j]);
-                }
+                copy_masked(dst, row.expect("a memory row is never a GPR plane"), masks);
             }
             None
         }
     }
 }
 
-fn k_store(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw == 0 {
-        return None;
-    }
+fn k_store(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
     let mut fault: Option<PeFault> = None;
-    for_each_masked(mw, |j| {
-        // a lane's value and base are read before its store, which writes
-        // local memory, never a register
-        let (v, b) = (win.gpr(op.a as usize)[j], win.gpr(op.b as usize)[j]);
-        if let Err(f) = win.lmem_checked_write(b, op.off, j, v) {
-            if fault.is_none() {
-                fault = Some(PeFault { pe: win.base() + j, fault: f });
+    for (t, &mw) in masks.iter().enumerate() {
+        for_each_set(mw, t * TILE_LANES, |lane| {
+            // a lane's value and base are read before its store, which
+            // writes local memory, never a register
+            let (v, b) = (win.gpr(op.a as usize)[lane], win.gpr(op.b as usize)[lane]);
+            if let Err(f) = win.lmem_checked_write(b, op.off, lane, v) {
+                if fault.is_none() {
+                    fault = Some(PeFault { pe: win.base() + lane, fault: f });
+                }
             }
-        }
-    });
+        });
+    }
     fault
 }
 
 /// `psw` with the hardwired-zero base: one bounds check, then the masked
 /// lanes store into the contiguous row slice.
-fn k_store_uniform(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw == 0 {
-        return None;
-    }
+fn k_store_uniform(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    let first = first_masked(masks)?;
     match win.lmem_addr(Word::ZERO, op.off, true) {
-        Err(f) => Some(PeFault { pe: win.base() + mw.trailing_zeros() as usize, fault: f }),
+        Err(f) => Some(PeFault { pe: win.base() + first, fault: f }),
         Ok(addr) => {
-            let full = win.full_word();
             let (row, [src]) = win.split(Plane::Row(addr), [gpr(op.a)]);
-            let src = src.expect("a GPR plane is never a memory row");
-            if mw == full {
-                row.copy_from_slice(src);
-            } else {
-                for_each_masked(mw, |j| row[j] = src[j]);
-            }
+            copy_masked(row, src.expect("a GPR plane is never a memory row"), masks);
             None
         }
     }
 }
 
-fn k_idx(op: &CompiledOp, win: &mut TileWindow<'_>, all: &ActiveMask) -> Option<PeFault> {
-    let mw = mask_word(op.mask, win, all);
-    if mw != 0 {
-        let w = win.width();
-        let base = win.base();
-        let dst = win.gpr_mut(op.d as usize);
-        for_each_masked(mw, |j| dst[j] = Word::new((base + j) as u32, w));
-    }
+fn k_idx(op: &CompiledOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    let (w, base) = (win.width(), win.base());
+    index_span(win.gpr_mut(op.d as usize), base, w, masks);
     None
 }
 
 // ------------------------------------------------------------ execution
 
-/// Run a compiled chain over every tile of `tiles`: the whole chain over
-/// one tile before the next. Tiles run one 4096-lane occupancy group at a
-/// time, in lane order within a group; a chain whose work (groups × 4096
+/// Run a compiled chain over every tile of `tiles`, one 4096-lane
+/// occupancy group at a time: each op over the whole group before the
+/// next op (op-major within a group), so each op is one executor call,
+/// and one span-kernel call, per group. A chain whose work (groups × 4096
 /// lanes × ops) passes the worker pool's gate runs its groups on every
 /// host core (see [`asc_pe::workers`]), each writing only its own tiles.
+///
+/// Each op's mask words are latched just before the op runs on the
+/// group: a flag mask as every earlier op of the block left it on the
+/// group, and as it stood before the op's own writes. `Mask::All` reads
+/// the all-active words of `all` (filled once per block) in place.
+///
 /// Returns the fault to attribute: the lowest `(op index, PE)` over all
 /// groups — the same identity the instruction-major executor would have
 /// stopped at. Every non-faulting lane of every op still applies.
@@ -487,12 +443,22 @@ pub(crate) fn run_chain_tiles(
         #[inline(always)]
         |group| {
             let mut fault: Option<(u32, PeFault)> = None;
-            for tile in group.tiles() {
-                let mut win = group.window(tile);
+            let mut latch = [0u64; OCC_GROUP_WORDS];
+            for span in group.groups() {
+                let mut win = group.window(span.clone());
                 for (k, op) in chain.iter().enumerate() {
-                    if let Some(f) = (op.run)(op, &mut win, all) {
-                        // tiles run in lane order, so the first fault of an op
-                        // in this group is its lowest faulting PE here
+                    let masks = match op.mask {
+                        Mask::All => &all.words()[span.clone()],
+                        Mask::Flag(f) => {
+                            let words = &mut latch[..span.len()];
+                            words.copy_from_slice(win.flag_words(f.index()));
+                            &*words
+                        }
+                    };
+                    if let Some(f) = (op.run)(op, &mut win, masks) {
+                        // groups run in lane order and an op's executor
+                        // reports its lowest faulting lane, so the first
+                        // fault of an op here is its lowest faulting PE here
                         if fault.is_none_or(|(fk, _)| (k as u32) < fk) {
                             fault = Some((k as u32, f));
                         }

@@ -19,17 +19,23 @@
 //!
 //! The instruction-major executor sweeps all `p` lanes once per
 //! instruction, so between two dependent instructions a large array's
-//! register planes are evicted from cache. The fusion engine inverts the
+//! register planes are evicted from cache. The fusion engine blocks the
 //! loop nest: when the *first* instruction of a block issues, the whole
-//! block is applied **tile by tile** — all of the block's instructions run
-//! over one 64-PE [`asc_pe::TileWindow`] before advancing to the next
-//! tile — so a tile's working set (a handful of 64-word register slices
-//! and one word per flag plane) stays resident across the block. Lane
-//! locality of fusible instructions makes tile-major order bit-identical
-//! to instruction-major order. A block whose work (4096-lane groups × ops)
+//! block is applied **one 4096-lane occupancy group at a time**, op-major
+//! within the group — each instruction runs over the group's 64 tiles,
+//! through one [`asc_pe::TileWindow`] spanning them, before the next
+//! instruction runs, and the block moves to the next group after its last
+//! instruction. The group's working set (a handful of 16 KiB register
+//! spans and 64 words per flag plane) stays in the core's private caches
+//! across the block, and each op costs one executor call and one
+//! vector span-kernel call per group instead of one per tile. Each op's
+//! mask words are latched just before it runs on the group, so it sees
+//! every earlier op's writes, including to its own mask flag. Lane
+//! locality of fusible instructions makes this order bit-identical to
+//! instruction-major order. A block whose work (4096-lane groups × ops)
 //! passes the worker pool's gate runs its groups on every host core
-//! (`asc_pe::workers`), each group's tiles in lane order; a smaller one
-//! runs every tile in lane order on the calling thread.
+//! (`asc_pe::workers`); a smaller one runs every group in lane order on
+//! the calling thread.
 //!
 //! ## Timing is unchanged
 //!
@@ -65,7 +71,7 @@ use crate::error::RunError;
 use crate::machine::Machine;
 
 /// Shortest run worth fusing: a single instruction gains nothing from
-/// tile-major order (it *is* one sweep either way).
+/// group-major order (it *is* one sweep either way).
 pub const MIN_BLOCK_LEN: u32 = 2;
 
 /// Why an instruction cannot join a fusible parallel basic block — the
@@ -304,8 +310,8 @@ pub struct FusionStats {
     pub blocks_executed: u64,
     /// Dynamic instructions whose effects ran through the tiled engine.
     pub instrs_fused: u64,
-    /// Per-tile compiled-chain dispatches (dynamic: one per block × tile
-    /// swept by the engine).
+    /// Tiles swept by the engine (dynamic: one per block × 64-lane tile
+    /// swept; a block runs its chain once per 4096-lane group).
     pub tile_chains: u64,
 }
 
@@ -373,18 +379,18 @@ impl Machine {
     }
 
     /// Pre-execute the fusible block `[pc, pc + len)` for `tid` through
-    /// its compiled kernel chain, tile-by-tile. Called at the issue of
-    /// the block's first instruction; the remaining `len - 1` issues are
-    /// ghosts (timing only).
+    /// its compiled kernel chain, one occupancy group at a time. Called at
+    /// the issue of the block's first instruction; the remaining `len - 1`
+    /// issues are ghosts (timing only).
     pub(crate) fn execute_block(&mut self, tid: usize, pc: u32, len: u32) -> Result<(), RunError> {
         // The plan is moved out for the duration of the sweep so the
         // chain borrow cannot conflict with the array borrow (no
         // allocation — `Option::take`).
         let plan = self.fusion_plan.take().expect("execute_block requires a fusion plan");
         // One all-active fill serves the whole block: fusible masks are
-        // either `Mask::All` (this mask, read per tile) or a flag plane
-        // (read per tile at execution order, preserving self-masking
-        // semantics).
+        // either `Mask::All` (this mask's words, read in place) or a flag
+        // plane (latched per group just before each op, preserving
+        // self-masking semantics).
         self.array.fill_active(tid, asc_isa::Mask::All, &mut self.amask);
         let chain = plan.chain(pc, len);
         // The chain writes planes through raw tile windows, bypassing the

@@ -800,7 +800,8 @@ impl Machine {
         self.track_net_depth(class);
 
         // Block fusion: at the first instruction of a fusible block the
-        // whole block's architectural effects are applied tile-by-tile;
+        // whole block's architectural effects are applied, one occupancy
+        // group at a time;
         // the block's remaining instructions are "ghost issues" — they
         // still pass through the scheduler, scoreboard, stats and trace
         // one per cycle (timing is untouched), but skip execution. Every

@@ -326,8 +326,8 @@ impl Instr {
     }
 
     /// True if this instruction may join a *fusible parallel basic
-    /// block* — a straight-line run the block-fusion engine executes
-    /// tile-by-tile. The predicate admits exactly the lane-local
+    /// block* — a straight-line run the block-fusion engine executes one
+    /// group of PEs at a time. The predicate admits exactly the lane-local
     /// PARALLEL-class forms: each active PE's result depends only on that
     /// PE's own registers, flag bits, and local-memory column. Everything
     /// that couples lanes or touches scalar state ends a block: scalar

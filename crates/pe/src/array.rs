@@ -26,19 +26,30 @@
 //! split per thread) and an [`ActiveMask`] derived from the instruction's
 //! mask flag. Inactive PEs are completely unaffected — the defining
 //! semantics of associative masked execution. Every sweep walks the mask
-//! one 4096-lane occupancy group at a time ([`ActiveMask::group_tiles`]):
-//! a group with no active lane costs one bit test, dense mask words take a
-//! branch-free 64-lane loop, sparse words a trailing-zeros scan.
+//! one 4096-lane occupancy group at a time, and a group with no active
+//! lane costs one bit test.
 //!
 //! The lane-local sweeps (`alu`, `cmp`, `flag_op`, `pidx`, `movs` and the
-//! uniform-address `plw`/`psw`) hand their destination plane to the worker
-//! pool one group's span at a time ([`crate::tiles::for_each_group_span`]),
-//! so a sweep large enough to pass the pool's gate runs on every host core
-//! (see [`crate::workers`]) and a smaller one runs on the calling thread;
-//! each group writes only its own lanes. Commit-map marks are made before
-//! the sweep. The rest always run on the calling thread: `shift` reads
-//! across lanes, `write_flag_column` and `write_first_responder` are
-//! single passes, and per-lane loads and stores stop at a fault.
+//! uniform-address `plw`/`psw`) take the occupied groups whole
+//! ([`ActiveMask::occupied`]): each calls its [`crate::simd`] span body
+//! (or, for `movs`, a loop) once per group with the group's mask words,
+//! one per 64-lane tile, so the call and its set-up are paid per 4096
+//! lanes rather than per tile. Inside a group, a dense mask word takes a
+//! branch-free tile body, a sparse one a masked body or a trailing-zeros
+//! scan, and a zero word one test. A fused block runs its ops the same
+//! way, one op over a whole group before the next ([`crate::tiles`]), so
+//! an instruction-major sweep and a one-op compiled chain are the same
+//! loop: one kernel call per occupied group.
+//!
+//! The sweeps hand their destination plane to the worker pool one group's
+//! span at a time ([`crate::tiles::for_each_group_span`]), so a sweep
+//! large enough to pass the pool's gate runs on every host core (see
+//! [`crate::workers`]) and a smaller one runs on the calling thread; each
+//! group writes only its own lanes. Commit-map marks are made before the
+//! sweep. The rest always run on the calling thread, tile by tile
+//! ([`ActiveMask::active_tiles`]): `shift` reads across lanes,
+//! `write_flag_column` and `write_first_responder` are single passes, and
+//! per-lane loads and stores stop at a fault.
 //!
 //! A memory fault stops a per-lane load or store at the lowest faulting
 //! active PE: the lanes below it have been applied, the lanes above it are
@@ -64,7 +75,7 @@ use asc_isa::{AluOp, CmpOp, FlagOp, Mask, PFlag, PReg, Width, Word};
 use crate::bitmask::{for_each_set, words_for, ActiveMask, BITS_PER_WORD, OCC_GROUP_WORDS};
 use crate::memory::MemFault;
 use crate::segments::SegmentGeometry;
-use crate::simd::{self, chunk_mask, SimdLevel};
+use crate::simd::{self, SimdLevel};
 use crate::tiles::for_each_group_span;
 use crate::workers;
 
@@ -164,21 +175,23 @@ fn split_planes<'a, T>(
     (dst, planes)
 }
 
-/// Run `f(base, mask word, chunk)` for every tile of `plane` with an
-/// active lane, lowest first within a group — the lane-local sweeps'
-/// shared mask walk — where `chunk` is the tile's span of `plane`,
-/// starting at element `base`: `per_tile` elements (64 lanes of a GPR
-/// plane or local-memory row, fewer in a short last tile; one word of a
-/// flag plane). The walk goes one 4096-lane occupancy group at a time and
-/// is split across the host workers when the occupied groups' lanes reach
-/// the pool's gate ([`crate::tiles::for_each_group_span`]); `f` writes
-/// only its chunk.
+/// Run `f(tile, masks, chunk)` once for every occupancy group of `active`
+/// whose occupancy bit is set, lowest first — the lane-local sweeps'
+/// shared mask walk — where `masks` are the group's words of `active` (up
+/// to 64, one per tile), `tile` the group's first tile, and `chunk` the
+/// group's span of `plane`: `per_tile` elements per tile (64 lanes of a
+/// GPR plane or local-memory row, fewer in a short last tile; one word of
+/// a flag plane). A clear group costs one bit test, and each occupied one
+/// one call of `f`, which hands the whole group to a span kernel or loop.
+/// The walk is split across the host workers when the occupied groups'
+/// lanes reach the pool's gate ([`crate::tiles::for_each_group_span`]);
+/// `f` writes only its chunk.
 #[inline]
 fn sweep<T: Send>(
     plane: &mut [T],
     per_tile: usize,
     active: &ActiveMask,
-    f: impl Fn(usize, u64, &mut [T]) + Sync + Copy,
+    f: impl Fn(usize, &[u64], &mut [T]) + Sync + Copy,
 ) {
     let lane_ops = workers::mask_work(active);
     let per_group = OCC_GROUP_WORDS * per_tile;
@@ -193,10 +206,10 @@ fn sweep<T: Send>(
             // writes through `span`
             let f = f;
             let first = groups.start * per_group;
-            for (tile, mw) in active.group_tiles(groups) {
-                let base = tile * per_tile;
-                let end = span.len().min(base - first + per_tile);
-                f(base, mw, &mut span[base - first..end]);
+            for (g, masks) in active.occupied(groups) {
+                let base = g * per_group - first;
+                let end = span.len().min(base + per_group);
+                f(g * OCC_GROUP_WORDS, masks, &mut span[base..end]);
             }
         },
     );
@@ -642,10 +655,11 @@ impl PeArray {
 
     /// Parallel ALU operation: `pd = pa op src` in active PEs.
     ///
-    /// The op's chunk kernel is selected once (monomorphized per op and
-    /// SIMD tier, see [`crate::simd`]) and applied 64 lanes at a time. A
-    /// source that is the destination plane reaches the kernel as `None`
-    /// and is read in place, each chunk before the kernel writes it.
+    /// The op's span kernel is selected once (monomorphized per op and
+    /// SIMD tier, see [`crate::simd`]) and called once per occupied
+    /// 4096-lane group. A source that is the destination plane reaches the
+    /// kernel as `None` and is read in place, each tile before the kernel
+    /// writes it.
     pub fn alu(
         &mut self,
         thread: usize,
@@ -674,19 +688,21 @@ impl PeArray {
             Src::Reg(pb) => Kern::Rr(simd::select_alu_rr(level, op), planes(pb.index())),
             Src::Scalar(v) | Src::Imm(v) => Kern::Rs(simd::select_alu_rs(level, op), v),
         };
-        sweep(dst, BITS_PER_WORD, active, move |base, mw, chunk| {
-            let lanes = base..base + chunk.len();
+        sweep(dst, BITS_PER_WORD, active, move |tile, masks, span| {
+            let base = tile * BITS_PER_WORD;
+            let lanes = base..base + span.len();
             let x = a.map(|p| &p[lanes.clone()]);
             match kern {
-                Kern::Rr(f, b) => f(chunk, x, b.map(|p| &p[lanes]), w, mw),
-                Kern::Rs(f, s) => f(chunk, x, s, w, mw),
+                Kern::Rr(f, b) => f(span, x, b.map(|p| &p[lanes]), w, masks),
+                Kern::Rs(f, s) => f(span, x, s, w, masks),
             }
         });
     }
 
     /// Parallel comparison (associative search): `fd = pa cmp src` in
-    /// active PEs. Results are merged into the destination bitplane word by
-    /// word, so inactive lanes keep their bits.
+    /// active PEs. The span kernel merges its results into the destination
+    /// bitplane word by word, one call per occupied 4096-lane group, so
+    /// inactive lanes keep their bits.
     pub fn cmp(
         &mut self,
         thread: usize,
@@ -718,19 +734,18 @@ impl PeArray {
         let (gprs, flags) = (&self.gprs, &mut self.flags);
         let a_plane = &gprs[pa_base..pa_base + n];
         let b_plane = b_base.map(|bb| &gprs[bb..bb + n]);
-        // inactive lanes may be computed (compares are side-effect free);
-        // the merge under the mask word keeps their flag bits
-        sweep(&mut flags[fd_base..fd_base + wpp], 1, active, move |wi, mw, dw| {
-            let base = wi * BITS_PER_WORD;
-            let len = BITS_PER_WORD.min(n - base);
-            let a = &a_plane[base..base + len];
-            let res = match kern {
+        // the kernel merges under the mask words, so inactive lanes keep
+        // their flag bits
+        sweep(&mut flags[fd_base..fd_base + wpp], 1, active, move |tile, masks, words| {
+            let base = tile * BITS_PER_WORD;
+            let lanes = base..n.min(base + masks.len() * BITS_PER_WORD);
+            let a = &a_plane[lanes.clone()];
+            match kern {
                 Kern::Rr(f) => {
-                    f(a, &b_plane.expect("rr kernel has a b plane")[base..base + len], w)
+                    f(words, a, &b_plane.expect("rr kernel has a b plane")[lanes], w, masks)
                 }
-                Kern::Rs(f, s) => f(a, s, w),
-            };
-            dw[0] = (dw[0] & !mw) | (res & mw);
+                Kern::Rs(f, s) => f(words, a, s, w, masks),
+            }
         });
     }
 
@@ -753,11 +768,9 @@ impl PeArray {
         // the write
         let (dst, planes) = split_planes(region, d, wpp);
         let (a, b) = (planes(fa.index()), planes(fb.index()));
-        sweep(dst, 1, active, move |wi, mw, dw| {
-            let own = dw[0];
-            let (x, y) = (a.map_or(own, |p| p[wi]), b.map_or(own, |p| p[wi]));
-            // the mask's zero tail bits keep the plane's tail invariant
-            dw[0] = (dw[0] & !mw) | (op.apply_word(x, y) & mw);
+        sweep(dst, 1, active, move |tile, masks, words| {
+            let span = tile..tile + words.len();
+            simd::flag_span(op, words, a.map(|p| &p[span.clone()]), b.map(|p| &p[span]), masks)
         });
     }
 
@@ -871,13 +884,15 @@ impl PeArray {
         let dst_base = self.gpr_base(thread, pd.index());
         let (lmem, gprs) = (&self.lmem, &mut self.gprs);
         let row = &lmem[addr * n..(addr + 1) * n];
-        sweep(&mut gprs[dst_base..dst_base + n], BITS_PER_WORD, active, move |base, mw, chunk| {
-            if mw == chunk_mask(chunk.len()) {
-                chunk.copy_from_slice(&row[base..base + chunk.len()]);
-            } else {
-                for_each_set(mw, base, |lane| chunk[lane - base] = row[lane]);
-            }
-        });
+        sweep(
+            &mut gprs[dst_base..dst_base + n],
+            BITS_PER_WORD,
+            active,
+            move |tile, masks, span| {
+                let base = tile * BITS_PER_WORD;
+                simd::copy_masked(span, &row[base..base + span.len()], masks);
+            },
+        );
         Ok(())
     }
 
@@ -904,12 +919,9 @@ impl PeArray {
             &mut lmem[addr * n..(addr + 1) * n],
             BITS_PER_WORD,
             active,
-            move |base, mw, chunk| {
-                if mw == chunk_mask(chunk.len()) {
-                    chunk.copy_from_slice(&src[base..base + chunk.len()]);
-                } else {
-                    for_each_set(mw, base, |lane| chunk[lane - base] = src[lane]);
-                }
+            move |tile, masks, span| {
+                let base = tile * BITS_PER_WORD;
+                simd::copy_masked(span, &src[base..base + span.len()], masks);
             },
         );
         Ok(())
@@ -928,17 +940,7 @@ impl PeArray {
             &mut self.gprs[dst_base..dst_base + n],
             BITS_PER_WORD,
             active,
-            move |base, mw, chunk| {
-                let len = chunk.len();
-                let mut lane_op = |lane: usize| chunk[lane - base] = Word::new(lane as u32, w);
-                if mw == u64::MAX {
-                    for lane in base..base + len {
-                        lane_op(lane);
-                    }
-                } else {
-                    for_each_set(mw, base, lane_op);
-                }
-            },
+            move |tile, masks, span| simd::index_span(span, tile * BITS_PER_WORD, w, masks),
         );
     }
 
@@ -984,11 +986,14 @@ impl PeArray {
             &mut self.gprs[dst_base..dst_base + n],
             BITS_PER_WORD,
             active,
-            move |_, mw, chunk| {
-                if mw == u64::MAX {
-                    chunk.fill(value);
-                } else {
-                    for_each_set(mw, 0, |j| chunk[j] = value);
+            move |_, masks, span| {
+                for (t, &mw) in masks.iter().enumerate() {
+                    let base = t * BITS_PER_WORD;
+                    if mw == u64::MAX {
+                        span[base..base + BITS_PER_WORD].fill(value);
+                    } else {
+                        for_each_set(mw, base, |j| span[j] = value);
+                    }
                 }
             },
         );
@@ -1627,16 +1632,14 @@ mod tests {
         a.flag_op(0, FlagOp::Set, pf(2), pf(2), pf(2), &odd);
         a.write_flag_column(1, pf(3), &vec![true; n], &all);
         a.write_first_responder(0, pf(4), Some(n - 1), &all);
-        // a chain through tile windows, committed through the note_* hooks
+        // a chain through a tile window, committed through the note_* hooks
         let row = 12;
         {
             let mut tiles = a.thread_tiles(1);
-            for t in 0..tiles.num_tiles() {
-                let mut w = tiles.window(t);
-                w.gpr_mut(9).fill(Word(3));
-                w.set_flag_word(5, u64::MAX);
-                w.lmem_row_mut(row).fill(Word(6));
-            }
+            let mut w = tiles.window(0..tiles.num_tiles());
+            w.gpr_mut(9).fill(Word(3));
+            w.split_flags(5, [], []).0.copy_from_slice(all.words());
+            w.lmem_row_mut(row).fill(Word(6));
         }
         a.note_gpr_write(1, 9);
         a.note_flag_write(1, 5);

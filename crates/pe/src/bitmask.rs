@@ -248,6 +248,22 @@ impl ActiveMask {
         ActiveTiles { words: &self.words, occ: &self.occ, tile: start, end: start, stop }
     }
 
+    /// The groups of `groups` whose occupancy bit is set, lowest first,
+    /// each as `(group, its words)`: [`OCC_GROUP_WORDS`] mask words, fewer
+    /// in a short last group. This is the walk of the sweeps that hand a
+    /// whole group to one kernel call; a stale set bit yields a group of
+    /// zero words.
+    #[inline]
+    pub fn occupied(
+        &self,
+        groups: core::ops::Range<usize>,
+    ) -> impl Iterator<Item = (usize, &[u64])> + '_ {
+        groups.filter(|&g| self.occ[g / BITS_PER_WORD] >> (g % BITS_PER_WORD) & 1 == 1).map(|g| {
+            let start = g * OCC_GROUP_WORDS;
+            (g, &self.words[start..self.words.len().min(start + OCC_GROUP_WORDS)])
+        })
+    }
+
     /// Is `lane` active?
     #[inline]
     pub fn is_active(&self, lane: usize) -> bool {
@@ -505,6 +521,15 @@ mod tests {
         assert_eq!(m.group_tiles(0..m.groups()).collect::<Vec<_>>(), joined);
         assert_eq!(m.group_tiles(3..4).map(|(t, _)| t).collect::<Vec<_>>(), vec![192, 193]);
         assert_eq!((ActiveMask::new(0).groups(), ActiveMask::all(1).occupied_groups()), (0, 1));
+        // the occupied groups carry exactly the words group_tiles walks
+        let occupied: Vec<_> = m.occupied(0..m.groups()).map(|(g, w)| (g, w.len())).collect();
+        assert_eq!(occupied, vec![(0, OCC_GROUP_WORDS), (2, OCC_GROUP_WORDS), (3, 2)]);
+        for (g, words) in m.occupied(0..m.groups()) {
+            let nonzero = words.iter().enumerate().filter(|(_, &w)| w != 0);
+            let tiles: Vec<_> = nonzero.map(|(k, &w)| (g * OCC_GROUP_WORDS + k, w)).collect();
+            assert_eq!(tiles, m.group_tiles(g..g + 1).collect::<Vec<_>>());
+        }
+        assert_eq!(m.occupied(1..2).count(), 0);
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! Runtime-dispatched SIMD kernels for the dense inner loops.
 //!
-//! Every plane operation ultimately reduces to one of four *chunk
-//! primitives* over at most 64 lanes (one [`crate::bitmask`] mask word):
-//! an ALU op against a register plane or a broadcast scalar, or a compare
-//! against the same two operand forms. This module provides those
-//! primitives as **monomorphized function pointers** — the operation is a
-//! const generic, so selecting a kernel once per instruction (or once per
-//! compiled block) hoists the op dispatch entirely out of the lane loop —
-//! in three tiers:
+//! Every lane-local ALU and compare operation on the planes reduces to one
+//! of four *span primitives*: an ALU op against a register plane or a
+//! broadcast scalar, or a compare against the same two operand forms, each
+//! applied to a span of whole 64-lane tiles with one mask word per tile.
+//! This module provides those primitives as **monomorphized function
+//! pointers** — the operation is a const generic, so selecting a kernel
+//! once per instruction (or once per compiled block) hoists the op
+//! dispatch entirely out of the lane loop — in three tiers:
 //!
 //! * **Scalar** — the portable reference loops, built on the exact
 //!   [`asc_isa::Word`] semantics. Always available; the other tiers must
 //!   be bit-identical to it (the `proptest` feature checks this).
 //! * **AVX2** — 8 × `u32` lanes per vector. `Word` is
 //!   `#[repr(transparent)]` over `u32` with all bits above the datapath
-//!   width zero, so a plane chunk is loadable as packed 32-bit lanes;
+//!   width zero, so a plane span is loadable as packed 32-bit lanes;
 //!   width-dependent ops mask with `Width::mask` or sign-extend via a
-//!   shift pair. Partially-masked groups blend through `vpblendvb`.
+//!   shift pair. Masked lanes merge through `vpblendvb`.
 //! * **AVX-512F** — 16 × `u32` lanes with native `__mmask16` masked
 //!   stores and compares.
 //!
@@ -42,22 +42,48 @@
 //!
 //! ### Kernel contract
 //!
-//! All slices have equal length `n ≤ 64`; `mw` is the active-lane bitmask
-//! for the chunk and its bits at or above `n` must be zero (the
-//! [`crate::ActiveMask`] tail invariant). ALU kernels leave `dst` lanes
-//! with a clear mask bit untouched and may read all `n` lanes of the
-//! sources; compare kernels return a result bit per lane and may compute
-//! inactive lanes (callers merge under `mw`).
+//! A kernel covers a *span* of `n` lanes: whole 64-lane tiles, of which
+//! only the last may be ragged (a machine whose PE count is not a
+//! multiple of 64). `masks` holds one word per tile (`masks.len() ==
+//! n.div_ceil(64)`); bit `i` of word `t` governs lane `64t + i`, and
+//! bits at or above `n` must be zero (the [`crate::ActiveMask`] tail
+//! invariant). The callers hand a kernel a whole 4096-lane occupancy
+//! group, so the call and its set-up are paid once per group, not once
+//! per tile.
+//!
+//! ALU kernels write the `n` lanes of `dst` only where a mask bit is set
+//! and may read all `n` lanes of the sources. Compare kernels merge their
+//! results into `flags`, one word per tile: `flags[t] = (flags[t] &
+//! !masks[t]) | (result & masks[t])`. The flag bits of inactive lanes, and
+//! every bit of a word whose mask is zero, stay as they were, and a
+//! tail-clean mask keeps a flag plane's tail invariant.
+//!
+//! Every vector tier runs a full tile whose mask word is non-zero as
+//! unrolled, branch-free vector operations that use the word's slices as
+//! store masks: AVX-512 as four 16-lane operations with masked stores,
+//! AVX2 as eight 8-lane operations with blends. A zero word is skipped.
+//! Only a ragged last tile runs the per-tile body with its scalar tail,
+//! and the scalar tier loops the reference body over the tiles.
 //!
 //! An ALU source that is `None` is the destination itself, read in
 //! place: a PE reads both operands from its own register file, so
-//! `pd = pd op pb` needs no copy of `pd`. Every tier reads a lane
-//! group's operands before that group's masked store (the scalar loop: a
-//! lane's operands before it writes that lane), so each lane computes
-//! from its old value. `split_planes` in the array and
-//! [`crate::TileWindow::split`] hand out sources in this form.
+//! `pd = pd op pb` needs no copy of `pd`. Every tier reads a tile's
+//! operands before that tile's store (the scalar loop: a lane's operands
+//! before it writes that lane), so each lane computes from its old value.
+//! The array's instruction-major sweeps and [`crate::TileWindow::split`]
+//! hand out sources in this form.
+//!
+//! Three plain span bodies take the same mask form, so the array's sweeps
+//! and the compiled chains share one definition of each: [`copy_masked`]
+//! moves the active lanes between two planes (loads and stores at a
+//! lane-uniform address), [`flag_span`] runs flag logic word by word with
+//! the compare kernels' merge, and [`index_span`] writes each active
+//! lane's PE index.
 
-use asc_isa::{AluOp, CmpOp, Width, Word};
+use asc_isa::{AluOp, CmpOp, FlagOp, Width, Word};
+
+use crate::bitmask::for_each_set;
+use crate::tiles::TILE_LANES;
 
 /// Is the x86 SIMD code path compiled in at all?
 #[cfg(all(target_arch = "x86_64", not(mtasc_force_scalar)))]
@@ -146,18 +172,19 @@ impl SimdLevel {
     }
 }
 
-/// ALU chunk primitive against a register plane: `dst = a op b` under
-/// `mw`, where a `None` source is `dst` itself (see the kernel contract).
+/// ALU span primitive against a register plane: `dst = a op b` in the
+/// lanes of `masks`, one word per 64-lane tile, where a `None` source is
+/// `dst` itself (see the kernel contract).
 pub type AluRrKernel =
-    fn(dst: &mut [Word], a: Option<&[Word]>, b: Option<&[Word]>, w: Width, mw: u64);
-/// ALU chunk primitive against a broadcast scalar: `dst = a op s` under
-/// `mw`, where a `None` source is `dst` itself.
-pub type AluRsKernel = fn(dst: &mut [Word], a: Option<&[Word]>, s: Word, w: Width, mw: u64);
-/// Compare chunk primitive against a register plane; bit `i` of the
-/// result is `a[i] cmp b[i]` (only meaningful under the caller's mask).
-pub type CmpRrKernel = fn(a: &[Word], b: &[Word], w: Width) -> u64;
-/// Compare chunk primitive against a broadcast scalar.
-pub type CmpRsKernel = fn(a: &[Word], s: Word, w: Width) -> u64;
+    fn(dst: &mut [Word], a: Option<&[Word]>, b: Option<&[Word]>, w: Width, masks: &[u64]);
+/// ALU span primitive against a broadcast scalar: `dst = a op s` in the
+/// lanes of `masks`, where a `None` source is `dst` itself.
+pub type AluRsKernel = fn(dst: &mut [Word], a: Option<&[Word]>, s: Word, w: Width, masks: &[u64]);
+/// Compare span primitive against a register plane: merges `a[i] cmp
+/// b[i]` into bit `i % 64` of `flags[i / 64]` in the lanes of `masks`.
+pub type CmpRrKernel = fn(flags: &mut [u64], a: &[Word], b: &[Word], w: Width, masks: &[u64]);
+/// Compare span primitive against a broadcast scalar.
+pub type CmpRsKernel = fn(flags: &mut [u64], a: &[Word], s: Word, w: Width, masks: &[u64]);
 /// Saturating-sum tile primitive: the perfect pairwise adder tree over one
 /// 64-lane tile, saturating at every node, with the lanes whose `mw` bit
 /// is clear (and lanes at or above `values.len()`) entering as zero.
@@ -190,7 +217,7 @@ fn cmp_of<const OP: u8>() -> CmpOp {
     CmpOp::from_code(OP).expect("kernel instantiated with a valid compare op code")
 }
 
-/// The dense-chunk mask: all `n` lanes active.
+/// The dense mask of an `n`-lane tile (`n <= 64`): all `n` lanes active.
 #[inline(always)]
 pub fn chunk_mask(n: usize) -> u64 {
     debug_assert!(n <= 64);
@@ -201,12 +228,40 @@ pub fn chunk_mask(n: usize) -> u64 {
     }
 }
 
+/// Check a span's shape: one mask word per tile of its `n` lanes, and
+/// (debug-asserted) no mask bit at or above `n`, the tail invariant that
+/// keeps a merged flag plane's tail clear.
+///
+/// # Panics
+/// Panics if `masks` has another length.
+#[inline(always)]
+fn check_span(n: usize, masks: &[u64]) {
+    assert_eq!(masks.len(), n.div_ceil(TILE_LANES), "a span takes one mask word per 64-lane tile");
+    debug_assert!(
+        masks.last().is_none_or(|&mw| mw & !chunk_mask(n - (masks.len() - 1) * TILE_LANES) == 0),
+        "a span's last mask word sets no lane at or above its length"
+    );
+}
+
+/// The lanes of tile `t` of an `n`-lane span.
+#[inline(always)]
+fn tile_lanes(t: usize, n: usize) -> std::ops::Range<usize> {
+    t * TILE_LANES..n.min(t * TILE_LANES + TILE_LANES)
+}
+
+/// `old` with the bits of `mw` taken from `res`: the compare kernels'
+/// merge.
+#[inline(always)]
+fn merge(old: u64, res: u64, mw: u64) -> u64 {
+    (old & !mw) | (res & mw)
+}
+
 // --------------------------------------------------------------- scalar
 
-/// Scalar ALU lanes `[from..n)` under `mw`; the shared reference loop and
-/// the vector kernels' tail/fallback. `RS` selects the broadcast form (`b`
-/// is ignored). A `None` source is `dst`, whose lane is read before it is
-/// written.
+/// Scalar ALU lanes `[from..n)` of one tile under `mw`; the reference
+/// body, and the vector kernels' tail loop. `RS` selects the broadcast
+/// form (`b` is ignored). A `None` source is `dst`, whose lane is read
+/// before it is written.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // mirrors the vector kernels' signature
 fn alu_lanes<const RS: bool>(
@@ -245,8 +300,8 @@ fn alu_lanes<const RS: bool>(
     }
 }
 
-/// Scalar compare lanes `[from..)`, returning result bits positioned at
-/// their lane index.
+/// Scalar compare lanes `[from..)` of one tile, returning result bits
+/// positioned at their lane index.
 #[inline(always)]
 fn cmp_lanes<const RS: bool>(
     op: CmpOp,
@@ -264,26 +319,154 @@ fn cmp_lanes<const RS: bool>(
     res
 }
 
+/// The scalar ALU span: the reference body over every tile with an
+/// active lane. The vector tiers run it for the scalar-only ops.
+#[inline(always)]
+fn alu_span_scalar<const RS: bool>(
+    op: AluOp,
+    dst: &mut [Word],
+    a: Option<&[Word]>,
+    b: Option<&[Word]>,
+    s: Word,
+    w: Width,
+    masks: &[u64],
+) {
+    let n = dst.len();
+    check_span(n, masks);
+    assert!(
+        a.is_none_or(|a| a.len() == n) && (RS || b.is_none_or(|b| b.len() == n)),
+        "ALU source and destination lengths differ"
+    );
+    for (t, &mw) in masks.iter().enumerate() {
+        if mw != 0 {
+            let lanes = tile_lanes(t, n);
+            let (x, y) = (a.map(|a| &a[lanes.clone()]), b.map(|b| &b[lanes.clone()]));
+            alu_lanes::<RS>(op, &mut dst[lanes], x, y, s, w, mw, 0);
+        }
+    }
+}
+
+/// The scalar compare span: the reference body over every tile with an
+/// active lane, merged into its flag word.
+#[inline(always)]
+fn cmp_span_scalar<const RS: bool>(
+    op: CmpOp,
+    flags: &mut [u64],
+    a: &[Word],
+    b: &[Word],
+    s: Word,
+    w: Width,
+    masks: &[u64],
+) {
+    let n = a.len();
+    check_span(n, masks);
+    assert_eq!(flags.len(), masks.len(), "a compare span takes one flag word per tile");
+    assert!(RS || b.len() == n, "compare operand lengths differ");
+    for (t, (f, &mw)) in flags.iter_mut().zip(masks).enumerate() {
+        if mw != 0 {
+            let lanes = tile_lanes(t, n);
+            let y = if RS { &[][..] } else { &b[lanes.clone()] };
+            *f = merge(*f, cmp_lanes::<RS>(op, &a[lanes], y, s, w, 0), mw);
+        }
+    }
+}
+
 fn alu_rr_scalar<const OP: u8>(
     dst: &mut [Word],
     a: Option<&[Word]>,
     b: Option<&[Word]>,
     w: Width,
-    mw: u64,
+    masks: &[u64],
 ) {
-    alu_lanes::<false>(op_of::<OP>(), dst, a, b, Word::ZERO, w, mw, 0);
+    alu_span_scalar::<false>(op_of::<OP>(), dst, a, b, Word::ZERO, w, masks);
 }
 
-fn alu_rs_scalar<const OP: u8>(dst: &mut [Word], a: Option<&[Word]>, s: Word, w: Width, mw: u64) {
-    alu_lanes::<true>(op_of::<OP>(), dst, a, None, s, w, mw, 0);
+fn alu_rs_scalar<const OP: u8>(
+    dst: &mut [Word],
+    a: Option<&[Word]>,
+    s: Word,
+    w: Width,
+    masks: &[u64],
+) {
+    alu_span_scalar::<true>(op_of::<OP>(), dst, a, None, s, w, masks);
 }
 
-fn cmp_rr_scalar<const OP: u8>(a: &[Word], b: &[Word], w: Width) -> u64 {
-    cmp_lanes::<false>(cmp_of::<OP>(), a, b, Word::ZERO, w, 0)
+fn cmp_rr_scalar<const OP: u8>(flags: &mut [u64], a: &[Word], b: &[Word], w: Width, masks: &[u64]) {
+    cmp_span_scalar::<false>(cmp_of::<OP>(), flags, a, b, Word::ZERO, w, masks);
 }
 
-fn cmp_rs_scalar<const OP: u8>(a: &[Word], s: Word, w: Width) -> u64 {
-    cmp_lanes::<true>(cmp_of::<OP>(), a, &[], s, w, 0)
+fn cmp_rs_scalar<const OP: u8>(flags: &mut [u64], a: &[Word], s: Word, w: Width, masks: &[u64]) {
+    cmp_span_scalar::<true>(cmp_of::<OP>(), flags, a, &[], s, w, masks);
+}
+
+/// Copy the lanes of `masks` (one word per 64-lane tile, as the span
+/// kernels take them) from `src` to `dst`: each run of tiles whose word
+/// sets every lane as one copy, every other tile lane by lane.
+///
+/// # Panics
+/// Panics if the slices differ in length or `masks` is not one word per
+/// tile.
+pub fn copy_masked<T: Copy>(dst: &mut [T], src: &[T], masks: &[u64]) {
+    let n = dst.len();
+    check_span(n, masks);
+    assert_eq!(src.len(), n, "copy source and destination lengths differ");
+    // the first lane of the pending run of dense tiles
+    let mut run = 0;
+    for (t, &mw) in masks.iter().enumerate() {
+        let lanes = tile_lanes(t, n);
+        if mw == chunk_mask(lanes.len()) {
+            continue;
+        }
+        if run < lanes.start {
+            dst[run..lanes.start].copy_from_slice(&src[run..lanes.start]);
+        }
+        for_each_set(mw, lanes.start, |i| dst[i] = src[i]);
+        run = lanes.end;
+    }
+    if run < n {
+        dst[run..].copy_from_slice(&src[run..]);
+    }
+}
+
+/// Flag logic over a span of tiles, one word per tile of each plane:
+/// `dst = a op b` merged under `masks` as the compare kernels merge. A
+/// `None` source is `dst`, whose word is read before it is written.
+///
+/// # Panics
+/// Panics if a source or `masks` is not one word per word of `dst`.
+#[inline]
+pub fn flag_span(op: FlagOp, dst: &mut [u64], a: Option<&[u64]>, b: Option<&[u64]>, masks: &[u64]) {
+    let n = dst.len();
+    assert!(
+        masks.len() == n && a.is_none_or(|a| a.len() == n) && b.is_none_or(|b| b.len() == n),
+        "flag logic takes one word per tile of each plane"
+    );
+    for (t, (d, &mw)) in dst.iter_mut().zip(masks).enumerate() {
+        let own = *d;
+        let (x, y) = (a.map_or(own, |a| a[t]), b.map_or(own, |b| b[t]));
+        *d = merge(own, op.apply_word(x, y), mw);
+    }
+}
+
+/// Write each masked lane's PE index, truncated to `w`, into `dst`, whose
+/// lane `i` is PE `first + i`; `masks` holds one word per tile.
+///
+/// # Panics
+/// Panics if `masks` is not one word per tile of `dst`.
+#[inline]
+pub fn index_span(dst: &mut [Word], first: usize, w: Width, masks: &[u64]) {
+    let n = dst.len();
+    check_span(n, masks);
+    for (t, &mw) in masks.iter().enumerate() {
+        let lanes = tile_lanes(t, n);
+        if mw == u64::MAX {
+            for (i, d) in lanes.clone().zip(&mut dst[lanes]) {
+                *d = Word::new((first + i) as u32, w);
+            }
+        } else {
+            for_each_set(mw, lanes.start, |i| dst[i] = Word::new((first + i) as u32, w));
+        }
+    }
 }
 
 /// Scalar sum tile: the reference for the vector tiers, and their
@@ -443,6 +626,18 @@ mod x86 {
         }
     }
 
+    /// A source's lanes from `o` on, for the ragged last tile. A plain
+    /// `match`: a closure passed to `Option::map` is not inlined into the
+    /// `target_feature` span kernels, and the call costs more than the
+    /// tile's work.
+    #[inline(always)]
+    fn from_lane(src: Option<&[Word]>, o: usize) -> Option<&[Word]> {
+        match src {
+            Some(s) => Some(&s[o..]),
+            None => None,
+        }
+    }
+
     // ------------------------------------------------------------- AVX2
 
     /// Sign-extend each lane from the datapath width to 32 bits.
@@ -499,10 +694,13 @@ mod x86 {
         }
     }
 
+    /// The per-tile body, for a ragged last tile: `n < 64` lanes under
+    /// `mw`, in 8-lane groups with the scalar loop for the last `n % 8`.
+    ///
     /// # Safety
-    /// The CPU must support AVX2.
+    /// The CPU must support AVX2, and `OP` must vectorize.
     #[target_feature(enable = "avx2")]
-    unsafe fn alu_avx2<const OP: u8, const RS: bool>(
+    unsafe fn alu_chunk256<const OP: u8, const RS: bool>(
         dst: &mut [Word],
         a: Option<&[Word]>,
         b: Option<&[Word]>,
@@ -510,9 +708,6 @@ mod x86 {
         w: Width,
         mw: u64,
     ) {
-        if scalar_only(OP) {
-            return alu_lanes::<RS>(op_of::<OP>(), dst, a, b, s, w, mw, 0);
-        }
         let n = dst.len();
         let bits = w.bits();
         // reads and writes of `dst` all go through this one pointer
@@ -547,6 +742,84 @@ mod x86 {
         alu_lanes::<RS>(op_of::<OP>(), dst, a, b, s, w, mw, (n / 8) * 8);
     }
 
+    /// One full tile as eight 8-lane operations, each blended into the
+    /// old lanes under its byte of `mw`: every operand and old lane is
+    /// loaded before the first store.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, `OP` must vectorize, and `pd`, `pa` and
+    /// `pb` must each point at 64 lanes (`pb` is not read when `RS`).
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn alu_tile256<const OP: u8, const RS: bool>(
+        pd: *mut i32,
+        pa: *const i32,
+        pb: *const i32,
+        vs: __m256i,
+        vm: __m256i,
+        bits: u32,
+        mw: u64,
+    ) {
+        unsafe {
+            let ld = |p: *const i32, q: usize| _mm256_loadu_si256(p.add(8 * q) as *const __m256i);
+            let (mut va, mut vb, mut old) = ([vs; 8], [vs; 8], [vs; 8]);
+            for q in 0..8 {
+                va[q] = ld(pa, q);
+                if !RS {
+                    vb[q] = ld(pb, q);
+                }
+                old[q] = ld(pd, q);
+            }
+            for q in 0..8 {
+                let vr = v_alu256::<OP>(va[q], vb[q], vm, bits);
+                let gm = (mw >> (8 * q)) as u32 & 0xff;
+                _mm256_storeu_si256(pd.add(8 * q) as *mut __m256i, blend256(old[q], vr, gm));
+            }
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn alu_span256<const OP: u8, const RS: bool>(
+        dst: &mut [Word],
+        a: Option<&[Word]>,
+        b: Option<&[Word]>,
+        s: Word,
+        w: Width,
+        masks: &[u64],
+    ) {
+        if scalar_only(OP) {
+            return alu_span_scalar::<RS>(op_of::<OP>(), dst, a, b, s, w, masks);
+        }
+        let n = dst.len();
+        check_span(n, masks);
+        let full = n / TILE_LANES;
+        let pd = dst.as_mut_ptr() as *mut i32;
+        let pa = src_lanes(a, pd, n);
+        let pb = if RS { pd } else { src_lanes(b, pd, n) };
+        // SAFETY: the caller guarantees AVX2, and `OP` vectorizes. `pd`,
+        // `pa` and `pb` each point at `n` lanes (`src_lanes` checks a
+        // source's length), and tile `t < n / 64` touches lanes
+        // `64t..64t + 64` only.
+        unsafe {
+            let vm = _mm256_set1_epi32(w.mask() as i32);
+            let vs = _mm256_set1_epi32(s.to_u32() as i32);
+            for (t, &mw) in masks[..full].iter().enumerate() {
+                if mw != 0 {
+                    let o = t * TILE_LANES;
+                    alu_tile256::<OP, RS>(pd.add(o), pa.add(o), pb.add(o), vs, vm, w.bits(), mw);
+                }
+            }
+        }
+        if let Some(&mw @ 1..) = masks.get(full) {
+            let o = full * TILE_LANES;
+            let (x, y) = (from_lane(a, o), from_lane(b, o));
+            // SAFETY: the caller guarantees AVX2, and `OP` vectorizes.
+            unsafe { alu_chunk256::<OP, RS>(&mut dst[o..], x, y, s, w, mw) }
+        }
+    }
+
     /// One vector compare on 8 lanes, as an 8-bit result mask.
     #[inline(always)]
     unsafe fn v_cmp256<const OP: u8>(a: __m256i, b: __m256i, bits: u32) -> u32 {
@@ -564,8 +837,14 @@ mod x86 {
         }
     }
 
+    /// The per-tile compare body, for a ragged last tile of `n < 64`
+    /// lanes: result bits at their lane index.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and `b` must hold `a.len()` lanes unless
+    /// `RS`.
     #[target_feature(enable = "avx2")]
-    unsafe fn cmp_avx2<const OP: u8, const RS: bool>(
+    unsafe fn cmp_chunk256<const OP: u8, const RS: bool>(
         a: &[Word],
         b: &[Word],
         s: Word,
@@ -587,6 +866,69 @@ mod x86 {
                 res |= (v_cmp256::<OP>(va, vb, bits) as u64) << (g * 8);
             }
             res | cmp_lanes::<RS>(cmp_of::<OP>(), a, b, s, w, groups * 8)
+        }
+    }
+
+    /// One full tile's compare results, as eight 8-lane compares.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and `pa` and `pb` must each point at 64
+    /// lanes (`pb` is not read when `RS`).
+    #[inline(always)]
+    unsafe fn cmp_tile256<const OP: u8, const RS: bool>(
+        pa: *const i32,
+        pb: *const i32,
+        vs: __m256i,
+        bits: u32,
+    ) -> u64 {
+        let mut res = 0u64;
+        unsafe {
+            for q in 0..8 {
+                let va = _mm256_loadu_si256(pa.add(8 * q) as *const __m256i);
+                let vb = if RS { vs } else { _mm256_loadu_si256(pb.add(8 * q) as *const __m256i) };
+                res |= (v_cmp256::<OP>(va, vb, bits) as u64) << (8 * q);
+            }
+        }
+        res
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn cmp_span256<const OP: u8, const RS: bool>(
+        flags: &mut [u64],
+        a: &[Word],
+        b: &[Word],
+        s: Word,
+        w: Width,
+        masks: &[u64],
+    ) {
+        let n = a.len();
+        check_span(n, masks);
+        assert_eq!(flags.len(), masks.len(), "a compare span takes one flag word per tile");
+        assert!(RS || b.len() == n, "compare operand lengths differ");
+        let full = n / TILE_LANES;
+        let pa = lanes_ptr(a);
+        let pb = if RS { pa } else { lanes_ptr(b) };
+        // SAFETY: the caller guarantees AVX2. `pa` and `pb` each point at
+        // `n` lanes (checked above), and tile `t < n / 64` reads lanes
+        // `64t..64t + 64` only.
+        unsafe {
+            let vs = _mm256_set1_epi32(s.to_u32() as i32);
+            for (t, (f, &mw)) in flags[..full].iter_mut().zip(&masks[..full]).enumerate() {
+                if mw != 0 {
+                    let o = t * TILE_LANES;
+                    *f = merge(*f, cmp_tile256::<OP, RS>(pa.add(o), pb.add(o), vs, w.bits()), mw);
+                }
+            }
+        }
+        if let Some(&mw @ 1..) = masks.get(full) {
+            let o = full * TILE_LANES;
+            let y = if RS { &[][..] } else { &b[o..] };
+            // SAFETY: the caller guarantees AVX2; `y` holds the tile's
+            // lanes unless `RS`.
+            flags[full] =
+                merge(flags[full], unsafe { cmp_chunk256::<OP, RS>(&a[o..], y, s, w) }, mw);
         }
     }
 
@@ -624,10 +966,13 @@ mod x86 {
         }
     }
 
+    /// The per-tile body, for a ragged last tile: `n < 64` lanes under
+    /// `mw`, in 16-lane groups with the scalar loop for the last `n % 16`.
+    ///
     /// # Safety
-    /// The CPU must support AVX-512F.
+    /// The CPU must support AVX-512F, and `OP` must vectorize.
     #[target_feature(enable = "avx512f")]
-    unsafe fn alu_avx512_impl<const OP: u8, const RS: bool>(
+    unsafe fn alu_chunk512<const OP: u8, const RS: bool>(
         dst: &mut [Word],
         a: Option<&[Word]>,
         b: Option<&[Word]>,
@@ -635,9 +980,6 @@ mod x86 {
         w: Width,
         mw: u64,
     ) {
-        if scalar_only(OP) {
-            return alu_lanes::<RS>(op_of::<OP>(), dst, a, b, s, w, mw, 0);
-        }
         let n = dst.len();
         let bits = w.bits();
         // reads and writes of `dst` all go through this one pointer
@@ -666,6 +1008,80 @@ mod x86 {
         alu_lanes::<RS>(op_of::<OP>(), dst, a, b, s, w, mw, (n / 16) * 16);
     }
 
+    /// One full tile as four 16-lane operations, each stored under its
+    /// 16 bits of `mw`: every operand is loaded before the first store.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, `OP` must vectorize, and `pd`, `pa`
+    /// and `pb` must each point at 64 lanes (`pb` is not read when `RS`).
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn alu_tile512<const OP: u8, const RS: bool>(
+        pd: *mut i32,
+        pa: *const i32,
+        pb: *const i32,
+        vs: __m512i,
+        vm: __m512i,
+        bits: u32,
+        mw: u64,
+    ) {
+        unsafe {
+            let (mut va, mut vb) = ([vs; 4], [vs; 4]);
+            for q in 0..4 {
+                va[q] = _mm512_loadu_epi32(pa.add(16 * q));
+                if !RS {
+                    vb[q] = _mm512_loadu_epi32(pb.add(16 * q));
+                }
+            }
+            for q in 0..4 {
+                let vr = v_alu512::<OP>(va[q], vb[q], vm, bits);
+                _mm512_mask_storeu_epi32(pd.add(16 * q), (mw >> (16 * q)) as u16, vr);
+            }
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn alu_span512<const OP: u8, const RS: bool>(
+        dst: &mut [Word],
+        a: Option<&[Word]>,
+        b: Option<&[Word]>,
+        s: Word,
+        w: Width,
+        masks: &[u64],
+    ) {
+        if scalar_only(OP) {
+            return alu_span_scalar::<RS>(op_of::<OP>(), dst, a, b, s, w, masks);
+        }
+        let n = dst.len();
+        check_span(n, masks);
+        let full = n / TILE_LANES;
+        let pd = dst.as_mut_ptr() as *mut i32;
+        let pa = src_lanes(a, pd, n);
+        let pb = if RS { pd } else { src_lanes(b, pd, n) };
+        // SAFETY: the caller guarantees AVX-512F, and `OP` vectorizes.
+        // `pd`, `pa` and `pb` each point at `n` lanes (`src_lanes` checks a
+        // source's length), and tile `t < n / 64` touches lanes
+        // `64t..64t + 64` only.
+        unsafe {
+            let vm = _mm512_set1_epi32(w.mask() as i32);
+            let vs = _mm512_set1_epi32(s.to_u32() as i32);
+            for (t, &mw) in masks[..full].iter().enumerate() {
+                if mw != 0 {
+                    let o = t * TILE_LANES;
+                    alu_tile512::<OP, RS>(pd.add(o), pa.add(o), pb.add(o), vs, vm, w.bits(), mw);
+                }
+            }
+        }
+        if let Some(&mw @ 1..) = masks.get(full) {
+            let o = full * TILE_LANES;
+            let (x, y) = (from_lane(a, o), from_lane(b, o));
+            // SAFETY: the caller guarantees AVX-512F, and `OP` vectorizes.
+            unsafe { alu_chunk512::<OP, RS>(&mut dst[o..], x, y, s, w, mw) }
+        }
+    }
+
     /// One vector compare on 16 lanes, as a 16-bit result mask.
     #[inline(always)]
     unsafe fn v_cmp512<const OP: u8>(a: __m512i, b: __m512i, bits: u32) -> u16 {
@@ -682,8 +1098,14 @@ mod x86 {
         }
     }
 
+    /// The per-tile compare body, for a ragged last tile of `n < 64`
+    /// lanes: result bits at their lane index.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, and `b` must hold `a.len()` lanes
+    /// unless `RS`.
     #[target_feature(enable = "avx512f")]
-    unsafe fn cmp_avx512_impl<const OP: u8, const RS: bool>(
+    unsafe fn cmp_chunk512<const OP: u8, const RS: bool>(
         a: &[Word],
         b: &[Word],
         s: Word,
@@ -701,6 +1123,69 @@ mod x86 {
                 res |= (v_cmp512::<OP>(va, vb, bits) as u64) << (g * 16);
             }
             res | cmp_lanes::<RS>(cmp_of::<OP>(), a, b, s, w, groups * 16)
+        }
+    }
+
+    /// One full tile's compare results, as four 16-lane compares.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, and `pa` and `pb` must each point
+    /// at 64 lanes (`pb` is not read when `RS`).
+    #[inline(always)]
+    unsafe fn cmp_tile512<const OP: u8, const RS: bool>(
+        pa: *const i32,
+        pb: *const i32,
+        vs: __m512i,
+        bits: u32,
+    ) -> u64 {
+        let mut res = 0u64;
+        unsafe {
+            for q in 0..4 {
+                let va = _mm512_loadu_epi32(pa.add(16 * q));
+                let vb = if RS { vs } else { _mm512_loadu_epi32(pb.add(16 * q)) };
+                res |= (v_cmp512::<OP>(va, vb, bits) as u64) << (16 * q);
+            }
+        }
+        res
+    }
+
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn cmp_span512<const OP: u8, const RS: bool>(
+        flags: &mut [u64],
+        a: &[Word],
+        b: &[Word],
+        s: Word,
+        w: Width,
+        masks: &[u64],
+    ) {
+        let n = a.len();
+        check_span(n, masks);
+        assert_eq!(flags.len(), masks.len(), "a compare span takes one flag word per tile");
+        assert!(RS || b.len() == n, "compare operand lengths differ");
+        let full = n / TILE_LANES;
+        let pa = lanes_ptr(a);
+        let pb = if RS { pa } else { lanes_ptr(b) };
+        // SAFETY: the caller guarantees AVX-512F. `pa` and `pb` each point
+        // at `n` lanes (checked above), and tile `t < n / 64` reads lanes
+        // `64t..64t + 64` only.
+        unsafe {
+            let vs = _mm512_set1_epi32(s.to_u32() as i32);
+            for (t, (f, &mw)) in flags[..full].iter_mut().zip(&masks[..full]).enumerate() {
+                if mw != 0 {
+                    let o = t * TILE_LANES;
+                    *f = merge(*f, cmp_tile512::<OP, RS>(pa.add(o), pb.add(o), vs, w.bits()), mw);
+                }
+            }
+        }
+        if let Some(&mw @ 1..) = masks.get(full) {
+            let o = full * TILE_LANES;
+            let y = if RS { &[][..] } else { &b[o..] };
+            // SAFETY: the caller guarantees AVX-512F; `y` holds the tile's
+            // lanes unless `RS`.
+            flags[full] =
+                merge(flags[full], unsafe { cmp_chunk512::<OP, RS>(&a[o..], y, s, w) }, mw);
         }
     }
 
@@ -807,21 +1292,33 @@ mod x86 {
         a: Option<&[Word]>,
         b: Option<&[Word]>,
         w: Width,
-        mw: u64,
+        masks: &[u64],
     ) {
-        unsafe { alu_avx2::<OP, false>(dst, a, b, Word::ZERO, w, mw) }
+        unsafe { alu_span256::<OP, false>(dst, a, b, Word::ZERO, w, masks) }
     }
 
-    fn alu_rs_avx2<const OP: u8>(dst: &mut [Word], a: Option<&[Word]>, s: Word, w: Width, mw: u64) {
-        unsafe { alu_avx2::<OP, true>(dst, a, None, s, w, mw) }
+    fn alu_rs_avx2<const OP: u8>(
+        dst: &mut [Word],
+        a: Option<&[Word]>,
+        s: Word,
+        w: Width,
+        masks: &[u64],
+    ) {
+        unsafe { alu_span256::<OP, true>(dst, a, None, s, w, masks) }
     }
 
-    fn cmp_rr_avx2<const OP: u8>(a: &[Word], b: &[Word], w: Width) -> u64 {
-        unsafe { cmp_avx2::<OP, false>(a, b, Word::ZERO, w) }
+    fn cmp_rr_avx2<const OP: u8>(
+        flags: &mut [u64],
+        a: &[Word],
+        b: &[Word],
+        w: Width,
+        masks: &[u64],
+    ) {
+        unsafe { cmp_span256::<OP, false>(flags, a, b, Word::ZERO, w, masks) }
     }
 
-    fn cmp_rs_avx2<const OP: u8>(a: &[Word], s: Word, w: Width) -> u64 {
-        unsafe { cmp_avx2::<OP, true>(a, &[], s, w) }
+    fn cmp_rs_avx2<const OP: u8>(flags: &mut [u64], a: &[Word], s: Word, w: Width, masks: &[u64]) {
+        unsafe { cmp_span256::<OP, true>(flags, a, &[], s, w, masks) }
     }
 
     fn alu_rr_avx512<const OP: u8>(
@@ -829,9 +1326,9 @@ mod x86 {
         a: Option<&[Word]>,
         b: Option<&[Word]>,
         w: Width,
-        mw: u64,
+        masks: &[u64],
     ) {
-        unsafe { alu_avx512_impl::<OP, false>(dst, a, b, Word::ZERO, w, mw) }
+        unsafe { alu_span512::<OP, false>(dst, a, b, Word::ZERO, w, masks) }
     }
 
     fn alu_rs_avx512<const OP: u8>(
@@ -839,17 +1336,29 @@ mod x86 {
         a: Option<&[Word]>,
         s: Word,
         w: Width,
-        mw: u64,
+        masks: &[u64],
     ) {
-        unsafe { alu_avx512_impl::<OP, true>(dst, a, None, s, w, mw) }
+        unsafe { alu_span512::<OP, true>(dst, a, None, s, w, masks) }
     }
 
-    fn cmp_rr_avx512<const OP: u8>(a: &[Word], b: &[Word], w: Width) -> u64 {
-        unsafe { cmp_avx512_impl::<OP, false>(a, b, Word::ZERO, w) }
+    fn cmp_rr_avx512<const OP: u8>(
+        flags: &mut [u64],
+        a: &[Word],
+        b: &[Word],
+        w: Width,
+        masks: &[u64],
+    ) {
+        unsafe { cmp_span512::<OP, false>(flags, a, b, Word::ZERO, w, masks) }
     }
 
-    fn cmp_rs_avx512<const OP: u8>(a: &[Word], s: Word, w: Width) -> u64 {
-        unsafe { cmp_avx512_impl::<OP, true>(a, &[], s, w) }
+    fn cmp_rs_avx512<const OP: u8>(
+        flags: &mut [u64],
+        a: &[Word],
+        s: Word,
+        w: Width,
+        masks: &[u64],
+    ) {
+        unsafe { cmp_span512::<OP, true>(flags, a, &[], s, w, masks) }
     }
 
     pub(super) fn sum_tile_avx2(values: &[Word], w: Width, mw: u64) -> Word {
@@ -899,38 +1408,124 @@ mod tests {
             .collect()
     }
 
+    /// Span lengths the kernels are checked at. Single ragged tiles: 1, 5
+    /// and 37 lanes end in a scalar tail; 8, 16 and 48 are whole AVX2 or
+    /// AVX-512 vectors with an empty tail. A whole tile, then multi-tile
+    /// spans whose ragged last tile is 32 lanes (dense under the mixed
+    /// masks), 16 lanes (a zero word under them), 37 lanes, and 48 lanes
+    /// (one dense and two zero 16-lane slices under them), and a whole
+    /// group and a ragged tile.
+    const SPANS: [usize; 12] =
+        [1, 5, 8, 16, 37, 48, 64, 64 + 32, 2 * 64 + 16, 3 * 64 + 37, 4 * 64 + 48, 4096 + 5];
+
+    /// Mask words for an `n`-lane span: every tile dense, then a mix of
+    /// sparse, dense, zero and edge-lane words. Either way the last word
+    /// is clipped to the span (the tail invariant).
+    fn span_masks(n: usize) -> [Vec<u64>; 2] {
+        let tiles = n.div_ceil(64);
+        let clip = |mut masks: Vec<u64>| {
+            masks[tiles - 1] &= chunk_mask(n - (tiles - 1) * 64);
+            masks
+        };
+        let mix =
+            [0x5f3a_c6e9_1b4d_8872, u64::MAX, 0, 0x8000_0000_0000_0001, 0xffff_0000_0000_ffff];
+        [clip(vec![u64::MAX; tiles]), clip((0..tiles).map(|t| mix[t % mix.len()]).collect())]
+    }
+
+    /// One irregular flag word per tile, tail bits included: a compare
+    /// must keep every bit its mask leaves out.
+    fn sample_flags(n: usize) -> Vec<u64> {
+        (0..n.div_ceil(64) as u64)
+            .map(|t| 0xa5c3_5a3c_0ff0_f00f ^ t.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect()
+    }
+
+    fn active(masks: &[u64], i: usize) -> bool {
+        masks[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// `op` applied lane by lane to copies of the inputs: `lhs op rhs(i)`
+    /// in the lanes of `masks`, `old` elsewhere.
+    fn lane_oracle(
+        op: AluOp,
+        old: &[Word],
+        lhs: &[Word],
+        rhs: impl Fn(usize) -> Word,
+        w: Width,
+        masks: &[u64],
+    ) -> Vec<Word> {
+        (0..old.len())
+            .map(|i| if active(masks, i) { op.apply(lhs[i], rhs(i), w) } else { old[i] })
+            .collect()
+    }
+
+    /// `flags` with lane `i`'s bit set to `a[i] op rhs(i)` in the lanes of
+    /// `masks`, lane by lane.
+    fn cmp_oracle(
+        op: CmpOp,
+        flags: &[u64],
+        a: &[Word],
+        rhs: impl Fn(usize) -> Word,
+        w: Width,
+        masks: &[u64],
+    ) -> Vec<u64> {
+        let mut out = flags.to_vec();
+        for i in (0..a.len()).filter(|&i| active(masks, i)) {
+            let bit = 1u64 << (i % 64);
+            if op.apply(a[i], rhs(i), w) {
+                out[i / 64] |= bit;
+            } else {
+                out[i / 64] &= !bit;
+            }
+        }
+        out
+    }
+
     fn check_level(level: SimdLevel) {
         for &w in &[Width::W8, Width::W16, Width::W32] {
-            for &n in &[64usize, 37, 8, 5, 1] {
-                let a = sample_plane(w, 1, n);
-                let b = sample_plane(w, 0x55, n);
-                let s = Word::new(0x2f & w.mask(), w);
-                // an irregular mask plus the dense mask
-                for mw in [chunk_mask(n), chunk_mask(n) & 0x5f3a_c6e9_1b4d_8872] {
+            let s = Word::new(0x2f & w.mask(), w);
+            for n in SPANS {
+                let (a, b, old) =
+                    (sample_plane(w, 1, n), sample_plane(w, 0x55, n), sample_plane(w, 9, n));
+                let flags = sample_flags(n);
+                for (m, masks) in span_masks(n).iter().enumerate() {
+                    let at = format!("{level:?} {w} n={n} masks #{m}");
                     for &op in AluOp::ALL {
-                        let mut want = sample_plane(w, 9, n);
-                        let mut got = want.clone();
-                        alu_lanes::<false>(op, &mut want, Some(&a), Some(&b), Word::ZERO, w, mw, 0);
-                        select_alu_rr(level, op)(&mut got, Some(&a), Some(&b), w, mw);
-                        assert_eq!(got, want, "{level:?} {op} rr {w} n={n} mw={mw:#x}");
-                        let mut want_s = sample_plane(w, 9, n);
-                        let mut got_s = want_s.clone();
-                        alu_lanes::<true>(op, &mut want_s, Some(&a), None, s, w, mw, 0);
-                        select_alu_rs(level, op)(&mut got_s, Some(&a), s, w, mw);
-                        assert_eq!(got_s, want_s, "{level:?} {op} rs {w} n={n} mw={mw:#x}");
+                        let mut got = old.clone();
+                        select_alu_rr(level, op)(&mut got, Some(&a), Some(&b), w, masks);
+                        assert_eq!(
+                            got,
+                            lane_oracle(op, &old, &a, |i| b[i], w, masks),
+                            "{op} rr {at}"
+                        );
+                        let mut got = old.clone();
+                        select_alu_rs(level, op)(&mut got, Some(&a), s, w, masks);
+                        assert_eq!(got, lane_oracle(op, &old, &a, |_| s, w, masks), "{op} rs {at}");
                     }
-                    assert_eq!(
-                        select_sum_tile(level)(&a, w, mw),
-                        sum_tile_scalar(&a, w, mw),
-                        "{level:?} sum tile {w} n={n} mw={mw:#x}"
-                    );
                     for &op in CmpOp::ALL {
-                        let want = cmp_lanes::<false>(op, &a, &b, Word::ZERO, w, 0) & mw;
-                        let got = select_cmp_rr(level, op)(&a, &b, w) & mw;
-                        assert_eq!(got, want, "{level:?} {op} rr {w} n={n}");
-                        let want_s = cmp_lanes::<true>(op, &a, &[], s, w, 0) & mw;
-                        let got_s = select_cmp_rs(level, op)(&a, s, w) & mw;
-                        assert_eq!(got_s, want_s, "{level:?} {op} rs {w} n={n}");
+                        let mut got = flags.clone();
+                        select_cmp_rr(level, op)(&mut got, &a, &b, w, masks);
+                        assert_eq!(
+                            got,
+                            cmp_oracle(op, &flags, &a, |i| b[i], w, masks),
+                            "{op} rr {at}"
+                        );
+                        let mut got = flags.clone();
+                        select_cmp_rs(level, op)(&mut got, &a, s, w, masks);
+                        assert_eq!(
+                            got,
+                            cmp_oracle(op, &flags, &a, |_| s, w, masks),
+                            "{op} rs {at}"
+                        );
+                    }
+                    // the sum tile takes one tile at a time
+                    for (t, &mw) in masks.iter().enumerate() {
+                        let tile = &a[t * 64..n.min(t * 64 + 64)];
+                        assert_eq!(
+                            select_sum_tile(level)(tile, w, mw),
+                            sum_tile_scalar(tile, w, mw),
+                            "sum tile {t} {at}"
+                        );
                     }
                 }
             }
@@ -944,51 +1539,106 @@ mod tests {
         }
     }
 
-    /// `op` applied lane by lane to copies of the inputs: `lhs op rhs(i)`
-    /// in the lanes of `mw`, `old` elsewhere.
-    fn lane_oracle(
-        op: AluOp,
-        old: &[Word],
-        lhs: &[Word],
-        rhs: impl Fn(usize) -> Word,
-        w: Width,
-        mw: u64,
-    ) -> Vec<Word> {
-        (0..old.len())
-            .map(|i| if mw >> i & 1 == 1 { op.apply(lhs[i], rhs(i), w) } else { old[i] })
-            .collect()
-    }
-
     /// A destination that is also a source (`None`) reads each lane's old
-    /// value, at every tier, op, tail length and mask.
+    /// value, at every tier, op, span length and mask.
     #[test]
     fn in_place_sources_read_the_old_destination() {
         for level in SimdLevel::available() {
             for &w in &[Width::W8, Width::W16, Width::W32] {
-                for &n in &[64usize, 37, 8, 5, 1] {
+                let s = Word::new(0x2f & w.mask(), w);
+                for n in SPANS {
                     let (a, b) = (sample_plane(w, 1, n), sample_plane(w, 0x55, n));
-                    let s = Word::new(0x2f & w.mask(), w);
-                    for mw in [chunk_mask(n), chunk_mask(n) & 0x5f3a_c6e9_1b4d_8872] {
+                    for (m, masks) in span_masks(n).iter().enumerate() {
                         for &op in AluOp::ALL {
                             let (rr, rs) = (select_alu_rr(level, op), select_alu_rs(level, op));
-                            let at = format!("{level:?} {op} {w} n={n} mw={mw:#x}");
+                            let at = format!("{level:?} {op} {w} n={n} masks #{m}");
                             let mut d = a.clone();
-                            rr(&mut d, None, Some(&b), w, mw);
-                            assert_eq!(d, lane_oracle(op, &a, &a, |i| b[i], w, mw), "d=a {at}");
+                            rr(&mut d, None, Some(&b), w, masks);
+                            assert_eq!(d, lane_oracle(op, &a, &a, |i| b[i], w, masks), "d=a {at}");
                             let mut d = b.clone();
-                            rr(&mut d, Some(&a), None, w, mw);
-                            assert_eq!(d, lane_oracle(op, &b, &a, |i| b[i], w, mw), "d=b {at}");
+                            rr(&mut d, Some(&a), None, w, masks);
+                            assert_eq!(d, lane_oracle(op, &b, &a, |i| b[i], w, masks), "d=b {at}");
                             let mut d = a.clone();
-                            rr(&mut d, None, None, w, mw);
-                            assert_eq!(d, lane_oracle(op, &a, &a, |i| a[i], w, mw), "d=a=b {at}");
+                            rr(&mut d, None, None, w, masks);
+                            assert_eq!(
+                                d,
+                                lane_oracle(op, &a, &a, |i| a[i], w, masks),
+                                "d=a=b {at}"
+                            );
                             let mut d = a.clone();
-                            rs(&mut d, None, s, w, mw);
-                            assert_eq!(d, lane_oracle(op, &a, &a, |_| s, w, mw), "rs d=a {at}");
+                            rs(&mut d, None, s, w, masks);
+                            assert_eq!(d, lane_oracle(op, &a, &a, |_| s, w, masks), "rs d=a {at}");
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn copy_masked_moves_exactly_the_masked_lanes() {
+        for n in SPANS {
+            let (src, old) = (sample_plane(Width::W32, 3, n), sample_plane(Width::W32, 4, n));
+            for masks in span_masks(n) {
+                let mut got = old.clone();
+                copy_masked(&mut got, &src, &masks);
+                let want: Vec<Word> =
+                    (0..n).map(|i| if active(&masks, i) { src[i] } else { old[i] }).collect();
+                assert_eq!(got, want, "n={n}");
+            }
+        }
+    }
+
+    /// Flag logic and the PE-index fill write exactly the masked lanes,
+    /// checked lane by lane; a `None` flag source reads the old `dst`.
+    #[test]
+    fn flag_and_index_spans_write_exactly_the_masked_lanes() {
+        let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1 == 1;
+        for n in SPANS {
+            let a = sample_flags(n);
+            let b: Vec<u64> = a.iter().map(|w| w.rotate_left(17)).collect();
+            let old: Vec<u64> = a.iter().map(|w| !w.rotate_left(5)).collect();
+            for masks in span_masks(n) {
+                for &op in FlagOp::ALL {
+                    for (x, y) in [(Some(&a[..]), Some(&b[..])), (None, Some(&b[..])), (None, None)]
+                    {
+                        let mut got = old.clone();
+                        flag_span(op, &mut got, x, y, &masks);
+                        for i in 0..got.len() * 64 {
+                            let src = |s: Option<&[u64]>| bit(s.unwrap_or(&old), i);
+                            let want = if i < n && active(&masks, i) {
+                                op.apply(src(x), src(y))
+                            } else {
+                                bit(&old, i)
+                            };
+                            assert_eq!(bit(&got, i), want, "{op:?} n={n} lane {i}");
+                        }
+                    }
+                }
+                let old = sample_plane(Width::W8, 7, n);
+                let mut got = old.clone();
+                index_span(&mut got, 250, Width::W8, &masks);
+                for (i, (&g, &o)) in got.iter().zip(&old).enumerate() {
+                    let want =
+                        if active(&masks, i) { Word::new((250 + i) as u32, Width::W8) } else { o };
+                    assert_eq!(g, want, "index n={n} lane {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "no lane at or above its length")]
+    fn a_mask_bit_past_the_span_panics() {
+        let mut d = sample_plane(Width::W16, 1, 70);
+        select_alu_rs(SimdLevel::detect(), AluOp::Add)(
+            &mut d,
+            None,
+            Word::ZERO,
+            Width::W16,
+            &[u64::MAX, chunk_mask(7)],
+        );
     }
 
     #[test]

@@ -3,25 +3,39 @@
 //!
 //! A *tile* is 64 consecutive PEs — exactly one flag-bitplane word, the
 //! matching 64-word slice of every GPR plane, and the 64 lane-local
-//! columns of local memory. Fused basic blocks are executed tile-by-tile:
-//! all of a block's instructions are applied to one tile before advancing
-//! to the next, so a tile's working set (a handful of 64-word register
-//! slices plus flag words) stays cache-resident across the whole block
-//! instead of being evicted between every pair of dependent full-array
-//! sweeps.
+//! columns of local memory. A fused basic block runs one 4096-lane
+//! occupancy group (64 tiles) at a time, *op-major within the group*: each
+//! of the block's instructions is applied to the whole group before the
+//! next one runs, and the block moves on to the next group only when its
+//! last instruction is done. Two reasons:
 //!
-//! Two layers:
+//! * The group's working set — a handful of 16 KiB register spans and 64
+//!   words per flag plane — stays in the core's private caches across the
+//!   whole block, instead of being evicted between every pair of dependent
+//!   full-array sweeps as instruction-major order would.
+//! * Each op is one call of its executor and of its [`crate::simd`] span
+//!   kernel per group, and a dense tile inside the span is unrolled,
+//!   branch-free vector work. Running the whole block over one tile before
+//!   the next paid an indirect call and a kernel set-up per (op, tile),
+//!   which cost more than the tile's 64 lanes of work.
+//!
+//! Lane locality of fusible instructions makes op-major order inside a
+//! group bit-identical to instruction-major order.
+//!
+//! Three layers:
 //!
 //! * [`ThreadTiles`] — a safe view borrowing one thread's GPR and flag
 //!   regions (plus local memory, which is shared hardware but lane-local
 //!   per PE). Constructed by [`crate::PeArray::thread_tiles`].
-//! * [`TileWindow`] — one tile's window, made by [`ThreadTiles::window`],
-//!   which borrows the view mutably, so one window is live at a time.
-//!   Every access it offers is confined to that tile's 64 lanes, and
-//!   every register, flag, row and lane index it is given is checked
-//!   against the view's counts, so safe code cannot reach past them.
-//!   [`TileWindow::split`] hands out one [`Plane`] to write with the
-//!   others to read, so a kernel reads its sources in place.
+//! * [`TileWindow`] — the window over a range of tiles, made by
+//!   [`ThreadTiles::window`] or [`GroupTiles::window`], which borrow the
+//!   view mutably, so one window is live at a time. Every access it
+//!   offers is confined to its tiles' lanes, and every register, flag,
+//!   row and lane index it is given is checked against the view's counts,
+//!   so safe code cannot reach past them. [`TileWindow::split`] hands out
+//!   one [`Plane`] to write with the others to read, and
+//!   [`TileWindow::split_flags`] one flag plane's words to write with flag
+//!   words and planes to read, so a kernel reads its sources in place.
 //! * [`GroupTiles`] — the tiles of a range of 4096-lane occupancy groups,
 //!   handed to a sweep's group body by [`ThreadTiles::for_each_group`]. A
 //!   sweep large enough to pass the worker pool's gate (see
@@ -32,18 +46,22 @@
 //!   observed. [`for_each_group_span`] splits one plane the same way, for
 //!   the instruction-major sweeps that write a single plane.
 //!
-//! The architectural invariants are enforced at this layer: writes
-//! through [`TileWindow::gpr_mut`] must skip register 0 (debug-asserted —
-//! the zero register's plane stays all-zero), and
-//! [`TileWindow::set_flag_word`] masks tail bits of a short last tile so
-//! the flag-plane tail invariant propagates.
+//! Writes through [`TileWindow::gpr_mut`] and [`TileWindow::split`] must
+//! skip register 0, which this layer debug-asserts (the zero register's
+//! plane stays all-zero). The flag-plane tail invariant is the writer's
+//! duty: [`TileWindow::split_flags`] hands out flag words whole, and a
+//! writer keeps the bits past the last PE clear by merging under mask
+//! words whose tail bits are clear by the [`crate::ActiveMask`] and
+//! flag-plane invariants, as every [`crate::simd`] kernel and
+//! [`crate::simd::flag_span`] does. The span kernels debug-assert that
+//! their last mask word is tail-clean.
 
 use std::marker::PhantomData;
 use std::ops::Range;
 
 use asc_isa::{Width, Word};
 
-use crate::bitmask::{tail_mask, words_for, BITS_PER_WORD, OCC_GROUP_WORDS};
+use crate::bitmask::{words_for, BITS_PER_WORD, OCC_GROUP_WORDS};
 use crate::memory::MemFault;
 use crate::workers;
 
@@ -99,14 +117,17 @@ impl<'a> ThreadTiles<'a> {
         self.width
     }
 
-    /// The window over one tile. It borrows `self` mutably, so no other
-    /// access to the thread's state can coexist with it.
+    /// The window over a range of tiles. It borrows `self` mutably, so no
+    /// other access to the thread's state can coexist with it.
     ///
     /// # Panics
-    /// Panics if `tile` is out of range.
-    pub fn window(&mut self, tile: usize) -> TileWindow<'_> {
-        assert!(tile < self.num_tiles(), "tile {tile} out of range");
-        self.raw().window(tile)
+    /// Panics if `tiles` is empty or not a range of the view's tiles.
+    pub fn window(&mut self, tiles: Range<usize>) -> TileWindow<'_> {
+        assert!(
+            tiles.start < tiles.end && tiles.end <= self.num_tiles(),
+            "tiles {tiles:?} out of range"
+        );
+        self.raw().window(tiles)
     }
 
     /// Run `body` over the 4096-lane occupancy groups of the view, each
@@ -170,22 +191,29 @@ pub struct GroupTiles<'a> {
 }
 
 impl GroupTiles<'_> {
-    /// The groups' tiles, in lane order (64 per group except in a short
-    /// last group).
+    /// The groups' tiles, one range per 4096-lane occupancy group (64
+    /// tiles, fewer in a short last group), in lane order.
     #[inline]
-    pub fn tiles(&self) -> Range<usize> {
-        self.tiles.clone()
+    pub fn groups(&self) -> impl Iterator<Item = Range<usize>> {
+        let end = self.tiles.end;
+        self.tiles.clone().step_by(OCC_GROUP_WORDS).map(move |t| t..end.min(t + OCC_GROUP_WORDS))
     }
 
-    /// The window over one of the groups' tiles; like
+    /// The window over a range of the groups' tiles; like
     /// [`ThreadTiles::window`], one window is live at a time.
     ///
     /// # Panics
-    /// Panics if `tile` is not one of the groups' tiles.
+    /// Panics if `tiles` is empty or not within the groups' tiles.
     #[inline]
-    pub fn window(&mut self, tile: usize) -> TileWindow<'_> {
-        assert!(self.tiles.contains(&tile), "tile {tile} outside tiles {:?}", self.tiles);
-        self.raw.window(tile)
+    pub fn window(&mut self, tiles: Range<usize>) -> TileWindow<'_> {
+        assert!(
+            self.tiles.start <= tiles.start
+                && tiles.start < tiles.end
+                && tiles.end <= self.tiles.end,
+            "tiles {tiles:?} outside tiles {:?}",
+            self.tiles
+        );
+        self.raw.window(tiles)
     }
 }
 
@@ -290,11 +318,12 @@ impl<'a> RawTiles<'a> {
         words_for(self.num_pes)
     }
 
-    /// The window over `tile`, which must be in range.
+    /// The window over `tiles`, which must be a non-empty range of tiles.
     #[inline]
-    fn window(self, tile: usize) -> TileWindow<'a> {
-        let base = tile * TILE_LANES;
-        TileWindow { raw: self, tile, base, lanes: TILE_LANES.min(self.num_pes - base) }
+    fn window(self, tiles: Range<usize>) -> TileWindow<'a> {
+        let base = tiles.start * TILE_LANES;
+        let lanes = self.num_pes.min(tiles.end * TILE_LANES) - base;
+        TileWindow { raw: self, tiles, base, lanes }
     }
 
     /// Pointer to lane `base` of `plane`.
@@ -318,15 +347,15 @@ impl<'a> RawTiles<'a> {
         unsafe { buf.add(index * self.num_pes + base) }
     }
 
-    /// The word of flag bitplane `flag` at `tile`.
+    /// Pointer to the word of flag bitplane `flag` at `tile`.
     ///
     /// # Panics
     /// Panics if `flag` is out of range.
-    #[inline]
+    #[inline(always)]
     fn flag_at(&self, flag: usize, tile: usize) -> *mut u64 {
         assert!(flag < self.flag_planes, "flag {flag} out of range");
         // SAFETY: `flag` is a whole bitplane of `flags` (checked above),
-        // and `tile` is a window's tile, below `num_tiles`.
+        // and `tile` is a window's first tile, below `num_tiles`.
         unsafe { self.flags.add(flag * self.num_tiles() + tile) }
     }
 }
@@ -342,28 +371,24 @@ pub enum Plane {
     Row(usize),
 }
 
-/// One tile's mutable window: the tile's 64-lane span of every GPR plane,
-/// one word of every flag bitplane, and the tile's local-memory columns.
+/// The mutable window over a range of tiles: its lanes' span of every GPR
+/// plane, one word per tile of every flag bitplane, and its lanes'
+/// local-memory columns. A compiled chain gets one per occupancy group.
 #[derive(Debug)]
 pub struct TileWindow<'a> {
     raw: RawTiles<'a>,
-    tile: usize,
+    tiles: Range<usize>,
     base: usize,
     lanes: usize,
 }
 
 impl TileWindow<'_> {
-    /// Tile index (= flag plane word index).
-    pub fn tile(&self) -> usize {
-        self.tile
-    }
-
-    /// Index of this tile's first lane.
+    /// Index of the window's first lane.
     pub fn base(&self) -> usize {
         self.base
     }
 
-    /// Number of valid lanes (64 except for a short last tile).
+    /// Number of valid lanes (64 per tile except in a short last tile).
     pub fn lanes(&self) -> usize {
         self.lanes
     }
@@ -373,16 +398,7 @@ impl TileWindow<'_> {
         self.raw.width
     }
 
-    /// The all-active mask word for this tile: one bit per valid lane.
-    pub fn full_word(&self) -> u64 {
-        if self.lanes == TILE_LANES {
-            u64::MAX
-        } else {
-            tail_mask(self.lanes)
-        }
-    }
-
-    /// This tile's slice of a GPR plane.
+    /// The window's span of a GPR plane.
     ///
     /// # Panics
     /// Panics if `reg` is out of range.
@@ -391,8 +407,8 @@ impl TileWindow<'_> {
         self.read(Plane::Gpr(reg))
     }
 
-    /// Mutable tile slice of a GPR plane. Register 0 is hardwired zero;
-    /// callers must skip writes to it.
+    /// Mutable span of a GPR plane. Register 0 is hardwired zero; callers
+    /// must skip writes to it.
     ///
     /// # Panics
     /// Panics if `reg` is out of range.
@@ -401,7 +417,7 @@ impl TileWindow<'_> {
         self.split(Plane::Gpr(reg), []).0
     }
 
-    /// This tile's slice of `dst`, to write, and of each of `srcs`, to
+    /// The window's span of `dst`, to write, and of each of `srcs`, to
     /// read: `None` for a source that is `dst` itself, which the caller
     /// reads through the returned `dst` slice (the in-place form the
     /// [`crate::simd`] ALU kernels take). Register 0 is hardwired zero;
@@ -422,7 +438,7 @@ impl TileWindow<'_> {
         );
         let (raw, base, lanes) = (self.raw, self.base, self.lanes);
         let d = raw.lanes_of(dst, base);
-        // SAFETY: every slice covers this tile's lanes of one in-range
+        // SAFETY: every slice covers this window's lanes of one in-range
         // plane (`lanes_of` checks it). Distinct planes share no word: GPR
         // planes are disjoint spans of the thread's region, rows disjoint
         // spans of local memory, and the two are separate buffers. No
@@ -440,45 +456,74 @@ impl TileWindow<'_> {
         }
     }
 
-    /// This tile's slice of `plane`, to read.
+    /// This window's span of `plane`, to read.
     #[inline]
     fn read(&self, plane: Plane) -> &[Word] {
-        // SAFETY: the tile's lanes of one in-range plane (`lanes_of`
+        // SAFETY: the window's lanes of one in-range plane (`lanes_of`
         // checks it); the `&self` borrow keeps every writing accessor out
         // while the slice lives.
         unsafe { std::slice::from_raw_parts(self.raw.lanes_of(plane, self.base), self.lanes) }
     }
 
-    /// This tile's word of a flag bitplane.
+    /// The window's words of a flag bitplane, one per tile.
     ///
     /// # Panics
     /// Panics if `flag` is out of range.
     #[inline]
-    pub fn flag_word(&self, flag: usize) -> u64 {
-        // SAFETY: one in-range word per (flag, tile), confined to this tile.
-        unsafe { *self.raw.flag_at(flag, self.tile) }
+    pub fn flag_words(&self, flag: usize) -> &[u64] {
+        // SAFETY: one in-range word per (flag, tile), confined to this
+        // window; the `&self` borrow keeps every writing accessor out.
+        unsafe {
+            std::slice::from_raw_parts(self.raw.flag_at(flag, self.tiles.start), self.tiles.len())
+        }
     }
 
-    /// Overwrite this tile's word of a flag bitplane, preserving the tail
-    /// invariant (bits at lanes ≥ `num_pes` are forced to zero).
+    /// The window's words of flag bitplane `dst`, to write, with those of
+    /// each of `flags` and the window's span of each of `planes`, to read:
+    /// `None` for a flag that is `dst` itself, which the caller reads
+    /// through the returned words. A writer must keep the bits of lanes
+    /// at or above `num_pes` clear (the plane tail invariant); merging
+    /// under mask words does, since those bits of a mask word are clear.
     ///
     /// # Panics
-    /// Panics if `flag` is out of range.
-    #[inline]
-    pub fn set_flag_word(&mut self, flag: usize, word: u64) {
-        let clipped = word & self.full_word();
-        // SAFETY: one in-range word per (flag, tile), confined to this
-        // tile; `&mut self` makes this the window's only access.
-        unsafe { *self.raw.flag_at(flag, self.tile) = clipped }
+    /// Panics if `dst` or any of `flags` or `planes` is out of range.
+    #[inline(always)]
+    #[allow(clippy::type_complexity)]
+    pub fn split_flags<const K: usize, const J: usize>(
+        &mut self,
+        dst: usize,
+        flags: [usize; K],
+        planes: [Plane; J],
+    ) -> (&mut [u64], [Option<&[u64]>; K], [&[Word]; J]) {
+        let (raw, first, tiles, base, lanes) =
+            (self.raw, self.tiles.start, self.tiles.len(), self.base, self.lanes);
+        let d = raw.flag_at(dst, first);
+        // SAFETY: every flag slice covers this window's words of one
+        // in-range bitplane, and every plane slice this window's lanes of
+        // one in-range plane (`flag_at` and `lanes_of` check them).
+        // Distinct bitplanes share no word, no source flag is `dst`, and
+        // the planes live in other buffers, so the mutable slice overlaps
+        // no shared one. All of them borrow `self` mutably, so no other
+        // accessor of the window runs while they live.
+        unsafe {
+            let mut read = [None; K];
+            for (k, &f) in flags.iter().enumerate() {
+                if f != dst {
+                    read[k] = Some(std::slice::from_raw_parts(raw.flag_at(f, first), tiles));
+                }
+            }
+            let planes = planes.map(|p| std::slice::from_raw_parts(raw.lanes_of(p, base), lanes));
+            (std::slice::from_raw_parts_mut(d, tiles), read, planes)
+        }
     }
 
     /// Bounds-checked load from lane `j`'s local-memory column at
-    /// `base + off` (`j` is a lane index *within* the tile). Address
+    /// `base + off` (`j` is a lane index *within* the window). Address
     /// arithmetic matches the array executor: unsigned base plus
     /// sign-extended offset at full precision.
     ///
     /// # Panics
-    /// Panics if `j` is not one of the tile's lanes.
+    /// Panics if `j` is not one of the window's lanes.
     #[inline]
     pub fn lmem_checked_read(&self, base: Word, off: i32, j: usize) -> Result<Word, MemFault> {
         let addr = self.check_addr(base, off, false)?;
@@ -488,7 +533,7 @@ impl TileWindow<'_> {
     /// Bounds-checked store to lane `j`'s local-memory column.
     ///
     /// # Panics
-    /// Panics if `j` is not one of the tile's lanes.
+    /// Panics if `j` is not one of the window's lanes.
     #[inline]
     pub fn lmem_checked_write(
         &mut self,
@@ -502,7 +547,7 @@ impl TileWindow<'_> {
         Ok(())
     }
 
-    /// This tile's lanes of the local-memory row at `addr` (one word per
+    /// The window's lanes of the local-memory row at `addr` (one word per
     /// lane, same address in every column), to write; resolve a guest
     /// address with [`TileWindow::lmem_addr`].
     ///
@@ -514,7 +559,7 @@ impl TileWindow<'_> {
     }
 
     /// Resolve and bounds-check a lane-uniform effective address (the
-    /// whole tile reads/writes the same row). Fault identity matches the
+    /// whole window reads/writes the same row). Fault identity matches the
     /// per-lane accessors: unsigned base plus sign-extended offset at
     /// full precision.
     #[inline]
@@ -535,10 +580,12 @@ impl TileWindow<'_> {
 
 #[cfg(test)]
 mod tests {
-    use asc_isa::{Width, Word};
+    use asc_isa::{FlagOp, Width, Word};
 
     use super::Plane;
     use crate::array::{ArrayConfig, PeArray};
+    use crate::bitmask::ActiveMask;
+    use crate::simd::flag_span;
 
     fn array(n: usize) -> PeArray {
         PeArray::new(ArrayConfig {
@@ -558,11 +605,12 @@ mod tests {
         let mut a = array(100);
         let mut t = a.thread_tiles(1);
         assert_eq!(t.num_tiles(), 2);
-        let w0 = t.window(0);
-        assert_eq!((w0.lanes(), w0.full_word()), (64, u64::MAX));
-        let w1 = t.window(1);
-        assert_eq!((w1.base(), w1.lanes()), (64, 36));
-        assert_eq!(w1.full_word(), (1u64 << 36) - 1);
+        let w0 = t.window(0..1);
+        assert_eq!((w0.base(), w0.lanes(), w0.flag_words(0).len()), (0, 64, 1));
+        let w1 = t.window(1..2);
+        assert_eq!((w1.base(), w1.lanes(), w1.flag_words(0).len()), (64, 36, 1));
+        let both = t.window(0..2);
+        assert_eq!((both.lanes(), both.gpr(1).len(), both.flag_words(0).len()), (100, 100, 2));
     }
 
     #[test]
@@ -574,11 +622,15 @@ mod tests {
         a.set_flag(70, 1, 2, true);
         {
             let mut t = a.thread_tiles(1);
-            let mut w = t.window(1);
+            let mut w = t.window(1..2);
             assert_eq!(w.gpr(3)[70 - 64], v42);
-            assert_eq!(w.flag_word(2), 1u64 << (70 - 64));
+            assert_eq!(w.flag_words(2), &[1u64 << (70 - 64)]);
             w.gpr_mut(3)[70 - 64] = v7;
-            w.set_flag_word(2, u64::MAX); // tail bits must be clipped
+            // setting every bit, merged under the all-active mask of the
+            // ragged tile, leaves the plane's tail bits clear
+            let all = ActiveMask::all(100);
+            let (fd, [], []) = w.split_flags(2, [], []);
+            flag_span(FlagOp::Set, fd, None, None, &all.words()[1..]);
             w.lmem_checked_write(Word::new(4, Width::W16), 1, 70 - 64, v7).unwrap();
             assert!(w.lmem_checked_read(Word::new(40, Width::W16), 0, 0).is_err());
         }
@@ -596,7 +648,7 @@ mod tests {
         let mut a = array(64);
         a.set_gpr(0, 0, 5, Word::new(9, Width::W16));
         let mut t = a.thread_tiles(1);
-        let w = t.window(0);
+        let w = t.window(0..1);
         assert_eq!(w.gpr(5)[0], Word::ZERO, "thread 1 must not see thread 0");
     }
 
@@ -606,7 +658,7 @@ mod tests {
         a.set_gpr(70, 0, 2, Word::new(5, Width::W16));
         a.scatter_column(7, &[Word::new(9, Width::W16); 100]).unwrap();
         let mut t = a.thread_tiles(0);
-        let mut w = t.window(1);
+        let mut w = t.window(1..2);
         let (dst, [own, other, row]) =
             w.split(Plane::Gpr(2), [Plane::Gpr(2), Plane::Gpr(3), Plane::Row(7)]);
         assert!(own.is_none(), "the destination is read through its own slice");
@@ -640,65 +692,77 @@ mod tests {
     #[test]
     #[should_panic(expected = "GPR 3 out of range")]
     fn gpr_past_the_thread_panics() {
-        narrow().thread_tiles(0).window(0).gpr(3);
+        narrow().thread_tiles(0).window(0..1).gpr(3);
     }
 
     #[test]
     #[should_panic(expected = "GPR 2 out of range")]
     fn gpr_mut_past_the_thread_panics() {
-        narrow().thread_tiles(0).window(0).gpr_mut(2);
+        narrow().thread_tiles(0).window(0..2).gpr_mut(2);
     }
 
     #[test]
     #[should_panic(expected = "GPR 2 out of range")]
     fn split_source_past_the_thread_panics() {
-        narrow().thread_tiles(0).window(1).split(Plane::Gpr(1), [Plane::Gpr(2)]);
+        narrow().thread_tiles(0).window(1..2).split(Plane::Gpr(1), [Plane::Gpr(2)]);
     }
 
     #[test]
     #[should_panic(expected = "flag 5 out of range")]
-    fn flag_word_past_the_thread_panics() {
-        narrow().thread_tiles(0).window(0).flag_word(5);
+    fn flag_words_past_the_thread_panic() {
+        narrow().thread_tiles(0).window(0..1).flag_words(5);
     }
 
     #[test]
     #[should_panic(expected = "flag 1 out of range")]
-    fn set_flag_word_past_the_thread_panics() {
-        narrow().thread_tiles(1).window(1).set_flag_word(1, u64::MAX);
+    fn split_flags_past_the_thread_panics() {
+        narrow().thread_tiles(1).window(1..2).split_flags(1, [], []);
+    }
+
+    #[test]
+    #[should_panic(expected = "flag 3 out of range")]
+    fn split_flags_source_past_the_thread_panics() {
+        narrow().thread_tiles(1).window(0..2).split_flags(0, [0, 3], []);
+    }
+
+    #[test]
+    #[should_panic(expected = "GPR 2 out of range")]
+    fn split_flags_plane_past_the_thread_panics() {
+        narrow().thread_tiles(0).window(0..1).split_flags(0, [], [Plane::Gpr(2)]);
     }
 
     #[test]
     #[should_panic(expected = "local-memory row 4 out of range")]
     fn split_row_past_the_end_panics() {
-        narrow().thread_tiles(0).window(1).split(Plane::Gpr(1), [Plane::Row(4)]);
+        narrow().thread_tiles(0).window(1..2).split(Plane::Gpr(1), [Plane::Row(4)]);
     }
 
     #[test]
     #[should_panic(expected = "local-memory row 9 out of range")]
     fn lmem_row_mut_past_the_end_panics() {
-        narrow().thread_tiles(0).window(0).lmem_row_mut(9);
+        narrow().thread_tiles(0).window(0..1).lmem_row_mut(9);
     }
 
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn lmem_read_past_the_tile_panics() {
         // lane 36 of the 36-lane last tile
-        let _ = narrow().thread_tiles(0).window(1).lmem_checked_read(Word::ZERO, 0, 36);
+        let _ = narrow().thread_tiles(0).window(1..2).lmem_checked_read(Word::ZERO, 0, 36);
     }
 
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn lmem_write_past_the_tile_panics() {
         let _ =
-            narrow().thread_tiles(0).window(0).lmem_checked_write(Word::ZERO, 0, 64, Word::ZERO);
+            narrow().thread_tiles(0).window(0..1).lmem_checked_write(Word::ZERO, 0, 64, Word::ZERO);
     }
 
     #[test]
     fn windows_cover_distinct_tiles() {
         let mut a = array(128);
         let mut t = a.thread_tiles(0);
-        t.window(0).gpr_mut(1)[0] = Word::new(1, Width::W16);
-        t.window(1).gpr_mut(1)[0] = Word::new(2, Width::W16);
+        t.window(0..1).gpr_mut(1)[0] = Word::new(1, Width::W16);
+        t.window(1..2).gpr_mut(1)[0] = Word::new(2, Width::W16);
         a.note_gpr_write(0, 1);
         assert_eq!(a.gpr(0, 0, 1).to_u32(), 1);
         assert_eq!(a.gpr(64, 0, 1).to_u32(), 2);
@@ -709,6 +773,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn window_past_the_last_tile_panics() {
         let mut a = array(100);
-        a.thread_tiles(0).window(2);
+        a.thread_tiles(0).window(1..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn empty_window_panics() {
+        let mut a = array(100);
+        a.thread_tiles(0).window(2..2);
     }
 }

@@ -166,10 +166,14 @@ fn split_block_faults_keep_their_identity() {
 
 /// Every aliasing form in one fused block: reg–reg ops whose destination
 /// is the first source, the second, and both; a reg–immediate op and a
-/// masked op in place; a per-lane `plw` over its own base; and stores of
-/// the aliased results. The fused, `--no-fuse` and `--no-simd` runs must
-/// leave the same machine and statistics, and the stored rows must equal
-/// the answer computed here.
+/// masked op in place; a per-lane `plw` over its own base; a compare
+/// masked by the flag it writes, which an earlier op of the block wrote,
+/// and a later op masked by its result; and stores of the aliased results.
+/// The fused, `--no-fuse` and `--no-simd` runs must leave the same machine
+/// and statistics, and the stored rows must equal the answer computed
+/// here. A runner that latched the block's masks once, or before the
+/// earlier ops had run on a group, would mask `pclt pf1, p1, p2 ?pf1` and
+/// `paddi p1, p1, 1 ?pf1` by the flag as it stood before the block.
 fn aliased_block_matches_host(n: usize) {
     const W: u32 = 0xffff;
     let src = "
@@ -185,11 +189,15 @@ fn aliased_block_matches_host(n: usize) {
         psrli  p7, p7, 1
         pmin   p7, p2, p7 ?pf1
         plw    p3, 0(p3)
+        plw    p1, 2(p0)
+        pclt   pf1, p1, p2 ?pf1
+        paddi  p1, p1, 1 ?pf1
         psw    p4, 5(p0)
         psw    p5, 6(p0)
         psw    p6, 7(p0)
         psw    p7, 8(p0)
         psw    p3, 9(p0)
+        psw    p1, 10(p0)
         halt
     ";
     let program = asc::asm::assemble(src).unwrap();
@@ -226,11 +234,22 @@ fn aliased_block_matches_host(n: usize) {
             })
             .collect();
         let p3: Vec<u32> = (0..n).map(|i| rows[addr[i] as usize][i]).collect();
-        vec![p4, p5, vec![0; n], p7, p3]
+        // pf1 = x < y, then, where set, z < x; p1 = z, plus one where pf1
+        let p1: Vec<u32> = (0..n)
+            .map(|i| {
+                let pf1 = s16(x[i]) < s16(y[i]) && s16(z[i]) < s16(x[i]);
+                if pf1 {
+                    (z[i] + 1) & W
+                } else {
+                    z[i]
+                }
+            })
+            .collect();
+        vec![p4, p5, vec![0; n], p7, p3, p1]
     };
 
     let mut cfg = MachineConfig::new(n).single_threaded();
-    cfg.lmem_words = 10;
+    cfg.lmem_words = 11;
     let run = |cfg: MachineConfig| {
         let mut m = Machine::with_program(cfg, &program).unwrap();
         for (row, col) in rows.iter().enumerate() {
@@ -241,7 +260,7 @@ fn aliased_block_matches_host(n: usize) {
         let a = m.array();
         let gprs: Vec<Vec<Word>> = (0..16).map(|r| a.gpr_plane(0, r).to_vec()).collect();
         let flags: Vec<Vec<u64>> = (0..8).map(|f| a.flag_plane(0, f).to_vec()).collect();
-        let lmem: Vec<Vec<Word>> = (0..10).map(|r| a.gather_column(r).unwrap()).collect();
+        let lmem: Vec<Vec<Word>> = (0..11).map(|r| a.gather_column(r).unwrap()).collect();
         (gprs, flags, lmem, m.stats().clone(), m.fusion_stats().blocks_executed)
     };
     let fused = run(cfg);
