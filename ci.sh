@@ -263,11 +263,16 @@ echo "==> 2^20-PE planes and split sweeps (release)"
 # reduction unit against lane references, a fused block faulting in two
 # occupancy groups against --no-fuse, and a fused block whose operands
 # alias its destinations, read in place, against --no-fuse, --no-simd and
-# a host-computed answer).
+# a host-computed answer). With them run the responder word-span kernels
+# against a word loop at every tier, the `?pf` mask refill against a
+# fresh mask of each plane, and the response count group by group and
+# past the pool's gate at 2^24 + 70 lanes.
 cargo test --release -p asc-pe --features proptest -q -- \
     sparse_million_pe_array_constructs_cheaply reused_planes_read_zero_at_2_20 \
-    split_sweeps_match_per_pe_reference
-cargo test --release -p asc-network -q -- units_match_lane_references_at_scale
+    split_sweeps_match_per_pe_reference word_span_kernels_match_a_word_loop \
+    refills_match_a_fresh_mask_of_each_plane
+cargo test --release -p asc-network -q -- units_match_lane_references_at_scale \
+    group_by_group_counts_sum_to_the_whole
 cargo test --release --test fusion -q -- split_block_faults_keep_their_identity \
     aliased_operands_fuse_when_split
 
@@ -279,8 +284,10 @@ if command -v taskset > /dev/null; then
     taskset -c 0 cargo test --release -p asc-pe --features proptest -q \
         --test workers --test workers_alloc
     taskset -c 0 cargo test --release -p asc-pe --features proptest -q --lib -- \
-        split_sweeps_match_per_pe_reference
-    taskset -c 0 cargo test --release -p asc-network -q -- units_match_lane_references_at_scale
+        split_sweeps_match_per_pe_reference word_span_kernels_match_a_word_loop \
+        refills_match_a_fresh_mask_of_each_plane
+    taskset -c 0 cargo test --release -p asc-network -q -- units_match_lane_references_at_scale \
+        group_by_group_counts_sum_to_the_whole
     taskset -c 0 cargo test --release --test fusion -q -- split_block_faults_keep_their_identity \
         aliased_operands_fuse_when_split
 else

@@ -180,72 +180,72 @@ impl Machine {
 
             // ------------------------------------------------- parallel
             PAlu { op, pd, pa, pb, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
-                self.array.alu(thread, op, pd, pa, Src::Reg(pb), &self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
+                self.array.alu(thread, op, pd, pa, Src::Reg(pb), active);
                 Ok(Effect::Next)
             }
             PAluS { op, pd, pa, sb, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 let v = self.sregs.read(thread, sb.index());
-                self.array.alu(thread, op, pd, pa, Src::Scalar(v), &self.amask);
+                self.array.alu(thread, op, pd, pa, Src::Scalar(v), active);
                 Ok(Effect::Next)
             }
             PAluImm { op, pd, pa, imm, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 let v = Word::from_i64(imm as i64, w);
-                self.array.alu(thread, op, pd, pa, Src::Imm(v), &self.amask);
+                self.array.alu(thread, op, pd, pa, Src::Imm(v), active);
                 Ok(Effect::Next)
             }
             PCmp { op, fd, pa, pb, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
-                self.array.cmp(thread, op, fd, pa, Src::Reg(pb), &self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
+                self.array.cmp(thread, op, fd, pa, Src::Reg(pb), active);
                 Ok(Effect::Next)
             }
             PCmpS { op, fd, pa, sb, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 let v = self.sregs.read(thread, sb.index());
-                self.array.cmp(thread, op, fd, pa, Src::Scalar(v), &self.amask);
+                self.array.cmp(thread, op, fd, pa, Src::Scalar(v), active);
                 Ok(Effect::Next)
             }
             PCmpImm { op, fd, pa, imm, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 let v = Word::from_i64(imm as i64, w);
-                self.array.cmp(thread, op, fd, pa, Src::Imm(v), &self.amask);
+                self.array.cmp(thread, op, fd, pa, Src::Imm(v), active);
                 Ok(Effect::Next)
             }
             PFlagOp { op, fd, fa, fb, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
-                self.array.flag_op(thread, op, fd, fa, fb, &self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
+                self.array.flag_op(thread, op, fd, fa, fb, active);
                 Ok(Effect::Next)
             }
             Plw { pd, base, off, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 self.array
-                    .load(thread, pd, base, off as i32, &self.amask)
+                    .load(thread, pd, base, off as i32, active)
                     .map_err(|fault| RunError::PeMemoryFault { thread, pc, fault })?;
                 Ok(Effect::Next)
             }
             Psw { ps, base, off, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 self.array
-                    .store(thread, ps, base, off as i32, &self.amask)
+                    .store(thread, ps, base, off as i32, active)
                     .map_err(|fault| RunError::PeMemoryFault { thread, pc, fault })?;
                 Ok(Effect::Next)
             }
             Pidx { pd, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
-                self.array.pidx(thread, pd, &self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
+                self.array.pidx(thread, pd, active);
                 Ok(Effect::Next)
             }
             PMovS { pd, sa, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 let v = self.sregs.read(thread, sa.index());
-                self.array.movs(thread, pd, v, &self.amask);
+                self.array.movs(thread, pd, v, active);
                 Ok(Effect::Next)
             }
             PShift { pd, pa, dist, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
-                self.array.shift(thread, pd, pa, dist as i32, &self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
+                self.array.shift(thread, pd, pa, dist as i32, active);
                 Ok(Effect::Next)
             }
 
@@ -253,43 +253,41 @@ impl Machine {
             // All reduction arms read the register/flag planes in place —
             // no column snapshots, no allocation.
             Reduce { op, sd, pa, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 let values = self.array.gpr_plane(thread, pa.index());
-                let v = self.net.reduce(op, values, &self.amask, w);
+                let v = self.net.reduce(op, values, active, w);
                 self.sregs.write(thread, sd.index(), v);
                 self.emit_net_reduce(thread, pc, asc_network::NetUnit::for_reduce(op));
                 Ok(Effect::Next)
             }
             RCount { sd, fa, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 let flags = self.array.flag_plane(thread, fa.index());
-                let v = self.net.count_responders(flags, &self.amask, w);
+                let v = self.net.count_responders(flags, active, w);
                 self.sregs.write(thread, sd.index(), v);
                 self.emit_net_reduce(thread, pc, asc_network::NetUnit::Counter);
                 Ok(Effect::Next)
             }
             RFlag { op, fd, fa, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
                 let flags = self.array.flag_plane(thread, fa.index());
-                let v = self.net.reduce_flags(op, flags, &self.amask);
+                let v = self.net.reduce_flags(op, flags, active);
                 self.sflags.write(thread, fd.index(), v);
                 self.emit_net_reduce(thread, pc, asc_network::NetUnit::Logic);
                 Ok(Effect::Next)
             }
             PFirst { fd, fa, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
-                let hit = self
-                    .net
-                    .first_responder(self.array.flag_plane(thread, fa.index()), &self.amask);
-                self.array.write_first_responder(thread, fd, hit, &self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
+                let hit =
+                    self.net.first_responder(self.array.flag_plane(thread, fa.index()), active);
+                self.array.write_first_responder(thread, fd, hit, active);
                 self.emit_net_reduce(thread, pc, asc_network::NetUnit::Resolver);
                 Ok(Effect::Next)
             }
             RGet { sd, pa, fa, mask } => {
-                self.array.fill_active(thread, mask, &mut self.amask);
-                let hit = self
-                    .net
-                    .first_responder(self.array.flag_plane(thread, fa.index()), &self.amask);
+                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
+                let hit =
+                    self.net.first_responder(self.array.flag_plane(thread, fa.index()), active);
                 let v =
                     hit.map(|i| self.array.gpr_plane(thread, pa.index())[i]).unwrap_or(Word::ZERO);
                 self.sregs.write(thread, sd.index(), v);

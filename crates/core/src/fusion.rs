@@ -387,11 +387,9 @@ impl Machine {
         // chain borrow cannot conflict with the array borrow (no
         // allocation — `Option::take`).
         let plan = self.fusion_plan.take().expect("execute_block requires a fusion plan");
-        // One all-active fill serves the whole block: fusible masks are
-        // either `Mask::All` (this mask's words, read in place) or a flag
-        // plane (latched per group just before each op, preserving
-        // self-masking semantics).
-        self.array.fill_active(tid, asc_isa::Mask::All, &mut self.amask);
+        // Fusible masks are either `Mask::All` (the machine's all-active
+        // mask, read in place) or a flag plane (latched per group just
+        // before each op, preserving self-masking semantics).
         let chain = plan.chain(pc, len);
         // The chain writes planes through raw tile windows, bypassing the
         // array's marking mutators — commit its destinations up front.
@@ -407,7 +405,7 @@ impl Machine {
         let fault = {
             let mut tiles = self.array.thread_tiles(tid);
             self.fusion_dyn.tile_chains += tiles.num_tiles() as u64;
-            run_chain_tiles(chain, &mut tiles, &self.amask)
+            run_chain_tiles(chain, &mut tiles, &self.all)
         };
         self.fusion_dyn.blocks_executed += 1;
         self.fusion_dyn.instrs_fused += len as u64;

@@ -106,9 +106,12 @@ pub struct Machine {
     pub(crate) sflags: FlagFile,
     pub(crate) smem: LocalMemory,
     pub(crate) array: PeArray,
-    /// Reusable packed active mask: filled from the instruction's mask
-    /// field at issue, so masked execution allocates nothing per
-    /// instruction.
+    /// The all-active mask, built once: every unmasked instruction and
+    /// every fused block runs on it.
+    pub(crate) all: asc_pe::ActiveMask,
+    /// Reusable packed active mask: refilled from the mask flag's plane
+    /// by every `?pf` instruction at issue, so masked execution allocates
+    /// nothing per instruction.
     pub(crate) amask: asc_pe::ActiveMask,
     pub(crate) net: Network,
     pub(crate) threads: ThreadTable,
@@ -177,6 +180,7 @@ impl Machine {
             sflags: FlagFile::new(cfg.threads, asc_isa::NUM_FLAGS),
             smem: LocalMemory::new(cfg.smem_words),
             array: PeArray::new(cfg.array()),
+            all: asc_pe::ActiveMask::all(cfg.num_pes),
             amask: asc_pe::ActiveMask::new(cfg.num_pes),
             net: Network::new(cfg.network()),
             threads: ThreadTable::new(cfg.threads),

@@ -25,17 +25,21 @@
 //! sum) and **structural** models ([`DelayLine`], [`PipelinedUnit`]) that
 //! the cycle-accurate simulator uses to track occupancy and latency.
 //!
-//! Each reduction unit has one functional path. The associative units
-//! (logic, max/min, counter, resolver) walk the active mask's tiles
-//! ([`asc_pe::ActiveMask::active_tiles`]), and the sum unit reduces a tree
-//! of 64-lane tiles; both skip every 4096-lane group with no active lane.
-//! Neither depends on how the PE array is segmented. A dense reduction —
-//! the sum, max/min, logic or count over enough occupied groups to pass
-//! the worker pool's gate — reduces each group on some host core
-//! (`asc_pe::workers`) and combines the groups' partials on the calling
-//! thread in group order (the sum: in its canonical tree order); a smaller
-//! one, the resolver and the any/all responder tests run on the calling
-//! thread.
+//! Each reduction unit has one functional path. The value reductions
+//! (logic AND/OR, max/min) walk the active mask's tiles
+//! ([`asc_pe::ActiveMask::active_tiles`]) and the sum unit reduces a tree
+//! of 64-lane tiles. The responder units (the counter, the resolver and
+//! the logic unit's any/all) work on packed flag words: each carries a
+//! word-span kernel of the machine's SIMD tier ([`asc_pe::simd`]),
+//! selected once at construction, and calls it once per occupied
+//! 4096-lane group. Every unit skips the groups with no active lane, and
+//! none depends on how the PE array is segmented. A dense value reduction
+//! over enough occupied groups to pass the worker pool's gate reduces each
+//! group on some host core (`asc_pe::workers`) and combines the groups'
+//! partials on the calling thread in group order (the sum: in its
+//! canonical tree order). The count brings its flag words, not its lanes,
+//! to the gate, so it splits only from 2²⁴ PEs; a smaller reduction, the
+//! resolver and the any/all tests run on the calling thread.
 
 pub mod broadcast;
 pub mod count;
@@ -55,9 +59,26 @@ pub use sum::SumUnit;
 pub use tree::{reduction_latency, tree_depth, DelayLine, PipelinedUnit};
 pub use unit::NetUnit;
 
+use std::ops::Range;
+
 use asc_isa::{ReduceOp, Width, Word};
+use asc_pe::bitmask::OCC_GROUP_WORDS;
 use asc_pe::workers;
 use asc_pe::{ActiveMask, SimdLevel};
+
+/// The occupied groups of `active` among `groups`, lowest first, each as
+/// its first word, its words of `flags` and its mask words: the walk of
+/// the responder units, which hand a group's words to one kernel call.
+pub(crate) fn occupied_flags<'a>(
+    flags: &'a [u64],
+    active: &'a ActiveMask,
+    groups: Range<usize>,
+) -> impl Iterator<Item = (usize, &'a [u64], &'a [u64])> + 'a {
+    active.occupied(groups).map(move |(g, masks)| {
+        let first = g * OCC_GROUP_WORDS;
+        (first, &flags[first..first + masks.len()], masks)
+    })
+}
 
 /// Fold the active lanes of `values`, lowest first, with `lane` starting
 /// from `id`. A fold over enough occupied 4096-lane groups to pass the
@@ -110,7 +131,8 @@ pub struct NetworkConfig {
     /// maximize system performance".
     pub broadcast_arity: usize,
     /// SIMD tier of the sum unit's tile kernel (see
-    /// [`asc_pe::SumTileKernel`]); results are identical at every tier.
+    /// [`asc_pe::SumTileKernel`]) and of the responder units' word-span
+    /// kernels; results are identical at every tier.
     pub simd: SimdLevel,
 }
 
@@ -152,12 +174,22 @@ impl NetworkConfig {
 pub struct Network {
     cfg: NetworkConfig,
     sum: SumUnit,
+    counter: ResponseCounter,
+    resolver: MultipleResponseResolver,
+    logic: LogicUnit,
 }
 
 impl Network {
-    /// Build the network for a given geometry.
+    /// Build the network for a given geometry; every unit's kernel is
+    /// selected here, once, at the configured SIMD tier.
     pub fn new(cfg: NetworkConfig) -> Network {
-        Network { cfg, sum: SumUnit::new(cfg.simd) }
+        Network {
+            cfg,
+            sum: SumUnit::new(cfg.simd),
+            counter: ResponseCounter::new(cfg.simd),
+            resolver: MultipleResponseResolver::new(cfg.simd),
+            logic: LogicUnit::new(cfg.simd),
+        }
     }
 
     /// Network geometry.
@@ -190,20 +222,20 @@ impl Network {
         flags: &[u64],
         active: &ActiveMask,
     ) -> bool {
-        LogicUnit::reduce_flags(op, flags, active)
+        self.logic.reduce_flags(op, flags, active)
     }
 
     /// Exact responder count from the packed bitplane, saturating at the
     /// word width.
     pub fn count_responders(&self, flags: &[u64], active: &ActiveMask, w: Width) -> Word {
-        ResponseCounter::count(flags, active, w)
+        self.counter.count(flags, active, w)
     }
 
     /// Multiple response resolution: index of the first responder, if any.
     /// (The hardware's one-hot parallel output is materialized by the PE
     /// array only when an instruction stores it to a flag plane.)
     pub fn first_responder(&self, flags: &[u64], active: &ActiveMask) -> Option<usize> {
-        MultipleResponseResolver::first_responder(flags, active)
+        self.resolver.first_responder(flags, active)
     }
 }
 
@@ -268,14 +300,19 @@ mod tests {
     /// on dense, sparse, clustered and empty masks and on a mask whose
     /// only occupancy bit is stale, which must give each op's identity:
     /// at 70,001 lanes (18 occupancy groups, ragged tail), and at 2¹⁸ + 70
-    /// lanes (65 groups), where a sweep over a dense or sparse mask, or one
-    /// with an empty group, reaches the worker pool's gate and is split.
-    /// The larger array holds full-range W8 values, so the sum's tree
-    /// nodes saturate and any change of association would show.
+    /// lanes (65 groups), where a value reduction over a dense or sparse
+    /// mask, or one with an empty group, reaches the worker pool's gate
+    /// and is split. The count brings its flag words to the gate, which no
+    /// mask here reaches (`count.rs`'s `group_by_group_counts_sum_to_the_whole`
+    /// checks the per-group walk of a split count, and counts past the
+    /// gate at 2²⁴ + 70 lanes), and the resolver and any/all never split,
+    /// so those run group by group on the calling thread at both sizes. The
+    /// larger array holds full-range W8 values, so the sum's tree nodes
+    /// saturate and any change of association would show.
     #[test]
     fn units_match_lane_references_at_scale() {
         use asc_isa::FlagReduceOp;
-        use asc_pe::workers::{mask_work, GROUP_LANES, SPLIT_LANE_OPS};
+        use asc_pe::workers::{mask_work, word_work, GROUP_LANES, SPLIT_LANE_OPS};
         for (n, w) in [(70_001, Width::W16), ((1 << 18) + 70, Width::W8)] {
             let vals: Vec<Word> = (0..n)
                 .map(|i| match w {
@@ -302,6 +339,12 @@ mod tests {
                     let split = mask_work(active) >= SPLIT_LANE_OPS;
                     assert_eq!(split, *name != "cluster", "{name}: gate");
                 }
+            }
+            for (name, active) in &masks {
+                assert!(
+                    word_work(active) < SPLIT_LANE_OPS,
+                    "{name}: the count stays on the caller"
+                );
             }
             let pattern: Vec<bool> = (0..n).map(|i| i * 7 % 5 != 0).collect();
             let net = Network::new(NetworkConfig::new(n, 4));

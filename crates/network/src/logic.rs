@@ -6,19 +6,31 @@
 //!
 //! Integer reduction walks only the set bits of the packed active mask
 //! (AND/OR are associative and commutative, so the fold equals the
-//! hardware tree — no temporary leaf vector, no identity traffic); flag
-//! reduction operates word-parallel on packed bitplanes, 64 PEs per `u64`.
-//! Both skip every 4096-lane group with no active lane; the integer
-//! reduction folds one group at a time and splits a large one across the
-//! host workers (see the crate docs).
+//! hardware tree — no temporary leaf vector, no identity traffic); it
+//! folds one group at a time and splits a large one across the host
+//! workers (see the crate docs). Flag reduction (any/all) is a search:
+//! the first-set span kernel of the machine's SIMD tier
+//! ([`asc_pe::FirstSetKernel`]), selected once at construction, scans the
+//! packed bitplane 8 words (512 PEs) per step, one call per occupied
+//! 4096-lane group on the calling thread, and stops at the first hit.
+//! Both skip every group with no active lane.
 
 use asc_isa::{FlagReduceOp, ReduceOp, Width, Word};
-use asc_pe::ActiveMask;
+use asc_pe::{select_first_set, ActiveMask, FirstSetKernel, SimdLevel};
 
-/// Functional model of the logic reduction unit.
-pub struct LogicUnit;
+/// Functional model of the logic reduction unit, carrying the first-set
+/// kernel of the machine's SIMD tier for the flag reductions.
+#[derive(Debug, Clone, Copy)]
+pub struct LogicUnit {
+    first_set: FirstSetKernel,
+}
 
 impl LogicUnit {
+    /// The unit at a SIMD tier; the kernel is selected here, once.
+    pub fn new(level: SimdLevel) -> LogicUnit {
+        LogicUnit { first_set: select_first_set(level) }
+    }
+
     /// Bitwise AND/OR over active PEs. Inactive PEs contribute the identity
     /// (all ones for AND, zero for OR).
     ///
@@ -42,18 +54,21 @@ impl LogicUnit {
         })
     }
 
-    /// Flag reduction: responder detection over a packed bitplane. `Any` is
-    /// a nonzero test of `flags & active`; `All` asks whether any *active*
-    /// PE has the flag clear. Both are word-parallel and short-circuit —
-    /// the tail invariant (mask bits beyond the last PE are zero) makes
-    /// the partial last word fall out for free.
-    pub fn reduce_flags(op: FlagReduceOp, flags: &[u64], active: &ActiveMask) -> bool {
+    /// Flag reduction: responder detection over a packed bitplane. `Any`
+    /// holds when `flags & active` has a set bit; `All` fails at the first
+    /// set bit of `!flags & active`, an *active* PE with the flag clear.
+    /// Both are word-parallel and stop at the first hit — the tail
+    /// invariant (mask bits beyond the last PE are zero) makes the partial
+    /// last word fall out for free.
+    pub fn reduce_flags(&self, op: FlagReduceOp, flags: &[u64], active: &ActiveMask) -> bool {
         debug_assert_eq!(flags.len(), active.words().len());
-        let mut tiles = active.active_tiles();
-        match op {
-            FlagReduceOp::Any => tiles.any(|(t, a)| flags[t] & a != 0),
-            FlagReduceOp::All => tiles.all(|(t, a)| !flags[t] & a == 0),
-        }
+        let invert = match op {
+            FlagReduceOp::Any => 0,
+            FlagReduceOp::All => u64::MAX,
+        };
+        let hit = crate::occupied_flags(flags, active, 0..active.groups())
+            .any(|(_, f, masks)| (self.first_set)(f, masks, invert).is_some());
+        hit == (op == FlagReduceOp::Any)
     }
 }
 
@@ -97,17 +112,19 @@ mod tests {
 
     #[test]
     fn flag_reduction() {
-        let all3 = ActiveMask::all(3);
-        assert!(LogicUnit::reduce_flags(FlagReduceOp::Any, &pack(&[false, true, false]), &all3));
-        let first = ActiveMask::from_bools(&[true, false]);
-        assert!(!LogicUnit::reduce_flags(FlagReduceOp::Any, &pack(&[false, true]), &first));
-        assert!(LogicUnit::reduce_flags(FlagReduceOp::All, &pack(&[true, false]), &first));
-        let both = ActiveMask::all(2);
-        assert!(!LogicUnit::reduce_flags(FlagReduceOp::All, &pack(&[true, false]), &both));
-        // empty active set
-        let none = ActiveMask::new(1);
-        assert!(!LogicUnit::reduce_flags(FlagReduceOp::Any, &pack(&[true]), &none));
-        assert!(LogicUnit::reduce_flags(FlagReduceOp::All, &pack(&[false]), &none));
+        for u in SimdLevel::available().into_iter().map(LogicUnit::new) {
+            let all3 = ActiveMask::all(3);
+            assert!(u.reduce_flags(FlagReduceOp::Any, &pack(&[false, true, false]), &all3));
+            let first = ActiveMask::from_bools(&[true, false]);
+            assert!(!u.reduce_flags(FlagReduceOp::Any, &pack(&[false, true]), &first));
+            assert!(u.reduce_flags(FlagReduceOp::All, &pack(&[true, false]), &first));
+            let both = ActiveMask::all(2);
+            assert!(!u.reduce_flags(FlagReduceOp::All, &pack(&[true, false]), &both));
+            // empty active set
+            let none = ActiveMask::new(1);
+            assert!(!u.reduce_flags(FlagReduceOp::Any, &pack(&[true]), &none));
+            assert!(u.reduce_flags(FlagReduceOp::All, &pack(&[false]), &none));
+        }
     }
 
     #[test]
@@ -157,7 +174,9 @@ mod tests {
                 let expect = (0..n)
                     .map(|i| if actives[i] { flags[i] } else { op.identity() })
                     .fold(op.identity(), |a, b| op.combine(a, b));
-                prop_assert_eq!(LogicUnit::reduce_flags(op, &packed, &mask), expect);
+                for level in SimdLevel::available() {
+                    prop_assert_eq!(LogicUnit::new(level).reduce_flags(op, &packed, &mask), expect);
+                }
             }
         }
     }

@@ -10,27 +10,39 @@
 //! hardware actually builds (`resolve`: Kogge–Stone style inclusive
 //! prefix-OR, then `out[i] = in[i] & !prefix[i-1]`). The property tests
 //! prove them equivalent.
+//!
+//! The executor's path is [`MultipleResponseResolver::first_responder`]:
+//! the first-set span kernel of the machine's SIMD tier
+//! ([`asc_pe::FirstSetKernel`]), selected once at construction, scans the
+//! occupied 4096-lane groups lowest first on the calling thread, 8 flag
+//! words per step, and stops at the first group with a responder.
 
-use asc_pe::ActiveMask;
+use asc_pe::{select_first_set, ActiveMask, FirstSetKernel, SimdLevel};
 
-/// Functional model of the multiple response resolver.
-pub struct MultipleResponseResolver;
+/// Functional model of the multiple response resolver, carrying the
+/// first-set kernel of the machine's SIMD tier.
+#[derive(Debug, Clone, Copy)]
+pub struct MultipleResponseResolver {
+    first_set: FirstSetKernel,
+}
 
 impl MultipleResponseResolver {
+    /// The resolver at a SIMD tier; the kernel is selected here, once.
+    pub fn new(level: SimdLevel) -> MultipleResponseResolver {
+        MultipleResponseResolver { first_set: select_first_set(level) }
+    }
+
     /// Bitplane fast path: index of the first responder under the mask,
-    /// straight from the packed flag plane. A word-level scan finds the
-    /// first nonzero `flags & active` word; `trailing_zeros` picks the
-    /// lowest-numbered PE within it. This is the path the executor uses —
-    /// the one-hot output vector of the hardware is reconstructed by the
-    /// PE array when (and only when) an instruction stores it. The scan
-    /// runs over [`ActiveMask::active_tiles`], lowest tile first, so it
-    /// skips every 4096-lane group with no active lane.
-    pub fn first_responder(flags: &[u64], active: &ActiveMask) -> Option<usize> {
+    /// straight from the packed flag plane: the lowest set bit of `flags &
+    /// active`, found group by group. This is the path the executor uses
+    /// — the one-hot output vector of the hardware is reconstructed by the
+    /// PE array when (and only when) an instruction stores it. Every
+    /// 4096-lane group with no active lane is skipped on its occupancy
+    /// bit.
+    pub fn first_responder(&self, flags: &[u64], active: &ActiveMask) -> Option<usize> {
         debug_assert_eq!(flags.len(), active.words().len());
-        active.active_tiles().find_map(|(t, a)| {
-            let r = flags[t] & a;
-            (r != 0).then(|| t * 64 + r.trailing_zeros() as usize)
-        })
+        crate::occupied_flags(flags, active, 0..active.groups())
+            .find_map(|(first, f, masks)| (self.first_set)(f, masks, 0).map(|i| first * 64 + i))
     }
 
     /// Parallel-prefix implementation, as the hardware computes it.
@@ -127,7 +139,7 @@ mod tests {
         }
 
         /// The bitplane fast path finds the same PE as the linear-scan
-        /// specification over the boolean vectors.
+        /// specification over the boolean vectors, at every tier.
         #[test]
         fn bitplane_path_equals_first_index(
             flags in proptest::collection::vec(any::<bool>(), 0..200),
@@ -136,10 +148,12 @@ mod tests {
             let n = flags.len().min(active.len());
             let packed = ActiveMask::from_bools(&flags[..n]).words().to_vec();
             let mask = ActiveMask::from_bools(&active[..n]);
-            prop_assert_eq!(
-                MultipleResponseResolver::first_responder(&packed, &mask),
-                MultipleResponseResolver::first_index(&flags[..n], &active[..n])
-            );
+            for level in SimdLevel::available() {
+                prop_assert_eq!(
+                    MultipleResponseResolver::new(level).first_responder(&packed, &mask),
+                    MultipleResponseResolver::first_index(&flags[..n], &active[..n])
+                );
+            }
         }
 
         /// The output is always one-hot or all-zero, and the hot bit (if

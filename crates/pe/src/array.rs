@@ -45,10 +45,12 @@
 //! span at a time ([`crate::tiles::for_each_group_span`]), so a sweep
 //! large enough to pass the pool's gate runs on every host core (see
 //! [`crate::workers`]) and a smaller one runs on the calling thread; each
-//! group writes only its own lanes. Commit-map marks are made before the
+//! group writes only its own lanes. Flag logic (and the clear of
+//! `write_first_responder`) brings its flag words to the pool's gate
+//! rather than its lanes ([`workers::word_work`]), so it runs on the
+//! calling thread below 2²⁴ PEs. Commit-map marks are made before the
 //! sweep. The rest always run on the calling thread, tile by tile
-//! ([`ActiveMask::active_tiles`]): `shift` reads across lanes,
-//! `write_flag_column` and `write_first_responder` are single passes, and
+//! ([`ActiveMask::active_tiles`]): `shift` reads across lanes, and
 //! per-lane loads and stores stop at a fault.
 //!
 //! A memory fault stops a per-lane load or store at the lowest faulting
@@ -183,17 +185,18 @@ fn split_planes<'a, T>(
 /// GPR plane or local-memory row, fewer in a short last tile; one word of
 /// a flag plane). A clear group costs one bit test, and each occupied one
 /// one call of `f`, which hands the whole group to a span kernel or loop.
-/// The walk is split across the host workers when the occupied groups'
-/// lanes reach the pool's gate ([`crate::tiles::for_each_group_span`]);
-/// `f` writes only its chunk.
+/// The walk is split across the host workers when `lane_ops`, the sweep's
+/// work ([`workers::mask_work`], or [`workers::word_work`] for a sweep of
+/// flag words), reaches the pool's gate
+/// ([`crate::tiles::for_each_group_span`]); `f` writes only its chunk.
 #[inline]
 fn sweep<T: Send>(
     plane: &mut [T],
     per_tile: usize,
+    lane_ops: usize,
     active: &ActiveMask,
     f: impl Fn(usize, &[u64], &mut [T]) + Sync + Copy,
 ) {
-    let lane_ops = workers::mask_work(active);
     let per_group = OCC_GROUP_WORDS * per_tile;
     // inlined into the serial call as well as into the split path
     for_each_group_span(
@@ -643,13 +646,25 @@ impl PeArray {
         (thread * self.cfg.flags + flag) * self.words_per_plane()
     }
 
-    /// Fill `out` with the active set for a thread and mask, without
-    /// allocating: all PEs, or the PEs whose mask flag is set.
-    pub fn fill_active(&self, thread: usize, mask: Mask, out: &mut ActiveMask) {
-        debug_assert_eq!(out.lanes(), self.cfg.num_pes);
+    /// The active set for a thread and mask, without allocating: `all`,
+    /// the caller's all-active mask, or `buf` refilled from the mask
+    /// flag's plane.
+    pub fn active<'m>(
+        &self,
+        thread: usize,
+        mask: Mask,
+        all: &'m ActiveMask,
+        buf: &'m mut ActiveMask,
+    ) -> &'m ActiveMask {
         match mask {
-            Mask::All => out.set_all(),
-            Mask::Flag(f) => out.copy_from_plane(self.flag_plane(thread, f.index())),
+            Mask::All => {
+                debug_assert_eq!(all.lanes(), self.cfg.num_pes);
+                all
+            }
+            Mask::Flag(f) => {
+                buf.copy_from_plane(self.flag_plane(thread, f.index()));
+                buf
+            }
         }
     }
 
@@ -688,7 +703,7 @@ impl PeArray {
             Src::Reg(pb) => Kern::Rr(simd::select_alu_rr(level, op), planes(pb.index())),
             Src::Scalar(v) | Src::Imm(v) => Kern::Rs(simd::select_alu_rs(level, op), v),
         };
-        sweep(dst, BITS_PER_WORD, active, move |tile, masks, span| {
+        sweep(dst, BITS_PER_WORD, workers::mask_work(active), active, move |tile, masks, span| {
             let base = tile * BITS_PER_WORD;
             let lanes = base..base + span.len();
             let x = a.map(|p| &p[lanes.clone()]);
@@ -736,7 +751,9 @@ impl PeArray {
         let b_plane = b_base.map(|bb| &gprs[bb..bb + n]);
         // the kernel merges under the mask words, so inactive lanes keep
         // their flag bits
-        sweep(&mut flags[fd_base..fd_base + wpp], 1, active, move |tile, masks, words| {
+        // a compare counts its lanes at the gate, not the flag words it writes
+        let (dst, lane_ops) = (&mut flags[fd_base..fd_base + wpp], workers::mask_work(active));
+        sweep(dst, 1, lane_ops, active, move |tile, masks, words| {
             let base = tile * BITS_PER_WORD;
             let lanes = base..n.min(base + masks.len() * BITS_PER_WORD);
             let a = &a_plane[lanes.clone()];
@@ -768,7 +785,7 @@ impl PeArray {
         // the write
         let (dst, planes) = split_planes(region, d, wpp);
         let (a, b) = (planes(fa.index()), planes(fb.index()));
-        sweep(dst, 1, active, move |tile, masks, words| {
+        sweep(dst, 1, workers::word_work(active), active, move |tile, masks, words| {
             let span = tile..tile + words.len();
             simd::flag_span(op, words, a.map(|p| &p[span.clone()]), b.map(|p| &p[span]), masks)
         });
@@ -887,6 +904,7 @@ impl PeArray {
         sweep(
             &mut gprs[dst_base..dst_base + n],
             BITS_PER_WORD,
+            workers::mask_work(active),
             active,
             move |tile, masks, span| {
                 let base = tile * BITS_PER_WORD;
@@ -918,6 +936,7 @@ impl PeArray {
         sweep(
             &mut lmem[addr * n..(addr + 1) * n],
             BITS_PER_WORD,
+            workers::mask_work(active),
             active,
             move |tile, masks, span| {
                 let base = tile * BITS_PER_WORD;
@@ -939,6 +958,7 @@ impl PeArray {
         sweep(
             &mut self.gprs[dst_base..dst_base + n],
             BITS_PER_WORD,
+            workers::mask_work(active),
             active,
             move |tile, masks, span| simd::index_span(span, tile * BITS_PER_WORD, w, masks),
         );
@@ -985,6 +1005,7 @@ impl PeArray {
         sweep(
             &mut self.gprs[dst_base..dst_base + n],
             BITS_PER_WORD,
+            workers::mask_work(active),
             active,
             move |_, masks, span| {
                 for (t, &mw) in masks.iter().enumerate() {
@@ -999,30 +1020,9 @@ impl PeArray {
         );
     }
 
-    /// Write a whole flag column (e.g. a resolver result computed as
-    /// per-PE booleans). Only active PEs are updated.
-    pub fn write_flag_column(
-        &mut self,
-        thread: usize,
-        fd: PFlag,
-        values: &[bool],
-        active: &ActiveMask,
-    ) {
-        debug_assert_eq!(values.len(), self.cfg.num_pes);
-        let d_base = self.flag_base(thread, fd.index());
-        self.mark_flag_plane(thread, fd.index());
-        for (wi, mw) in active.active_tiles() {
-            let base = wi * BITS_PER_WORD;
-            let mut bits = 0u64;
-            for_each_set(mw, base, |lane| bits |= u64::from(values[lane]) << (lane - base));
-            let d = &mut self.flags[d_base + wi];
-            *d = (*d & !mw) | bits;
-        }
-    }
-
     /// Write the multiple response resolver's one-hot result: clear `fd`
-    /// in every active PE, then set it in the winning PE (if any). The
-    /// winner must be active.
+    /// in every active PE, a flag-logic sweep like [`PeArray::flag_op`]'s,
+    /// then set it in the winning PE (if any). The winner must be active.
     pub fn write_first_responder(
         &mut self,
         thread: usize,
@@ -1030,11 +1030,15 @@ impl PeArray {
         winner: Option<usize>,
         active: &ActiveMask,
     ) {
-        let d_base = self.flag_base(thread, fd.index());
+        let (d_base, wpp) = (self.flag_base(thread, fd.index()), self.words_per_plane());
         self.mark_flag_plane(thread, fd.index());
-        for (wi, mw) in active.active_tiles() {
-            self.flags[d_base + wi] &= !mw;
-        }
+        sweep(
+            &mut self.flags[d_base..d_base + wpp],
+            1,
+            workers::word_work(active),
+            active,
+            |_, masks, words| simd::flag_span(FlagOp::Clr, words, None, None, masks),
+        );
         if let Some(pe) = winner {
             debug_assert!(active.is_active(pe), "resolver winner must be active");
             self.flags[d_base + pe / BITS_PER_WORD] |= 1u64 << (pe % BITS_PER_WORD);
@@ -1502,15 +1506,6 @@ mod tests {
     }
 
     #[test]
-    fn write_flag_column_respects_mask() {
-        let mut a = small();
-        let vals = vec![true; 8];
-        let active = every(8, |i| i % 2 == 0);
-        a.write_flag_column(0, pf(3), &vals, &active);
-        assert_eq!(a.flag_column(0, 3), vec![true, false, true, false, true, false, true, false]);
-    }
-
-    #[test]
     fn write_first_responder_is_one_hot_over_active() {
         let mut a = small();
         let all = ActiveMask::all(8);
@@ -1630,7 +1625,6 @@ mod tests {
         // flag writes
         a.cmp(0, CmpOp::Lt, pf(1), p(1), Src::Scalar(Word(1000)), &all);
         a.flag_op(0, FlagOp::Set, pf(2), pf(2), pf(2), &odd);
-        a.write_flag_column(1, pf(3), &vec![true; n], &all);
         a.write_first_responder(0, pf(4), Some(n - 1), &all);
         // a chain through a tile window, committed through the note_* hooks
         let row = 12;
@@ -1728,15 +1722,15 @@ mod tests {
     }
 
     #[test]
-    fn fill_active_matches_flag_plane() {
+    fn active_is_all_or_the_refilled_flag_plane() {
         let mut a = small();
         let all = ActiveMask::all(8);
         a.pidx(0, p(1), &all);
         a.cmp(0, CmpOp::Lt, pf(2), p(1), Src::Scalar(Word(5)), &all);
         let mut m = ActiveMask::new(8);
-        a.fill_active(0, Mask::Flag(pf(2)), &mut m);
+        assert_eq!(a.active(0, Mask::Flag(pf(2)), &all, &mut m).to_bools(), a.flag_column(0, 2));
         assert_eq!(m.to_bools(), a.flag_column(0, 2));
-        a.fill_active(0, Mask::All, &mut m);
-        assert_eq!(m.count(), 8);
+        assert!(std::ptr::eq(a.active(0, Mask::All, &all, &mut m), &all));
+        assert_eq!(m.to_bools(), a.flag_column(0, 2), "an unmasked instruction leaves the buffer");
     }
 }

@@ -7,12 +7,15 @@
 //! count, any/all tests, word-parallel flag logic) need no special casing
 //! of the last word.
 //!
-//! [`ActiveMask`] is the reusable mask buffer the instruction executor
-//! fills once per masked instruction — replacing the per-instruction
-//! `Vec<bool>` allocation of the old array-of-structures datapath. Dense
-//! mask words (`u64::MAX`) drive branch-free 64-lane loops; sparse words
-//! are walked with trailing-zeros iteration, and fully-masked-off regions
-//! cost one bit test per 4096 PEs ([`ActiveMask::active_tiles`]).
+//! [`ActiveMask`] is the packed set of PEs an instruction runs on. A
+//! machine keeps two: the all-active mask, built once at construction and
+//! read by every unmasked instruction, and a buffer that every `?pf`
+//! instruction refills from its flag plane ([`ActiveMask::copy_from_plane`])
+//! — no per-instruction allocation, and no refill of the all-active
+//! pattern after a masked instruction. Dense mask words (`u64::MAX`) drive
+//! branch-free 64-lane loops; sparse words are walked with trailing-zeros
+//! iteration, and fully-masked-off regions cost one bit test per 4096 PEs
+//! ([`ActiveMask::occupied`], [`ActiveMask::active_tiles`]).
 
 /// Lanes per plane word.
 pub const BITS_PER_WORD: usize = 64;
@@ -52,28 +55,23 @@ pub fn for_each_set(word: u64, base: usize, mut f: impl FnMut(usize)) {
 }
 
 /// The set of PEs participating in a masked instruction, as a packed
-/// bitset. One lives in the machine and is refilled in place for every
-/// masked instruction; none of the fill or query operations allocate.
-/// The mask also keeps a conservative *occupancy summary*: one bit per
+/// bitset; none of the fill or query operations allocate. The mask also
+/// keeps a conservative *occupancy summary*: one bit per
 /// [`OCC_GROUP_WORDS`]-word group, clear only when every word of the
-/// group is known zero. Every plane sweep and reduction walks the mask
-/// through [`ActiveMask::active_tiles`], which tests a group bit instead
-/// of scanning 64 words, so a fully-inactive group costs one bit test at
-/// every segment count. The summary is exact after the bulk fills
-/// ([`ActiveMask::set_all`], [`ActiveMask::clear_all`],
+/// group is zero. Every plane sweep and reduction walks the mask a group
+/// at a time ([`ActiveMask::occupied`], [`ActiveMask::active_tiles`]),
+/// testing a group bit instead of scanning 64 words, so a fully-inactive
+/// group costs one bit test at every segment count. The summary is exact
+/// after the bulk fills ([`ActiveMask::set_all`], [`ActiveMask::clear_all`],
 /// [`ActiveMask::copy_from_plane`] — the executor's paths) and degrades
-/// conservatively (bit left set) when single lanes are cleared.
+/// conservatively (bit left set) when single lanes are cleared. A clear
+/// bit is never stale, which is what lets a refill skip the groups whose
+/// bit is clear.
 #[derive(Debug, Clone)]
 pub struct ActiveMask {
     words: Vec<u64>,
     occ: Vec<u64>,
     lanes: usize,
-    /// Conservative all-active cache: when `true`, `words` and `occ` are
-    /// known to hold the all-active pattern already, so the next
-    /// [`ActiveMask::set_all`] is a no-op instead of a full-plane sweep —
-    /// unmasked instructions in a row pay one word test, not O(lanes/64)
-    /// writes. `false` just means "unknown".
-    all: bool,
 }
 
 // the occupancy summary is a cache, not state: masks compare by lanes
@@ -94,12 +92,7 @@ impl ActiveMask {
     /// An all-inactive mask over `lanes` PEs.
     pub fn new(lanes: usize) -> ActiveMask {
         let nwords = words_for(lanes);
-        ActiveMask {
-            words: vec![0; nwords],
-            occ: vec![0; occ_words_for(nwords)],
-            lanes,
-            all: false,
-        }
+        ActiveMask { words: vec![0; nwords], occ: vec![0; occ_words_for(nwords)], lanes }
     }
 
     /// An all-active mask over `lanes` PEs.
@@ -133,9 +126,6 @@ impl ActiveMask {
 
     /// Make every lane active.
     pub fn set_all(&mut self) {
-        if self.all {
-            return;
-        }
         self.words.fill(u64::MAX);
         if let Some(last) = self.words.last_mut() {
             *last &= tail_mask(self.lanes);
@@ -145,34 +135,37 @@ impl ActiveMask {
         if let Some(last) = self.occ.last_mut() {
             *last &= tail_mask(groups.max(1));
         }
-        self.all = true;
     }
 
     /// Make every lane inactive.
     pub fn clear_all(&mut self) {
         self.words.fill(0);
         self.occ.fill(0);
-        self.all = false;
     }
 
     /// Refill from a flag plane of the same geometry (the `?pf` masked
     /// execution path: the mask *is* the flag bitplane, copied so the
-    /// instruction may overwrite the flag it is masked by). The occupancy
-    /// summary is folded in during the copy, so sparse masks become
-    /// group-skippable at no extra pass.
+    /// instruction may overwrite the flag it is masked by), in one read
+    /// pass over the plane. A group with a set bit is copied and marked
+    /// occupied. An empty group is zeroed only when its occupancy bit was
+    /// set: a clear bit already guarantees zero words. A refill from a
+    /// sparse plane therefore writes little more than the groups it keeps
+    /// and the ones the previous fill kept, and the summary comes out
+    /// exact.
+    ///
+    /// # Panics
+    /// Panics if `plane` is not one word per word of the mask.
     pub fn copy_from_plane(&mut self, plane: &[u64]) {
-        debug_assert_eq!(plane.len(), self.words.len());
-        self.all = false;
-        self.occ.fill(0);
+        assert_eq!(plane.len(), self.words.len(), "a mask refills from a plane of its geometry");
         for (g, src) in plane.chunks(OCC_GROUP_WORDS).enumerate() {
-            let dst = &mut self.words[g * OCC_GROUP_WORDS..g * OCC_GROUP_WORDS + src.len()];
-            let mut any = 0u64;
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = s;
-                any |= s;
-            }
-            if any != 0 {
-                self.occ[g / BITS_PER_WORD] |= 1u64 << (g % BITS_PER_WORD);
+            let (occ, bit) = (&mut self.occ[g / BITS_PER_WORD], 1u64 << (g % BITS_PER_WORD));
+            let dst = &mut self.words[g * OCC_GROUP_WORDS..][..src.len()];
+            if src.iter().fold(0, |any, &w| any | w) != 0 {
+                dst.copy_from_slice(src);
+                *occ |= bit;
+            } else if *occ & bit != 0 {
+                dst.fill(0);
+                *occ &= !bit;
             }
         }
     }
@@ -198,7 +191,6 @@ impl ActiveMask {
             self.occ[g / BITS_PER_WORD] |= 1u64 << (g % BITS_PER_WORD);
         } else {
             self.words[w] &= !b;
-            self.all = false;
         }
     }
 
@@ -452,34 +444,50 @@ mod tests {
         assert!(!m.range_occupied(0..m.words().len()));
     }
 
+    /// One buffer refilled through a sequence of planes matches a fresh
+    /// mask of each plane: its words, its occupied groups and every
+    /// group's occupancy answer. The sequence moves the occupied groups
+    /// around, empties them, starts from a buffer with a stale occupancy
+    /// bit, and ends in the tail word, so a refill that skipped zeroing a
+    /// group the previous fill kept, or trusted a stale bit, would leave
+    /// lanes behind.
     #[test]
-    fn set_all_fast_path_stays_correct_after_mutation() {
-        let lanes = 130;
-        let mut m = ActiveMask::new(lanes);
-        m.set_all();
-        m.set_all(); // second call takes the cached fast path
-        let full = m.words().to_vec();
-        assert_eq!(m.count(), lanes);
-
-        // a single cleared lane must invalidate the cache so the next
-        // set_all restores every bit
-        m.set(129, false);
-        assert!(!m.is_active(129));
-        m.set_all();
-        assert_eq!(m.words(), &full[..]);
-        assert_eq!(m.count(), lanes);
-
-        // copy_from_plane invalidates too, even when the plane is dense
-        let plane = full.clone();
-        m.copy_from_plane(&plane);
-        m.set(0, false);
-        m.set_all();
-        assert_eq!(m.count(), lanes);
-
-        // clear_all invalidates
-        m.clear_all();
-        m.set_all();
-        assert_eq!(m.count(), lanes);
+    fn refills_match_a_fresh_mask_of_each_plane() {
+        // 3 full groups and a ragged 2-word tail group
+        let lanes = 3 * OCC_GROUP_WORDS * BITS_PER_WORD + 70;
+        let group = OCC_GROUP_WORDS * BITS_PER_WORD;
+        let plane = |on: &dyn Fn(usize) -> bool| (0..lanes).map(on).collect::<Vec<bool>>();
+        let mut stale = ActiveMask::new(lanes);
+        stale.set(100, true);
+        stale.set(group + 5, true);
+        stale.set(group + 5, false);
+        let steps = [
+            ("dense", plane(&|_| true)),
+            ("cluster A", plane(&|i| (100..1124).contains(&i))),
+            ("cluster B", plane(&|i| (2 * group + 5..2 * group + 1029).contains(&i))),
+            ("empty", plane(&|_| false)),
+            ("stale", stale.to_bools()),
+            ("tail", plane(&|i| i == lanes - 1)),
+            ("dense again", plane(&|_| true)),
+        ];
+        let mut buf = ActiveMask::new(lanes);
+        for (name, bools) in &steps {
+            if *name == "stale" {
+                // the buffer itself carries a stale bit into this refill
+                buf.set(2 * group + 7, true);
+                buf.set(2 * group + 7, false);
+                assert_eq!((buf.count(), buf.occupied_groups()), (0, 1));
+            }
+            let want = ActiveMask::from_bools(bools);
+            buf.copy_from_plane(want.words());
+            assert_eq!(buf.words(), want.words(), "{name}: words");
+            assert_eq!(buf.occupied_groups(), want.occupied_groups(), "{name}: occupied");
+            for g in 0..buf.groups() {
+                let range = g * OCC_GROUP_WORDS..buf.words().len().min((g + 1) * OCC_GROUP_WORDS);
+                let occupied = buf.range_occupied(range.clone());
+                assert_eq!(occupied, want.range_occupied(range), "{name}: group {g}");
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub use muldiv::{DividerConfig, MultiplierKind, SequentialUnit};
 pub use regfile::{FlagFile, RegFile};
 pub use segments::SegmentGeometry;
 pub use simd::{
-    alu_vectorizes, select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, select_sum_tile,
-    simd_disabled, AluRrKernel, AluRsKernel, CmpRrKernel, CmpRsKernel, SimdLevel, SumTileKernel,
+    alu_vectorizes, select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, select_first_set,
+    select_popcount, select_sum_tile, simd_disabled, AluRrKernel, AluRsKernel, CmpRrKernel,
+    CmpRsKernel, FirstSetKernel, PopcountKernel, SimdLevel, SumTileKernel,
 };
 pub use tiles::{GroupTiles, Plane, ThreadTiles, TileWindow, TILE_LANES};

@@ -227,13 +227,16 @@ fn assert_state_matches(soa: &PeArray, reference: &RefArray) -> TestCaseResult {
 }
 
 /// Every lane-local sweep the worker pool splits (ALU register and
-/// immediate forms, a destination that is a source, compares, flag logic
-/// with fd = fa, uniform-address loads and stores, `pidx`, `movs`) at
-/// 2¹⁸ + 70 PEs: 65 occupancy groups, the last two tiles long and ragged,
-/// so a one-op sweep over a dense mask, or over one with an empty group,
-/// reaches the gate. Each op runs under a dense mask, a random mask with
-/// one empty occupancy group, and a sparse one, and the array must match
-/// the per-PE reference lane for lane.
+/// immediate forms, a destination that is a source, compares,
+/// uniform-address loads and stores, `pidx`, `movs`) at 2¹⁸ + 70 PEs: 65
+/// occupancy groups, the last two tiles long and ragged, so a one-op
+/// sweep over a dense mask, or over one with an empty group, reaches the
+/// gate. Flag logic with fd = fa runs between them group by group on the
+/// caller: it brings its flag words to the gate, which splits it only
+/// from 2²⁴ PEs, an array no test builds; split, it would take the same
+/// `sweep` as the ops here. Each op runs under a dense mask, a random
+/// mask with one empty occupancy group, and a sparse one, and the array
+/// must match the per-PE reference lane for lane.
 #[test]
 fn split_sweeps_match_per_pe_reference() {
     use crate::workers::{self, GROUP_LANES, SPLIT_LANE_OPS};
@@ -258,6 +261,7 @@ fn split_sweeps_match_per_pe_reference() {
     assert_eq!(holed_mask.groups(), 65);
     assert_eq!(holed_mask.occupied_groups(), 64);
     assert!(workers::mask_work(&holed_mask) >= SPLIT_LANE_OPS, "below the gate");
+    assert!(workers::word_work(&ActiveMask::all(n)) < SPLIT_LANE_OPS, "flag logic splits");
     let v = |rng: &mut StdRng| Word::new(rng.random_range(0..1 << 16), Width::W16);
     let p = |i: u8| PReg::from_index(i);
     // irregular register contents and local memory first
@@ -432,9 +436,9 @@ proptest! {
         }
     }
 
-    /// Flag bitplanes round-trip: an arbitrary boolean column written via
-    /// `write_flag_column` reads back identically through `flag_column`,
-    /// `flag`, and `fill_active` of the same flag.
+    /// Flag bitplanes round-trip: an arbitrary boolean column written
+    /// lane by lane via `set_flag` reads back identically through
+    /// `flag_column`, `flag`, and the `?pf` active set of the same flag.
     #[test]
     fn flag_bitplane_round_trip(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -442,14 +446,16 @@ proptest! {
         let all = ActiveMask::all(PES);
         let bools: Vec<bool> = (0..PES).map(|_| rng.random()).collect();
         let thread = rng.random_range(0..THREADS);
-        a.write_flag_column(thread, PFlag::from_index(3), &bools, &all);
+        for (i, &b) in bools.iter().enumerate() {
+            a.set_flag(i, thread, 3, b);
+        }
         prop_assert_eq!(&a.flag_column(thread, 3), &bools);
         for (i, &b) in bools.iter().enumerate() {
             prop_assert_eq!(a.flag(i, thread, 3), b);
         }
         let mut m = ActiveMask::new(PES);
-        a.fill_active(thread, asc_isa::Mask::Flag(PFlag::from_index(3)), &mut m);
-        prop_assert_eq!(m.to_bools(), bools);
+        let mask = asc_isa::Mask::Flag(PFlag::from_index(3));
+        prop_assert_eq!(a.active(thread, mask, &all, &mut m).to_bools(), bools);
         // tail bits beyond the last PE stay zero (the plane invariant)
         let plane = a.flag_plane(thread, 3);
         prop_assert_eq!(plane[PES / 64] >> (PES % 64), 0);

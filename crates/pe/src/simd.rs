@@ -32,13 +32,24 @@
 //! the vector kernel falls back to the scalar tree there. The sum tile
 //! has one vector kernel, AVX2, which the AVX-512 tier uses too.
 //!
+//! Two *word-span* primitives serve the responder units, on packed flag
+//! words with one mask word per 64 lanes: a popcount of `flags & mask`
+//! ([`PopcountKernel`], the response counter) and a first-set scan that
+//! tests 8 words per step and stops at the first hit ([`FirstSetKernel`],
+//! the resolver and the any/all tests). Each has one body; the scalar
+//! tier compiles it for the baseline target, which has no POPCNT and
+//! 128-bit vectors, and both vector tiers run it compiled with AVX2, the
+//! popcount also with POPCNT (see docs/performance.md for what each build
+//! costs). The callers hand them one 4096-lane occupancy group (64 words)
+//! per call.
+//!
 //! The tier is resolved **once per machine construction** by
 //! [`SimdLevel::detect`] (hardware probe + the `MTASC_NO_SIMD` escape
 //! hatch) and carried in [`crate::ArrayConfig`] (and in the reduction
-//! network's config, for the sum tile); nothing here reads global mutable
-//! state. Building with `--cfg mtasc_force_scalar` (the
-//! CI portability check) compiles the intrinsics out entirely and the
-//! selectors degrade to the scalar tier.
+//! network's config, for the sum tile and the word-span kernels); nothing
+//! here reads global mutable state. Building with `--cfg
+//! mtasc_force_scalar` (the CI portability check) compiles the intrinsics
+//! out entirely and the selectors degrade to the scalar tier.
 //!
 //! ### Kernel contract
 //!
@@ -126,8 +137,11 @@ impl SimdLevel {
     pub fn detect_hw() -> SimdLevel {
         #[cfg(all(target_arch = "x86_64", not(mtasc_force_scalar)))]
         {
-            // the AVX-512 tier also runs the AVX2 sum tile
-            if std::arch::is_x86_feature_detected!("avx2") {
+            // the AVX-512 tier also runs the AVX2 sum tile, and both
+            // vector tiers the popcount span built with POPCNT
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("popcnt")
+            {
                 if std::arch::is_x86_feature_detected!("avx512f") {
                     return SimdLevel::Avx512;
                 }
@@ -189,6 +203,14 @@ pub type CmpRsKernel = fn(flags: &mut [u64], a: &[Word], s: Word, w: Width, mask
 /// 64-lane tile, saturating at every node, with the lanes whose `mw` bit
 /// is clear (and lanes at or above `values.len()`) entering as zero.
 pub type SumTileKernel = fn(values: &[Word], w: Width, mw: u64) -> Word;
+/// Responder-count span primitive: the number of lanes set in both
+/// `flags` and `masks`, one word of each per 64-lane tile.
+pub type PopcountKernel = fn(flags: &[u64], masks: &[u64]) -> u64;
+/// First-set span primitive: the lowest lane whose bit of `flags ^
+/// invert` is set under `masks`, or `None`. An `invert` of 0 finds the
+/// first responder; `u64::MAX` finds the first masked lane whose flag is
+/// clear (the "all" test fails there).
+pub type FirstSetKernel = fn(flags: &[u64], masks: &[u64], invert: u64) -> Option<usize>;
 
 /// Ops the vector tiers fall through to the scalar loop for.
 const fn scalar_only(op_code: u8) -> bool {
@@ -491,6 +513,38 @@ fn sum_tile_scalar(values: &[Word], w: Width, mw: u64) -> Word {
     Word::from_i64(node[0], w)
 }
 
+/// Words a first-set scan tests per step before it looks for the hit.
+const SCAN_STEP: usize = 8;
+
+/// The word-span bodies of the responder kernels. The scalar tier runs
+/// them compiled for the baseline target, where `count_ones` is a bit
+/// trick; the vector tiers run them compiled with AVX2 and POPCNT.
+#[inline(always)]
+fn popcount_body(flags: &[u64], masks: &[u64]) -> u64 {
+    assert_eq!(flags.len(), masks.len(), "a word span takes one mask word per flag word");
+    flags.iter().zip(masks).map(|(&f, &m)| u64::from((f & m).count_ones())).sum()
+}
+
+/// See [`popcount_body`]: a step ORs [`SCAN_STEP`] masked words and only
+/// a step with a hit is searched word by word.
+#[inline(always)]
+fn first_set_body(flags: &[u64], masks: &[u64], invert: u64) -> Option<usize> {
+    assert_eq!(flags.len(), masks.len(), "a word span takes one mask word per flag word");
+    let hit = |(&f, &m): (&u64, &u64)| (f ^ invert) & m;
+    let first = |from: usize, f: &[u64], m: &[u64]| {
+        let mut words = f.iter().zip(m).map(hit).enumerate();
+        words.find(|&(_, h)| h != 0).map(|(k, h)| (from + k) * 64 + h.trailing_zeros() as usize)
+    };
+    let steps = flags.len() / SCAN_STEP * SCAN_STEP;
+    let chunks = flags.chunks_exact(SCAN_STEP).zip(masks.chunks_exact(SCAN_STEP));
+    for (s, (f, m)) in chunks.enumerate() {
+        if f.iter().zip(m).map(hit).fold(0, |acc, h| acc | h) != 0 {
+            return first(s * SCAN_STEP, f, m);
+        }
+    }
+    first(steps, &flags[steps..], &masks[steps..])
+}
+
 /// Monomorphize `$f` over every [`AluOp`] code.
 macro_rules! alu_table {
     ($op:expr, $f:ident) => {{
@@ -592,6 +646,26 @@ pub fn select_sum_tile(level: SimdLevel) -> SumTileKernel {
     }
     let _ = level;
     sum_tile_scalar
+}
+
+/// The responder-count kernel for a tier.
+pub fn select_popcount(level: SimdLevel) -> PopcountKernel {
+    #[cfg(all(target_arch = "x86_64", not(mtasc_force_scalar)))]
+    if level.is_simd() {
+        return x86::popcount_avx2;
+    }
+    let _ = level;
+    popcount_body
+}
+
+/// The first-set scan kernel for a tier.
+pub fn select_first_set(level: SimdLevel) -> FirstSetKernel {
+    #[cfg(all(target_arch = "x86_64", not(mtasc_force_scalar)))]
+    if level.is_simd() {
+        return x86::first_set_avx2;
+    }
+    let _ = level;
+    first_set_body
 }
 
 // ------------------------------------------------------------------ x86
@@ -1279,11 +1353,13 @@ mod x86 {
     // --------------------------------------------- safe kernel entries
     //
     // SAFETY (all of these): the selectors hand out AVX2/AVX-512 entries
-    // for the tier they are given, and the AVX2 sum tile at the AVX-512
-    // tier too, which `detect_hw` grants only when both are present. The
-    // tier reaches them through the public fields `ArrayConfig::simd` and
-    // `NetworkConfig::simd` (the sum tile); the contract is that callers
-    // set those only to a tier returned by [`SimdLevel::detect`],
+    // for the tier they are given, and the AVX2 sum tile and the
+    // word-span kernels (AVX2, the popcount with POPCNT) at both vector
+    // tiers, which `detect_hw` grants only when all of these features are
+    // present. The tier reaches them through the public fields
+    // `ArrayConfig::simd` and `NetworkConfig::simd` (the sum tile and the
+    // responder units' kernels); the contract is that callers set those
+    // only to a tier returned by [`SimdLevel::detect`],
     // [`SimdLevel::detect_hw`] or [`SimdLevel::available`], which probed
     // the features at runtime.
 
@@ -1363,6 +1439,28 @@ mod x86 {
 
     pub(super) fn sum_tile_avx2(values: &[Word], w: Width, mw: u64) -> Word {
         unsafe { sum_tile_avx2_impl(values, w, mw) }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2 and POPCNT.
+    #[target_feature(enable = "avx2,popcnt")]
+    unsafe fn popcount_avx2_impl(flags: &[u64], masks: &[u64]) -> u64 {
+        popcount_body(flags, masks)
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn first_set_avx2_impl(flags: &[u64], masks: &[u64], invert: u64) -> Option<usize> {
+        first_set_body(flags, masks, invert)
+    }
+
+    pub(super) fn popcount_avx2(flags: &[u64], masks: &[u64]) -> u64 {
+        unsafe { popcount_avx2_impl(flags, masks) }
+    }
+
+    pub(super) fn first_set_avx2(flags: &[u64], masks: &[u64], invert: u64) -> Option<usize> {
+        unsafe { first_set_avx2_impl(flags, masks, invert) }
     }
 
     // --------------------------------------- per-tier dispatch tables
@@ -1622,6 +1720,70 @@ mod tests {
                     let want =
                         if active(&masks, i) { Word::new((250 + i) as u32, Width::W8) } else { o };
                     assert_eq!(g, want, "index n={n} lane {i}");
+                }
+            }
+        }
+    }
+
+    /// Word-span lengths the responder kernels are checked at: shorter
+    /// than, equal to and just past one 8-word scan step, a group less a
+    /// word, a whole group, and a group and a ragged step.
+    const WORD_SPANS: [usize; 7] = [1, 7, 8, 9, 63, 64, 64 + 5];
+
+    /// Mask words for an `n`-word span: all dense, all zero, sparse, a
+    /// single bit in the last word, and dense with a clipped last word
+    /// (the tail word of a ragged plane).
+    fn word_masks(n: usize) -> [(&'static str, Vec<u64>); 5] {
+        let mut last = vec![0; n];
+        last[n - 1] = 1 << 37;
+        let mut clipped = vec![u64::MAX; n];
+        clipped[n - 1] = chunk_mask(13);
+        let sparse = (0..n as u32).map(|t| (0x0100_0000_8000_0010u64 << (t % 3)).rotate_left(t));
+        [
+            ("dense", vec![u64::MAX; n]),
+            ("zero", vec![0; n]),
+            ("sparse", sparse.collect()),
+            ("last bit", last),
+            ("clipped", clipped),
+        ]
+    }
+
+    /// The two responder kernels at every tier against a word-by-word
+    /// loop, over flag planes whose set (or, inverted, clear) bits start
+    /// at the first word or only in the last one, so a scan stops in its
+    /// first step, in a later one, or in the ragged words after the last
+    /// whole step.
+    #[test]
+    fn word_span_kernels_match_a_word_loop() {
+        for level in SimdLevel::available() {
+            let (popcount, first_set) = (select_popcount(level), select_first_set(level));
+            for n in WORD_SPANS {
+                let irregular = sample_flags(n * 64);
+                let mut late = vec![0; n];
+                late[n - 1] = irregular[n - 1] | 1 << 37;
+                let clear_but_late: Vec<u64> = late.iter().map(|w| !w).collect();
+                for (planes, flags) in [
+                    ("irregular", &irregular),
+                    ("late", &late),
+                    ("clear but late", &clear_but_late),
+                ] {
+                    for (name, masks) in &word_masks(n) {
+                        let at = format!("{level:?} n={n} {planes} flags, {name} masks");
+                        let hits =
+                            |invert: u64| (0..n).map(move |t| (flags[t] ^ invert) & masks[t]);
+                        let count: u64 = hits(0).map(|h| u64::from(h.count_ones())).sum();
+                        assert_eq!(popcount(flags, masks), count, "popcount {at}");
+                        for invert in [0, u64::MAX] {
+                            let mut first = hits(invert).enumerate().filter(|&(_, h)| h != 0);
+                            let want =
+                                first.next().map(|(t, h)| t * 64 + h.trailing_zeros() as usize);
+                            assert_eq!(
+                                first_set(flags, masks, invert),
+                                want,
+                                "first ^{invert:x} {at}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -11,7 +11,11 @@
 //!
 //! A sweep is split only when its work, occupied groups × [`GROUP_LANES`]
 //! × ops in the sweep, reaches [`SPLIT_LANE_OPS`], and it has at least two
-//! groups. A sweep's body takes a range of groups: split, each participant
+//! groups. A sweep over packed flag words (flag logic, the clear of the
+//! resolver's one-hot write, the response count) counts one op per
+//! 64-lane word instead ([`word_work`]), so at 2²⁰ PEs it stays on the
+//! caller, where it finishes in a few µs, sooner than a parked helper
+//! wakes. A sweep's body takes a range of groups: split, each participant
 //! runs it on one group at a time; below the gate the caller runs the same
 //! body once over the whole range and no helper is spawned. With one
 //! available CPU (for example under `taskset -c 0`) there are no helpers
@@ -73,6 +77,17 @@ pub fn mask_work(active: &ActiveMask) -> usize {
         return 0;
     }
     active.occupied_groups() * GROUP_LANES
+}
+
+/// The work a one-op sweep over the flag words of `active`'s occupied
+/// groups brings to the gate: one op per 64-lane word, occupied groups ×
+/// [`OCC_GROUP_WORDS`]. Flag logic, the one-hot write's clear and the
+/// response count go through the gate with this measure, so they split
+/// only from 2²⁴ lanes; a compare, which computes every lane before it
+/// packs the flag words, counts its lanes ([`mask_work`]).
+#[inline]
+pub fn word_work(active: &ActiveMask) -> usize {
+    mask_work(active) / BITS_PER_WORD
 }
 
 /// Threads that sweep the PE array: the calling thread plus the helpers,
