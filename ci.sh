@@ -205,9 +205,14 @@ http_get() {
 http_get /api/v1/runs > "$SMOKE_DIR/api_runs.json"
 "$MTASC" runs list --json --runs-dir "$SERVE_RUNS" | diff - "$SMOKE_DIR/api_runs.json"
 "$MTASC" stats validate "$SMOKE_DIR/api_runs.json" | grep -q "mtasc.run_meta.v1 list"
-http_get /healthz | grep -q '"status":"ok"'
-http_get "/api/v1/runs/$BASE_ID" | grep -q "\"id\": \"$BASE_ID\""
-http_get "/api/v1/runs/$BASE_ID/report" | grep -q '"schema": "mtasc.run_report.v1"'
+# bodies go to files before grep: `grep -q` exits at its first match, and
+# a pipe from `http_get` would then fail the gate when sed dies of SIGPIPE
+http_get /healthz > "$SMOKE_DIR/healthz.json"
+grep -q '"status":"ok"' "$SMOKE_DIR/healthz.json"
+http_get "/api/v1/runs/$BASE_ID" > "$SMOKE_DIR/run_meta.json"
+grep -q "\"id\": \"$BASE_ID\"" "$SMOKE_DIR/run_meta.json"
+http_get "/api/v1/runs/$BASE_ID/report" > "$SMOKE_DIR/run_report.json"
+grep -q '"schema": "mtasc.run_report.v1"' "$SMOKE_DIR/run_report.json"
 # the forwarding-off run regresses against the baseline, and the diff
 # endpoint says so in mtasc.stats_diff.v1 terms
 http_get "/api/v1/runs/$BASE_ID/diff/$NOFWD_ID?fail-on-regress=0" > "$SMOKE_DIR/diff.json"

@@ -3,7 +3,7 @@
 //! response-count microbench at 2¹⁴ PEs (the associative some/none test
 //! issued back to back), the build-touch-drop cycle of a 2²⁰-PE machine
 //! (plane construction and first-touch writes), and single
-//! instruction-major sweeps through the ALU and compare span kernels.
+//! lane-local instructions through the ALU and compare span kernels.
 //! These are the workloads the structure-of-arrays PE array is optimised
 //! for; run them before and after datapath changes.
 
@@ -11,9 +11,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use asc_core::{Machine, MachineConfig};
-use asc_isa::{AluOp, CmpOp, PFlag, PReg, Word};
+use asc_isa::{AluOp, CmpOp, Instr, Mask, PFlag, PReg, SReg, Word};
 use asc_kernels::sort;
-use asc_pe::{ActiveMask, PeArray, Src};
+use asc_pe::{ActiveMask, LaneOp, PeArray};
 
 /// Sort 256 values on a 4096-PE array: every associative step runs its
 /// masked compares and reductions across all 4096 lanes.
@@ -78,13 +78,15 @@ fn bench_build_touch_1m(c: &mut Criterion) {
     });
 }
 
-/// One instruction-major sweep under an all-active mask, called on the
-/// array directly: the per-call cost of the span kernels, without the
-/// scheduler. `paddi` runs the ALU kernel and `pceqs` (a compare against
-/// a broadcast scalar) the compare kernel. 256 PEs with 16 thread
-/// contexts is the multithreaded fleet's array, one call over four
-/// dense tiles; at 2²⁰ PEs a `pceqs` is 256 group calls, split across
-/// the host workers.
+/// One lane-local instruction under an all-active mask, lowered as the
+/// machine lowers it at load and run on the array's single-instruction
+/// entry point (`PeArray::run_op`): the per-op cost of the span kernels
+/// and the executor around them, without the scheduler. `paddi` runs the
+/// ALU kernel and `pceqs` (a compare against a broadcast scalar, written
+/// into the op as at issue) the compare kernel. 256 PEs with 16 thread
+/// contexts is the multithreaded fleet's array, one call over four dense
+/// tiles; at 2²⁰ PEs a `pceqs` is 256 group calls, split across the host
+/// workers.
 fn bench_single_sweeps(c: &mut Criterion) {
     for (cfg, label) in [
         (MachineConfig::new(256), "256x16"),
@@ -93,14 +95,20 @@ fn bench_single_sweeps(c: &mut Criterion) {
         let mut a = PeArray::new(cfg.array());
         let all = ActiveMask::all(cfg.num_pes);
         let (p1, p2, pf1) = (PReg::from_index(1), PReg::from_index(2), PFlag::from_index(1));
-        a.pidx(0, p1, &all);
+        let (w, level, mask) = (cfg.width, a.config().simd, Mask::All);
+        let lower = |i: Instr| LaneOp::lower(&i, w, level).expect("a lane-local instruction");
+        a.run_op(0, &lower(Instr::Pidx { pd: p1, mask }), &all).unwrap();
         if cfg.num_pes == 256 {
+            let paddi = lower(Instr::PAluImm { op: AluOp::Add, pd: p2, pa: p1, imm: 3, mask });
             c.bench_function(&format!("pe_array/paddi_{label}"), |b| {
-                b.iter(|| a.alu(0, AluOp::Add, p2, p1, Src::Imm(Word(3)), black_box(&all)))
+                b.iter(|| a.run_op(0, &paddi, black_box(&all)).expect("no fault"))
             });
         }
+        let sb = SReg::from_index(1);
+        let pceqs = lower(Instr::PCmpS { op: CmpOp::Eq, fd: pf1, pa: p1, sb, mask });
+        let pceqs = pceqs.with_scalar(Word(7));
         c.bench_function(&format!("pe_array/pceqs_{label}"), |b| {
-            b.iter(|| a.cmp(0, CmpOp::Eq, pf1, p1, Src::Scalar(Word(7)), black_box(&all)))
+            b.iter(|| a.run_op(0, &pceqs, black_box(&all)).expect("no fault"))
         });
         black_box(a.flag_plane(0, 1));
     }

@@ -79,14 +79,14 @@ pub struct MachineConfig {
     pub forwarding: bool,
     /// Instruction-fetch model.
     pub fetch: FetchModel,
-    /// Execute fusible parallel basic blocks tile-by-tile (the block
+    /// Execute fusible parallel basic blocks group by group (the block
     /// fusion engine). Purely an execution strategy: cycle counts, stats,
     /// and architectural results are bit-identical either way. Disable
-    /// (`mtasc run --no-fuse`) only to cross-check or to time the
-    /// instruction-major executor.
+    /// (`mtasc run --no-fuse`) only to cross-check or to time the same
+    /// executors in instruction-major order.
     pub fusion: bool,
     /// Use the host's vector units (AVX2/AVX-512, probed once at machine
-    /// construction) for dense plane sweeps and compiled block kernels.
+    /// construction) for dense plane sweeps and lane-local executors.
     /// Purely an execution strategy — results, cycle counts and stats are
     /// bit-identical at every tier. Disable (`mtasc run --no-simd`, or
     /// `MTASC_NO_SIMD=1`) to cross-check or to time the scalar loops.
@@ -211,8 +211,8 @@ impl MachineConfig {
     /// The SIMD dispatch tier this machine will execute at: the host's
     /// best compiled-in tier, or [`asc_pe::SimdLevel::Scalar`] when vector
     /// execution is disabled by config or by `MTASC_NO_SIMD`. Resolved
-    /// here once so the PE array, the sum unit and the block compiler
-    /// always agree.
+    /// here once so the PE array, the sum unit and the lane-local ops
+    /// lowered at program load always agree.
     pub fn simd_level(&self) -> asc_pe::SimdLevel {
         if self.simd {
             asc_pe::SimdLevel::detect()

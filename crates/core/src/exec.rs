@@ -5,14 +5,14 @@
 //! effects at issue preserves exact register/memory semantics while timing
 //! is accounted separately.
 //!
-//! This file holds the instruction-major executor (one full-array sweep
-//! per instruction). Fusible basic blocks bypass it entirely: the block
-//! compiler (`crate::compile`) lowers them to specialized per-tile
-//! kernel chains at program load, and the fusion engine
-//! (`crate::fusion`) runs those chains tile-by-tile.
+//! This file holds the instruction-major executor: one instruction per
+//! call. A lane-local parallel instruction (see `asc_pe::lane_op`) runs
+//! the op `Machine::load_words` lowered for its PC, over its active set,
+//! through `PeArray::run_op`; the fusion engine (`crate::fusion`) runs a
+//! fusible block's ops through the same executors, group-major, and the
+//! block's later issues skip this file.
 
 use asc_isa::{Instr, Word};
-use asc_pe::Src;
 
 use crate::error::RunError;
 use crate::machine::Machine;
@@ -179,62 +179,34 @@ impl Machine {
             }
 
             // ------------------------------------------------- parallel
-            PAlu { op, pd, pa, pb, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                self.array.alu(thread, op, pd, pa, Src::Reg(pb), active);
-                Ok(Effect::Next)
-            }
-            PAluS { op, pd, pa, sb, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                let v = self.sregs.read(thread, sb.index());
-                self.array.alu(thread, op, pd, pa, Src::Scalar(v), active);
-                Ok(Effect::Next)
-            }
-            PAluImm { op, pd, pa, imm, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                let v = Word::from_i64(imm as i64, w);
-                self.array.alu(thread, op, pd, pa, Src::Imm(v), active);
-                Ok(Effect::Next)
-            }
-            PCmp { op, fd, pa, pb, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                self.array.cmp(thread, op, fd, pa, Src::Reg(pb), active);
-                Ok(Effect::Next)
-            }
-            PCmpS { op, fd, pa, sb, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                let v = self.sregs.read(thread, sb.index());
-                self.array.cmp(thread, op, fd, pa, Src::Scalar(v), active);
-                Ok(Effect::Next)
-            }
-            PCmpImm { op, fd, pa, imm, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                let v = Word::from_i64(imm as i64, w);
-                self.array.cmp(thread, op, fd, pa, Src::Imm(v), active);
-                Ok(Effect::Next)
-            }
-            PFlagOp { op, fd, fa, fb, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                self.array.flag_op(thread, op, fd, fa, fb, active);
-                Ok(Effect::Next)
-            }
-            Plw { pd, base, off, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                self.array
-                    .load(thread, pd, base, off as i32, active)
-                    .map_err(|fault| RunError::PeMemoryFault { thread, pc, fault })?;
-                Ok(Effect::Next)
-            }
-            Psw { ps, base, off, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                self.array
-                    .store(thread, ps, base, off as i32, active)
-                    .map_err(|fault| RunError::PeMemoryFault { thread, pc, fault })?;
-                Ok(Effect::Next)
-            }
-            Pidx { pd, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                self.array.pidx(thread, pd, active);
+            // Lane-local: the op lowered at load, the scalar of a
+            // `palus`/`pcmps` written into a copy at issue, run over the
+            // active set by the same executors as a fused block.
+            PAlu { .. }
+            | PAluS { .. }
+            | PAluImm { .. }
+            | PCmp { .. }
+            | PCmpS { .. }
+            | PCmpImm { .. }
+            | PFlagOp { .. }
+            | Plw { .. }
+            | Psw { .. }
+            | Pidx { .. } => {
+                let sampled;
+                let op = match *i {
+                    PAluS { sb, .. } | PCmpS { sb, .. } => {
+                        let v = self.sregs.read(thread, sb.index());
+                        sampled = self.lane_ops[pc as usize].with_scalar(v);
+                        &sampled
+                    }
+                    _ => &self.lane_ops[pc as usize],
+                };
+                let active = self.array.active(thread, op.mask(), &self.all, &mut self.amask);
+                self.array.run_op(thread, op, active).map_err(|fault| RunError::PeMemoryFault {
+                    thread,
+                    pc,
+                    fault,
+                })?;
                 Ok(Effect::Next)
             }
             PMovS { pd, sa, mask } => {

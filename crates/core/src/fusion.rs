@@ -17,25 +17,25 @@
 //!
 //! ## How a block executes
 //!
-//! The instruction-major executor sweeps all `p` lanes once per
-//! instruction, so between two dependent instructions a large array's
-//! register planes are evicted from cache. The fusion engine blocks the
-//! loop nest: when the *first* instruction of a block issues, the whole
-//! block is applied **one 4096-lane occupancy group at a time**, op-major
-//! within the group — each instruction runs over the group's 64 tiles,
-//! through one [`asc_pe::TileWindow`] spanning them, before the next
-//! instruction runs, and the block moves to the next group after its last
-//! instruction. The group's working set (a handful of 16 KiB register
-//! spans and 64 words per flag plane) stays in the core's private caches
-//! across the block, and each op costs one executor call and one
-//! vector span-kernel call per group instead of one per tile. Each op's
-//! mask words are latched just before it runs on the group, so it sees
-//! every earlier op's writes, including to its own mask flag. Lane
-//! locality of fusible instructions makes this order bit-identical to
-//! instruction-major order. A block whose work (4096-lane groups × ops)
-//! passes the worker pool's gate runs its groups on every host core
-//! (`asc_pe::workers`); a smaller one runs every group in lane order on
-//! the calling thread.
+//! Every lane-local instruction is lowered once per program load into the
+//! machine's per-PC op table (`Machine::lane_ops`, see
+//! [`asc_pe::LaneOp`]), and a block's chain is the table's slice for the
+//! run. Unfused, each instruction runs over all `p` lanes before the next
+//! (`PeArray::run_op`), so between two dependent instructions a large
+//! array's register planes are evicted from cache. Fused, the same
+//! executors run group-major (`PeArray::run_block`): when the *first*
+//! instruction of a block issues, the whole block is applied **one
+//! 4096-lane occupancy group at a time**, each instruction over the
+//! group's 64 tiles before the next, and the block moves to the next group
+//! after its last instruction. The group's working set (a handful of
+//! 16 KiB register spans and 64 words per flag plane) stays in the core's
+//! private caches across the block. Each op's mask words are latched just
+//! before it runs on the group, so it sees every earlier op's writes,
+//! including to its own mask flag. Lane locality makes this order
+//! bit-identical to instruction-major order. A block whose work
+//! (4096-lane groups × ops) passes the worker pool's gate runs its groups
+//! on every host core (`asc_pe::workers`); a smaller one runs every group
+//! in lane order on the calling thread.
 //!
 //! ## Timing is unchanged
 //!
@@ -55,17 +55,19 @@
 //!
 //! ## Memory faults
 //!
-//! A faulting `plw`/`psw` lane reports the same error identity as the
-//! instruction-major executor — lowest faulting PE of the *earliest*
-//! faulting instruction, at that instruction's PC, taken over every group
-//! however the groups were split — but the sweep still applies all
-//! non-faulting lanes of the whole block first. On the error
-//! path (and only there) the partial architectural state left behind may
-//! differ from the unfused executor's; successful runs are bit-identical.
+//! A faulting `plw`/`psw` reports the same error identity as unfused
+//! issue — the lowest faulting PE of the *earliest* faulting instruction,
+//! at that instruction's PC, taken over every group however the groups
+//! were split. Unfused, the faulting instruction has applied its lanes
+//! below that PE and nothing after it has run. Fused, each group stops the
+//! faulting op at its own lowest fault and runs the block's later ops, so
+//! other groups' lanes of the faulting op and the later ops may have
+//! applied. On the error path (and only there) the partial architectural
+//! state may differ from the unfused run's; successful runs are
+//! bit-identical.
 
 use asc_isa::{DecodeError, Instr};
 
-use crate::compile::{run_chain_tiles, CompiledOp};
 use crate::config::MachineConfig;
 use crate::error::RunError;
 use crate::machine::Machine;
@@ -191,36 +193,27 @@ pub fn fusible_runs(imem: &[Result<Instr, DecodeError>], cfg: &MachineConfig) ->
 }
 
 /// The fusible-block plan for a loaded program: for every PC, the length
-/// of the fusible run starting there (0 or 1 where nothing fuses).
+/// of the fusible run starting there (0 or 1 where nothing fuses). A
+/// block's chain is the slice of the machine's per-PC lane-op table
+/// (`Machine::lane_ops`) that the run covers, so a suffix run (a jump into
+/// the middle of a block) is a sub-slice of its maximal block's.
 #[derive(Debug, Clone)]
 pub(crate) struct FusionPlan {
     /// `run_len[pc]` = number of consecutive fusible instructions at `pc`.
     run_len: Vec<u32>,
-    /// Every maximal block's compiled chain, concatenated in program
-    /// order. A suffix run (a jump into the middle of a block) is a
-    /// sub-slice of its maximal block's chain, so one compilation covers
-    /// every entry point.
-    ops: Vec<CompiledOp>,
-    /// Per PC: index into `ops` of this instruction's compiled form
-    /// (`NO_CHAIN` where the PC is not covered by a block).
-    chain_start: Vec<u32>,
     /// Static count of maximal blocks of length ≥ [`MIN_BLOCK_LEN`].
     static_blocks: u64,
     /// Static count of instructions covered by those blocks.
     static_fused_instrs: u64,
-    /// Of the compiled ops, how many bound a vector (SIMD) kernel.
+    /// Of those instructions, how many run a vector (SIMD) kernel.
     simd_ops: u64,
 }
-
-/// `chain_start` sentinel: this PC has no compiled op.
-const NO_CHAIN: u32 = u32::MAX;
 
 impl FusionPlan {
     /// Scan the decoded instruction stream of `n` words (`instr_at(pc)`
     /// is the instruction at `pc`, `None` where the word does not
-    /// decode), record every fusible run, and lower each maximal block to
-    /// a compiled kernel chain specialized for this machine's width and
-    /// SIMD tier (see [`crate::compile`]).
+    /// decode), and record every fusible run and the static statistics of
+    /// its maximal blocks.
     ///
     /// An instruction that would trap on this machine (`mul`/`div` with
     /// the unit absent) is excluded from fusion at plan time, so the
@@ -240,10 +233,7 @@ impl FusionPlan {
                 run_len[pc] = 1 + run_len.get(pc + 1).copied().unwrap_or(0);
             }
         }
-        // Walk maximal runs: static stats, and one compiled chain per
-        // block (suffix entry points share the block's chain tail).
-        let mut ops = Vec::new();
-        let mut chain_start = vec![NO_CHAIN; n];
+        // Walk maximal runs for the static statistics.
         let (mut static_blocks, mut static_fused_instrs, mut simd_ops) = (0, 0, 0);
         let mut pc = 0;
         while pc < n {
@@ -254,40 +244,32 @@ impl FusionPlan {
                 for k in 0..len as usize {
                     let i =
                         instr_at(pc + k).expect("fusible runs only cover decodable instructions");
-                    chain_start[pc + k] = ops.len() as u32;
-                    ops.push(CompiledOp::compile(i, cfg.width, level));
-                    simd_ops += u64::from(CompiledOp::vectorizes(i, level));
+                    simd_ops += u64::from(vectorizes(i, level));
                 }
             }
             pc += len.max(1) as usize;
         }
-        FusionPlan { run_len, ops, chain_start, static_blocks, static_fused_instrs, simd_ops }
+        FusionPlan { run_len, static_blocks, static_fused_instrs, simd_ops }
     }
 
     /// Length of the fusible run starting at `pc` (0 if none).
     pub(crate) fn run_len_at(&self, pc: u32) -> u32 {
         self.run_len.get(pc as usize).copied().unwrap_or(0)
     }
+}
 
-    /// The compiled chain for the run `[pc, pc + len)`. Only valid for
-    /// `len <= run_len_at(pc)` — the gate `Machine::fusible_block_len`
-    /// checks before execution.
-    pub(crate) fn chain(&self, pc: u32, len: u32) -> &[CompiledOp] {
-        let s = self.chain_start[pc as usize];
-        debug_assert_ne!(s, NO_CHAIN, "no compiled chain at pc {pc}");
-        &self.ops[s as usize..s as usize + len as usize]
+/// Whether fusible instruction `i` runs a vector (non-scalar) kernel at
+/// `level`: the `simd_ops` statistic.
+fn vectorizes(i: &Instr, level: asc_pe::SimdLevel) -> bool {
+    if !level.is_simd() {
+        return false;
     }
-
-    pub(crate) fn static_blocks(&self) -> u64 {
-        self.static_blocks
-    }
-
-    pub(crate) fn static_fused_instrs(&self) -> u64 {
-        self.static_fused_instrs
-    }
-
-    pub(crate) fn simd_ops(&self) -> u64 {
-        self.simd_ops
+    match *i {
+        Instr::PAlu { op, pd, .. } | Instr::PAluImm { op, pd, .. } => {
+            pd.index() != 0 && asc_pe::alu_vectorizes(op)
+        }
+        Instr::PCmp { .. } | Instr::PCmpImm { .. } => true,
+        _ => false,
     }
 }
 
@@ -300,11 +282,11 @@ pub struct FusionStats {
     pub static_blocks: u64,
     /// Instructions covered by those blocks (static).
     pub static_fused_instrs: u64,
-    /// Compiled kernel ops materialized by the block compiler (static;
-    /// one per instruction of every maximal block).
+    /// Lowered ops the fused blocks run (static; one per instruction of
+    /// every maximal block).
     pub compiled_ops: u64,
-    /// Of the compiled ops, how many bound a vector (SIMD) kernel rather
-    /// than the scalar reference loop (static).
+    /// Of those ops, how many run a vector (SIMD) kernel rather than the
+    /// scalar reference loop (static).
     pub simd_ops: u64,
     /// Blocks executed by the tiled engine (dynamic).
     pub blocks_executed: u64,
@@ -379,51 +361,31 @@ impl Machine {
     }
 
     /// Pre-execute the fusible block `[pc, pc + len)` for `tid` through
-    /// its compiled kernel chain, one occupancy group at a time. Called at
-    /// the issue of the block's first instruction; the remaining `len - 1`
-    /// issues are ghosts (timing only).
+    /// its lowered ops, one occupancy group at a time. Called at the issue
+    /// of the block's first instruction; the remaining `len - 1` issues are
+    /// ghosts (timing only). Only blocks count in the dynamic counters: an
+    /// unfused issue of the same ops leaves them alone.
     pub(crate) fn execute_block(&mut self, tid: usize, pc: u32, len: u32) -> Result<(), RunError> {
-        // The plan is moved out for the duration of the sweep so the
-        // chain borrow cannot conflict with the array borrow (no
-        // allocation — `Option::take`).
-        let plan = self.fusion_plan.take().expect("execute_block requires a fusion plan");
-        // Fusible masks are either `Mask::All` (the machine's all-active
-        // mask, read in place) or a flag plane (latched per group just
-        // before each op, preserving self-masking semantics).
-        let chain = plan.chain(pc, len);
-        // The chain writes planes through raw tile windows, bypassing the
-        // array's marking mutators — commit its destinations up front.
-        for op in chain {
-            match op.dst() {
-                crate::compile::DstKind::None => {}
-                crate::compile::DstKind::Gpr(r) => self.array.note_gpr_write(tid, r as usize),
-                crate::compile::DstKind::Flag(f) => self.array.note_flag_write(tid, f as usize),
-                crate::compile::DstKind::LmemRow(r) => self.array.note_lmem_write(Some(r as i64)),
-                crate::compile::DstKind::LmemRows => self.array.note_lmem_write(None),
-            }
-        }
-        let fault = {
-            let mut tiles = self.array.thread_tiles(tid);
-            self.fusion_dyn.tile_chains += tiles.num_tiles() as u64;
-            run_chain_tiles(chain, &mut tiles, &self.all)
-        };
+        let ops = &self.lane_ops[pc as usize..(pc + len) as usize];
+        let fault = self.array.run_block(tid, ops, &self.all);
+        self.fusion_dyn.tile_chains += self.all.words().len() as u64;
         self.fusion_dyn.blocks_executed += 1;
         self.fusion_dyn.instrs_fused += len as u64;
-        self.fusion_plan = Some(plan);
-        match fault {
-            None => Ok(()),
-            Some((k, fault)) => Err(RunError::PeMemoryFault { thread: tid, pc: pc + k, fault }),
-        }
+        fault.map_err(|(k, fault)| RunError::PeMemoryFault {
+            thread: tid,
+            pc: pc + k as u32,
+            fault,
+        })
     }
 
     /// Block-fusion counters for the loaded program and the run so far.
     pub fn fusion_stats(&self) -> FusionStats {
         let mut s = self.fusion_dyn;
         if let Some(plan) = &self.fusion_plan {
-            s.static_blocks = plan.static_blocks();
-            s.static_fused_instrs = plan.static_fused_instrs();
-            s.compiled_ops = plan.static_fused_instrs();
-            s.simd_ops = plan.simd_ops();
+            s.static_blocks = plan.static_blocks;
+            s.static_fused_instrs = plan.static_fused_instrs;
+            s.compiled_ops = plan.static_fused_instrs;
+            s.simd_ops = plan.simd_ops;
         }
         s
     }

@@ -40,7 +40,6 @@ pub mod stats;
 pub mod threads;
 pub mod timing;
 
-mod compile;
 mod exec;
 mod fusion;
 mod issue;

@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use asc_asm::Program;
 use asc_isa::{Instr, InstrClass, RegClass, Word};
 use asc_network::{NetUnit, Network};
-use asc_pe::{FlagFile, LocalMemory, PeArray, RegFile, SequentialUnit};
+use asc_pe::{FlagFile, LaneOp, LocalMemory, PeArray, RegFile, SequentialUnit};
 
 use crate::config::{FetchModel, MachineConfig, SchedPolicy};
 use crate::error::RunError;
@@ -102,6 +102,11 @@ pub struct Machine {
     pub(crate) timing: Timing,
     /// The loaded program, decoded once into per-PC issue entries.
     pub(crate) table: IssueTable,
+    /// The loaded program's lane-local instructions, lowered once per PC
+    /// for this machine's width and SIMD tier (the op that does nothing
+    /// at every other PC): what an unfused issue runs, and, sliced, a
+    /// fused block's chain.
+    pub(crate) lane_ops: Vec<LaneOp>,
     pub(crate) sregs: RegFile,
     pub(crate) sflags: FlagFile,
     pub(crate) smem: LocalMemory,
@@ -176,6 +181,7 @@ impl Machine {
         Machine {
             timing,
             table: IssueTable::default(),
+            lane_ops: Vec::new(),
             sregs: RegFile::new(cfg.threads, asc_isa::NUM_GPRS),
             sflags: FlagFile::new(cfg.threads, asc_isa::NUM_FLAGS),
             smem: LocalMemory::new(cfg.smem_words),
@@ -233,10 +239,13 @@ impl Machine {
             });
         }
         self.table.load(words, &self.timing);
-        // (Re)build the fusible-block plan — the per-(program, entry PC)
-        // cache of compiled kernel chains — and drop any state from a
+        let (table, w, level) = (&self.table, self.cfg.width, self.array.config().simd);
+        self.lane_ops.clear();
+        self.lane_ops.extend((0..table.len()).map(|pc| {
+            table.instr(pc).and_then(|i| LaneOp::lower(i, w, level)).unwrap_or_default()
+        }));
+        // (Re)build the fusible-block plan and drop any state from a
         // previous program.
-        let table = &self.table;
         self.fusion_plan = self.cfg.fusion.then(|| {
             crate::fusion::FusionPlan::build(table.len(), |pc| table.instr(pc), &self.cfg)
         });

@@ -1,5 +1,5 @@
 //! The PE array: whole-array functional operations used by the instruction
-//! executors in `asc-core`.
+//! executor and the fusion engine in `asc-core`.
 //!
 //! ## Structure-of-arrays layout
 //!
@@ -29,33 +29,34 @@
 //! one 4096-lane occupancy group at a time, and a group with no active
 //! lane costs one bit test.
 //!
-//! The lane-local sweeps (`alu`, `cmp`, `flag_op`, `pidx`, `movs` and the
-//! uniform-address `plw`/`psw`) take the occupied groups whole
-//! ([`ActiveMask::occupied`]): each calls its [`crate::simd`] span body
-//! (or, for `movs`, a loop) once per group with the group's mask words,
-//! one per 64-lane tile, so the call and its set-up are paid per 4096
-//! lanes rather than per tile. Inside a group, a dense mask word takes a
-//! branch-free tile body, a sparse one a masked body or a trailing-zeros
-//! scan, and a zero word one test. A fused block runs its ops the same
-//! way, one op over a whole group before the next ([`crate::tiles`]), so
-//! an instruction-major sweep and a one-op compiled chain are the same
-//! loop: one kernel call per occupied group.
+//! Every lane-local instruction (parallel ALU and compare operations,
+//! flag logic, local loads and stores, `pidx`) is lowered once per program
+//! ([`crate::lane_op`]) and runs behind two entry points:
+//! [`PeArray::run_op`] runs one instruction over its active set, and
+//! [`PeArray::run_block`] a fused block over the all-active mask. Every
+//! sweep, theirs and the three that keep their own (`movs`, the resolver's
+//! one-hot write [`PeArray::write_first_responder`], and `shift`), calls
+//! its executor or loop once per occupied 4096-lane group
+//! ([`ActiveMask::occupied`]) on a window of the group's tiles
+//! (`tiles.rs`) with the group's mask words, one per 64-lane tile,
+//! so the call and its set-up are paid per 4096 lanes, not per tile.
+//! Inside a group a dense mask word takes a branch-free tile body, a
+//! sparse one a masked body or a trailing-zeros scan, and a zero word one
+//! test. A sweep large enough to pass the pool's gate runs on every host
+//! core (see [`crate::workers`]), a smaller one on the calling thread; a
+//! sweep of flag words brings its words to the gate rather than its lanes
+//! ([`workers::word_work`]). `shift` reads across lanes, so it always
+//! runs on the calling thread, tile by tile ([`ActiveMask::active_tiles`]).
 //!
-//! The sweeps hand their destination plane to the worker pool one group's
-//! span at a time ([`crate::tiles::for_each_group_span`]), so a sweep
-//! large enough to pass the pool's gate runs on every host core (see
-//! [`crate::workers`]) and a smaller one runs on the calling thread; each
-//! group writes only its own lanes. Flag logic (and the clear of
-//! `write_first_responder`) brings its flag words to the pool's gate
-//! rather than its lanes ([`workers::word_work`]), so it runs on the
-//! calling thread below 2²⁴ PEs. Commit-map marks are made before the
-//! sweep. The rest always run on the calling thread, tile by tile
-//! ([`ActiveMask::active_tiles`]): `shift` reads across lanes, and
-//! per-lane loads and stores stop at a fault.
+//! Every writer marks the commit map before it writes; the lane-local
+//! entry points mark each op's destination, and every local-memory row
+//! for a per-lane store, whose rows are known only at run time. The map
+//! therefore covers every write, as the reuse below requires, and may
+//! cover more.
 //!
-//! A memory fault stops a per-lane load or store at the lowest faulting
-//! active PE: the lanes below it have been applied, the lanes above it are
-//! unchanged.
+//! A memory fault stops a single instruction at the lowest faulting active
+//! PE: the lanes below it have been applied, the lanes above it are
+//! unchanged (see [`crate::lane_op`] for a fused block).
 //!
 //! ## Plane memory
 //!
@@ -72,13 +73,14 @@
 
 use std::cell::Cell;
 
-use asc_isa::{AluOp, CmpOp, FlagOp, Mask, PFlag, PReg, Width, Word};
+use asc_isa::{FlagOp, Mask, PFlag, PReg, Width, Word};
 
-use crate::bitmask::{for_each_set, words_for, ActiveMask, BITS_PER_WORD, OCC_GROUP_WORDS};
+use crate::bitmask::{for_each_set, tail_mask, words_for, ActiveMask, BITS_PER_WORD};
+use crate::lane_op::{self, Dst, LaneOp};
 use crate::memory::MemFault;
 use crate::segments::SegmentGeometry;
 use crate::simd::{self, SimdLevel};
-use crate::tiles::for_each_group_span;
+use crate::tiles::{ThreadTiles, TileWindow};
 use crate::workers;
 
 /// Geometry of the PE array.
@@ -129,18 +131,6 @@ impl ArrayConfig {
     }
 }
 
-/// Second operand of a parallel ALU/compare operation: another parallel
-/// register, a broadcast scalar, or an immediate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Src {
-    /// A parallel register (per-PE value).
-    Reg(PReg),
-    /// A broadcast scalar value (already resolved by the control unit).
-    Scalar(Word),
-    /// An immediate (sign-extended by the decoder).
-    Imm(Word),
-}
-
 /// A memory fault attributed to a PE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeFault {
@@ -157,91 +147,6 @@ impl std::fmt::Display for PeFault {
 }
 
 impl std::error::Error for PeFault {}
-
-/// Split a run of `len`-element planes into plane `d`, to write, and a
-/// lookup of the others, to read: `None` for `d` itself.
-#[inline]
-fn split_planes<'a, T>(
-    region: &'a mut [T],
-    d: usize,
-    len: usize,
-) -> (&'a mut [T], impl Fn(usize) -> Option<&'a [T]> + Copy + 'a) {
-    let (below, rest) = region.split_at_mut(d * len);
-    let (dst, above) = rest.split_at_mut(len);
-    let (below, above) = (&*below, &*above);
-    let planes = move |r: usize| match r.cmp(&d) {
-        std::cmp::Ordering::Less => Some(&below[r * len..(r + 1) * len]),
-        std::cmp::Ordering::Equal => None,
-        std::cmp::Ordering::Greater => Some(&above[(r - d - 1) * len..(r - d) * len]),
-    };
-    (dst, planes)
-}
-
-/// Run `f(tile, masks, chunk)` once for every occupancy group of `active`
-/// whose occupancy bit is set, lowest first — the lane-local sweeps'
-/// shared mask walk — where `masks` are the group's words of `active` (up
-/// to 64, one per tile), `tile` the group's first tile, and `chunk` the
-/// group's span of `plane`: `per_tile` elements per tile (64 lanes of a
-/// GPR plane or local-memory row, fewer in a short last tile; one word of
-/// a flag plane). A clear group costs one bit test, and each occupied one
-/// one call of `f`, which hands the whole group to a span kernel or loop.
-/// The walk is split across the host workers when `lane_ops`, the sweep's
-/// work ([`workers::mask_work`], or [`workers::word_work`] for a sweep of
-/// flag words), reaches the pool's gate
-/// ([`crate::tiles::for_each_group_span`]); `f` writes only its chunk.
-#[inline]
-fn sweep<T: Send>(
-    plane: &mut [T],
-    per_tile: usize,
-    lane_ops: usize,
-    active: &ActiveMask,
-    f: impl Fn(usize, &[u64], &mut [T]) + Sync + Copy,
-) {
-    let per_group = OCC_GROUP_WORDS * per_tile;
-    // inlined into the serial call as well as into the split path
-    for_each_group_span(
-        plane,
-        per_group,
-        lane_ops,
-        #[inline(always)]
-        move |groups, span| {
-            // a local copy keeps the op's operands in registers across the
-            // writes through `span`
-            let f = f;
-            let first = groups.start * per_group;
-            for (g, masks) in active.occupied(groups) {
-                let base = g * per_group - first;
-                let end = span.len().min(base + per_group);
-                f(g * OCC_GROUP_WORDS, masks, &mut span[base..end]);
-            }
-        },
-    );
-}
-
-/// Lowest active lane, if any.
-#[inline]
-fn first_active(active: &ActiveMask) -> Option<usize> {
-    active.active_tiles().next().map(|(wi, w)| wi * BITS_PER_WORD + w.trailing_zeros() as usize)
-}
-
-/// Run `f` for every active lane, lowest first, and stop at the first
-/// fault, attributing it to the lane (the array's fault policy).
-#[inline]
-fn try_for_each_lane(
-    active: &ActiveMask,
-    mut f: impl FnMut(usize) -> Result<(), MemFault>,
-) -> Result<(), PeFault> {
-    for (wi, mw) in active.active_tiles() {
-        let base = wi * BITS_PER_WORD;
-        let mut m = mw;
-        while m != 0 {
-            let lane = base + m.trailing_zeros() as usize;
-            f(lane).map_err(|fault| PeFault { pe: lane, fault })?;
-            m &= m - 1;
-        }
-    }
-    Ok(())
-}
 
 /// Keep glibc's mmap threshold fixed so the multi-megabyte planes of a
 /// large array stay mmap-backed. By default the threshold adapts upward
@@ -347,6 +252,15 @@ impl CommitMap {
         let marked = bits[w] & bit != 0;
         bits[w] &= !bit;
         marked
+    }
+
+    /// Mark the first `count` slices of one plane kind, every slice of
+    /// it (a per-lane store's rows); the bits past them stay clear.
+    fn mark_all(bits: &mut [u64], count: usize) {
+        bits.fill(u64::MAX);
+        if let Some(last) = bits.last_mut() {
+            *last &= tail_mask(count);
+        }
     }
 
     /// Mark every segment of one plane (dense plane-wide writes).
@@ -552,42 +466,6 @@ impl PeArray {
             + self.flags.len() * std::mem::size_of::<u64>()
     }
 
-    /// Commit hook for executors that write planes through raw tile
-    /// windows (the block-fusion engine): record a write of `reg`'s plane.
-    ///
-    /// Not telemetry alone: a plane write the commit map misses survives
-    /// `tspawn`'s [`PeArray::clear_thread`], and it leaks into the next
-    /// same-shape array built on this thread, which zeroes only the
-    /// marked slices of the planes it reuses (see [`PeArray::new`]).
-    /// Call it for every plane the executor may write.
-    pub fn note_gpr_write(&mut self, thread: usize, reg: usize) {
-        if reg != 0 {
-            self.mark_gpr_plane(thread, reg);
-        }
-    }
-
-    /// Like [`PeArray::note_gpr_write`], for a flag bitplane.
-    pub fn note_flag_write(&mut self, thread: usize, flag: usize) {
-        self.mark_flag_plane(thread, flag);
-    }
-
-    /// Like [`PeArray::note_gpr_write`], for local memory: a statically
-    /// known row, or `None` for per-lane-addressed stores (conservatively
-    /// commits every row — the rows touched are only known at runtime).
-    pub fn note_lmem_write(&mut self, row: Option<i64>) {
-        match row {
-            Some(r) if (0..self.cfg.lmem_words as i64).contains(&r) => {
-                self.mark_lmem_row(r as usize);
-            }
-            Some(_) => {} // out of range: the store will fault, no commit
-            None => {
-                for r in 0..self.cfg.lmem_words {
-                    self.mark_lmem_row(r);
-                }
-            }
-        }
-    }
-
     #[inline]
     fn mark_gpr_plane(&mut self, thread: usize, reg: usize) {
         let plane = thread * self.cfg.gprs + reg;
@@ -623,10 +501,6 @@ impl PeArray {
     fn mark_lmem_word(&mut self, row: usize, lane: usize) {
         let s = lane / self.cfg.segments.lanes_per_seg();
         CommitMap::mark(&mut self.committed.lmem, row * self.committed.seg_count + s);
-    }
-
-    fn width(&self) -> Width {
-        self.cfg.width
     }
 
     /// `u64` words per flag bitplane.
@@ -668,302 +542,6 @@ impl PeArray {
         }
     }
 
-    /// Parallel ALU operation: `pd = pa op src` in active PEs.
-    ///
-    /// The op's span kernel is selected once (monomorphized per op and
-    /// SIMD tier, see [`crate::simd`]) and called once per occupied
-    /// 4096-lane group. A source that is the destination plane reaches the
-    /// kernel as `None` and is read in place, each tile before the kernel
-    /// writes it.
-    pub fn alu(
-        &mut self,
-        thread: usize,
-        op: AluOp,
-        pd: PReg,
-        pa: PReg,
-        src: Src,
-        active: &ActiveMask,
-    ) {
-        let d = pd.index();
-        if d == 0 {
-            return; // writes to the zero register have no effect
-        }
-        let (w, n, level) = (self.width(), self.cfg.num_pes, self.cfg.simd);
-        #[derive(Clone, Copy)]
-        enum Kern<'p> {
-            Rr(simd::AluRrKernel, Option<&'p [Word]>),
-            Rs(simd::AluRsKernel, Word),
-        }
-        self.mark_gpr_plane(thread, d);
-        let base = self.gpr_base(thread, 0);
-        let region = &mut self.gprs[base..base + self.cfg.gprs * n];
-        let (dst, planes) = split_planes(region, d, n);
-        let a = planes(pa.index());
-        let kern = match src {
-            Src::Reg(pb) => Kern::Rr(simd::select_alu_rr(level, op), planes(pb.index())),
-            Src::Scalar(v) | Src::Imm(v) => Kern::Rs(simd::select_alu_rs(level, op), v),
-        };
-        sweep(dst, BITS_PER_WORD, workers::mask_work(active), active, move |tile, masks, span| {
-            let base = tile * BITS_PER_WORD;
-            let lanes = base..base + span.len();
-            let x = a.map(|p| &p[lanes.clone()]);
-            match kern {
-                Kern::Rr(f, b) => f(span, x, b.map(|p| &p[lanes]), w, masks),
-                Kern::Rs(f, s) => f(span, x, s, w, masks),
-            }
-        });
-    }
-
-    /// Parallel comparison (associative search): `fd = pa cmp src` in
-    /// active PEs. The span kernel merges its results into the destination
-    /// bitplane word by word, one call per occupied 4096-lane group, so
-    /// inactive lanes keep their bits.
-    pub fn cmp(
-        &mut self,
-        thread: usize,
-        op: CmpOp,
-        fd: PFlag,
-        pa: PReg,
-        src: Src,
-        active: &ActiveMask,
-    ) {
-        let w = self.width();
-        let n = self.cfg.num_pes;
-        let pa_base = self.gpr_base(thread, pa.index());
-        let (b_base, scalar) = match src {
-            Src::Reg(pb) => (Some(self.gpr_base(thread, pb.index())), Word::ZERO),
-            Src::Scalar(v) | Src::Imm(v) => (None, v),
-        };
-        #[derive(Clone, Copy)]
-        enum Kern {
-            Rr(simd::CmpRrKernel),
-            Rs(simd::CmpRsKernel, Word),
-        }
-        let kern = match b_base {
-            Some(_) => Kern::Rr(simd::select_cmp_rr(self.cfg.simd, op)),
-            None => Kern::Rs(simd::select_cmp_rs(self.cfg.simd, op), scalar),
-        };
-        self.mark_flag_plane(thread, fd.index());
-        let fd_base = self.flag_base(thread, fd.index());
-        let wpp = self.words_per_plane();
-        let (gprs, flags) = (&self.gprs, &mut self.flags);
-        let a_plane = &gprs[pa_base..pa_base + n];
-        let b_plane = b_base.map(|bb| &gprs[bb..bb + n]);
-        // the kernel merges under the mask words, so inactive lanes keep
-        // their flag bits
-        // a compare counts its lanes at the gate, not the flag words it writes
-        let (dst, lane_ops) = (&mut flags[fd_base..fd_base + wpp], workers::mask_work(active));
-        sweep(dst, 1, lane_ops, active, move |tile, masks, words| {
-            let base = tile * BITS_PER_WORD;
-            let lanes = base..n.min(base + masks.len() * BITS_PER_WORD);
-            let a = &a_plane[lanes.clone()];
-            match kern {
-                Kern::Rr(f) => {
-                    f(words, a, &b_plane.expect("rr kernel has a b plane")[lanes], w, masks)
-                }
-                Kern::Rs(f, s) => f(words, a, s, w, masks),
-            }
-        });
-    }
-
-    /// Parallel flag logic: `fd = fa op fb` in active PEs — word-parallel,
-    /// 64 PEs per `u64` operation.
-    pub fn flag_op(
-        &mut self,
-        thread: usize,
-        op: FlagOp,
-        fd: PFlag,
-        fa: PFlag,
-        fb: PFlag,
-        active: &ActiveMask,
-    ) {
-        let (d, wpp) = (fd.index(), self.words_per_plane());
-        self.mark_flag_plane(thread, d);
-        let base = self.flag_base(thread, 0);
-        let region = &mut self.flags[base..base + self.cfg.flags * wpp];
-        // `None`: the source is fd, read from the destination word before
-        // the write
-        let (dst, planes) = split_planes(region, d, wpp);
-        let (a, b) = (planes(fa.index()), planes(fb.index()));
-        sweep(dst, 1, workers::word_work(active), active, move |tile, masks, words| {
-            let span = tile..tile + words.len();
-            simd::flag_span(op, words, a.map(|p| &p[span.clone()]), b.map(|p| &p[span]), masks)
-        });
-    }
-
-    /// Effective address: unsigned base register plus sign-extended offset,
-    /// computed at full precision (the hardware address path is wider than
-    /// the data path so a 1 KB local memory stays addressable).
-    fn effective_addr(base: Word, off: i32) -> i64 {
-        base.to_u32() as i64 + off as i64
-    }
-
-    /// Bounds-check an effective address against local memory capacity.
-    #[inline]
-    fn check_addr(ea: i64, capacity: usize, is_store: bool) -> Result<usize, MemFault> {
-        if (0..capacity as i64).contains(&ea) {
-            Ok(ea as usize)
-        } else {
-            Err(MemFault { addr: ea as u32, capacity: capacity as u32, is_store })
-        }
-    }
-
-    /// Parallel load: `pd = lmem[pa + off]` in active PEs. A fault stops
-    /// the sweep at the lowest faulting active PE (see the module docs).
-    pub fn load(
-        &mut self,
-        thread: usize,
-        pd: PReg,
-        base: PReg,
-        off: i32,
-        active: &ActiveMask,
-    ) -> Result<(), PeFault> {
-        if base.index() == 0 {
-            // the base register is hardwired zero: every lane reads the
-            // same address, which in the column-major buffer is one
-            // contiguous row — bounds-check once, then bulk-copy
-            return self.load_uniform(thread, pd, off, active);
-        }
-        let n = self.cfg.num_pes;
-        let cap = self.cfg.lmem_words;
-        let base_b = self.gpr_base(thread, base.index());
-
-        if pd.index() == 0 {
-            // the result is discarded, but faults still surface
-            let gprs = &self.gprs;
-            return try_for_each_lane(active, |lane| {
-                let ea = Self::effective_addr(gprs[base_b + lane], off);
-                Self::check_addr(ea, cap, false).map(|_| ())
-            });
-        }
-
-        self.mark_gpr_plane(thread, pd.index());
-        let dst_base = self.gpr_base(thread, pd.index());
-        let (gprs, lmem) = (&mut self.gprs, &self.lmem);
-        try_for_each_lane(active, |lane| {
-            let ea = Self::effective_addr(gprs[base_b + lane], off);
-            let addr = Self::check_addr(ea, cap, false)?;
-            gprs[dst_base + lane] = lmem[addr * n + lane];
-            Ok(())
-        })
-    }
-
-    /// Parallel store: `lmem[pa + off] = ps` in active PEs. A fault stops
-    /// the sweep at the lowest faulting active PE (see the module docs).
-    pub fn store(
-        &mut self,
-        thread: usize,
-        ps: PReg,
-        base: PReg,
-        off: i32,
-        active: &ActiveMask,
-    ) -> Result<(), PeFault> {
-        if base.index() == 0 {
-            return self.store_uniform(thread, ps, off, active);
-        }
-        let n = self.cfg.num_pes;
-        let cap = self.cfg.lmem_words;
-        let base_b = self.gpr_base(thread, base.index());
-        let ps_base = self.gpr_base(thread, ps.index());
-        let seg_lanes = self.cfg.segments.lanes_per_seg();
-        let seg_count = self.committed.seg_count;
-        let lmem_bits = &mut self.committed.lmem;
-        let (gprs, lmem) = (&self.gprs, &mut self.lmem);
-        try_for_each_lane(active, |lane| {
-            let ea = Self::effective_addr(gprs[base_b + lane], off);
-            let addr = Self::check_addr(ea, cap, true)?;
-            lmem[addr * n + lane] = gprs[ps_base + lane];
-            CommitMap::mark(lmem_bits, addr * seg_count + lane / seg_lanes);
-            Ok(())
-        })
-    }
-
-    /// Uniform-address load (`base` = the zero register): one bounds
-    /// check, then a masked row copy. All active lanes fault together, so
-    /// a fault reports the lowest active PE and applies no lane.
-    fn load_uniform(
-        &mut self,
-        thread: usize,
-        pd: PReg,
-        off: i32,
-        active: &ActiveMask,
-    ) -> Result<(), PeFault> {
-        let Some(first) = first_active(active) else {
-            return Ok(()); // no active lane, no access, no fault
-        };
-        let addr = Self::check_addr(off as i64, self.cfg.lmem_words, false)
-            .map_err(|fault| PeFault { pe: first, fault })?;
-        if pd.index() == 0 {
-            return Ok(());
-        }
-        self.mark_gpr_plane(thread, pd.index());
-        let n = self.cfg.num_pes;
-        let dst_base = self.gpr_base(thread, pd.index());
-        let (lmem, gprs) = (&self.lmem, &mut self.gprs);
-        let row = &lmem[addr * n..(addr + 1) * n];
-        sweep(
-            &mut gprs[dst_base..dst_base + n],
-            BITS_PER_WORD,
-            workers::mask_work(active),
-            active,
-            move |tile, masks, span| {
-                let base = tile * BITS_PER_WORD;
-                simd::copy_masked(span, &row[base..base + span.len()], masks);
-            },
-        );
-        Ok(())
-    }
-
-    /// Uniform-address store (`base` = the zero register): one bounds
-    /// check, then a masked copy into the contiguous row.
-    fn store_uniform(
-        &mut self,
-        thread: usize,
-        ps: PReg,
-        off: i32,
-        active: &ActiveMask,
-    ) -> Result<(), PeFault> {
-        let Some(first) = first_active(active) else {
-            return Ok(());
-        };
-        let addr = Self::check_addr(off as i64, self.cfg.lmem_words, true)
-            .map_err(|fault| PeFault { pe: first, fault })?;
-        self.mark_lmem_row(addr);
-        let n = self.cfg.num_pes;
-        let ps_base = self.gpr_base(thread, ps.index());
-        let (gprs, lmem) = (&self.gprs, &mut self.lmem);
-        let src = &gprs[ps_base..ps_base + n];
-        sweep(
-            &mut lmem[addr * n..(addr + 1) * n],
-            BITS_PER_WORD,
-            workers::mask_work(active),
-            active,
-            move |tile, masks, span| {
-                let base = tile * BITS_PER_WORD;
-                simd::copy_masked(span, &src[base..base + span.len()], masks);
-            },
-        );
-        Ok(())
-    }
-
-    /// Write each PE's index (truncated to the width) into `pd`.
-    pub fn pidx(&mut self, thread: usize, pd: PReg, active: &ActiveMask) {
-        if pd.index() == 0 {
-            return;
-        }
-        let w = self.width();
-        let n = self.cfg.num_pes;
-        self.mark_gpr_plane(thread, pd.index());
-        let dst_base = self.gpr_base(thread, pd.index());
-        sweep(
-            &mut self.gprs[dst_base..dst_base + n],
-            BITS_PER_WORD,
-            workers::mask_work(active),
-            active,
-            move |tile, masks, span| simd::index_span(span, tile * BITS_PER_WORD, w, masks),
-        );
-    }
-
     /// Inter-PE shift through the interconnection network:
     /// `pd[i] = pa[i - dist]` for active PEs, zero shifted in at the
     /// boundary. The column is latched before any write, so `pd == pa` is
@@ -999,30 +577,23 @@ impl PeArray {
         if pd.index() == 0 {
             return;
         }
-        let n = self.cfg.num_pes;
         self.mark_gpr_plane(thread, pd.index());
-        let dst_base = self.gpr_base(thread, pd.index());
-        sweep(
-            &mut self.gprs[dst_base..dst_base + n],
-            BITS_PER_WORD,
-            workers::mask_work(active),
-            active,
-            move |_, masks, span| {
-                for (t, &mw) in masks.iter().enumerate() {
-                    let base = t * BITS_PER_WORD;
-                    if mw == u64::MAX {
-                        span[base..base + BITS_PER_WORD].fill(value);
-                    } else {
-                        for_each_set(mw, base, |j| span[j] = value);
-                    }
+        self.sweep(thread, workers::mask_work(active), active, |win, masks| {
+            let span = win.gpr_mut(pd.index());
+            for (t, &mw) in masks.iter().enumerate() {
+                let base = t * BITS_PER_WORD;
+                if mw == u64::MAX {
+                    span[base..base + BITS_PER_WORD].fill(value);
+                } else {
+                    for_each_set(mw, base, |j| span[j] = value);
                 }
-            },
-        );
+            }
+        });
     }
 
     /// Write the multiple response resolver's one-hot result: clear `fd`
-    /// in every active PE, a flag-logic sweep like [`PeArray::flag_op`]'s,
-    /// then set it in the winning PE (if any). The winner must be active.
+    /// in every active PE, a flag-logic sweep, then set it in the winning
+    /// PE (if any). The winner must be active.
     pub fn write_first_responder(
         &mut self,
         thread: usize,
@@ -1030,44 +601,123 @@ impl PeArray {
         winner: Option<usize>,
         active: &ActiveMask,
     ) {
-        let (d_base, wpp) = (self.flag_base(thread, fd.index()), self.words_per_plane());
         self.mark_flag_plane(thread, fd.index());
-        sweep(
-            &mut self.flags[d_base..d_base + wpp],
-            1,
-            workers::word_work(active),
-            active,
-            |_, masks, words| simd::flag_span(FlagOp::Clr, words, None, None, masks),
-        );
+        self.sweep(thread, workers::word_work(active), active, |win, masks| {
+            let (words, [], []) = win.split_flags(fd.index(), [], []);
+            simd::flag_span(FlagOp::Clr, words, None, None, masks)
+        });
         if let Some(pe) = winner {
+            let d_base = self.flag_base(thread, fd.index());
             debug_assert!(active.is_active(pe), "resolver winner must be active");
             self.flags[d_base + pe / BITS_PER_WORD] |= 1u64 << (pe % BITS_PER_WORD);
         }
     }
 
-    /// A mutable tile-wise view of one thread's registers, flags, and
-    /// local memory — the substrate of fused-block execution (see
-    /// [`crate::tiles`]). Borrows only that thread's plane regions, so the
-    /// view cannot observe or disturb other threads' state.
+    /// Run `f` on the window of every occupied group of `active` in
+    /// `thread`'s view, lowest first, with the group's mask words, one per
+    /// tile; the walk is split across the host workers when `lane_ops`
+    /// ([`workers::mask_work`], or [`workers::word_work`] for a sweep of
+    /// flag words) reaches the pool's gate. `f` writes only its window.
+    fn sweep(
+        &mut self,
+        thread: usize,
+        lane_ops: usize,
+        active: &ActiveMask,
+        f: impl Fn(&mut TileWindow<'_>, &[u64]) + Sync,
+    ) {
+        self.thread_tiles(thread).sweep(lane_ops, |group| {
+            for (g, masks) in active.occupied(group.groups()) {
+                f(&mut group.window(g), masks);
+            }
+            None::<((), PeFault)>
+        });
+    }
+
+    /// Run one lane-local instruction, lowered ([`LaneOp::lower`]), for
+    /// `thread` over the active lanes of `active`: an unfused issue.
     ///
-    /// Writes through the view bypass the commit map: the caller must call
-    /// [`PeArray::note_gpr_write`], [`PeArray::note_flag_write`] or
-    /// [`PeArray::note_lmem_write`] for every plane and row it writes, or
-    /// `tspawn` leaves that state in place and the next array built on
-    /// this thread's reused planes inherits it.
+    /// The op's destination is marked in the commit map first (a per-lane
+    /// store marks every local-memory row). The mask words are read in
+    /// place, and the op's executor runs once per occupied 4096-lane group
+    /// on a window of that group, so an empty group costs one bit test. A
+    /// sweep whose active lanes (flag logic: flag words) pass the worker
+    /// pool's gate runs on every host core; a per-lane `plw`/`psw` always
+    /// runs on the caller in lane order.
+    ///
+    /// # Errors
+    /// A memory fault stops the op at the lowest faulting active PE, which
+    /// the error names: the active lanes below it have been applied, the
+    /// lanes above it are unchanged (see [`crate::lane_op`]).
     #[inline]
-    pub fn thread_tiles(&mut self, thread: usize) -> crate::tiles::ThreadTiles<'_> {
+    pub fn run_op(
+        &mut self,
+        thread: usize,
+        op: &LaneOp,
+        active: &ActiveMask,
+    ) -> Result<(), PeFault> {
+        debug_assert_eq!(active.lanes(), self.cfg.num_pes);
+        self.mark_dst(thread, op.dst());
+        lane_op::run_op(&mut self.thread_tiles(thread), op, active)
+    }
+
+    /// Run a fused block of lane-local ops for `thread` over the
+    /// all-active mask `all`, one 4096-lane occupancy group at a time, each
+    /// op over the whole group before the next (see [`crate::lane_op`]).
+    /// Every op's destination is marked in the commit map first.
+    ///
+    /// # Errors
+    /// The lowest `(op index, PE)` that faulted over all groups, the fault
+    /// the same ops issued one by one would stop at. Each group stops the
+    /// faulting op at its own lowest fault and runs the later ops.
+    pub fn run_block(
+        &mut self,
+        thread: usize,
+        ops: &[LaneOp],
+        all: &ActiveMask,
+    ) -> Result<(), (usize, PeFault)> {
+        debug_assert_eq!(all.lanes(), self.cfg.num_pes);
+        for op in ops {
+            self.mark_dst(thread, op.dst());
+        }
+        lane_op::run_block(&mut self.thread_tiles(thread), ops, all)
+    }
+
+    /// Mark what a lane-local op may write: its register or flag plane, its
+    /// local-memory row, or every row for a per-lane store. A row out of
+    /// range is not marked: that store faults and writes nothing.
+    #[inline(always)]
+    fn mark_dst(&mut self, thread: usize, dst: Dst) {
+        match dst {
+            Dst::None => {}
+            Dst::Gpr(r) => self.mark_gpr_plane(thread, r as usize),
+            Dst::Flag(f) => self.mark_flag_plane(thread, f as usize),
+            Dst::Row(r) => {
+                if (0..self.cfg.lmem_words as i32).contains(&r) {
+                    self.mark_lmem_row(r as usize);
+                }
+            }
+            Dst::Rows => {
+                let rows = self.cfg.lmem_words * self.committed.seg_count;
+                CommitMap::mark_all(&mut self.committed.lmem, rows);
+            }
+        }
+    }
+
+    /// A mutable tile-wise view of one thread's registers, flags, and
+    /// local memory (see `tiles.rs`); it cannot reach other threads'
+    /// state. Writes through it bypass the commit map, so the caller marks
+    /// every plane and row it may write first.
+    #[inline]
+    pub(crate) fn thread_tiles(&mut self, thread: usize) -> ThreadTiles<'_> {
         let n = self.cfg.num_pes;
         let wpp = self.words_per_plane();
         let g = self.gpr_base(thread, 0);
         let f = self.flag_base(thread, 0);
-        crate::tiles::ThreadTiles::new(
+        ThreadTiles::new(
             &mut self.gprs[g..g + self.cfg.gprs * n],
             &mut self.flags[f..f + self.cfg.flags * wpp],
             &mut self.lmem,
-            n,
-            self.cfg.lmem_words,
-            self.cfg.width,
+            &self.cfg,
         )
     }
 
@@ -1118,6 +768,16 @@ impl PeArray {
         CommitMap::scrub(&mut self.committed.flag, segs, flag_planes, &mut self.flags, wpp, |s| {
             geo.seg_tile_range(s)
         });
+    }
+
+    /// Bounds-check a host access's address against local memory.
+    #[inline]
+    fn check_addr(ea: i64, capacity: usize, is_store: bool) -> Result<usize, MemFault> {
+        if (0..capacity as i64).contains(&ea) {
+            Ok(ea as usize)
+        } else {
+            Err(MemFault { addr: ea as u32, capacity: capacity as u32, is_store })
+        }
     }
 
     // ---------------------------------------------------------- host API
@@ -1232,6 +892,8 @@ impl Drop for PeArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane_op::testing::{Issue, Src};
+    use asc_isa::{AluOp, CmpOp, Instr};
 
     fn small() -> PeArray {
         PeArray::new(ArrayConfig {
@@ -1603,12 +1265,14 @@ mod tests {
 
     /// Write non-zero state through every path that marks the commit map,
     /// each into its own plane or rows, so a path that stops marking
-    /// leaves state no other path's mark covers.
-    fn dirty_every_write_path(a: &mut PeArray) {
+    /// leaves state no other path's mark covers. A per-lane store marks
+    /// every local-memory row, which covers every other path's rows, so it
+    /// runs only when `per_lane_store` is set.
+    fn dirty_every_write_path(a: &mut PeArray, per_lane_store: bool) {
         let n = a.num_pes();
         let all = ActiveMask::all(n);
         let odd = every(n, |i| i % 2 == 1);
-        // instruction-major GPR writes, thread 0
+        // single-instruction GPR writes, thread 0
         a.pidx(0, p(1), &all);
         a.alu(0, AluOp::Add, p(2), p(1), Src::Reg(p(1)), &all);
         a.alu(0, AluOp::Add, p(3), p(1), Src::Imm(Word(5)), &odd);
@@ -1617,7 +1281,9 @@ mod tests {
         // per-lane store and load: p6 = 4 + (lane & 3) addresses rows 4..8
         a.alu(0, AluOp::And, p(6), p(1), Src::Imm(Word(3)), &all);
         a.alu(0, AluOp::Add, p(6), p(6), Src::Imm(Word(4)), &all);
-        a.store(0, p(3), p(6), 0, &all).unwrap();
+        if per_lane_store {
+            a.store(0, p(3), p(6), 0, &all).unwrap();
+        }
         a.load(0, p(7), p(6), 0, &all).unwrap();
         // uniform-address store (row 1) and load
         a.store(0, p(4), p(0), 1, &odd).unwrap();
@@ -1626,18 +1292,16 @@ mod tests {
         a.cmp(0, CmpOp::Lt, pf(1), p(1), Src::Scalar(Word(1000)), &all);
         a.flag_op(0, FlagOp::Set, pf(2), pf(2), pf(2), &odd);
         a.write_first_responder(0, pf(4), Some(n - 1), &all);
-        // a chain through a tile window, committed through the note_* hooks
-        let row = 12;
-        {
-            let mut tiles = a.thread_tiles(1);
-            let mut w = tiles.window(0..tiles.num_tiles());
-            w.gpr_mut(9).fill(Word(3));
-            w.split_flags(5, [], []).0.copy_from_slice(all.words());
-            w.lmem_row_mut(row).fill(Word(6));
-        }
-        a.note_gpr_write(1, 9);
-        a.note_flag_write(1, 5);
-        a.note_lmem_write(Some(row as i64));
+        // a fused block, thread 1: GPRs 9 and 10, flag 5 and row 12
+        let (mask, w, level) = (Mask::All, a.config().width, a.config().simd);
+        let block = [
+            Instr::PAluImm { op: AluOp::Add, pd: p(9), pa: p(0), imm: 3, mask },
+            Instr::PFlagOp { op: FlagOp::Set, fd: pf(5), fa: pf(5), fb: pf(5), mask },
+            Instr::PAluImm { op: AluOp::Add, pd: p(10), pa: p(0), imm: 6, mask },
+            Instr::Psw { ps: p(10), base: p(0), off: 12, mask },
+        ]
+        .map(|i| LaneOp::lower(&i, w, level).unwrap());
+        a.run_block(1, &block, &all).unwrap();
         // host paths
         a.set_gpr(n / 2, 0, 10, Word(11));
         a.set_flag(n - 1, 1, 6, true);
@@ -1657,10 +1321,22 @@ mod tests {
 
     /// Dirty an array at segment count `from`, drop it, build the same
     /// shape at `to`: the new array must take the old planes and read
-    /// zero everywhere, with nothing committed.
+    /// zero everywhere, with nothing committed. Once with the per-lane
+    /// store and once without, whose rows then rest on their own marks.
     fn assert_reuse_is_invisible(num_pes: usize, from: usize, to: usize) {
+        for per_lane_store in [true, false] {
+            assert_reuse_is_invisible_after(num_pes, from, to, per_lane_store);
+        }
+    }
+
+    fn assert_reuse_is_invisible_after(
+        num_pes: usize,
+        from: usize,
+        to: usize,
+        per_lane_store: bool,
+    ) {
         let mut a = PeArray::new(reuse_cfg(num_pes, from));
-        dirty_every_write_path(&mut a);
+        dirty_every_write_path(&mut a, per_lane_store);
         assert!(a.committed_bytes() > 0);
         let planes = a.gpr_plane(0, 0).as_ptr();
         drop(a);

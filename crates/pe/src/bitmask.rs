@@ -274,9 +274,7 @@ impl ActiveMask {
     }
 
     /// The mask word covering one 64-lane *tile* (tile `t` = lanes
-    /// `64t..64t+64`) — the tile-scoped view used by fused-block
-    /// execution, where a block's instructions are applied one tile at a
-    /// time. Tail bits are zero by the plane invariant.
+    /// `64t..64t+64`). Tail bits are zero by the plane invariant.
     #[inline]
     pub fn tile_word(&self, tile: usize) -> u64 {
         self.words[tile]

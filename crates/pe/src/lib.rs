@@ -28,19 +28,21 @@
 
 pub mod array;
 pub mod bitmask;
+pub mod lane_op;
 pub mod memory;
 pub mod muldiv;
 pub mod regfile;
 pub mod segments;
 pub mod simd;
-pub mod tiles;
+mod tiles;
 pub mod workers;
 
 #[cfg(all(test, feature = "proptest"))]
 mod proptests;
 
-pub use array::{ArrayConfig, PeArray, PeFault, Src};
+pub use array::{ArrayConfig, PeArray, PeFault};
 pub use bitmask::ActiveMask;
+pub use lane_op::LaneOp;
 pub use memory::{LocalMemory, MemFault};
 pub use muldiv::{DividerConfig, MultiplierKind, SequentialUnit};
 pub use regfile::{FlagFile, RegFile};
@@ -50,4 +52,4 @@ pub use simd::{
     select_popcount, select_sum_tile, simd_disabled, AluRrKernel, AluRsKernel, CmpRrKernel,
     CmpRsKernel, FirstSetKernel, PopcountKernel, SimdLevel, SumTileKernel,
 };
-pub use tiles::{GroupTiles, Plane, ThreadTiles, TileWindow, TILE_LANES};
+pub use tiles::TILE_LANES;

@@ -1,9 +1,12 @@
 //! Property tests: the structure-of-arrays [`PeArray`] matches a
 //! straightforward per-PE reference model (one `RegFile`/`FlagFile`/
 //! `LocalMemory` per PE — the layout the pre-SoA array used) on random
-//! masked operation sequences, including the invariants the ISSUE calls
-//! out: inactive PEs bit-for-bit unaffected, GPR 0 reads zero / ignores
-//! writes, and flag bitplanes round-tripping through `flag_column`.
+//! masked operation sequences, including these invariants: inactive PEs
+//! bit-for-bit unaffected, GPR 0 reads zero / ignores writes, and flag
+//! bitplanes round-tripping through `flag_column`. The lane-local
+//! operations are issued as the machine issues them: lowered to a
+//! [`crate::LaneOp`] (a broadcast scalar written into it) and run through
+//! `PeArray::run_op`.
 //! `split_sweeps_match_per_pe_reference` holds the same model against an
 //! array large enough for the lane-local sweeps to run on every host
 //! worker (see `crate::workers`).
@@ -14,8 +17,9 @@ use rand::{Rng, SeedableRng};
 
 use asc_isa::{AluOp, CmpOp, FlagOp, PFlag, PReg, Width, Word};
 
-use crate::array::{ArrayConfig, PeArray, Src};
+use crate::array::{ArrayConfig, PeArray};
 use crate::bitmask::ActiveMask;
+use crate::lane_op::testing::{Issue, Src};
 use crate::memory::LocalMemory;
 use crate::regfile::{FlagFile, RegFile};
 use crate::segments::SegmentGeometry;
@@ -78,13 +82,16 @@ enum Op {
     Alu(AluOp, u8, u8, Src),
     Cmp(CmpOp, u8, u8, Src),
     Flag(FlagOp, u8, u8, u8),
-    Load(u8, u8, i32),
-    Store(u8, u8, i32),
+    Load(u8, u8, i8),
+    Store(u8, u8, i8),
     Pidx(u8),
     Movs(u8, Word),
     Shift(u8, u8, i32),
 }
 
+/// A random second operand: a register, a broadcast scalar (issued as
+/// `palus`/`pcmps`, the value written into the op at issue), or an
+/// immediate.
 fn random_src(rng: &mut StdRng) -> Src {
     match rng.random_range(0..3) {
         0 => Src::Reg(PReg::from_index(rng.random_range(0..16))),
@@ -110,8 +117,8 @@ fn random_op(rng: &mut StdRng) -> Op {
             Op::Flag(FlagOp::ALL[i], flag(rng), flag(rng), flag(rng))
         }
         // base register 0 reads zero, so offsets in 0..LMEM never fault
-        3 => Op::Load(reg(rng), 0, rng.random_range(0..LMEM as i32)),
-        4 => Op::Store(reg(rng), 0, rng.random_range(0..LMEM as i32)),
+        3 => Op::Load(reg(rng), 0, rng.random_range(0..LMEM as i8)),
+        4 => Op::Store(reg(rng), 0, rng.random_range(0..LMEM as i8)),
         5 => Op::Pidx(reg(rng)),
         6 => Op::Movs(reg(rng), Word(rng.random_range(0..256))),
         _ => Op::Shift(reg(rng), reg(rng), rng.random_range(-4..=4)),
@@ -177,7 +184,8 @@ fn apply_ref(a: &mut RefArray, thread: usize, op: Op, active: &[bool]) {
     }
 }
 
-/// Apply `op` to the SoA array.
+/// Apply `op` to the SoA array: the lane-local operations through the
+/// single-instruction entry point, `movs` and `shift` through their sweeps.
 fn apply_soa(a: &mut PeArray, thread: usize, op: Op, active: &ActiveMask) {
     let p = PReg::from_index;
     let f = PFlag::from_index;
@@ -380,8 +388,8 @@ proptest! {
                         let o = CmpOp::ALL[rng.random_range(0..CmpOp::ALL.len())];
                         Op::Cmp(o, rng.random_range(0..8), rng.random_range(0..16), src)
                     }
-                    2 => Op::Load(rng.random_range(0..16), 0, rng.random_range(0..LMEM as i32)),
-                    _ => Op::Store(rng.random_range(0..16), 0, rng.random_range(0..LMEM as i32)),
+                    2 => Op::Load(rng.random_range(0..16), 0, rng.random_range(0..LMEM as i8)),
+                    _ => Op::Store(rng.random_range(0..16), 0, rng.random_range(0..LMEM as i8)),
                 };
                 (thread, bools, op)
             })

@@ -81,11 +81,11 @@
 //! `pd = pd op pb` needs no copy of `pd`. Every tier reads a tile's
 //! operands before that tile's store (the scalar loop: a lane's operands
 //! before it writes that lane), so each lane computes from its old value.
-//! The array's instruction-major sweeps and [`crate::TileWindow::split`]
-//! hand out sources in this form.
+//! The lane-local executors (`crate::lane_op`) hand out sources in this
+//! form, through `TileWindow::split`.
 //!
-//! Three plain span bodies take the same mask form, so the array's sweeps
-//! and the compiled chains share one definition of each: [`copy_masked`]
+//! Three plain span bodies take the same mask form, and the executors
+//! (and the resolver's one-hot clear) call them: [`copy_masked`]
 //! moves the active lanes between two planes (loads and stores at a
 //! lane-uniform address), [`flag_span`] runs flag logic word by word with
 //! the compare kernels' merge, and [`index_span`] writes each active

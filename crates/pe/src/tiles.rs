@@ -1,13 +1,14 @@
 //! Tile-scoped mutable views of one thread's PE state, the substrate of
-//! the block-fusion engine in `asc-core`.
+//! the lane-local executors ([`crate::lane_op`]).
 //!
 //! A *tile* is 64 consecutive PEs — exactly one flag-bitplane word, the
 //! matching 64-word slice of every GPR plane, and the 64 lane-local
-//! columns of local memory. A fused basic block runs one 4096-lane
-//! occupancy group (64 tiles) at a time, *op-major within the group*: each
-//! of the block's instructions is applied to the whole group before the
-//! next one runs, and the block moves on to the next group only when its
-//! last instruction is done. Two reasons:
+//! columns of local memory. Every lane-local instruction runs over one
+//! 4096-lane occupancy group (64 tiles) per executor call, through one
+//! [`TileWindow`] spanning the group. A fused block runs *op-major within
+//! the group*: each of the block's instructions is applied to the whole
+//! group before the next one runs, and the block moves on to the next
+//! group only when its last instruction is done. Two reasons:
 //!
 //! * The group's working set — a handful of 16 KiB register spans and 64
 //!   words per flag plane — stays in the core's private caches across the
@@ -15,36 +16,32 @@
 //!   full-array sweeps as instruction-major order would.
 //! * Each op is one call of its executor and of its [`crate::simd`] span
 //!   kernel per group, and a dense tile inside the span is unrolled,
-//!   branch-free vector work. Running the whole block over one tile before
-//!   the next paid an indirect call and a kernel set-up per (op, tile),
-//!   which cost more than the tile's 64 lanes of work.
+//!   branch-free vector work.
 //!
-//! Lane locality of fusible instructions makes op-major order inside a
+//! Lane locality of those instructions makes op-major order inside a
 //! group bit-identical to instruction-major order.
 //!
-//! Three layers:
+//! Three layers, all private to this crate:
 //!
 //! * [`ThreadTiles`] — a safe view borrowing one thread's GPR and flag
 //!   regions (plus local memory, which is shared hardware but lane-local
-//!   per PE). Constructed by [`crate::PeArray::thread_tiles`].
-//! * [`TileWindow`] — the window over a range of tiles, made by
-//!   [`ThreadTiles::window`] or [`GroupTiles::window`], which borrow the
-//!   view mutably, so one window is live at a time. Every access it
-//!   offers is confined to its tiles' lanes, and every register, flag,
-//!   row and lane index it is given is checked against the view's counts,
-//!   so safe code cannot reach past them. [`TileWindow::split`] hands out
-//!   one [`Plane`] to write with the others to read, and
-//!   [`TileWindow::split_flags`] one flag plane's words to write with flag
-//!   words and planes to read, so a kernel reads its sources in place.
+//!   per PE). Constructed by `PeArray::thread_tiles`.
 //! * [`GroupTiles`] — the tiles of a range of 4096-lane occupancy groups,
-//!   handed to a sweep's group body by [`ThreadTiles::for_each_group`]. A
-//!   sweep large enough to pass the worker pool's gate (see
-//!   [`crate::workers`]) runs on every host core, each group on the one
-//!   participant that claimed it; a smaller one runs the body once over
-//!   every group on the calling thread. Tiles of different groups share no
-//!   lane, flag word or local-memory column, so the split cannot be
-//!   observed. [`for_each_group_span`] splits one plane the same way, for
-//!   the instruction-major sweeps that write a single plane.
+//!   handed to a sweep's group body by [`ThreadTiles::sweep`]. A sweep
+//!   large enough to pass the worker pool's gate (see [`crate::workers`])
+//!   runs on every host core, each group on the one participant that
+//!   claimed it; a smaller one runs the body once over every group on the
+//!   calling thread. Tiles of different groups share no lane, flag word
+//!   or local-memory column, so the split cannot be observed.
+//! * [`TileWindow`] — the window over one group's tiles, made by
+//!   [`GroupTiles::window`], which borrows the groups mutably, so one
+//!   window is live at a time. Every access it offers is confined to its
+//!   tiles' lanes, and every register, flag, row and lane index it is given
+//!   is checked against the view's counts, so safe code cannot reach past
+//!   them. [`TileWindow::split`] hands out one [`Plane`] to write with the
+//!   others to read, and [`TileWindow::split_flags`] one flag plane's words
+//!   to write with flag words and planes to read, so a kernel reads its
+//!   sources in place.
 //!
 //! Writes through [`TileWindow::gpr_mut`] and [`TileWindow::split`] must
 //! skip register 0, which this layer debug-asserts (the zero register's
@@ -54,13 +51,17 @@
 //! words whose tail bits are clear by the [`crate::ActiveMask`] and
 //! flag-plane invariants, as every [`crate::simd`] kernel and
 //! [`crate::simd::flag_span`] does. The span kernels debug-assert that
-//! their last mask word is tail-clean.
+//! their last mask word is tail-clean. Writes through a window bypass the
+//! commit map: `PeArray`'s entry points mark every destination before
+//! they sweep.
 
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::Mutex;
 
 use asc_isa::{Width, Word};
 
+use crate::array::{ArrayConfig, PeFault};
 use crate::bitmask::{words_for, BITS_PER_WORD, OCC_GROUP_WORDS};
 use crate::memory::MemFault;
 use crate::workers;
@@ -71,50 +72,48 @@ pub const TILE_LANES: usize = BITS_PER_WORD;
 /// Mutable tile-wise view of one thread's register planes, flag
 /// bitplanes, and the (shared, but lane-local) PE local memory.
 #[derive(Debug)]
-pub struct ThreadTiles<'a> {
-    /// This thread's GPR region: `gprs_per_thread` planes of `num_pes`
-    /// words each.
-    gprs: &'a mut [Word],
-    /// This thread's flag region: `flags_per_thread` bitplanes of
-    /// `words_for(num_pes)` words each.
-    flags: &'a mut [u64],
-    /// All of local memory, column-major (`addr * num_pes + pe`).
-    lmem: &'a mut [Word],
-    num_pes: usize,
-    lmem_words: usize,
-    width: Width,
+pub(crate) struct ThreadTiles<'a> {
+    raw: RawTiles<'a>,
 }
 
 impl<'a> ThreadTiles<'a> {
+    /// The view of one thread's planes in an array of geometry `cfg`:
+    /// `gprs` holds its `cfg.gprs` register planes and `flags` its
+    /// `cfg.flags` bitplanes, and `lmem` is the whole local memory.
+    ///
+    /// # Panics
+    /// Panics if a buffer does not hold exactly those planes.
+    #[inline]
     pub(crate) fn new(
         gprs: &'a mut [Word],
         flags: &'a mut [u64],
         lmem: &'a mut [Word],
-        num_pes: usize,
-        lmem_words: usize,
-        width: Width,
+        cfg: &ArrayConfig,
     ) -> ThreadTiles<'a> {
-        // the windows check rows against `lmem_words`, so the buffer must
-        // hold that many
-        assert_eq!(lmem.len(), lmem_words * num_pes, "local memory is lmem_words rows");
-        debug_assert_eq!(gprs.len() % num_pes, 0);
-        debug_assert_eq!(flags.len() % words_for(num_pes), 0);
-        ThreadTiles { gprs, flags, lmem, num_pes, lmem_words, width }
-    }
-
-    /// Number of PEs covered by the view.
-    pub fn num_pes(&self) -> usize {
-        self.num_pes
+        // the windows check indices against these counts and address the
+        // buffers unchecked below them, so each buffer must hold them all
+        let n = cfg.num_pes;
+        assert_eq!(gprs.len(), cfg.gprs * n, "one thread's GPR planes");
+        assert_eq!(flags.len(), cfg.flags * words_for(n), "one thread's flag bitplanes");
+        assert_eq!(lmem.len(), cfg.lmem_words * n, "local memory is lmem_words rows");
+        ThreadTiles {
+            raw: RawTiles {
+                gprs: gprs.as_mut_ptr(),
+                flags: flags.as_mut_ptr(),
+                lmem: lmem.as_mut_ptr(),
+                num_pes: n,
+                gpr_planes: cfg.gprs,
+                flag_planes: cfg.flags,
+                lmem_words: cfg.lmem_words,
+                width: cfg.width,
+                _lifetime: PhantomData,
+            },
+        }
     }
 
     /// Number of 64-PE tiles (= flag plane words).
-    pub fn num_tiles(&self) -> usize {
-        words_for(self.num_pes)
-    }
-
-    /// Datapath width.
-    pub fn width(&self) -> Width {
-        self.width
+    pub(crate) fn num_tiles(&self) -> usize {
+        self.raw.num_tiles()
     }
 
     /// The window over a range of tiles. It borrows `self` mutably, so no
@@ -122,7 +121,8 @@ impl<'a> ThreadTiles<'a> {
     ///
     /// # Panics
     /// Panics if `tiles` is empty or not a range of the view's tiles.
-    pub fn window(&mut self, tiles: Range<usize>) -> TileWindow<'_> {
+    #[cfg(test)]
+    pub(crate) fn window(&mut self, tiles: Range<usize>) -> TileWindow<'_> {
         assert!(
             tiles.start < tiles.end && tiles.end <= self.num_tiles(),
             "tiles {tiles:?} out of range"
@@ -130,172 +130,127 @@ impl<'a> ThreadTiles<'a> {
         self.raw().window(tiles)
     }
 
+    /// Every occupancy group of the view, to window one at a time. It
+    /// borrows `self` mutably, so no other access to the thread's state
+    /// can coexist with it.
+    #[inline(always)]
+    pub(crate) fn groups(&mut self) -> GroupTiles<'_> {
+        let tiles = 0..self.num_tiles();
+        GroupTiles { raw: self.raw(), tiles }
+    }
+
     /// Run `body` over the 4096-lane occupancy groups of the view, each
     /// call with a [`GroupTiles`] that windows only the tiles of its
-    /// groups.
+    /// groups, and return the lowest fault the calls report.
     ///
-    /// `lane_ops` is the sweep's work, occupied groups ×
-    /// [`workers::GROUP_LANES`] × ops: at or above
+    /// `body` returns the lowest `(key, fault)` it met in its groups,
+    /// ordered by key, then by PE. `lane_ops` is the sweep's work,
+    /// occupied groups × [`workers::GROUP_LANES`] × ops: at or above
     /// [`workers::SPLIT_LANE_OPS`] the body runs on every host worker, one
-    /// group per call, in no fixed order; otherwise it runs once over all
-    /// the groups on the calling thread (see [`workers::for_each_group`]).
-    /// Either way each group is covered exactly once and a call writes
-    /// only its own tiles, so a body whose effects are lane-local gives
-    /// the same state both ways.
-    #[inline]
-    pub fn for_each_group(&mut self, lane_ops: usize, body: impl Fn(&mut GroupTiles<'_>) + Sync) {
-        let tiles = self.num_tiles();
-        let groups = tiles.div_ceil(OCC_GROUP_WORDS);
-        if workers::splits(groups, lane_ops) {
+    /// group per call, in no fixed order, and the lowest of the calls'
+    /// answers is returned; otherwise it runs once over all the groups on
+    /// the calling thread and its answer is returned as it is (see
+    /// [`workers::for_each_group`]). Either way each group is covered
+    /// exactly once and a call writes only its own tiles, so a body whose
+    /// effects are lane-local gives the same state both ways.
+    #[inline(always)]
+    pub(crate) fn sweep<K: Copy + Ord + Send>(
+        &mut self,
+        lane_ops: usize,
+        body: impl Fn(&mut GroupTiles<'_>) -> Option<(K, PeFault)> + Sync,
+    ) -> Option<(K, PeFault)> {
+        if workers::splits(self.num_tiles().div_ceil(OCC_GROUP_WORDS), lane_ops) {
             return self.split_groups(lane_ops, &body);
         }
-        body(&mut GroupTiles { raw: self.raw(), tiles: 0..tiles })
+        body(&mut self.groups())
     }
 
-    /// The split half of [`ThreadTiles::for_each_group`], out of line so
-    /// that the serial call inlines into the sweep.
+    /// The split half of [`ThreadTiles::sweep`], out of line so that the
+    /// serial call inlines into the sweep.
     #[inline(never)]
-    fn split_groups(&mut self, lane_ops: usize, body: &(dyn Fn(&mut GroupTiles<'_>) + Sync)) {
+    fn split_groups<K: Copy + Ord + Send>(
+        &mut self,
+        lane_ops: usize,
+        body: &(dyn Fn(&mut GroupTiles<'_>) -> Option<(K, PeFault)> + Sync),
+    ) -> Option<(K, PeFault)> {
         let tiles = self.num_tiles();
         let shared = Shared(self.raw());
+        let lowest: Mutex<Option<(K, PeFault)>> = Mutex::new(None);
         workers::for_each_group(tiles.div_ceil(OCC_GROUP_WORDS), lane_ops, |groups| {
             let span = groups.start * OCC_GROUP_WORDS..tiles.min(groups.end * OCC_GROUP_WORDS);
-            body(&mut GroupTiles { raw: shared.get(), tiles: span })
+            if let Some((k, f)) = body(&mut GroupTiles { raw: shared.get(), tiles: span }) {
+                let mut lowest = lowest.lock().expect("no group panics holding the fault lock");
+                if lowest.is_none_or(|(lk, lf)| (k, f.pe) < (lk, lf.pe)) {
+                    *lowest = Some((k, f));
+                }
+            }
         });
+        lowest.into_inner().expect("no group panics holding the fault lock")
     }
 
+    /// The view's raw parts, borrowed for as long as `self` is.
     #[inline]
     fn raw(&mut self) -> RawTiles<'_> {
-        RawTiles {
-            gprs: self.gprs.as_mut_ptr(),
-            flags: self.flags.as_mut_ptr(),
-            lmem: self.lmem.as_mut_ptr(),
-            num_pes: self.num_pes,
-            // whole planes only, so every index below a count is in bounds
-            gpr_planes: self.gprs.len() / self.num_pes,
-            flag_planes: self.flags.len() / words_for(self.num_pes),
-            lmem_words: self.lmem_words,
-            width: self.width,
-            _lifetime: PhantomData,
-        }
+        self.raw
     }
 }
 
 /// The tiles of a range of occupancy groups of a [`ThreadTiles`] view, as
-/// one call of a sweep's group body sees them (see
-/// [`ThreadTiles::for_each_group`]).
+/// one call of a sweep's group body sees them (see [`ThreadTiles::sweep`]).
 #[derive(Debug)]
-pub struct GroupTiles<'a> {
+pub(crate) struct GroupTiles<'a> {
     raw: RawTiles<'a>,
     tiles: Range<usize>,
 }
 
 impl GroupTiles<'_> {
-    /// The groups' tiles, one range per 4096-lane occupancy group (64
-    /// tiles, fewer in a short last group), in lane order.
+    /// The occupancy groups covered, lowest first.
     #[inline]
-    pub fn groups(&self) -> impl Iterator<Item = Range<usize>> {
-        let end = self.tiles.end;
-        self.tiles.clone().step_by(OCC_GROUP_WORDS).map(move |t| t..end.min(t + OCC_GROUP_WORDS))
+    pub(crate) fn groups(&self) -> Range<usize> {
+        self.tiles.start / OCC_GROUP_WORDS..self.tiles.end.div_ceil(OCC_GROUP_WORDS)
     }
 
-    /// The window over a range of the groups' tiles; like
-    /// [`ThreadTiles::window`], one window is live at a time.
+    /// The window over the tiles of occupancy group `g` (64 tiles, fewer
+    /// in a short last group); one window is live at a time.
     ///
     /// # Panics
-    /// Panics if `tiles` is empty or not within the groups' tiles.
+    /// Panics if `g` is not one of [`GroupTiles::groups`].
     #[inline]
-    pub fn window(&mut self, tiles: Range<usize>) -> TileWindow<'_> {
+    pub(crate) fn window(&mut self, g: usize) -> TileWindow<'_> {
+        let tiles = g * OCC_GROUP_WORDS..self.tiles.end.min((g + 1) * OCC_GROUP_WORDS);
         assert!(
-            self.tiles.start <= tiles.start
-                && tiles.start < tiles.end
-                && tiles.end <= self.tiles.end,
-            "tiles {tiles:?} outside tiles {:?}",
+            self.tiles.start <= tiles.start && tiles.start < tiles.end,
+            "group {g} outside tiles {:?}",
             self.tiles
         );
         self.raw.window(tiles)
     }
 }
 
-/// Run `body` over the 4096-lane occupancy groups of one plane, each call
-/// with its groups' span of `plane`: a group spans `per_group` elements
-/// (4096 words of a GPR plane or local-memory row, 64 words of a flag
-/// plane), the last group possibly fewer.
-///
-/// Split like [`ThreadTiles::for_each_group`]: at or above the pool's
-/// gate the body runs on every host worker, one group per call, and
-/// otherwise once over the whole plane on the calling thread. Each group's
-/// span is written by exactly one call.
-#[inline]
-pub fn for_each_group_span<T: Send>(
-    plane: &mut [T],
-    per_group: usize,
-    lane_ops: usize,
-    body: impl Fn(Range<usize>, &mut [T]) + Sync,
-) {
-    let groups = plane.len().div_ceil(per_group);
-    if workers::splits(groups, lane_ops) {
-        return split_spans(plane, per_group, lane_ops, &body);
-    }
-    body(0..groups, plane)
-}
+/// The raw parts of a [`ThreadTiles`] view, shared by the participants of
+/// one split sweep ([`ThreadTiles::sweep`]).
+struct Shared<'a>(RawTiles<'a>);
 
-/// The split half of [`for_each_group_span`], out of line so that the
-/// serial call inlines into the sweep.
-#[inline(never)]
-fn split_spans<T: Send>(
-    plane: &mut [T],
-    per_group: usize,
-    lane_ops: usize,
-    body: &(dyn Fn(Range<usize>, &mut [T]) + Sync),
-) {
-    let (len, groups) = (plane.len(), plane.len().div_ceil(per_group));
-    let shared = Shared(plane.as_mut_ptr());
-    workers::for_each_group(groups, lane_ops, |groups| {
-        let span = groups.start * per_group..len.min(groups.end * per_group);
-        // SAFETY: `span` lies within `plane`, which is mutably borrowed for
-        // the whole sweep; `workers::for_each_group` hands each group to
-        // exactly one call, and spans of different groups are disjoint, so
-        // this is the only live reference to these elements.
-        let span =
-            unsafe { std::slice::from_raw_parts_mut(shared.get().add(span.start), span.len()) };
-        body(groups, span)
-    });
-}
+// SAFETY: a participant derives from the raw parts only the `GroupTiles`
+// of the groups it was handed, which windows only those groups' tiles.
+// The pool hands each group to exactly one participant
+// (`workers::for_each_group`), and different groups cover disjoint lanes —
+// disjoint spans of every GPR plane and local-memory row, and disjoint
+// flag-plane words — so no two participants reach the same element. The
+// underlying `&mut` borrow lasts for the whole sweep, so nothing else
+// accesses the elements meanwhile, and they are `Send` (`Word`, `u64`), so
+// any participant may write them.
+unsafe impl Sync for Shared<'_> {}
 
-/// The raw parts of a mutable borrow — a [`ThreadTiles`] view's planes or
-/// one plane's elements — shared by the participants of one group sweep
-/// ([`ThreadTiles::for_each_group`], [`for_each_group_span`]).
-struct Shared<P>(P);
-
-// SAFETY: a participant derives from the raw parts only the elements of
-// the groups it was handed: a `GroupTiles` windows only its groups' tiles,
-// and `for_each_group_span` spans only its groups' elements. The pool
-// hands each group to exactly one participant (`workers::for_each_group`),
-// and different groups cover disjoint lanes — disjoint spans of every GPR
-// plane and local-memory row, and disjoint flag-plane words — so no two
-// participants reach the same element. The underlying `&mut` borrow lasts
-// for the whole sweep, so nothing else accesses the elements meanwhile,
-// and they are `Send` (`Word`, `u64`, or a plane's `T: Send`), so any
-// participant may write them.
-unsafe impl<P: RawParts> Sync for Shared<P> {}
-
-/// What [`Shared`] may hold.
-trait RawParts: Copy {}
-
-impl RawParts for RawTiles<'_> {}
-
-impl<T: Send> RawParts for *mut T {}
-
-impl<P: RawParts> Shared<P> {
+impl<'a> Shared<'a> {
     #[inline]
-    fn get(&self) -> P {
+    fn get(&self) -> RawTiles<'a> {
         self.0
     }
 }
 
 /// The raw parts of a [`ThreadTiles`] borrow that a [`TileWindow`]
-/// addresses its tile through.
+/// addresses its tiles through.
 #[derive(Debug, Clone, Copy)]
 struct RawTiles<'a> {
     gprs: *mut Word,
@@ -363,7 +318,7 @@ impl<'a> RawTiles<'a> {
 /// A plane of one word per PE that a [`TileWindow`] reaches: a GPR plane
 /// of the view's thread, or a row of local memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Plane {
+pub(crate) enum Plane {
     /// GPR plane `reg` of the view's thread.
     Gpr(usize),
     /// Local-memory row `addr` (one word per PE, the same address in every
@@ -373,9 +328,10 @@ pub enum Plane {
 
 /// The mutable window over a range of tiles: its lanes' span of every GPR
 /// plane, one word per tile of every flag bitplane, and its lanes'
-/// local-memory columns. A compiled chain gets one per occupancy group.
+/// local-memory columns. A lane-local executor gets one per occupancy
+/// group.
 #[derive(Debug)]
-pub struct TileWindow<'a> {
+pub(crate) struct TileWindow<'a> {
     raw: RawTiles<'a>,
     tiles: Range<usize>,
     base: usize,
@@ -384,17 +340,18 @@ pub struct TileWindow<'a> {
 
 impl TileWindow<'_> {
     /// Index of the window's first lane.
-    pub fn base(&self) -> usize {
+    pub(crate) fn base(&self) -> usize {
         self.base
     }
 
     /// Number of valid lanes (64 per tile except in a short last tile).
-    pub fn lanes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn lanes(&self) -> usize {
         self.lanes
     }
 
     /// Datapath width.
-    pub fn width(&self) -> Width {
+    pub(crate) fn width(&self) -> Width {
         self.raw.width
     }
 
@@ -403,7 +360,7 @@ impl TileWindow<'_> {
     /// # Panics
     /// Panics if `reg` is out of range.
     #[inline]
-    pub fn gpr(&self, reg: usize) -> &[Word] {
+    pub(crate) fn gpr(&self, reg: usize) -> &[Word] {
         self.read(Plane::Gpr(reg))
     }
 
@@ -413,7 +370,7 @@ impl TileWindow<'_> {
     /// # Panics
     /// Panics if `reg` is out of range.
     #[inline]
-    pub fn gpr_mut(&mut self, reg: usize) -> &mut [Word] {
+    pub(crate) fn gpr_mut(&mut self, reg: usize) -> &mut [Word] {
         self.split(Plane::Gpr(reg), []).0
     }
 
@@ -426,7 +383,7 @@ impl TileWindow<'_> {
     /// # Panics
     /// Panics if `dst` or any of `srcs` is out of range.
     #[inline(always)]
-    pub fn split<const K: usize>(
+    pub(crate) fn split<const K: usize>(
         &mut self,
         dst: Plane,
         srcs: [Plane; K],
@@ -470,7 +427,7 @@ impl TileWindow<'_> {
     /// # Panics
     /// Panics if `flag` is out of range.
     #[inline]
-    pub fn flag_words(&self, flag: usize) -> &[u64] {
+    pub(crate) fn flag_words(&self, flag: usize) -> &[u64] {
         // SAFETY: one in-range word per (flag, tile), confined to this
         // window; the `&self` borrow keeps every writing accessor out.
         unsafe {
@@ -489,7 +446,7 @@ impl TileWindow<'_> {
     /// Panics if `dst` or any of `flags` or `planes` is out of range.
     #[inline(always)]
     #[allow(clippy::type_complexity)]
-    pub fn split_flags<const K: usize, const J: usize>(
+    pub(crate) fn split_flags<const K: usize, const J: usize>(
         &mut self,
         dst: usize,
         flags: [usize; K],
@@ -512,8 +469,13 @@ impl TileWindow<'_> {
                     read[k] = Some(std::slice::from_raw_parts(raw.flag_at(f, first), tiles));
                 }
             }
-            let planes = planes.map(|p| std::slice::from_raw_parts(raw.lanes_of(p, base), lanes));
-            (std::slice::from_raw_parts_mut(d, tiles), read, planes)
+            // a loop rather than `array::map`, whose closure call was not
+            // inlined into the executors
+            let mut spans: [&[Word]; J] = [&[]; J];
+            for (k, &p) in planes.iter().enumerate() {
+                spans[k] = std::slice::from_raw_parts(raw.lanes_of(p, base), lanes);
+            }
+            (std::slice::from_raw_parts_mut(d, tiles), read, spans)
         }
     }
 
@@ -525,8 +487,13 @@ impl TileWindow<'_> {
     /// # Panics
     /// Panics if `j` is not one of the window's lanes.
     #[inline]
-    pub fn lmem_checked_read(&self, base: Word, off: i32, j: usize) -> Result<Word, MemFault> {
-        let addr = self.check_addr(base, off, false)?;
+    pub(crate) fn lmem_checked_read(
+        &self,
+        base: Word,
+        off: i32,
+        j: usize,
+    ) -> Result<Word, MemFault> {
+        let addr = self.lmem_addr(base, off, false)?;
         Ok(self.read(Plane::Row(addr))[j])
     }
 
@@ -535,14 +502,14 @@ impl TileWindow<'_> {
     /// # Panics
     /// Panics if `j` is not one of the window's lanes.
     #[inline]
-    pub fn lmem_checked_write(
+    pub(crate) fn lmem_checked_write(
         &mut self,
         base: Word,
         off: i32,
         j: usize,
         v: Word,
     ) -> Result<(), MemFault> {
-        let addr = self.check_addr(base, off, true)?;
+        let addr = self.lmem_addr(base, off, true)?;
         self.lmem_row_mut(addr)[j] = v;
         Ok(())
     }
@@ -554,21 +521,21 @@ impl TileWindow<'_> {
     /// # Panics
     /// Panics if `addr` is out of range.
     #[inline]
-    pub fn lmem_row_mut(&mut self, addr: usize) -> &mut [Word] {
+    pub(crate) fn lmem_row_mut(&mut self, addr: usize) -> &mut [Word] {
         self.split(Plane::Row(addr), []).0
     }
 
-    /// Resolve and bounds-check a lane-uniform effective address (the
-    /// whole window reads/writes the same row). Fault identity matches the
-    /// per-lane accessors: unsigned base plus sign-extended offset at
-    /// full precision.
+    /// Resolve and bounds-check an effective address, for one lane or the
+    /// whole window (a lane-uniform access): unsigned base plus
+    /// sign-extended offset at full precision, as the hardware address
+    /// path computes it.
     #[inline]
-    pub fn lmem_addr(&self, base: Word, off: i32, is_store: bool) -> Result<usize, MemFault> {
-        self.check_addr(base, off, is_store)
-    }
-
-    #[inline]
-    fn check_addr(&self, base: Word, off: i32, is_store: bool) -> Result<usize, MemFault> {
+    pub(crate) fn lmem_addr(
+        &self,
+        base: Word,
+        off: i32,
+        is_store: bool,
+    ) -> Result<usize, MemFault> {
         let ea = base.to_u32() as i64 + off as i64;
         if (0..self.raw.lmem_words as i64).contains(&ea) {
             Ok(ea as usize)
@@ -634,9 +601,6 @@ mod tests {
             w.lmem_checked_write(Word::new(4, Width::W16), 1, 70 - 64, v7).unwrap();
             assert!(w.lmem_checked_read(Word::new(40, Width::W16), 0, 0).is_err());
         }
-        a.note_gpr_write(1, 3);
-        a.note_flag_write(1, 2);
-        a.note_lmem_write(Some(5));
         assert_eq!(a.gpr(70, 1, 3), v7);
         assert!(a.flag(99, 1, 2));
         assert_eq!(a.flag_plane(1, 2)[1], (1u64 << 36) - 1);
@@ -763,7 +727,6 @@ mod tests {
         let mut t = a.thread_tiles(0);
         t.window(0..1).gpr_mut(1)[0] = Word::new(1, Width::W16);
         t.window(1..2).gpr_mut(1)[0] = Word::new(2, Width::W16);
-        a.note_gpr_write(0, 1);
         assert_eq!(a.gpr(0, 0, 1).to_u32(), 1);
         assert_eq!(a.gpr(64, 0, 1).to_u32(), 2);
         assert_eq!(a.gpr(1, 0, 1).to_u32(), 0);

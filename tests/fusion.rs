@@ -292,3 +292,44 @@ fn aliased_operands_fuse_on_a_ragged_tile() {
 fn aliased_operands_fuse_when_split() {
     aliased_block_matches_host((1 << 18) + 70);
 }
+
+/// A fusible run that issues while a second thread is live does not fuse:
+/// its instructions run one by one through the same lane-local executors
+/// as a block, and the block counters stay at zero. The machine, its
+/// statistics and its answers match `--no-fuse`.
+#[test]
+fn unfused_issues_leave_the_block_counters_alone() {
+    let src = "
+main:   li     s1, worker
+        tspawn s2, s1
+        pidx   p1
+        paddi  p2, p1, 3
+        pclti  pf1, p2, 9
+        pand   p3, p2, p1 ?pf1
+        psw    p3, 0(p0)
+        tjoin  s2
+        halt
+worker: li     s3, 40
+wloop:  addi   s3, s3, -1
+        cne    f1, s3, s0
+        bt     f1, wloop
+        texit
+    ";
+    let program = asc::asm::assemble(src).unwrap();
+    let run = |cfg: MachineConfig| {
+        let mut m = Machine::with_program(cfg, &program).unwrap();
+        m.run(100_000).unwrap();
+        m
+    };
+    let (fused, unfused) =
+        (run(MachineConfig::new(100)), run(MachineConfig::new(100).without_fusion()));
+    let fs = fused.fusion_stats();
+    assert_eq!(fs.static_blocks, 1, "the program has one fusible block: {fs:?}");
+    assert_eq!((fs.blocks_executed, fs.instrs_fused, fs.tile_chains), (0, 0, 0), "{fs:?}");
+    assert_eq!(fused.arch_digest(), unfused.arch_digest());
+    assert_eq!(fused.stats(), unfused.stats());
+    let row: Vec<u32> =
+        fused.array().gather_column(0).unwrap().iter().map(|w| w.to_u32()).collect();
+    let want: Vec<u32> = (0..100).map(|i| if i + 3 < 9 { (i + 3) & i } else { 0 }).collect();
+    assert_eq!(row, want);
+}
