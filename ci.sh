@@ -265,10 +265,11 @@ echo "==> 2^20-PE planes and split sweeps (release)"
 # planes must read zero everywhere), and the split-geometry tests at
 # 2^18 + 70 PEs, where sweeps pass the worker pool's gate and run on
 # every host core (lane-local sweeps against the per-PE reference, every
-# reduction unit against lane references, a fused block faulting in two
-# occupancy groups against --no-fuse, and a fused block whose operands
-# alias its destinations, read in place, against --no-fuse, --no-simd and
-# a host-computed answer). With them run the responder word-span kernels
+# reduction unit against lane references, per-lane loads and stores
+# faulting in two occupancy groups after a split fused block, against
+# --no-fuse, and fused blocks whose operands alias their destinations,
+# read in place, against --no-fuse, --no-simd and a host-computed
+# answer). With them run the responder word-span kernels
 # against a word loop at every tier, the `?pf` mask refill against a
 # fresh mask of each plane, and the response count group by group and
 # past the pool's gate at 2^24 + 70 lanes.
@@ -284,7 +285,9 @@ cargo test --release --test fusion -q -- split_block_faults_keep_their_identity 
 echo "==> single-CPU reference (taskset -c 0: the worker pool has no helpers)"
 # The pool sizes itself from available_parallelism(), so one CPU means no
 # helper threads and every sweep on its caller. Rerunning the pool tests
-# and the split-geometry tests there proves that serial path.
+# and the split-geometry tests there proves that serial path: the fused
+# blocks of the two fusion tests, and the per-lane faults after one,
+# against --no-fuse.
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test --release -p asc-pe --features proptest -q \
         --test workers --test workers_alloc

@@ -96,7 +96,9 @@ fn bench_single_sweeps(c: &mut Criterion) {
         let all = ActiveMask::all(cfg.num_pes);
         let (p1, p2, pf1) = (PReg::from_index(1), PReg::from_index(2), PFlag::from_index(1));
         let (w, level, mask) = (cfg.width, a.config().simd, Mask::All);
-        let lower = |i: Instr| LaneOp::lower(&i, w, level).expect("a lane-local instruction");
+        let lower = |i: Instr| {
+            LaneOp::lower(&i, w, level, cfg.lmem_words).expect("a lane-local instruction")
+        };
         a.run_op(0, &lower(Instr::Pidx { pd: p1, mask }), &all).unwrap();
         if cfg.num_pes == 256 {
             let paddi = lower(Instr::PAluImm { op: AluOp::Add, pd: p2, pa: p1, imm: 3, mask });

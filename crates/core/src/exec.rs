@@ -180,11 +180,12 @@ impl Machine {
 
             // ------------------------------------------------- parallel
             // Lane-local: the op lowered at load, the scalar of a
-            // `palus`/`pcmps` written into a copy at issue, run over the
-            // active set by the same executors as a fused block.
+            // `palus`/`pcmps`/`pmovs` written into a copy at issue, run
+            // over the active set by the same executors as a fused block.
             PAlu { .. }
             | PAluS { .. }
             | PAluImm { .. }
+            | PMovS { .. }
             | PCmp { .. }
             | PCmpS { .. }
             | PCmpImm { .. }
@@ -194,7 +195,7 @@ impl Machine {
             | Pidx { .. } => {
                 let sampled;
                 let op = match *i {
-                    PAluS { sb, .. } | PCmpS { sb, .. } => {
+                    PAluS { sb, .. } | PCmpS { sb, .. } | PMovS { sa: sb, .. } => {
                         let v = self.sregs.read(thread, sb.index());
                         sampled = self.lane_ops[pc as usize].with_scalar(v);
                         &sampled
@@ -207,12 +208,6 @@ impl Machine {
                     pc,
                     fault,
                 })?;
-                Ok(Effect::Next)
-            }
-            PMovS { pd, sa, mask } => {
-                let active = self.array.active(thread, mask, &self.all, &mut self.amask);
-                let v = self.sregs.read(thread, sa.index());
-                self.array.movs(thread, pd, v, active);
                 Ok(Effect::Next)
             }
             PShift { pd, pa, dist, mask } => {

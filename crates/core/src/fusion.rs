@@ -5,15 +5,16 @@
 //!
 //! A fusible block is a maximal straight-line run of parallel-class
 //! instructions whose lane `l` results depend only on lane `l`'s own
-//! state (see [`asc_isa::Instr::is_fusible`]): parallel ALU/compare with
-//! register or immediate operands, flag logic, local loads/stores, and
-//! `pidx`. Anything else ends a block — scalar register reads/writes
-//! (`palus`, `pmovs`, …, which sample the scalar unit), network broadcast
-//! or reduction operations, cross-lane shifts, control flow, and
-//! inter-thread transfers. Blocks are discovered once per program load by
-//! [`FusionPlan::build`] and cached keyed by entry PC (the plan *is* the
-//! per-`(program, pc)` cache; loading a new program invalidates it by
-//! rebuilding).
+//! state (see [`asc_isa::Instr::is_fusible`]) and which cannot fault:
+//! parallel ALU/compare with register or immediate operands, flag logic,
+//! `pidx`, and local loads/stores off `p0` to a row in local memory.
+//! Anything else ends a block — scalar register reads/writes (`palus`,
+//! `pmovs`, …, which sample the scalar unit), network broadcast or
+//! reduction operations, cross-lane shifts, control flow, inter-thread
+//! transfers, and memory ops that can fault. Blocks are discovered once
+//! per program load by [`FusionPlan::build`] and cached keyed by entry PC
+//! (the plan *is* the per-`(program, pc)` cache; loading a new program
+//! invalidates it by rebuilding).
 //!
 //! ## How a block executes
 //!
@@ -55,21 +56,17 @@
 //!
 //! ## Memory faults
 //!
-//! A faulting `plw`/`psw` reports the same error identity as unfused
-//! issue — the lowest faulting PE of the *earliest* faulting instruction,
-//! at that instruction's PC, taken over every group however the groups
-//! were split. Unfused, the faulting instruction has applied its lanes
-//! below that PE and nothing after it has run. Fused, each group stops the
-//! faulting op at its own lowest fault and runs the block's later ops, so
-//! other groups' lanes of the faulting op and the later ops may have
-//! applied. On the error path (and only there) the partial architectural
-//! state may differ from the unfused run's; successful runs are
-//! bit-identical.
+//! A block never faults: the plan cuts out every `plw`/`psw` that can
+//! ([`asc_pe::LaneOp::can_fault`]: a computed base, or a `p0` row outside
+//! local memory), as [`CutReason::MayFault`]. Issued on its own, fusion on
+//! or off, such an access stops at its lowest faulting active PE with the
+//! lanes below it applied and nothing after it run, so the error, the
+//! machine state and the statistics are the same either way.
 
 use asc_isa::{DecodeError, Instr};
+use asc_pe::{LaneOp, SimdLevel};
 
 use crate::config::MachineConfig;
-use crate::error::RunError;
 use crate::machine::Machine;
 
 /// Shortest run worth fusing: a single instruction gains nothing from
@@ -96,10 +93,14 @@ pub enum CutReason {
     /// The inter-PE shift network: lane `l` reads lane `l - dist`.
     CrossLaneShift,
     /// `mul`-family instruction on a machine with no multiplier — kept
-    /// out of blocks so [`RunError::MissingUnit`] fires at its own issue.
+    /// out of blocks so [`crate::RunError::MissingUnit`] fires at its own
+    /// issue.
     MissingMultiplier,
     /// `div`/`rem` on a machine with no divider (same trap rule).
     MissingDivider,
+    /// A local load or store that can fault (a per-lane base, or a row
+    /// outside local memory): kept out of blocks so no block faults.
+    MayFault,
     /// The word at this address does not decode; execution would fault.
     Undecodable,
     /// The run reaches the end of instruction memory.
@@ -116,6 +117,7 @@ impl std::fmt::Display for CutReason {
             CutReason::CrossLaneShift => "cross-lane shift network",
             CutReason::MissingMultiplier => "multiplier absent on this machine",
             CutReason::MissingDivider => "divider absent on this machine",
+            CutReason::MayFault => "local-memory access that can fault",
             CutReason::Undecodable => "undecodable word",
             CutReason::EndOfProgram => "end of program",
         })
@@ -135,7 +137,9 @@ pub fn cut_reason(i: &Instr, cfg: &MachineConfig) -> Option<CutReason> {
         if i.uses_divider() && cfg.divider == asc_pe::DividerConfig::None {
             return Some(CutReason::MissingDivider);
         }
-        return None;
+        // the SIMD tier picks kernels only: it cannot make an op fault
+        let op = LaneOp::lower(i, cfg.width, SimdLevel::Scalar, cfg.lmem_words);
+        return op.is_some_and(|op| op.can_fault()).then_some(CutReason::MayFault);
     }
     Some(match i.class() {
         InstrClass::Scalar if i.is_branch() => CutReason::ControlFlow,
@@ -215,10 +219,10 @@ impl FusionPlan {
     /// decode), and record every fusible run and the static statistics of
     /// its maximal blocks.
     ///
-    /// An instruction that would trap on this machine (`mul`/`div` with
-    /// the unit absent) is excluded from fusion at plan time, so the
-    /// [`RunError::MissingUnit`] error still fires at that instruction's
-    /// own issue, not a block's entry.
+    /// An instruction that would trap or fault on this machine (`mul`/`div`
+    /// with the unit absent, a `plw`/`psw` that can fault) is excluded from
+    /// fusion at plan time, so its error fires at its own issue, not a
+    /// block's entry, and no block faults.
     pub(crate) fn build<'a>(
         n: usize,
         instr_at: impl Fn(usize) -> Option<&'a Instr>,
@@ -363,19 +367,14 @@ impl Machine {
     /// Pre-execute the fusible block `[pc, pc + len)` for `tid` through
     /// its lowered ops, one occupancy group at a time. Called at the issue
     /// of the block's first instruction; the remaining `len - 1` issues are
-    /// ghosts (timing only). Only blocks count in the dynamic counters: an
-    /// unfused issue of the same ops leaves them alone.
-    pub(crate) fn execute_block(&mut self, tid: usize, pc: u32, len: u32) -> Result<(), RunError> {
+    /// ghosts (timing only). A block cannot fault. Only blocks count in the
+    /// dynamic counters: an unfused issue of the same ops leaves them alone.
+    pub(crate) fn execute_block(&mut self, tid: usize, pc: u32, len: u32) {
         let ops = &self.lane_ops[pc as usize..(pc + len) as usize];
-        let fault = self.array.run_block(tid, ops, &self.all);
+        self.array.run_block(tid, ops, &self.all);
         self.fusion_dyn.tile_chains += self.all.words().len() as u64;
         self.fusion_dyn.blocks_executed += 1;
         self.fusion_dyn.instrs_fused += len as u64;
-        fault.map_err(|(k, fault)| RunError::PeMemoryFault {
-            thread: tid,
-            pc: pc + k as u32,
-            fault,
-        })
     }
 
     /// Block-fusion counters for the loaded program and the run so far.

@@ -103,9 +103,9 @@ pub struct Machine {
     /// The loaded program, decoded once into per-PC issue entries.
     pub(crate) table: IssueTable,
     /// The loaded program's lane-local instructions, lowered once per PC
-    /// for this machine's width and SIMD tier (the op that does nothing
-    /// at every other PC): what an unfused issue runs, and, sliced, a
-    /// fused block's chain.
+    /// for this machine's width, SIMD tier and local memory (the op that
+    /// does nothing at every other PC): what an unfused issue runs, and,
+    /// sliced, a fused block's chain.
     pub(crate) lane_ops: Vec<LaneOp>,
     pub(crate) sregs: RegFile,
     pub(crate) sflags: FlagFile,
@@ -239,10 +239,11 @@ impl Machine {
             });
         }
         self.table.load(words, &self.timing);
-        let (table, w, level) = (&self.table, self.cfg.width, self.array.config().simd);
+        let (table, c) = (&self.table, self.array.config());
         self.lane_ops.clear();
         self.lane_ops.extend((0..table.len()).map(|pc| {
-            table.instr(pc).and_then(|i| LaneOp::lower(i, w, level)).unwrap_or_default()
+            let lower = |i| LaneOp::lower(i, c.width, c.simd, c.lmem_words);
+            table.instr(pc).and_then(lower).unwrap_or_default()
         }));
         // (Re)build the fusible-block plan and drop any state from a
         // previous program.
@@ -823,7 +824,7 @@ impl Machine {
             self.fused_remaining[tid] -= 1;
             Effect::Next
         } else if let Some(len) = self.fusible_block_len(pc) {
-            self.execute_block(tid, pc, len)?;
+            self.execute_block(tid, pc, len);
             self.fused_remaining[tid] = len - 1;
             Effect::Next
         } else {

@@ -392,6 +392,48 @@ proptest! {
         prop_assert_eq!(fused_scalar.fusion_stats().simd_ops, 0);
     }
 
+    /// Block fusion and SIMD dispatch stay invisible when a run stops at a
+    /// memory fault: the generator of `fusion_is_bit_identical` with its
+    /// `plw`/`psw` offsets left as generated, on a machine with 32 words
+    /// of local memory, so most programs stop with a `PeMemoryFault`.
+    /// Across every (fusion × SIMD) combination the run returns the same
+    /// result and leaves bit-identical machine state, cycle count and
+    /// statistics.
+    #[test]
+    fn fusion_is_bit_identical_after_a_fault(seed in any::<u64>(), short_tail in any::<bool>()) {
+        use asc_isa::gen::random_straightline_instr;
+        use asc_isa::Instr;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut words = Vec::new();
+        for _ in 0..60 {
+            let mut i = random_straightline_instr(&mut rng);
+            // scalar memory stays in range, as in `fusion_is_bit_identical`
+            if let Instr::Lw { off, .. } | Instr::Sw { off, .. } = &mut i {
+                *off = off.rem_euclid(128);
+            }
+            words.push(asc_isa::encode(&i));
+        }
+        words.push(asc_isa::encode(&Instr::Halt));
+
+        let mut cfg = MachineConfig::new(if short_tail { 100 } else { 8 }).with_width(Width::W8);
+        cfg.lmem_words = 32;
+        let run = |cfg: MachineConfig| {
+            let mut m = Machine::new(cfg);
+            m.load_words(&words).unwrap();
+            (m.run(10_000_000), m)
+        };
+        let (fused_result, fused) = run(cfg);
+        for (how, cfg) in [
+            ("unfused", cfg.without_fusion()),
+            ("fused scalar", cfg.without_simd()),
+            ("unfused scalar", cfg.without_fusion().without_simd()),
+        ] {
+            let (result, other) = run(cfg);
+            prop_assert_eq!(&fused_result, &result, "seed {} fused simd vs {}", seed, how);
+            assert_machines_identical(&fused, &other, &format!("seed {seed} fused simd vs {how}"));
+        }
+    }
+
     /// Core-affine segmentation is architecturally invisible: the same
     /// random straight-line program leaves bit-identical machine state,
     /// cycle counts, statistics and cycle-attribution profiles at every

@@ -30,22 +30,22 @@
 //! lane costs one bit test.
 //!
 //! Every lane-local instruction (parallel ALU and compare operations,
-//! flag logic, local loads and stores, `pidx`) is lowered once per program
-//! ([`crate::lane_op`]) and runs behind two entry points:
+//! `pmovs`, flag logic, local loads and stores, `pidx`) is lowered once per
+//! program ([`crate::lane_op`]) and runs behind two entry points:
 //! [`PeArray::run_op`] runs one instruction over its active set, and
-//! [`PeArray::run_block`] a fused block over the all-active mask. Every
-//! sweep, theirs and the three that keep their own (`movs`, the resolver's
-//! one-hot write [`PeArray::write_first_responder`], and `shift`), calls
-//! its executor or loop once per occupied 4096-lane group
-//! ([`ActiveMask::occupied`]) on a window of the group's tiles
-//! (`tiles.rs`) with the group's mask words, one per 64-lane tile,
-//! so the call and its set-up are paid per 4096 lanes, not per tile.
+//! [`PeArray::run_block`] a fused block over the all-active mask. The
+//! resolver's one-hot write ([`PeArray::write_first_responder`]) clears
+//! its flag through [`PeArray::run_op`] too. Every such sweep calls its
+//! executor once per occupied 4096-lane group ([`ActiveMask::occupied`])
+//! on a window of the group's tiles (`tiles.rs`) with the group's mask
+//! words, one per 64-lane tile, so the call and its set-up are paid per
+//! 4096 lanes, not per tile.
 //! Inside a group a dense mask word takes a branch-free tile body, a
 //! sparse one a masked body or a trailing-zeros scan, and a zero word one
 //! test. A sweep large enough to pass the pool's gate runs on every host
 //! core (see [`crate::workers`]), a smaller one on the calling thread; a
 //! sweep of flag words brings its words to the gate rather than its lanes
-//! ([`workers::word_work`]). `shift` reads across lanes, so it always
+//! ([`crate::workers::word_work`]). `shift` reads across lanes, so it always
 //! runs on the calling thread, tile by tile ([`ActiveMask::active_tiles`]).
 //!
 //! Every writer marks the commit map before it writes; the lane-local
@@ -56,7 +56,8 @@
 //!
 //! A memory fault stops a single instruction at the lowest faulting active
 //! PE: the lanes below it have been applied, the lanes above it are
-//! unchanged (see [`crate::lane_op`] for a fused block).
+//! unchanged. A fused block holds no op that can fault
+//! ([`LaneOp::can_fault`]), so it never stops part way.
 //!
 //! ## Plane memory
 //!
@@ -73,15 +74,14 @@
 
 use std::cell::Cell;
 
-use asc_isa::{FlagOp, Mask, PFlag, PReg, Width, Word};
+use asc_isa::{FlagOp, Instr, Mask, PFlag, PReg, Width, Word};
 
 use crate::bitmask::{for_each_set, tail_mask, words_for, ActiveMask, BITS_PER_WORD};
 use crate::lane_op::{self, Dst, LaneOp};
 use crate::memory::MemFault;
 use crate::segments::SegmentGeometry;
-use crate::simd::{self, SimdLevel};
-use crate::tiles::{ThreadTiles, TileWindow};
-use crate::workers;
+use crate::simd::SimdLevel;
+use crate::tiles::ThreadTiles;
 
 /// Geometry of the PE array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -572,28 +572,10 @@ impl PeArray {
         }
     }
 
-    /// Broadcast a scalar into `pd` of active PEs.
-    pub fn movs(&mut self, thread: usize, pd: PReg, value: Word, active: &ActiveMask) {
-        if pd.index() == 0 {
-            return;
-        }
-        self.mark_gpr_plane(thread, pd.index());
-        self.sweep(thread, workers::mask_work(active), active, |win, masks| {
-            let span = win.gpr_mut(pd.index());
-            for (t, &mw) in masks.iter().enumerate() {
-                let base = t * BITS_PER_WORD;
-                if mw == u64::MAX {
-                    span[base..base + BITS_PER_WORD].fill(value);
-                } else {
-                    for_each_set(mw, base, |j| span[j] = value);
-                }
-            }
-        });
-    }
-
     /// Write the multiple response resolver's one-hot result: clear `fd`
-    /// in every active PE, a flag-logic sweep, then set it in the winning
-    /// PE (if any). The winner must be active.
+    /// in every active PE, flag logic (`pfclr`) run through
+    /// [`PeArray::run_op`], then set it in the winning PE (if any). The
+    /// winner must be active.
     pub fn write_first_responder(
         &mut self,
         thread: usize,
@@ -601,36 +583,15 @@ impl PeArray {
         winner: Option<usize>,
         active: &ActiveMask,
     ) {
-        self.mark_flag_plane(thread, fd.index());
-        self.sweep(thread, workers::word_work(active), active, |win, masks| {
-            let (words, [], []) = win.split_flags(fd.index(), [], []);
-            simd::flag_span(FlagOp::Clr, words, None, None, masks)
-        });
+        let c = &self.cfg;
+        let clear = Instr::PFlagOp { op: FlagOp::Clr, fd, fa: fd, fb: fd, mask: Mask::All };
+        let clear = LaneOp::lower(&clear, c.width, c.simd, c.lmem_words).expect("lane-local");
+        self.run_op(thread, &clear, active).expect("flag logic cannot fault");
         if let Some(pe) = winner {
             let d_base = self.flag_base(thread, fd.index());
             debug_assert!(active.is_active(pe), "resolver winner must be active");
             self.flags[d_base + pe / BITS_PER_WORD] |= 1u64 << (pe % BITS_PER_WORD);
         }
-    }
-
-    /// Run `f` on the window of every occupied group of `active` in
-    /// `thread`'s view, lowest first, with the group's mask words, one per
-    /// tile; the walk is split across the host workers when `lane_ops`
-    /// ([`workers::mask_work`], or [`workers::word_work`] for a sweep of
-    /// flag words) reaches the pool's gate. `f` writes only its window.
-    fn sweep(
-        &mut self,
-        thread: usize,
-        lane_ops: usize,
-        active: &ActiveMask,
-        f: impl Fn(&mut TileWindow<'_>, &[u64]) + Sync,
-    ) {
-        self.thread_tiles(thread).sweep(lane_ops, |group| {
-            for (g, masks) in active.occupied(group.groups()) {
-                f(&mut group.window(g), masks);
-            }
-            None::<((), PeFault)>
-        });
     }
 
     /// Run one lane-local instruction, lowered ([`LaneOp::lower`]), for
@@ -641,8 +602,9 @@ impl PeArray {
     /// place, and the op's executor runs once per occupied 4096-lane group
     /// on a window of that group, so an empty group costs one bit test. A
     /// sweep whose active lanes (flag logic: flag words) pass the worker
-    /// pool's gate runs on every host core; a per-lane `plw`/`psw` always
-    /// runs on the caller in lane order.
+    /// pool's gate runs on every host core; a per-lane `plw`/`psw`, the
+    /// one op that can fault ([`LaneOp::can_fault`]), always runs on the
+    /// caller in lane order.
     ///
     /// # Errors
     /// A memory fault stops the op at the lowest faulting active PE, which
@@ -663,39 +625,27 @@ impl PeArray {
     /// Run a fused block of lane-local ops for `thread` over the
     /// all-active mask `all`, one 4096-lane occupancy group at a time, each
     /// op over the whole group before the next (see [`crate::lane_op`]).
-    /// Every op's destination is marked in the commit map first.
-    ///
-    /// # Errors
-    /// The lowest `(op index, PE)` that faulted over all groups, the fault
-    /// the same ops issued one by one would stop at. Each group stops the
-    /// faulting op at its own lowest fault and runs the later ops.
-    pub fn run_block(
-        &mut self,
-        thread: usize,
-        ops: &[LaneOp],
-        all: &ActiveMask,
-    ) -> Result<(), (usize, PeFault)> {
+    /// Every op's destination is marked in the commit map first. No op may
+    /// be one that can fault ([`LaneOp::can_fault`]): the fusion plan
+    /// admits none, so a block always runs to completion.
+    pub fn run_block(&mut self, thread: usize, ops: &[LaneOp], all: &ActiveMask) {
         debug_assert_eq!(all.lanes(), self.cfg.num_pes);
         for op in ops {
+            debug_assert!(!op.can_fault(), "a fused block holds an op that can fault: {op:?}");
             self.mark_dst(thread, op.dst());
         }
         lane_op::run_block(&mut self.thread_tiles(thread), ops, all)
     }
 
     /// Mark what a lane-local op may write: its register or flag plane, its
-    /// local-memory row, or every row for a per-lane store. A row out of
-    /// range is not marked: that store faults and writes nothing.
+    /// local-memory row, or every row for a per-lane store.
     #[inline(always)]
     fn mark_dst(&mut self, thread: usize, dst: Dst) {
         match dst {
             Dst::None => {}
             Dst::Gpr(r) => self.mark_gpr_plane(thread, r as usize),
             Dst::Flag(f) => self.mark_flag_plane(thread, f as usize),
-            Dst::Row(r) => {
-                if (0..self.cfg.lmem_words as i32).contains(&r) {
-                    self.mark_lmem_row(r as usize);
-                }
-            }
+            Dst::Row(r) => self.mark_lmem_row(r),
             Dst::Rows => {
                 let rows = self.cfg.lmem_words * self.committed.seg_count;
                 CommitMap::mark_all(&mut self.committed.lmem, rows);
@@ -1300,8 +1250,8 @@ mod tests {
             Instr::PAluImm { op: AluOp::Add, pd: p(10), pa: p(0), imm: 6, mask },
             Instr::Psw { ps: p(10), base: p(0), off: 12, mask },
         ]
-        .map(|i| LaneOp::lower(&i, w, level).unwrap());
-        a.run_block(1, &block, &all).unwrap();
+        .map(|i| LaneOp::lower(&i, w, level, a.config().lmem_words).unwrap());
+        a.run_block(1, &block, &all);
         // host paths
         a.set_gpr(n / 2, 0, 10, Word(11));
         a.set_flag(n - 1, 1, 6, true);

@@ -1,15 +1,17 @@
 //! Lane-local instructions, lowered: the one executor of every parallel
 //! instruction whose lane `l` reads and writes only lane `l`'s own state —
 //! parallel ALU and compare operations with a register, immediate or
-//! broadcast-scalar operand, flag logic, local loads and stores, and
-//! `pidx`.
+//! broadcast-scalar operand, `pmovs`, flag logic, local loads and stores,
+//! and `pidx`.
 //!
 //! The machine lowers each one once, when it loads the program, into a
 //! [`LaneOp`]: the resolved register indices, the pre-extended immediate,
 //! the mask selector, and the executor with the [`crate::simd`] span kernel
-//! it calls through, chosen for the machine's [`SimdLevel`]. A `palus` or
-//! `pcmps` samples the scalar register file at issue, so its broadcast
-//! value is written into a copy of its op then ([`LaneOp::with_scalar`]).
+//! it calls through, chosen for the machine's [`SimdLevel`]. A `palus`,
+//! `pcmps` or `pmovs` samples the scalar register file at issue, so its
+//! broadcast value is written into a copy of its op then
+//! ([`LaneOp::with_scalar`]); `pmovs pd, s` is `padds pd, p0, s`, since
+//! the add wraps at the width.
 //!
 //! Two `PeArray` entry points run the ops, and mark the commit map from
 //! each op's destination before they sweep. `PeArray::run_op` runs one
@@ -21,8 +23,7 @@
 //! before it runs on the group, so it sees what the block's earlier ops
 //! wrote and may target its own mask flag. A sweep whose work passes the
 //! worker pool's gate runs its groups on every host core (see
-//! [`crate::workers`]); a per-lane `plw`/`psw` issued alone brings no work
-//! to the gate, so it runs on the caller in lane order.
+//! [`crate::workers`]).
 //!
 //! Every op reads its sources in place, as a PE reads its own register
 //! file: a source that is the destination reaches the ALU kernel as
@@ -32,16 +33,18 @@
 //! sources. Writes to GPR 0 are dropped when the op is lowered, and flag
 //! writes preserve the bitplane tail invariant.
 //!
-//! A per-lane `plw`/`psw` executor stops at its window's lowest faulting
-//! lane: the lanes below it apply, the lanes above it do not. A
-//! lane-uniform one (base register 0) checks its one address per window
-//! and, faulting, applies no lane and reports the window's lowest active
-//! lane. So a single instruction stops at its lowest faulting active PE.
-//! In a fused block each group stops the faulting op at its own lowest
-//! fault and runs the block's later ops; the block reports the lowest
-//! `(op, PE)` over all groups, the error the unfused executor raises.
+//! Only a `plw`/`psw` whose address is not known at load to lie inside
+//! local memory can fault: one with a computed base, or one off the
+//! hardwired-zero base whose row is outside `0..lmem_words`. Both lower to
+//! the per-lane executors ([`LaneOp::can_fault`]), which stop at their
+//! window's lowest faulting lane: the lanes below it apply, the lanes
+//! above it do not. They bring no work to the pool's gate, so they run on
+//! the caller, group by group in lane order, and a single instruction
+//! stops at its lowest faulting active PE. Every other executor returns
+//! nothing. The fusion plan admits no op that can fault, so a fused block,
+//! like every sweep split across the pool, runs to completion.
 
-use asc_isa::{FlagOp, Instr, Mask, PFlag, PReg, Width, Word};
+use asc_isa::{AluOp, FlagOp, Instr, Mask, PFlag, PReg, Width, Word};
 
 use crate::array::PeFault;
 use crate::bitmask::{for_each_set, ActiveMask, OCC_GROUP_WORDS};
@@ -62,9 +65,9 @@ pub(crate) enum Dst {
     Gpr(u8),
     /// A flag bitplane of the issuing thread.
     Flag(u8),
-    /// One local-memory row, known statically (a lane-uniform store); out
-    /// of range, the store faults and writes nothing.
-    Row(i32),
+    /// One local-memory row, known statically and in range (a
+    /// lane-uniform store).
+    Row(usize),
     /// Per-lane-addressed local-memory rows, known only at run time: the
     /// commit map takes every row.
     Rows,
@@ -72,7 +75,8 @@ pub(crate) enum Dst {
 
 /// Which executor runs an op, with the span kernel or flag-logic op it
 /// calls through. Each applies the op to a window of tiles under the op's
-/// mask words (one per tile) and reports the lowest faulting lane, if any.
+/// mask words (one per tile); the per-lane `Load` and `Store` report the
+/// lowest faulting lane, if any, and are the only ones that can fault.
 #[derive(Debug, Clone, Copy)]
 enum Exec {
     Nop,
@@ -123,24 +127,37 @@ impl Default for LaneOp {
 
 impl LaneOp {
     /// Lower `i` for a machine of datapath width `w` at SIMD tier `level`
-    /// (immediates are extended against `w` here, once), or `None` if it
-    /// is not lane-local. A `palus`/`pcmps` lowers with a zero scalar; the
-    /// issuing machine writes the sampled one with [`LaneOp::with_scalar`].
-    pub fn lower(i: &Instr, w: Width, level: SimdLevel) -> Option<LaneOp> {
+    /// with `lmem_words` rows of local memory (immediates are extended
+    /// against `w`, and uniform rows checked against `lmem_words`, here,
+    /// once), or `None` if it is not lane-local. A `palus`/`pcmps`/`pmovs`
+    /// lowers with a zero scalar; the issuing machine writes the sampled
+    /// one with [`LaneOp::with_scalar`].
+    pub fn lower(i: &Instr, w: Width, level: SimdLevel, lmem_words: usize) -> Option<LaneOp> {
         use Instr::*;
         let (reg, flag) = (|r: PReg| r.index() as u8, |f: PFlag| f.index() as u8);
         let op = |run, d, a, b, mask| LaneOp { run, d, a, b, mask, ..NOP };
         let imm = |imm: i8| Word::from_i64(imm.into(), w);
         // the base register 0 is hardwired zero: every lane addresses one
-        // row, which the uniform executors move as a contiguous slice
-        let uniform = |base: PReg, one, each| if base.index() == 0 { one } else { each };
+        // row, which the uniform executors move as a contiguous slice if
+        // it lies in local memory; any other access goes lane by lane and
+        // can fault
+        let in_row = |base: PReg, off: i8| {
+            base.index() == 0 && (0..lmem_words as i64).contains(&i64::from(off))
+        };
+        let uniform = |base, off, one, each| if in_row(base, off) { one } else { each };
         Some(match *i {
-            // writes to the zero register do nothing
-            PAlu { pd, .. } | PAluS { pd, .. } | PAluImm { pd, .. } | Pidx { pd, .. }
+            // writes to the zero register do nothing, nor does a load into
+            // it that cannot fault
+            PAlu { pd, .. }
+            | PAluS { pd, .. }
+            | PAluImm { pd, .. }
+            | PMovS { pd, .. }
+            | Pidx { pd, .. }
                 if pd.index() == 0 =>
             {
                 NOP
             }
+            Plw { pd, base, off, .. } if pd.index() == 0 && in_row(base, off) => NOP,
             PAlu { op: o, pd, pa, pb, mask } => {
                 op(Exec::AluRr(select_alu_rr(level, o)), reg(pd), reg(pa), reg(pb), mask)
             }
@@ -151,6 +168,9 @@ impl LaneOp {
                 imm: imm(v),
                 ..op(Exec::AluRs(select_alu_rs(level, o)), reg(pd), reg(pa), 0, mask)
             },
+            PMovS { pd, mask, .. } => {
+                op(Exec::AluRs(select_alu_rs(level, AluOp::Add)), reg(pd), 0, 0, mask)
+            }
             PCmp { op: o, fd, pa, pb, mask } => {
                 op(Exec::CmpRr(select_cmp_rr(level, o)), flag(fd), reg(pa), reg(pb), mask)
             }
@@ -164,21 +184,21 @@ impl LaneOp {
             PFlagOp { op: o, fd, fa, fb, mask } => {
                 op(Exec::Flag(o), flag(fd), flag(fa), flag(fb), mask)
             }
-            Plw { pd, base, off, mask } => LaneOp {
-                off: off.into(),
-                ..op(uniform(base, Exec::LoadUniform, Exec::Load), reg(pd), reg(base), 0, mask)
-            },
-            Psw { ps, base, off, mask } => LaneOp {
-                off: off.into(),
-                ..op(uniform(base, Exec::StoreUniform, Exec::Store), 0, reg(ps), reg(base), mask)
-            },
+            Plw { pd, base, off, mask } => {
+                let run = uniform(base, off, Exec::LoadUniform, Exec::Load);
+                LaneOp { off: off.into(), ..op(run, reg(pd), reg(base), 0, mask) }
+            }
+            Psw { ps, base, off, mask } => {
+                let run = uniform(base, off, Exec::StoreUniform, Exec::Store);
+                LaneOp { off: off.into(), ..op(run, 0, reg(ps), reg(base), mask) }
+            }
             Pidx { pd, mask } => op(Exec::Idx, reg(pd), 0, 0, mask),
             _ => return None,
         })
     }
 
-    /// This op with `v` as its broadcast operand: the scalar a `palus` or
-    /// `pcmps` read from the scalar register file at issue.
+    /// This op with `v` as its broadcast operand: the scalar a `palus`,
+    /// `pcmps` or `pmovs` read from the scalar register file at issue.
     #[inline]
     pub fn with_scalar(self, v: Word) -> LaneOp {
         LaneOp { imm: v, ..self }
@@ -190,24 +210,36 @@ impl LaneOp {
         self.mask
     }
 
+    /// Whether the op can fault: a `plw`/`psw` with a computed base, or off
+    /// the zero base with a row outside local memory, both run by the
+    /// per-lane executors. No other op can, and the fusion plan admits
+    /// none that can, so a fused block never faults.
+    #[inline]
+    pub fn can_fault(&self) -> bool {
+        matches!(self.run, Exec::Load | Exec::Store)
+    }
+
     /// The plane this op writes.
     #[inline]
     pub(crate) fn dst(&self) -> Dst {
         match self.run {
             Exec::Nop => Dst::None,
-            Exec::Load | Exec::LoadUniform if self.d == 0 => Dst::None,
+            Exec::Load if self.d == 0 => Dst::None,
+            // off the zero base, a per-lane store's row is outside local
+            // memory: it faults in its first active lane and writes nothing
+            Exec::Store if self.b == 0 => Dst::None,
             Exec::AluRr(_) | Exec::AluRs(_) | Exec::Load | Exec::LoadUniform | Exec::Idx => {
                 Dst::Gpr(self.d)
             }
             Exec::CmpRr(_) | Exec::CmpRs(_) | Exec::Flag(_) => Dst::Flag(self.d),
-            Exec::StoreUniform => Dst::Row(self.off),
+            Exec::StoreUniform => Dst::Row(self.off as usize),
             Exec::Store => Dst::Rows,
         }
     }
 
     /// What one instruction of this op brings to the worker pool's gate:
     /// its active lanes, flag logic its active flag words, and a per-lane
-    /// load or store, which stops at a fault in lane order, nothing.
+    /// load or store, which can fault and stops in lane order, nothing.
     #[inline]
     fn work(&self, active: &ActiveMask) -> usize {
         match self.run {
@@ -217,30 +249,30 @@ impl LaneOp {
         }
     }
 
-    /// Apply the op to `win` under `masks`, one word per tile of the
-    /// window; the lowest faulting lane, if any.
+    /// Apply an op that cannot fault to `win` under `masks`, one word per
+    /// tile of the window.
     #[inline(always)]
-    fn exec(&self, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+    fn exec(&self, win: &mut TileWindow<'_>, masks: &[u64]) {
         match self.run {
-            Exec::Nop => None,
+            Exec::Nop => {}
             Exec::AluRr(f) => k_alu_rr(self, f, win, masks),
             Exec::AluRs(f) => k_alu_rs(self, f, win, masks),
             Exec::CmpRr(f) => k_cmp_rr(self, f, win, masks),
             Exec::CmpRs(f) => k_cmp_rs(self, f, win, masks),
             Exec::Flag(f) => k_flag_op(self, f, win, masks),
-            Exec::Load => k_load(self, win, masks),
             Exec::LoadUniform => k_load_uniform(self, win, masks),
-            Exec::Store => k_store(self, win, masks),
             Exec::StoreUniform => k_store_uniform(self, win, masks),
             Exec::Idx => k_idx(self, win, masks),
+            Exec::Load | Exec::Store => unreachable!("an op that can fault runs on the caller"),
         }
     }
 }
 
 /// Run one instruction's op over the active lanes of `active` (see
 /// `PeArray::run_op`): one executor call per occupied group, on the
-/// calling thread in lane order unless the sweep passes the pool's gate,
-/// stopping at the first group that faults.
+/// calling thread in lane order unless the sweep passes the pool's gate.
+/// A per-lane load or store never passes it, and stops at the first group
+/// that faults.
 #[inline(always)]
 pub(crate) fn run_op(
     tiles: &mut ThreadTiles<'_>,
@@ -249,91 +281,78 @@ pub(crate) fn run_op(
 ) -> Result<(), PeFault> {
     let lane_ops = op.work(active);
     if workers::splits(active.groups(), lane_ops) {
-        return split_op(tiles, op, active, lane_ops);
+        split_op(tiles, op, active, lane_ops);
+        return Ok(());
     }
     // on the caller, in lane order: one window per occupied group, built
-    // directly, and the first fault stops the op; the executor is chosen
-    // once, outside the loop
+    // directly, with the executor chosen once, outside the loop (a `for`
+    // loop: `for_each` over the occupancy walk cost ~0.2 µs more per
+    // sparse op at 2^20 lanes)
     #[inline(always)]
     fn each_group(
         tiles: &mut ThreadTiles<'_>,
         active: &ActiveMask,
-        exec: impl Fn(&mut TileWindow<'_>, &[u64]) -> Option<PeFault>,
-    ) -> Result<(), PeFault> {
+        exec: impl Fn(&mut TileWindow<'_>, &[u64]),
+    ) {
         let mut all = tiles.groups();
         for (g, masks) in active.occupied(all.groups()) {
-            if let Some(f) = exec(&mut all.window(g), masks) {
-                return Err(f);
-            }
+            exec(&mut all.window(g), masks);
         }
-        Ok(())
     }
     match op.run {
-        Exec::Nop => Ok(()),
+        Exec::Nop => {}
         Exec::AluRr(f) => each_group(tiles, active, |w, m| k_alu_rr(op, f, w, m)),
         Exec::AluRs(f) => each_group(tiles, active, |w, m| k_alu_rs(op, f, w, m)),
         Exec::CmpRr(f) => each_group(tiles, active, |w, m| k_cmp_rr(op, f, w, m)),
         Exec::CmpRs(f) => each_group(tiles, active, |w, m| k_cmp_rs(op, f, w, m)),
         Exec::Flag(f) => each_group(tiles, active, |w, m| k_flag_op(op, f, w, m)),
-        Exec::Load => each_group(tiles, active, |w, m| k_load(op, w, m)),
         Exec::LoadUniform => each_group(tiles, active, |w, m| k_load_uniform(op, w, m)),
-        Exec::Store => each_group(tiles, active, |w, m| k_store(op, w, m)),
         Exec::StoreUniform => each_group(tiles, active, |w, m| k_store_uniform(op, w, m)),
         Exec::Idx => each_group(tiles, active, |w, m| k_idx(op, w, m)),
+        // a per-lane load or store stops at the first group that faults
+        Exec::Load | Exec::Store => {
+            let per_lane = if let Exec::Load = op.run { k_load } else { k_store };
+            let mut all = tiles.groups();
+            for (g, masks) in active.occupied(all.groups()) {
+                per_lane(op, &mut all.window(g), masks)?;
+            }
+        }
     }
+    Ok(())
 }
 
 /// The split half of [`run_op`], out of line: each participant runs the
-/// op over the occupied groups it claimed, and the lowest fault wins.
+/// op, which cannot fault, over the occupied groups it claimed.
 #[inline(never)]
-fn split_op(
-    tiles: &mut ThreadTiles<'_>,
-    op: &LaneOp,
-    active: &ActiveMask,
-    lane_ops: usize,
-) -> Result<(), PeFault> {
-    let fault = tiles.sweep(lane_ops, |group| {
+fn split_op(tiles: &mut ThreadTiles<'_>, op: &LaneOp, active: &ActiveMask, lane_ops: usize) {
+    tiles.sweep(lane_ops, |group| {
         for (g, masks) in active.occupied(group.groups()) {
-            if let Some(f) = op.exec(&mut group.window(g), masks) {
-                // groups run in lane order here, so this is the lowest
-                // faulting PE of the call's groups
-                return Some(((), f));
-            }
+            op.exec(&mut group.window(g), masks);
         }
-        None
     });
-    fault.map_or(Ok(()), |((), f)| Err(f))
 }
 
 /// Run a fused block over every tile of `tiles`, one 4096-lane occupancy
 /// group at a time, each op over the whole group before the next op (see
 /// `PeArray::run_block`). A block whose work (groups × 4096 lanes × ops)
 /// passes the worker pool's gate runs its groups on every host core, each
-/// writing only its own tiles.
+/// writing only its own tiles. No op of a block can fault.
 ///
 /// Each op's mask words are latched just before the op runs on the group:
 /// a flag mask as every earlier op of the block left it on the group, and
 /// as it stood before the op's own writes. `Mask::All` reads the words of
 /// `all` in place.
-///
-/// Returns the fault to attribute: the lowest `(op index, PE)` over all
-/// groups, the one the unfused executor stops at.
-pub(crate) fn run_block(
-    tiles: &mut ThreadTiles<'_>,
-    ops: &[LaneOp],
-    all: &ActiveMask,
-) -> Result<(), (usize, PeFault)> {
+pub(crate) fn run_block(tiles: &mut ThreadTiles<'_>, ops: &[LaneOp], all: &ActiveMask) {
     let lane_ops = tiles.num_tiles().div_ceil(OCC_GROUP_WORDS) * GROUP_LANES * ops.len();
     // inlined into the serial call as well as into the split path
-    let fault = tiles.sweep(
+    tiles.sweep(
         lane_ops,
         #[inline(always)]
         |group| {
-            let mut fault: Option<(usize, PeFault)> = None;
             let mut latch = [0u64; OCC_GROUP_WORDS];
             for (g, words) in all.occupied(group.groups()) {
                 let mut win = group.window(g);
-                for (k, op) in ops.iter().enumerate() {
+                for op in ops {
                     let masks = match op.mask {
                         Mask::All => words,
                         Mask::Flag(f) => {
@@ -342,28 +361,11 @@ pub(crate) fn run_block(
                             &*latched
                         }
                     };
-                    if let Some(f) = op.exec(&mut win, masks) {
-                        // groups run in lane order and an executor reports
-                        // its window's lowest faulting lane, so the first
-                        // fault of an op here is its lowest faulting PE here
-                        if fault.is_none_or(|(fk, _)| k < fk) {
-                            fault = Some((k, f));
-                        }
-                    }
+                    op.exec(&mut win, masks);
                 }
             }
-            fault
         },
     );
-    fault.map_or(Ok(()), Err)
-}
-
-/// The lowest active lane of a window's mask words, as a lane index
-/// within the window.
-#[inline]
-fn first_masked(masks: &[u64]) -> Option<usize> {
-    let t = masks.iter().position(|&mw| mw != 0)?;
-    Some(t * TILE_LANES + masks[t].trailing_zeros() as usize)
 }
 
 /// Call `f(lane)` for every set bit of `word`, lowest first, with `base`
@@ -391,53 +393,48 @@ fn gpr(r: u8) -> Plane {
 }
 
 #[inline(always)]
-fn k_alu_rr(op: &LaneOp, f: AluRrKernel, win: &mut TileWindow<'_>, m: &[u64]) -> Option<PeFault> {
+fn k_alu_rr(op: &LaneOp, f: AluRrKernel, win: &mut TileWindow<'_>, m: &[u64]) {
     let w = win.width();
     // a source that is the destination comes back `None`, and the kernel
     // reads it in place
     let (dst, [a, b]) = win.split(gpr(op.d), [gpr(op.a), gpr(op.b)]);
     f(dst, a, b, w, m);
-    None
 }
 
 #[inline(always)]
-fn k_alu_rs(op: &LaneOp, f: AluRsKernel, win: &mut TileWindow<'_>, m: &[u64]) -> Option<PeFault> {
+fn k_alu_rs(op: &LaneOp, f: AluRsKernel, win: &mut TileWindow<'_>, m: &[u64]) {
     let w = win.width();
     let (dst, [a]) = win.split(gpr(op.d), [gpr(op.a)]);
     f(dst, a, op.imm, w, m);
-    None
 }
 
 #[inline(always)]
-fn k_cmp_rr(op: &LaneOp, f: CmpRrKernel, win: &mut TileWindow<'_>, m: &[u64]) -> Option<PeFault> {
+fn k_cmp_rr(op: &LaneOp, f: CmpRrKernel, win: &mut TileWindow<'_>, m: &[u64]) {
     // The kernel merges into the flag words under the masks. The sources
     // are read in place: the destination is a flag plane.
     let w = win.width();
     let (fd, [], [a, b]) = win.split_flags(op.d as usize, [], [gpr(op.a), gpr(op.b)]);
     f(fd, a, b, w, m);
-    None
 }
 
 #[inline(always)]
-fn k_cmp_rs(op: &LaneOp, f: CmpRsKernel, win: &mut TileWindow<'_>, m: &[u64]) -> Option<PeFault> {
+fn k_cmp_rs(op: &LaneOp, f: CmpRsKernel, win: &mut TileWindow<'_>, m: &[u64]) {
     let w = win.width();
     let (fd, [], [a]) = win.split_flags(op.d as usize, [], [gpr(op.a)]);
     f(fd, a, op.imm, w, m);
-    None
 }
 
 #[inline(always)]
-fn k_flag_op(op: &LaneOp, f: FlagOp, win: &mut TileWindow<'_>, m: &[u64]) -> Option<PeFault> {
+fn k_flag_op(op: &LaneOp, f: FlagOp, win: &mut TileWindow<'_>, m: &[u64]) {
     // a source that is the destination comes back `None` and is read from
     // the destination word before the write
     let (fd, [a, b], []) = win.split_flags(op.d as usize, [op.a as usize, op.b as usize], []);
     flag_span(f, fd, a, b, m);
-    None
 }
 
 /// Per-lane `plw`, stopping at the window's lowest faulting lane.
 #[inline(never)]
-fn k_load(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+fn k_load(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Result<(), PeFault> {
     // The base plane is read in place: each tile's lanes load into a
     // lane-indexed buffer, and the destination, which may be the base, is
     // written only after; a faulting lane and the lanes above it never
@@ -457,35 +454,23 @@ fn k_load(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFaul
             let dst = win.gpr_mut(op.d as usize);
             for_each_set(ok, first, |lane| dst[lane] = vals[lane - first]);
         }
-        if let Err((lane, fault)) = walk {
-            return Some(PeFault { pe: win.base() + lane, fault });
-        }
+        walk.map_err(|(lane, fault)| PeFault { pe: win.base() + lane, fault })?;
     }
-    None
+    Ok(())
 }
 
-/// `plw` with the hardwired-zero base: every lane reads the same row, so
-/// one bounds check covers the window and the masked lanes copy from the
-/// contiguous row slice. All active lanes fault together, so a fault
-/// reports the lowest active lane and applies none.
+/// `plw` with the hardwired-zero base and a row inside local memory, into
+/// a register other than GPR 0 (see [`LaneOp::lower`]): every lane reads
+/// the same row, so the masked lanes copy from the contiguous row slice.
 #[inline(always)]
-fn k_load_uniform(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
-    let first = first_masked(masks)?;
-    match win.lmem_addr(Word::ZERO, op.off, false) {
-        Err(f) => Some(PeFault { pe: win.base() + first, fault: f }),
-        Ok(addr) => {
-            if op.d != 0 {
-                let (dst, [row]) = win.split(gpr(op.d), [Plane::Row(addr)]);
-                copy_masked(dst, row.expect("a memory row is never a GPR plane"), masks);
-            }
-            None
-        }
-    }
+fn k_load_uniform(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) {
+    let (dst, [row]) = win.split(gpr(op.d), [Plane::Row(op.off as usize)]);
+    copy_masked(dst, row.expect("a memory row is never a GPR plane"), masks);
 }
 
 /// Per-lane `psw`, stopping at the window's lowest faulting lane.
 #[inline(never)]
-fn k_store(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+fn k_store(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Result<(), PeFault> {
     for (t, &mw) in masks.iter().enumerate() {
         let walk = try_each_set(mw, t * TILE_LANES, |lane| {
             // a lane's value and base are read before its store, which
@@ -493,33 +478,23 @@ fn k_store(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFau
             let (v, b) = (win.gpr(op.a as usize)[lane], win.gpr(op.b as usize)[lane]);
             win.lmem_checked_write(b, op.off, lane, v).map_err(|f| (lane, f))
         });
-        if let Err((lane, fault)) = walk {
-            return Some(PeFault { pe: win.base() + lane, fault });
-        }
+        walk.map_err(|(lane, fault)| PeFault { pe: win.base() + lane, fault })?;
     }
-    None
+    Ok(())
 }
 
-/// `psw` with the hardwired-zero base: one bounds check, then the masked
-/// lanes store into the contiguous row slice.
+/// `psw` with the hardwired-zero base and a row inside local memory: the
+/// masked lanes store into the contiguous row slice.
 #[inline(always)]
-fn k_store_uniform(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
-    let first = first_masked(masks)?;
-    match win.lmem_addr(Word::ZERO, op.off, true) {
-        Err(f) => Some(PeFault { pe: win.base() + first, fault: f }),
-        Ok(addr) => {
-            let (row, [src]) = win.split(Plane::Row(addr), [gpr(op.a)]);
-            copy_masked(row, src.expect("a GPR plane is never a memory row"), masks);
-            None
-        }
-    }
+fn k_store_uniform(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) {
+    let (row, [src]) = win.split(Plane::Row(op.off as usize), [gpr(op.a)]);
+    copy_masked(row, src.expect("a GPR plane is never a memory row"), masks);
 }
 
 #[inline(always)]
-fn k_idx(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) -> Option<PeFault> {
+fn k_idx(op: &LaneOp, win: &mut TileWindow<'_>, masks: &[u64]) {
     let (w, base) = (win.width(), win.base());
     index_span(win.gpr_mut(op.d as usize), base, w, masks);
-    None
 }
 
 /// Test support: lane-local instructions issued on a `PeArray` as the
@@ -568,8 +543,8 @@ pub(crate) mod testing {
     /// Issue lane-local instructions, unmasked by their own mask field,
     /// over the active set `on`.
     pub(crate) trait Issue {
-        /// Lower `i`, write `scalar` into it if given (a `palus` or
-        /// `pcmps`), and run it for thread `t`.
+        /// Lower `i`, write `scalar` into it if given (a `palus`, `pcmps`
+        /// or `pmovs`), and run it for thread `t`.
         fn issue(
             &mut self,
             t: usize,
@@ -599,6 +574,12 @@ pub(crate) mod testing {
                 Err(Err(v)) => (Instr::PCmpS { op, fd, pa, sb: SB, mask: All }, Some(v)),
             };
             self.issue(t, i, v, on).expect("a compare cannot fault");
+        }
+
+        /// `pd = v` in the active PEs (`pmovs`).
+        fn movs(&mut self, t: usize, pd: PReg, v: Word, on: &ActiveMask) {
+            let i = Instr::PMovS { pd, sa: SB, mask: All };
+            self.issue(t, i, Some(v), on).expect("pmovs cannot fault");
         }
 
         /// `fd = fa op fb` in the active PEs.
@@ -654,7 +635,8 @@ pub(crate) mod testing {
             on: &ActiveMask,
         ) -> Result<(), PeFault> {
             let c = self.config();
-            let op = LaneOp::lower(&i, c.width, c.simd).expect("a lane-local instruction");
+            let op =
+                LaneOp::lower(&i, c.width, c.simd, c.lmem_words).expect("a lane-local instruction");
             self.run_op(t, &scalar.map_or(op, |v| op.with_scalar(v)), on)
         }
 

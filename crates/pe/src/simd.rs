@@ -463,11 +463,23 @@ pub fn flag_span(op: FlagOp, dst: &mut [u64], a: Option<&[u64]>, b: Option<&[u64
         masks.len() == n && a.is_none_or(|a| a.len() == n) && b.is_none_or(|b| b.len() == n),
         "flag logic takes one word per tile of each plane"
     );
-    for (t, (d, &mw)) in dst.iter_mut().zip(masks).enumerate() {
-        let own = *d;
-        let (x, y) = (a.map_or(own, |a| a[t]), b.map_or(own, |b| b[t]));
-        *d = merge(own, op.apply_word(x, y), mw);
+    // one loop per op, so that the word op is a constant inside it
+    #[inline(always)]
+    fn span(dst: &mut [u64], a: Option<&[u64]>, b: Option<&[u64]>, m: &[u64], op: FlagOp) {
+        for (t, (d, &mw)) in dst.iter_mut().zip(m).enumerate() {
+            let own = *d;
+            let (x, y) = (a.map_or(own, |a| a[t]), b.map_or(own, |b| b[t]));
+            *d = merge(own, op.apply_word(x, y), mw);
+        }
     }
+    macro_rules! per_op {
+        ($($op:ident)*) => {
+            match op {
+                $(FlagOp::$op => span(dst, a, b, masks, FlagOp::$op),)*
+            }
+        };
+    }
+    per_op!(And Or Xor AndNot Not Mov Set Clr)
 }
 
 /// Write each masked lane's PE index, truncated to `w`, into `dst`, whose

@@ -32,7 +32,10 @@
 //!   runs on every host core, each group on the one participant that
 //!   claimed it; a smaller one runs the body once over every group on the
 //!   calling thread. Tiles of different groups share no lane, flag word
-//!   or local-memory column, so the split cannot be observed.
+//!   or local-memory column, so the split cannot be observed. A sweep
+//!   runs only ops that cannot fault, so it always covers every group; a
+//!   per-lane `plw`/`psw`, which can fault, walks its groups on the
+//!   caller instead (see [`crate::lane_op`]).
 //! * [`TileWindow`] — the window over one group's tiles, made by
 //!   [`GroupTiles::window`], which borrows the groups mutably, so one
 //!   window is live at a time. Every access it offers is confined to its
@@ -57,11 +60,10 @@
 
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::Mutex;
 
 use asc_isa::{Width, Word};
 
-use crate::array::{ArrayConfig, PeFault};
+use crate::array::ArrayConfig;
 use crate::bitmask::{words_for, BITS_PER_WORD, OCC_GROUP_WORDS};
 use crate::memory::MemFault;
 use crate::workers;
@@ -141,51 +143,36 @@ impl<'a> ThreadTiles<'a> {
 
     /// Run `body` over the 4096-lane occupancy groups of the view, each
     /// call with a [`GroupTiles`] that windows only the tiles of its
-    /// groups, and return the lowest fault the calls report.
+    /// groups.
     ///
-    /// `body` returns the lowest `(key, fault)` it met in its groups,
-    /// ordered by key, then by PE. `lane_ops` is the sweep's work,
-    /// occupied groups × [`workers::GROUP_LANES`] × ops: at or above
+    /// `lane_ops` is the sweep's work, occupied groups ×
+    /// [`workers::GROUP_LANES`] × ops: at or above
     /// [`workers::SPLIT_LANE_OPS`] the body runs on every host worker, one
-    /// group per call, in no fixed order, and the lowest of the calls'
-    /// answers is returned; otherwise it runs once over all the groups on
-    /// the calling thread and its answer is returned as it is (see
-    /// [`workers::for_each_group`]). Either way each group is covered
-    /// exactly once and a call writes only its own tiles, so a body whose
-    /// effects are lane-local gives the same state both ways.
+    /// group per call, in no fixed order; otherwise it runs once over all
+    /// the groups on the calling thread (see [`workers::for_each_group`]).
+    /// Either way each group is covered exactly once and a call writes
+    /// only its own tiles, so a body whose effects are lane-local gives the
+    /// same state both ways. The body cannot stop the sweep: only the
+    /// lane-local ops that cannot fault run through it.
     #[inline(always)]
-    pub(crate) fn sweep<K: Copy + Ord + Send>(
-        &mut self,
-        lane_ops: usize,
-        body: impl Fn(&mut GroupTiles<'_>) -> Option<(K, PeFault)> + Sync,
-    ) -> Option<(K, PeFault)> {
+    pub(crate) fn sweep(&mut self, lane_ops: usize, body: impl Fn(&mut GroupTiles<'_>) + Sync) {
         if workers::splits(self.num_tiles().div_ceil(OCC_GROUP_WORDS), lane_ops) {
-            return self.split_groups(lane_ops, &body);
+            self.split_groups(lane_ops, &body);
+        } else {
+            body(&mut self.groups());
         }
-        body(&mut self.groups())
     }
 
     /// The split half of [`ThreadTiles::sweep`], out of line so that the
     /// serial call inlines into the sweep.
     #[inline(never)]
-    fn split_groups<K: Copy + Ord + Send>(
-        &mut self,
-        lane_ops: usize,
-        body: &(dyn Fn(&mut GroupTiles<'_>) -> Option<(K, PeFault)> + Sync),
-    ) -> Option<(K, PeFault)> {
+    fn split_groups(&mut self, lane_ops: usize, body: &(dyn Fn(&mut GroupTiles<'_>) + Sync)) {
         let tiles = self.num_tiles();
         let shared = Shared(self.raw());
-        let lowest: Mutex<Option<(K, PeFault)>> = Mutex::new(None);
         workers::for_each_group(tiles.div_ceil(OCC_GROUP_WORDS), lane_ops, |groups| {
             let span = groups.start * OCC_GROUP_WORDS..tiles.min(groups.end * OCC_GROUP_WORDS);
-            if let Some((k, f)) = body(&mut GroupTiles { raw: shared.get(), tiles: span }) {
-                let mut lowest = lowest.lock().expect("no group panics holding the fault lock");
-                if lowest.is_none_or(|(lk, lf)| (k, f.pe) < (lk, lf.pe)) {
-                    *lowest = Some((k, f));
-                }
-            }
+            body(&mut GroupTiles { raw: shared.get(), tiles: span });
         });
-        lowest.into_inner().expect("no group panics holding the fault lock")
     }
 
     /// The view's raw parts, borrowed for as long as `self` is.
@@ -525,17 +512,11 @@ impl TileWindow<'_> {
         self.split(Plane::Row(addr), []).0
     }
 
-    /// Resolve and bounds-check an effective address, for one lane or the
-    /// whole window (a lane-uniform access): unsigned base plus
-    /// sign-extended offset at full precision, as the hardware address
-    /// path computes it.
+    /// Resolve and bounds-check one lane's effective address: unsigned
+    /// base plus sign-extended offset at full precision, as the hardware
+    /// address path computes it.
     #[inline]
-    pub(crate) fn lmem_addr(
-        &self,
-        base: Word,
-        off: i32,
-        is_store: bool,
-    ) -> Result<usize, MemFault> {
+    fn lmem_addr(&self, base: Word, off: i32, is_store: bool) -> Result<usize, MemFault> {
         let ea = base.to_u32() as i64 + off as i64;
         if (0..self.raw.lmem_words as i64).contains(&ea) {
             Ok(ea as usize)

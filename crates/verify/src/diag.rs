@@ -365,8 +365,11 @@ pub const CODES: &[CodeInfo] = &[
         explanation: "A straight-line run of lane-local parallel instructions long enough \
                       for the block-fusion engine ends here, and the note names the reason \
                       (control flow, a scalar-operand broadcast, a reduction, an inter-PE \
-                      shift, ...). Reordering scalar bookkeeping out of a parallel block can \
-                      lengthen the fused run and reduce per-instruction broadcast overhead.",
+                      shift, a local load or store that can fault, ...). Reordering scalar \
+                      bookkeeping out of a parallel block can lengthen the fused run and \
+                      reduce per-instruction broadcast overhead. A fused block never faults, \
+                      so a `plw`/`psw` whose base is a per-lane register, or whose row lies \
+                      outside local memory, always ends one.",
     },
     CodeInfo {
         code: "E6001",

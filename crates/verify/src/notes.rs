@@ -201,10 +201,17 @@ pub(crate) fn fusion_cuts(input: &Input) -> Vec<Diagnostic> {
                             run.len, run.start, run.cut
                         ),
                     )
-                    .with_note(
-                        "lane-local parallel runs execute tile-by-tile with one broadcast per \
-                         block; moving scalar bookkeeping out of the run lengthens it",
-                    ),
+                    .with_note(match run.cut {
+                        asc_core::CutReason::MayFault => {
+                            "a fused block never faults, so a `plw`/`psw` with a per-lane base \
+                             or a row outside local memory issues on its own; an access off \
+                             `p0` to a row inside local memory fuses"
+                        }
+                        _ => {
+                            "lane-local parallel runs execute tile-by-tile with one broadcast \
+                             per block; moving scalar bookkeeping out of the run lengthens it"
+                        }
+                    }),
                 );
             }
             None => {

@@ -324,6 +324,20 @@ fn fusion_cut_is_explained() {
 }
 
 #[test]
+fn fusion_cut_at_an_access_that_can_fault_is_explained() {
+    // a per-lane base can fault, so the plw ends the block before it
+    let p = asm("        pidx    p1
+                         paddi   p2, p1, 1
+                         plw     p3, 0(p2)
+                         halt
+        ");
+    let r = analyze(&p, &MachineConfig::prototype());
+    let cut = r.diagnostics.iter().find(|d| d.code == "N5003").expect("fusion note");
+    assert_eq!(cut.pc, 2, "cut at the per-lane load");
+    assert!(cut.message.contains("can fault"), "{}", cut.message);
+}
+
+#[test]
 fn unreached_fault_sites_stay_warnings() {
     // The oob load sits behind a data-dependent branch: W, not E.
     let p = asm("        pidx    p1

@@ -2,7 +2,7 @@
 //! produce bit-identical results, cycle counts, and statistics with
 //! fusion on (the default) and off (`MachineConfig::without_fusion`), on
 //! whole tiles and with a short tail tile, and memory faults must carry
-//! the same identity either way.
+//! the same identity, and leave the same machine, either way.
 
 use asc::core::{Machine, MachineConfig, RunError};
 use asc::isa::Word;
@@ -88,9 +88,11 @@ fn fusion_engine_actually_fuses() {
 
 #[test]
 fn memory_faults_keep_their_identity_under_fusion() {
-    // psw inside a fusible block faults at its own pc and PE, not the
-    // block entry. PE local memory is 512 words; base 200 + offset 127
-    // overflows for every active lane, lowest PE wins.
+    // A computed-base psw can fault, so it ends the fusible block before
+    // it and faults at its own pc and PE. PE local memory is 256 words;
+    // base 200 + offset 127 overflows for every active lane, lowest PE
+    // wins. The block before it ran fused, and the machine and statistics
+    // the error leaves match --no-fuse.
     let src = "
         pli    p1, 200
         paddi  p2, p1, 1
@@ -100,15 +102,20 @@ fn memory_faults_keep_their_identity_under_fusion() {
     let program = asc::asm::assemble(src).unwrap();
     let mut cfg = MachineConfig::new(16);
     cfg.lmem_words = 256;
-    let errs: Vec<RunError> = [cfg, cfg.without_fusion()]
+    let runs: Vec<(RunError, Machine)> = [cfg, cfg.without_fusion()]
         .into_iter()
         .map(|c| {
             let mut m = Machine::with_program(c, &program).unwrap();
-            m.run(100_000).unwrap_err()
+            (m.run(100_000).unwrap_err(), m)
         })
         .collect();
+    let errs = [&runs[0].0, &runs[1].0];
     assert_eq!(errs[0], errs[1], "fused and unfused faults must agree");
-    match &errs[0] {
+    let (fused, unfused) = (&runs[0].1, &runs[1].1);
+    assert_eq!(fused.fusion_stats().blocks_executed, 1, "the block before the psw ran fused");
+    assert_eq!(fused.arch_digest(), unfused.arch_digest(), "state after the fault");
+    assert_eq!(fused.stats(), unfused.stats(), "statistics after the fault");
+    match errs[0] {
         RunError::PeMemoryFault { thread, pc, fault } => {
             assert_eq!((*thread, *pc, fault.pe), (0, 2, 0), "fault identity");
         }
@@ -116,12 +123,15 @@ fn memory_faults_keep_their_identity_under_fusion() {
     }
 }
 
-/// A fused block whose per-lane `plw` and `psw` fault in different
-/// occupancy groups at different ops, on an array large enough (2¹⁸ + 70
-/// PEs, 65 groups) for the block's tile chain to run on every host
-/// worker: the block reports the earliest faulting op and, within it, the
-/// lowest faulting PE, as `--no-fuse` does, although a later op faults at
-/// a lower PE.
+/// Per-lane `plw` and `psw` that would fault in different occupancy
+/// groups at different ops, after a fused block of two uniform loads, on
+/// an array large enough (2¹⁸ + 70 PEs, 65 groups) for that block's tile
+/// chain to run on every host worker. A computed-base access can fault,
+/// so the plan keeps both out of the block and they run unfused, on the
+/// caller in lane order: the run stops at the earliest faulting op and,
+/// within it, at the lowest faulting PE, as `--no-fuse` does, although a
+/// later op would fault at a lower PE, and it leaves the same machine and
+/// statistics as `--no-fuse`.
 #[test]
 fn split_block_faults_keep_their_identity() {
     const GROUP: usize = 4096;
@@ -150,12 +160,14 @@ fn split_block_faults_keep_their_identity() {
             m.array_mut().scatter_column(row, &col).unwrap();
         }
         let err = m.run(100_000).unwrap_err();
-        (err, m.fusion_stats().blocks_executed)
+        (err, m.fusion_stats().blocks_executed, m.arch_digest(), m.stats().clone())
     };
-    let (fused, blocks) = run(cfg);
-    let (unfused, _) = run(cfg.without_fusion());
+    let (fused, blocks, fused_digest, fused_stats) = run(cfg);
+    let (unfused, _, unfused_digest, unfused_stats) = run(cfg.without_fusion());
     assert_eq!(blocks, 1, "the block ran fused");
     assert_eq!(fused, unfused, "fused and unfused faults must agree");
+    assert_eq!(fused_digest, unfused_digest, "state after the fault");
+    assert_eq!(fused_stats, unfused_stats, "statistics after the fault");
     match fused {
         RunError::PeMemoryFault { thread, pc, fault } => {
             assert_eq!((thread, pc, fault.pe, fault.fault.is_store), (0, 2, plw_x, false));
@@ -164,11 +176,12 @@ fn split_block_faults_keep_their_identity() {
     }
 }
 
-/// Every aliasing form in one fused block: reg–reg ops whose destination
+/// Every aliasing form in two fused blocks: reg–reg ops whose destination
 /// is the first source, the second, and both; a reg–immediate op and a
-/// masked op in place; a per-lane `plw` over its own base; a compare
-/// masked by the flag it writes, which an earlier op of the block wrote,
-/// and a later op masked by its result; and stores of the aliased results.
+/// masked op in place; a compare masked by the flag it writes, which an
+/// earlier op of the same block wrote, and a later op masked by its
+/// result; and stores of the aliased results. Between the blocks, a
+/// per-lane `plw` over its own base, which can fault and so runs unfused.
 /// The fused, `--no-fuse` and `--no-simd` runs must leave the same machine
 /// and statistics, and the stored rows must equal the answer computed
 /// here. A runner that latched the block's masks once, or before the
@@ -264,7 +277,7 @@ fn aliased_block_matches_host(n: usize) {
         (gprs, flags, lmem, m.stats().clone(), m.fusion_stats().blocks_executed)
     };
     let fused = run(cfg);
-    assert_eq!(fused.4, 1, "the block ran fused");
+    assert_eq!(fused.4, 2, "both blocks ran fused");
     for (i, want) in want.iter().enumerate() {
         let got: Vec<u32> = fused.2[5 + i].iter().map(|w| w.to_u32()).collect();
         assert!(got == *want, "n={n}: stored row {} differs from the host answer", 5 + i);
@@ -272,7 +285,7 @@ fn aliased_block_matches_host(n: usize) {
     for (other, how) in
         [(run(cfg.without_fusion()), "--no-fuse"), (run(cfg.without_simd()), "--no-simd")]
     {
-        assert_eq!(other.4, if how == "--no-fuse" { 0 } else { 1 }, "{how} fused blocks");
+        assert_eq!(other.4, if how == "--no-fuse" { 0 } else { 2 }, "{how} fused blocks");
         assert!(fused.0 == other.0, "n={n}: GPR planes differ under {how}");
         assert!(fused.1 == other.1, "n={n}: flag planes differ under {how}");
         assert!(fused.2 == other.2, "n={n}: local memory differs under {how}");
