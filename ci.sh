@@ -261,8 +261,11 @@ echo "==> 2^20-PE planes and split sweeps (release)"
 # committed until the first write. Run in release so the budget
 # measures the allocator, not debug-mode overhead. The same build runs
 # the tests whose arrays are large, where debug builds are slow: the
-# plane-reuse test at the 2^20 shape (a machine built on a dropped one's
-# planes must read zero everywhere), and the split-geometry tests at
+# plane-reuse tests (a machine built on a dropped one's planes must read
+# zero everywhere, and the same writes on it and on fresh planes must
+# leave the same state, at 20,000 PEs and at the 2^20 shape, where the
+# dropped planes are zeroed on demand), the occupancy walks over a 2^20-
+# lane mask's four occupancy words, and the split-geometry tests at
 # 2^18 + 70 PEs, where sweeps pass the worker pool's gate and run on
 # every host core (lane-local sweeps against the per-PE reference, every
 # reduction unit against lane references, per-lane loads and stores
@@ -274,9 +277,9 @@ echo "==> 2^20-PE planes and split sweeps (release)"
 # fresh mask of each plane, and the response count group by group and
 # past the pool's gate at 2^24 + 70 lanes.
 cargo test --release -p asc-pe --features proptest -q -- \
-    sparse_million_pe_array_constructs_cheaply reused_planes_read_zero_at_2_20 \
-    split_sweeps_match_per_pe_reference word_span_kernels_match_a_word_loop \
-    refills_match_a_fresh_mask_of_each_plane
+    sparse_million_pe_array_constructs_cheaply reused_planes_read_zero \
+    occupied_groups_across_occupancy_words split_sweeps_match_per_pe_reference \
+    word_span_kernels_match_a_word_loop refills_match_a_fresh_mask_of_each_plane
 cargo test --release -p asc-network -q -- units_match_lane_references_at_scale \
     group_by_group_counts_sum_to_the_whole
 cargo test --release --test fusion -q -- split_block_faults_keep_their_identity \
@@ -287,13 +290,15 @@ echo "==> single-CPU reference (taskset -c 0: the worker pool has no helpers)"
 # helper threads and every sweep on its caller. Rerunning the pool tests
 # and the split-geometry tests there proves that serial path: the fused
 # blocks of the two fusion tests, and the per-lane faults after one,
-# against --no-fuse.
+# against --no-fuse, and the 2^20-PE sweeps of the plane-reuse tests on
+# planes zeroed on demand.
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test --release -p asc-pe --features proptest -q \
         --test workers --test workers_alloc
     taskset -c 0 cargo test --release -p asc-pe --features proptest -q --lib -- \
         split_sweeps_match_per_pe_reference word_span_kernels_match_a_word_loop \
-        refills_match_a_fresh_mask_of_each_plane
+        refills_match_a_fresh_mask_of_each_plane reused_planes_read_zero \
+        occupied_groups_across_occupancy_words
     taskset -c 0 cargo test --release -p asc-network -q -- units_match_lane_references_at_scale \
         group_by_group_counts_sum_to_the_whole
     taskset -c 0 cargo test --release --test fusion -q -- split_block_faults_keep_their_identity \

@@ -542,6 +542,150 @@ proptest! {
     }
 }
 
+/// Every plane and row of a machine shaped like `cfg` written non-zero
+/// in every lane: each thread's GPRs 1 to 15 and flags, through the
+/// executor's own entry point, and every local-memory row from the host.
+fn poison_every_plane(m: &mut Machine) {
+    use asc_isa::{FlagOp, Instr, Mask, PFlag, PReg};
+    use asc_pe::{ActiveMask, LaneOp};
+    let c = *m.array().config();
+    let all = ActiveMask::all(c.num_pes);
+    let lower = |i| LaneOp::lower(&i, c.width, c.simd, c.lmem_words).expect("lane-local");
+    for t in 0..c.threads {
+        for r in 1..c.gprs {
+            let (pd, imm) = (PReg::from_index(r as u8), (r * 16 + t) as i8 | 1);
+            let op =
+                lower(Instr::PAluImm { op: AluOp::Add, pd, pa: PReg::R0, imm, mask: Mask::All });
+            m.array_mut().run_op(t, &op, &all).unwrap();
+        }
+        for f in 0..c.flags {
+            let fd = PFlag::from_index(f as u8);
+            let op = lower(Instr::PFlagOp { op: FlagOp::Set, fd, fa: fd, fb: fd, mask: Mask::All });
+            m.array_mut().run_op(t, &op, &all).unwrap();
+        }
+    }
+    for row in 0..c.lmem_words {
+        let v = Word::new((row * 37 % 255 + 1) as u32, c.width);
+        m.array_mut().scatter_column(row as u32, &vec![v; c.num_pes]).unwrap();
+    }
+}
+
+proptest! {
+    /// Plane reuse is invisible to fused and unfused execution: on one
+    /// freshly spawned thread, program B run on planes that two machines
+    /// of its shape used before it returns the same result and leaves the
+    /// same machine state as B run first, when the thread held no spare.
+    /// The first of the two machines writes every plane and row, more bytes
+    /// than a spare scrubbed at construction may hold, so the next one
+    /// gets them stale. The second runs a program that touches no plane,
+    /// so the poison reaches B only through the marks its drop folds back
+    /// into the spare. B is `fusion_is_bit_identical`'s generator on 1 to
+    /// 4 threads, with its flag writes moved off flags 6 and 7 and half of
+    /// its masks moved onto them, so its `?pf6`/`?pf7` ops, fused ones
+    /// among them, run under flags B never writes.
+    #[test]
+    fn fusion_on_reused_planes_matches_a_fresh_thread(
+        seed in any::<u64>(),
+        threads in 1usize..=4,
+    ) {
+        use asc_isa::gen::random_straightline_instr;
+        use asc_isa::{Instr, Mask, PFlag};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let never_written = |f: PFlag| PFlag::from_index(6 + f.index() as u8 % 2);
+        let mut body = String::new();
+        for _ in 0..40 {
+            let mut i = random_straightline_instr(&mut rng);
+            match &mut i {
+                // the bounds of `fusion_is_bit_identical`: no access faults
+                Instr::Lw { off, .. } | Instr::Sw { off, .. } => *off = off.rem_euclid(128),
+                Instr::Plw { off, .. } | Instr::Psw { off, .. } => *off = off.rem_euclid(127),
+                Instr::PCmp { fd, .. }
+                | Instr::PCmpS { fd, .. }
+                | Instr::PCmpImm { fd, .. }
+                | Instr::PFlagOp { fd, .. }
+                | Instr::PFirst { fd, .. } => *fd = PFlag::from_index(fd.index() as u8 % 6),
+                _ => {}
+            }
+            match &mut i {
+                Instr::PAlu { mask, .. }
+                | Instr::PAluS { mask, .. }
+                | Instr::PAluImm { mask, .. }
+                | Instr::PCmp { mask, .. }
+                | Instr::PCmpS { mask, .. }
+                | Instr::PCmpImm { mask, .. }
+                | Instr::PFlagOp { mask, .. }
+                | Instr::Plw { mask, .. }
+                | Instr::Psw { mask, .. }
+                | Instr::Pidx { mask, .. }
+                | Instr::PMovS { mask, .. }
+                | Instr::PShift { mask, .. }
+                | Instr::Reduce { mask, .. }
+                | Instr::RCount { mask, .. }
+                | Instr::RFlag { mask, .. }
+                | Instr::PFirst { mask, .. }
+                | Instr::RGet { mask, .. } => {
+                    if let Mask::Flag(f) = mask {
+                        if f.index() >= 4 {
+                            *f = never_written(*f);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            body.push_str(&format!("        {}\n", asc_asm::disassemble(&i)));
+        }
+        let src = if threads == 1 {
+            format!("{body}        halt\n")
+        } else {
+            // the scaffolding of `profiles_conserve_and_fusion_is_invisible`
+            let mut main = String::from("        li   s1, worker\n");
+            for w in 0..threads - 1 {
+                main.push_str(&format!("        tspawn s{}, s1\n", w + 2));
+            }
+            for w in 0..threads - 1 {
+                main.push_str(&format!("        tjoin s{}\n", w + 2));
+            }
+            main.push_str("        halt\nworker:\n");
+            format!("{main}{body}        texit\n")
+        };
+        let b = asc_asm::assemble(&src).unwrap();
+        let idle = asc_asm::assemble("li s1, 7\nhalt").unwrap();
+        // 520 PEs: a 8-lane tail tile, and 4 threads x 15 GPRs plus 512
+        // rows marked, past what a spare scrubbed at construction holds
+        let cfg = MachineConfig::new(520).with_width(Width::W8).with_threads(4);
+        let run = move |program: &asc_asm::Program| {
+            let mut m = Machine::with_program(cfg, program).unwrap();
+            (m.run(10_000_000), m)
+        };
+
+        // all on one freshly spawned thread, B's reference first: nothing has
+        // been dropped there yet, so it runs on fresh planes
+        let outcome = std::thread::spawn(move || {
+            let fresh = run(&b);
+            let mut poison = Machine::new(cfg);
+            poison_every_plane(&mut poison);
+            assert!(poison.array().committed_bytes() > asc_pe::array::EAGER_SCRUB_BYTES);
+            let planes = poison.array().gpr_plane(0, 0).as_ptr();
+            drop(poison);
+            let (idle_result, idle_machine) = run(&idle);
+            idle_result.unwrap();
+            assert_eq!(idle_machine.array().committed_bytes(), 0, "the idle run wrote a plane");
+            drop(idle_machine);
+            let reused = run(&b);
+            assert_eq!(reused.1.array().gpr_plane(0, 0).as_ptr(), planes, "planes not reused");
+            assert_machines_identical(
+                &reused.1,
+                &fresh.1,
+                &format!("seed {seed} on {threads} threads: reused vs fresh planes"),
+            );
+            (reused.0, fresh.0)
+        })
+        .join()
+        .expect("the reused planes run like fresh ones");
+        prop_assert_eq!(&outcome.0, &outcome.1, "seed {} on {} threads: run result", seed, threads);
+    }
+}
+
 proptest! {
     /// Race-free multithreaded programs are schedule-invariant: random
     /// straight-line worker bodies whose memory accesses are rewritten

@@ -26,8 +26,8 @@
 //! split per thread) and an [`ActiveMask`] derived from the instruction's
 //! mask flag. Inactive PEs are completely unaffected — the defining
 //! semantics of associative masked execution. Every sweep walks the mask
-//! one 4096-lane occupancy group at a time, and a group with no active
-//! lane costs one bit test.
+//! one 4096-lane occupancy group at a time, and steps over the groups
+//! with no active lane by trailing zeros, 64 groups per word test.
 //!
 //! Every lane-local instruction (parallel ALU and compare operations,
 //! `pmovs`, flag logic, local loads and stores, `pidx`) is lowered once per
@@ -67,17 +67,45 @@
 //! records which (plane, segment) slices have been written since
 //! construction. When an array is dropped, its planes and commit map
 //! become this thread's *spare*; the next array of the same shape built
-//! on the thread takes them and zeroes only the slices the map marks,
-//! which costs a memset of the pages the previous machine wrote instead
-//! of a page fault per page (see [`PeArray::new`]). A thread holds at
-//! most one spare, and keeps it until its next construction or its exit.
+//! on the thread takes them (see [`PeArray::new`]), which spares it a
+//! page fault per page. A thread holds at most one spare, and keeps it
+//! until its next construction or its exit.
+//!
+//! A spare whose marked slices total at most [`EAGER_SCRUB_BYTES`] is
+//! scrubbed at construction: a memset of what the previous array wrote,
+//! which also leaves those planes in cache for the run. The marked planes
+//! and rows of a larger spare stay *stale* instead: its commit map
+//! becomes the new array's stale record, and each plane is zeroed on
+//! demand, or not at all.
+//!
+//! * Every reader returns zeros for a stale plane or row, through `&self`:
+//!   a stale GPR plane reads as the thread's hardwired-zero GPR 0, and a
+//!   stale flag plane as an all-zero plane kept after the flag planes.
+//! * A write that covers every lane of a stale plane before anything
+//!   reads it only clears the plane's record: `scatter_column`, an
+//!   unfused op over every lane whose executor writes each active lane,
+//!   an unmasked op of a fused block, and `pfirst`'s clear, which reads no
+//!   source. The preload and a program's leading full-plane writes
+//!   overwrite most of a large spare, and pay no memset for it.
+//! * Anything else zeroes the plane's marked slices first: a masked op's
+//!   destination, every plane an executor reads raw (a fused op's `?pf`
+//!   mask flag among them), every stale row before a per-lane `plw` or
+//!   `psw`, and the planes the host setters and `shift` touch.
+//! * A plane still stale when the array drops holds an older array's
+//!   writes, so the whole plane is marked in the commit map the spare
+//!   keeps.
+//!
+//! While nothing is stale, a lane-local op pays one test for this. A
+//! missed mark leaks the previous machine's state into the next; so does
+//! a missed zeroing of a stale plane before a raw read or a partial
+//! write.
 
 use std::cell::Cell;
 
 use asc_isa::{FlagOp, Instr, Mask, PFlag, PReg, Width, Word};
 
 use crate::bitmask::{for_each_set, tail_mask, words_for, ActiveMask, BITS_PER_WORD};
-use crate::lane_op::{self, Dst, LaneOp};
+use crate::lane_op::{self, LaneOp, PlaneRef};
 use crate::memory::MemFault;
 use crate::segments::SegmentGeometry;
 use crate::simd::SimdLevel;
@@ -201,22 +229,33 @@ fn zero<T: Copy + Default>(s: &mut [T]) {
     s.fill(T::default());
 }
 
+/// The marked bytes of a spare up to which [`PeArray::new`] scrubs it at
+/// construction, half of a 2 MiB L2. Up to it, that memset is also what
+/// brings the run's planes into cache: a prototype that zeroed every
+/// spare on demand read the 256-PE, 16-thread query fleet (63 KiB marked)
+/// 3.8% and 5% slower per op. Past it, the marked planes are zeroed on
+/// demand (see "Plane memory" in the module docs).
+pub const EAGER_SCRUB_BYTES: usize = 1 << 20;
+
 /// Which (plane, segment) slices of an array have been written since it
 /// was constructed.
 ///
 /// The map is the array's record of where non-zero state can be, so it
-/// must cover every plane write: every unmarked slice is zero. Three
+/// must cover every plane write: every unmarked slice is zero. Four
 /// things trust that:
 ///
 /// * [`PeArray::clear_thread`] (`tspawn`) zeroes only a thread's marked
 ///   slices;
-/// * a reused spare ([`PeArray::new`]) zeroes only the marked slices, so
-///   a missed mark leaks the previous machine's state into the next;
+/// * a reused spare ([`PeArray::new`]) zeroes only the marked slices, at
+///   construction or on demand, so a missed mark leaks the previous
+///   machine's state into the next;
+/// * the stale record of a spare zeroed on demand is the spare's map, so
+///   a plane it does not mark reads its raw contents;
 /// * [`PeArray::committed_bytes`] reports the marked bytes, the
 ///   bytes-written figure the scaling bench reports per PE.
 ///
 /// All bitsets are preallocated at construction; marking a write is a
-/// couple of word ORs, so the instruction path stays allocation-free.
+/// few word ORs, so the instruction path stays allocation-free.
 #[derive(Debug, Clone, Default)]
 struct CommitMap {
     /// Segments per plane (the geometry's segment count).
@@ -263,18 +302,53 @@ impl CommitMap {
         }
     }
 
+    /// The bits of the planes `planes`, one per segment each: each map
+    /// word that holds some of them, with the mask of those bits in it.
+    /// The one walk behind marking, testing and unmarking whole planes.
+    #[inline]
+    fn plane_words(
+        planes: std::ops::Range<usize>,
+        seg_count: usize,
+    ) -> impl Iterator<Item = (usize, u64)> {
+        let (lo, hi) = (planes.start * seg_count, planes.end * seg_count);
+        let words = if lo < hi { lo / BITS_PER_WORD..hi.div_ceil(BITS_PER_WORD) } else { 0..0 };
+        words.map(move |w| {
+            let first = w * BITS_PER_WORD;
+            let (from, to) = (lo.max(first) - first, hi.min(first + BITS_PER_WORD) - first);
+            (w, u64::MAX >> (BITS_PER_WORD - (to - from)) << from)
+        })
+    }
+
     /// Mark every segment of one plane (dense plane-wide writes).
+    #[inline]
     fn mark_plane(bits: &mut [u64], plane: usize, seg_count: usize) {
-        for s in 0..seg_count {
-            Self::mark(bits, plane * seg_count + s);
+        for (w, m) in Self::plane_words(plane..plane + 1, seg_count) {
+            bits[w] |= m;
         }
+    }
+
+    /// Whether any segment of the planes `planes` is marked.
+    #[inline]
+    fn planes_marked(bits: &[u64], planes: std::ops::Range<usize>, seg_count: usize) -> bool {
+        Self::plane_words(planes, seg_count).any(|(w, m)| bits[w] & m != 0)
+    }
+
+    /// Unmark every segment of `plane`, returning whether any was marked.
+    fn take_plane(bits: &mut [u64], plane: usize, seg_count: usize) -> bool {
+        let mut marked = false;
+        for (w, m) in Self::plane_words(plane..plane + 1, seg_count) {
+            marked |= bits[w] & m != 0;
+            bits[w] &= !m;
+        }
+        marked
     }
 
     /// Zero and unmark the marked slices of `planes` in `buf`, where plane
     /// `p` starts at `p * plane_len` and segment `s` spans `seg(s)`
-    /// within it. Each run of marked segments of a plane is cleared with
-    /// one fill, and the walk skips unmarked map words, so the cost is a
-    /// memset of what was written, not of the buffer or the map.
+    /// within it, returning how many planes had a marked slice. Each run
+    /// of marked segments of a plane is cleared with one fill, and the walk
+    /// skips unmarked map words, so the cost is a memset of what was
+    /// written, not of the buffer or the map.
     fn scrub<T: Copy + Default>(
         bits: &mut [u64],
         seg_count: usize,
@@ -282,8 +356,9 @@ impl CommitMap {
         buf: &mut [T],
         plane_len: usize,
         seg: impl Fn(usize) -> std::ops::Range<usize>,
-    ) {
+    ) -> usize {
         let (mut idx, hi) = (planes.start * seg_count, planes.end * seg_count);
+        let (mut scrubbed, mut last) = (0, usize::MAX);
         while idx < hi {
             let (w, b) = (idx / BITS_PER_WORD, idx % BITS_PER_WORD);
             let ahead = bits[w] >> b;
@@ -303,17 +378,24 @@ impl CommitMap {
             let base = plane * plane_len;
             let (from, to) = (seg(first % seg_count).start, seg((idx - 1) % seg_count).end);
             zero(&mut buf[base + from..base + to]);
+            scrubbed += usize::from(plane != last);
+            last = plane;
         }
+        scrubbed
     }
 
     /// Committed bytes of one plane kind, where segment `s` of a plane
     /// holds `seg_bytes(s)` bytes.
     fn plane_bytes(bits: &[u64], seg_count: usize, seg_bytes: impl Fn(usize) -> usize) -> usize {
-        let mut total = 0;
-        for (wi, &w) in bits.iter().enumerate() {
-            for_each_set(w, wi * BITS_PER_WORD, |idx| total += seg_bytes(idx % seg_count));
+        let marked: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
+        // every segment but a plane's last is full
+        let (full, last) = (seg_bytes(0), seg_bytes(seg_count - 1));
+        if full == last {
+            return marked * full;
         }
-        total
+        let lasts = (seg_count - 1..bits.len() * BITS_PER_WORD).step_by(seg_count);
+        let in_last = lasts.filter(|&i| bits[i / BITS_PER_WORD] >> (i % BITS_PER_WORD) & 1 == 1);
+        marked * full - in_last.count() * (full - last)
     }
 }
 
@@ -325,7 +407,8 @@ pub struct PeArray {
     /// is kept all-zero (hardwired zero register).
     gprs: Vec<Word>,
     /// One packed bitplane per (thread, flag), `words_per_plane` words
-    /// each, tail bits always zero.
+    /// each, tail bits always zero, then one more plane that is never
+    /// written: what a stale flag plane reads as.
     flags: Vec<u64>,
     /// Local memory, column-major: `lmem[addr * num_pes + pe]`.
     lmem: Vec<Word>,
@@ -338,6 +421,54 @@ pub struct PeArray {
     /// Which (plane, segment) slices have been written since construction
     /// (see [`CommitMap`]).
     committed: CommitMap,
+    /// The planes of a reused spare not yet zeroed or overwritten.
+    stale: Stale,
+}
+
+/// The kinds of plane the commit map and the stale record index: a
+/// (thread, register) GPR plane, a (thread, flag) bitplane, a
+/// local-memory row.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Gpr,
+    Flag,
+    Row,
+}
+
+/// The planes and rows of a reused spare that may still hold the dropped
+/// array's writes (see "Plane memory" in the module docs): the spare's
+/// commit map, at the spare's segment geometry, less every plane the
+/// array has zeroed or overwritten since, and the number of planes and
+/// rows it still marks. A fresh array, or one built on a spare scrubbed
+/// at construction, has none.
+#[derive(Debug, Clone)]
+struct Stale {
+    /// Planes and rows still marked in `map`; while zero, nothing else is
+    /// read.
+    planes: usize,
+    /// The geometry `map` was recorded at.
+    geo: SegmentGeometry,
+    map: CommitMap,
+}
+
+impl Stale {
+    /// No stale planes.
+    fn none(geo: SegmentGeometry) -> Stale {
+        Stale { planes: 0, geo, map: CommitMap::default() }
+    }
+
+    /// Every plane and row that `map`, recorded by an array of config
+    /// `cfg`, marks.
+    fn of(cfg: &ArrayConfig, map: CommitMap) -> Stale {
+        let segs = map.seg_count;
+        let marked = |bits: &[u64], planes: usize| {
+            (0..planes).filter(|&p| CommitMap::planes_marked(bits, p..p + 1, segs)).count()
+        };
+        let planes = marked(&map.gpr, cfg.threads * cfg.gprs)
+            + marked(&map.flag, cfg.threads * cfg.flags)
+            + marked(&map.lmem, cfg.lmem_words);
+        Stale { planes, geo: cfg.segments, map }
+    }
 }
 
 /// The planes and commit map of a dropped array, kept for the next array
@@ -365,10 +496,12 @@ impl PeArray {
     ///
     /// If this thread holds a spare plane set (the planes of the last
     /// array dropped on it) with the same `num_pes`, `threads`, `gprs`,
-    /// `flags` and `lmem_words`, the array takes it and zeroes exactly the
-    /// slices the spare's commit map marks: the cost is a memset of what
-    /// the previous array wrote. The segment count, SIMD tier and width
-    /// may differ.
+    /// `flags` and `lmem_words`, the array takes it. The segment count,
+    /// SIMD tier and width may differ. If the slices the spare's commit
+    /// map marks total at most [`EAGER_SCRUB_BYTES`], they are zeroed here,
+    /// a memset of what the previous array wrote; otherwise the marked
+    /// planes are stale, read as zero, and are zeroed only when something
+    /// would see their contents (see "Plane memory" in the module docs).
     ///
     /// Otherwise the spare is freed before the new planes are allocated,
     /// so the two never coexist, and the planes are allocated
@@ -390,17 +523,19 @@ impl PeArray {
         let n = cfg.num_pes;
         PeArray {
             gprs: zeroed_words(cfg.threads * cfg.gprs * n),
-            flags: vec![0; cfg.threads * cfg.flags * words_for(n)],
+            flags: vec![0; (cfg.threads * cfg.flags + 1) * words_for(n)],
             lmem: zeroed_words(cfg.lmem_words * n),
             scratch: zeroed_words(n),
             committed: CommitMap::new(&cfg),
+            stale: Stale::none(cfg.segments),
             cfg,
         }
     }
 
-    /// Rebuild the spare's array under its old config, zero every slice
-    /// its commit map marks (the walk `tspawn` trusts), then switch to
-    /// `cfg` with a fresh commit map.
+    /// Rebuild the spare's array under its old config; zero every slice
+    /// its commit map marks (the walk `tspawn` trusts) if they fit in
+    /// [`EAGER_SCRUB_BYTES`], else keep the map as the stale record; then
+    /// switch to `cfg` with a fresh commit map.
     fn from_spare(cfg: ArrayConfig, spare: Spare) -> PeArray {
         let mut a = PeArray {
             cfg: spare.cfg,
@@ -409,16 +544,21 @@ impl PeArray {
             lmem: spare.lmem,
             scratch: spare.scratch,
             committed: spare.committed,
+            stale: Stale::none(spare.cfg.segments),
         };
-        for thread in 0..a.cfg.threads {
-            a.clear_thread(thread);
+        if a.committed_bytes() <= EAGER_SCRUB_BYTES {
+            for thread in 0..a.cfg.threads {
+                a.clear_thread(thread);
+            }
+            let geo = a.cfg.segments;
+            let rows = 0..a.cfg.lmem_words;
+            let segs = a.committed.seg_count;
+            CommitMap::scrub(&mut a.committed.lmem, segs, rows, &mut a.lmem, a.cfg.num_pes, |s| {
+                geo.seg_lane_range(s)
+            });
+        } else {
+            a.stale = Stale::of(&a.cfg, std::mem::take(&mut a.committed));
         }
-        let geo = a.cfg.segments;
-        let rows = 0..a.cfg.lmem_words;
-        let segs = a.committed.seg_count;
-        CommitMap::scrub(&mut a.committed.lmem, segs, rows, &mut a.lmem, a.cfg.num_pes, |s| {
-            geo.seg_lane_range(s)
-        });
         a.committed = CommitMap::new(&cfg);
         a.cfg = cfg;
         a
@@ -503,6 +643,139 @@ impl PeArray {
         CommitMap::mark(&mut self.committed.lmem, row * self.committed.seg_count + s);
     }
 
+    /// Whether `at`, of `thread`'s state (for rows, any thread's), is
+    /// stale; for `PlaneRef::Rows`, whether any row is. One test while
+    /// nothing is stale.
+    #[inline]
+    fn stale_at(&self, thread: usize, at: PlaneRef) -> bool {
+        self.stale.planes != 0 && self.marked_stale(thread, at)
+    }
+
+    /// [`PeArray::stale_at`] once something is stale, out of line so that
+    /// the readers stay small.
+    #[cold]
+    #[inline(never)]
+    fn marked_stale(&self, thread: usize, at: PlaneRef) -> bool {
+        let (map, segs) = (&self.stale.map, self.stale.map.seg_count);
+        let (g, f) = (thread * self.cfg.gprs, thread * self.cfg.flags);
+        match at {
+            PlaneRef::None => false,
+            PlaneRef::Gpr(r) => CommitMap::planes_marked(&map.gpr, g + r..g + r + 1, segs),
+            PlaneRef::Flag(i) => CommitMap::planes_marked(&map.flag, f + i..f + i + 1, segs),
+            PlaneRef::Row(r) => CommitMap::planes_marked(&map.lmem, r..r + 1, segs),
+            PlaneRef::Rows => CommitMap::planes_marked(&map.lmem, 0..self.cfg.lmem_words, segs),
+        }
+    }
+
+    /// If `at`, of `thread`'s state, is stale, take it off the stale
+    /// record, and first zero the slices the record marks unless
+    /// `overwrite`: the caller writes every lane of it before anything
+    /// reads it. `PlaneRef::Rows` settles every stale row.
+    fn settle(&mut self, thread: usize, at: PlaneRef, overwrite: bool) {
+        let (g, f) = (thread * self.cfg.gprs, thread * self.cfg.flags);
+        match at {
+            PlaneRef::None => {}
+            PlaneRef::Gpr(r) => self.settle_planes(Kind::Gpr, g + r..g + r + 1, overwrite),
+            PlaneRef::Flag(i) => self.settle_planes(Kind::Flag, f + i..f + i + 1, overwrite),
+            PlaneRef::Row(r) => self.settle_planes(Kind::Row, r..r + 1, overwrite),
+            PlaneRef::Rows => self.settle_planes(Kind::Row, 0..self.cfg.lmem_words, overwrite),
+        }
+    }
+
+    /// [`PeArray::settle`] for the planes `planes` of one kind, indexed as
+    /// in the commit map. Out of line: only an array built on a spare that
+    /// was not scrubbed comes here, and only until nothing is stale.
+    #[cold]
+    #[inline(never)]
+    fn settle_planes(&mut self, kind: Kind, planes: std::ops::Range<usize>, overwrite: bool) {
+        fn settle<T: Copy + Default>(
+            bits: &mut [u64],
+            segs: usize,
+            planes: std::ops::Range<usize>,
+            overwrite: bool,
+            buf: &mut [T],
+            plane_len: usize,
+            seg: impl Fn(usize) -> std::ops::Range<usize>,
+        ) -> usize {
+            if overwrite {
+                planes.filter(|&p| CommitMap::take_plane(bits, p, segs)).count()
+            } else {
+                CommitMap::scrub(bits, segs, planes, buf, plane_len, seg)
+            }
+        }
+        let (n, wpp) = (self.cfg.num_pes, self.words_per_plane());
+        let Stale { planes: count, geo, map } = &mut self.stale;
+        let (geo, segs) = (*geo, map.seg_count);
+        let lanes = |s| geo.seg_lane_range(s);
+        *count -= match kind {
+            Kind::Gpr => settle(&mut map.gpr, segs, planes, overwrite, &mut self.gprs, n, lanes),
+            Kind::Flag => {
+                let tiles = |s| geo.seg_tile_range(s);
+                settle(&mut map.flag, segs, planes, overwrite, &mut self.flags, wpp, tiles)
+            }
+            Kind::Row => settle(&mut map.lmem, segs, planes, overwrite, &mut self.lmem, n, lanes),
+        };
+    }
+
+    /// Settle what one unfused `op` touches before it runs for `thread`
+    /// over `active`: zero every stale plane it reads, then its stale
+    /// destination, unless the op writes every lane of it (an executor
+    /// that writes each active lane, over every lane).
+    #[cold]
+    #[inline(never)]
+    fn settle_op(&mut self, thread: usize, op: &LaneOp, active: &ActiveMask) {
+        for src in op.sources() {
+            self.settle(thread, src, false);
+        }
+        let dst = op.dst();
+        let overwrite =
+            op.writes_every_active_lane() && self.stale_at(thread, dst) && active.is_full();
+        self.settle(thread, dst, overwrite);
+    }
+
+    /// Settle what a fused block's ops touch before it runs for `thread`,
+    /// op by op in block order, as the block applies them to each group:
+    /// each op's stale sources and `?pf` mask flag, which the block latches
+    /// raw, are zeroed, and its stale destination too unless the op is
+    /// unmasked, which over the block's all-active mask writes every lane
+    /// of it (an earlier op's full write is then what later ops read).
+    #[cold]
+    #[inline(never)]
+    fn settle_block(&mut self, thread: usize, ops: &[LaneOp]) {
+        for op in ops {
+            for src in op.sources() {
+                self.settle(thread, src, false);
+            }
+            let masked = match op.mask() {
+                Mask::All => false,
+                Mask::Flag(f) => {
+                    self.settle(thread, PlaneRef::Flag(f.index()), false);
+                    true
+                }
+            };
+            self.settle(thread, op.dst(), !masked && op.writes_every_active_lane());
+        }
+    }
+
+    /// Mark every plane and row still stale, whole, in the commit map: it
+    /// holds an older array's writes, so the spare must keep it marked for
+    /// the next array built on these planes.
+    #[cold]
+    #[inline(never)]
+    fn fold_stale(&mut self) {
+        let (stale, map, cfg) = (&self.stale.map, &mut self.committed, &self.cfg);
+        let (from, to) = (stale.seg_count, map.seg_count);
+        for (old, new, planes) in [
+            (&stale.gpr, &mut map.gpr, cfg.threads * cfg.gprs),
+            (&stale.flag, &mut map.flag, cfg.threads * cfg.flags),
+            (&stale.lmem, &mut map.lmem, cfg.lmem_words),
+        ] {
+            for p in (0..planes).filter(|&p| CommitMap::planes_marked(old, p..p + 1, from)) {
+                CommitMap::mark_plane(new, p, to);
+            }
+        }
+    }
+
     /// `u64` words per flag bitplane.
     fn words_per_plane(&self) -> usize {
         words_for(self.cfg.num_pes)
@@ -523,6 +796,7 @@ impl PeArray {
     /// The active set for a thread and mask, without allocating: `all`,
     /// the caller's all-active mask, or `buf` refilled from the mask
     /// flag's plane.
+    #[inline]
     pub fn active<'m>(
         &self,
         thread: usize,
@@ -550,6 +824,10 @@ impl PeArray {
         if pd.index() == 0 {
             return;
         }
+        if self.stale.planes != 0 {
+            self.settle(thread, PlaneRef::Gpr(pa.index()), false);
+            self.settle(thread, PlaneRef::Gpr(pd.index()), false);
+        }
         let n = self.cfg.num_pes;
         let pa_base = self.gpr_base(thread, pa.index());
         self.scratch.copy_from_slice(&self.gprs[pa_base..pa_base + n]);
@@ -575,7 +853,8 @@ impl PeArray {
     /// Write the multiple response resolver's one-hot result: clear `fd`
     /// in every active PE, flag logic (`pfclr`) run through
     /// [`PeArray::run_op`], then set it in the winning PE (if any). The
-    /// winner must be active.
+    /// winner must be active. The clear reads no source, so over every lane
+    /// it overwrites a stale `fd` without zeroing it first.
     pub fn write_first_responder(
         &mut self,
         thread: usize,
@@ -598,9 +877,11 @@ impl PeArray {
     /// `thread` over the active lanes of `active`: an unfused issue.
     ///
     /// The op's destination is marked in the commit map first (a per-lane
-    /// store marks every local-memory row). The mask words are read in
+    /// store marks every local-memory row), after the stale planes it
+    /// touches are settled (see "Plane memory" in the module docs), which
+    /// costs one test while nothing is stale. The mask words are read in
     /// place, and the op's executor runs once per occupied 4096-lane group
-    /// on a window of that group, so an empty group costs one bit test. A
+    /// on a window of that group; empty groups are never visited. A
     /// sweep whose active lanes (flag logic: flag words) pass the worker
     /// pool's gate runs on every host core; a per-lane `plw`/`psw`, the
     /// one op that can fault ([`LaneOp::can_fault`]), always runs on the
@@ -618,6 +899,9 @@ impl PeArray {
         active: &ActiveMask,
     ) -> Result<(), PeFault> {
         debug_assert_eq!(active.lanes(), self.cfg.num_pes);
+        if self.stale.planes != 0 {
+            self.settle_op(thread, op, active);
+        }
         self.mark_dst(thread, op.dst());
         lane_op::run_op(&mut self.thread_tiles(thread), op, active)
     }
@@ -625,11 +909,15 @@ impl PeArray {
     /// Run a fused block of lane-local ops for `thread` over the
     /// all-active mask `all`, one 4096-lane occupancy group at a time, each
     /// op over the whole group before the next (see [`crate::lane_op`]).
-    /// Every op's destination is marked in the commit map first. No op may
+    /// Every op's destination is marked in the commit map first, after the
+    /// stale planes the block touches are settled. No op may
     /// be one that can fault ([`LaneOp::can_fault`]): the fusion plan
     /// admits none, so a block always runs to completion.
     pub fn run_block(&mut self, thread: usize, ops: &[LaneOp], all: &ActiveMask) {
         debug_assert_eq!(all.lanes(), self.cfg.num_pes);
+        if self.stale.planes != 0 {
+            self.settle_block(thread, ops);
+        }
         for op in ops {
             debug_assert!(!op.can_fault(), "a fused block holds an op that can fault: {op:?}");
             self.mark_dst(thread, op.dst());
@@ -640,13 +928,13 @@ impl PeArray {
     /// Mark what a lane-local op may write: its register or flag plane, its
     /// local-memory row, or every row for a per-lane store.
     #[inline(always)]
-    fn mark_dst(&mut self, thread: usize, dst: Dst) {
+    fn mark_dst(&mut self, thread: usize, dst: PlaneRef) {
         match dst {
-            Dst::None => {}
-            Dst::Gpr(r) => self.mark_gpr_plane(thread, r as usize),
-            Dst::Flag(f) => self.mark_flag_plane(thread, f as usize),
-            Dst::Row(r) => self.mark_lmem_row(r),
-            Dst::Rows => {
+            PlaneRef::None => {}
+            PlaneRef::Gpr(r) => self.mark_gpr_plane(thread, r),
+            PlaneRef::Flag(f) => self.mark_flag_plane(thread, f),
+            PlaneRef::Row(r) => self.mark_lmem_row(r),
+            PlaneRef::Rows => {
                 let rows = self.cfg.lmem_words * self.committed.seg_count;
                 CommitMap::mark_all(&mut self.committed.lmem, rows);
             }
@@ -672,17 +960,27 @@ impl PeArray {
     }
 
     /// A GPR plane across all PEs, as a contiguous slice (input to the
-    /// reduction network).
+    /// reduction network). A stale plane reads as the thread's GPR 0,
+    /// which is hardwired zero.
+    #[inline]
     pub fn gpr_plane(&self, thread: usize, reg: usize) -> &[Word] {
+        let reg = if self.stale_at(thread, PlaneRef::Gpr(reg)) { 0 } else { reg };
         let base = self.gpr_base(thread, reg);
         &self.gprs[base..base + self.cfg.num_pes]
     }
 
     /// A flag bitplane across all PEs (input to the responder units); one
-    /// bit per PE, tail bits zero.
+    /// bit per PE, tail bits zero. A stale plane reads as the all-zero
+    /// plane after the flag planes.
+    #[inline]
     pub fn flag_plane(&self, thread: usize, flag: usize) -> &[u64] {
-        let base = self.flag_base(thread, flag);
-        &self.flags[base..base + self.words_per_plane()]
+        let wpp = self.words_per_plane();
+        let base = if self.stale_at(thread, PlaneRef::Flag(flag)) {
+            self.cfg.threads * self.cfg.flags * wpp
+        } else {
+            self.flag_base(thread, flag)
+        };
+        &self.flags[base..base + wpp]
     }
 
     /// Snapshot a GPR across all PEs (host/test convenience; allocates —
@@ -734,12 +1032,15 @@ impl PeArray {
 
     /// Host read of one PE's GPR.
     pub fn gpr(&self, pe: usize, thread: usize, reg: usize) -> Word {
-        self.gprs[self.gpr_base(thread, reg) + pe]
+        self.gpr_plane(thread, reg)[pe]
     }
 
     /// Host write of one PE's GPR (writes to register 0 are ignored).
     pub fn set_gpr(&mut self, pe: usize, thread: usize, reg: usize, v: Word) {
         if reg != 0 {
+            if self.stale.planes != 0 {
+                self.settle(thread, PlaneRef::Gpr(reg), false);
+            }
             let base = self.gpr_base(thread, reg);
             self.gprs[base + pe] = v;
             self.mark_gpr_lane(thread, reg, pe);
@@ -753,6 +1054,9 @@ impl PeArray {
 
     /// Host write of one PE's flag.
     pub fn set_flag(&mut self, pe: usize, thread: usize, reg: usize, v: bool) {
+        if self.stale.planes != 0 {
+            self.settle(thread, PlaneRef::Flag(reg), false);
+        }
         self.mark_flag_lane(thread, reg, pe);
         let base = self.flag_base(thread, reg);
         let (w, b) = (pe / BITS_PER_WORD, 1u64 << (pe % BITS_PER_WORD));
@@ -766,7 +1070,14 @@ impl PeArray {
     /// Host read of one PE's local memory word.
     pub fn lmem_word(&self, pe: usize, addr: u32) -> Result<Word, PeFault> {
         Self::check_addr(addr as i64, self.cfg.lmem_words, false)
-            .map(|a| self.lmem[a * self.cfg.num_pes + pe])
+            .map(|a| {
+                let stale = self.stale_at(0, PlaneRef::Row(a));
+                if stale {
+                    Word::ZERO
+                } else {
+                    self.lmem[a * self.cfg.num_pes + pe]
+                }
+            })
             .map_err(|fault| PeFault { pe, fault })
     }
 
@@ -790,6 +1101,15 @@ impl PeArray {
                 },
             });
         }
+        // one test per call once the first call has zeroed the rows: a
+        // preload writes the same rows of every PE in turn
+        let rows = base..end;
+        let stale = &self.stale;
+        if stale.planes != 0
+            && CommitMap::planes_marked(&stale.map.lmem, rows.clone(), stale.map.seg_count)
+        {
+            self.settle_planes(Kind::Row, rows, false);
+        }
         let n = self.cfg.num_pes;
         for (k, &v) in data.iter().enumerate() {
             self.lmem[(base + k) * n + pe] = v;
@@ -806,6 +1126,9 @@ impl PeArray {
         assert_eq!(data.len(), n, "one value per PE");
         let a = Self::check_addr(addr as i64, self.cfg.lmem_words, true)
             .map_err(|fault| PeFault { pe: 0, fault })?;
+        if self.stale.planes != 0 {
+            self.settle(0, PlaneRef::Row(a), true);
+        }
         self.lmem[a * n..(a + 1) * n].copy_from_slice(data);
         self.mark_lmem_row(a);
         Ok(())
@@ -816,17 +1139,23 @@ impl PeArray {
         let n = self.cfg.num_pes;
         let a = Self::check_addr(addr as i64, self.cfg.lmem_words, false)
             .map_err(|fault| PeFault { pe: 0, fault })?;
+        if self.stale_at(0, PlaneRef::Row(a)) {
+            return Ok(vec![Word::ZERO; n]);
+        }
         Ok(self.lmem[a * n..(a + 1) * n].to_vec())
     }
 }
 
 impl Drop for PeArray {
     /// Keep the planes as this thread's spare instead of freeing them
-    /// (see [`PeArray::new`]), replacing any spare the thread held. The
-    /// scrub runs when the next array takes them, so its cost lands in
-    /// that array's construction. A thread tearing down its locals frees
-    /// the planes instead.
+    /// (see [`PeArray::new`]), replacing any spare the thread held, with
+    /// every plane still stale marked in the spare's map. The zeroing
+    /// happens when the next array takes them, at its construction or on
+    /// demand. A thread tearing down its locals frees the planes instead.
     fn drop(&mut self) {
+        if self.stale.planes != 0 {
+            self.fold_stale();
+        }
         let spare = Spare {
             cfg: self.cfg,
             gprs: std::mem::take(&mut self.gprs),
@@ -1169,6 +1498,33 @@ mod tests {
         assert_eq!(a.committed_bytes(), committed + 2 * std::mem::size_of::<u64>());
     }
 
+    /// A plane's segment bits, set, tested and cleared a map word at a
+    /// time, are exactly its own, also where they straddle two map words;
+    /// a range of planes tests the bits of those planes only.
+    #[test]
+    fn plane_bits_straddle_map_words() {
+        let (planes, marked) = (40, [0, 12, 39]);
+        for segs in [1, 3, 5, 64, 256] {
+            let mut bits = vec![0u64; words_for(planes * segs)];
+            for p in marked {
+                CommitMap::mark_plane(&mut bits, p, segs);
+            }
+            for i in 0..planes * segs {
+                let set = bits[i / BITS_PER_WORD] >> (i % BITS_PER_WORD) & 1 == 1;
+                assert_eq!(set, marked.contains(&(i / segs)), "{segs} segments, bit {i}");
+            }
+            let is_marked = |bits: &[u64], p| CommitMap::planes_marked(bits, p..p + 1, segs);
+            assert!(is_marked(&bits, 12) && !is_marked(&bits, 11) && !is_marked(&bits, 13));
+            for (planes, any) in [(1..12, false), (11..14, true), (13..39, false), (5..5, false)] {
+                let got = CommitMap::planes_marked(&bits, planes.clone(), segs);
+                assert_eq!(got, any, "{segs} segments, planes {planes:?}");
+            }
+            assert!(CommitMap::take_plane(&mut bits, 12, segs), "{segs} segments");
+            assert!(!CommitMap::take_plane(&mut bits, 12, segs), "{segs} segments");
+            assert!(!is_marked(&bits, 12) && is_marked(&bits, 0) && is_marked(&bits, 39));
+        }
+    }
+
     #[test]
     fn sparse_million_pe_array_constructs_cheaply() {
         let t0 = std::time::Instant::now();
@@ -1218,6 +1574,11 @@ mod tests {
     /// leaves state no other path's mark covers. A per-lane store marks
     /// every local-memory row, which covers every other path's rows, so it
     /// runs only when `per_lane_store` is set.
+    ///
+    /// Run on an array whose planes another run of it left stale, it
+    /// reads what its masked writes leave behind: p3's even lanes, which
+    /// it fills only after reading them into p11, and thread 1's flag 6,
+    /// which masks an op of the fused block before the host sets it.
     fn dirty_every_write_path(a: &mut PeArray, per_lane_store: bool) {
         let n = a.num_pes();
         let all = ActiveMask::all(n);
@@ -1226,6 +1587,8 @@ mod tests {
         a.pidx(0, p(1), &all);
         a.alu(0, AluOp::Add, p(2), p(1), Src::Reg(p(1)), &all);
         a.alu(0, AluOp::Add, p(3), p(1), Src::Imm(Word(5)), &odd);
+        a.alu(0, AluOp::Or, p(11), p(3), Src::Reg(p(0)), &all);
+        a.alu(0, AluOp::Add, p(3), p(1), Src::Imm(Word(9)), &every(n, |i| i % 2 == 0));
         a.shift(0, p(4), p(1), 1, &all);
         a.movs(1, p(5), Word(7), &all);
         // per-lane store and load: p6 = 4 + (lane & 3) addresses rows 4..8
@@ -1242,12 +1605,14 @@ mod tests {
         a.cmp(0, CmpOp::Lt, pf(1), p(1), Src::Scalar(Word(1000)), &all);
         a.flag_op(0, FlagOp::Set, pf(2), pf(2), pf(2), &odd);
         a.write_first_responder(0, pf(4), Some(n - 1), &all);
-        // a fused block, thread 1: GPRs 9 and 10, flag 5 and row 12
+        // a fused block, thread 1: GPRs 9, 10 and 12, flag 5 and row 12,
+        // p12 under flag 6, which only the host path below writes
         let (mask, w, level) = (Mask::All, a.config().width, a.config().simd);
         let block = [
             Instr::PAluImm { op: AluOp::Add, pd: p(9), pa: p(0), imm: 3, mask },
             Instr::PFlagOp { op: FlagOp::Set, fd: pf(5), fa: pf(5), fb: pf(5), mask },
             Instr::PAluImm { op: AluOp::Add, pd: p(10), pa: p(0), imm: 6, mask },
+            Instr::PAluImm { op: AluOp::Add, pd: p(12), pa: p(9), imm: 1, mask: Mask::Flag(pf(6)) },
             Instr::Psw { ps: p(10), base: p(0), off: 12, mask },
         ]
         .map(|i| LaneOp::lower(&i, w, level, a.config().lmem_words).unwrap());
@@ -1271,8 +1636,10 @@ mod tests {
 
     /// Dirty an array at segment count `from`, drop it, build the same
     /// shape at `to`: the new array must take the old planes and read
-    /// zero everywhere, with nothing committed. Once with the per-lane
-    /// store and once without, whose rows then rest on their own marks.
+    /// zero everywhere, with nothing committed. Then the same writes on it
+    /// and on a fresh array must leave the same state. Once with the
+    /// per-lane store and once without, whose rows then rest on their own
+    /// marks.
     fn assert_reuse_is_invisible(num_pes: usize, from: usize, to: usize) {
         for per_lane_store in [true, false] {
             assert_reuse_is_invisible_after(num_pes, from, to, per_lane_store);
@@ -1292,7 +1659,7 @@ mod tests {
         drop(a);
         assert!(spare_held());
 
-        let b = PeArray::new(reuse_cfg(num_pes, to));
+        let mut b = PeArray::new(reuse_cfg(num_pes, to));
         assert_eq!(b.segments().count(), SegmentGeometry::new(num_pes, to).count());
         assert_eq!(b.gpr_plane(0, 0).as_ptr(), planes, "the spare planes were not reused");
         assert!(!spare_held());
@@ -1309,6 +1676,26 @@ mod tests {
         for row in 0..cfg.lmem_words as u32 {
             assert!(b.gather_column(row).unwrap().iter().all(|&w| w == Word::ZERO), "row {row}");
         }
+
+        let mut fresh = PeArray::new(cfg);
+        assert_ne!(fresh.gpr_plane(0, 0).as_ptr(), planes, "no spare is left to reuse");
+        dirty_every_write_path(&mut b, per_lane_store);
+        dirty_every_write_path(&mut fresh, per_lane_store);
+        let label =
+            format!("{num_pes} PEs, segments {from} -> {to}, per-lane store {per_lane_store}");
+        for t in 0..cfg.threads {
+            for r in 0..cfg.gprs {
+                assert!(b.gpr_plane(t, r) == fresh.gpr_plane(t, r), "{label}: gpr {t}/{r}");
+            }
+            for f in 0..cfg.flags {
+                assert!(b.flag_plane(t, f) == fresh.flag_plane(t, f), "{label}: flag {t}/{f}");
+            }
+        }
+        for row in 0..cfg.lmem_words as u32 {
+            let same = b.gather_column(row).unwrap() == fresh.gather_column(row).unwrap();
+            assert!(same, "{label}: row {row}");
+        }
+        assert_eq!(b.committed_bytes(), fresh.committed_bytes(), "{label}: committed bytes");
     }
 
     #[test]

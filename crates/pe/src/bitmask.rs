@@ -14,8 +14,9 @@
 //! — no per-instruction allocation, and no refill of the all-active
 //! pattern after a masked instruction. Dense mask words (`u64::MAX`) drive
 //! branch-free 64-lane loops; sparse words are walked with trailing-zeros
-//! iteration, and fully-masked-off regions cost one bit test per 4096 PEs
-//! ([`ActiveMask::occupied`], [`ActiveMask::active_tiles`]).
+//! iteration, and so are the occupied 4096-PE groups, so a fully-masked-off
+//! stretch of up to 64 groups costs one word test ([`ActiveMask::occupied`],
+//! [`ActiveMask::active_tiles`]).
 
 /// Lanes per plane word.
 pub const BITS_PER_WORD: usize = 64;
@@ -54,15 +55,29 @@ pub fn for_each_set(word: u64, base: usize, mut f: impl FnMut(usize)) {
     }
 }
 
+/// The lowest set bit of the bitset `bits` at or above index `from`, if
+/// any: a trailing-zeros scan that skips 64 clear bits per word.
+#[inline]
+fn next_set(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / BITS_PER_WORD;
+    let mut rest = *bits.get(w)? & (u64::MAX << (from % BITS_PER_WORD));
+    while rest == 0 {
+        w += 1;
+        rest = *bits.get(w)?;
+    }
+    Some(w * BITS_PER_WORD + rest.trailing_zeros() as usize)
+}
+
 /// The set of PEs participating in a masked instruction, as a packed
 /// bitset; none of the fill or query operations allocate. The mask also
 /// keeps a conservative *occupancy summary*: one bit per
 /// [`OCC_GROUP_WORDS`]-word group, clear only when every word of the
 /// group is zero. Every plane sweep and reduction walks the mask a group
 /// at a time ([`ActiveMask::occupied`], [`ActiveMask::active_tiles`]),
-/// testing a group bit instead of scanning 64 words, so a fully-inactive
-/// group costs one bit test at every segment count. The summary is exact
-/// after the bulk fills ([`ActiveMask::set_all`], [`ActiveMask::clear_all`],
+/// visiting the set group bits by trailing zeros instead of scanning 64
+/// words per group, so up to 64 fully-inactive groups cost one word test
+/// at every segment count. The summary is exact after the bulk fills
+/// ([`ActiveMask::set_all`], [`ActiveMask::clear_all`],
 /// [`ActiveMask::copy_from_plane`] — the executor's paths) and degrades
 /// conservatively (bit left set) when single lanes are cleared. A clear
 /// bit is never stale, which is what lets a refill skip the groups whose
@@ -209,8 +224,8 @@ impl ActiveMask {
     }
 
     /// Every tile with an active lane, lowest first, as `(tile, mask
-    /// word)` pairs. Groups whose occupancy bit is clear are skipped on
-    /// one bit test; a stale set bit only costs a scan of zero words.
+    /// word)` pairs. Groups whose occupancy bit is clear are skipped by the
+    /// trailing-zeros walk; a stale set bit only costs a scan of zero words.
     /// This is the one walk behind every masked plane sweep and every
     /// reduction unit.
     #[inline]
@@ -250,10 +265,19 @@ impl ActiveMask {
         &self,
         groups: core::ops::Range<usize>,
     ) -> impl Iterator<Item = (usize, &[u64])> + '_ {
-        groups.filter(|&g| self.occ[g / BITS_PER_WORD] >> (g % BITS_PER_WORD) & 1 == 1).map(|g| {
-            let start = g * OCC_GROUP_WORDS;
-            (g, &self.words[start..self.words.len().min(start + OCC_GROUP_WORDS)])
-        })
+        let w = groups.start / BITS_PER_WORD;
+        let first = self.occ.get(w).map_or(0, |&o| o & u64::MAX << (groups.start % BITS_PER_WORD));
+        Occupied { words: &self.words, occ: &self.occ, w, bits: first, end: groups.end }
+    }
+
+    /// Is every lane active?
+    pub fn is_full(&self) -> bool {
+        match self.words.split_last() {
+            Some((&last, body)) => {
+                last == tail_mask(self.lanes) && body.iter().all(|&w| w == u64::MAX)
+            }
+            None => true,
+        }
     }
 
     /// Is `lane` active?
@@ -319,17 +343,54 @@ impl Iterator for ActiveTiles<'_> {
                     return Some((t, words[t]));
                 }
             }
-            // `end` is group-aligned here, or the end of the walk
+            // `end` is group-aligned here, or the end of the walk: move to
+            // the next occupied group
             if self.end >= self.stop {
                 return None;
             }
-            let g = self.end / OCC_GROUP_WORDS;
-            let group_end = self.stop.min(self.end + OCC_GROUP_WORDS);
-            if self.occ[g / BITS_PER_WORD] >> (g % BITS_PER_WORD) & 1 == 0 {
-                self.tile = group_end;
+            let start = next_set(self.occ, self.end / OCC_GROUP_WORDS)? * OCC_GROUP_WORDS;
+            if start >= self.stop {
+                return None;
             }
-            self.end = group_end;
+            self.tile = start;
+            self.end = self.stop.min(start + OCC_GROUP_WORDS);
         }
+    }
+}
+
+/// Iterator over the occupied groups of an [`ActiveMask`] (see
+/// [`ActiveMask::occupied`]): the set bits of the occupancy summary,
+/// visited by trailing zeros one summary word at a time.
+struct Occupied<'a> {
+    words: &'a [u64],
+    occ: &'a [u64],
+    /// Index of the summary word `bits` came from.
+    w: usize,
+    /// The set bits of summary word `w` not yet visited.
+    bits: u64,
+    /// End of the walk's range of groups.
+    end: usize,
+}
+
+impl<'a> Iterator for Occupied<'a> {
+    type Item = (usize, &'a [u64]);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, &'a [u64])> {
+        while self.bits == 0 {
+            self.w += 1;
+            if self.w * BITS_PER_WORD >= self.end {
+                return None;
+            }
+            self.bits = self.occ[self.w];
+        }
+        let g = self.w * BITS_PER_WORD + self.bits.trailing_zeros() as usize;
+        if g >= self.end {
+            return None;
+        }
+        self.bits &= self.bits - 1;
+        let start = g * OCC_GROUP_WORDS;
+        Some((g, &self.words[start..self.words.len().min(start + OCC_GROUP_WORDS)]))
     }
 }
 
@@ -361,6 +422,8 @@ impl Iterator for SetLanes<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
+
     use super::*;
 
     #[test]
@@ -536,6 +599,54 @@ mod tests {
             assert_eq!(tiles, m.group_tiles(g..g + 1).collect::<Vec<_>>());
         }
         assert_eq!(m.occupied(1..2).count(), 0);
+    }
+
+    /// The occupancy walks step over whole occupancy words: groups on both
+    /// sides of a word boundary (63, 64), the last group of a 2^20-lane
+    /// mask (255), groups only in the last occupancy word, and a ragged
+    /// last group, over the whole mask and over sub-ranges of groups.
+    #[test]
+    fn occupied_groups_across_occupancy_words() {
+        let group = OCC_GROUP_WORDS * BITS_PER_WORD;
+        for (lanes, picks) in [
+            (1 << 20, vec![63, 64, 255]),
+            (1 << 20, vec![0, 255]),
+            (1 << 20, vec![192, 200]),
+            (1 << 20, vec![255]),
+            (200 * group + 70, vec![130, 200]),
+        ] {
+            let mut m = ActiveMask::new(lanes);
+            for &g in &picks {
+                m.set((g * group + 7).min(lanes - 1), true);
+            }
+            let walk = |m: &ActiveMask, groups: Range<usize>| -> Vec<usize> {
+                m.occupied(groups).map(|(g, _)| g).collect()
+            };
+            assert_eq!(walk(&m, 0..m.groups()), picks, "{lanes} lanes");
+            let tiles: Vec<usize> = m.active_tiles().map(|(t, _)| t / OCC_GROUP_WORDS).collect();
+            assert_eq!(tiles, picks, "{lanes} lanes: active tiles");
+            for groups in [0..64, 63..65, 64..m.groups(), 100..255, 255..m.groups(), 5..5] {
+                let want: Vec<usize> =
+                    picks.iter().copied().filter(|g| groups.contains(g)).collect();
+                assert_eq!(walk(&m, groups.clone()), want, "{lanes} lanes, groups {groups:?}");
+                let tiles = m.group_tiles(groups.clone()).map(|(t, _)| t / OCC_GROUP_WORDS);
+                assert_eq!(tiles.collect::<Vec<_>>(), want, "{lanes} lanes, tiles of {groups:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn is_full_checks_every_word_and_the_tail() {
+        for lanes in [1, 64, 70, 4096 + 70] {
+            let mut m = ActiveMask::all(lanes);
+            assert!(m.is_full(), "{lanes}");
+            m.set(lanes - 1, false);
+            assert!(!m.is_full(), "{lanes}: last lane");
+            m.set_all();
+            m.set(0, false);
+            assert!(!m.is_full(), "{lanes}: first lane");
+        }
+        assert!(!ActiveMask::new(70).is_full());
     }
 
     #[test]

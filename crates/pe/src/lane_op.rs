@@ -14,7 +14,9 @@
 //! the add wraps at the width.
 //!
 //! Two `PeArray` entry points run the ops, and mark the commit map from
-//! each op's destination before they sweep. `PeArray::run_op` runs one
+//! each op's destination before they sweep, after settling the planes it
+//! touches that a reused spare left stale (`LaneOp::sources`; see
+//! "Plane memory" in `array.rs`). `PeArray::run_op` runs one
 //! instruction over its active set, an unfused issue: it reads the mask
 //! words in place and calls the executor once per occupied 4096-lane
 //! group on a window built for that group. `PeArray::run_block` runs a
@@ -55,18 +57,19 @@ use crate::simd::{
 use crate::tiles::{Plane, ThreadTiles, TileWindow, TILE_LANES};
 use crate::workers::{self, GROUP_LANES};
 
-/// What a lowered op writes, which the entry points mark in the commit
-/// map before they sweep.
+/// A plane that a lowered op writes or reads: what the entry points mark
+/// in the commit map before they sweep (`LaneOp::dst`), and what they
+/// settle if a reused spare left it stale (`LaneOp::sources`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Dst {
-    /// No plane write (a write to GPR 0, or a `plw` into it).
+pub(crate) enum PlaneRef {
+    /// No plane (a write to GPR 0, or a `plw` into it; an unused source).
     None,
     /// A GPR plane of the issuing thread.
-    Gpr(u8),
+    Gpr(usize),
     /// A flag bitplane of the issuing thread.
-    Flag(u8),
+    Flag(usize),
     /// One local-memory row, known statically and in range (a
-    /// lane-uniform store).
+    /// lane-uniform load or store).
     Row(usize),
     /// Per-lane-addressed local-memory rows, known only at run time: the
     /// commit map takes every row.
@@ -221,20 +224,55 @@ impl LaneOp {
 
     /// The plane this op writes.
     #[inline]
-    pub(crate) fn dst(&self) -> Dst {
+    pub(crate) fn dst(&self) -> PlaneRef {
+        let (d, row) = (self.d as usize, self.off as usize);
         match self.run {
-            Exec::Nop => Dst::None,
-            Exec::Load if self.d == 0 => Dst::None,
+            Exec::Nop => PlaneRef::None,
+            Exec::Load if self.d == 0 => PlaneRef::None,
             // off the zero base, a per-lane store's row is outside local
             // memory: it faults in its first active lane and writes nothing
-            Exec::Store if self.b == 0 => Dst::None,
+            Exec::Store if self.b == 0 => PlaneRef::None,
             Exec::AluRr(_) | Exec::AluRs(_) | Exec::Load | Exec::LoadUniform | Exec::Idx => {
-                Dst::Gpr(self.d)
+                PlaneRef::Gpr(d)
             }
-            Exec::CmpRr(_) | Exec::CmpRs(_) | Exec::Flag(_) => Dst::Flag(self.d),
-            Exec::StoreUniform => Dst::Row(self.off as usize),
-            Exec::Store => Dst::Rows,
+            Exec::CmpRr(_) | Exec::CmpRs(_) | Exec::Flag(_) => PlaneRef::Flag(d),
+            Exec::StoreUniform => PlaneRef::Row(row),
+            Exec::Store => PlaneRef::Rows,
         }
+    }
+
+    /// The planes this op's executor reads raw, besides its mask and its
+    /// destination's inactive lanes: each register or flag operand, the
+    /// row of a uniform load, and every row for a per-lane load into a
+    /// register, whose rows are known only at run time. Flag logic reads
+    /// only the operands of its arity, so `pfclr` and `pfset` read none.
+    #[inline]
+    pub(crate) fn sources(&self) -> [PlaneRef; 2] {
+        use PlaneRef::{Flag, Gpr, None, Row, Rows};
+        let (a, b) = (self.a as usize, self.b as usize);
+        match self.run {
+            Exec::Nop | Exec::Idx => [None, None],
+            Exec::AluRr(_) | Exec::CmpRr(_) | Exec::Store => [Gpr(a), Gpr(b)],
+            Exec::AluRs(_) | Exec::CmpRs(_) | Exec::StoreUniform => [Gpr(a), None],
+            Exec::Flag(f) => match f.arity() {
+                0 => [None, None],
+                1 => [Flag(a), None],
+                _ => [Flag(a), Flag(b)],
+            },
+            // into GPR 0 only the addresses matter, for their faults
+            Exec::Load if self.d == 0 => [Gpr(a), None],
+            Exec::Load => [Gpr(a), Rows],
+            Exec::LoadUniform => [Row(self.off as usize), None],
+        }
+    }
+
+    /// Whether the op writes every active lane of its destination: every
+    /// op but a per-lane `plw`/`psw`, which stops at a fault and whose
+    /// rows vary by lane. Over every lane, such an op overwrites the whole
+    /// plane or row.
+    #[inline]
+    pub(crate) fn writes_every_active_lane(&self) -> bool {
+        !self.can_fault()
     }
 
     /// What one instruction of this op brings to the worker pool's gate:

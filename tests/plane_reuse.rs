@@ -1,8 +1,9 @@
 //! Plane reuse is invisible to the model. A machine built on a thread
 //! that has just dropped a same-shape machine takes that machine's plane
 //! memory (`asc_pe::PeArray::new` zeroes the slices the old commit map
-//! marks), and it must run exactly like the same machine built on a
-//! freshly spawned thread, which holds no spare planes.
+//! marks, at construction or, for a large spare, on demand), and it must
+//! run exactly like the same machine built on a freshly spawned thread,
+//! which holds no spare planes.
 
 use asc::core::{FusionStats, Machine, MachineConfig, Stats};
 use asc::isa::Word;
@@ -29,6 +30,31 @@ loop:   plw    p1, 0(p0)
         addi   s6, s6, -1
         ceqi   f1, s6, 0
         bf     f1, loop
+        halt
+";
+
+/// Sets flag 5 in every PE, then stores through a per-lane base (p6, never
+/// written, so row 3), which marks every local-memory row: the next
+/// machine takes more marked bytes than a spare scrubbed at construction
+/// may hold, and gets these planes stale.
+const POISON: &str = "
+        pfset  pf5
+        pidx   p1
+        paddi  p2, p1, 1
+        psw    p2, 3(p6)
+        halt
+";
+
+/// A fusible block with an op under flag 5, which the program never
+/// writes: on fresh planes the flag is clear, and the op changes nothing.
+const MASKED_BY_AN_UNWRITTEN_FLAG: &str = "
+        plw    p1, 0(p0)
+        plw    p2, 1(p0)
+        padd   p3, p1, p2
+        paddi  p3, p3, 9 ?pf5
+        pxor   p4, p3, p1
+        psw    p4, 2(p0)
+        rmax   s1, p4
         halt
 ";
 
@@ -112,4 +138,19 @@ fn reused_planes_run_like_a_fresh_machine() {
     assert!(fused.fusion.blocks_executed > 0, "the fused program must run fused blocks");
     assert_second_run_matches_fresh(&batch, FUSED);
     assert_second_run_matches_fresh(FUSED, &batch);
+}
+
+/// A fused block latches its `?pf` mask words straight from the flag
+/// plane, so a stale flag the program never writes must read as zero
+/// there too.
+#[test]
+fn a_block_under_a_flag_it_never_writes_runs_like_a_fresh_machine() {
+    let (_, masked) = run(MASKED_BY_AN_UNWRITTEN_FLAG, 0);
+    assert!(masked.fusion.blocks_executed > 0, "the masked op must run in a fused block");
+    let (_, poison) = run(POISON, 0);
+    assert!(
+        poison.committed > asc::pe::array::EAGER_SCRUB_BYTES,
+        "the poison must leave a spare that is zeroed on demand"
+    );
+    assert_second_run_matches_fresh(POISON, MASKED_BY_AN_UNWRITTEN_FLAG);
 }
