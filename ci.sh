@@ -263,8 +263,8 @@ echo "==> 2^20-PE planes and split sweeps (release)"
 # the tests whose arrays are large, where debug builds are slow: the
 # plane-reuse tests (a machine built on a dropped one's planes must read
 # zero everywhere, and the same writes on it and on fresh planes must
-# leave the same state, at 20,000 PEs and at the 2^20 shape, where the
-# dropped planes are zeroed on demand), the occupancy walks over a 2^20-
+# leave the same state, at 20,000 PEs and at the 2^20 shape, with the
+# dropped planes zeroed on demand), the occupancy walks over a 2^20-
 # lane mask's four occupancy words, and the split-geometry tests at
 # 2^18 + 70 PEs, where sweeps pass the worker pool's gate and run on
 # every host core (lane-local sweeps against the per-PE reference, every

@@ -445,10 +445,12 @@ impl Machine {
                 h = mix(h, *w);
             }
         }
+        let rows: Vec<&[Word]> = (0..self.cfg.lmem_words as u32)
+            .map(|addr| self.array.lmem_row(addr).expect("in-range lmem address"))
+            .collect();
         for pe in 0..self.cfg.num_pes {
-            for addr in 0..self.cfg.lmem_words as u32 {
-                let w = self.array.lmem_word(pe, addr).expect("in-range lmem address");
-                h = mix(h, w.0 as u64);
+            for row in &rows {
+                h = mix(h, row[pe].0 as u64);
             }
         }
         h

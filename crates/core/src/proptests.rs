@@ -576,13 +576,15 @@ proptest! {
     /// of its shape used before it returns the same result and leaves the
     /// same machine state as B run first, when the thread held no spare.
     /// The first of the two machines writes every plane and row, more bytes
-    /// than a spare scrubbed at construction may hold, so the next one
-    /// gets them stale. The second runs a program that touches no plane,
-    /// so the poison reaches B only through the marks its drop folds back
-    /// into the spare. B is `fusion_is_bit_identical`'s generator on 1 to
-    /// 4 threads, with its flag writes moved off flags 6 and 7 and half of
-    /// its masks moved onto them, so its `?pf6`/`?pf7` ops, fused ones
-    /// among them, run under flags B never writes.
+    /// than a spare zeroed at construction may hold, so the next one gets
+    /// them stale. The second runs a program that touches no plane, so B is
+    /// clear of the poison only if that machine's drop zeroes the planes it
+    /// left stale. Then the thread is poisoned again, and B runs straight on
+    /// the stale planes, which it must zero or overwrite as it goes. B is
+    /// `fusion_is_bit_identical`'s generator on 1 to 4 threads, with its
+    /// flag writes moved off flags 6 and 7 and half of its masks moved onto
+    /// them, so its `?pf6`/`?pf7` ops, fused ones among them, run under
+    /// flags B never writes.
     #[test]
     fn fusion_on_reused_planes_matches_a_fresh_thread(
         seed in any::<u64>(),
@@ -650,8 +652,8 @@ proptest! {
         };
         let b = asc_asm::assemble(&src).unwrap();
         let idle = asc_asm::assemble("li s1, 7\nhalt").unwrap();
-        // 520 PEs: a 8-lane tail tile, and 4 threads x 15 GPRs plus 512
-        // rows marked, past what a spare scrubbed at construction holds
+        // 520 PEs: an 8-lane tail tile, and 4 threads x 15 GPRs plus 512
+        // rows marked, past what a spare zeroed at construction holds
         let cfg = MachineConfig::new(520).with_width(Width::W8).with_threads(4);
         let run = move |program: &asc_asm::Program| {
             let mut m = Machine::with_program(cfg, program).unwrap();
@@ -662,27 +664,35 @@ proptest! {
         // been dropped there yet, so it runs on fresh planes
         let outcome = std::thread::spawn(move || {
             let fresh = run(&b);
-            let mut poison = Machine::new(cfg);
-            poison_every_plane(&mut poison);
-            assert!(poison.array().committed_bytes() > asc_pe::array::EAGER_SCRUB_BYTES);
-            let planes = poison.array().gpr_plane(0, 0).as_ptr();
-            drop(poison);
+            let poison_and_drop = || {
+                let mut poison = Machine::new(cfg);
+                poison_every_plane(&mut poison);
+                assert!(poison.array().committed_bytes() > asc_pe::array::EAGER_SCRUB_BYTES);
+                poison.array().gpr_plane(0, 0).as_ptr()
+            };
+            type Outcome = (Result<crate::Stats, crate::RunError>, Machine);
+            let check = |reused: &Outcome, planes, after: &str| {
+                assert_eq!(reused.1.array().gpr_plane(0, 0).as_ptr(), planes, "planes not reused");
+                let label = format!("seed {seed} on {threads} threads: B {after} vs fresh planes");
+                assert_machines_identical(&reused.1, &fresh.1, &label);
+                assert_eq!(reused.0, fresh.0, "{label}: run result");
+            };
+            let planes = poison_and_drop();
             let (idle_result, idle_machine) = run(&idle);
             idle_result.unwrap();
             assert_eq!(idle_machine.array().committed_bytes(), 0, "the idle run wrote a plane");
             drop(idle_machine);
-            let reused = run(&b);
-            assert_eq!(reused.1.array().gpr_plane(0, 0).as_ptr(), planes, "planes not reused");
-            assert_machines_identical(
-                &reused.1,
-                &fresh.1,
-                &format!("seed {seed} on {threads} threads: reused vs fresh planes"),
-            );
-            (reused.0, fresh.0)
+            check(&run(&b), planes, "after the poison and an idle machine");
+            let planes = poison_and_drop();
+            check(&run(&b), planes, "straight after the poison");
         })
-        .join()
-        .expect("the reused planes run like fresh ones");
-        prop_assert_eq!(&outcome.0, &outcome.1, "seed {} on {} threads: run result", seed, threads);
+        .join();
+        prop_assert!(
+            outcome.is_ok(),
+            "seed {} on {} threads: the reused planes must run like fresh ones",
+            seed,
+            threads
+        );
     }
 }
 

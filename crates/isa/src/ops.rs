@@ -75,7 +75,6 @@ op_enum!(
 
 impl AluOp {
     /// Apply the operation to two words at width `w`.
-    #[inline]
     pub fn apply(self, a: Word, b: Word, w: Width) -> Word {
         match self {
             AluOp::Add => a.wrapping_add(b, w),
@@ -125,7 +124,6 @@ op_enum!(
 
 impl CmpOp {
     /// Apply the comparison at width `w`.
-    #[inline]
     pub fn apply(self, a: Word, b: Word, w: Width) -> bool {
         match self {
             CmpOp::Eq => a == b,

@@ -20,7 +20,6 @@ pub enum Width {
 
 impl Width {
     /// Number of bits.
-    #[inline]
     pub const fn bits(self) -> u32 {
         match self {
             Width::W8 => 8,
@@ -30,7 +29,6 @@ impl Width {
     }
 
     /// Bit mask selecting the valid bits of a word.
-    #[inline]
     pub const fn mask(self) -> u32 {
         match self {
             Width::W8 => 0xff,
@@ -40,13 +38,11 @@ impl Width {
     }
 
     /// Largest representable signed value.
-    #[inline]
     pub const fn smax(self) -> i64 {
         (self.mask() >> 1) as i64
     }
 
     /// Smallest representable signed value.
-    #[inline]
     pub const fn smin(self) -> i64 {
         -(self.smax() + 1)
     }
@@ -75,25 +71,21 @@ impl Word {
     pub const ZERO: Word = Word(0);
 
     /// Construct from a raw `u32`, truncating to `w`.
-    #[inline]
     pub fn new(v: u32, w: Width) -> Word {
         Word(v & w.mask())
     }
 
     /// Construct from a signed value, truncating to `w` (two's complement).
-    #[inline]
     pub fn from_i64(v: i64, w: Width) -> Word {
         Word((v as u32) & w.mask())
     }
 
     /// Unsigned value of the word.
-    #[inline]
     pub fn to_u32(self) -> u32 {
         self.0
     }
 
     /// Signed (two's complement) value of the word at width `w`.
-    #[inline]
     pub fn to_i64(self, w: Width) -> i64 {
         let bits = w.bits();
         if bits == 32 {
@@ -114,13 +106,11 @@ impl Word {
     }
 
     /// Wrapping addition at width `w`.
-    #[inline]
     pub fn wrapping_add(self, rhs: Word, w: Width) -> Word {
         Word(self.0.wrapping_add(rhs.0) & w.mask())
     }
 
     /// Wrapping subtraction at width `w`.
-    #[inline]
     pub fn wrapping_sub(self, rhs: Word, w: Width) -> Word {
         Word(self.0.wrapping_sub(rhs.0) & w.mask())
     }
@@ -134,58 +124,49 @@ impl Word {
     }
 
     /// Bitwise AND.
-    #[inline]
     pub fn and(self, rhs: Word) -> Word {
         Word(self.0 & rhs.0)
     }
 
     /// Bitwise OR.
-    #[inline]
     pub fn or(self, rhs: Word) -> Word {
         Word(self.0 | rhs.0)
     }
 
     /// Bitwise XOR.
-    #[inline]
     pub fn xor(self, rhs: Word) -> Word {
         Word(self.0 ^ rhs.0)
     }
 
     /// Bitwise NOR at width `w`.
-    #[inline]
     pub fn nor(self, rhs: Word, w: Width) -> Word {
         Word(!(self.0 | rhs.0) & w.mask())
     }
 
     /// Logical left shift by `rhs` (modulo the width), truncated to `w`.
-    #[inline]
     pub fn shl(self, rhs: Word, w: Width) -> Word {
         let sh = rhs.0 % w.bits();
         Word((self.0 << sh) & w.mask())
     }
 
     /// Logical right shift by `rhs` (modulo the width).
-    #[inline]
     pub fn shr(self, rhs: Word, w: Width) -> Word {
         let sh = rhs.0 % w.bits();
         Word(self.0 >> sh)
     }
 
     /// Arithmetic right shift by `rhs` (modulo the width).
-    #[inline]
     pub fn sar(self, rhs: Word, w: Width) -> Word {
         let sh = rhs.0 % w.bits();
         Word::from_i64(self.to_i64(w) >> sh, w)
     }
 
     /// Low word of the signed product at width `w`.
-    #[inline]
     pub fn mul_lo(self, rhs: Word, w: Width) -> Word {
         Word::from_i64(self.to_i64(w).wrapping_mul(rhs.to_i64(w)), w)
     }
 
     /// High word of the signed product at width `w`.
-    #[inline]
     pub fn mul_hi(self, rhs: Word, w: Width) -> Word {
         let p = self.to_i64(w).wrapping_mul(rhs.to_i64(w));
         Word::from_i64(p >> w.bits(), w)
@@ -193,7 +174,6 @@ impl Word {
 
     /// Signed division at width `w`. Division by zero is defined (the
     /// hardware must do *something*): the quotient is all ones.
-    #[inline]
     pub fn div_signed(self, rhs: Word, w: Width) -> Word {
         let b = rhs.to_i64(w);
         if b == 0 {
@@ -205,7 +185,6 @@ impl Word {
 
     /// Signed remainder at width `w`. Remainder of division by zero is the
     /// dividend.
-    #[inline]
     pub fn rem_signed(self, rhs: Word, w: Width) -> Word {
         let b = rhs.to_i64(w);
         if b == 0 {
@@ -216,7 +195,6 @@ impl Word {
     }
 
     /// Signed minimum at width `w`.
-    #[inline]
     pub fn min_signed(self, rhs: Word, w: Width) -> Word {
         if self.to_i64(w) <= rhs.to_i64(w) {
             self
@@ -226,7 +204,6 @@ impl Word {
     }
 
     /// Signed maximum at width `w`.
-    #[inline]
     pub fn max_signed(self, rhs: Word, w: Width) -> Word {
         if self.to_i64(w) >= rhs.to_i64(w) {
             self
@@ -236,7 +213,6 @@ impl Word {
     }
 
     /// Unsigned minimum.
-    #[inline]
     pub fn min_unsigned(self, rhs: Word) -> Word {
         if self.0 <= rhs.0 {
             self
@@ -246,7 +222,6 @@ impl Word {
     }
 
     /// Unsigned maximum.
-    #[inline]
     pub fn max_unsigned(self, rhs: Word) -> Word {
         if self.0 >= rhs.0 {
             self

@@ -71,16 +71,16 @@
 //! page fault per page. A thread holds at most one spare, and keeps it
 //! until its next construction or its exit.
 //!
-//! A spare whose marked slices total at most [`EAGER_SCRUB_BYTES`] is
-//! scrubbed at construction: a memset of what the previous array wrote,
-//! which also leaves those planes in cache for the run. The marked planes
-//! and rows of a larger spare stay *stale* instead: its commit map
-//! becomes the new array's stale record, and each plane is zeroed on
-//! demand, or not at all.
+//! The planes and rows the spare's commit map marks are *stale*: the map
+//! becomes the new array's stale record. A spare that marks at most
+//! [`EAGER_SCRUB_BYTES`] is zeroed at construction, a memset that also
+//! brings a small machine's planes into cache for its run. The stale
+//! planes of a larger spare are zeroed on demand, or not at all:
 //!
 //! * Every reader returns zeros for a stale plane or row, through `&self`:
-//!   a stale GPR plane reads as the thread's hardwired-zero GPR 0, and a
-//!   stale flag plane as an all-zero plane kept after the flag planes.
+//!   a stale GPR plane or local-memory row reads as the thread's
+//!   hardwired-zero GPR 0, and a stale flag plane as an all-zero plane
+//!   kept after the flag planes.
 //! * A write that covers every lane of a stale plane before anything
 //!   reads it only clears the plane's record: `scatter_column`, an
 //!   unfused op over every lane whose executor writes each active lane,
@@ -92,19 +92,21 @@
 //!   mask flag among them), every stale row before a per-lane `plw` or
 //!   `psw`, and the planes the host setters and `shift` touch.
 //! * A plane still stale when the array drops holds an older array's
-//!   writes, so the whole plane is marked in the commit map the spare
-//!   keeps.
+//!   writes, which the spare's map, fresh from this array, does not mark:
+//!   the drop zeroes it, so no plane stays stale past one array. That
+//!   zeroing and the one at construction are the same walk.
 //!
-//! While nothing is stale, a lane-local op pays one test for this. A
-//! missed mark leaks the previous machine's state into the next; so does
-//! a missed zeroing of a stale plane before a raw read or a partial
-//! write.
+//! While nothing is stale, a lane-local op pays one test for this; while
+//! something is, a bit test per plane it touches, and only a stale plane
+//! reaches the out-of-line zeroing. A missed mark leaks the previous
+//! machine's state into the next; so does a missed zeroing of a stale
+//! plane before a raw read or a partial write.
 
 use std::cell::Cell;
 
 use asc_isa::{FlagOp, Instr, Mask, PFlag, PReg, Width, Word};
 
-use crate::bitmask::{for_each_set, tail_mask, words_for, ActiveMask, BITS_PER_WORD};
+use crate::bitmask::{for_each_set, next_set, tail_mask, words_for, ActiveMask, BITS_PER_WORD};
 use crate::lane_op::{self, LaneOp, PlaneRef};
 use crate::memory::MemFault;
 use crate::segments::SegmentGeometry;
@@ -229,28 +231,29 @@ fn zero<T: Copy + Default>(s: &mut [T]) {
     s.fill(T::default());
 }
 
-/// The marked bytes of a spare up to which [`PeArray::new`] scrubs it at
-/// construction, half of a 2 MiB L2. Up to it, that memset is also what
-/// brings the run's planes into cache: a prototype that zeroed every
-/// spare on demand read the 256-PE, 16-thread query fleet (63 KiB marked)
-/// 3.8% and 5% slower per op. Past it, the marked planes are zeroed on
-/// demand (see "Plane memory" in the module docs).
+/// The marked bytes of a spare up to which [`PeArray::new`] zeroes its
+/// stale planes at construction instead of on demand, half of a 2 MiB
+/// L2. A memset that small streams the planes into cache just before the
+/// run, which costs less than the misses of the run's first touches: on
+/// the 256-PE, 16-thread query fleet (63 KiB marked), zeroing on demand
+/// read 7.5% slower per op (9 of 10 pairs; the p90 10 of 10). Past it,
+/// the planes a run overwrites whole are never zeroed at all (see "Plane
+/// memory" in the module docs).
 pub const EAGER_SCRUB_BYTES: usize = 1 << 20;
 
 /// Which (plane, segment) slices of an array have been written since it
 /// was constructed.
 ///
 /// The map is the array's record of where non-zero state can be, so it
-/// must cover every plane write: every unmarked slice is zero. Four
+/// must cover every plane write: every unmarked slice is zero. Three
 /// things trust that:
 ///
 /// * [`PeArray::clear_thread`] (`tspawn`) zeroes only a thread's marked
 ///   slices;
-/// * a reused spare ([`PeArray::new`]) zeroes only the marked slices, at
-///   construction or on demand, so a missed mark leaks the previous
-///   machine's state into the next;
-/// * the stale record of a spare zeroed on demand is the spare's map, so
-///   a plane it does not mark reads its raw contents;
+/// * a reused spare ([`PeArray::new`]) takes the spare's map as its stale
+///   record and zeroes only the marked slices, at construction or on
+///   demand: a plane the map does not mark reads its raw contents, so a
+///   missed mark leaks the previous machine's state into the next;
 /// * [`PeArray::committed_bytes`] reports the marked bytes, the
 ///   bytes-written figure the scaling bench reports per PE.
 ///
@@ -270,7 +273,11 @@ struct CommitMap {
 
 impl CommitMap {
     fn new(cfg: &ArrayConfig) -> CommitMap {
-        let segs = cfg.segments.count();
+        CommitMap::sized(cfg, cfg.segments.count())
+    }
+
+    /// An empty map of `segs` segments per plane for the planes of `cfg`.
+    fn sized(cfg: &ArrayConfig, segs: usize) -> CommitMap {
         CommitMap {
             seg_count: segs,
             gpr: vec![0; words_for(cfg.threads * cfg.gprs * segs)],
@@ -282,6 +289,11 @@ impl CommitMap {
     #[inline]
     fn mark(bits: &mut [u64], idx: usize) {
         bits[idx / BITS_PER_WORD] |= 1u64 << (idx % BITS_PER_WORD);
+    }
+
+    #[inline]
+    fn is_marked(bits: &[u64], idx: usize) -> bool {
+        bits[idx / BITS_PER_WORD] >> (idx % BITS_PER_WORD) & 1 == 1
     }
 
     /// Unmark `idx`, returning whether it was marked.
@@ -302,53 +314,24 @@ impl CommitMap {
         }
     }
 
-    /// The bits of the planes `planes`, one per segment each: each map
-    /// word that holds some of them, with the mask of those bits in it.
-    /// The one walk behind marking, testing and unmarking whole planes.
-    #[inline]
-    fn plane_words(
-        planes: std::ops::Range<usize>,
-        seg_count: usize,
-    ) -> impl Iterator<Item = (usize, u64)> {
-        let (lo, hi) = (planes.start * seg_count, planes.end * seg_count);
-        let words = if lo < hi { lo / BITS_PER_WORD..hi.div_ceil(BITS_PER_WORD) } else { 0..0 };
-        words.map(move |w| {
-            let first = w * BITS_PER_WORD;
-            let (from, to) = (lo.max(first) - first, hi.min(first + BITS_PER_WORD) - first);
-            (w, u64::MAX >> (BITS_PER_WORD - (to - from)) << from)
-        })
-    }
-
-    /// Mark every segment of one plane (dense plane-wide writes).
+    /// Mark every segment of one plane (dense plane-wide writes), a map
+    /// word at a time.
     #[inline]
     fn mark_plane(bits: &mut [u64], plane: usize, seg_count: usize) {
-        for (w, m) in Self::plane_words(plane..plane + 1, seg_count) {
-            bits[w] |= m;
+        let (mut idx, end) = (plane * seg_count, (plane + 1) * seg_count);
+        while idx < end {
+            let (w, b) = (idx / BITS_PER_WORD, idx % BITS_PER_WORD);
+            let run = (end - idx).min(BITS_PER_WORD - b);
+            bits[w] |= u64::MAX >> (BITS_PER_WORD - run) << b;
+            idx += run;
         }
-    }
-
-    /// Whether any segment of the planes `planes` is marked.
-    #[inline]
-    fn planes_marked(bits: &[u64], planes: std::ops::Range<usize>, seg_count: usize) -> bool {
-        Self::plane_words(planes, seg_count).any(|(w, m)| bits[w] & m != 0)
-    }
-
-    /// Unmark every segment of `plane`, returning whether any was marked.
-    fn take_plane(bits: &mut [u64], plane: usize, seg_count: usize) -> bool {
-        let mut marked = false;
-        for (w, m) in Self::plane_words(plane..plane + 1, seg_count) {
-            marked |= bits[w] & m != 0;
-            bits[w] &= !m;
-        }
-        marked
     }
 
     /// Zero and unmark the marked slices of `planes` in `buf`, where plane
     /// `p` starts at `p * plane_len` and segment `s` spans `seg(s)`
-    /// within it, returning how many planes had a marked slice. Each run
-    /// of marked segments of a plane is cleared with one fill, and the walk
-    /// skips unmarked map words, so the cost is a memset of what was
-    /// written, not of the buffer or the map.
+    /// within it. Each run of marked segments of a plane is cleared with
+    /// one fill, and the walk skips unmarked map words, so the cost is a
+    /// memset of what was written, not of the buffer or the map.
     fn scrub<T: Copy + Default>(
         bits: &mut [u64],
         seg_count: usize,
@@ -356,9 +339,8 @@ impl CommitMap {
         buf: &mut [T],
         plane_len: usize,
         seg: impl Fn(usize) -> std::ops::Range<usize>,
-    ) -> usize {
+    ) {
         let (mut idx, hi) = (planes.start * seg_count, planes.end * seg_count);
-        let (mut scrubbed, mut last) = (0, usize::MAX);
         while idx < hi {
             let (w, b) = (idx / BITS_PER_WORD, idx % BITS_PER_WORD);
             let ahead = bits[w] >> b;
@@ -378,24 +360,28 @@ impl CommitMap {
             let base = plane * plane_len;
             let (from, to) = (seg(first % seg_count).start, seg((idx - 1) % seg_count).end);
             zero(&mut buf[base + from..base + to]);
-            scrubbed += usize::from(plane != last);
-            last = plane;
         }
-        scrubbed
+    }
+
+    /// Bytes of the slices the map marks, recorded at geometry `geo`.
+    fn bytes(&self, geo: SegmentGeometry) -> usize {
+        let (segs, word) = (self.seg_count, std::mem::size_of::<Word>());
+        let gpr = Self::plane_bytes(&self.gpr, segs, |s| geo.seg_lane_range(s).len() * word);
+        let flag = Self::plane_bytes(&self.flag, segs, |s| {
+            geo.seg_tile_range(s).len() * std::mem::size_of::<u64>()
+        });
+        let lmem = Self::plane_bytes(&self.lmem, segs, |s| geo.seg_lane_range(s).len() * word);
+        gpr + flag + lmem
     }
 
     /// Committed bytes of one plane kind, where segment `s` of a plane
     /// holds `seg_bytes(s)` bytes.
     fn plane_bytes(bits: &[u64], seg_count: usize, seg_bytes: impl Fn(usize) -> usize) -> usize {
-        let marked: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
-        // every segment but a plane's last is full
-        let (full, last) = (seg_bytes(0), seg_bytes(seg_count - 1));
-        if full == last {
-            return marked * full;
+        let mut total = 0;
+        for (wi, &w) in bits.iter().enumerate() {
+            for_each_set(w, wi * BITS_PER_WORD, |idx| total += seg_bytes(idx % seg_count));
         }
-        let lasts = (seg_count - 1..bits.len() * BITS_PER_WORD).step_by(seg_count);
-        let in_last = lasts.filter(|&i| bits[i / BITS_PER_WORD] >> (i % BITS_PER_WORD) & 1 == 1);
-        marked * full - in_last.count() * (full - last)
+        total
     }
 }
 
@@ -436,16 +422,16 @@ enum Kind {
 }
 
 /// The planes and rows of a reused spare that may still hold the dropped
-/// array's writes (see "Plane memory" in the module docs): the spare's
-/// commit map, at the spare's segment geometry, less every plane the
-/// array has zeroed or overwritten since, and the number of planes and
-/// rows it still marks. A fresh array, or one built on a spare scrubbed
-/// at construction, has none.
+/// array's writes (see "Plane memory" in the module docs): one bit per
+/// plane and row, cleared once the array has zeroed or overwritten it,
+/// and the spare's commit map, which says which slices of a stale plane
+/// to zero. A fresh array has none.
 #[derive(Debug, Clone)]
 struct Stale {
-    /// Planes and rows still marked in `map`; while zero, nothing else is
-    /// read.
+    /// Planes and rows still stale; while zero, nothing else is read.
     planes: usize,
+    /// One bit per stale plane and row: a commit map of one segment.
+    whole: CommitMap,
     /// The geometry `map` was recorded at.
     geo: SegmentGeometry,
     map: CommitMap,
@@ -454,20 +440,26 @@ struct Stale {
 impl Stale {
     /// No stale planes.
     fn none(geo: SegmentGeometry) -> Stale {
-        Stale { planes: 0, geo, map: CommitMap::default() }
+        Stale { planes: 0, whole: CommitMap::default(), geo, map: CommitMap::default() }
     }
 
     /// Every plane and row that `map`, recorded by an array of config
-    /// `cfg`, marks.
+    /// `cfg`, marks. The walk jumps from a plane's first marked slice to
+    /// the next plane, so it costs a step per stale plane.
     fn of(cfg: &ArrayConfig, map: CommitMap) -> Stale {
-        let segs = map.seg_count;
-        let marked = |bits: &[u64], planes: usize| {
-            (0..planes).filter(|&p| CommitMap::planes_marked(bits, p..p + 1, segs)).count()
-        };
-        let planes = marked(&map.gpr, cfg.threads * cfg.gprs)
-            + marked(&map.flag, cfg.threads * cfg.flags)
-            + marked(&map.lmem, cfg.lmem_words);
-        Stale { planes, geo: cfg.segments, map }
+        let (segs, mut whole) = (map.seg_count, CommitMap::sized(cfg, 1));
+        for (bits, planes) in
+            [(&map.gpr, &mut whole.gpr), (&map.flag, &mut whole.flag), (&map.lmem, &mut whole.lmem)]
+        {
+            let mut from = 0;
+            while let Some(idx) = next_set(bits, from, bits.len() * BITS_PER_WORD) {
+                CommitMap::mark(planes, idx / segs);
+                from = (idx / segs + 1) * segs;
+            }
+        }
+        let kinds = [&whole.gpr, &whole.flag, &whole.lmem];
+        let planes = kinds.iter().flat_map(|bits| bits.iter()).map(|w| w.count_ones() as usize);
+        Stale { planes: planes.sum(), whole, geo: cfg.segments, map }
     }
 }
 
@@ -532,35 +524,23 @@ impl PeArray {
         }
     }
 
-    /// Rebuild the spare's array under its old config; zero every slice
-    /// its commit map marks (the walk `tspawn` trusts) if they fit in
-    /// [`EAGER_SCRUB_BYTES`], else keep the map as the stale record; then
-    /// switch to `cfg` with a fresh commit map.
+    /// Take the spare's planes under `cfg`, with the spare's commit map,
+    /// at the spare's geometry, as the stale record and a fresh commit map;
+    /// zero them here if they mark at most [`EAGER_SCRUB_BYTES`].
     fn from_spare(cfg: ArrayConfig, spare: Spare) -> PeArray {
+        let marked = spare.committed.bytes(spare.cfg.segments);
         let mut a = PeArray {
-            cfg: spare.cfg,
             gprs: spare.gprs,
             flags: spare.flags,
             lmem: spare.lmem,
             scratch: spare.scratch,
-            committed: spare.committed,
-            stale: Stale::none(spare.cfg.segments),
+            committed: CommitMap::new(&cfg),
+            stale: Stale::of(&spare.cfg, spare.committed),
+            cfg,
         };
-        if a.committed_bytes() <= EAGER_SCRUB_BYTES {
-            for thread in 0..a.cfg.threads {
-                a.clear_thread(thread);
-            }
-            let geo = a.cfg.segments;
-            let rows = 0..a.cfg.lmem_words;
-            let segs = a.committed.seg_count;
-            CommitMap::scrub(&mut a.committed.lmem, segs, rows, &mut a.lmem, a.cfg.num_pes, |s| {
-                geo.seg_lane_range(s)
-            });
-        } else {
-            a.stale = Stale::of(&a.cfg, std::mem::take(&mut a.committed));
+        if marked <= EAGER_SCRUB_BYTES {
+            a.zero_stale();
         }
-        a.committed = CommitMap::new(&cfg);
-        a.cfg = cfg;
         a
     }
 
@@ -583,19 +563,7 @@ impl PeArray {
     /// at segment granularity — the "only pay for what you touch" figure.
     /// A freshly constructed array reports zero no matter how large it is.
     pub fn committed_bytes(&self) -> usize {
-        let geo = self.cfg.segments;
-        let segs = self.committed.seg_count;
-        let word = std::mem::size_of::<Word>();
-        let gpr = CommitMap::plane_bytes(&self.committed.gpr, segs, |s| {
-            geo.seg_lane_range(s).len() * word
-        });
-        let flag = CommitMap::plane_bytes(&self.committed.flag, segs, |s| {
-            geo.seg_tile_range(s).len() * std::mem::size_of::<u64>()
-        });
-        let lmem = CommitMap::plane_bytes(&self.committed.lmem, segs, |s| {
-            geo.seg_lane_range(s).len() * word
-        });
-        gpr + flag + lmem
+        self.committed.bytes(self.cfg.segments)
     }
 
     /// Total reserved (virtual) plane storage in bytes — the upper bound
@@ -645,33 +613,32 @@ impl PeArray {
 
     /// Whether `at`, of `thread`'s state (for rows, any thread's), is
     /// stale; for `PlaneRef::Rows`, whether any row is. One test while
-    /// nothing is stale.
+    /// nothing is stale, then a bit test.
     #[inline]
     fn stale_at(&self, thread: usize, at: PlaneRef) -> bool {
-        self.stale.planes != 0 && self.marked_stale(thread, at)
-    }
-
-    /// [`PeArray::stale_at`] once something is stale, out of line so that
-    /// the readers stay small.
-    #[cold]
-    #[inline(never)]
-    fn marked_stale(&self, thread: usize, at: PlaneRef) -> bool {
-        let (map, segs) = (&self.stale.map, self.stale.map.seg_count);
+        if self.stale.planes == 0 {
+            return false;
+        }
+        let whole = &self.stale.whole;
         let (g, f) = (thread * self.cfg.gprs, thread * self.cfg.flags);
         match at {
             PlaneRef::None => false,
-            PlaneRef::Gpr(r) => CommitMap::planes_marked(&map.gpr, g + r..g + r + 1, segs),
-            PlaneRef::Flag(i) => CommitMap::planes_marked(&map.flag, f + i..f + i + 1, segs),
-            PlaneRef::Row(r) => CommitMap::planes_marked(&map.lmem, r..r + 1, segs),
-            PlaneRef::Rows => CommitMap::planes_marked(&map.lmem, 0..self.cfg.lmem_words, segs),
+            PlaneRef::Gpr(r) => CommitMap::is_marked(&whole.gpr, g + r),
+            PlaneRef::Flag(i) => CommitMap::is_marked(&whole.flag, f + i),
+            PlaneRef::Row(r) => CommitMap::is_marked(&whole.lmem, r),
+            PlaneRef::Rows => whole.lmem.iter().any(|&w| w != 0),
         }
     }
 
     /// If `at`, of `thread`'s state, is stale, take it off the stale
-    /// record, and first zero the slices the record marks unless
+    /// record, and first zero the slices the spare's map marks unless
     /// `overwrite`: the caller writes every lane of it before anything
     /// reads it. `PlaneRef::Rows` settles every stale row.
+    #[inline]
     fn settle(&mut self, thread: usize, at: PlaneRef, overwrite: bool) {
+        if !self.stale_at(thread, at) {
+            return;
+        }
         let (g, f) = (thread * self.cfg.gprs, thread * self.cfg.flags);
         match at {
             PlaneRef::None => {}
@@ -682,13 +649,15 @@ impl PeArray {
         }
     }
 
-    /// [`PeArray::settle`] for the planes `planes` of one kind, indexed as
-    /// in the commit map. Out of line: only an array built on a spare that
-    /// was not scrubbed comes here, and only until nothing is stale.
+    /// [`PeArray::settle`] for the stale planes among `planes` of one
+    /// kind, indexed as in the commit map. Out of line: only an array built
+    /// on a spare comes here, and only until nothing is stale.
     #[cold]
     #[inline(never)]
     fn settle_planes(&mut self, kind: Kind, planes: std::ops::Range<usize>, overwrite: bool) {
+        #[allow(clippy::too_many_arguments)]
         fn settle<T: Copy + Default>(
+            whole: &mut [u64],
             bits: &mut [u64],
             segs: usize,
             planes: std::ops::Range<usize>,
@@ -697,24 +666,64 @@ impl PeArray {
             plane_len: usize,
             seg: impl Fn(usize) -> std::ops::Range<usize>,
         ) -> usize {
-            if overwrite {
-                planes.filter(|&p| CommitMap::take_plane(bits, p, segs)).count()
-            } else {
-                CommitMap::scrub(bits, segs, planes, buf, plane_len, seg)
+            let (mut settled, mut from) = (0, planes.start);
+            while let Some(p) = next_set(whole, from, planes.end) {
+                CommitMap::take(whole, p);
+                if !overwrite {
+                    CommitMap::scrub(bits, segs, p..p + 1, buf, plane_len, &seg);
+                }
+                (settled, from) = (settled + 1, p + 1);
             }
+            settled
         }
         let (n, wpp) = (self.cfg.num_pes, self.words_per_plane());
-        let Stale { planes: count, geo, map } = &mut self.stale;
+        let Stale { planes: count, whole, geo, map } = &mut self.stale;
         let (geo, segs) = (*geo, map.seg_count);
         let lanes = |s| geo.seg_lane_range(s);
         *count -= match kind {
-            Kind::Gpr => settle(&mut map.gpr, segs, planes, overwrite, &mut self.gprs, n, lanes),
+            Kind::Gpr => settle(
+                &mut whole.gpr,
+                &mut map.gpr,
+                segs,
+                planes,
+                overwrite,
+                &mut self.gprs,
+                n,
+                lanes,
+            ),
             Kind::Flag => {
                 let tiles = |s| geo.seg_tile_range(s);
-                settle(&mut map.flag, segs, planes, overwrite, &mut self.flags, wpp, tiles)
+                let (w, bits) = (&mut whole.flag, &mut map.flag);
+                settle(w, bits, segs, planes, overwrite, &mut self.flags, wpp, tiles)
             }
-            Kind::Row => settle(&mut map.lmem, segs, planes, overwrite, &mut self.lmem, n, lanes),
+            Kind::Row => settle(
+                &mut whole.lmem,
+                &mut map.lmem,
+                segs,
+                planes,
+                overwrite,
+                &mut self.lmem,
+                n,
+                lanes,
+            ),
         };
+    }
+
+    /// Zero every plane and row still stale.
+    fn zero_stale(&mut self) {
+        let c = self.cfg;
+        self.settle_planes(Kind::Gpr, 0..c.threads * c.gprs, false);
+        self.settle_planes(Kind::Flag, 0..c.threads * c.flags, false);
+        self.settle_planes(Kind::Row, 0..c.lmem_words, false);
+    }
+
+    /// Whether `op`, run for `thread`, reads or writes a stale plane: a
+    /// bit test per plane, in line, so an op that touches none pays no call
+    /// while other planes are stale.
+    #[inline]
+    fn touches_stale(&self, thread: usize, op: &LaneOp) -> bool {
+        let [a, b] = op.sources();
+        [a, b, op.dst()].into_iter().any(|at| self.stale_at(thread, at))
     }
 
     /// Settle what one unfused `op` touches before it runs for `thread`
@@ -728,8 +737,9 @@ impl PeArray {
             self.settle(thread, src, false);
         }
         let dst = op.dst();
-        let overwrite =
-            op.writes_every_active_lane() && self.stale_at(thread, dst) && active.is_full();
+        // every op but a per-lane `plw`/`psw`, which stops at a fault and
+        // whose rows vary by lane, writes each of its active lanes
+        let overwrite = !op.can_fault() && self.stale_at(thread, dst) && active.is_full();
         self.settle(thread, dst, overwrite);
     }
 
@@ -753,26 +763,9 @@ impl PeArray {
                     true
                 }
             };
-            self.settle(thread, op.dst(), !masked && op.writes_every_active_lane());
-        }
-    }
-
-    /// Mark every plane and row still stale, whole, in the commit map: it
-    /// holds an older array's writes, so the spare must keep it marked for
-    /// the next array built on these planes.
-    #[cold]
-    #[inline(never)]
-    fn fold_stale(&mut self) {
-        let (stale, map, cfg) = (&self.stale.map, &mut self.committed, &self.cfg);
-        let (from, to) = (stale.seg_count, map.seg_count);
-        for (old, new, planes) in [
-            (&stale.gpr, &mut map.gpr, cfg.threads * cfg.gprs),
-            (&stale.flag, &mut map.flag, cfg.threads * cfg.flags),
-            (&stale.lmem, &mut map.lmem, cfg.lmem_words),
-        ] {
-            for p in (0..planes).filter(|&p| CommitMap::planes_marked(old, p..p + 1, from)) {
-                CommitMap::mark_plane(new, p, to);
-            }
+            // as in `settle_op`: an op that cannot fault writes each of its
+            // active lanes
+            self.settle(thread, op.dst(), !masked && !op.can_fault());
         }
     }
 
@@ -824,10 +817,8 @@ impl PeArray {
         if pd.index() == 0 {
             return;
         }
-        if self.stale.planes != 0 {
-            self.settle(thread, PlaneRef::Gpr(pa.index()), false);
-            self.settle(thread, PlaneRef::Gpr(pd.index()), false);
-        }
+        self.settle(thread, PlaneRef::Gpr(pa.index()), false);
+        self.settle(thread, PlaneRef::Gpr(pd.index()), false);
         let n = self.cfg.num_pes;
         let pa_base = self.gpr_base(thread, pa.index());
         self.scratch.copy_from_slice(&self.gprs[pa_base..pa_base + n]);
@@ -899,7 +890,7 @@ impl PeArray {
         active: &ActiveMask,
     ) -> Result<(), PeFault> {
         debug_assert_eq!(active.lanes(), self.cfg.num_pes);
-        if self.stale.planes != 0 {
+        if self.stale.planes != 0 && self.touches_stale(thread, op) {
             self.settle_op(thread, op, active);
         }
         self.mark_dst(thread, op.dst());
@@ -1038,9 +1029,7 @@ impl PeArray {
     /// Host write of one PE's GPR (writes to register 0 are ignored).
     pub fn set_gpr(&mut self, pe: usize, thread: usize, reg: usize, v: Word) {
         if reg != 0 {
-            if self.stale.planes != 0 {
-                self.settle(thread, PlaneRef::Gpr(reg), false);
-            }
+            self.settle(thread, PlaneRef::Gpr(reg), false);
             let base = self.gpr_base(thread, reg);
             self.gprs[base + pe] = v;
             self.mark_gpr_lane(thread, reg, pe);
@@ -1054,9 +1043,7 @@ impl PeArray {
 
     /// Host write of one PE's flag.
     pub fn set_flag(&mut self, pe: usize, thread: usize, reg: usize, v: bool) {
-        if self.stale.planes != 0 {
-            self.settle(thread, PlaneRef::Flag(reg), false);
-        }
+        self.settle(thread, PlaneRef::Flag(reg), false);
         self.mark_flag_lane(thread, reg, pe);
         let base = self.flag_base(thread, reg);
         let (w, b) = (pe / BITS_PER_WORD, 1u64 << (pe % BITS_PER_WORD));
@@ -1069,16 +1056,21 @@ impl PeArray {
 
     /// Host read of one PE's local memory word.
     pub fn lmem_word(&self, pe: usize, addr: u32) -> Result<Word, PeFault> {
-        Self::check_addr(addr as i64, self.cfg.lmem_words, false)
-            .map(|a| {
-                let stale = self.stale_at(0, PlaneRef::Row(a));
-                if stale {
-                    Word::ZERO
-                } else {
-                    self.lmem[a * self.cfg.num_pes + pe]
-                }
-            })
-            .map_err(|fault| PeFault { pe, fault })
+        self.lmem_row(addr)
+            .map(|row| row[pe])
+            .map_err(|PeFault { fault, .. }| PeFault { pe, fault })
+    }
+
+    /// Local-memory row `addr` of every PE, in place, one word per PE. A
+    /// stale row reads as thread 0's GPR 0, which is hardwired zero.
+    pub fn lmem_row(&self, addr: u32) -> Result<&[Word], PeFault> {
+        let n = self.cfg.num_pes;
+        let a = Self::check_addr(addr as i64, self.cfg.lmem_words, false)
+            .map_err(|fault| PeFault { pe: 0, fault })?;
+        if self.stale_at(0, PlaneRef::Row(a)) {
+            return Ok(&self.gprs[..n]);
+        }
+        Ok(&self.lmem[a * n..(a + 1) * n])
     }
 
     /// Host bulk load into one PE's local memory starting at `base` (data
@@ -1101,14 +1093,10 @@ impl PeArray {
                 },
             });
         }
-        // one test per call once the first call has zeroed the rows: a
+        // a test per row once the first call has zeroed the rows: a
         // preload writes the same rows of every PE in turn
-        let rows = base..end;
-        let stale = &self.stale;
-        if stale.planes != 0
-            && CommitMap::planes_marked(&stale.map.lmem, rows.clone(), stale.map.seg_count)
-        {
-            self.settle_planes(Kind::Row, rows, false);
+        if (base..end).any(|row| self.stale_at(0, PlaneRef::Row(row))) {
+            self.settle_planes(Kind::Row, base..end, false);
         }
         let n = self.cfg.num_pes;
         for (k, &v) in data.iter().enumerate() {
@@ -1126,9 +1114,7 @@ impl PeArray {
         assert_eq!(data.len(), n, "one value per PE");
         let a = Self::check_addr(addr as i64, self.cfg.lmem_words, true)
             .map_err(|fault| PeFault { pe: 0, fault })?;
-        if self.stale.planes != 0 {
-            self.settle(0, PlaneRef::Row(a), true);
-        }
+        self.settle(0, PlaneRef::Row(a), true);
         self.lmem[a * n..(a + 1) * n].copy_from_slice(data);
         self.mark_lmem_row(a);
         Ok(())
@@ -1136,25 +1122,20 @@ impl PeArray {
 
     /// Gather `lmem[addr]` from every PE.
     pub fn gather_column(&self, addr: u32) -> Result<Vec<Word>, PeFault> {
-        let n = self.cfg.num_pes;
-        let a = Self::check_addr(addr as i64, self.cfg.lmem_words, false)
-            .map_err(|fault| PeFault { pe: 0, fault })?;
-        if self.stale_at(0, PlaneRef::Row(a)) {
-            return Ok(vec![Word::ZERO; n]);
-        }
-        Ok(self.lmem[a * n..(a + 1) * n].to_vec())
+        self.lmem_row(addr).map(<[Word]>::to_vec)
     }
 }
 
 impl Drop for PeArray {
     /// Keep the planes as this thread's spare instead of freeing them
-    /// (see [`PeArray::new`]), replacing any spare the thread held, with
-    /// every plane still stale marked in the spare's map. The zeroing
-    /// happens when the next array takes them, at its construction or on
-    /// demand. A thread tearing down its locals frees the planes instead.
+    /// (see [`PeArray::new`]), replacing any spare the thread held, after
+    /// zeroing every plane still stale, which the spare's map does not
+    /// mark. The planes the array wrote are zeroed on demand by the next
+    /// array that takes them. A thread tearing down its locals frees the
+    /// planes instead.
     fn drop(&mut self) {
         if self.stale.planes != 0 {
-            self.fold_stale();
+            self.zero_stale();
         }
         let spare = Spare {
             cfg: self.cfg,
@@ -1498,9 +1479,10 @@ mod tests {
         assert_eq!(a.committed_bytes(), committed + 2 * std::mem::size_of::<u64>());
     }
 
-    /// A plane's segment bits, set, tested and cleared a map word at a
-    /// time, are exactly its own, also where they straddle two map words;
-    /// a range of planes tests the bits of those planes only.
+    /// A plane's segment bits, set a map word at a time, are exactly its
+    /// own, also where they straddle two map words; and the stale record
+    /// built from a map holds each plane with a marked slice, whole or
+    /// partial, and no other.
     #[test]
     fn plane_bits_straddle_map_words() {
         let (planes, marked) = (40, [0, 12, 39]);
@@ -1513,15 +1495,24 @@ mod tests {
                 let set = bits[i / BITS_PER_WORD] >> (i % BITS_PER_WORD) & 1 == 1;
                 assert_eq!(set, marked.contains(&(i / segs)), "{segs} segments, bit {i}");
             }
-            let is_marked = |bits: &[u64], p| CommitMap::planes_marked(bits, p..p + 1, segs);
-            assert!(is_marked(&bits, 12) && !is_marked(&bits, 11) && !is_marked(&bits, 13));
-            for (planes, any) in [(1..12, false), (11..14, true), (13..39, false), (5..5, false)] {
-                let got = CommitMap::planes_marked(&bits, planes.clone(), segs);
-                assert_eq!(got, any, "{segs} segments, planes {planes:?}");
+        }
+        for (num_pes, segments) in [(20_000, 1), (20_000, 0), (1 << 20, 0)] {
+            let cfg = reuse_cfg(num_pes, segments);
+            let segs = cfg.segments.count();
+            let mut map = CommitMap::new(&cfg);
+            CommitMap::mark_plane(&mut map.gpr, 17, segs);
+            CommitMap::mark(&mut map.flag, 3 * segs + segs - 1);
+            CommitMap::mark_all(&mut map.lmem, cfg.lmem_words * segs);
+            let stale = Stale::of(&cfg, map);
+            let label = format!("{num_pes} PEs, {segs} segments");
+            assert_eq!(stale.planes, 2 + cfg.lmem_words, "{label}");
+            for p in 0..cfg.threads * cfg.gprs {
+                assert_eq!(CommitMap::is_marked(&stale.whole.gpr, p), p == 17, "{label}: gpr {p}");
             }
-            assert!(CommitMap::take_plane(&mut bits, 12, segs), "{segs} segments");
-            assert!(!CommitMap::take_plane(&mut bits, 12, segs), "{segs} segments");
-            assert!(!is_marked(&bits, 12) && is_marked(&bits, 0) && is_marked(&bits, 39));
+            for p in 0..cfg.threads * cfg.flags {
+                assert_eq!(CommitMap::is_marked(&stale.whole.flag, p), p == 3, "{label}: flag {p}");
+            }
+            assert!((0..cfg.lmem_words).all(|r| CommitMap::is_marked(&stale.whole.lmem, r)));
         }
     }
 

@@ -55,17 +55,22 @@ pub fn for_each_set(word: u64, base: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// The lowest set bit of the bitset `bits` at or above index `from`, if
-/// any: a trailing-zeros scan that skips 64 clear bits per word.
+/// The lowest set bit of the bitset `bits` in `from..end`, if any: a
+/// trailing-zeros scan that skips 64 clear bits per word. The one walk over
+/// the occupancy summary, and over a commit map's marked planes.
 #[inline]
-fn next_set(bits: &[u64], from: usize) -> Option<usize> {
+pub(crate) fn next_set(bits: &[u64], from: usize, end: usize) -> Option<usize> {
     let mut w = from / BITS_PER_WORD;
     let mut rest = *bits.get(w)? & (u64::MAX << (from % BITS_PER_WORD));
     while rest == 0 {
         w += 1;
+        if w * BITS_PER_WORD >= end {
+            return None;
+        }
         rest = *bits.get(w)?;
     }
-    Some(w * BITS_PER_WORD + rest.trailing_zeros() as usize)
+    let i = w * BITS_PER_WORD + rest.trailing_zeros() as usize;
+    (i < end).then_some(i)
 }
 
 /// The set of PEs participating in a masked instruction, as a packed
@@ -265,9 +270,13 @@ impl ActiveMask {
         &self,
         groups: core::ops::Range<usize>,
     ) -> impl Iterator<Item = (usize, &[u64])> + '_ {
-        let w = groups.start / BITS_PER_WORD;
-        let first = self.occ.get(w).map_or(0, |&o| o & u64::MAX << (groups.start % BITS_PER_WORD));
-        Occupied { words: &self.words, occ: &self.occ, w, bits: first, end: groups.end }
+        let mut from = groups.start;
+        core::iter::from_fn(move || {
+            let g = next_set(&self.occ, from, groups.end)?;
+            from = g + 1;
+            let start = g * OCC_GROUP_WORDS;
+            Some((g, &self.words[start..self.words.len().min(start + OCC_GROUP_WORDS)]))
+        })
     }
 
     /// Is every lane active?
@@ -348,49 +357,11 @@ impl Iterator for ActiveTiles<'_> {
             if self.end >= self.stop {
                 return None;
             }
-            let start = next_set(self.occ, self.end / OCC_GROUP_WORDS)? * OCC_GROUP_WORDS;
-            if start >= self.stop {
-                return None;
-            }
+            let groups = self.stop.div_ceil(OCC_GROUP_WORDS);
+            let start = next_set(self.occ, self.end / OCC_GROUP_WORDS, groups)? * OCC_GROUP_WORDS;
             self.tile = start;
             self.end = self.stop.min(start + OCC_GROUP_WORDS);
         }
-    }
-}
-
-/// Iterator over the occupied groups of an [`ActiveMask`] (see
-/// [`ActiveMask::occupied`]): the set bits of the occupancy summary,
-/// visited by trailing zeros one summary word at a time.
-struct Occupied<'a> {
-    words: &'a [u64],
-    occ: &'a [u64],
-    /// Index of the summary word `bits` came from.
-    w: usize,
-    /// The set bits of summary word `w` not yet visited.
-    bits: u64,
-    /// End of the walk's range of groups.
-    end: usize,
-}
-
-impl<'a> Iterator for Occupied<'a> {
-    type Item = (usize, &'a [u64]);
-
-    #[inline]
-    fn next(&mut self) -> Option<(usize, &'a [u64])> {
-        while self.bits == 0 {
-            self.w += 1;
-            if self.w * BITS_PER_WORD >= self.end {
-                return None;
-            }
-            self.bits = self.occ[self.w];
-        }
-        let g = self.w * BITS_PER_WORD + self.bits.trailing_zeros() as usize;
-        if g >= self.end {
-            return None;
-        }
-        self.bits &= self.bits - 1;
-        let start = g * OCC_GROUP_WORDS;
-        Some((g, &self.words[start..self.words.len().min(start + OCC_GROUP_WORDS)]))
     }
 }
 

@@ -266,15 +266,6 @@ impl LaneOp {
         }
     }
 
-    /// Whether the op writes every active lane of its destination: every
-    /// op but a per-lane `plw`/`psw`, which stops at a fault and whose
-    /// rows vary by lane. Over every lane, such an op overwrites the whole
-    /// plane or row.
-    #[inline]
-    pub(crate) fn writes_every_active_lane(&self) -> bool {
-        !self.can_fault()
-    }
-
     /// What one instruction of this op brings to the worker pool's gate:
     /// its active lanes, flag logic its active flag words, and a per-lane
     /// load or store, which can fault and stops in lane order, nothing.

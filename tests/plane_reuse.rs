@@ -35,7 +35,7 @@ loop:   plw    p1, 0(p0)
 
 /// Sets flag 5 in every PE, then stores through a per-lane base (p6, never
 /// written, so row 3), which marks every local-memory row: the next
-/// machine takes more marked bytes than a spare scrubbed at construction
+/// machine takes more marked bytes than a spare zeroed at construction
 /// may hold, and gets these planes stale.
 const POISON: &str = "
         pfset  pf5
