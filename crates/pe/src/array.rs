@@ -73,8 +73,8 @@
 //!
 //! The planes and rows the spare's commit map marks are *stale*: the map
 //! becomes the new array's stale record. A spare that marks at most
-//! [`EAGER_SCRUB_BYTES`] is zeroed at construction, a memset that also
-//! brings a small machine's planes into cache for its run. The stale
+//! [`EAGER_SCRUB_BYTES`] is zeroed at construction, a memset that costs
+//! a small machine less than zeroing on demand costs its run. The stale
 //! planes of a larger spare are zeroed on demand, or not at all:
 //!
 //! * Every reader returns zeros for a stale plane or row, through `&self`:
@@ -233,12 +233,12 @@ fn zero<T: Copy + Default>(s: &mut [T]) {
 
 /// The marked bytes of a spare up to which [`PeArray::new`] zeroes its
 /// stale planes at construction instead of on demand, half of a 2 MiB
-/// L2. A memset that small streams the planes into cache just before the
-/// run, which costs less than the misses of the run's first touches: on
-/// the 256-PE, 16-thread query fleet (63 KiB marked), zeroing on demand
-/// read 7.5% slower per op (9 of 10 pairs; the p90 10 of 10). Past it,
-/// the planes a run overwrites whole are never zeroed at all (see "Plane
-/// memory" in the module docs).
+/// L2. Below it the memset costs less than zeroing on demand costs the
+/// run, likely because it brings the planes into cache just before the
+/// run: on the 256-PE, 16-thread query fleet (63 KiB marked), zeroing on
+/// demand read 7.5% slower per op (9 of 10 pairs; the p90 10 of 10).
+/// Past it, the planes a run overwrites whole are never zeroed at all
+/// (see "Plane memory" in the module docs).
 pub const EAGER_SCRUB_BYTES: usize = 1 << 20;
 
 /// Which (plane, segment) slices of an array have been written since it
