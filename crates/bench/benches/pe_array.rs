@@ -2,8 +2,9 @@
 //! kernel at 4096 PEs (masked ALU/compare + reductions every step), a
 //! response-count microbench at 2¹⁴ PEs (the associative some/none test
 //! issued back to back), the build-touch-drop cycle of a 2²⁰-PE machine
-//! (plane construction and first-touch writes), and single
-//! lane-local instructions through the ALU and compare span kernels.
+//! (plane construction and first-touch writes), single lane-local
+//! instructions through the ALU and compare span kernels, and the
+//! query fleet's round-robin issue of lane-local ops over 16 threads.
 //! These are the workloads the structure-of-arrays PE array is optimised
 //! for; run them before and after datapath changes.
 
@@ -116,11 +117,55 @@ fn bench_single_sweeps(c: &mut Criterion) {
     }
 }
 
+/// The query fleet's issue pattern on its array (256 PEs, 16 thread
+/// contexts): three lowered ops, a `paddi`, a `pceqs` with its scalar
+/// and a `pxor`, issued round-robin over the 16 threads' planes, one op
+/// per iteration, so consecutive calls never touch the same thread.
+/// Against `paddi_256x16`, which issues one op on one thread, it shows
+/// what `PeArray::run_op` spends setting up a thread's view and its
+/// group window per call.
+fn bench_run_op_rotating(c: &mut Criterion) {
+    let cfg = MachineConfig::new(256);
+    let mut a = PeArray::new(cfg.array());
+    let all = ActiveMask::all(cfg.num_pes);
+    let (w, level, mask) = (cfg.width, a.config().simd, Mask::All);
+    let lower =
+        |i: Instr| LaneOp::lower(&i, w, level, cfg.lmem_words).expect("a lane-local instruction");
+    let p = PReg::from_index;
+    let ops = [
+        lower(Instr::PAluImm { op: AluOp::Add, pd: p(4), pa: p(3), imm: 7, mask }),
+        lower(Instr::PCmpS {
+            op: CmpOp::Eq,
+            fd: PFlag::from_index(1),
+            pa: p(2),
+            sb: SReg::R0,
+            mask,
+        })
+        .with_scalar(Word(7)),
+        lower(Instr::PAlu { op: AluOp::Xor, pd: p(5), pa: p(4), pb: p(2), mask }),
+    ];
+    let threads = cfg.threads;
+    for t in 0..threads {
+        a.run_op(t, &lower(Instr::Pidx { pd: p(2), mask }), &all).unwrap();
+        a.run_op(t, &lower(Instr::Pidx { pd: p(3), mask }), &all).unwrap();
+    }
+    let mut k = 0usize;
+    c.bench_function("pe_array/run_op_256x16_rotating", |b| {
+        b.iter(|| {
+            let (t, op) = (k % threads, &ops[k % ops.len()]);
+            k += 1;
+            a.run_op(t, op, black_box(&all)).expect("no fault")
+        })
+    });
+    black_box(a.gpr_plane(0, 5));
+}
+
 criterion_group!(
     benches,
     bench_sort_4096,
     bench_rcount_16k,
     bench_build_touch_1m,
-    bench_single_sweeps
+    bench_single_sweeps,
+    bench_run_op_rotating
 );
 criterion_main!(benches);

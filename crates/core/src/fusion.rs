@@ -129,6 +129,26 @@ impl std::fmt::Display for CutReason {
 /// `FusionPlan::build` applies, factored out so diagnostics can explain
 /// every boundary the plan introduces.
 pub fn cut_reason(i: &Instr, cfg: &MachineConfig) -> Option<CutReason> {
+    cut_given(i, cfg, || can_fault(i, cfg))
+}
+
+/// Whether lane-local `i` can fault on a machine configured as `cfg`
+/// ([`LaneOp::can_fault`]).
+fn can_fault(i: &Instr, cfg: &MachineConfig) -> bool {
+    // the SIMD tier picks kernels only: it cannot make an op fault
+    let op = LaneOp::lower(i, cfg.width, SimdLevel::Scalar, cfg.lmem_words);
+    op.is_some_and(|op| op.can_fault())
+}
+
+/// [`cut_reason`] with the can-fault answer supplied: `can_fault` is
+/// asked only of a fusible instruction whose units are present, and a
+/// machine answers it from the ops it lowered at load instead of
+/// lowering the instruction again.
+fn cut_given(
+    i: &Instr,
+    cfg: &MachineConfig,
+    can_fault: impl FnOnce() -> bool,
+) -> Option<CutReason> {
     use asc_isa::InstrClass;
     if i.is_fusible() {
         if i.uses_multiplier() && cfg.multiplier == asc_pe::MultiplierKind::None {
@@ -137,9 +157,7 @@ pub fn cut_reason(i: &Instr, cfg: &MachineConfig) -> Option<CutReason> {
         if i.uses_divider() && cfg.divider == asc_pe::DividerConfig::None {
             return Some(CutReason::MissingDivider);
         }
-        // the SIMD tier picks kernels only: it cannot make an op fault
-        let op = LaneOp::lower(i, cfg.width, SimdLevel::Scalar, cfg.lmem_words);
-        return op.is_some_and(|op| op.can_fault()).then_some(CutReason::MayFault);
+        return can_fault().then_some(CutReason::MayFault);
     }
     Some(match i.class() {
         InstrClass::Scalar if i.is_branch() => CutReason::ControlFlow,
@@ -174,7 +192,13 @@ pub struct FusibleRun {
 /// instruction stream, each annotated with the boundary that ends it.
 /// Runs shorter than [`MIN_BLOCK_LEN`] are not blocks and are skipped.
 pub fn fusible_runs(imem: &[Result<Instr, DecodeError>], cfg: &MachineConfig) -> Vec<FusibleRun> {
-    let plan = FusionPlan::build(imem.len(), |pc| imem[pc].as_ref().ok(), cfg);
+    let instr_at = |pc: usize| imem[pc].as_ref().ok();
+    let plan = FusionPlan::build(
+        imem.len(),
+        instr_at,
+        |pc| instr_at(pc).is_some_and(|i| can_fault(i, cfg)),
+        cfg,
+    );
     let mut out = Vec::new();
     let mut pc = 0usize;
     while pc < imem.len() {
@@ -217,7 +241,8 @@ impl FusionPlan {
     /// Scan the decoded instruction stream of `n` words (`instr_at(pc)`
     /// is the instruction at `pc`, `None` where the word does not
     /// decode), and record every fusible run and the static statistics of
-    /// its maximal blocks.
+    /// its maximal blocks. `can_fault(pc)` says whether the lane-local
+    /// instruction at `pc` can fault ([`LaneOp::can_fault`]).
     ///
     /// An instruction that would trap or fault on this machine (`mul`/`div`
     /// with the unit absent, a `plw`/`psw` that can fault) is excluded from
@@ -226,13 +251,15 @@ impl FusionPlan {
     pub(crate) fn build<'a>(
         n: usize,
         instr_at: impl Fn(usize) -> Option<&'a Instr>,
+        can_fault: impl Fn(usize) -> bool,
         cfg: &MachineConfig,
     ) -> FusionPlan {
         let level = cfg.simd_level();
         let mut run_len = vec![0u32; n];
         // Backward scan: run_len[pc] = 1 + run_len[pc + 1] where fusible.
         for pc in (0..n).rev() {
-            let fusible = instr_at(pc).is_some_and(|i| cut_reason(i, cfg).is_none());
+            let cut = |i| cut_given(i, cfg, || can_fault(pc));
+            let fusible = instr_at(pc).is_some_and(|i| cut(i).is_none());
             if fusible {
                 run_len[pc] = 1 + run_len.get(pc + 1).copied().unwrap_or(0);
             }

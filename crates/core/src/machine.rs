@@ -79,6 +79,35 @@ pub enum Step {
     Finished,
 }
 
+/// What one scheduler cycle reports to its caller: the [`Step`] itself
+/// for [`Machine::step`], nothing for the [`Machine::run`] loop, which
+/// reads everything it needs from the machine. So the run loop never
+/// builds a `Step`, whose result otherwise crosses a call boundary
+/// through memory on every simulated cycle.
+trait Outcome: Sized {
+    fn issued(thread: usize) -> Self;
+    fn stalled(reason: StallReason, cycles: u64) -> Self;
+    fn finished() -> Self;
+}
+
+impl Outcome for Step {
+    fn issued(thread: usize) -> Step {
+        Step::Issued { thread }
+    }
+    fn stalled(reason: StallReason, cycles: u64) -> Step {
+        Step::Stalled { reason, cycles }
+    }
+    fn finished() -> Step {
+        Step::Finished
+    }
+}
+
+impl Outcome for () {
+    fn issued(_: usize) {}
+    fn stalled(_: StallReason, _: u64) {}
+    fn finished() {}
+}
+
 /// Why a specific thread could not issue this cycle (internal).
 #[derive(Debug, Clone, Copy)]
 struct Blocked {
@@ -245,10 +274,18 @@ impl Machine {
             let lower = |i| LaneOp::lower(i, c.width, c.simd, c.lmem_words);
             table.instr(pc).and_then(lower).unwrap_or_default()
         }));
-        // (Re)build the fusible-block plan and drop any state from a
+        // (Re)build the fusible-block plan, which reads which ops can
+        // fault from the ops just lowered, and drop any state from a
         // previous program.
+        let ops = &self.lane_ops;
         self.fusion_plan = self.cfg.fusion.then(|| {
-            crate::fusion::FusionPlan::build(table.len(), |pc| table.instr(pc), &self.cfg)
+            let can_fault = |pc: usize| ops[pc].can_fault();
+            crate::fusion::FusionPlan::build(
+                table.len(),
+                |pc| table.instr(pc),
+                can_fault,
+                &self.cfg,
+            )
         });
         self.fusion_dyn = crate::fusion::FusionStats::default();
         self.fused_remaining.iter_mut().for_each(|r| *r = 0);
@@ -503,8 +540,13 @@ impl Machine {
     /// Advance the machine: issue one instruction if any thread is ready,
     /// otherwise consume the (possibly fast-forwarded) stall.
     pub fn step(&mut self) -> Result<Step, RunError> {
+        self.advance()
+    }
+
+    /// One scheduler cycle, reporting it as an `O` (see [`Outcome`]).
+    fn advance<O: Outcome>(&mut self) -> Result<O, RunError> {
         if self.finished() {
-            return Ok(Step::Finished);
+            return Ok(O::finished());
         }
 
         if let FetchModel::Finite { buffer_depth } = self.cfg.fetch {
@@ -542,7 +584,7 @@ impl Machine {
         }
         if let Some(tid) = pick {
             self.ibuf[tid] += 1;
-            self.fetch_rotate = (tid + 1) % n;
+            self.fetch_rotate = if tid + 1 == n { 0 } else { tid + 1 };
         }
     }
 
@@ -562,16 +604,23 @@ impl Machine {
     /// point. Only the scan *order* among ready threads changes — the
     /// scheduler still issues the first ready thread it finds — so every
     /// perturbed run is a legal schedule of the same machine.
+    /// Both wrap-arounds compare rather than divide: `tid` and `base` lie
+    /// below the context count, so each sum lies below twice it.
     fn next_rotate(&mut self, tid: usize) -> usize {
         let n = self.threads.len();
-        let base = (tid + 1) % n;
+        let base = if tid + 1 == n { 0 } else { tid + 1 };
         if self.sched_seed == 0 || n <= 1 {
             return base;
         }
-        (base + self.sched_next() as usize % n) % n
+        let to = base + self.sched_next() as usize % n;
+        if to >= n {
+            to - n
+        } else {
+            to
+        }
     }
 
-    fn step_fine(&mut self) -> Result<Step, RunError> {
+    fn step_fine<O: Outcome>(&mut self) -> Result<O, RunError> {
         let mut first_block: Option<Blocked> = None;
         let mut min_earliest = u64::MAX;
         // scan only the live contexts: a free slot can never issue, and
@@ -584,7 +633,7 @@ impl Machine {
                     drop(scan);
                     self.issue(tid)?;
                     self.rotate = self.next_rotate(tid);
-                    return Ok(Step::Issued { thread: tid });
+                    return Ok(O::issued(tid));
                 }
                 Err(b) => {
                     if b.reason != StallReason::NoThread && first_block.is_none() {
@@ -598,14 +647,14 @@ impl Machine {
         self.consume_stall(first_block, min_earliest)
     }
 
-    fn step_coarse(&mut self, penalty: u64) -> Result<Step, RunError> {
+    fn step_coarse<O: Outcome>(&mut self, penalty: u64) -> Result<O, RunError> {
         // Coarse-grain MT: run the current thread until it would stall
         // longer than the switch penalty, then flush and switch.
         match self.thread_ready(self.current)? {
             Ok(()) => {
                 let tid = self.current;
                 self.issue(tid)?;
-                Ok(Step::Issued { thread: tid })
+                Ok(O::issued(tid))
             }
             Err(b) => {
                 let wait = b.earliest.saturating_sub(self.cycle);
@@ -655,7 +704,7 @@ impl Machine {
                             });
                         }
                         self.cycle += 1;
-                        return Ok(Step::Stalled { reason: StallReason::SwitchPenalty, cycles: 1 });
+                        return Ok(O::stalled(StallReason::SwitchPenalty, 1));
                     }
                 }
                 // no switch possible (or stall short enough): wait in place
@@ -666,18 +715,18 @@ impl Machine {
     }
 
     /// Burn stall cycles (fast-forwarding long waits) and detect deadlock.
-    fn consume_stall(
+    fn consume_stall<O: Outcome>(
         &mut self,
         block: Option<Blocked>,
         min_earliest: u64,
-    ) -> Result<Step, RunError> {
+    ) -> Result<O, RunError> {
         if min_earliest == u64::MAX {
             // Nothing will ever wake by time alone.
             if self.threads.any_live() && !self.threads.any_runnable() {
                 return Err(RunError::Deadlock { cycle: self.cycle });
             }
             // All threads free — finished (handled by caller next step).
-            return Ok(Step::Finished);
+            return Ok(O::finished());
         }
         // the finite fetch model changes buffer state every cycle, so no
         // fast-forwarding there
@@ -698,7 +747,7 @@ impl Machine {
             sink.emit(&TraceEvent::Stall { cycle: self.cycle, reason, cycles: delta });
         }
         self.cycle += delta;
-        Ok(Step::Stalled { reason, cycles: delta })
+        Ok(O::stalled(reason, delta))
     }
 
     /// Can `tid` issue at the current cycle? Returns why not, if it
@@ -979,7 +1028,7 @@ impl Machine {
             if self.cycle >= max_cycles {
                 return Err(RunError::CycleLimit { limit: max_cycles });
             }
-            self.step()?;
+            self.advance::<()>()?;
         }
         // pipeline drain: cycles counted to the last writeback
         self.stats.cycles = self.stats.last_writeback.max(self.cycle) + 1;

@@ -25,12 +25,13 @@
 //! sum) and **structural** models ([`DelayLine`], [`PipelinedUnit`]) that
 //! the cycle-accurate simulator uses to track occupancy and latency.
 //!
-//! Each reduction unit has one functional path. The value reductions
-//! (logic AND/OR, max/min) walk the active mask's tiles
-//! ([`asc_pe::ActiveMask::active_tiles`]) and the sum unit reduces a tree
-//! of 64-lane tiles. The responder units (the counter, the resolver and
-//! the logic unit's any/all) work on packed flag words: each carries a
-//! word-span kernel of the machine's SIMD tier ([`asc_pe::simd`]),
+//! Each reduction unit has one functional path. The logic unit's AND/OR
+//! walks the active mask's tiles ([`asc_pe::ActiveMask::active_tiles`]),
+//! the max/min unit folds a plane span per occupied 4096-lane group with
+//! a span kernel of the machine's SIMD tier, and the sum unit reduces a
+//! tree of 64-lane tiles. The responder units (the counter, the resolver
+//! and the logic unit's any/all) work on packed flag words: each carries
+//! a word-span kernel of the machine's SIMD tier ([`asc_pe::simd`]),
 //! selected once at construction, and calls it once per occupied
 //! 4096-lane group. Every unit skips the groups with no active lane, and
 //! none depends on how the PE array is segmented. A dense value reduction
@@ -177,6 +178,7 @@ pub struct Network {
     counter: ResponseCounter,
     resolver: MultipleResponseResolver,
     logic: LogicUnit,
+    maxmin: MaxMinUnit,
 }
 
 impl Network {
@@ -189,6 +191,7 @@ impl Network {
             counter: ResponseCounter::new(cfg.simd),
             resolver: MultipleResponseResolver::new(cfg.simd),
             logic: LogicUnit::new(cfg.simd),
+            maxmin: MaxMinUnit::new(cfg.simd),
         }
     }
 
@@ -209,7 +212,7 @@ impl Network {
             ReduceOp::Sum => self.sum.reduce(values, active, w),
             ReduceOp::And | ReduceOp::Or => LogicUnit::reduce(op, values, active, w),
             ReduceOp::Max | ReduceOp::Min | ReduceOp::MaxU | ReduceOp::MinU => {
-                MaxMinUnit::reduce(op, values, active, w)
+                self.maxmin.reduce(op, values, active, w)
             }
         }
     }
@@ -308,7 +311,9 @@ mod tests {
     /// gate at 2²⁴ + 70 lanes), and the resolver and any/all never split,
     /// so those run group by group on the calling thread at both sizes. The
     /// larger array holds full-range W8 values, so the sum's tree nodes
-    /// saturate and any change of association would show.
+    /// saturate and any change of association would show. The value
+    /// reductions run at every SIMD tier the host can run, whose sum tile
+    /// and max/min span kernels differ.
     #[test]
     fn units_match_lane_references_at_scale() {
         use asc_isa::FlagReduceOp;
@@ -348,13 +353,20 @@ mod tests {
             }
             let pattern: Vec<bool> = (0..n).map(|i| i * 7 % 5 != 0).collect();
             let net = Network::new(NetworkConfig::new(n, 4));
+            let tiers: Vec<Network> = SimdLevel::available()
+                .into_iter()
+                .map(|level| Network::new(NetworkConfig::new(n, 4).with_simd(level)))
+                .collect();
             for (name, active) in &masks {
                 let lanes: Vec<usize> = (0..n).filter(|&i| active.is_active(i)).collect();
                 let leaves: Vec<Word> = (0..n)
                     .map(|i| if active.is_active(i) { vals[i] } else { Word::ZERO })
                     .collect();
                 let sum = tree_reduce(&leaves, Word::ZERO, |a, b| a.saturating_add_signed(b, w));
-                assert_eq!(net.reduce(ReduceOp::Sum, &vals, active, w), sum, "{n} {name} Sum");
+                for net in &tiers {
+                    let at = format!("{n} {name} {:?}", net.config().simd);
+                    assert_eq!(net.reduce(ReduceOp::Sum, &vals, active, w), sum, "{at} Sum");
+                }
                 for op in [
                     ReduceOp::Max,
                     ReduceOp::Min,
@@ -364,7 +376,10 @@ mod tests {
                     ReduceOp::Or,
                 ] {
                     let want = lanes.iter().fold(op.identity(w), |a, &i| op.combine(a, vals[i], w));
-                    assert_eq!(net.reduce(op, &vals, active, w), want, "{n} {name} {op:?}");
+                    for net in &tiers {
+                        let at = format!("{n} {name} {:?} {op:?}", net.config().simd);
+                        assert_eq!(net.reduce(op, &vals, active, w), want, "{at}");
+                    }
                     if lanes.is_empty() {
                         assert_eq!(want, op.identity(w), "{n} {name} {op:?}");
                     }

@@ -5,21 +5,37 @@
 //! algorithms are implemented here: the tree is the architecture's unit;
 //! [`MaxMinUnit::falkoff_max`] is used by the non-pipelined baseline and as
 //! a cross-check.
+//!
+//! The unit carries the max/min span kernels of the machine's SIMD tier
+//! ([`asc_pe::MaxMinKernel`]), selected once at construction, and calls
+//! one once per occupied 4096-lane group.
 
 use asc_isa::{ReduceOp, Width, Word};
-use asc_pe::ActiveMask;
+use asc_pe::workers::{self, GROUP_LANES};
+use asc_pe::{select_maxmin, ActiveMask, MaxMinKernel, SimdLevel};
 
-/// Functional model of the max/min reduction unit.
-pub struct MaxMinUnit;
+/// Functional model of the max/min reduction unit, carrying the max/min
+/// span kernels of the machine's SIMD tier.
+#[derive(Debug, Clone, Copy)]
+pub struct MaxMinUnit {
+    max: MaxMinKernel,
+    min: MaxMinKernel,
+}
 
 impl MaxMinUnit {
+    /// The unit at a SIMD tier; the kernels are selected here, once.
+    pub fn new(level: SimdLevel) -> MaxMinUnit {
+        MaxMinUnit { max: select_maxmin(level, true), min: select_maxmin(level, false) }
+    }
+
     /// Tree reduction for `Max`/`Min`/`MaxU`/`MinU` over the active set,
-    /// reading the register plane in place (no leaf vector), one
-    /// occupancy group at a time (see the crate docs on splitting).
+    /// reading the register plane in place (no leaf vector), one kernel
+    /// call per occupied occupancy group (see the crate docs on
+    /// splitting).
     ///
     /// # Panics
     /// Panics if `op` is not a max/min operation.
-    pub fn reduce(op: ReduceOp, values: &[Word], active: &ActiveMask, w: Width) -> Word {
+    pub fn reduce(&self, op: ReduceOp, values: &[Word], active: &ActiveMask, w: Width) -> Word {
         debug_assert_eq!(values.len(), active.lanes());
         assert!(
             matches!(op, ReduceOp::Max | ReduceOp::Min | ReduceOp::MaxU | ReduceOp::MinU),
@@ -41,9 +57,22 @@ impl MaxMinUnit {
         let signed = matches!(op, ReduceOp::Max | ReduceOp::Min);
         let maximize = matches!(op, ReduceOp::Max | ReduceOp::MaxU);
         let flip = if signed { 1u32 << (w.bits() - 1) } else { 0 };
-        let join = move |acc: u32, key: u32| if maximize { acc.max(key) } else { acc.min(key) };
         let id = op.identity(w).0 ^ flip;
-        Word(crate::fold_active(values, active, id, |acc, v| join(acc, v.0 ^ flip), join) ^ flip)
+        let kernel = if maximize { self.max } else { self.min };
+        let n = values.len();
+        let keys = workers::fold_groups(
+            active.groups(),
+            workers::mask_work(active),
+            |groups| {
+                let key = active.occupied(groups).fold(id, |acc, (g, masks)| {
+                    let first = g * GROUP_LANES;
+                    kernel(&values[first..n.min(first + GROUP_LANES)], masks, flip, acc)
+                });
+                u64::from(key)
+            },
+            |a, b| if maximize { a.max(b) } else { a.min(b) },
+        );
+        Word(keys as u32 ^ flip)
     }
 
     /// The Falkoff bit-serial maximum: examine one bit per step from the
@@ -91,16 +120,23 @@ mod tests {
         vs.iter().map(|&v| Word::from_i64(v, w)).collect()
     }
 
+    /// The unit at every tier the host can run.
+    fn units() -> Vec<MaxMinUnit> {
+        SimdLevel::available().into_iter().map(MaxMinUnit::new).collect()
+    }
+
     #[test]
     fn signed_vs_unsigned() {
         let w = Width::W8;
         let vals = words(&[-1, 3, 100, -128], w);
         let all = ActiveMask::all(4);
-        assert_eq!(MaxMinUnit::reduce(ReduceOp::Max, &vals, &all, w).to_i64(w), 100);
-        assert_eq!(MaxMinUnit::reduce(ReduceOp::Min, &vals, &all, w).to_i64(w), -128);
-        // unsigned: -1 is 0xff, the largest
-        assert_eq!(MaxMinUnit::reduce(ReduceOp::MaxU, &vals, &all, w).to_u32(), 0xff);
-        assert_eq!(MaxMinUnit::reduce(ReduceOp::MinU, &vals, &all, w).to_u32(), 3);
+        for u in units() {
+            assert_eq!(u.reduce(ReduceOp::Max, &vals, &all, w).to_i64(w), 100);
+            assert_eq!(u.reduce(ReduceOp::Min, &vals, &all, w).to_i64(w), -128);
+            // unsigned: -1 is 0xff, the largest
+            assert_eq!(u.reduce(ReduceOp::MaxU, &vals, &all, w).to_u32(), 0xff);
+            assert_eq!(u.reduce(ReduceOp::MinU, &vals, &all, w).to_u32(), 3);
+        }
     }
 
     #[test]
@@ -108,7 +144,9 @@ mod tests {
         let w = Width::W8;
         let vals = words(&[100, 50, 75], w);
         let act = ActiveMask::from_bools(&[false, true, true]);
-        assert_eq!(MaxMinUnit::reduce(ReduceOp::Max, &vals, &act, w).to_i64(w), 75);
+        for u in units() {
+            assert_eq!(u.reduce(ReduceOp::Max, &vals, &act, w).to_i64(w), 75);
+        }
     }
 
     #[test]
@@ -116,8 +154,47 @@ mod tests {
         let w = Width::W8;
         let vals = words(&[1], w);
         let none = ActiveMask::new(1);
-        assert_eq!(MaxMinUnit::reduce(ReduceOp::Max, &vals, &none, w).to_i64(w), w.smin());
-        assert_eq!(MaxMinUnit::reduce(ReduceOp::Min, &vals, &none, w).to_i64(w), w.smax());
+        for u in units() {
+            assert_eq!(u.reduce(ReduceOp::Max, &vals, &none, w).to_i64(w), w.smin());
+            assert_eq!(u.reduce(ReduceOp::Min, &vals, &none, w).to_i64(w), w.smax());
+        }
+    }
+
+    /// Every op at every tier and width against a lane-by-lane fold of
+    /// `ReduceOp::combine`, over dense, sparse, single-lane and empty masks
+    /// on spans with whole and ragged last tiles across two occupancy
+    /// groups, on values that hit both ends of each width's signed and
+    /// unsigned ranges.
+    #[test]
+    fn every_tier_matches_the_lane_fold() {
+        let ops = [ReduceOp::Max, ReduceOp::Min, ReduceOp::MaxU, ReduceOp::MinU];
+        for n in [1, 63, 64, 65, 200, 4096, 4096 + 64 * 3 + 17] {
+            let masks = [
+                ("dense", ActiveMask::all(n)),
+                ("sparse", ActiveMask::from_bools(&(0..n).map(|i| i % 7 == 3).collect::<Vec<_>>())),
+                ("last", ActiveMask::from_bools(&(0..n).map(|i| i == n - 1).collect::<Vec<_>>())),
+                ("empty", ActiveMask::new(n)),
+            ];
+            for w in Width::ALL {
+                let edge = [w.smin(), w.smax(), -1, 0, w.mask() as i64];
+                let vals: Vec<Word> = (0..n)
+                    .map(|i| match i % 11 {
+                        k @ 0..=4 => Word::from_i64(edge[k], w),
+                        _ => Word::new((i as u32).wrapping_mul(2_654_435_761), w),
+                    })
+                    .collect();
+                for (name, active) in &masks {
+                    for op in ops {
+                        let lanes = (0..n).filter(|&i| active.is_active(i));
+                        let want = lanes.fold(op.identity(w), |a, i| op.combine(a, vals[i], w));
+                        for u in units() {
+                            let got = u.reduce(op, &vals, active, w);
+                            assert_eq!(got, want, "n={n} {w} {name} {op:?} {u:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -133,7 +210,7 @@ mod tests {
 
     proptest! {
         /// Falkoff (bit-serial) and the comparator tree agree on every
-        /// input, for unsigned and signed orderings.
+        /// input, for unsigned and signed orderings, at every tier.
         #[test]
         fn falkoff_equals_tree(
             raw in proptest::collection::vec(0u32..=u32::MAX, 1..40),
@@ -144,13 +221,15 @@ mod tests {
                 let vals: Vec<Word> = raw[..n].iter().map(|&v| Word::new(v, w)).collect();
                 let act = &actives[..n];
                 let mask = ActiveMask::from_bools(act);
-                if act.iter().any(|&a| a) {
-                    let tree_u = MaxMinUnit::reduce(ReduceOp::MaxU, &vals, &mask, w);
-                    prop_assert_eq!(MaxMinUnit::falkoff_max(&vals, act, w), Some(tree_u));
-                    let tree_s = MaxMinUnit::reduce(ReduceOp::Max, &vals, &mask, w);
-                    prop_assert_eq!(MaxMinUnit::falkoff_max_signed(&vals, act, w), Some(tree_s));
-                } else {
-                    prop_assert_eq!(MaxMinUnit::falkoff_max(&vals, act, w), None);
+                for u in units() {
+                    if act.iter().any(|&a| a) {
+                        let tree_u = u.reduce(ReduceOp::MaxU, &vals, &mask, w);
+                        prop_assert_eq!(MaxMinUnit::falkoff_max(&vals, act, w), Some(tree_u));
+                        let tree_s = u.reduce(ReduceOp::Max, &vals, &mask, w);
+                        prop_assert_eq!(MaxMinUnit::falkoff_max_signed(&vals, act, w), Some(tree_s));
+                    } else {
+                        prop_assert_eq!(MaxMinUnit::falkoff_max(&vals, act, w), None);
+                    }
                 }
             }
         }
@@ -165,9 +244,10 @@ mod tests {
             let w = Width::W16;
             let vals: Vec<Word> = raw.iter().map(|&v| Word::new(v, w)).collect();
             let act = ActiveMask::all(vals.len());
-            let tree = MaxMinUnit::reduce(ReduceOp::Max, &vals, &act, w);
             let fold = vals.iter().fold(Word::from_i64(w.smin(), w), |a, &b| a.max_signed(b, w));
-            prop_assert_eq!(tree, fold);
+            for u in units() {
+                prop_assert_eq!(u.reduce(ReduceOp::Max, &vals, &act, w), fold);
+            }
         }
     }
 }

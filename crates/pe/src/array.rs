@@ -71,11 +71,12 @@
 //! page fault per page. A thread holds at most one spare, and keeps it
 //! until its next construction or its exit.
 //!
-//! The planes and rows the spare's commit map marks are *stale*: the map
-//! becomes the new array's stale record. A spare that marks at most
-//! [`EAGER_SCRUB_BYTES`] is zeroed at construction, a memset that costs
-//! a small machine less than zeroing on demand costs its run. The stale
-//! planes of a larger spare are zeroed on demand, or not at all:
+//! A spare that marks at most [`EAGER_SCRUB_BYTES`] is zeroed at
+//! construction, straight from its commit map by the walk `tspawn` uses,
+//! a memset that costs a small machine less than zeroing on demand costs
+//! its run. In a larger spare the planes and rows the map marks are
+//! *stale*: the map becomes the new array's stale record, and the stale
+//! planes are zeroed on demand, or not at all:
 //!
 //! * Every reader returns zeros for a stale plane or row, through `&self`:
 //!   a stale GPR plane or local-memory row reads as the thread's
@@ -93,8 +94,7 @@
 //!   `psw`, and the planes the host setters and `shift` touch.
 //! * A plane still stale when the array drops holds an older array's
 //!   writes, which the spare's map, fresh from this array, does not mark:
-//!   the drop zeroes it, so no plane stays stale past one array. That
-//!   zeroing and the one at construction are the same walk.
+//!   the drop zeroes it, so no plane stays stale past one array.
 //!
 //! While nothing is stale, a lane-local op pays one test for this; while
 //! something is, a bit test per plane it touches, and only a stale plane
@@ -476,6 +476,21 @@ struct Spare {
     committed: CommitMap,
 }
 
+impl Spare {
+    /// Zero and unmark every slice the commit map marks, one walk per
+    /// plane kind (the walk `tspawn` trusts, [`CommitMap::scrub`]).
+    fn scrub(&mut self) {
+        let (c, geo, map) = (self.cfg, self.cfg.segments, &mut self.committed);
+        let (n, segs) = (c.num_pes, map.seg_count);
+        let lanes = |s| geo.seg_lane_range(s);
+        let tiles = |s| geo.seg_tile_range(s);
+        CommitMap::scrub(&mut map.gpr, segs, 0..c.threads * c.gprs, &mut self.gprs, n, lanes);
+        let flag_planes = 0..c.threads * c.flags;
+        CommitMap::scrub(&mut map.flag, segs, flag_planes, &mut self.flags, words_for(n), tiles);
+        CommitMap::scrub(&mut map.lmem, segs, 0..c.lmem_words, &mut self.lmem, n, lanes);
+    }
+}
+
 thread_local! {
     /// This thread's spare plane set: the planes of the last array
     /// dropped on it. Thread-local, so the drop path takes no lock,
@@ -524,24 +539,29 @@ impl PeArray {
         }
     }
 
-    /// Take the spare's planes under `cfg`, with the spare's commit map,
-    /// at the spare's geometry, as the stale record and a fresh commit map;
-    /// zero them here if they mark at most [`EAGER_SCRUB_BYTES`].
-    fn from_spare(cfg: ArrayConfig, spare: Spare) -> PeArray {
-        let marked = spare.committed.bytes(spare.cfg.segments);
-        let mut a = PeArray {
+    /// Take the spare's planes under `cfg` with a fresh commit map. If the
+    /// spare's commit map marks at most [`EAGER_SCRUB_BYTES`], zero what it
+    /// marks here, straight from the map, and keep the emptied map when
+    /// its geometry is `cfg`'s; otherwise the map, at the spare's
+    /// geometry, becomes the stale record.
+    fn from_spare(cfg: ArrayConfig, mut spare: Spare) -> PeArray {
+        let (committed, stale) = if spare.committed.bytes(spare.cfg.segments) <= EAGER_SCRUB_BYTES {
+            spare.scrub();
+            let same = spare.cfg.segments == cfg.segments;
+            let map = if same { spare.committed } else { CommitMap::new(&cfg) };
+            (map, Stale::none(cfg.segments))
+        } else {
+            (CommitMap::new(&cfg), Stale::of(&spare.cfg, spare.committed))
+        };
+        PeArray {
             gprs: spare.gprs,
             flags: spare.flags,
             lmem: spare.lmem,
             scratch: spare.scratch,
-            committed: CommitMap::new(&cfg),
-            stale: Stale::of(&spare.cfg, spare.committed),
+            committed,
+            stale,
             cfg,
-        };
-        if marked <= EAGER_SCRUB_BYTES {
-            a.zero_stale();
         }
-        a
     }
 
     /// Array geometry.

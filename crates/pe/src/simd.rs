@@ -43,6 +43,16 @@
 //! costs). The callers hand them one 4096-lane occupancy group (64 words)
 //! per call.
 //!
+//! One more span primitive serves the max/min unit: the fold of a plane
+//! span's active lanes by the unsigned maximum or minimum of each lane's
+//! key, its word with the sign bit flipped for the signed ops
+//! ([`MaxMinKernel`]). The baseline target has no 32-bit vector max or
+//! min, so the scalar tier folds a lane at a time; the vector tiers fold
+//! a full tile as unrolled `vpmaxud`/`vpminud` operations into per-chunk
+//! accumulators, AVX-512 under the mask word's 16-bit slices and AVX2
+//! with the inactive lanes blended to the fold's identity. It is called
+//! once per occupied group, like the word-span kernels.
+//!
 //! The tier is resolved **once per machine construction** by
 //! [`SimdLevel::detect`] (hardware probe + the `MTASC_NO_SIMD` escape
 //! hatch) and carried in [`crate::ArrayConfig`] (and in the reduction
@@ -211,6 +221,13 @@ pub type PopcountKernel = fn(flags: &[u64], masks: &[u64]) -> u64;
 /// first responder; `u64::MAX` finds the first masked lane whose flag is
 /// clear (the "all" test fails there).
 pub type FirstSetKernel = fn(flags: &[u64], masks: &[u64], invert: u64) -> Option<usize>;
+
+/// Max/min span primitive: `acc` folded with the key `v ^ flip` of every
+/// lane `v` of `values` set in `masks`, one word per 64-lane tile, by the
+/// unsigned maximum (`max` kernels) or minimum. Flipping the sign bit maps
+/// signed order onto unsigned order, so `flip` is the sign bit of the
+/// width for the signed ops and 0 for the unsigned ones.
+pub type MaxMinKernel = fn(values: &[Word], masks: &[u64], flip: u32, acc: u32) -> u32;
 
 /// Ops the vector tiers fall through to the scalar loop for.
 const fn scalar_only(op_code: u8) -> bool {
@@ -557,6 +574,24 @@ fn first_set_body(flags: &[u64], masks: &[u64], invert: u64) -> Option<usize> {
     first(steps, &flags[steps..], &masks[steps..])
 }
 
+/// The max/min span body (see [`MaxMinKernel`]): the scalar tier, and the
+/// vector tiers' ragged last tile. A dense tile folds its lanes in order,
+/// any other tile its set bits.
+fn maxmin_body<const MAX: bool>(values: &[Word], masks: &[u64], flip: u32, acc: u32) -> u32 {
+    check_span(values.len(), masks);
+    let join = |acc: u32, v: Word| if MAX { acc.max(v.0 ^ flip) } else { acc.min(v.0 ^ flip) };
+    let mut acc = acc;
+    for (t, &mw) in masks.iter().enumerate() {
+        let lanes = &values[tile_lanes(t, values.len())];
+        if mw == u64::MAX {
+            acc = lanes.iter().fold(acc, |acc, &v| join(acc, v));
+        } else {
+            for_each_set(mw, 0, |i| acc = join(acc, lanes[i]));
+        }
+    }
+    acc
+}
+
 /// Monomorphize `$f` over every [`AluOp`] code.
 macro_rules! alu_table {
     ($op:expr, $f:ident) => {{
@@ -668,6 +703,25 @@ pub fn select_popcount(level: SimdLevel) -> PopcountKernel {
     }
     let _ = level;
     popcount_body
+}
+
+/// The max/min span kernel for a tier: the maximum if `max`, else the
+/// minimum.
+pub fn select_maxmin(level: SimdLevel, max: bool) -> MaxMinKernel {
+    #[cfg(all(target_arch = "x86_64", not(mtasc_force_scalar)))]
+    match (level, max) {
+        (SimdLevel::Avx2, true) => return x86::maxmin_avx2::<true>,
+        (SimdLevel::Avx2, false) => return x86::maxmin_avx2::<false>,
+        (SimdLevel::Avx512, true) => return x86::maxmin_avx512::<true>,
+        (SimdLevel::Avx512, false) => return x86::maxmin_avx512::<false>,
+        (SimdLevel::Scalar, _) => {}
+    }
+    let _ = level;
+    if max {
+        maxmin_body::<true>
+    } else {
+        maxmin_body::<false>
+    }
 }
 
 /// The first-set scan kernel for a tier.
@@ -1362,6 +1416,88 @@ mod x86 {
         }
     }
 
+    // ------------------------------------------------------- max/min
+
+    /// AVX2 max/min span: each full tile as eight 8-lane folds into eight
+    /// accumulators, a sparse tile's inactive lanes blended to the fold's
+    /// identity; the ragged last tile runs the scalar body.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn maxmin_span256<const MAX: bool>(
+        values: &[Word],
+        masks: &[u64],
+        flip: u32,
+        acc: u32,
+    ) -> u32 {
+        check_span(values.len(), masks);
+        let whole = values.len() / TILE_LANES;
+        let (p, key) = (lanes_ptr(values), _mm256_set1_epi32(flip as i32));
+        let id = _mm256_set1_epi32(if MAX { 0 } else { -1 });
+        let mut v = [id; 8];
+        for (t, &mw) in masks[..whole].iter().enumerate().filter(|&(_, &mw)| mw != 0) {
+            for (g, vg) in v.iter_mut().enumerate() {
+                // SAFETY: lanes 64t + 8g.. lie in a full tile of `values`
+                let lanes = unsafe { _mm256_loadu_si256(p.add(t * 64 + g * 8) as *const __m256i) };
+                let mut x = _mm256_xor_si256(lanes, key);
+                if mw != u64::MAX {
+                    // SAFETY: the caller guarantees AVX2
+                    x = unsafe { blend256(id, x, (mw >> (g * 8)) as u32 & 0xff) };
+                }
+                *vg = if MAX { _mm256_max_epu32(*vg, x) } else { _mm256_min_epu32(*vg, x) };
+            }
+        }
+        let mut all = v[0];
+        for &vg in &v[1..] {
+            all = if MAX { _mm256_max_epu32(all, vg) } else { _mm256_min_epu32(all, vg) };
+        }
+        let mut lanes = [0u32; 8];
+        // SAFETY: `lanes` holds the eight 32-bit lanes the store writes
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, all) };
+        let acc = lanes.iter().fold(acc, |a, &k| if MAX { a.max(k) } else { a.min(k) });
+        maxmin_body::<MAX>(&values[whole * TILE_LANES..], &masks[whole..], flip, acc)
+    }
+
+    /// AVX-512 max/min span: each full tile as four 16-lane folds into
+    /// four accumulators, each under its 16 bits of the mask word; the
+    /// ragged last tile runs the scalar body.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn maxmin_span512<const MAX: bool>(
+        values: &[Word],
+        masks: &[u64],
+        flip: u32,
+        acc: u32,
+    ) -> u32 {
+        check_span(values.len(), masks);
+        let whole = values.len() / TILE_LANES;
+        let (p, key) = (lanes_ptr(values), _mm512_set1_epi32(flip as i32));
+        let mut v = [_mm512_set1_epi32(if MAX { 0 } else { -1 }); 4];
+        for (t, &mw) in masks[..whole].iter().enumerate().filter(|&(_, &mw)| mw != 0) {
+            for (q, vq) in v.iter_mut().enumerate() {
+                // SAFETY: lanes 64t + 16q.. lie in a full tile of `values`
+                let lanes = unsafe { _mm512_loadu_epi32(p.add(t * 64 + q * 16)) };
+                let (x, k) = (_mm512_xor_si512(lanes, key), (mw >> (q * 16)) as u16);
+                *vq = if MAX {
+                    _mm512_mask_max_epu32(*vq, k, *vq, x)
+                } else {
+                    _mm512_mask_min_epu32(*vq, k, *vq, x)
+                };
+            }
+        }
+        let folded = if MAX {
+            let all = _mm512_max_epu32(_mm512_max_epu32(v[0], v[1]), _mm512_max_epu32(v[2], v[3]));
+            acc.max(_mm512_reduce_max_epu32(all))
+        } else {
+            let all = _mm512_min_epu32(_mm512_min_epu32(v[0], v[1]), _mm512_min_epu32(v[2], v[3]));
+            acc.min(_mm512_reduce_min_epu32(all))
+        };
+        maxmin_body::<MAX>(&values[whole * TILE_LANES..], &masks[whole..], flip, folded)
+    }
+
     // --------------------------------------------- safe kernel entries
     //
     // SAFETY (all of these): the selectors hand out AVX2/AVX-512 entries
@@ -1465,6 +1601,24 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     unsafe fn first_set_avx2_impl(flags: &[u64], masks: &[u64], invert: u64) -> Option<usize> {
         first_set_body(flags, masks, invert)
+    }
+
+    pub(super) fn maxmin_avx2<const MAX: bool>(
+        values: &[Word],
+        masks: &[u64],
+        flip: u32,
+        acc: u32,
+    ) -> u32 {
+        unsafe { maxmin_span256::<MAX>(values, masks, flip, acc) }
+    }
+
+    pub(super) fn maxmin_avx512<const MAX: bool>(
+        values: &[Word],
+        masks: &[u64],
+        flip: u32,
+        acc: u32,
+    ) -> u32 {
+        unsafe { maxmin_span512::<MAX>(values, masks, flip, acc) }
     }
 
     pub(super) fn popcount_avx2(flags: &[u64], masks: &[u64]) -> u64 {
@@ -1794,6 +1948,45 @@ mod tests {
                                 want,
                                 "first ^{invert:x} {at}"
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The max/min kernels at every tier against a lane-by-lane fold, for
+    /// both folds, at every width with and without the sign flip, from an
+    /// identity and from a carried accumulator, over the kernel spans and
+    /// their dense and mixed masks (zero words, lone edge lanes and ragged
+    /// last tiles among them).
+    #[test]
+    fn maxmin_kernels_match_a_lane_fold() {
+        for level in SimdLevel::available() {
+            for max in [true, false] {
+                let kernel = select_maxmin(level, max);
+                for w in Width::ALL {
+                    for n in SPANS {
+                        let values = sample_plane(w, 7, n);
+                        for masks in span_masks(n) {
+                            for flip in [0, 1u32 << (w.bits() - 1)] {
+                                let id = if max { 0 } else { u32::MAX };
+                                for acc in [id, 1 << (w.bits() - 2)] {
+                                    let keys = (0..n)
+                                        .filter(|&i| active(&masks, i))
+                                        .map(|i| values[i].0 ^ flip);
+                                    let want =
+                                        keys.fold(
+                                            acc,
+                                            |a, k| if max { a.max(k) } else { a.min(k) },
+                                        );
+                                    assert_eq!(
+                                        kernel(&values, &masks, flip, acc),
+                                        want,
+                                        "{level:?} max={max} {w} n={n} flip={flip:x} acc={acc:x}"
+                                    );
+                                }
+                            }
                         }
                     }
                 }

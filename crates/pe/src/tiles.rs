@@ -25,7 +25,11 @@
 //!
 //! * [`ThreadTiles`] — a safe view borrowing one thread's GPR and flag
 //!   regions (plus local memory, which is shared hardware but lane-local
-//!   per PE). Constructed by `PeArray::thread_tiles`.
+//!   per PE). Constructed by `PeArray::thread_tiles`, once per executor
+//!   call; it holds the view's raw parts (the three buffers' base
+//!   pointers and the plane counts), and the two layers below borrow
+//!   them instead of copying them, so making a group or a window writes
+//!   only its tile range.
 //! * [`GroupTiles`] — the tiles of a range of 4096-lane occupancy groups,
 //!   handed to a sweep's group body by [`ThreadTiles::sweep`]. A sweep
 //!   large enough to pass the worker pool's gate (see [`crate::workers`])
@@ -129,7 +133,7 @@ impl<'a> ThreadTiles<'a> {
             tiles.start < tiles.end && tiles.end <= self.num_tiles(),
             "tiles {tiles:?} out of range"
         );
-        self.raw().window(tiles)
+        self.raw.window(tiles)
     }
 
     /// Every occupancy group of the view, to window one at a time. It
@@ -138,7 +142,7 @@ impl<'a> ThreadTiles<'a> {
     #[inline(always)]
     pub(crate) fn groups(&mut self) -> GroupTiles<'_> {
         let tiles = 0..self.num_tiles();
-        GroupTiles { raw: self.raw(), tiles }
+        GroupTiles { raw: &self.raw, tiles }
     }
 
     /// Run `body` over the 4096-lane occupancy groups of the view, each
@@ -168,17 +172,11 @@ impl<'a> ThreadTiles<'a> {
     #[inline(never)]
     fn split_groups(&mut self, lane_ops: usize, body: &(dyn Fn(&mut GroupTiles<'_>) + Sync)) {
         let tiles = self.num_tiles();
-        let shared = Shared(self.raw());
+        let shared = Shared(&self.raw);
         workers::for_each_group(tiles.div_ceil(OCC_GROUP_WORDS), lane_ops, |groups| {
             let span = groups.start * OCC_GROUP_WORDS..tiles.min(groups.end * OCC_GROUP_WORDS);
             body(&mut GroupTiles { raw: shared.get(), tiles: span });
         });
-    }
-
-    /// The view's raw parts, borrowed for as long as `self` is.
-    #[inline]
-    fn raw(&mut self) -> RawTiles<'_> {
-        self.raw
     }
 }
 
@@ -186,7 +184,7 @@ impl<'a> ThreadTiles<'a> {
 /// one call of a sweep's group body sees them (see [`ThreadTiles::sweep`]).
 #[derive(Debug)]
 pub(crate) struct GroupTiles<'a> {
-    raw: RawTiles<'a>,
+    raw: &'a RawTiles<'a>,
     tiles: Range<usize>,
 }
 
@@ -214,9 +212,9 @@ impl GroupTiles<'_> {
     }
 }
 
-/// The raw parts of a [`ThreadTiles`] view, shared by the participants of
-/// one split sweep ([`ThreadTiles::sweep`]).
-struct Shared<'a>(RawTiles<'a>);
+/// The raw parts of a [`ThreadTiles`] view, borrowed by the participants
+/// of one split sweep ([`ThreadTiles::sweep`]).
+struct Shared<'a>(&'a RawTiles<'a>);
 
 // SAFETY: a participant derives from the raw parts only the `GroupTiles`
 // of the groups it was handed, which windows only those groups' tiles.
@@ -231,14 +229,15 @@ unsafe impl Sync for Shared<'_> {}
 
 impl<'a> Shared<'a> {
     #[inline]
-    fn get(&self) -> RawTiles<'a> {
+    fn get(&self) -> &'a RawTiles<'a> {
         self.0
     }
 }
 
-/// The raw parts of a [`ThreadTiles`] borrow that a [`TileWindow`]
-/// addresses its tiles through.
-#[derive(Debug, Clone, Copy)]
+/// The raw parts of a [`ThreadTiles`] borrow that every [`GroupTiles`]
+/// and [`TileWindow`] of the view borrows in turn and addresses its
+/// tiles through.
+#[derive(Debug)]
 struct RawTiles<'a> {
     gprs: *mut Word,
     flags: *mut u64,
@@ -262,7 +261,7 @@ impl<'a> RawTiles<'a> {
 
     /// The window over `tiles`, which must be a non-empty range of tiles.
     #[inline]
-    fn window(self, tiles: Range<usize>) -> TileWindow<'a> {
+    fn window(&'a self, tiles: Range<usize>) -> TileWindow<'a> {
         let base = tiles.start * TILE_LANES;
         let lanes = self.num_pes.min(tiles.end * TILE_LANES) - base;
         TileWindow { raw: self, tiles, base, lanes }
@@ -319,7 +318,7 @@ pub(crate) enum Plane {
 /// group.
 #[derive(Debug)]
 pub(crate) struct TileWindow<'a> {
-    raw: RawTiles<'a>,
+    raw: &'a RawTiles<'a>,
     tiles: Range<usize>,
     base: usize,
     lanes: usize,
