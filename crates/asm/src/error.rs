@@ -114,18 +114,26 @@ pub fn render_errors_with_source(src: &str, errors: &[AsmError]) -> String {
 }
 
 /// A three-line source excerpt with a caret run under the span starting
-/// at 1-based byte column `col` (length `len` bytes, rendered as at least
-/// one caret; `col == 0` points at the start of the line). Tabs in the
-/// source line are preserved in the caret line's padding so the carets
-/// stay aligned under any tab width.
+/// at 1-based byte column `col` (length `len` bytes; `col == 0` points at
+/// the start of the line). The caret line counts characters, not bytes:
+/// one pad character per character before the span, and one caret per
+/// character of it (at least one). Tabs in the source line are preserved
+/// in the caret line's padding so the carets stay aligned under any tab
+/// width.
 pub fn source_excerpt(line_text: &str, line_no: u32, col: u32, len: u32) -> String {
     let num = line_no.to_string();
     let gutter = " ".repeat(num.len());
-    let pad: String = line_text
-        .bytes()
-        .take(col.saturating_sub(1) as usize)
-        .map(|b| if b == b'\t' { '\t' } else { ' ' })
+    let bytes = line_text.as_bytes();
+    let start = col.saturating_sub(1) as usize;
+    // a UTF-8 continuation byte belongs to the character before it
+    let continues = |b: &&u8| **b & 0xC0 == 0x80;
+    let pad: String = bytes
+        .iter()
+        .take(start)
+        .filter(|b| !continues(b))
+        .map(|&b| if b == b'\t' { '\t' } else { ' ' })
         .collect();
-    let carets = "^".repeat(len.max(1) as usize);
+    let continued = bytes.iter().skip(start).take(len as usize).filter(continues).count();
+    let carets = "^".repeat((len as usize - continued).max(1));
     format!("{gutter} |\n{num} | {line_text}\n{gutter} | {pad}{carets}\n")
 }

@@ -1,109 +1,94 @@
-//! Hand-written lexer. Newlines are significant (one statement per line);
-//! comments (`;`, `#`, `//` to end of line) are skipped.
+//! Hand-written lexer over one source line (one statement per line);
+//! comments (`;`, `#`, `//` to end of line) are skipped. Tokens borrow
+//! their text from the line, so lexing allocates nothing unless it finds
+//! an error or an integer literal with `_` separators.
 
 use crate::error::{AsmError, AsmErrorKind};
 use crate::token::{Spanned, Tok};
 
-/// Tokenize assembler source. On success returns the token stream with a
-/// trailing `Newline`; on failure returns every lexical error found.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, Vec<AsmError>> {
-    let mut toks = Vec::new();
-    let mut errors = Vec::new();
-    for (lineno, line) in src.lines().enumerate() {
-        let line_no = lineno as u32 + 1;
-        lex_line(line, line_no, &mut toks, &mut errors);
-        toks.push(Spanned { tok: Tok::Newline, line: line_no, col: line.len() as u32 + 1, len: 0 });
+/// The tokens of one source line, in order, each either a token or the
+/// lexical error found in its place.
+pub struct Lexer<'a> {
+    line: &'a str,
+    line_no: u32,
+    /// Byte offset of the next unread character (always a char boundary).
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// Lex `line`, which is line `line_no` (1-based) of its source.
+    pub fn new(line: &'a str, line_no: u32) -> Self {
+        Lexer { line, line_no, pos: 0 }
     }
-    if errors.is_empty() {
-        Ok(toks)
-    } else {
-        Err(errors)
+
+    fn error(&self, start: usize, end: usize, kind: AsmErrorKind) -> AsmError {
+        AsmError { line: self.line_no, col: start as u32 + 1, len: (end - start) as u32, kind }
     }
 }
 
-fn lex_line(line: &str, line_no: u32, toks: &mut Vec<Spanned>, errors: &mut Vec<AsmError>) {
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    // `start..end` is the token's byte range within the line; columns are
-    // 1-based.
-    let push = |toks: &mut Vec<Spanned>, tok: Tok, start: usize, end: usize| {
-        toks.push(Spanned { tok, line: line_no, col: start as u32 + 1, len: (end - start) as u32 })
-    };
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\r' => i += 1,
-            ';' | '#' => return,
-            '/' if bytes.get(i + 1) == Some(&b'/') => return,
-            ',' => {
-                push(toks, Tok::Comma, i, i + 1);
-                i += 1;
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Spanned<'a>, AsmError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let bytes = self.line.as_bytes();
+        let start = loop {
+            match *bytes.get(self.pos)? {
+                b' ' | b'\t' | b'\r' => self.pos += 1,
+                b';' | b'#' => return None,
+                b'/' if bytes.get(self.pos + 1) == Some(&b'/') => return None,
+                _ => break self.pos,
             }
-            ':' => {
-                push(toks, Tok::Colon, i, i + 1);
-                i += 1;
+        };
+        // `start..end` is the token's byte range within the line; columns
+        // are 1-based.
+        let (tok, end) = match bytes[start] {
+            b',' => (Tok::Comma, start + 1),
+            b':' => (Tok::Colon, start + 1),
+            b'(' => (Tok::LParen, start + 1),
+            b')' => (Tok::RParen, start + 1),
+            b'?' => (Tok::Question, start + 1),
+            b'.' => {
+                let end = ident_end(bytes, start + 1);
+                (Tok::Directive(&self.line[start..end]), end)
             }
-            '(' => {
-                push(toks, Tok::LParen, i, i + 1);
-                i += 1;
-            }
-            ')' => {
-                push(toks, Tok::RParen, i, i + 1);
-                i += 1;
-            }
-            '?' => {
-                push(toks, Tok::Question, i, i + 1);
-                i += 1;
-            }
-            '.' => {
-                let start = i;
-                i += 1;
-                while i < bytes.len() && is_ident_char(bytes[i] as char) {
-                    i += 1;
-                }
-                push(toks, Tok::Directive(line[start..i].to_ascii_lowercase()), start, i);
-            }
-            '-' | '0'..='9' => {
-                let start = i;
-                if c == '-' {
-                    i += 1;
-                }
-                while i < bytes.len() && is_ident_char(bytes[i] as char) {
-                    i += 1;
-                }
-                let text = &line[start..i];
-                match parse_int(text) {
-                    Some(v) => push(toks, Tok::Int(v), start, i),
-                    None => errors.push(AsmError {
-                        line: line_no,
+            b'-' | b'0'..=b'9' => {
+                let end = ident_end(bytes, start + 1);
+                let text = &self.line[start..end];
+                self.pos = end;
+                return Some(match parse_int(text) {
+                    Some(v) => Ok(Spanned {
+                        tok: Tok::Int(v),
                         col: start as u32 + 1,
-                        len: (i - start) as u32,
-                        kind: AsmErrorKind::BadInt(text.to_string()),
+                        len: (end - start) as u32,
                     }),
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() && is_ident_char(bytes[i] as char) {
-                    i += 1;
-                }
-                push(toks, Tok::Ident(line[start..i].to_string()), start, i);
-            }
-            other => {
-                errors.push(AsmError {
-                    line: line_no,
-                    col: i as u32 + 1,
-                    len: other.len_utf8() as u32,
-                    kind: AsmErrorKind::BadChar(other),
+                    None => Err(self.error(start, end, AsmErrorKind::BadInt(text.to_string()))),
                 });
-                i += other.len_utf8();
             }
-        }
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let end = ident_end(bytes, start + 1);
+                (Tok::Ident(&self.line[start..end]), end)
+            }
+            _ => {
+                // one error for the whole character, however many bytes
+                // it takes
+                let c = self.line[start..].chars().next().expect("lexing stops on char boundaries");
+                let end = start + c.len_utf8();
+                self.pos = end;
+                return Some(Err(self.error(start, end, AsmErrorKind::BadChar(c))));
+            }
+        };
+        self.pos = end;
+        Some(Ok(Spanned { tok, col: start as u32 + 1, len: (end - start) as u32 }))
     }
 }
 
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
+/// End of the run of identifier characters (ASCII alphanumerics and `_`)
+/// starting at `i`.
+fn ident_end(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+        i += 1;
+    }
+    i
 }
 
 fn parse_int(text: &str) -> Option<i64> {
@@ -111,12 +96,18 @@ fn parse_int(text: &str) -> Option<i64> {
         Some(rest) => (true, rest),
         None => (false, text),
     };
-    let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        i64::from_str_radix(&hex.replace('_', ""), 16).ok()?
-    } else if let Some(bin) = body.strip_prefix("0b").or_else(|| body.strip_prefix("0B")) {
-        i64::from_str_radix(&bin.replace('_', ""), 2).ok()?
+    let (digits, radix) =
+        if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+            (hex, 16)
+        } else if let Some(bin) = body.strip_prefix("0b").or_else(|| body.strip_prefix("0B")) {
+            (bin, 2)
+        } else {
+            (body, 10)
+        };
+    let v = if digits.contains('_') {
+        i64::from_str_radix(&digits.replace('_', ""), radix).ok()?
     } else {
-        body.replace('_', "").parse::<i64>().ok()?
+        i64::from_str_radix(digits, radix).ok()?
     };
     Some(if neg { -v } else { v })
 }
@@ -125,8 +116,12 @@ fn parse_int(text: &str) -> Option<i64> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|s| s.tok).collect()
+    fn toks(line: &str) -> Vec<Tok<'_>> {
+        Lexer::new(line, 1).map(|t| t.unwrap().tok).collect()
+    }
+
+    fn errors(line: &str) -> Vec<AsmError> {
+        Lexer::new(line, 2).filter_map(Result::err).collect()
     }
 
     #[test]
@@ -134,13 +129,12 @@ mod tests {
         assert_eq!(
             toks("add s1, s2, s3"),
             vec![
-                Tok::Ident("add".into()),
-                Tok::Ident("s1".into()),
+                Tok::Ident("add"),
+                Tok::Ident("s1"),
                 Tok::Comma,
-                Tok::Ident("s2".into()),
+                Tok::Ident("s2"),
                 Tok::Comma,
-                Tok::Ident("s3".into()),
-                Tok::Newline,
+                Tok::Ident("s3"),
             ]
         );
     }
@@ -148,46 +142,32 @@ mod tests {
     #[test]
     fn comments_and_labels() {
         assert_eq!(
-            toks("loop: j loop ; forever\n# whole-line comment\n// also"),
-            vec![
-                Tok::Ident("loop".into()),
-                Tok::Colon,
-                Tok::Ident("j".into()),
-                Tok::Ident("loop".into()),
-                Tok::Newline,
-                Tok::Newline,
-                Tok::Newline,
-            ]
+            toks("loop: j loop ; forever"),
+            [Tok::Ident("loop"), Tok::Colon, Tok::Ident("j"), Tok::Ident("loop")]
         );
+        assert_eq!(toks("# whole-line comment"), []);
+        assert_eq!(toks("  // also"), []);
     }
 
     #[test]
     fn integers() {
-        assert_eq!(
-            toks("li s1, -42\nli s1, 0xff\nli s1, 0b1010\nli s1, 1_000"),
-            vec![
-                Tok::Ident("li".into()),
-                Tok::Ident("s1".into()),
-                Tok::Comma,
-                Tok::Int(-42),
-                Tok::Newline,
-                Tok::Ident("li".into()),
-                Tok::Ident("s1".into()),
-                Tok::Comma,
-                Tok::Int(255),
-                Tok::Newline,
-                Tok::Ident("li".into()),
-                Tok::Ident("s1".into()),
-                Tok::Comma,
-                Tok::Int(10),
-                Tok::Newline,
-                Tok::Ident("li".into()),
-                Tok::Ident("s1".into()),
-                Tok::Comma,
-                Tok::Int(1000),
-                Tok::Newline,
-            ]
-        );
+        for (text, v) in [
+            ("-42", -42),
+            ("0xff", 255),
+            ("0XFF", 255),
+            ("0b1010", 10),
+            ("1_000", 1000),
+            ("-0x10", -16),
+        ] {
+            assert_eq!(toks(text), [Tok::Int(v)], "{text}");
+        }
+    }
+
+    #[test]
+    fn spans_are_byte_columns() {
+        let spans: Vec<(u32, u32)> =
+            Lexer::new("\tli  s1, -42", 1).map(|t| t.unwrap()).map(|t| (t.col, t.len)).collect();
+        assert_eq!(spans, [(2, 2), (6, 2), (8, 1), (10, 3)]);
     }
 
     #[test]
@@ -195,16 +175,15 @@ mod tests {
         assert_eq!(
             toks("plw p1, 4(p2) ?pf3"),
             vec![
-                Tok::Ident("plw".into()),
-                Tok::Ident("p1".into()),
+                Tok::Ident("plw"),
+                Tok::Ident("p1"),
                 Tok::Comma,
                 Tok::Int(4),
                 Tok::LParen,
-                Tok::Ident("p2".into()),
+                Tok::Ident("p2"),
                 Tok::RParen,
                 Tok::Question,
-                Tok::Ident("pf3".into()),
-                Tok::Newline,
+                Tok::Ident("pf3"),
             ]
         );
     }
@@ -212,28 +191,38 @@ mod tests {
     #[test]
     fn directive() {
         assert_eq!(
-            toks(".equ N, 16"),
-            vec![
-                Tok::Directive(".equ".into()),
-                Tok::Ident("N".into()),
-                Tok::Comma,
-                Tok::Int(16),
-                Tok::Newline,
-            ]
+            toks(".EQU N, 16"),
+            [Tok::Directive(".EQU"), Tok::Ident("N"), Tok::Comma, Tok::Int(16)]
         );
+        assert_eq!(Tok::Directive(".EQU").to_string(), "`.equ`");
     }
 
     #[test]
     fn bad_char_reported_with_line() {
-        let errs = lex("nop\nadd s1, s2, @").unwrap_err();
+        let errs = errors("add s1, s2, @");
         assert_eq!(errs.len(), 1);
-        assert_eq!(errs[0].line, 2);
+        assert_eq!((errs[0].line, errs[0].col, errs[0].len), (2, 13, 1));
         assert!(matches!(errs[0].kind, AsmErrorKind::BadChar('@')));
     }
 
     #[test]
     fn bad_int_reported() {
-        let errs = lex("li s1, 0xzz").unwrap_err();
+        let errs = errors("li s1, 0xzz");
         assert!(matches!(errs[0].kind, AsmErrorKind::BadInt(_)));
+    }
+
+    #[test]
+    fn non_ascii_character_is_one_error() {
+        // '€' is three bytes, '𝄞' four: each is one error spanning its
+        // bytes, and lexing resumes after it
+        let errs = errors("add s1, s2, €");
+        assert_eq!(errs.len(), 1);
+        assert_eq!((errs[0].col, errs[0].len, &errs[0].kind), (13, 3, &AsmErrorKind::BadChar('€')));
+        let errs = errors("𝄞: nop");
+        assert_eq!(errs.len(), 1);
+        assert_eq!((errs[0].col, errs[0].len, &errs[0].kind), (1, 4, &AsmErrorKind::BadChar('𝄞')));
+        let after: Vec<Tok<'_>> =
+            Lexer::new("𝄞: nop", 1).filter_map(Result::ok).map(|t| t.tok).collect();
+        assert_eq!(after, [Tok::Colon, Tok::Ident("nop")]);
     }
 }

@@ -1,49 +1,82 @@
 //! Two-pass parser: pass 1 collects labels and `.equ` constants, pass 2
 //! parses instructions with the complete symbol table in scope, so forward
 //! references need no fixup machinery.
+//!
+//! Both passes lex the source a line at a time into one reused token
+//! buffer; pass 1 reads past a line's first two tokens only when the line
+//! starts with a label or a directive. Tokens borrow the source, and the
+//! mnemonic table is built at compile time, so assembling a program
+//! without labels makes a fixed number of allocations, whatever its
+//! length.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use asc_isa::{
     AluOp, CmpOp, FlagOp, FlagReduceOp, Instr, Mask, PFlag, PReg, ReduceOp, SFlag, SReg,
 };
 
 use crate::error::{AsmError, AsmErrorKind};
-use crate::lexer::lex;
+use crate::lexer::Lexer;
 use crate::program::Program;
 use crate::token::{Spanned, SrcSpan, Tok};
 
+/// Tokens a line may hold before the reused buffer grows (`plw p1,
+/// 4(p2) ?pf3` has ten).
+const LINE_TOKENS: usize = 16;
+
 /// Assemble MTASC source text into a [`Program`]. All diagnostics in the
-/// file are collected and returned together.
+/// file are collected and returned together; when a line fails to lex,
+/// they are the lexical errors alone.
 pub fn assemble(src: &str) -> Result<Program, Vec<AsmError>> {
-    let toks = lex(src)?;
-    let lines = split_lines(&toks);
+    let mut toks = Vec::with_capacity(LINE_TOKENS);
     let mut errors = Vec::new();
 
     // ---- pass 1: addresses of labels, values of .equ constants ----
     // (pass-1 cursors resolve symbols through the parameter, not through
-    // their own table, so they get an empty one)
+    // their own table, so they get an empty one; pass 2 reports lexical
+    // errors)
     let empty: HashMap<String, i64> = HashMap::new();
     let mut symbols: HashMap<String, i64> = HashMap::new();
     let mut addr: i64 = 0;
-    for line in &lines {
-        let mut c = Cursor::new(line, &empty, &mut errors);
-        c.labels_and_equ_pass1(&mut symbols, &mut addr);
+    for (line_no, line) in numbered_lines(src) {
+        let mut lexer = Lexer::new(line, line_no).filter_map(Result::ok);
+        match (lexer.next().map(|t| t.tok), lexer.next().map(|t| t.tok)) {
+            (None, _) => {}
+            (Some(Tok::Ident(_)), Some(Tok::Colon)) | (Some(Tok::Directive(_)), _) => {
+                toks.clear();
+                toks.extend(Lexer::new(line, line_no).filter_map(Result::ok));
+                let mut c = Cursor::new(&toks, line_no, &empty, &mut errors);
+                c.labels_and_equ_pass1(&mut symbols, &mut addr);
+            }
+            _ => addr += 1,
+        }
     }
 
     // ---- pass 2: full parse ----
-    let mut instrs = Vec::new();
-    let mut line_map = Vec::new();
-    let mut span_map = Vec::new();
-    for line in &lines {
-        let mut c = Cursor::new(line, &symbols, &mut errors);
+    // (`addr` counts every statement, so it bounds the instruction count)
+    let mut instrs = Vec::with_capacity(addr as usize);
+    let mut line_map = Vec::with_capacity(addr as usize);
+    let mut span_map = Vec::with_capacity(addr as usize);
+    let mut lex_errors = Vec::new();
+    for (line_no, line) in numbered_lines(src) {
+        toks.clear();
+        for t in Lexer::new(line, line_no) {
+            match t {
+                Ok(t) => toks.push(t),
+                Err(e) => lex_errors.push(e),
+            }
+        }
+        // after a lexical error only lexical errors are reported, so the
+        // remaining lines are only lexed
+        if toks.is_empty() || !lex_errors.is_empty() {
+            continue;
+        }
+        let mut c = Cursor::new(&toks, line_no, &symbols, &mut errors);
         c.skip_labels_and_equ();
         let mspan = c.cur_srcspan();
         if let Some(mnemonic) = c.opt_ident() {
-            let line_no = c.line();
             let before = c.errors.len();
-            match parse_instr(&mnemonic, &mut c, instrs.len() as i64) {
+            match parse_instr(mnemonic, &mut c, instrs.len() as i64) {
                 Some(i) => {
                     c.end_of_operands();
                     if c.errors.len() == before {
@@ -60,61 +93,54 @@ pub fn assemble(src: &str) -> Result<Program, Vec<AsmError>> {
         }
     }
 
-    if errors.is_empty() {
+    if !lex_errors.is_empty() {
+        Err(lex_errors)
+    } else if errors.is_empty() {
         Ok(Program { instrs, symbols, lines: line_map, spans: span_map })
     } else {
         Err(errors)
     }
 }
 
-/// Split the token stream into per-statement slices (newline-terminated).
-fn split_lines(toks: &[Spanned]) -> Vec<&[Spanned]> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    for (i, t) in toks.iter().enumerate() {
-        if t.tok == Tok::Newline {
-            if i > start {
-                out.push(&toks[start..i]);
-            }
-            start = i + 1;
-        }
-    }
-    if start < toks.len() {
-        out.push(&toks[start..]);
-    }
-    out
+/// The source's lines with their 1-based numbers.
+fn numbered_lines(src: &str) -> impl Iterator<Item = (u32, &str)> {
+    src.lines().enumerate().map(|(i, line)| (i as u32 + 1, line))
 }
 
+/// A parser position within the tokens of one source line.
 struct Cursor<'a> {
-    toks: &'a [Spanned],
+    toks: &'a [Spanned<'a>],
     pos: usize,
+    /// 1-based source line of the tokens.
+    line: u32,
     symbols: &'a HashMap<String, i64>,
     errors: &'a mut Vec<AsmError>,
 }
 
 impl<'a> Cursor<'a> {
     fn new(
-        toks: &'a [Spanned],
+        toks: &'a [Spanned<'a>],
+        line: u32,
         symbols: &'a HashMap<String, i64>,
         errors: &'a mut Vec<AsmError>,
     ) -> Self {
-        Cursor { toks, pos: 0, symbols, errors }
+        Cursor { toks, pos: 0, line, symbols, errors }
     }
 
-    fn line(&self) -> u32 {
-        self.toks.get(self.pos).or_else(|| self.toks.last()).map(|t| t.line).unwrap_or(0)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|s| s.tok)
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|s| &s.tok)
-    }
-
-    fn next(&mut self) -> Option<&'a Tok> {
-        let t = self.toks.get(self.pos).map(|s| &s.tok);
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
+    }
+
+    fn srcspan(&self, t: &Spanned<'_>) -> SrcSpan {
+        SrcSpan { line: self.line, col: t.col, len: t.len }
     }
 
     /// Span of the token at the cursor (or the last token of the line
@@ -123,7 +149,7 @@ impl<'a> Cursor<'a> {
         self.toks
             .get(self.pos)
             .or_else(|| self.toks.last())
-            .map(|t| SrcSpan { line: t.line, col: t.col, len: t.len })
+            .map(|t| self.srcspan(t))
             .unwrap_or_default()
     }
 
@@ -131,61 +157,57 @@ impl<'a> Cursor<'a> {
     /// just after a `next()` points.
     fn prev_srcspan(&self) -> SrcSpan {
         let idx = self.pos.min(self.toks.len()).saturating_sub(1);
-        self.toks
-            .get(idx)
-            .map(|t| SrcSpan { line: t.line, col: t.col, len: t.len })
-            .unwrap_or_default()
+        self.toks.get(idx).map(|t| self.srcspan(t)).unwrap_or_default()
     }
 
     /// Report an error at the most recently consumed token (most errors
     /// are raised right after `next()` returned something unexpected).
     fn err(&mut self, kind: AsmErrorKind) {
-        let line = self.line();
         let span = self.prev_srcspan();
-        self.errors.push(AsmError { line, col: span.col, len: span.len, kind });
+        self.errors.push(AsmError { line: self.line, col: span.col, len: span.len, kind });
     }
 
     /// Report an error at the *current* (unconsumed) token.
     fn err_here(&mut self, kind: AsmErrorKind) {
-        let line = self.line();
         let span = self.cur_srcspan();
-        self.errors.push(AsmError { line, col: span.col, len: span.len, kind });
+        self.errors.push(AsmError { line: self.line, col: span.col, len: span.len, kind });
     }
 
     fn bad(&mut self, msg: impl Into<String>) {
         self.err(AsmErrorKind::BadOperands(msg.into()));
     }
 
+    /// The token after the one at the cursor.
+    fn peek2(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos + 1).map(|s| s.tok)
+    }
+
     /// Pass 1: consume leading `label:` pairs and `.equ` directives,
     /// updating the symbol table; bump `addr` if an instruction follows.
     fn labels_and_equ_pass1(&mut self, symbols: &mut HashMap<String, i64>, addr: &mut i64) {
         loop {
-            match (self.peek().cloned(), self.toks.get(self.pos + 1).map(|s| s.tok.clone())) {
+            match (self.peek(), self.peek2()) {
                 (Some(Tok::Ident(name)), Some(Tok::Colon)) => {
                     self.pos += 2;
-                    if symbols.insert(name.clone(), *addr).is_some() {
-                        self.err(AsmErrorKind::DuplicateSymbol(name));
+                    if symbols.insert(name.to_string(), *addr).is_some() {
+                        self.err(AsmErrorKind::DuplicateSymbol(name.to_string()));
                     }
                 }
-                (Some(Tok::Directive(d)), _) if d == ".equ" => {
+                (Some(Tok::Directive(d)), _) if d.eq_ignore_ascii_case(".equ") => {
                     self.pos += 1;
-                    let name = match self.next() {
-                        Some(Tok::Ident(n)) => n.clone(),
-                        _ => {
-                            self.bad(".equ expects `.equ NAME, value`");
-                            return;
-                        }
+                    let Some(Tok::Ident(name)) = self.next() else {
+                        self.bad(".equ expects `.equ NAME, value`");
+                        return;
                     };
-                    if self.peek() == Some(&Tok::Comma) {
+                    if self.peek() == Some(Tok::Comma) {
                         self.pos += 1;
                     }
                     let value = match self.next() {
-                        Some(Tok::Int(v)) => *v,
-                        Some(Tok::Ident(sym)) => match symbols.get(sym.as_str()) {
+                        Some(Tok::Int(v)) => v,
+                        Some(Tok::Ident(sym)) => match symbols.get(sym) {
                             Some(&v) => v,
                             None => {
-                                let sym = sym.clone();
-                                self.err(AsmErrorKind::UndefinedSymbol(sym));
+                                self.err(AsmErrorKind::UndefinedSymbol(sym.to_string()));
                                 0
                             }
                         },
@@ -194,13 +216,13 @@ impl<'a> Cursor<'a> {
                             0
                         }
                     };
-                    if symbols.insert(name.clone(), value).is_some() {
-                        self.err(AsmErrorKind::DuplicateSymbol(name));
+                    if symbols.insert(name.to_string(), value).is_some() {
+                        self.err(AsmErrorKind::DuplicateSymbol(name.to_string()));
                     }
                     return;
                 }
                 (Some(Tok::Directive(d)), _) => {
-                    self.err_here(AsmErrorKind::UnknownMnemonic(d));
+                    self.err_here(AsmErrorKind::UnknownMnemonic(d.to_ascii_lowercase()));
                     return;
                 }
                 (Some(_), _) => {
@@ -215,7 +237,7 @@ impl<'a> Cursor<'a> {
     /// Pass 2: skip what pass 1 consumed.
     fn skip_labels_and_equ(&mut self) {
         loop {
-            match (self.peek().cloned(), self.toks.get(self.pos + 1).map(|s| s.tok.clone())) {
+            match (self.peek(), self.peek2()) {
                 (Some(Tok::Ident(_)), Some(Tok::Colon)) => self.pos += 2,
                 (Some(Tok::Directive(_)), _) => {
                     self.pos = self.toks.len();
@@ -226,10 +248,9 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn opt_ident(&mut self) -> Option<String> {
+    fn opt_ident(&mut self) -> Option<&'a str> {
         match self.peek() {
             Some(Tok::Ident(s)) => {
-                let s = s.clone();
                 self.pos += 1;
                 Some(s)
             }
@@ -250,9 +271,9 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn reg_ident(&mut self, what: &'static str) -> Option<String> {
+    fn reg_ident(&mut self, what: &'static str) -> Option<&'a str> {
         match self.next() {
-            Some(Tok::Ident(s)) => Some(s.clone()),
+            Some(Tok::Ident(s)) => Some(s),
             other => {
                 let msg = match other {
                     Some(t) => format!("expected {what}, found {t}"),
@@ -314,12 +335,11 @@ impl<'a> Cursor<'a> {
     /// An immediate: integer literal or symbol (label / `.equ`).
     fn imm(&mut self, what: &'static str, min: i64, max: i64) -> i64 {
         let v = match self.next() {
-            Some(Tok::Int(v)) => *v,
-            Some(Tok::Ident(sym)) => match self.symbols.get(sym.as_str()) {
+            Some(Tok::Int(v)) => v,
+            Some(Tok::Ident(sym)) => match self.symbols.get(sym) {
                 Some(&v) => v,
                 None => {
-                    let sym = sym.clone();
-                    self.err(AsmErrorKind::UndefinedSymbol(sym));
+                    self.err(AsmErrorKind::UndefinedSymbol(sym.to_string()));
                     return 0;
                 }
             },
@@ -358,12 +378,11 @@ impl<'a> Cursor<'a> {
     /// integer offset.
     fn branch_off(&mut self, addr: i64) -> i16 {
         let v = match self.next() {
-            Some(Tok::Int(v)) => *v,
-            Some(Tok::Ident(sym)) => match self.symbols.get(sym.as_str()) {
+            Some(Tok::Int(v)) => v,
+            Some(Tok::Ident(sym)) => match self.symbols.get(sym) {
                 Some(&target) => target - (addr + 1),
                 None => {
-                    let sym = sym.clone();
-                    self.err(AsmErrorKind::UndefinedSymbol(sym));
+                    self.err(AsmErrorKind::UndefinedSymbol(sym.to_string()));
                     0
                 }
             },
@@ -400,9 +419,9 @@ impl<'a> Cursor<'a> {
         (off, base)
     }
 
-    fn expect(&mut self, want: Tok) {
+    fn expect(&mut self, want: Tok<'_>) {
         match self.next() {
-            Some(t) if *t == want => {}
+            Some(t) if t == want => {}
             other => {
                 let msg = match other {
                     Some(t) => format!("expected {want}, found {t}"),
@@ -415,7 +434,7 @@ impl<'a> Cursor<'a> {
 
     /// Optional trailing activity mask: `?pfN`.
     fn mask(&mut self) -> Mask {
-        if self.peek() == Some(&Tok::Question) {
+        if self.peek() == Some(Tok::Question) {
             self.pos += 1;
             Mask::Flag(self.pflag())
         } else {
@@ -453,62 +472,150 @@ enum Form {
     Named(&'static str),
 }
 
-fn mnemonic_table() -> &'static HashMap<String, Form> {
-    static TABLE: OnceLock<HashMap<String, Form>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = HashMap::new();
-        for &op in AluOp::ALL {
-            let m = op.mnemonic();
-            t.insert(m.to_string(), Form::SAlu(op));
-            t.insert(format!("{m}i"), Form::SAluImm(op));
-            t.insert(format!("p{m}"), Form::PAlu(op));
-            t.insert(format!("p{m}s"), Form::PAluS(op));
-            t.insert(format!("p{m}i"), Form::PAluImm(op));
+/// Mnemonics with an operand syntax of their own (see [`parse_named`]).
+const NAMED: [&str; 31] = [
+    "nop", "halt", "lw", "sw", "li", "lui", "bt", "bf", "j", "b", "jal", "jr", "tspawn", "texit",
+    "tjoin", "tget", "tput", "tid", "plw", "psw", "pidx", "pmovs", "pshift", "rcount", "pfirst",
+    "rget", "mov", "pmov", "pli", "not", "pnot",
+];
+
+/// The `gt`/`ge` pseudo-comparisons: operands swapped into `lt`/`le`.
+const SWAPPED: [(&str, CmpOp); 4] =
+    [("gt", CmpOp::Lt), ("ge", CmpOp::Le), ("gtu", CmpOp::LtU), ("geu", CmpOp::LeU)];
+
+const MNEMONIC_COUNT: usize = 5 * AluOp::ALL.len()
+    + 5 * CmpOp::ALL.len()
+    + 2 * SWAPPED.len()
+    + 2 * FlagOp::ALL.len()
+    + ReduceOp::ALL.len()
+    + FlagReduceOp::ALL.len()
+    + NAMED.len();
+
+/// Every mnemonic with its operand shape, sorted by key for a binary
+/// search. Built at compile time: looking a mnemonic up allocates and
+/// initializes nothing, on a process's first call as on any other.
+static MNEMONICS: [(u64, Form); MNEMONIC_COUNT] = mnemonic_table();
+
+/// No mnemonic is longer, so its bytes fit one `u64` key.
+const MNEMONIC_BYTES: usize = 8;
+
+/// The key of the mnemonic spelled by `parts`: its bytes, first byte
+/// most significant. No mnemonic holds a zero byte, so distinct
+/// mnemonics have distinct keys.
+const fn mnemonic_key(parts: &[&str]) -> u64 {
+    let mut key = 0u64;
+    let mut len = 0;
+    let mut p = 0;
+    while p < parts.len() {
+        let bytes = parts[p].as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            key = key << 8 | bytes[i] as u64;
+            len += 1;
+            i += 1;
         }
-        for &op in CmpOp::ALL {
-            let m = op.mnemonic();
-            t.insert(format!("c{m}"), Form::SCmp(op));
-            t.insert(format!("c{m}i"), Form::SCmpImm(op));
-            t.insert(format!("pc{m}"), Form::PCmp(op));
-            t.insert(format!("pc{m}s"), Form::PCmpS(op));
-            t.insert(format!("pc{m}i"), Form::PCmpImm(op));
+        p += 1;
+    }
+    assert!(len <= MNEMONIC_BYTES, "mnemonic too long for its key");
+    key
+}
+
+const fn mnemonic_table() -> [(u64, Form); MNEMONIC_COUNT] {
+    let mut t = [(0, Form::Named("")); MNEMONIC_COUNT];
+    let mut n = 0;
+    let mut i = 0;
+    while i < AluOp::ALL.len() {
+        let op = AluOp::ALL[i];
+        let m = op.mnemonic();
+        t[n] = (mnemonic_key(&[m]), Form::SAlu(op));
+        t[n + 1] = (mnemonic_key(&[m, "i"]), Form::SAluImm(op));
+        t[n + 2] = (mnemonic_key(&["p", m]), Form::PAlu(op));
+        t[n + 3] = (mnemonic_key(&["p", m, "s"]), Form::PAluS(op));
+        t[n + 4] = (mnemonic_key(&["p", m, "i"]), Form::PAluImm(op));
+        n += 5;
+        i += 1;
+    }
+    i = 0;
+    while i < CmpOp::ALL.len() {
+        let op = CmpOp::ALL[i];
+        let m = op.mnemonic();
+        t[n] = (mnemonic_key(&["c", m]), Form::SCmp(op));
+        t[n + 1] = (mnemonic_key(&["c", m, "i"]), Form::SCmpImm(op));
+        t[n + 2] = (mnemonic_key(&["pc", m]), Form::PCmp(op));
+        t[n + 3] = (mnemonic_key(&["pc", m, "s"]), Form::PCmpS(op));
+        t[n + 4] = (mnemonic_key(&["pc", m, "i"]), Form::PCmpImm(op));
+        n += 5;
+        i += 1;
+    }
+    i = 0;
+    while i < SWAPPED.len() {
+        let (m, op) = SWAPPED[i];
+        t[n] = (mnemonic_key(&["c", m]), Form::SCmpSwapped(op));
+        t[n + 1] = (mnemonic_key(&["pc", m]), Form::PCmpSwapped(op));
+        n += 2;
+        i += 1;
+    }
+    i = 0;
+    while i < FlagOp::ALL.len() {
+        let op = FlagOp::ALL[i];
+        t[n] = (mnemonic_key(&[op.mnemonic()]), Form::SFlag(op));
+        t[n + 1] = (mnemonic_key(&["p", op.mnemonic()]), Form::PFlag(op));
+        n += 2;
+        i += 1;
+    }
+    i = 0;
+    while i < ReduceOp::ALL.len() {
+        let op = ReduceOp::ALL[i];
+        t[n] = (mnemonic_key(&[op.mnemonic()]), Form::Reduce(op));
+        n += 1;
+        i += 1;
+    }
+    i = 0;
+    while i < FlagReduceOp::ALL.len() {
+        let op = FlagReduceOp::ALL[i];
+        t[n] = (mnemonic_key(&[op.mnemonic()]), Form::RFlag(op));
+        n += 1;
+        i += 1;
+    }
+    i = 0;
+    while i < NAMED.len() {
+        t[n] = (mnemonic_key(&[NAMED[i]]), Form::Named(NAMED[i]));
+        n += 1;
+        i += 1;
+    }
+    assert!(n == MNEMONIC_COUNT);
+    // insertion sort by key; two equal keys would be one mnemonic with
+    // two meanings
+    i = 1;
+    while i < n {
+        let mut j = i;
+        while j > 0 && t[j - 1].0 > t[j].0 {
+            let hold = t[j];
+            t[j] = t[j - 1];
+            t[j - 1] = hold;
+            j -= 1;
         }
-        // gt/ge pseudo-comparisons (operands swapped)
-        t.insert("cgt".into(), Form::SCmpSwapped(CmpOp::Lt));
-        t.insert("cge".into(), Form::SCmpSwapped(CmpOp::Le));
-        t.insert("cgtu".into(), Form::SCmpSwapped(CmpOp::LtU));
-        t.insert("cgeu".into(), Form::SCmpSwapped(CmpOp::LeU));
-        t.insert("pcgt".into(), Form::PCmpSwapped(CmpOp::Lt));
-        t.insert("pcge".into(), Form::PCmpSwapped(CmpOp::Le));
-        t.insert("pcgtu".into(), Form::PCmpSwapped(CmpOp::LtU));
-        t.insert("pcgeu".into(), Form::PCmpSwapped(CmpOp::LeU));
-        for &op in FlagOp::ALL {
-            let m = op.mnemonic();
-            t.insert(m.to_string(), Form::SFlag(op));
-            t.insert(format!("p{m}"), Form::PFlag(op));
-        }
-        for &op in ReduceOp::ALL {
-            t.insert(op.mnemonic().to_string(), Form::Reduce(op));
-        }
-        t.insert("rany".into(), Form::RFlag(FlagReduceOp::Any));
-        t.insert("rall".into(), Form::RFlag(FlagReduceOp::All));
-        for name in [
-            "nop", "halt", "lw", "sw", "li", "lui", "bt", "bf", "j", "b", "jal", "jr", "tspawn",
-            "texit", "tjoin", "tget", "tput", "tid", "plw", "psw", "pidx", "pmovs", "pshift",
-            "rcount", "pfirst", "rget", "mov", "pmov", "pli", "not", "pnot",
-        ] {
-            t.insert(name.into(), Form::Named(name));
-        }
-        t
-    })
+        assert!(j == 0 || t[j - 1].0 != t[j].0, "mnemonic defined twice");
+        i += 1;
+    }
+    t
+}
+
+/// The operand shape of `mnemonic`, in any letter case.
+fn lookup_mnemonic(mnemonic: &str) -> Option<Form> {
+    if mnemonic.len() > MNEMONIC_BYTES {
+        return None;
+    }
+    let key = mnemonic.bytes().fold(0u64, |k, b| k << 8 | b.to_ascii_lowercase() as u64);
+    let i = MNEMONICS.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+    Some(MNEMONICS[i].1)
 }
 
 /// Parse the operands of one instruction. `addr` is the instruction's own
 /// address (for branch offsets).
 fn parse_instr(mnemonic: &str, c: &mut Cursor<'_>, addr: i64) -> Option<Instr> {
-    let lower = mnemonic.to_ascii_lowercase();
-    let form = match mnemonic_table().get(&lower) {
-        Some(f) => *f,
+    let form = match lookup_mnemonic(mnemonic) {
+        Some(f) => f,
         None => {
             c.err(AsmErrorKind::UnknownMnemonic(mnemonic.to_string()));
             return None;

@@ -280,3 +280,47 @@ fn program_spans_cover_every_instruction() {
     assert_eq!(prog.spans[1], crate::SrcSpan { line: 3, col: 2, len: 4 });
     assert_eq!(prog.spans[2], crate::SrcSpan { line: 4, col: 1, len: 4 });
 }
+
+#[test]
+fn non_ascii_character_is_one_error_with_its_caret() {
+    // '€' is three bytes: one error spanning them, one caret under it
+    let src = "add s1, s2, €\n";
+    let errs = assemble(src).unwrap_err();
+    assert_eq!(errs.len(), 1);
+    assert_eq!((errs[0].line, errs[0].col, errs[0].len), (1, 13, 3));
+    assert_eq!(errs[0].kind, AsmErrorKind::BadChar('€'));
+    assert_eq!(
+        crate::render_errors_with_source(src, &errs),
+        "error: unexpected character '€'\n\
+         \x20 |\n\
+         1 | add s1, s2, €\n\
+         \x20 |             ^\n"
+    );
+}
+
+#[test]
+fn four_byte_character_is_one_error() {
+    let src = "nop\nli s1, 𝄞 ; clef\n";
+    let errs = assemble(src).unwrap_err();
+    assert_eq!(errs.len(), 1);
+    assert_eq!((errs[0].line, errs[0].col, errs[0].len), (2, 8, 4));
+    assert_eq!(errs[0].kind, AsmErrorKind::BadChar('𝄞'));
+    assert!(crate::render_errors_with_source(src, &errs)
+        .ends_with("2 | li s1, 𝄞 ; clef\n  |        ^\n"));
+}
+
+#[test]
+fn non_ascii_label_points_at_its_character() {
+    let src = "café: nop\n";
+    let errs = assemble(src).unwrap_err();
+    assert_eq!(errs.len(), 1);
+    assert_eq!((errs[0].col, errs[0].len), (4, 2));
+    assert_eq!(errs[0].kind, AsmErrorKind::BadChar('é'));
+    assert!(crate::render_errors_with_source(src, &errs).ends_with("1 | café: nop\n  |    ^\n"));
+    // a character after another one is padded by characters too
+    let src = "li s1, é, €\n";
+    let errs = assemble(src).unwrap_err();
+    assert_eq!(errs.iter().map(|e| (e.col, e.len)).collect::<Vec<_>>(), [(8, 2), (12, 3)]);
+    let text = crate::render_errors_with_source(src, &errs);
+    assert!(text.ends_with("1 | li s1, é, €\n  |           ^\n"), "{text}");
+}

@@ -1,14 +1,17 @@
 //! Token model for the assembler.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+/// A lexical token. Identifiers and directives borrow their text from the
+/// source, so a token is a plain `Copy` value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'a> {
     /// Identifier: mnemonic, register name, label, or symbol.
-    Ident(String),
-    /// Directive, e.g. `.equ` (leading dot included in the name).
-    Directive(String),
+    Ident(&'a str),
+    /// Directive, e.g. `.equ`, as written (leading dot included).
+    /// Directives are case-insensitive: compare with
+    /// `eq_ignore_ascii_case`; messages show the lowercase name.
+    Directive(&'a str),
     /// Integer literal (decimal, `0x` hex, `0b` binary; optional leading
     /// `-`).
     Int(i64),
@@ -22,22 +25,25 @@ pub enum Tok {
     RParen,
     /// `?` — introduces an activity mask.
     Question,
-    /// End of line (significant: one instruction per line).
-    Newline,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
-            Tok::Directive(s) => write!(f, "`{s}`"),
+            Tok::Directive(s) => {
+                f.write_char('`')?;
+                for c in s.chars() {
+                    f.write_char(c.to_ascii_lowercase())?;
+                }
+                f.write_char('`')
+            }
             Tok::Int(v) => write!(f, "{v}"),
             Tok::Comma => f.write_str("`,`"),
             Tok::Colon => f.write_str("`:`"),
             Tok::LParen => f.write_str("`(`"),
             Tok::RParen => f.write_str("`)`"),
             Tok::Question => f.write_str("`?`"),
-            Tok::Newline => f.write_str("end of line"),
         }
     }
 }
@@ -56,13 +62,11 @@ pub struct SrcSpan {
     pub len: u32,
 }
 
-/// A token plus its source position (1-based line/column, byte length).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
+/// A token plus its position within its source line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spanned<'a> {
     /// The token.
-    pub tok: Tok,
-    /// 1-based source line.
-    pub line: u32,
+    pub tok: Tok<'a>,
     /// 1-based byte column where the token starts.
     pub col: u32,
     /// Token length in bytes.

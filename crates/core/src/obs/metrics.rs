@@ -1,8 +1,9 @@
 //! The metrics registry: named counters, gauges, and fixed-bucket
 //! histograms. [`crate::Stats`] is a thin struct-of-counters view over
 //! the same quantities — [`crate::Stats::to_registry`] produces the
-//! registry form, and `Stats::report()` renders *from* that registry, so
-//! the two can never disagree.
+//! registry form, the one that run reports and `/metrics` carry.
+
+use std::borrow::Cow;
 
 use super::json::Json;
 
@@ -13,7 +14,9 @@ use super::json::Json;
 /// `counts.len() == bounds.len() + 1`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    bounds: Vec<u64>,
+    /// Borrowed when the edges are a constant ([`Histogram::from_static`]),
+    /// owned when built from a runtime slice or read from JSON.
+    bounds: Cow<'static, [u64]>,
     counts: Vec<u64>,
     count: u64,
     sum: u64,
@@ -24,14 +27,18 @@ impl Histogram {
     /// A histogram with the given inclusive upper bucket edges (must be
     /// strictly increasing).
     pub fn new(bounds: &[u64]) -> Histogram {
+        Histogram::with_bounds(Cow::Owned(bounds.to_vec()))
+    }
+
+    /// A histogram over constant bucket edges, which it borrows instead
+    /// of copying (cloning it copies no edges either).
+    pub fn from_static(bounds: &'static [u64]) -> Histogram {
+        Histogram::with_bounds(Cow::Borrowed(bounds))
+    }
+
+    fn with_bounds(bounds: Cow<'static, [u64]>) -> Histogram {
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must increase");
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
+        Histogram { counts: vec![0; bounds.len() + 1], bounds, count: 0, sum: 0, max: 0 }
     }
 
     /// Record one sample.
@@ -102,7 +109,7 @@ impl Histogram {
             v.get(key)?.as_arr()?.iter().map(Json::as_u64).collect()
         };
         let h = Histogram {
-            bounds: arr("bounds")?,
+            bounds: Cow::Owned(arr("bounds")?),
             counts: arr("counts")?,
             count: v.get("count")?.as_u64()?,
             sum: v.get("sum")?.as_u64()?,
@@ -297,6 +304,20 @@ mod tests {
             h.record(v);
         }
         assert_eq!(Histogram::from_json(&h.to_json()), Some(h));
+    }
+
+    #[test]
+    fn static_bounds_behave_like_owned_ones() {
+        static BOUNDS: [u64; 3] = [1, 4, 16];
+        let mut borrowed = Histogram::from_static(&BOUNDS);
+        let mut owned = Histogram::new(&BOUNDS);
+        for v in [0, 3, 5, 200] {
+            borrowed.record(v);
+            owned.record(v);
+        }
+        assert_eq!(borrowed, owned);
+        assert_eq!(borrowed.to_json(), owned.to_json());
+        assert_eq!(Histogram::from_json(&borrowed.to_json()), Some(borrowed));
     }
 
     #[test]

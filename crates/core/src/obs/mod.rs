@@ -16,9 +16,10 @@
 //!    fixed-bucket [`Histogram`]s. [`crate::Stats`] is refactored on top:
 //!    `Stats::to_registry()` exports every legacy counter plus derived
 //!    gauges (IPC, per-thread issue-slot utilization) and histograms
-//!    (stall spans per reason, broadcast/reduction queue depths), and
-//!    `Stats::report()` renders from the registry so text and
-//!    machine-readable output cannot disagree.
+//!    (stall spans per reason, broadcast/reduction queue depths). The
+//!    registry is the machine-readable form; `Stats::report()` prints its
+//!    text from the `Stats` fields, and a test holds every number it
+//!    prints to the registry entry of the same name.
 //!
 //! 3. **Run reports** ([`RunReport`]) — one JSON document per run:
 //!    machine geometry, the legacy totals verbatim, and the full registry

@@ -3,11 +3,13 @@
 //!
 //! `Stats` is the struct-of-counters view; [`Stats::to_registry`] exposes
 //! the same quantities (plus derived gauges and histograms) as a named
-//! [`Registry`], and [`Stats::report`] renders from that registry, so the
-//! legacy text report and the machine-readable form cannot disagree.
+//! [`Registry`], the canonical machine-readable form behind run reports
+//! and `/metrics`. [`Stats::report`] prints the text report straight from
+//! the fields; a test checks every number it prints against the registry
+//! entry of the same name.
 
 use asc_isa::InstrClass;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::obs::{Histogram, Registry};
 
@@ -18,6 +20,11 @@ pub const SPAN_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// Inclusive upper bucket edges for network queue-depth histograms
 /// (in-flight operations sampled at each issue).
 pub const DEPTH_BUCKETS: [u64; 6] = [0, 1, 2, 4, 8, 16];
+
+/// The longest [`Stats::report`]: a header of five 20-digit counters and
+/// an IPC of up to 24 characters (about 190 bytes), and ten stall lines
+/// of at most 59 bytes.
+const REPORT_CAPACITY: usize = 192 + 60 * StallReason::ALL.len();
 
 /// Why an issue slot went empty (or a particular thread could not issue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,9 +144,12 @@ impl Stats {
     pub fn new(threads: usize) -> Stats {
         Stats {
             issued_by_thread: vec![0; threads],
-            stall_spans: StallReason::ALL.iter().map(|_| Histogram::new(&SPAN_BUCKETS)).collect(),
-            broadcast_depth: Histogram::new(&DEPTH_BUCKETS),
-            reduction_depth: Histogram::new(&DEPTH_BUCKETS),
+            stall_spans: StallReason::ALL
+                .iter()
+                .map(|_| Histogram::from_static(&SPAN_BUCKETS))
+                .collect(),
+            broadcast_depth: Histogram::from_static(&DEPTH_BUCKETS),
+            reduction_depth: Histogram::from_static(&DEPTH_BUCKETS),
             ..Stats::default()
         }
     }
@@ -181,8 +191,8 @@ impl Stats {
 
     /// Export every counter as a named metric, plus derived gauges
     /// (IPC, per-thread issue-slot utilization) and the span/depth
-    /// histograms. The registry is the canonical form: [`Stats::report`]
-    /// and [`crate::obs::RunReport`] both render from it.
+    /// histograms. The registry is the canonical machine-readable form:
+    /// [`crate::obs::RunReport`] renders from it.
     pub fn to_registry(&self) -> Registry {
         let mut reg = Registry::new();
         reg.counter_add("cycles", self.cycles);
@@ -214,23 +224,26 @@ impl Stats {
         reg
     }
 
-    /// Issue-slot utilization report, one line per non-zero reason.
-    /// Rendered from [`Stats::to_registry`].
+    /// Issue-slot utilization report, one line per non-zero reason. Each
+    /// number is the [`Stats::to_registry`] metric of the same name
+    /// (`cycles`, `issued.*`, `ipc`, `stall.<reason>`), read from the
+    /// fields directly; the one allocation is the returned string.
     pub fn report(&self) -> String {
-        let reg = self.to_registry();
-        let mut out = format!(
-            "cycles: {}  issued: {} (scalar {}, parallel {}, reduction {})  IPC: {:.3}\n",
-            reg.counter("cycles"),
-            reg.counter("issued"),
-            reg.counter("issued.scalar"),
-            reg.counter("issued.parallel"),
-            reg.counter("issued.reduction"),
-            reg.gauge("ipc").unwrap_or(0.0)
+        let mut out = String::with_capacity(REPORT_CAPACITY);
+        let _ = writeln!(
+            out,
+            "cycles: {}  issued: {} (scalar {}, parallel {}, reduction {})  IPC: {:.3}",
+            self.cycles,
+            self.issued,
+            self.issued_by_class[0],
+            self.issued_by_class[1],
+            self.issued_by_class[2],
+            self.ipc()
         );
         for reason in StallReason::ALL {
-            let n = reg.counter(&format!("stall.{}", reason.label()));
+            let n = self.stalls_for(reason);
             if n > 0 {
-                out.push_str(&format!("  stalls[{}]: {}\n", reason.label(), n));
+                let _ = writeln!(out, "  stalls[{}]: {n}", reason.label());
             }
         }
         out

@@ -40,10 +40,8 @@ fn example(name: &str) -> String {
 
 /// Programs that assemble: `(name, source)`.
 fn programs() -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = harness::corpus()
-        .into_iter()
-        .map(|(name, src)| (format!("corpus/{name}"), src))
-        .collect();
+    let mut out: Vec<(String, String)> =
+        harness::corpus().into_iter().map(|(name, src)| (format!("corpus/{name}"), src)).collect();
     out.push(("examples/findmax.asc".into(), example("findmax.asc")));
     let lowered = asc::lang::compile(&example("grade_curve.ascl")).expect("grade_curve lowers");
     out.push(("examples/grade_curve.ascl (lowered)".into(), lowered));
@@ -94,7 +92,10 @@ const MALFORMED: &[(&str, &str)] = &[
     // ---- mnemonics
     ("mnemonic/unknown", "nop\n        addd s1, s2, s3\n"),
     ("mnemonic/unknown-mixed-case", "FrobNicate s1, s2\n"),
-    ("mnemonic/mixed-case", "ADD s1, s2, s3\nHaLt\nPAddS p1, p2, s3 ?pf1\nRMaxU s1, p2\nPFandN pf1, pf2, pf3\n"),
+    (
+        "mnemonic/mixed-case",
+        "ADD s1, s2, s3\nHaLt\nPAddS p1, p2, s3 ?pf1\nRMaxU s1, p2\nPFandN pf1, pf2, pf3\n",
+    ),
     ("mnemonic/number-first", "5 nop\n"),
     // ---- comma
     ("comma/found-ident", "add s1 s2, s3\n"),

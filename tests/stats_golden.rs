@@ -24,14 +24,18 @@
 //! After an intended timing-model change, regenerate the fixture with
 //! `UPDATE_STATS_GOLDEN=1 cargo test --release --test stats_golden` and
 //! review the diff.
+//!
+//! The same corpus checks the text report: `Stats::report` prints from
+//! the `Stats` fields, and every number it prints must equal the
+//! registry entry of the same name.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use asc::asm::Program;
 use asc::core::obs::{Json, Registry};
-use asc::core::{Machine, MachineConfig, Stats};
-use asc::isa::Word;
+use asc::core::{Machine, MachineConfig, StallReason, Stats};
+use asc::isa::{InstrClass, Word};
 use asc::kernels::harness;
 use asc::pe::SimdLevel;
 
@@ -270,5 +274,60 @@ fn stats_match_the_golden_under_every_strategy() {
              UPDATE_STATS_GOLDEN=1 only after an intended timing-model change",
             first_difference(&want, got)
         );
+    }
+}
+
+/// The text report as the registry spells it: each number printed is the
+/// counter or gauge of the same name, and a reason's line appears when
+/// its counter is non-zero.
+fn report_from_registry(reg: &Registry) -> String {
+    let mut out = format!(
+        "cycles: {}  issued: {} (scalar {}, parallel {}, reduction {})  IPC: {:.3}\n",
+        reg.counter("cycles"),
+        reg.counter("issued"),
+        reg.counter("issued.scalar"),
+        reg.counter("issued.parallel"),
+        reg.counter("issued.reduction"),
+        reg.gauge("ipc").expect("the registry has an IPC gauge")
+    );
+    for reason in StallReason::ALL {
+        let n = reg.counter(&format!("stall.{}", reason.label()));
+        if n > 0 {
+            out.push_str(&format!("  stalls[{}]: {n}\n", reason.label()));
+        }
+    }
+    out
+}
+
+#[test]
+fn report_prints_the_registry() {
+    let mut every_reason = Stats::new(3);
+    every_reason.cycles = 1_000;
+    for (k, reason) in StallReason::ALL.into_iter().enumerate() {
+        every_reason.record_stall(reason, 10 + k as u64);
+        every_reason.record_issue(k % 3, InstrClass::Parallel);
+    }
+    // distinct class counts, so no two columns can be swapped unseen
+    every_reason.record_issue(0, InstrClass::Scalar);
+    every_reason.record_issue(1, InstrClass::Reduction);
+    every_reason.record_issue(2, InstrClass::Reduction);
+    let mut huge = Stats::new(1);
+    huge.cycles = 3;
+    huge.issued = u64::MAX;
+    huge.issued_by_class = [u64::MAX, 1, 0];
+    huge.stalls = [u64::MAX; 10];
+    let mut stats = vec![
+        ("every reason".to_string(), every_reason),
+        ("all zero".to_string(), Stats::new(16)),
+        ("default".to_string(), Stats::default()),
+        ("20-digit counters".to_string(), huge),
+    ];
+    for case in cases() {
+        for (timing, cfg) in timings(case.pes) {
+            stats.push((format!("{} / {timing}", case.name), run(&case, cfg)));
+        }
+    }
+    for (name, s) in &stats {
+        assert_eq!(s.report(), report_from_registry(&s.to_registry()), "{name}");
     }
 }
