@@ -1,85 +1,90 @@
-//! Hand-written lexer over one source line (one statement per line);
-//! comments (`;`, `#`, `//` to end of line) are skipped. Tokens borrow
-//! their text from the line, so lexing allocates nothing unless it finds
-//! an error or an integer literal with `_` separators.
+//! Hand-written lexer, one source line at a time (one statement per
+//! line); comments (`;`, `#`, `//` to end of line) are skipped. Tokens
+//! borrow their text from the source, so lexing allocates nothing unless
+//! it finds an error or an integer literal with `_` separators.
 
 use crate::error::{AsmError, AsmErrorKind};
 use crate::token::{Spanned, Tok};
 
-/// The tokens of one source line, in order, each either a token or the
-/// lexical error found in its place.
-pub struct Lexer<'a> {
-    line: &'a str,
+/// Lex the source line that starts at byte `start` of `src`, line
+/// `line_no` (1-based), onto `toks`, until the line ends or `toks` holds
+/// `limit` tokens; lexical errors go to `errors`, and lexing resumes
+/// after each. Returns where the next line starts: past the line's `\n`,
+/// or at the end of the source. Lines split as [`str::lines`] splits
+/// them (a `\r` before the `\n` lexes as a blank).
+pub fn lex_line<'a>(
+    src: &'a str,
+    start: usize,
     line_no: u32,
-    /// Byte offset of the next unread character (always a char boundary).
-    pos: usize,
-}
-
-impl<'a> Lexer<'a> {
-    /// Lex `line`, which is line `line_no` (1-based) of its source.
-    pub fn new(line: &'a str, line_no: u32) -> Self {
-        Lexer { line, line_no, pos: 0 }
-    }
-
-    fn error(&self, start: usize, end: usize, kind: AsmErrorKind) -> AsmError {
-        AsmError { line: self.line_no, col: start as u32 + 1, len: (end - start) as u32, kind }
-    }
-}
-
-impl<'a> Iterator for Lexer<'a> {
-    type Item = Result<Spanned<'a>, AsmError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let bytes = self.line.as_bytes();
-        let start = loop {
-            match *bytes.get(self.pos)? {
-                b' ' | b'\t' | b'\r' => self.pos += 1,
-                b';' | b'#' => return None,
-                b'/' if bytes.get(self.pos + 1) == Some(&b'/') => return None,
-                _ => break self.pos,
-            }
-        };
-        // `start..end` is the token's byte range within the line; columns
-        // are 1-based.
-        let (tok, end) = match bytes[start] {
-            b',' => (Tok::Comma, start + 1),
-            b':' => (Tok::Colon, start + 1),
-            b'(' => (Tok::LParen, start + 1),
-            b')' => (Tok::RParen, start + 1),
-            b'?' => (Tok::Question, start + 1),
+    limit: usize,
+    toks: &mut Vec<Spanned<'a>>,
+    errors: &mut Vec<AsmError>,
+) -> usize {
+    let bytes = src.as_bytes();
+    // `i` is the next unread byte, always a char boundary
+    let mut i = start;
+    loop {
+        while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\r') {
+            i += 1;
+        }
+        if i == bytes.len() {
+            return i;
+        }
+        if toks.len() >= limit {
+            return next_line(bytes, i);
+        }
+        // `at..end` is the token's byte range; columns are 1-based
+        let at = i;
+        let col = (at - start) as u32 + 1;
+        let error =
+            |end: usize, kind| AsmError { line: line_no, col, len: (end - at) as u32, kind };
+        let (tok, end) = match bytes[at] {
+            b'\n' => return at + 1,
+            b';' | b'#' => return next_line(bytes, at),
+            b'/' if bytes.get(at + 1) == Some(&b'/') => return next_line(bytes, at),
+            b',' => (Tok::Comma, at + 1),
+            b':' => (Tok::Colon, at + 1),
+            b'(' => (Tok::LParen, at + 1),
+            b')' => (Tok::RParen, at + 1),
+            b'?' => (Tok::Question, at + 1),
             b'.' => {
-                let end = ident_end(bytes, start + 1);
-                (Tok::Directive(&self.line[start..end]), end)
+                let end = ident_end(bytes, at + 1);
+                (Tok::Directive(&src[at..end]), end)
             }
             b'-' | b'0'..=b'9' => {
-                let end = ident_end(bytes, start + 1);
-                let text = &self.line[start..end];
-                self.pos = end;
-                return Some(match parse_int(text) {
-                    Some(v) => Ok(Spanned {
-                        tok: Tok::Int(v),
-                        col: start as u32 + 1,
-                        len: (end - start) as u32,
-                    }),
-                    None => Err(self.error(start, end, AsmErrorKind::BadInt(text.to_string()))),
-                });
+                let end = ident_end(bytes, at + 1);
+                let text = &src[at..end];
+                i = end;
+                match parse_int(text) {
+                    Some(v) => (Tok::Int(v), end),
+                    None => {
+                        errors.push(error(end, AsmErrorKind::BadInt(text.to_string())));
+                        continue;
+                    }
+                }
             }
             b if b.is_ascii_alphabetic() || b == b'_' => {
-                let end = ident_end(bytes, start + 1);
-                (Tok::Ident(&self.line[start..end]), end)
+                let end = ident_end(bytes, at + 1);
+                (Tok::Ident(&src[at..end]), end)
             }
             _ => {
                 // one error for the whole character, however many bytes
                 // it takes
-                let c = self.line[start..].chars().next().expect("lexing stops on char boundaries");
-                let end = start + c.len_utf8();
-                self.pos = end;
-                return Some(Err(self.error(start, end, AsmErrorKind::BadChar(c))));
+                let c = src[at..].chars().next().expect("lexing stops on char boundaries");
+                i = at + c.len_utf8();
+                errors.push(error(i, AsmErrorKind::BadChar(c)));
+                continue;
             }
         };
-        self.pos = end;
-        Some(Ok(Spanned { tok, col: start as u32 + 1, len: (end - start) as u32 }))
+        i = end;
+        toks.push(Spanned { tok, col, len: (end - at) as u32 });
     }
+}
+
+/// Where the next line starts after byte `i`: past the first `\n` from
+/// `i` on, or at the end of the source.
+fn next_line(bytes: &[u8], i: usize) -> usize {
+    bytes[i..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |n| i + n + 1)
 }
 
 /// End of the run of identifier characters (ASCII alphanumerics and `_`)
@@ -116,12 +121,20 @@ fn parse_int(text: &str) -> Option<i64> {
 mod tests {
     use super::*;
 
+    fn lex(line: &str) -> (Vec<Spanned<'_>>, Vec<AsmError>) {
+        let (mut toks, mut errors) = (Vec::new(), Vec::new());
+        assert_eq!(lex_line(line, 0, 2, usize::MAX, &mut toks, &mut errors), line.len());
+        (toks, errors)
+    }
+
     fn toks(line: &str) -> Vec<Tok<'_>> {
-        Lexer::new(line, 1).map(|t| t.unwrap().tok).collect()
+        let (toks, errors) = lex(line);
+        assert_eq!(errors, []);
+        toks.into_iter().map(|t| t.tok).collect()
     }
 
     fn errors(line: &str) -> Vec<AsmError> {
-        Lexer::new(line, 2).filter_map(Result::err).collect()
+        lex(line).1
     }
 
     #[test]
@@ -166,7 +179,7 @@ mod tests {
     #[test]
     fn spans_are_byte_columns() {
         let spans: Vec<(u32, u32)> =
-            Lexer::new("\tli  s1, -42", 1).map(|t| t.unwrap()).map(|t| (t.col, t.len)).collect();
+            lex("\tli  s1, -42").0.iter().map(|t| (t.col, t.len)).collect();
         assert_eq!(spans, [(2, 2), (6, 2), (8, 1), (10, 3)]);
     }
 
@@ -198,6 +211,23 @@ mod tests {
     }
 
     #[test]
+    fn lines_end_at_newlines() {
+        let src = "loop: j loop ; back\r\n\n  halt";
+        let (mut toks, mut errors) = (Vec::new(), Vec::new());
+        let next = lex_line(src, 0, 1, 2, &mut toks, &mut errors);
+        assert_eq!(
+            toks.iter().map(|t| t.tok).collect::<Vec<_>>(),
+            [Tok::Ident("loop"), Tok::Colon]
+        );
+        assert_eq!(next, 21, "the first line ends past its newline");
+        assert_eq!(lex_line(src, next, 2, usize::MAX, &mut toks, &mut errors), 22);
+        toks.clear();
+        assert_eq!(lex_line(src, 22, 3, usize::MAX, &mut toks, &mut errors), src.len());
+        assert_eq!((toks[0].tok, toks[0].col, toks[0].len), (Tok::Ident("halt"), 3, 4));
+        assert_eq!(errors, []);
+    }
+
+    #[test]
     fn bad_char_reported_with_line() {
         let errs = errors("add s1, s2, @");
         assert_eq!(errs.len(), 1);
@@ -221,8 +251,7 @@ mod tests {
         let errs = errors("𝄞: nop");
         assert_eq!(errs.len(), 1);
         assert_eq!((errs[0].col, errs[0].len, &errs[0].kind), (1, 4, &AsmErrorKind::BadChar('𝄞')));
-        let after: Vec<Tok<'_>> =
-            Lexer::new("𝄞: nop", 1).filter_map(Result::ok).map(|t| t.tok).collect();
+        let after: Vec<Tok<'_>> = lex("𝄞: nop").0.iter().map(|t| t.tok).collect();
         assert_eq!(after, [Tok::Colon, Tok::Ident("nop")]);
     }
 }

@@ -16,12 +16,12 @@ use asc_isa::{
 };
 
 use crate::error::{AsmError, AsmErrorKind};
-use crate::lexer::Lexer;
+use crate::lexer::lex_line;
 use crate::program::Program;
 use crate::token::{Spanned, SrcSpan, Tok};
 
 /// Tokens a line may hold before the reused buffer grows (`plw p1,
-/// 4(p2) ?pf3` has ten).
+/// 4(p2) ?pf3` has nine).
 const LINE_TOKENS: usize = 16;
 
 /// Assemble MTASC source text into a [`Program`]. All diagnostics in the
@@ -38,18 +38,24 @@ pub fn assemble(src: &str) -> Result<Program, Vec<AsmError>> {
     let empty: HashMap<String, i64> = HashMap::new();
     let mut symbols: HashMap<String, i64> = HashMap::new();
     let mut addr: i64 = 0;
-    for (line_no, line) in numbered_lines(src) {
-        let mut lexer = Lexer::new(line, line_no).filter_map(Result::ok);
-        match (lexer.next().map(|t| t.tok), lexer.next().map(|t| t.tok)) {
+    let mut ignored = Vec::new();
+    let (mut start, mut line_no) = (0, 0);
+    while start < src.len() {
+        line_no += 1;
+        toks.clear();
+        let next = lex_line(src, start, line_no, 2, &mut toks, &mut ignored);
+        match (toks.first().map(|t| t.tok), toks.get(1).map(|t| t.tok)) {
             (None, _) => {}
             (Some(Tok::Ident(_)), Some(Tok::Colon)) | (Some(Tok::Directive(_)), _) => {
                 toks.clear();
-                toks.extend(Lexer::new(line, line_no).filter_map(Result::ok));
+                lex_line(src, start, line_no, usize::MAX, &mut toks, &mut ignored);
                 let mut c = Cursor::new(&toks, line_no, &empty, &mut errors);
                 c.labels_and_equ_pass1(&mut symbols, &mut addr);
             }
             _ => addr += 1,
         }
+        ignored.clear();
+        start = next;
     }
 
     // ---- pass 2: full parse ----
@@ -58,14 +64,11 @@ pub fn assemble(src: &str) -> Result<Program, Vec<AsmError>> {
     let mut line_map = Vec::with_capacity(addr as usize);
     let mut span_map = Vec::with_capacity(addr as usize);
     let mut lex_errors = Vec::new();
-    for (line_no, line) in numbered_lines(src) {
+    let (mut start, mut line_no) = (0, 0);
+    while start < src.len() {
+        line_no += 1;
         toks.clear();
-        for t in Lexer::new(line, line_no) {
-            match t {
-                Ok(t) => toks.push(t),
-                Err(e) => lex_errors.push(e),
-            }
-        }
+        start = lex_line(src, start, line_no, usize::MAX, &mut toks, &mut lex_errors);
         // after a lexical error only lexical errors are reported, so the
         // remaining lines are only lexed
         if toks.is_empty() || !lex_errors.is_empty() {
@@ -100,11 +103,6 @@ pub fn assemble(src: &str) -> Result<Program, Vec<AsmError>> {
     } else {
         Err(errors)
     }
-}
-
-/// The source's lines with their 1-based numbers.
-fn numbered_lines(src: &str) -> impl Iterator<Item = (u32, &str)> {
-    src.lines().enumerate().map(|(i, line)| (i as u32 + 1, line))
 }
 
 /// A parser position within the tokens of one source line.
@@ -469,32 +467,97 @@ enum Form {
     PFlag(FlagOp),
     Reduce(ReduceOp),
     RFlag(FlagReduceOp),
-    Named(&'static str),
+    Named(Named),
 }
 
 /// Mnemonics with an operand syntax of their own (see [`parse_named`]).
-const NAMED: [&str; 31] = [
-    "nop", "halt", "lw", "sw", "li", "lui", "bt", "bf", "j", "b", "jal", "jr", "tspawn", "texit",
-    "tjoin", "tget", "tput", "tid", "plw", "psw", "pidx", "pmovs", "pshift", "rcount", "pfirst",
-    "rget", "mov", "pmov", "pli", "not", "pnot",
+#[derive(Clone, Copy)]
+enum Named {
+    Nop,
+    Halt,
+    Lw,
+    Sw,
+    Li,
+    Lui,
+    Bt,
+    Bf,
+    J,
+    Jal,
+    Jr,
+    TSpawn,
+    TExit,
+    TJoin,
+    TGet,
+    TPut,
+    TId,
+    Plw,
+    Psw,
+    Pidx,
+    PMovS,
+    PShift,
+    RCount,
+    PFirst,
+    RGet,
+    Mov,
+    PMov,
+    PLi,
+    Not,
+    PNot,
+}
+
+/// The spelling of each [`Named`] mnemonic; `b` is another name for `j`.
+const NAMED: [(&str, Named); 31] = [
+    ("nop", Named::Nop),
+    ("halt", Named::Halt),
+    ("lw", Named::Lw),
+    ("sw", Named::Sw),
+    ("li", Named::Li),
+    ("lui", Named::Lui),
+    ("bt", Named::Bt),
+    ("bf", Named::Bf),
+    ("j", Named::J),
+    ("b", Named::J),
+    ("jal", Named::Jal),
+    ("jr", Named::Jr),
+    ("tspawn", Named::TSpawn),
+    ("texit", Named::TExit),
+    ("tjoin", Named::TJoin),
+    ("tget", Named::TGet),
+    ("tput", Named::TPut),
+    ("tid", Named::TId),
+    ("plw", Named::Plw),
+    ("psw", Named::Psw),
+    ("pidx", Named::Pidx),
+    ("pmovs", Named::PMovS),
+    ("pshift", Named::PShift),
+    ("rcount", Named::RCount),
+    ("pfirst", Named::PFirst),
+    ("rget", Named::RGet),
+    ("mov", Named::Mov),
+    ("pmov", Named::PMov),
+    ("pli", Named::PLi),
+    ("not", Named::Not),
+    ("pnot", Named::PNot),
 ];
 
 /// The `gt`/`ge` pseudo-comparisons: operands swapped into `lt`/`le`.
 const SWAPPED: [(&str, CmpOp); 4] =
     [("gt", CmpOp::Lt), ("ge", CmpOp::Le), ("gtu", CmpOp::LtU), ("geu", CmpOp::LeU)];
 
-const MNEMONIC_COUNT: usize = 5 * AluOp::ALL.len()
-    + 5 * CmpOp::ALL.len()
-    + 2 * SWAPPED.len()
-    + 2 * FlagOp::ALL.len()
-    + ReduceOp::ALL.len()
-    + FlagReduceOp::ALL.len()
-    + NAMED.len();
+/// Slots of the mnemonic table: a power of two, over twice the number of
+/// mnemonics, so a lookup probes one or two slots.
+const SLOTS: usize = 512;
 
-/// Every mnemonic with its operand shape, sorted by key for a binary
-/// search. Built at compile time: looking a mnemonic up allocates and
+/// Every mnemonic with its operand shape, in an open-addressed hash table
+/// keyed by [`mnemonic_key`] (key 0, no mnemonic's, marks an empty
+/// slot). Built at compile time: looking a mnemonic up allocates and
 /// initializes nothing, on a process's first call as on any other.
-static MNEMONICS: [(u64, Form); MNEMONIC_COUNT] = mnemonic_table();
+static MNEMONICS: [(u64, Form); SLOTS] = mnemonic_table();
+
+/// The slot a key's probe starts at (Fibonacci hashing).
+const fn slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOTS.trailing_zeros())) as usize
+}
 
 /// No mnemonic is longer, so its bytes fit one `u64` key.
 const MNEMONIC_BYTES: usize = 8;
@@ -520,95 +583,97 @@ const fn mnemonic_key(parts: &[&str]) -> u64 {
     key
 }
 
-const fn mnemonic_table() -> [(u64, Form); MNEMONIC_COUNT] {
-    let mut t = [(0, Form::Named("")); MNEMONIC_COUNT];
-    let mut n = 0;
+/// The mnemonic table under construction, holding `len` mnemonics.
+struct Table {
+    entries: [(u64, Form); SLOTS],
+    len: usize,
+}
+
+impl Table {
+    /// Add `form` under the mnemonic spelled by `parts`. A key already
+    /// present would be one mnemonic with two meanings.
+    const fn insert(&mut self, parts: &[&str], form: Form) {
+        let key = mnemonic_key(parts);
+        let mut s = slot(key);
+        while self.entries[s].0 != 0 {
+            assert!(self.entries[s].0 != key, "mnemonic defined twice");
+            s = (s + 1) % SLOTS;
+        }
+        self.entries[s] = (key, form);
+        self.len += 1;
+    }
+}
+
+const fn mnemonic_table() -> [(u64, Form); SLOTS] {
+    let mut t = Table { entries: [(0, Form::Named(Named::Nop)); SLOTS], len: 0 };
     let mut i = 0;
     while i < AluOp::ALL.len() {
-        let op = AluOp::ALL[i];
-        let m = op.mnemonic();
-        t[n] = (mnemonic_key(&[m]), Form::SAlu(op));
-        t[n + 1] = (mnemonic_key(&[m, "i"]), Form::SAluImm(op));
-        t[n + 2] = (mnemonic_key(&["p", m]), Form::PAlu(op));
-        t[n + 3] = (mnemonic_key(&["p", m, "s"]), Form::PAluS(op));
-        t[n + 4] = (mnemonic_key(&["p", m, "i"]), Form::PAluImm(op));
-        n += 5;
+        let (op, m) = (AluOp::ALL[i], AluOp::ALL[i].mnemonic());
+        t.insert(&[m], Form::SAlu(op));
+        t.insert(&[m, "i"], Form::SAluImm(op));
+        t.insert(&["p", m], Form::PAlu(op));
+        t.insert(&["p", m, "s"], Form::PAluS(op));
+        t.insert(&["p", m, "i"], Form::PAluImm(op));
         i += 1;
     }
     i = 0;
     while i < CmpOp::ALL.len() {
-        let op = CmpOp::ALL[i];
-        let m = op.mnemonic();
-        t[n] = (mnemonic_key(&["c", m]), Form::SCmp(op));
-        t[n + 1] = (mnemonic_key(&["c", m, "i"]), Form::SCmpImm(op));
-        t[n + 2] = (mnemonic_key(&["pc", m]), Form::PCmp(op));
-        t[n + 3] = (mnemonic_key(&["pc", m, "s"]), Form::PCmpS(op));
-        t[n + 4] = (mnemonic_key(&["pc", m, "i"]), Form::PCmpImm(op));
-        n += 5;
+        let (op, m) = (CmpOp::ALL[i], CmpOp::ALL[i].mnemonic());
+        t.insert(&["c", m], Form::SCmp(op));
+        t.insert(&["c", m, "i"], Form::SCmpImm(op));
+        t.insert(&["pc", m], Form::PCmp(op));
+        t.insert(&["pc", m, "s"], Form::PCmpS(op));
+        t.insert(&["pc", m, "i"], Form::PCmpImm(op));
         i += 1;
     }
     i = 0;
     while i < SWAPPED.len() {
         let (m, op) = SWAPPED[i];
-        t[n] = (mnemonic_key(&["c", m]), Form::SCmpSwapped(op));
-        t[n + 1] = (mnemonic_key(&["pc", m]), Form::PCmpSwapped(op));
-        n += 2;
+        t.insert(&["c", m], Form::SCmpSwapped(op));
+        t.insert(&["pc", m], Form::PCmpSwapped(op));
         i += 1;
     }
     i = 0;
     while i < FlagOp::ALL.len() {
-        let op = FlagOp::ALL[i];
-        t[n] = (mnemonic_key(&[op.mnemonic()]), Form::SFlag(op));
-        t[n + 1] = (mnemonic_key(&["p", op.mnemonic()]), Form::PFlag(op));
-        n += 2;
+        let (op, m) = (FlagOp::ALL[i], FlagOp::ALL[i].mnemonic());
+        t.insert(&[m], Form::SFlag(op));
+        t.insert(&["p", m], Form::PFlag(op));
         i += 1;
     }
     i = 0;
     while i < ReduceOp::ALL.len() {
-        let op = ReduceOp::ALL[i];
-        t[n] = (mnemonic_key(&[op.mnemonic()]), Form::Reduce(op));
-        n += 1;
+        t.insert(&[ReduceOp::ALL[i].mnemonic()], Form::Reduce(ReduceOp::ALL[i]));
         i += 1;
     }
     i = 0;
     while i < FlagReduceOp::ALL.len() {
-        let op = FlagReduceOp::ALL[i];
-        t[n] = (mnemonic_key(&[op.mnemonic()]), Form::RFlag(op));
-        n += 1;
+        t.insert(&[FlagReduceOp::ALL[i].mnemonic()], Form::RFlag(FlagReduceOp::ALL[i]));
         i += 1;
     }
     i = 0;
     while i < NAMED.len() {
-        t[n] = (mnemonic_key(&[NAMED[i]]), Form::Named(NAMED[i]));
-        n += 1;
+        let (m, named) = NAMED[i];
+        t.insert(&[m], Form::Named(named));
         i += 1;
     }
-    assert!(n == MNEMONIC_COUNT);
-    // insertion sort by key; two equal keys would be one mnemonic with
-    // two meanings
-    i = 1;
-    while i < n {
-        let mut j = i;
-        while j > 0 && t[j - 1].0 > t[j].0 {
-            let hold = t[j];
-            t[j] = t[j - 1];
-            t[j - 1] = hold;
-            j -= 1;
-        }
-        assert!(j == 0 || t[j - 1].0 != t[j].0, "mnemonic defined twice");
-        i += 1;
-    }
-    t
+    assert!(2 * t.len < SLOTS, "the mnemonic table is too full");
+    t.entries
 }
 
 /// The operand shape of `mnemonic`, in any letter case.
 fn lookup_mnemonic(mnemonic: &str) -> Option<Form> {
-    if mnemonic.len() > MNEMONIC_BYTES {
+    if mnemonic.is_empty() || mnemonic.len() > MNEMONIC_BYTES {
         return None;
     }
     let key = mnemonic.bytes().fold(0u64, |k, b| k << 8 | b.to_ascii_lowercase() as u64);
-    let i = MNEMONICS.binary_search_by_key(&key, |&(k, _)| k).ok()?;
-    Some(MNEMONICS[i].1)
+    let mut s = slot(key);
+    loop {
+        match MNEMONICS[s] {
+            (k, form) if k == key => return Some(form),
+            (0, _) => return None,
+            _ => s = (s + 1) % SLOTS,
+        }
+    }
 }
 
 /// Parse the operands of one instruction. `addr` is the instruction's own
@@ -768,67 +833,67 @@ fn parse_instr(mnemonic: &str, c: &mut Cursor<'_>, addr: i64) -> Option<Instr> {
             let mask = c.mask();
             Instr::RFlag { op, fd, fa, mask }
         }
-        Form::Named(name) => parse_named(name, c, addr)?,
+        Form::Named(name) => parse_named(name, c, addr),
     };
     Some(i)
 }
 
-fn parse_named(name: &'static str, c: &mut Cursor<'_>, addr: i64) -> Option<Instr> {
-    let i = match name {
-        "nop" => Instr::Nop,
-        "halt" => Instr::Halt,
-        "lw" => {
+fn parse_named(name: Named, c: &mut Cursor<'_>, addr: i64) -> Instr {
+    match name {
+        Named::Nop => Instr::Nop,
+        Named::Halt => Instr::Halt,
+        Named::Lw => {
             let rd = c.sreg();
             c.comma();
             let (off, base) = c.mem_s();
             Instr::Lw { rd, base, off }
         }
-        "sw" => {
+        Named::Sw => {
             let rs = c.sreg();
             c.comma();
             let (off, base) = c.mem_s();
             Instr::Sw { rs, base, off }
         }
-        "li" => {
+        Named::Li => {
             let rd = c.sreg();
             c.comma();
             let imm = c.imm16();
             Instr::Li { rd, imm }
         }
-        "lui" => {
+        Named::Lui => {
             let rd = c.sreg();
             c.comma();
             let imm = c.imm("immediate", 0, 0xffff) as u16;
             Instr::Lui { rd, imm }
         }
-        "bt" => {
+        Named::Bt => {
             let fa = c.sflag();
             c.comma();
             let off = c.branch_off(addr);
             Instr::Bt { fa, off }
         }
-        "bf" => {
+        Named::Bf => {
             let fa = c.sflag();
             c.comma();
             let off = c.branch_off(addr);
             Instr::Bf { fa, off }
         }
-        "j" | "b" => Instr::J { target: c.jump_target(0x00ff_ffff) },
-        "jal" => {
+        Named::J => Instr::J { target: c.jump_target(0x00ff_ffff) },
+        Named::Jal => {
             let rd = c.sreg();
             c.comma();
             Instr::Jal { rd, target: c.jump_target(0x000f_ffff) }
         }
-        "jr" => Instr::Jr { ra: c.sreg() },
-        "tspawn" => {
+        Named::Jr => Instr::Jr { ra: c.sreg() },
+        Named::TSpawn => {
             let rd = c.sreg();
             c.comma();
             let ra = c.sreg();
             Instr::TSpawn { rd, ra }
         }
-        "texit" => Instr::TExit,
-        "tjoin" => Instr::TJoin { ra: c.sreg() },
-        "tget" => {
+        Named::TExit => Instr::TExit,
+        Named::TJoin => Instr::TJoin { ra: c.sreg() },
+        Named::TGet => {
             let rd = c.sreg();
             c.comma();
             let ta = c.sreg();
@@ -836,7 +901,7 @@ fn parse_named(name: &'static str, c: &mut Cursor<'_>, addr: i64) -> Option<Inst
             let src = c.sreg();
             Instr::TGet { rd, ta, src }
         }
-        "tput" => {
+        Named::TPut => {
             let ta = c.sreg();
             c.comma();
             let dst = c.sreg();
@@ -844,34 +909,34 @@ fn parse_named(name: &'static str, c: &mut Cursor<'_>, addr: i64) -> Option<Inst
             let rb = c.sreg();
             Instr::TPut { ta, dst, rb }
         }
-        "tid" => Instr::TId { rd: c.sreg() },
-        "plw" => {
+        Named::TId => Instr::TId { rd: c.sreg() },
+        Named::Plw => {
             let pd = c.preg();
             c.comma();
             let (off, base) = c.mem_p();
             let mask = c.mask();
             Instr::Plw { pd, base, off, mask }
         }
-        "psw" => {
+        Named::Psw => {
             let ps = c.preg();
             c.comma();
             let (off, base) = c.mem_p();
             let mask = c.mask();
             Instr::Psw { ps, base, off, mask }
         }
-        "pidx" => {
+        Named::Pidx => {
             let pd = c.preg();
             let mask = c.mask();
             Instr::Pidx { pd, mask }
         }
-        "pmovs" => {
+        Named::PMovS => {
             let pd = c.preg();
             c.comma();
             let sa = c.sreg();
             let mask = c.mask();
             Instr::PMovS { pd, sa, mask }
         }
-        "pshift" => {
+        Named::PShift => {
             let pd = c.preg();
             c.comma();
             let pa = c.preg();
@@ -880,21 +945,21 @@ fn parse_named(name: &'static str, c: &mut Cursor<'_>, addr: i64) -> Option<Inst
             let mask = c.mask();
             Instr::PShift { pd, pa, dist, mask }
         }
-        "rcount" => {
+        Named::RCount => {
             let sd = c.sreg();
             c.comma();
             let fa = c.pflag();
             let mask = c.mask();
             Instr::RCount { sd, fa, mask }
         }
-        "pfirst" => {
+        Named::PFirst => {
             let fd = c.pflag();
             c.comma();
             let fa = c.pflag();
             let mask = c.mask();
             Instr::PFirst { fd, fa, mask }
         }
-        "rget" => {
+        Named::RGet => {
             let sd = c.sreg();
             c.comma();
             let pa = c.preg();
@@ -904,40 +969,73 @@ fn parse_named(name: &'static str, c: &mut Cursor<'_>, addr: i64) -> Option<Inst
             Instr::RGet { sd, pa, fa, mask }
         }
         // ---- pseudo-instructions (each expands to one word) ----
-        "mov" => {
+        Named::Mov => {
             let rd = c.sreg();
             c.comma();
             let ra = c.sreg();
             Instr::SAlu { op: AluOp::Add, rd, ra, rb: SReg::R0 }
         }
-        "not" => {
+        Named::Not => {
             let rd = c.sreg();
             c.comma();
             let ra = c.sreg();
             Instr::SAlu { op: AluOp::Nor, rd, ra, rb: SReg::R0 }
         }
-        "pmov" => {
+        Named::PMov => {
             let pd = c.preg();
             c.comma();
             let pa = c.preg();
             let mask = c.mask();
             Instr::PAlu { op: AluOp::Add, pd, pa, pb: PReg::R0, mask }
         }
-        "pnot" => {
+        Named::PNot => {
             let pd = c.preg();
             c.comma();
             let pa = c.preg();
             let mask = c.mask();
             Instr::PAlu { op: AluOp::Nor, pd, pa, pb: PReg::R0, mask }
         }
-        "pli" => {
+        Named::PLi => {
             let pd = c.preg();
             c.comma();
             let imm = c.imm8();
             let mask = c.mask();
             Instr::PAluImm { op: AluOp::Add, pd, pa: PReg::R0, imm, mask }
         }
-        _ => unreachable!("unhandled named mnemonic {name}"),
-    };
-    Some(i)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_mnemonic_is_in_the_table_once_in_any_case() {
+        let mut names: Vec<String> = Vec::new();
+        for m in AluOp::ALL.iter().map(|op| op.mnemonic()) {
+            names.extend([m.into(), format!("{m}i"), format!("p{m}"), format!("p{m}s")]);
+            names.push(format!("p{m}i"));
+        }
+        for m in CmpOp::ALL.iter().map(|op| op.mnemonic()) {
+            names.extend([format!("c{m}"), format!("c{m}i"), format!("pc{m}"), format!("pc{m}s")]);
+            names.push(format!("pc{m}i"));
+        }
+        for (m, _) in SWAPPED {
+            names.extend([format!("c{m}"), format!("pc{m}")]);
+        }
+        for m in FlagOp::ALL.iter().map(|op| op.mnemonic()) {
+            names.extend([m.into(), format!("p{m}")]);
+        }
+        names.extend(ReduceOp::ALL.iter().map(|op| op.mnemonic().into()));
+        names.extend(FlagReduceOp::ALL.iter().map(|op| op.mnemonic().into()));
+        names.extend(NAMED.iter().map(|&(m, _)| m.into()));
+        assert_eq!(MNEMONICS.iter().filter(|(key, _)| *key != 0).count(), names.len());
+        for name in &names {
+            assert!(lookup_mnemonic(name).is_some(), "{name}");
+            assert!(lookup_mnemonic(&name.to_uppercase()).is_some(), "{name}");
+        }
+        for miss in ["", "p", "c", "addd", "paddss", "mnemonics"] {
+            assert!(lookup_mnemonic(miss).is_none(), "{miss}");
+        }
+    }
 }
