@@ -22,6 +22,11 @@ echo "==> tablegen output matches the experiment archive"
 # ./target/release/tablegen > docs/experiments_output.txt
 ./target/release/tablegen | diff - docs/experiments_output.txt
 
+echo "==> hazard_visualizer example runs"
+# `cargo test` only builds the examples; this one renders Figure 2 from
+# the Issue events of a memory sink, so run it to completion.
+cargo run --release --example hazard_visualizer > /dev/null
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -68,6 +68,7 @@ pub fn assemble(src: &str) -> Result<Program, Vec<AsmError>> {
     while start < src.len() {
         line_no += 1;
         toks.clear();
+        let line = &src[start..];
         start = lex_line(src, start, line_no, usize::MAX, &mut toks, &mut lex_errors);
         // after a lexical error only lexical errors are reported, so the
         // remaining lines are only lexed
@@ -77,23 +78,28 @@ pub fn assemble(src: &str) -> Result<Program, Vec<AsmError>> {
         let mut c = Cursor::new(&toks, line_no, &symbols, &mut errors);
         c.skip_labels_and_equ();
         let mspan = c.cur_srcspan();
-        if let Some(mnemonic) = c.opt_ident() {
-            let before = c.errors.len();
-            match parse_instr(mnemonic, &mut c, instrs.len() as i64) {
-                Some(i) => {
+        let instr = match (c.opt_ident(), c.peek()) {
+            (Some(mnemonic), _) => {
+                let before = c.errors.len();
+                let i = parse_instr(mnemonic, &mut c, instrs.len() as i64);
+                if i.is_some() {
                     c.end_of_operands();
-                    if c.errors.len() == before {
-                        instrs.push(i);
-                    } else {
-                        // keep addresses consistent despite the error
-                        instrs.push(Instr::Nop);
-                    }
                 }
-                None => instrs.push(Instr::Nop),
+                // keep addresses consistent despite an error
+                i.filter(|_| c.errors.len() == before).unwrap_or(Instr::Nop)
             }
-            line_map.push(line_no);
-            span_map.push(mspan);
-        }
+            // `?`, an integer or punctuation where the mnemonic belongs:
+            // pass 1 gave the statement an address, so it must not vanish
+            (None, Some(_)) => {
+                let text = &line[mspan.col as usize - 1..][..mspan.len as usize];
+                c.err_here(AsmErrorKind::UnknownMnemonic(text.to_string()));
+                Instr::Nop
+            }
+            (None, None) => continue,
+        };
+        instrs.push(instr);
+        line_map.push(line_no);
+        span_map.push(mspan);
     }
 
     if !lex_errors.is_empty() {
@@ -217,6 +223,7 @@ impl<'a> Cursor<'a> {
                     if symbols.insert(name.to_string(), value).is_some() {
                         self.err(AsmErrorKind::DuplicateSymbol(name.to_string()));
                     }
+                    self.end_of_operands();
                     return;
                 }
                 (Some(Tok::Directive(d)), _) => {

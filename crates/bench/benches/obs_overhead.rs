@@ -1,21 +1,23 @@
 //! Trace-emission overhead benchmark: the associative selection sort
 //! kernel run bare versus with a ring-buffer trace sink attached.
 //!
-//! The observability layer's contract is "near-zero cost when no sink is
-//! attached" — every emit site is gated on `sink.is_some()` so events are
-//! never even constructed on the bare path. This benchmark makes the
-//! contract measurable: `obs_overhead/no_sink` is the baseline and
-//! `obs_overhead/ring_sink` the fully-traced run; the acceptance target
+//! The observability layer's contract is "near-zero cost when nothing is
+//! attached" — every emit site is gated on the machine's one observer
+//! field being `Some`, so events are never even constructed on the bare
+//! path. This benchmark makes the contract measurable:
+//! `obs_overhead/no_sink` is the baseline and `obs_overhead/ring_sink`
+//! the fully-traced run; the acceptance target
 //! is the no-sink path staying within 3% of the seed simulator (i.e. the
 //! per-iteration times printed for `no_sink` should be indistinguishable
 //! from the pre-observability simulator, and attaching a ring sink should
 //! cost only the event construction itself).
 //!
 //! Beyond timing, the binary *asserts* the stronger form of the contract
-//! before benchmarking: with no sink attached, the steady-state issue
-//! path performs **zero heap allocations**. A counting global allocator
-//! watches `alloc`/`realloc`/`alloc_zeroed` while the sort kernel is
-//! stepped to completion; any allocation fails the run.
+//! before benchmarking: with nothing attached, and with the pre-sized
+//! observers attached, the steady-state issue path performs **zero heap
+//! allocations**. A counting global allocator watches
+//! `alloc`/`realloc`/`alloc_zeroed` while the sort kernel is stepped to
+//! completion; any allocation fails the run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
@@ -108,20 +110,29 @@ enum Mode {
     /// Progress sampler snapshotting every cycle into its bounded ring
     /// (the `mtasc run --progress` machinery, minus the I/O sink).
     Progress,
+    /// The ring sink, the profiler and the progress sampler together,
+    /// behind the one observer field.
+    All,
+}
+
+/// Attach what `mode` asks for.
+fn attach(m: &mut Machine, mode: Mode) {
+    if matches!(mode, Mode::RingSink | Mode::All) {
+        let ring = Rc::new(RefCell::new(RingBufferSink::new(RING_CAPACITY)));
+        m.attach_sink(SinkHandle::shared(ring));
+    }
+    if matches!(mode, Mode::Profiler | Mode::All) {
+        m.attach_profiler();
+    }
+    if matches!(mode, Mode::Progress | Mode::All) {
+        m.attach_progress(ProgressSampler::new(1, RING_CAPACITY));
+    }
 }
 
 /// One full simulated run under the given observability mode.
 fn run_sort(program: &Program, values: &[Word], mode: Mode) -> u64 {
     let mut m = Machine::with_program(MachineConfig::new(N), program).unwrap();
-    match mode {
-        Mode::Bare => {}
-        Mode::RingSink => {
-            let ring = Rc::new(RefCell::new(RingBufferSink::new(RING_CAPACITY)));
-            m.attach_sink(SinkHandle::shared(ring));
-        }
-        Mode::Profiler => m.attach_profiler(),
-        Mode::Progress => m.attach_progress(ProgressSampler::new(1, RING_CAPACITY)),
-    }
+    attach(&mut m, mode);
     m.array_mut().scatter_column(0, values).unwrap();
     m.run(1_000_000).unwrap().cycles
 }
@@ -138,6 +149,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         ("ring_sink", Mode::RingSink),
         ("profiler", Mode::Profiler),
         ("progress", Mode::Progress),
+        ("all", Mode::All),
     ] {
         g.bench_with_input(BenchmarkId::from_parameter(label), &mode, |b, &mode| {
             b.iter(|| black_box(run_sort(&program, &values, mode)))
@@ -150,7 +162,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
 /// machine (allocating freely), then snapshot the allocation counter and
 /// step to completion. `Machine::run` is avoided because it clones
 /// `Stats` (which owns vectors) on return; `step` is exactly the
-/// per-cycle path the benchmark times. Checked twice:
+/// per-cycle path the benchmark times. Checked four times:
 ///
 /// 1. nothing attached — the profiler-off, sink-off baseline;
 /// 2. profiler attached — its rows are pre-sized at attach time, so the
@@ -159,21 +171,23 @@ fn bench_obs_overhead(c: &mut Criterion) {
 ///    worst case) — its ring is pre-sized and samples are `Copy`, so
 ///    sampling must never touch the heap either. The I/O sink the CLI
 ///    attaches is deliberately absent: the contract covers the issue
-///    path, not heartbeat serialization.
+///    path, not heartbeat serialization;
+/// 4. all three observers at once: a ring sink pre-sized above the run's
+///    event count, the profiler and the sampler, fanned out by the one
+///    observer field.
 fn assert_detached_and_profiled_steps_are_allocation_free() {
     let program = assemble(&sort_source(N)).expect("sort kernel assembles");
     let cfg = MachineConfig::new(N);
     let values: Vec<Word> =
         (0..N as i64).map(|i| Word::from_i64((i * 37) % 101, cfg.width)).collect();
-    for (label, mode) in
-        [("no-sink", Mode::Bare), ("profiler-on", Mode::Profiler), ("progress-on", Mode::Progress)]
-    {
+    for (label, mode) in [
+        ("no-sink", Mode::Bare),
+        ("profiler-on", Mode::Profiler),
+        ("progress-on", Mode::Progress),
+        ("all-attached", Mode::All),
+    ] {
         let mut m = Machine::with_program(cfg, &program).unwrap();
-        match mode {
-            Mode::Bare | Mode::RingSink => {}
-            Mode::Profiler => m.attach_profiler(),
-            Mode::Progress => m.attach_progress(ProgressSampler::new(1, RING_CAPACITY)),
-        }
+        attach(&mut m, mode);
         m.array_mut().scatter_column(0, &values).unwrap();
 
         let before = ALLOC_CALLS.load(Ordering::Relaxed);

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use asc_core::obs::{
     chrome_trace, chrome_trace_text, diff_registries, parse_json_lines, render_diff, Json,
     JsonLinesProgress, JsonLinesSink, MemorySink, Profile, ProgressHandle, ProgressSample,
-    ProgressSampler, ProgressSink, Registry, RegressionCheck, RunReport, SinkHandle,
+    ProgressSampler, ProgressSink, Registry, RegressionCheck, RunReport, SinkHandle, TraceEvent,
     PROFILE_SCHEMA, PROGRESS_SCHEMA, REPORT_SCHEMA, STATS_DIFF_SCHEMA,
 };
 use asc_core::pipeline::{control_unit_organization, hazard_diagram, pipeline_organization};
@@ -855,13 +855,11 @@ pub fn cmd_run(source: &str, opts: MachineOpts) -> Result<String, CliError> {
         Machine::with_program(cfg, &program).map_err(|e| CliError::Failure(e.to_string()))?;
     let mut rec = begin_record("run", &opts, source, &m)?;
     let sampled = attach_progress(&mut m, &opts, rec.as_ref())?;
-    if opts.trace {
-        m.enable_trace();
-    }
-    // --trace-chrome needs the whole event stream in memory; when it is
-    // requested the JSON-Lines file (if any) is written from the same
+    // --trace (the Figure-2 diagram of the Issue events) and
+    // --trace-chrome need the whole event stream in memory; when either
+    // is requested the JSON-Lines file (if any) is written from the same
     // buffer after the run instead of streaming.
-    let mem = if opts.trace_chrome.is_some() {
+    let mem = if opts.trace || opts.trace_chrome.is_some() {
         let mem = Rc::new(RefCell::new(MemorySink::new()));
         m.attach_sink(SinkHandle::shared(mem.clone()));
         Some(mem)
@@ -876,6 +874,11 @@ pub fn cmd_run(source: &str, opts: MachineOpts) -> Result<String, CliError> {
     let stats = match m.run(opts.max_cycles) {
         Ok(stats) => stats,
         Err(e) => {
+            // a buffered trace keeps the events up to the fault, as a
+            // streamed one does; best-effort, so the fault stays the error
+            if let (Some(mem), Some(path)) = (&mem, &opts.trace_json) {
+                let _ = write_json_lines(path, mem.borrow().events());
+            }
             // the manifest keeps the fault: a crashed run stays visible
             // (and diagnosable) in `mtasc runs list --status fault`
             if let Some(rec) = rec.take() {
@@ -926,9 +929,9 @@ pub fn cmd_run(source: &str, opts: MachineOpts) -> Result<String, CliError> {
             let _ = writeln!(out, "  s{r:<2} = {:>6}  ({})", v.to_u32(), v.to_i64(cfg.width));
         }
     }
-    if opts.trace {
+    if let Some(mem) = mem.as_ref().filter(|_| opts.trace) {
         let _ = writeln!(out, "\npipeline diagram:");
-        out.push_str(&hazard_diagram(m.trace().unwrap(), &t));
+        out.push_str(&hazard_diagram(mem.borrow().events(), &t));
     }
     if let Some(path) = &opts.report {
         let report = RunReport::from_machine(&m);
@@ -939,12 +942,7 @@ pub fn cmd_run(source: &str, opts: MachineOpts) -> Result<String, CliError> {
     if let Some(mem) = &mem {
         let mem = mem.borrow();
         if let Some(path) = &opts.trace_json {
-            let mut text = String::new();
-            for ev in mem.events() {
-                text.push_str(&ev.to_json().to_compact());
-                text.push('\n');
-            }
-            std::fs::write(path, text).map_err(|e| CliError::Failure(format!("{path}: {e}")))?;
+            write_json_lines(path, mem.events())?;
             let _ = writeln!(out, "trace events written to {path}");
         }
         if let Some(path) = &opts.trace_chrome {
@@ -981,6 +979,17 @@ pub fn cmd_run(source: &str, opts: MachineOpts) -> Result<String, CliError> {
         let _ = writeln!(out, "\nrecorded run {}", meta.id);
     }
     Ok(out)
+}
+
+/// Write buffered events as the JSON-Lines file a streaming
+/// [`JsonLinesSink`] would have written.
+fn write_json_lines(path: &str, events: &[TraceEvent]) -> Result<(), CliError> {
+    let mut text = String::new();
+    for ev in events {
+        text.push_str(&ev.to_json().to_compact());
+        text.push('\n');
+    }
+    std::fs::write(path, text).map_err(|e| CliError::Failure(format!("{path}: {e}")))
 }
 
 /// `mtasc profile`: run under the cycle-attribution profiler and render
@@ -2060,6 +2069,42 @@ mod tests {
         // the buffered JSON-Lines file parses back
         let jsonl = std::fs::read_to_string(&jsonl_path).unwrap();
         assert!(!parse_json_lines(&jsonl).unwrap().is_empty());
+    }
+
+    /// `--trace --trace-json --trace-chrome` share one buffered stream,
+    /// whose JSON-Lines file is the one `--trace-json` alone streams: for
+    /// a clean run, and for a run that faults (the events up to the
+    /// fault).
+    #[test]
+    fn all_trace_flags_share_one_event_stream() {
+        let dir = std::env::temp_dir().join("mtasc_trace_flags_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| Some(dir.join(name).to_string_lossy().into_owned());
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        let clean = "pidx p1\nrsum s1, p1\nadd s2, s1, s1\nhalt\n";
+        let faults = "pidx p1\nrsum s1, p1\ntjoin s1\nhalt\n";
+        for (name, src) in [("clean", clean), ("faults", faults)] {
+            let alone = format!("{name}.alone.jsonl");
+            let together = format!("{name}.together.jsonl");
+            let opts = MachineOpts { trace_json: path(&alone), ..MachineOpts::default() };
+            let ran = cmd_run(src, opts);
+            let opts = MachineOpts {
+                trace: true,
+                trace_json: path(&together),
+                trace_chrome: path(&format!("{name}.chrome.json")),
+                ..MachineOpts::default()
+            };
+            match (ran, cmd_run(src, opts)) {
+                (Ok(_), Ok(out)) => {
+                    assert!(out.contains("pipeline diagram:"), "{out}");
+                    assert!(out.contains("chrome trace written to"), "{out}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("{name}: {a:?} alone, {b:?} together"),
+            }
+            assert!(!read(&alone).is_empty(), "{name}");
+            assert_eq!(read(&together), read(&alone), "{name}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::collections::VecDeque;
 
 use asc_asm::Program;
-use asc_isa::{Instr, InstrClass, RegClass, Word};
+use asc_isa::{InstrClass, RegClass, Word};
 use asc_network::{NetUnit, Network};
 use asc_pe::{FlagFile, LaneOp, LocalMemory, PeArray, RegFile, SequentialUnit};
 
@@ -37,26 +37,12 @@ use crate::error::RunError;
 use crate::exec::Effect;
 use crate::issue::{IssueEntry, IssueTable, UnitUse};
 use crate::obs::profile::Profile;
-use crate::obs::progress::{ProgressSample, ProgressSampler};
-use crate::obs::{SinkHandle, ThreadTransition, TraceEvent};
+use crate::obs::progress::ProgressSampler;
+use crate::obs::{Observers, SinkHandle, ThreadTransition};
 use crate::scoreboard::{Scoreboard, NO_PRODUCER_PC};
 use crate::stats::{StallReason, Stats};
 use crate::threads::{ThreadState, ThreadTable};
 use crate::timing::Timing;
-
-/// One issue event, recorded when tracing is enabled (the pipeline-diagram
-/// renderers consume these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IssueRecord {
-    /// Cycle at which the instruction issued (entered SR).
-    pub cycle: u64,
-    /// Issuing thread.
-    pub thread: usize,
-    /// Instruction address.
-    pub pc: u32,
-    /// The instruction.
-    pub instr: Instr,
-}
 
 /// Result of a single [`Machine::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,15 +154,10 @@ pub struct Machine {
     ibuf: Vec<usize>,
     fetch_rotate: usize,
     stats: Stats,
-    trace: Option<Vec<IssueRecord>>,
-    /// Attached observability sink (shared by clones of this machine).
-    sink: Option<SinkHandle>,
-    /// Attached cycle-attribution profiler (boxed: the row table is large
-    /// and the common case is "not attached").
-    profiler: Option<Box<Profile>>,
-    /// Attached progress sampler (boxed for the same reason; the ring is
-    /// pre-sized so the sampling path never allocates).
-    progress: Option<Box<ProgressSampler>>,
+    /// The attached observers (trace sink, profiler, progress sampler);
+    /// `None` while nothing is attached, so an unobserved run pays one
+    /// `Option` check per emission site.
+    obs: Option<Box<Observers>>,
     /// Completion cycles of in-flight broadcast-tree operations (queue
     /// depth sampling).
     bcast_inflight: VecDeque<u64>,
@@ -231,10 +212,7 @@ impl Machine {
             ibuf: vec![0; cfg.threads],
             fetch_rotate: 0,
             stats: Stats::new(cfg.threads),
-            trace: None,
-            sink: None,
-            profiler: None,
-            progress: None,
+            obs: None,
             bcast_inflight: VecDeque::with_capacity(bcast_cap),
             red_inflight: VecDeque::with_capacity(red_cap),
             fusion_plan: None,
@@ -289,98 +267,85 @@ impl Machine {
         });
         self.fusion_dyn = crate::fusion::FusionStats::default();
         self.fused_remaining.iter_mut().for_each(|r| *r = 0);
-        // re-shape the profiler's row table for the new program (pre-sized
-        // here so the record path never allocates)
-        if let Some(p) = &mut self.profiler {
-            p.reset(self.cfg.threads, self.table.len());
+        if let Some(o) = &mut self.obs {
+            o.program_load(self.cfg.threads, self.table.len());
         }
         Ok(())
     }
 
-    /// Record every issue (for pipeline diagrams). Call before running.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
+    /// The observer hook, created at the first attach.
+    fn observers(&mut self) -> &mut Observers {
+        let timing = &self.timing;
+        self.obs.get_or_insert_with(|| Box::new(Observers::new(timing)))
     }
 
-    /// The recorded issue trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&[IssueRecord]> {
-        self.trace.as_deref()
+    /// Take one consumer off the hook; the hook goes with its last
+    /// consumer, so a machine with nothing attached is back to one
+    /// `Option` check per emission site.
+    fn detach<T>(&mut self, take: impl FnOnce(&mut Observers) -> Option<T>) -> Option<T> {
+        let o = self.obs.as_mut()?;
+        let taken = take(o);
+        if o.is_empty() {
+            self.obs = None;
+        }
+        taken
     }
 
     /// Attach an observability sink; every subsequent
-    /// [`crate::obs::TraceEvent`] is delivered to it. With no sink
+    /// [`crate::obs::TraceEvent`] is delivered to it. With nothing
     /// attached, instrumentation costs one `Option` check per site.
     pub fn attach_sink(&mut self, sink: SinkHandle) {
-        self.sink = Some(sink);
+        self.observers().sink = Some(sink);
     }
 
     /// Detach the sink (returning it), e.g. to stop tracing mid-run.
     pub fn detach_sink(&mut self) -> Option<SinkHandle> {
-        self.sink.take()
+        self.detach(|o| o.sink.take())
     }
 
     /// The attached sink, if any.
     pub fn sink(&self) -> Option<&SinkHandle> {
-        self.sink.as_ref()
+        self.obs.as_ref()?.sink.as_ref()
     }
 
     /// Attach a cycle-attribution profiler: every subsequent cycle is
     /// charged to a `(thread, pc, stall-reason)` triple (see
     /// [`crate::obs::profile`]). The row table is sized for the loaded
-    /// program immediately, so the hot record path never allocates. With
-    /// no profiler attached each hook costs one `Option` check.
+    /// program immediately, so the hot record path never allocates.
     pub fn attach_profiler(&mut self) {
-        self.profiler = Some(Box::new(Profile::new(self.cfg.threads, self.table.len())));
+        let profile = Profile::new(self.cfg.threads, self.table.len());
+        self.observers().profiler = Some(profile);
     }
 
     /// The attached profiler's current attribution, if any. Finalized
     /// (drain charged, conservation exact) only after [`Machine::run`]
     /// returns.
     pub fn profile(&self) -> Option<&Profile> {
-        self.profiler.as_deref()
+        self.obs.as_ref()?.profiler.as_ref()
     }
 
     /// Detach and return the profiler.
     pub fn take_profile(&mut self) -> Option<Profile> {
-        self.profiler.take().map(|b| *b)
+        self.detach(|o| o.profiler.take())
     }
 
     /// Attach a progress sampler: the run counters are snapshotted into
     /// the sampler's bounded ring (and streamed to its sink, if any)
     /// every `sampler.every()` cycles, plus once after the pipeline
     /// drains (the *final* sample, whose cycle equals `Stats::cycles`).
-    /// With no sampler attached the hook costs one `Option` check per
-    /// step; with one attached but no sample due, one extra compare.
+    /// With one attached but no sample due, a step costs one compare.
     pub fn attach_progress(&mut self, sampler: ProgressSampler) {
-        self.progress = Some(Box::new(sampler));
+        self.observers().progress = Some(sampler);
     }
 
     /// The attached progress sampler, if any.
     pub fn progress(&self) -> Option<&ProgressSampler> {
-        self.progress.as_deref()
+        self.obs.as_ref()?.progress.as_ref()
     }
 
     /// Detach and return the progress sampler.
     pub fn take_progress(&mut self) -> Option<ProgressSampler> {
-        self.progress.take().map(|b| *b)
-    }
-
-    /// Snapshot the run counters into the attached sampler (caller
-    /// checked attachment). Allocation-free: the sample is `Copy` and the
-    /// ring is pre-sized.
-    fn sample_progress(&mut self, cycle: u64, final_sample: bool) {
-        let sample = ProgressSample {
-            cycle,
-            issued: self.stats.issued,
-            stall_cycles: self.stats.stall_cycles,
-            stalls: self.stats.stalls,
-            live_threads: self.threads.live_count() as u32,
-            every: 0, // stamped by the sampler on push
-            final_sample,
-        };
-        if let Some(p) = &mut self.progress {
-            p.push(sample);
-        }
+        self.detach(|o| o.progress.take())
     }
 
     /// Machine configuration.
@@ -511,12 +476,8 @@ impl Machine {
         self.array.clear_thread(tid);
         self.score.clear_thread(tid);
         self.bubble[tid] = StallReason::BranchBubble;
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::Thread {
-                cycle: self.cycle,
-                thread: tid,
-                transition: ThreadTransition::Spawned,
-            });
+        if let Some(o) = &self.obs {
+            o.thread(self.cycle, tid, ThreadTransition::Spawned);
         }
         Some(tid)
     }
@@ -557,10 +518,8 @@ impl Machine {
             SchedPolicy::FineGrain => self.step_fine(),
             SchedPolicy::CoarseGrain { switch_penalty } => self.step_coarse(switch_penalty),
         }?;
-        // live telemetry: stall fast-forwarding can jump past the mark, so
-        // the sample lands at the first step boundary at-or-after it
-        if self.progress.as_ref().is_some_and(|p| p.due(self.cycle)) {
-            self.sample_progress(self.cycle, false);
+        if let Some(o) = &mut self.obs {
+            o.step_end(self.cycle, &self.stats, self.threads.live_count());
         }
         Ok(step)
     }
@@ -686,22 +645,10 @@ impl Machine {
                         let next_pc = row.pc;
                         self.bubble[next] = StallReason::SwitchPenalty;
                         self.stats.record_stall(StallReason::SwitchPenalty, 1);
-                        if let Some(p) = &mut self.profiler {
+                        if let Some(o) = &mut self.obs {
                             // the switch cycle is the incoming thread's cost
-                            p.record_stall(
-                                next,
-                                next_pc,
-                                StallReason::SwitchPenalty,
-                                1,
-                                NO_PRODUCER_PC,
-                            );
-                        }
-                        if let Some(sink) = &self.sink {
-                            sink.emit(&TraceEvent::Stall {
-                                cycle: self.cycle,
-                                reason: StallReason::SwitchPenalty,
-                                cycles: 1,
-                            });
+                            let site = (next, next_pc, NO_PRODUCER_PC);
+                            o.stall(self.cycle, StallReason::SwitchPenalty, 1, Some(site));
                         }
                         self.cycle += 1;
                         return Ok(O::stalled(StallReason::SwitchPenalty, 1));
@@ -737,14 +684,9 @@ impl Machine {
         };
         let reason = block.map(|b| b.reason).unwrap_or(StallReason::NoThread);
         self.stats.record_stall(reason, delta);
-        if let Some(p) = &mut self.profiler {
-            match block {
-                Some(b) => p.record_stall(b.thread, b.pc, reason, delta, b.waiting_on),
-                None => p.record_unattributed(reason, delta),
-            }
-        }
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::Stall { cycle: self.cycle, reason, cycles: delta });
+        if let Some(o) = &mut self.obs {
+            let site = block.map(|b| (b.thread, b.pc, b.waiting_on));
+            o.stall(self.cycle, reason, delta, site);
         }
         self.cycle += delta;
         Ok(O::stalled(reason, delta))
@@ -854,8 +796,8 @@ impl Machine {
             let ex = self.cycle + self.timing.ex_start(class);
             let claimed = self.seq_units[unit as usize].try_claim(ex, cycles);
             debug_assert!(claimed.is_some(), "structural check preceded issue");
-            if let Some(sink) = &self.sink {
-                sink.emit(&TraceEvent::UnitBusy { cycle: ex, thread: tid, unit, busy_for: cycles });
+            if let Some(o) = &self.obs {
+                o.unit_busy(ex, tid, unit, cycles);
             }
         }
         if matches!(self.cfg.fetch, FetchModel::Finite { .. }) {
@@ -883,17 +825,6 @@ impl Machine {
         };
 
         self.stats.record_issue(tid, class);
-        if let Some(p) = &mut self.profiler {
-            // ghost issues of fused blocks pass through here too, so fused
-            // and unfused runs attribute identically
-            p.record_issue(tid, pc);
-            if class != InstrClass::Scalar {
-                p.record_net(tid, pc);
-            }
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.push(IssueRecord { cycle: self.cycle, thread: tid, pc, instr });
-        }
 
         // store "available from": the cycle after the result is produced
         let available = self.cycle + e.avail;
@@ -902,26 +833,10 @@ impl Machine {
         }
         let retire = self.cycle + e.retire;
         self.stats.last_writeback = self.stats.last_writeback.max(retire);
-
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::Issue {
-                cycle: self.cycle,
-                thread: tid,
-                pc,
-                class,
-                word: asc_isa::encode(&instr),
-            });
-            // retirement is resolved at issue; the event carries the
-            // future WB cycle
-            sink.emit(&TraceEvent::Retire { cycle: retire, thread: tid, pc, class });
-            if class != InstrClass::Scalar {
-                sink.emit(&TraceEvent::NetOp {
-                    cycle: self.cycle,
-                    thread: tid,
-                    unit: NetUnit::Broadcast,
-                    latency: self.timing.b,
-                });
-            }
+        if let Some(o) = &mut self.obs {
+            // retirement is resolved at issue: the retire event carries
+            // the future WB cycle
+            o.issue(self.cycle, tid, pc, &instr, class, retire);
         }
 
         let row = self.threads.get_mut(tid);
@@ -944,21 +859,13 @@ impl Machine {
                 self.halted = true;
             }
             Effect::Exit => {
-                let (cycle, sink) = (self.cycle, &self.sink);
-                if let Some(sink) = sink {
-                    sink.emit(&TraceEvent::Thread {
-                        cycle,
-                        thread: tid,
-                        transition: ThreadTransition::Exited,
-                    });
+                let (cycle, obs) = (self.cycle, self.obs.as_deref());
+                if let Some(o) = obs {
+                    o.thread(cycle, tid, ThreadTransition::Exited);
                 }
                 self.threads.release(tid, |w| {
-                    if let Some(sink) = sink {
-                        sink.emit(&TraceEvent::Thread {
-                            cycle,
-                            thread: w,
-                            transition: ThreadTransition::Woken,
-                        });
+                    if let Some(o) = obs {
+                        o.thread(cycle, w, ThreadTransition::Woken);
                     }
                 });
             }
@@ -967,12 +874,8 @@ impl Machine {
                 row.pc = pc + 1;
                 row.state = ThreadState::WaitingJoin(target);
                 row.next_issue = self.cycle + 1;
-                if let Some(sink) = &self.sink {
-                    sink.emit(&TraceEvent::Thread {
-                        cycle: self.cycle,
-                        thread: tid,
-                        transition: ThreadTransition::JoinWait { target },
-                    });
+                if let Some(o) = &self.obs {
+                    o.thread(self.cycle, tid, ThreadTransition::JoinWait { target });
                 }
             }
         }
@@ -1007,16 +910,8 @@ impl Machine {
     /// Emit a reduction-unit network event (called by the executor's
     /// reduction arms, which know which tree the operation uses).
     pub(crate) fn emit_net_reduce(&mut self, thread: usize, pc: u32, unit: NetUnit) {
-        if let Some(p) = &mut self.profiler {
-            p.record_net(thread, pc);
-        }
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::NetOp {
-                cycle: self.cycle,
-                thread,
-                unit,
-                latency: self.timing.r,
-            });
+        if let Some(o) = &mut self.obs {
+            o.net_op(self.cycle, thread, pc, unit);
         }
     }
 
@@ -1032,18 +927,8 @@ impl Machine {
         }
         // pipeline drain: cycles counted to the last writeback
         self.stats.cycles = self.stats.last_writeback.max(self.cycle) + 1;
-        if let Some(p) = &mut self.profiler {
-            p.finalize(self.stats.cycles);
-        }
-        if self.progress.is_some() {
-            // the final sample: end-of-run totals, stamped post-drain
-            self.sample_progress(self.stats.cycles, true);
-            // best-effort flush, like the trace sink below
-            let _ = self.progress.as_ref().unwrap().flush();
-        }
-        if let Some(sink) = &self.sink {
-            // best-effort flush; file-backed sinks latch their own errors
-            let _ = sink.flush();
+        if let Some(o) = &mut self.obs {
+            o.run_end(&self.stats, self.threads.live_count());
         }
         Ok(self.stats.clone())
     }

@@ -8,9 +8,20 @@
 //!    operations with unit and latency, thread lifecycle transitions, and
 //!    sequential-unit (multiplier/divider) busy spans. Events flow into a
 //!    [`TraceSink`] — a bounded [`RingBufferSink`] for in-memory
-//!    inspection or a [`JsonLinesSink`] for on-disk traces. With no sink
-//!    attached, every emission site reduces to one `Option::is_some`
-//!    check: the event is never even constructed.
+//!    inspection, a [`MemorySink`] for the whole stream (the Chrome
+//!    export, and the paper's Figure 2, which
+//!    [`crate::pipeline::hazard_diagram`] renders from the
+//!    [`TraceEvent::Issue`] events) or a [`JsonLinesSink`] for on-disk
+//!    traces.
+//!
+//!    The sink is one of three consumers behind the machine's one
+//!    observer field (`observers.rs`), with the cycle-attribution
+//!    [`Profile`] and the [`ProgressSampler`]. The field has one method
+//!    per event kind — issue, stall, network op, thread transition, unit
+//!    busy, step end, program load and run end — and hands each event to
+//!    the consumers attached. With nothing attached the field is `None`:
+//!    every emission site reduces to one `Option` check, and no event is
+//!    ever constructed.
 //!
 //! 2. **Metrics** ([`Registry`]) — named counters, gauges, and
 //!    fixed-bucket [`Histogram`]s. [`crate::Stats`] is refactored on top:
@@ -48,6 +59,7 @@ pub mod diff;
 pub mod event;
 pub mod json;
 pub mod metrics;
+mod observers;
 pub mod profile;
 pub mod progress;
 pub mod report;
@@ -61,6 +73,7 @@ pub use diff::{
 pub use event::{SeqUnit, ThreadTransition, TraceEvent};
 pub use json::{Json, JsonError};
 pub use metrics::{Histogram, MetricValue, Registry};
+pub(crate) use observers::Observers;
 pub use profile::{BlockMap, HotSite, Profile, ProfileRow, StallSummary, PROFILE_SCHEMA};
 pub use progress::{
     JsonLinesProgress, ProgressHandle, ProgressSample, ProgressSampler, ProgressSink,

@@ -19,11 +19,13 @@
 //! [`Profile::total_cycles`] (and by tests/proptests over random
 //! programs).
 //!
-//! Attach with [`crate::Machine::attach_profiler`]; with no profiler
-//! attached every hook reduces to one `Option` check and the issue path
-//! stays allocation-free (asserted by the `obs_overhead` bench). With a
-//! profiler attached the row table is pre-sized at attach/load, so the
-//! steady-state record path is allocation-free too.
+//! Attach with [`crate::Machine::attach_profiler`]: the profiler is a
+//! consumer of the machine's one observer field, next to the trace sink
+//! and the progress sampler. With nothing attached every hook reduces to
+//! one `Option` check and the issue path stays allocation-free (asserted
+//! by the `obs_overhead` bench). With a profiler attached the row table
+//! is pre-sized at attach/load, so the steady-state record path is
+//! allocation-free too.
 //!
 //! Profiles serialize to `mtasc.profile.v1` JSON ([`Profile::to_json`] /
 //! [`Profile::parse`], lossless round-trip), aggregate per instruction,
@@ -146,11 +148,6 @@ impl Profile {
             drain: 0,
             cycles: 0,
         }
-    }
-
-    /// Re-shape for a newly loaded program, discarding all attribution.
-    pub(crate) fn reset(&mut self, threads: usize, prog_len: usize) {
-        *self = Profile::new(threads, prog_len);
     }
 
     /// Hardware threads the profile is shaped for.

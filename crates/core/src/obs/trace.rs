@@ -1,6 +1,7 @@
-//! Trace sinks: where [`TraceEvent`]s go. The machine holds an optional
-//! [`SinkHandle`]; with none attached, instrumentation reduces to one
-//! `Option` check per emission site (no event is even constructed).
+//! Trace sinks: where [`TraceEvent`]s go. The machine's observer field
+//! holds an optional [`SinkHandle`]; with nothing attached,
+//! instrumentation reduces to one `Option` check per emission site (no
+//! event is even constructed).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

@@ -2,15 +2,17 @@
 //! configuration (not hard-coded):
 //!
 //! * [`pipeline_organization`] — Figure 1, the split pipeline;
-//! * [`hazard_diagram`] — Figure 2, stage-by-cycle grids of real issue
-//!   traces, with stalls shown by repeating the ID stage;
+//! * [`hazard_diagram`] — Figure 2, stage-by-cycle grids of the
+//!   [`TraceEvent::Issue`] events of a real run (a `MemorySink` attached
+//!   to the machine collects them), with stalls shown by repeating the ID
+//!   stage;
 //! * [`control_unit_organization`] — Figure 3, the control unit's
 //!   components.
 
 use asc_asm::disassemble;
 
 use crate::config::MachineConfig;
-use crate::machine::IssueRecord;
+use crate::obs::TraceEvent;
 use crate::timing::Timing;
 
 /// Figure 1: the pipeline organization for the given timing (B/R stage
@@ -29,19 +31,27 @@ pub fn pipeline_organization(t: &Timing) -> String {
     s
 }
 
-/// Figure 2: a stage-by-cycle diagram of an actual issue trace (rows =
-/// instructions in program order, columns = cycles). Instruction fetch is
+/// Figure 2: a stage-by-cycle diagram of the [`TraceEvent::Issue`] events
+/// among `events` (rows = instructions in issue order, columns = cycles;
+/// every other event is skipped). Each row's label is the event's word,
+/// decoded, and its stages follow the event's class. Instruction fetch is
 /// rendered one per cycle in program order; a stalled instruction repeats
 /// its ID stage until issue, exactly as the paper draws it.
-pub fn hazard_diagram(records: &[IssueRecord], t: &Timing) -> String {
-    if records.is_empty() {
+pub fn hazard_diagram(events: &[TraceEvent], t: &Timing) -> String {
+    let mut issues = events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Issue { cycle, class, word, .. } => Some((cycle, class, word)),
+            _ => None,
+        })
+        .peekable();
+    let Some(&(first_issue, _, _)) = issues.peek() else {
         // an empty diagram is confusing downstream (the CLI would print a
         // heading followed by nothing) — say what happened instead
         return "(no issues recorded)\n".to_string();
-    }
-    // program-order fetch: record k is fetched at first_fetch + k
-    let first_issue = records[0].cycle;
-    // render origin: two pipeline slots before the first issue
+    };
+    // program-order fetch: issue k is fetched at origin + k, where the
+    // render origin is two pipeline slots before the first issue
     let origin = first_issue as i64 - 2;
 
     struct Row {
@@ -52,19 +62,23 @@ pub fn hazard_diagram(records: &[IssueRecord], t: &Timing) -> String {
 
     let mut rows = Vec::new();
     let mut max_cycle = 0i64;
-    for (k, rec) in records.iter().enumerate() {
+    for (k, (cycle, class, word)) in issues.enumerate() {
         let fetch = origin + k as i64;
-        let issue = rec.cycle as i64;
+        let issue = cycle as i64;
         let mut cells = vec![(fetch, "IF".to_string())];
         // ID from fetch+1 up to issue-1 (repeats while stalled)
         for c in (fetch + 1)..issue {
             cells.push((c, "ID".to_string()));
         }
-        for (off, name) in t.stage_names(rec.instr.class()).into_iter().enumerate() {
+        for (off, name) in t.stage_names(class).into_iter().enumerate() {
             cells.push((issue + off as i64, name));
         }
         max_cycle = max_cycle.max(cells.last().map(|(c, _)| *c).unwrap_or(0));
-        rows.push(Row { label: disassemble(&rec.instr), cells });
+        let label = match asc_isa::decode(word) {
+            Ok(i) => disassemble(&i),
+            Err(_) => format!("{word:#010x}"),
+        };
+        rows.push(Row { label, cells });
     }
 
     let label_w = rows.iter().map(|r| r.label.len()).max().unwrap_or(0).max(12);

@@ -3,6 +3,9 @@
 //! behaviour, structural hazards, error paths, and differential testing
 //! against the functional emulator.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use asc_asm::assemble;
 use asc_isa::{Width, Word};
 use asc_pe::{DividerConfig, MultiplierKind};
@@ -14,6 +17,7 @@ use crate::config::MachineConfig;
 use crate::emulator::Emulator;
 use crate::error::RunError;
 use crate::machine::Machine;
+use crate::obs::{MemorySink, SinkHandle, TraceEvent};
 use crate::run_source;
 use crate::stats::StallReason;
 
@@ -27,13 +31,25 @@ fn full() -> MachineConfig {
     MachineConfig::new(16)
 }
 
-/// Issue cycles of a straight-line program, via the trace.
-fn issue_cycles(cfg: MachineConfig, src: &str) -> Vec<u64> {
+/// The machine after running `src`, and every event the run emitted.
+fn traced(cfg: MachineConfig, src: &str) -> (Machine, Vec<TraceEvent>) {
     let program = assemble(src).unwrap();
     let mut m = Machine::with_program(cfg, &program).unwrap();
-    m.enable_trace();
+    let mem = Rc::new(RefCell::new(MemorySink::new()));
+    m.attach_sink(SinkHandle::shared(mem.clone()));
     m.run(MAX).unwrap();
-    m.trace().unwrap().iter().map(|r| r.cycle).collect()
+    let events = mem.borrow().events().to_vec();
+    (m, events)
+}
+
+/// Issue cycles of a straight-line program, via the trace.
+fn issue_cycles(cfg: MachineConfig, src: &str) -> Vec<u64> {
+    let (_, events) = traced(cfg, src);
+    let issue = |e: &TraceEvent| match *e {
+        TraceEvent::Issue { cycle, .. } => Some(cycle),
+        _ => None,
+    };
+    events.iter().filter_map(issue).collect()
 }
 
 // ------------------------------------------------------------ semantics
@@ -1047,19 +1063,15 @@ fn nonpipelined_baseline_runs_same_program() {
 
 #[test]
 fn hazard_diagram_renders_figure_2() {
-    let cfg = proto();
-    let program = assemble(
+    let (m, events) = traced(
+        proto(),
         "rmax s1, p2
          sub  s3, s1, s1
          halt",
-    )
-    .unwrap();
-    let mut m = Machine::with_program(cfg, &program).unwrap();
-    m.enable_trace();
-    m.run(MAX).unwrap();
+    );
     let t = m.timing();
-    let records: Vec<_> = m.trace().unwrap()[..2].to_vec();
-    let diagram = crate::pipeline::hazard_diagram(&records, &t);
+    let diagram = crate::pipeline::hazard_diagram(&events, &t);
+    assert_eq!(diagram.lines().count(), 2 + 3, "a header, a rule and one row per issue");
     // the stalled SUB must repeat ID at least b+r times
     let sub_line = diagram.lines().find(|l| l.contains("sub")).unwrap();
     let id_count = sub_line.matches(" ID").count();
@@ -1072,9 +1084,7 @@ fn hazard_diagram_renders_figure_2() {
 
 #[test]
 fn trace_events_reconcile_with_stats_on_mt_kernel() {
-    use crate::obs::{RingBufferSink, SinkHandle, ThreadTransition, TraceEvent};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::obs::{RingBufferSink, ThreadTransition};
 
     let program = assemble(MT_PROGRAM).unwrap();
     let mut m = Machine::with_program(full(), &program).unwrap();
@@ -1135,9 +1145,7 @@ fn trace_events_reconcile_with_stats_on_mt_kernel() {
 
 #[test]
 fn jsonl_trace_of_real_run_round_trips() {
-    use crate::obs::{parse_json_lines, JsonLinesSink, RingBufferSink, SinkHandle, TraceEvent};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::obs::{parse_json_lines, JsonLinesSink, RingBufferSink};
 
     let program = assemble(MT_PROGRAM).unwrap();
 
@@ -1187,7 +1195,7 @@ fn run_report_totals_match_stats_on_mt_kernel() {
 
 #[test]
 fn unsinked_machine_emits_nothing_and_matches_sinked_run() {
-    use crate::obs::{RingBufferSink, SinkHandle};
+    use crate::obs::RingBufferSink;
 
     // attaching a sink must not perturb timing
     let (_, plain) = run_source(full(), MT_PROGRAM, MAX).unwrap();

@@ -20,10 +20,13 @@
 //! property that lets the fine-grain multithreaded pipeline issue a
 //! reduction every cycle without structural hazards.
 //!
-//! This crate provides both **functional** models (what value comes out,
+//! This crate provides the **functional** models (what value comes out,
 //! respecting the tree association order, which matters for the saturating
-//! sum) and **structural** models ([`DelayLine`], [`PipelinedUnit`]) that
-//! the cycle-accurate simulator uses to track occupancy and latency.
+//! sum) and the tree geometry behind each unit's latency ([`tree_depth`],
+//! [`reduction_latency`]). It keeps no pipeline state: the cycle-accurate
+//! simulator tracks the trees' occupancy itself, from each operation's
+//! issue cycle and these latencies (`Machine::track_net_depth` in
+//! `asc-core`).
 //!
 //! Each reduction unit has one functional path. The logic unit's AND/OR
 //! walks the active mask's tiles ([`asc_pe::ActiveMask::active_tiles`]),
@@ -42,7 +45,6 @@
 //! to the gate, so it splits only from 2²⁴ PEs; a smaller reduction, the
 //! resolver and the any/all tests run on the calling thread.
 
-pub mod broadcast;
 pub mod count;
 pub mod logic;
 pub mod maxmin;
@@ -51,13 +53,12 @@ pub mod sum;
 pub mod tree;
 pub mod unit;
 
-pub use broadcast::BroadcastTree;
 pub use count::ResponseCounter;
 pub use logic::LogicUnit;
 pub use maxmin::MaxMinUnit;
 pub use resolver::MultipleResponseResolver;
 pub use sum::SumUnit;
-pub use tree::{reduction_latency, tree_depth, DelayLine, PipelinedUnit};
+pub use tree::{reduction_latency, tree_depth};
 pub use unit::NetUnit;
 
 use std::ops::Range;

@@ -1,8 +1,10 @@
 //! End-to-end tests for the cycle-attribution profiler and the Chrome
 //! trace exporter: a golden `trace_event` fixture for a small kernel,
 //! structural Perfetto-validity checks, the `mtasc.profile.v1` JSON
-//! round trip, and the conservation invariant over the whole kernel
-//! corpus (fused and unfused).
+//! round trip, the conservation invariant over the whole kernel corpus
+//! (fused and unfused), and the machine's one observer hook, which must
+//! hand the sink, the profiler and the progress sampler attached together
+//! what each would see attached alone.
 //!
 //! After an intentional exporter change, regenerate the golden with
 //! `UPDATE_CHROME_GOLDEN=1 cargo test --test obs_profile` and review the
@@ -13,8 +15,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use asc::core::obs::{chrome_trace, chrome_trace_text, Json, MemorySink, Profile, SinkHandle};
-use asc::core::{Machine, MachineConfig};
+use asc::asm::Program;
+use asc::core::obs::{
+    chrome_trace, chrome_trace_text, Json, MemorySink, Profile, ProgressSample, ProgressSampler,
+    SinkHandle, TraceEvent,
+};
+use asc::core::{Machine, MachineConfig, Stats};
+use asc::pe::{DividerConfig, MultiplierKind};
 
 /// The small kernel behind the golden fixture: one loop mixing scalar,
 /// parallel, and reduction work, so the trace exercises thread tracks,
@@ -142,5 +149,90 @@ fn conservation_holds_for_every_corpus_kernel_fused_and_unfused() {
             profiles[0] == profiles[1],
             "{name}: fused and unfused profiles must be bit-identical"
         );
+    }
+}
+
+/// What the observers of one run saw, each `None` when not attached.
+struct Seen {
+    stats: Stats,
+    /// Fused blocks the run executed.
+    blocks: u64,
+    events: Option<Vec<TraceEvent>>,
+    profile: Option<Profile>,
+    samples: Option<Vec<ProgressSample>>,
+}
+
+/// Run `program` with the sink, the profiler and the progress sampler
+/// attached as `[sink, profiler, progress]` says.
+fn observed(cfg: MachineConfig, program: &Program, attach: [bool; 3]) -> Seen {
+    let mut m = Machine::with_program(cfg, program).unwrap();
+    let mem = Rc::new(RefCell::new(MemorySink::new()));
+    if attach[0] {
+        m.attach_sink(SinkHandle::shared(mem.clone()));
+    }
+    if attach[1] {
+        m.attach_profiler();
+    }
+    if attach[2] {
+        m.attach_progress(ProgressSampler::new(5, 1 << 16));
+    }
+    let stats = m.run(1_000_000).unwrap();
+    Seen {
+        stats,
+        blocks: m.fusion_stats().blocks_executed,
+        events: attach[0].then(|| mem.borrow().events().to_vec()),
+        profile: m.take_profile(),
+        samples: m.take_progress().map(|p| p.samples().copied().collect()),
+    }
+}
+
+/// The hook fans every event kind out to each attached consumer: a
+/// 16-context fleet (spawns, joins, exits, reductions, stalls), coarse
+/// grain too (switch-penalty stalls), a single-thread loop whose
+/// lane-local runs fuse, and sequential multiply and divide (unit-busy
+/// spans), fused and unfused. Attached together, the sink, the profiler
+/// and the sampler each see exactly what they see attached alone, and
+/// the run's `Stats` stay those of a run with nothing attached.
+#[test]
+fn observers_attached_together_see_what_each_sees_alone() {
+    use asc::kernels::micro::{mixed_fleet, mixed_workload};
+    let mut seq = MachineConfig::new(16);
+    seq.multiplier = MultiplierKind::Sequential { cycles: 16 };
+    seq.divider = DividerConfig::Sequential { cycles: 18 };
+    let muldiv = "li s2, 7\nli s3, 3\nmul s1, s2, s3\ndiv s4, s1, s3\nmul s5, s4, s1\nhalt\n";
+    let cases = [
+        ("fleet", MachineConfig::new(16), mixed_fleet(15, 3)),
+        ("fleet coarse", MachineConfig::new(16).coarse_grain(4), mixed_fleet(15, 3)),
+        ("loop", MachineConfig::new(16), mixed_workload(6)),
+        ("mul/div", seq, muldiv.to_string()),
+    ];
+    for (name, cfg, src) in cases {
+        let program = asc::asm::assemble(&src).unwrap();
+        for (strategy, cfg) in [("fused", cfg), ("unfused", cfg.without_fusion())] {
+            let at = format!("{name} {strategy}");
+            let all = observed(cfg, &program, [true; 3]);
+            let bare = observed(cfg, &program, [false; 3]);
+            assert_eq!(all.stats, bare.stats, "{at}: observing changed the run");
+            let fuses = name == "loop" && strategy == "fused";
+            assert_eq!(all.blocks > 0, fuses, "{at}: fused blocks ran");
+            let sink = observed(cfg, &program, [true, false, false]);
+            assert!(all.events == sink.events, "{at}: events differ from the sink's alone");
+            let profiler = observed(cfg, &program, [false, true, false]);
+            assert!(all.profile == profiler.profile, "{at}: profile differs from its own");
+            let progress = observed(cfg, &program, [false, false, true]);
+            assert!(all.samples == progress.samples, "{at}: samples differ from their own");
+            let events = all.events.as_deref().unwrap();
+            let kinds = ["issue", "retire", "stall", "net_op", "thread", "unit_busy"];
+            for kind in kinds {
+                let emitted = events.iter().any(|e| e.kind() == kind);
+                let expected = match kind {
+                    "thread" => name.starts_with("fleet"),
+                    "unit_busy" => name == "mul/div",
+                    "net_op" => name != "mul/div",
+                    _ => true,
+                };
+                assert_eq!(emitted, expected, "{at}: {kind} events");
+            }
+        }
     }
 }
