@@ -215,6 +215,8 @@ fn observers_attached_together_see_what_each_sees_alone() {
             assert_eq!(all.stats, bare.stats, "{at}: observing changed the run");
             let fuses = name == "loop" && strategy == "fused";
             assert_eq!(all.blocks > 0, fuses, "{at}: fused blocks ran");
+            let switches = all.stats.thread_switches > 0;
+            assert_eq!(switches, name == "fleet coarse", "{at}: switch-penalty stalls");
             let sink = observed(cfg, &program, [true, false, false]);
             assert!(all.events == sink.events, "{at}: events differ from the sink's alone");
             let profiler = observed(cfg, &program, [false, true, false]);
