@@ -250,8 +250,8 @@ echo "==> fusion differential suite at the scalar dispatch tier"
 MTASC_NO_SIMD=1 cargo test -p asc-core --features proptest -q fusion
 
 echo "==> fusion + SIMD differential suites under forced multi-segment execution"
-# MTASC_SEGMENTS=4 shards every machine in the suites into four
-# core-affine segments, so fused-vs-unfused and SIMD-vs-scalar
+# MTASC_SEGMENTS=4 slices every machine in the suites into four
+# commit-map segments, so fused-vs-unfused and SIMD-vs-scalar
 # bit-identity — and the sharded-vs-monolithic proptest itself — are
 # proven with the commit map at a second granularity. Every sweep and
 # reduction walks the same tiles at every segment count, so these reruns

@@ -3,8 +3,9 @@
 //! response-count microbench at 2¹⁴ PEs (the associative some/none test
 //! issued back to back), the build-touch-drop cycle of a 2²⁰-PE machine
 //! (plane construction and first-touch writes), single lane-local
-//! instructions through the ALU and compare span kernels, and the
-//! query fleet's round-robin issue of lane-local ops over 16 threads.
+//! instructions through the ALU and compare span kernels, the query
+//! fleet's round-robin issue of lane-local ops over 16 threads, and the
+//! stencil workload's fused block at 2¹⁶ PEs.
 //! These are the workloads the structure-of-arrays PE array is optimised
 //! for; run them before and after datapath changes.
 
@@ -160,12 +161,74 @@ fn bench_run_op_rotating(c: &mut Criterion) {
     black_box(a.gpr_plane(0, 5));
 }
 
+/// The 22-instruction loop body of simbench's `fused_stencil` workload,
+/// the block its fusion plan runs as one, lowered as the machine lowers it
+/// at load and run four times back to back through `PeArray::run_block`
+/// at 2¹⁶ PEs: the tile-chain share of one stencil op (four loop
+/// iterations). Its eight register planes and three local-memory rows,
+/// 2.75 MiB, do not fit in one 2 MiB L2 cache but do in two, so each
+/// split run rereads its groups' planes from its own core's L2 only if
+/// every core sweeps the same groups every time.
+fn bench_run_block_stencil(c: &mut Criterion) {
+    const PES: usize = 1 << 16;
+    let block = asc_asm::assemble(
+        "
+        plw    p1, 0(p0)
+        plw    p2, 1(p0)
+        plw    p3, 2(p0)
+        padd   p4, p1, p2
+        psrli  p4, p4, 1
+        pxor   p5, p3, p1
+        pandi  p5, p5, 127
+        padd   p6, p4, p5
+        pclt   pf1, p1, p2
+        pclt   pf2, p5, p4
+        pfxor  pf3, pf1, pf2
+        pmax   p7, p1, p3 ?pf3
+        pmin   p7, p2, p7 ?pf1
+        padd   p8, p6, p7
+        psrli  p8, p8, 1
+        pxor   p8, p8, p5
+        pfor   pf5, pf2, pf3
+        paddi  p8, p8, 3 ?pf5
+        pcle   pf6, p8, p1
+        pfandn pf7, pf6, pf1
+        paddi  p8, p8, 5 ?pf7
+        psw    p8, 2(p0)
+        ",
+    )
+    .expect("the stencil block assembles");
+    let mut cfg = MachineConfig::new(PES).single_threaded();
+    cfg.lmem_words = 4;
+    let mut a = PeArray::new(cfg.array());
+    let level = a.config().simd;
+    let ops: Vec<LaneOp> = (block.instrs.iter())
+        .map(|i| LaneOp::lower(i, cfg.width, level, cfg.lmem_words).expect("a lane-local op"))
+        .collect();
+    assert_eq!(ops.len(), 22);
+    for row in 0..3u32 {
+        let data: Vec<Word> =
+            (0..PES as u32).map(|pe| Word((pe * 37 + row * 101) % 1024)).collect();
+        a.scatter_column(row, &data).unwrap();
+    }
+    let all = ActiveMask::all(PES);
+    c.bench_function("pe_array/run_block_stencil_65536x4", |b| {
+        b.iter(|| {
+            for _ in 0..4 {
+                a.run_block(0, black_box(&ops), &all);
+            }
+        })
+    });
+    black_box(a.gpr_plane(0, 8));
+}
+
 criterion_group!(
     benches,
     bench_sort_4096,
     bench_rcount_16k,
     bench_build_touch_1m,
     bench_single_sweeps,
-    bench_run_op_rotating
+    bench_run_op_rotating,
+    bench_run_block_stencil
 );
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! PE-count scaling sweep: measure associative **query latency** on a
 //! preloaded database at every power-of-two array size from 2⁴ to 2²⁰,
-//! with the core-affine segmentation both enabled (the default automatic
+//! with the commit-map segmentation both enabled (the default automatic
 //! slicing) and forced off (`--segments 1`), so the committed table
 //! compares the two geometries point by point.
 //!

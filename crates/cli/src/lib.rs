@@ -82,7 +82,7 @@ pub struct MachineOpts {
     /// SIMD dispatch enabled (`--no-simd` clears it; `MTASC_NO_SIMD`
     /// overrides either way).
     pub simd: bool,
-    /// Requested segment count for the core-affine PE-array sharding
+    /// Requested segment count of the PE array's commit map
     /// (`--segments N`; 0 = automatic, 1 = monolithic; `MTASC_SEGMENTS`
     /// overrides either way). Bit-identical results at every count.
     pub segments: usize,
@@ -219,6 +219,21 @@ impl MachineOpts {
     }
 }
 
+/// The one argument `cmd` takes after the machine options: its file. A
+/// missing file, an option `cmd` does not know and any extra argument are
+/// usage errors.
+fn only_path(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<String, CliError> {
+    let path = args.next().ok_or_else(|| CliError::Usage(format!("{cmd} needs a file")))?;
+    let extra = if path.starts_with('-') { Some(path.clone()) } else { args.next() };
+    match extra {
+        None => Ok(path),
+        Some(a) if a.starts_with('-') => {
+            Err(CliError::Usage(format!("unknown {cmd} option `{a}`\n\n{USAGE}")))
+        }
+        Some(a) => Err(CliError::Usage(format!("{cmd} takes one file, got `{path}` and `{a}`"))),
+    }
+}
+
 fn parse_num(s: &str) -> Result<usize, CliError> {
     s.parse().map_err(|_| CliError::Usage(format!("not a number: {s}")))
 }
@@ -292,7 +307,7 @@ OPTIONS:
                    instruction-major execution — for cross-checking)
   --no-simd        force the scalar reference loops instead of AVX2/AVX-512
                    kernels (identical results; MTASC_NO_SIMD=1 also works)
-  --segments N     core-affine PE-array segments (0 = auto, one per 4096
+  --segments N     PE-array commit-map segments (0 = auto, one per 4096
                    lanes; 1 = monolithic; identical results at every
                    count; MTASC_SEGMENTS=N also works)
   --sched-seed N   perturb the thread scheduler with seed N (0 = exact
@@ -332,7 +347,7 @@ pub fn dispatch(mut args: Vec<String>) -> Result<String, CliError> {
     match cmd.as_str() {
         "--version" | "-V" | "version" => Ok(version_text()),
         "run" => {
-            let path = it.next().ok_or_else(|| CliError::Usage("run needs a file".into()))?;
+            let path = only_path("run", it)?;
             let src = std::fs::read_to_string(&path)
                 .map_err(|e| CliError::Failure(format!("{path}: {e}")))?;
             let src = lower_if_ascl(&path, &src)?;
@@ -340,20 +355,20 @@ pub fn dispatch(mut args: Vec<String>) -> Result<String, CliError> {
             cmd_run(&src, opts)
         }
         "asm" => {
-            let path = it.next().ok_or_else(|| CliError::Usage("asm needs a file".into()))?;
+            let path = only_path("asm", it)?;
             let src = std::fs::read_to_string(&path)
                 .map_err(|e| CliError::Failure(format!("{path}: {e}")))?;
             let src = lower_if_ascl(&path, &src)?;
             cmd_asm(&src)
         }
         "lower" => {
-            let path = it.next().ok_or_else(|| CliError::Usage("lower needs a file".into()))?;
+            let path = only_path("lower", it)?;
             let src = std::fs::read_to_string(&path)
                 .map_err(|e| CliError::Failure(format!("{path}: {e}")))?;
             asc_lang::compile(&src).map_err(|e| CliError::Failure(e.to_string()))
         }
         "disasm" => {
-            let path = it.next().ok_or_else(|| CliError::Usage("disasm needs a file".into()))?;
+            let path = only_path("disasm", it)?;
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| CliError::Failure(format!("{path}: {e}")))?;
             cmd_disasm(&text)

@@ -34,6 +34,37 @@ fn usage_errors_exit_two() {
     }
 }
 
+/// A file command takes its file and nothing else: an unknown option, a
+/// path that starts with `-` or a second path is a usage error that names
+/// the argument, and nothing runs.
+#[test]
+fn file_commands_reject_extra_arguments() {
+    let dir = scratch("extra");
+    let prog = dir.join("prog.asc");
+    std::fs::write(&prog, "pidx p1\nrsum s1, p1\nhalt\n").unwrap();
+    let prog = prog.to_str().unwrap();
+    let cases: [(&[&str], &str); 8] = [
+        (&["run", prog, "--bogus", "--no-record"], "`--bogus`"),
+        (&["run", prog, "--coarse-grain", "4", "--no-record"], "`--coarse-grain`"),
+        (&["run", "--help"], "`--help`"),
+        (&["run", prog, prog, "--no-record"], "got `"),
+        (&["asm", prog, "extra.asc"], "`extra.asc`"),
+        (&["lower", "-x"], "`-x`"),
+        (&["disasm", prog, "--json"], "`--json`"),
+        (&["asm", "--help", prog], "`--help`"),
+    ];
+    for (args, named) in cases {
+        let out = mtasc().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: {err}");
+        assert!(err.lines().next().is_some_and(|l| l.contains(named)), "args {args:?}: {err}");
+        assert!(out.stdout.is_empty(), "args {args:?} ran");
+    }
+    let out = mtasc().args(["run", prog, "--no-record"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn runtime_failures_exit_one() {
     let out = mtasc().args(["run", "/nonexistent/prog.asc", "--no-record"]).output().unwrap();

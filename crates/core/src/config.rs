@@ -91,12 +91,12 @@ pub struct MachineConfig {
     /// bit-identical at every tier. Disable (`mtasc run --no-simd`, or
     /// `MTASC_NO_SIMD=1`) to cross-check or to time the scalar loops.
     pub simd: bool,
-    /// Requested segment count for the core-affine sharding of the PE
-    /// array, the granularity at which plane writes are recorded (`0` =
-    /// automatic, one segment per 4096 lanes; `1` = the monolithic flat
-    /// layout; overridable with `MTASC_SEGMENTS`). Purely
-    /// an execution strategy — results, cycle counts, stats and profiles
-    /// are bit-identical at every count; see [`asc_pe::SegmentGeometry`].
+    /// Requested segment count of the PE array, the granularity at which
+    /// plane writes are recorded (`0` = automatic, one segment per 4096
+    /// lanes; `1` = the monolithic flat layout; overridable with
+    /// `MTASC_SEGMENTS`). Purely an execution strategy — results, cycle
+    /// counts, stats and profiles are bit-identical at every count; see
+    /// [`asc_pe::SegmentGeometry`].
     pub segments: usize,
     /// Schedule-perturbation seed (`0` = off, the exact baseline
     /// schedule; overridable with `MTASC_SCHED_SEED`). A non-zero seed

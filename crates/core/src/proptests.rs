@@ -434,7 +434,7 @@ proptest! {
         }
     }
 
-    /// Core-affine segmentation is architecturally invisible: the same
+    /// Segmentation is architecturally invisible: the same
     /// random straight-line program leaves bit-identical machine state,
     /// cycle counts, statistics and cycle-attribution profiles at every
     /// requested segment count — including counts that do not divide the

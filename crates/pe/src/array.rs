@@ -131,7 +131,7 @@ pub struct ArrayConfig {
     /// SIMD tier for the dense lane loops (see [`crate::simd`]); resolved
     /// once at construction and never re-probed.
     pub simd: SimdLevel,
-    /// Core-affine slicing of the array (see [`crate::segments`]): the
+    /// Segment slicing of the array (see [`crate::segments`]): the
     /// granularity at which the commit map records plane writes. Results
     /// are bit-identical at every segment count.
     pub segments: SegmentGeometry,
@@ -574,7 +574,7 @@ impl PeArray {
         self.cfg.num_pes
     }
 
-    /// The core-affine segment slicing.
+    /// The segment slicing, the granularity of the commit map.
     pub fn segments(&self) -> SegmentGeometry {
         self.cfg.segments
     }

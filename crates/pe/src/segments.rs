@@ -1,11 +1,13 @@
-//! Core-affine segmentation of the PE array.
+//! Segmentation of the PE array: the granularity of its commit map.
 //!
 //! A *segment* is a contiguous run of whole 64-PE tiles. Register planes,
 //! flag bitplanes and local-memory rows are committed (first touched) per
 //! segment: the segment is the granularity of the array's commit map,
 //! and nothing else reads it. Plane sweeps and reductions skip inactive
 //! lanes on the active mask's 4096-lane occupancy groups and walk the
-//! same tiles in the same order at every segment count.
+//! same tiles in the same order at every segment count, and which host
+//! core runs which lanes is the worker pool's home ranges
+//! ([`crate::workers`]), not the segments.
 //!
 //! Segmentation is an execution strategy only:
 //!
@@ -27,7 +29,7 @@ pub const MAX_SEGMENTS: usize = 256;
 /// commit-map bit covers the same lanes as an occupancy bit.
 pub const AUTO_TILES_PER_SEG: usize = 64;
 
-/// How the PE array is sliced into core-affine segments.
+/// How the PE array is sliced into segments, the units of its commit map.
 ///
 /// Constructed once per machine from the configured (or
 /// `MTASC_SEGMENTS`-overridden) segment count and carried by the array's

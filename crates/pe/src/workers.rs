@@ -3,9 +3,22 @@
 //! The simulated machine's PE array is `p` independent lanes driven by one
 //! broadcast stream, so at scale the simulator's host time is the sweep
 //! over those lanes. A sweep is cut into 4096-lane *occupancy groups*
-//! ([`GROUP_LANES`], one occupancy bit of an [`crate::ActiveMask`]); the
-//! calling thread and up to `available_parallelism() - 1` parked helper
-//! threads claim groups from one atomic counter until none are left.
+//! ([`GROUP_LANES`], one occupancy bit of an [`crate::ActiveMask`]),
+//! shared by the calling thread and up to `available_parallelism() - 1`
+//! parked helper threads, its *participants*.
+//!
+//! ## Home ranges
+//!
+//! Each participant owns a fixed share of every split sweep: the caller is
+//! participant 0 and helper `i` is participant `i`, and of `k` =
+//! [`host_workers`] participants, participant `p` owns groups `p·G/k ..
+//! (p+1)·G/k` of a `G`-group sweep. It claims its own range front to back
+//! and only then takes groups from the back of the other participants'
+//! ranges, so a helper that has not woken yet costs nothing: the others
+//! run its range. While every participant keeps up, consecutive sweeps
+//! over the same groups hand each core the same lanes, whose planes are
+//! still in that core's cache from the sweep before (a fused block's
+//! planes at 2¹⁶ PEs fit in two cores' L2 caches, but not in one).
 //!
 //! ## The gate
 //!
@@ -26,11 +39,11 @@
 //!
 //! Helpers are spawned by the first dispatch that passes the gate and park
 //! (`thread::park`) whenever no dispatch is open, so an idle simulator
-//! burns no second core. A dispatch publishes its job, unparks the
-//! helpers and starts claiming groups itself. When no group is left it
-//! *withdraws* the job, so a helper that has not woken yet can no longer
-//! join, and waits only for helpers that are running a group. The caller
-//! never waits for a sleeping helper.
+//! burns no second core. A dispatch deals the home ranges, publishes its
+//! job, unparks the helpers and starts claiming groups itself. When no
+//! group is left it *withdraws* the job, so a helper that has not woken
+//! yet can no longer join, and waits only for helpers that are running a
+//! group. The caller never waits for a sleeping helper.
 //!
 //! A dispatch that finds the pool held, by another thread's sweep or
 //! because it was made from inside a group, runs serially on its caller.
@@ -198,15 +211,83 @@ const ATTACHED: u64 = (1 << 32) - 1;
 const OPEN: u64 = 1 << 32;
 const EPOCH: u64 = 1 << 33;
 
-/// `Pool::next` after a dispatch stops early: past any group count.
-const STOP: usize = usize::MAX / 2;
+/// The unclaimed groups of one split dispatch: a home range per
+/// participant (see the module docs), which its owner claims front to back
+/// and the other participants, once their own ranges are empty, from the
+/// back.
+pub(crate) struct Claims {
+    homes: Box<[Home]>,
+}
+
+/// One participant's unclaimed groups `front..back`, packed as `back << 32
+/// | front`, so that its owner and a thief claim by a compare-and-swap of
+/// the same word and never take the same group. Aligned to its own cache
+/// lines: the owner writes it once per group.
+#[repr(align(128))]
+struct Home(AtomicU64);
+
+impl Claims {
+    /// The claim state of `participants` participants, every range empty.
+    pub(crate) fn new(participants: usize) -> Claims {
+        Claims { homes: (0..participants.max(1)).map(|_| Home(AtomicU64::new(0))).collect() }
+    }
+
+    /// Deal the home ranges of a dispatch of `groups` groups: participant
+    /// `p` of `k` owns `p·groups/k .. (p+1)·groups/k`.
+    pub(crate) fn open(&self, groups: usize) {
+        assert!(groups >> 32 == 0, "{groups} groups overflow a home range");
+        let k = self.homes.len() as u64;
+        let edge = |p: usize| p as u64 * groups as u64 / k;
+        for (p, home) in self.homes.iter().enumerate() {
+            home.0.store(edge(p + 1) << 32 | edge(p), Ordering::Relaxed);
+        }
+    }
+
+    /// The next group for participant `p`: the front of its own range,
+    /// else the back of the first non-empty range after it (cyclically),
+    /// else `None`, and `None` from then on, as ranges only shrink.
+    ///
+    /// Relaxed: a group is handed out by a read-modify-write of its range,
+    /// so exactly once; the ranges are dealt before the job is published
+    /// and the groups' effects reach the caller through `Pool::state`.
+    pub(crate) fn next(&self, p: usize) -> Option<usize> {
+        let k = self.homes.len();
+        self.take(p, true).or_else(|| (1..k).find_map(|i| self.take((p + i) % k, false)))
+    }
+
+    /// Take the front (`front`) or back group of participant `p`'s range.
+    fn take(&self, p: usize, front: bool) -> Option<usize> {
+        let home = &self.homes[p].0;
+        let mut range = home.load(Ordering::Relaxed);
+        loop {
+            let (lo, hi) = (range & u64::from(u32::MAX), range >> 32);
+            if lo >= hi {
+                return None;
+            }
+            let (g, rest) = if front { (lo, range + 1) } else { (hi - 1, range - (1 << 32)) };
+            match home.compare_exchange_weak(range, rest, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return Some(g as usize),
+                Err(now) => range = now,
+            }
+        }
+    }
+
+    /// Empty every range: no participant gets another group of this
+    /// dispatch.
+    pub(crate) fn stop(&self) {
+        for home in &*self.homes {
+            home.0.store(0, Ordering::Relaxed);
+        }
+    }
+}
 
 /// A dispatch's job as helpers see it.
 #[derive(Clone, Copy)]
 struct Job {
     /// The group body, borrowed from the dispatching caller.
     body: &'static (dyn Fn(usize) + Sync),
-    groups: usize,
+    /// The home ranges, dealt for this dispatch.
+    claims: &'static Claims,
 }
 
 /// The process-wide pool (see the module docs).
@@ -215,25 +296,29 @@ struct Pool {
     busy: AtomicBool,
     /// Epoch, open bit and attached-helper count (see [`ATTACHED`]).
     state: AtomicU64,
-    /// The next group to claim.
-    next: AtomicUsize,
     /// The open dispatch's job; read by a helper only once attached.
     job: Mutex<Option<Job>>,
     /// The first panic a helper caught during the current dispatch.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// The helper threads, spawned by the first split dispatch.
-    helpers: OnceLock<Vec<Thread>>,
+    /// The helpers and the home ranges, made by the first split dispatch.
+    crew: OnceLock<Crew>,
     /// Helpers that have started running.
     started: AtomicUsize,
+}
+
+/// The helper threads, helper `i` at index `i - 1`, and the claim state of
+/// every participant, helpers that failed to spawn included.
+struct Crew {
+    helpers: Vec<Thread>,
+    claims: Claims,
 }
 
 static POOL: Pool = Pool {
     busy: AtomicBool::new(false),
     state: AtomicU64::new(0),
-    next: AtomicUsize::new(0),
     job: Mutex::new(None),
     panic: Mutex::new(None),
-    helpers: OnceLock::new(),
+    crew: OnceLock::new(),
     started: AtomicUsize::new(0),
 };
 
@@ -243,23 +328,26 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Spawn the helpers and wait until each is running, so a thread's
-/// start-up (which allocates) is part of the first split dispatch.
-fn spawn_helpers() -> Vec<Thread> {
-    let helpers: Vec<Thread> = (1..host_workers())
-        .filter_map(|i| {
-            let helper = thread::Builder::new().name(format!("asc-pe-worker-{i}"));
-            helper.spawn(|| serve(&POOL)).ok().map(|h| h.thread().clone())
+/// Spawn helpers `1..host_workers()`, each told its participant index, and
+/// wait until each is running, so a thread's start-up (which allocates) is
+/// part of the first split dispatch. A helper that fails to spawn keeps
+/// its home range, which the others then run, as for one that never wakes.
+fn spawn_helpers() -> Crew {
+    let participants = host_workers();
+    let helpers: Vec<Thread> = (1..participants)
+        .filter_map(|p| {
+            let helper = thread::Builder::new().name(format!("asc-pe-worker-{p}"));
+            helper.spawn(move || serve(&POOL, p)).ok().map(|h| h.thread().clone())
         })
         .collect();
     while POOL.started.load(Ordering::Acquire) < helpers.len() {
         thread::yield_now();
     }
-    helpers
+    Crew { helpers, claims: Claims::new(participants) }
 }
 
-/// A helper's life: join every dispatch it finds open, park otherwise.
-fn serve(pool: &'static Pool) {
+/// Helper `p`'s life: join every dispatch it finds open, park otherwise.
+fn serve(pool: &'static Pool, p: usize) {
     pool.started.fetch_add(1, Ordering::Release);
     let mut joined = 0;
     loop {
@@ -267,8 +355,8 @@ fn serve(pool: &'static Pool) {
         let epoch = s & !(OPEN | ATTACHED);
         if s & OPEN != 0 && epoch != joined {
             // Acquire pairs with the dispatch's Release opening the job:
-            // the job slot, the counter and everything the caller wrote
-            // before it are visible from here on.
+            // the job slot, the home ranges and everything the caller
+            // wrote before it are visible from here on.
             if pool
                 .state
                 .compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
@@ -276,7 +364,7 @@ fn serve(pool: &'static Pool) {
             {
                 joined = epoch;
                 let job = lock(&pool.job).expect("an open dispatch has a job");
-                claim(pool, job, true);
+                claim(pool, job, p);
                 // Release pairs with the caller's Acquire wait: this
                 // helper's writes happen before the dispatch returns.
                 pool.state.fetch_sub(1, Ordering::Release);
@@ -287,19 +375,15 @@ fn serve(pool: &'static Pool) {
     }
 }
 
-/// Claim and run groups until none are left. A helper catches a group's
-/// panic, keeps the first payload for the caller and stops the dispatch;
-/// on the caller a panic unwinds through [`Withdraw`].
-fn claim(pool: &Pool, job: Job, helper: bool) {
-    loop {
-        let g = pool.next.fetch_add(1, Ordering::Relaxed);
-        if g >= job.groups {
-            return;
-        }
-        if !helper {
+/// Claim and run groups as participant `p` until none are left. A helper
+/// catches a group's panic, keeps the first payload for the caller and
+/// stops the dispatch; on the caller a panic unwinds through [`Withdraw`].
+fn claim(pool: &Pool, job: Job, p: usize) {
+    while let Some(g) = job.claims.next(p) {
+        if p == 0 {
             (job.body)(g);
         } else if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| (job.body)(g))) {
-            pool.next.store(STOP, Ordering::Relaxed);
+            job.claims.stop();
             lock(&pool.panic).get_or_insert(payload);
         }
     }
@@ -317,12 +401,12 @@ impl Drop for Lease {
 /// Ends a dispatch, on return or unwind: stops further claims, withdraws
 /// the job so no helper can join it, and waits for the attached helpers
 /// to finish their groups.
-struct Withdraw(&'static Pool);
+struct Withdraw(&'static Pool, &'static Claims);
 
 impl Drop for Withdraw {
     fn drop(&mut self) {
-        let pool = self.0;
-        pool.next.store(STOP, Ordering::Relaxed);
+        let Withdraw(pool, claims) = *self;
+        claims.stop();
         pool.state.fetch_and(!OPEN, Ordering::Relaxed);
         let mut spins = 0u32;
         // Acquire pairs with each helper's Release detach.
@@ -342,8 +426,8 @@ impl Drop for Withdraw {
 /// run nothing, when there are no helpers or the pool is busy.
 fn split(groups: usize, body: &(dyn Fn(usize) + Sync)) -> bool {
     let pool = &POOL;
-    let helpers = pool.helpers.get_or_init(spawn_helpers);
-    if helpers.is_empty()
+    let crew = pool.crew.get_or_init(spawn_helpers);
+    if crew.helpers.is_empty()
         || pool.busy.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed).is_err()
     {
         return false;
@@ -360,21 +444,114 @@ fn split(groups: usize, body: &(dyn Fn(usize) + Sync)) -> bool {
     let body = unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
     };
-    let job = Job { body, groups };
+    let job = Job { body, claims: &crew.claims };
     *lock(&pool.job) = Some(job);
-    pool.next.store(0, Ordering::Relaxed);
+    crew.claims.open(groups);
     let epoch = (pool.state.load(Ordering::Relaxed) & !(OPEN | ATTACHED)).wrapping_add(EPOCH);
-    let withdraw = Withdraw(pool);
-    // Release: publishes the job slot, the counter and the caller's
+    let withdraw = Withdraw(pool, &crew.claims);
+    // Release: publishes the job slot, the home ranges and the caller's
     // writes to the helpers that attach (their Acquire CAS).
     pool.state.store(epoch | OPEN, Ordering::Release);
-    for h in helpers {
+    for h in &crew.helpers {
         h.unpark();
     }
-    claim(pool, job, false);
+    claim(pool, job, 0);
     drop(withdraw);
     if let Some(payload) = lock(&pool.panic).take() {
         panic::resume_unwind(payload);
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use std::ops::Range;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::Claims;
+
+    /// Participant `p`'s home range of a `groups`-group dispatch among `k`.
+    fn home(p: usize, k: usize, groups: usize) -> Range<usize> {
+        p * groups / k..(p + 1) * groups / k
+    }
+
+    /// Seeded random interleavings of single claims, stopped at a random
+    /// claim in half of them: every group is claimed once, an owner claims
+    /// its own range front to back, a participant steals only once its own
+    /// range is empty and only from the back of another, and after a stop
+    /// nobody gets a group.
+    #[test]
+    fn claims_follow_the_home_ranges_in_any_interleaving() {
+        for k in [1, 2, 3, 4, 8] {
+            for groups in [1, 2, 3, 16, 65, 256] {
+                let claims = Claims::new(k);
+                for seed in 0..64u64 {
+                    let mut rng =
+                        StdRng::seed_from_u64(seed << 16 | (k as u64) << 10 | groups as u64);
+                    let stop_at = (seed % 2 == 1).then(|| rng.random_range(0..=groups));
+                    let case = format!("k {k}, {groups} groups, seed {seed}");
+                    claims.open(groups);
+                    let mut owner = vec![None; groups];
+                    let (mut own, mut live) = (vec![0; k], (0..k).collect::<Vec<_>>());
+                    let mut taken = 0;
+                    let mut stopped = false;
+                    while !live.is_empty() {
+                        if stop_at == Some(taken) {
+                            claims.stop();
+                            stopped = true;
+                            break;
+                        }
+                        let i = rng.random_range(0..live.len());
+                        let p = live[i];
+                        let Some(g) = claims.next(p) else {
+                            assert_eq!(taken, groups, "{case}: participant {p} ran dry early");
+                            live.swap_remove(i);
+                            continue;
+                        };
+                        assert!(owner[g].replace(p).is_none(), "{case}: group {g} claimed twice");
+                        taken += 1;
+                        let mine = home(p, k, groups);
+                        if mine.contains(&g) {
+                            assert_eq!(g, mine.start + own[p], "{case}: owner {p} out of order");
+                            own[p] += 1;
+                        } else {
+                            assert!(
+                                mine.clone().all(|h| owner[h].is_some()),
+                                "{case}: {p} stole group {g} before its own range was empty"
+                            );
+                            let q = (0..k).find(|&q| home(q, k, groups).contains(&g)).unwrap();
+                            assert!(
+                                (g + 1..home(q, k, groups).end).all(|h| owner[h].is_some()),
+                                "{case}: {p} stole group {g} from inside {q}'s range"
+                            );
+                        }
+                    }
+                    if stopped {
+                        for p in 0..k {
+                            assert_eq!(claims.next(p), None, "{case}: a claim after the stop");
+                        }
+                    } else {
+                        assert!(owner.iter().all(Option::is_some), "{case}: a group unclaimed");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A participant alone runs its own range, then each other range from
+    /// the back, starting with the next participant's.
+    #[test]
+    fn a_lone_participant_takes_every_range() {
+        let claims = Claims::new(3);
+        claims.open(7);
+        let order: Vec<usize> = std::iter::from_fn(|| claims.next(1)).collect();
+        assert_eq!(order, [2, 3, 6, 5, 4, 1, 0]);
+        // a reopened dispatch deals fresh ranges
+        claims.open(2);
+        assert_eq!(claims.next(2), Some(1));
+        assert_eq!(claims.next(2), Some(0));
+        assert_eq!(claims.next(0), None);
+    }
 }

@@ -1,7 +1,8 @@
 //! The host worker pool (`asc_pe::workers`): every group of a dispatch
-//! runs exactly once, panics reach the caller only after every
-//! participant has stopped, and concurrent and nested dispatches
-//! complete. `workers_alloc.rs` checks that dispatching allocates nothing.
+//! runs exactly once, each participant runs its own home range, panics
+//! reach the caller only after every participant has stopped, and
+//! concurrent and nested dispatches complete. `workers_alloc.rs` checks
+//! that dispatching allocates nothing.
 //!
 //! The pool is process-wide, so the tests here take turns (`serial`):
 //! a dispatch that finds the pool held runs on its caller, which would
@@ -192,4 +193,54 @@ fn concurrent_and_nested_dispatches_complete() {
         }
     });
     assert!(inner.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+}
+
+/// The participant the calling thread is during a dispatch from `caller`:
+/// 0 on the dispatching thread, `i` on helper `i` (`asc-pe-worker-i`).
+fn participant(caller: thread::ThreadId) -> usize {
+    if thread::current().id() == caller {
+        return 0;
+    }
+    let name = thread::current().name().map(str::to_owned);
+    let index = name.as_deref().and_then(|n| n.strip_prefix("asc-pe-worker-"));
+    index.and_then(|i| i.parse().ok()).unwrap_or_else(|| panic!("not a pool thread: {name:?}"))
+}
+
+/// With `per` groups per participant, the `r`-th group of each home range
+/// held until every participant has entered its `r`-th group, no
+/// participant's own range is empty before every group is claimed, so
+/// none steals: group `g` runs on participant `g / per` in every dispatch,
+/// the dispatching thread's groups first, and each participant runs its
+/// range front to back. With `per` = 2, a shared counter would hand the
+/// caller's second group to the first helper that woke.
+#[test]
+fn each_participant_runs_its_home_range() {
+    let _turn = serial();
+    let k = host_workers();
+    if k < 2 {
+        return; // no helpers: every group runs on the caller
+    }
+    let caller = thread::current().id();
+    let entered = AtomicUsize::new(0);
+    for per in [1, 2] {
+        let ran_on: Vec<AtomicUsize> = (0..per * k).map(|_| AtomicUsize::new(usize::MAX)).collect();
+        for round in 0..100 {
+            entered.store(0, Ordering::SeqCst);
+            for_each_group(per * k, SPLIT_LANE_OPS, |range| {
+                for g in range {
+                    entered.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while entered.load(Ordering::SeqCst) < k * (g % per + 1) {
+                        assert!(Instant::now() < deadline, "not every participant joined");
+                        std::hint::spin_loop();
+                    }
+                    ran_on[g].store(participant(caller), Ordering::SeqCst);
+                }
+            });
+            for (g, p) in ran_on.iter().enumerate() {
+                let p = p.swap(usize::MAX, Ordering::SeqCst);
+                assert_eq!(p, g / per, "{per} per participant, round {round}: group {g}");
+            }
+        }
+    }
 }
