@@ -53,12 +53,14 @@ echo "==> inter-thread race gate (E6001 divergence + corpus schedule invariance)
 # The family-6 severity contract enforced by execution: every
 # error-flagged race fixture must reach divergent architectural state
 # under perturbed legal schedules, and the kernel corpus must stay
-# race-clean *and* bit-identical across >=8 scheduler seeds — under the
-# default geometry, forced multi-segment execution, and the scalar
-# dispatch tier. See docs/static-analysis.md ("Inter-thread analysis").
+# race-clean *and* bit-identical across >=8 scheduler seeds at both SIMD
+# dispatch tiers, which the test runs in process. The corpus machines
+# have 16 PEs, one tile, so they have one segment at any request; the
+# segment axis, crossed with fusion, SIMD and a perturbed scheduler
+# seed, is the strategy matrix's (`strategy_matrix_is_bit_identical`,
+# run with the property tests below). See docs/static-analysis.md
+# ("Inter-thread analysis").
 cargo test --test race_differential -q
-MTASC_SEGMENTS=4 cargo test --test race_differential -q
-MTASC_SEGMENTS=4 MTASC_NO_SIMD=1 cargo test --test race_differential -q
 
 echo "==> mtasc stats validate (committed BENCH_*.json schemas)"
 ./target/release/mtasc stats validate BENCH_*.json baselines/*.json
@@ -241,24 +243,14 @@ echo "==> cargo test"
 cargo test --workspace -q
 
 echo "==> cargo test --features proptest (property tests)"
+# The strategy matrix (`strategy_matrix_is_bit_identical` in
+# crates/core/src/proptests.rs) runs here: each generated program, on 1
+# to 8 threads and faulting or cut off by its cycle budget among them,
+# in every cell of fusion {on, off} x SIMD {host widest, scalar} x
+# segments {auto, 1, ragged} (each resolved segment count once), at
+# scheduler seed 0 and, multithreaded, a drawn one, all in one process,
+# so no axis needs an environment-variable rerun.
 cargo test -p asc-core -p asc-asm -p asc-pe -p asc-obs-store --features proptest -q
-
-echo "==> fusion differential suite at the scalar dispatch tier"
-# The proptest fusion suite runs once at the detected SIMD tier (above)
-# and once with dispatch forced scalar, so fused-vs-unfused bit-identity
-# is proven on both sides of the runtime CPU dispatch.
-MTASC_NO_SIMD=1 cargo test -p asc-core --features proptest -q fusion
-
-echo "==> fusion + SIMD differential suites under forced multi-segment execution"
-# MTASC_SEGMENTS=4 slices every machine in the suites into four
-# commit-map segments, so fused-vs-unfused and SIMD-vs-scalar
-# bit-identity — and the sharded-vs-monolithic proptest itself — are
-# proven with the commit map at a second granularity. Every sweep and
-# reduction walks the same tiles at every segment count, so these reruns
-# guard that invariance rather than a second code path.
-MTASC_SEGMENTS=4 cargo test -p asc-core --features proptest -q fusion
-MTASC_SEGMENTS=4 cargo test -p asc-core --features proptest -q proptests
-MTASC_SEGMENTS=4 MTASC_NO_SIMD=1 cargo test -p asc-core --features proptest -q fusion
 
 echo "==> 2^20-PE planes and split sweeps (release)"
 # Lazily-materialized planes: a million-PE machine must construct in

@@ -1,4 +1,4 @@
-//! Experiment implementations E1–E12. Each returns structured data and a
+//! Experiment implementations E1–E20. Each returns structured data and a
 //! rendered table so `tablegen`, the tests, and `EXPERIMENTS.md` share one
 //! source of truth.
 

@@ -83,13 +83,12 @@ pub struct MachineOpts {
     /// overrides either way).
     pub simd: bool,
     /// Requested segment count of the PE array's commit map
-    /// (`--segments N`; 0 = automatic, 1 = monolithic; `MTASC_SEGMENTS`
-    /// overrides either way). Bit-identical results at every count.
+    /// (`--segments N`; 0 = automatic, 1 = monolithic). Bit-identical
+    /// results at every count.
     pub segments: usize,
     /// Schedule-perturbation seed (`--sched-seed N`; 0 = the exact
-    /// unperturbed rotating-priority baseline; `MTASC_SCHED_SEED`
-    /// overrides either way). Race-free programs reach the same
-    /// architectural state under every seed.
+    /// unperturbed rotating-priority baseline). Race-free programs reach
+    /// the same architectural state under every seed.
     pub sched_seed: u64,
     /// Print block-fusion statistics after `run`.
     pub fusion_stats: bool,
@@ -174,9 +173,9 @@ impl MachineOpts {
                 it.next().ok_or_else(|| CliError::Usage(format!("{a} needs a value")))
             };
             match a.as_str() {
-                "--pes" => opts.pes = parse_num(&take(&mut it)?)?,
-                "--threads" => opts.threads = parse_num(&take(&mut it)?)?,
-                "--arity" => opts.arity = parse_num(&take(&mut it)?)?,
+                "--pes" => opts.pes = parse_at_least(&a, &take(&mut it)?, 1)?,
+                "--threads" => opts.threads = parse_at_least(&a, &take(&mut it)?, 1)?,
+                "--arity" => opts.arity = parse_at_least(&a, &take(&mut it)?, 2)?,
                 "--max-cycles" => opts.max_cycles = parse_num(&take(&mut it)?)? as u64,
                 "--width" => {
                     opts.width = match take(&mut it)?.as_str() {
@@ -236,6 +235,15 @@ fn only_path(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<String
 
 fn parse_num(s: &str) -> Result<usize, CliError> {
     s.parse().map_err(|_| CliError::Usage(format!("not a number: {s}")))
+}
+
+/// A machine dimension below `min` would fail `MachineConfig`'s asserts,
+/// so it is a usage error that names `flag`.
+fn parse_at_least(flag: &str, s: &str, min: usize) -> Result<usize, CliError> {
+    match parse_num(s)? {
+        n if n < min => Err(CliError::Usage(format!("{flag} must be at least {min}, got {n}"))),
+        n => Ok(n),
+    }
 }
 
 /// Usage text.
@@ -309,11 +317,10 @@ OPTIONS:
                    kernels (identical results; MTASC_NO_SIMD=1 also works)
   --segments N     PE-array commit-map segments (0 = auto, one per 4096
                    lanes; 1 = monolithic; identical results at every
-                   count; MTASC_SEGMENTS=N also works)
+                   count)
   --sched-seed N   perturb the thread scheduler with seed N (0 = exact
                    baseline; every seed is a legal schedule, so race-free
-                   programs reach identical architectural state;
-                   MTASC_SCHED_SEED=N also works)
+                   programs reach identical architectural state)
   --fusion-stats   print block-fusion and kernel-compilation statistics
   --trace          print the stage-by-cycle pipeline diagram
   --report F       write a JSON run report to F
@@ -750,23 +757,18 @@ pub fn dispatch(mut args: Vec<String>) -> Result<String, CliError> {
 }
 
 /// `mtasc --version`: crate version, every schema this tool emits, and
-/// the resolved execution strategy (host SIMD tier and segment slicing,
-/// both after their env overrides, and the host workers that large PE
-/// sweeps are split across), so a pasted version line pins down how wall
-/// times were produced.
+/// the host execution strategy (the SIMD tier after the `MTASC_NO_SIMD`
+/// override, and the host workers that large PE sweeps are split
+/// across), so a pasted version line pins down how wall times were
+/// produced.
 pub fn version_text() -> String {
     let cfg = MachineConfig::new(MachineOpts::default().pes);
-    let segments = match cfg.effective_segments() {
-        0 => "auto".to_string(),
-        n => n.to_string(),
-    };
     format!(
         "mtasc {}\nschemas: {REPORT_SCHEMA}, {PROFILE_SCHEMA}, mtasc.lint.v1, \
          {RUN_META_SCHEMA}, {PROGRESS_SCHEMA}, {STATS_DIFF_SCHEMA}, {HTTP_SCHEMA}\n\
-         execution: simd {} (MTASC_NO_SIMD), segments {} (MTASC_SEGMENTS), host workers {}\n",
+         execution: simd {} (MTASC_NO_SIMD), host workers {}\n",
         env!("CARGO_PKG_VERSION"),
         cfg.simd_level().label(),
-        segments,
         asc_core::host_workers(),
     )
 }
@@ -1916,8 +1918,7 @@ mod tests {
         let text = version_text();
         assert!(text.contains(REPORT_SCHEMA), "{text}");
         assert!(text.contains("execution: simd "), "{text}");
-        assert!(text.contains("segments "), "{text}");
-        assert!(text.contains("MTASC_SEGMENTS"), "{text}");
+        assert!(!text.contains("segments"), "{text}");
         let workers = format!("host workers {}", asc_core::host_workers());
         assert!(text.contains(&workers), "{text}");
         assert!(!text.contains("THRESHOLD"), "{text}");

@@ -65,6 +65,30 @@ fn file_commands_reject_extra_arguments() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A machine the simulator cannot build (no PEs, no thread contexts, a
+/// broadcast tree of arity below two) is a usage error that names its
+/// flag, for every command that builds one, and nothing runs.
+#[test]
+fn impossible_machine_dimensions_exit_two() {
+    let dir = scratch("dims");
+    let prog = dir.join("prog.asc");
+    std::fs::write(&prog, "pidx p1\nrsum s1, p1\nhalt\n").unwrap();
+    let prog = prog.to_str().unwrap();
+    for cmd in [&["run", prog][..], &["profile", prog], &["lint", prog], &["info"]] {
+        for bad in [["--threads", "0"], ["--arity", "0"], ["--arity", "1"], ["--pes", "0"]] {
+            let out = mtasc().args(cmd).args(bad).arg("--no-record").output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd:?} {bad:?}: {err}");
+            assert!(
+                err.lines().next().is_some_and(|l| l.contains(bad[0])),
+                "{cmd:?} {bad:?}: {err}"
+            );
+            assert!(out.stdout.is_empty(), "{cmd:?} {bad:?} ran");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn runtime_failures_exit_one() {
     let out = mtasc().args(["run", "/nonexistent/prog.asc", "--no-record"]).output().unwrap();

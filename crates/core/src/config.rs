@@ -10,13 +10,6 @@ pub use asc_pe::{DividerConfig, MultiplierKind};
 
 use crate::timing::Timing;
 
-/// Parse a non-negative integer from an environment variable, treating
-/// unset, empty and malformed values as "not overridden" (mirrors the
-/// `MTASC_NO_SIMD` convention of ignoring empty strings).
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().filter(|v| !v.is_empty()).and_then(|v| v.parse().ok())
-}
-
 /// Scheduler policy of the decode/issue unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
@@ -93,21 +86,20 @@ pub struct MachineConfig {
     pub simd: bool,
     /// Requested segment count of the PE array, the granularity at which
     /// plane writes are recorded (`0` = automatic, one segment per 4096
-    /// lanes; `1` = the monolithic flat layout; overridable with
-    /// `MTASC_SEGMENTS`). Purely an execution strategy — results, cycle
-    /// counts, stats and profiles are bit-identical at every count; see
-    /// [`asc_pe::SegmentGeometry`].
+    /// lanes; `1` = the monolithic flat layout). Purely an execution
+    /// strategy — results, cycle counts, stats and profiles are
+    /// bit-identical at every count; see [`asc_pe::SegmentGeometry`].
     pub segments: usize,
     /// Schedule-perturbation seed (`0` = off, the exact baseline
-    /// schedule; overridable with `MTASC_SCHED_SEED`). A non-zero seed
-    /// jitters the rotating-priority scan offset (and the coarse-grain
-    /// switch penalty) deterministically, so the scheduler still issues
-    /// only ready threads — every perturbed run is a legal hardware
-    /// schedule — but the interleaving of independent threads varies
-    /// with the seed. Race-free programs produce bit-identical
-    /// architectural state under every seed; schedule-dependent programs
-    /// diverge. Used by `mtasc lint --schedules N` and the
-    /// `tests/race_differential.rs` gate; see docs/static-analysis.md.
+    /// schedule). A non-zero seed jitters the rotating-priority scan
+    /// offset (and the coarse-grain switch penalty) deterministically, so
+    /// the scheduler still issues only ready threads — every perturbed run
+    /// is a legal hardware schedule — but the interleaving of independent
+    /// threads varies with the seed. Race-free programs produce
+    /// bit-identical architectural state under every seed;
+    /// schedule-dependent programs diverge. Used by `mtasc lint
+    /// --schedules N`, the `tests/race_differential.rs` gate and the
+    /// strategy-matrix property; see docs/static-analysis.md.
     pub sched_seed: u64,
 }
 
@@ -234,28 +226,17 @@ impl MachineConfig {
         self
     }
 
-    /// The segment count after the `MTASC_SEGMENTS` override.
-    pub fn effective_segments(&self) -> usize {
-        env_usize("MTASC_SEGMENTS").unwrap_or(self.segments)
-    }
-
     /// Set the schedule-perturbation seed (`0` disables perturbation).
     pub fn with_sched_seed(mut self, seed: u64) -> MachineConfig {
         self.sched_seed = seed;
         self
     }
 
-    /// The schedule-perturbation seed after the `MTASC_SCHED_SEED`
-    /// override.
-    pub fn effective_sched_seed(&self) -> u64 {
-        env_usize("MTASC_SCHED_SEED").map(|s| s as u64).unwrap_or(self.sched_seed)
-    }
-
-    /// The resolved segment slicing this machine will execute with
-    /// (requested count, env override, rounding and capping applied): the
-    /// granularity of the PE array's commit map.
+    /// The resolved segment slicing this machine will execute with (the
+    /// requested count, rounded and capped): the granularity of the PE
+    /// array's commit map.
     pub fn segment_geometry(&self) -> asc_pe::SegmentGeometry {
-        asc_pe::SegmentGeometry::new(self.num_pes, self.effective_segments())
+        asc_pe::SegmentGeometry::new(self.num_pes, self.segments)
     }
 
     /// Network geometry for this machine.

@@ -143,8 +143,8 @@ pub struct Machine {
     halted: bool,
     rotate: usize,
     current: usize,
-    /// Schedule-perturbation seed (resolved from the config and the
-    /// `MTASC_SCHED_SEED` override once at construction; `0` = off).
+    /// Schedule-perturbation seed (the config's, copied at construction;
+    /// `0` = off).
     sched_seed: u64,
     /// Running state of the perturbation generator (splitmix64).
     sched_rng: u64,
@@ -206,8 +206,8 @@ impl Machine {
             halted: false,
             rotate: 0,
             current: 0,
-            sched_seed: cfg.effective_sched_seed(),
-            sched_rng: cfg.effective_sched_seed(),
+            sched_seed: cfg.sched_seed,
+            sched_rng: cfg.sched_seed,
             bubble: vec![StallReason::BranchBubble; cfg.threads],
             ibuf: vec![0; cfg.threads],
             fetch_rotate: 0,

@@ -38,8 +38,8 @@ pub struct MachineMeta {
     /// record — results are bit-identical across tiers — but wall-time
     /// comparisons between runs are only fair within a tier.
     pub simd: String,
-    /// Resolved segment count of the PE array's commit map
-    /// (after the `MTASC_SEGMENTS` override and geometry rounding).
+    /// Resolved segment count of the PE array's commit map (the
+    /// configured request after geometry rounding).
     /// Execution strategy only — results are bit-identical at every
     /// count — but recorded so wall-time comparisons are fair.
     pub segments: u64,

@@ -1,12 +1,14 @@
 //! Machine-level property tests: masked-execution semantics, scheduler
-//! determinism, fast-forward correctness, and instruction-semantics
-//! equivalence against host arithmetic.
+//! determinism, fast-forward correctness, instruction-semantics
+//! equivalence against host arithmetic, and the strategy matrix, which
+//! holds fusion, SIMD tier, segment count and scheduler seed
+//! architecturally invisible.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use asc_isa::{AluOp, CmpOp, Width, Word};
+use asc_isa::{AluOp, CmpOp, Instr, Width, Word};
 
 use crate::config::MachineConfig;
 use crate::machine::Machine;
@@ -147,7 +149,7 @@ proptest! {
 fn writes_set_bounds_executor_effects() {
     use crate::emulator::Emulator;
     use asc_isa::gen::random_straightline_instr;
-    use asc_isa::{Instr, Operand, RegClass};
+    use asc_isa::{Operand, RegClass};
 
     let mut rng = StdRng::seed_from_u64(0x5EED);
     // lmem large enough that any 8-bit base register + small offset is in
@@ -256,48 +258,26 @@ fn fast_forward_matches_closed_form() {
 }
 
 /// Compare every architecturally visible bit of two machines that ran the
-/// same program: registers, flags, local and scalar memory, cycle count,
-/// and the full statistics report.
+/// same program: every context's registers and flags, scalar and PE, local
+/// and scalar memory, cycle count, and the full statistics report.
 fn assert_machines_identical(a: &Machine, b: &Machine, label: &str) {
     assert_eq!(a.cycle(), b.cycle(), "{label}: cycle count");
     assert_eq!(a.stats(), b.stats(), "{label}: statistics");
-    let p = a.config().num_pes;
+    let (x, y) = (a.array(), b.array());
     for t in 0..a.config().threads {
         for r in 0..asc_isa::NUM_GPRS {
             assert_eq!(a.sreg(t, r), b.sreg(t, r), "{label}: t{t} s{r}");
+            assert!(x.gpr_plane(t, r) == y.gpr_plane(t, r), "{label}: t{t} p{r}");
         }
         for f in 0..asc_isa::NUM_FLAGS {
             assert_eq!(a.sflag(t, f), b.sflag(t, f), "{label}: t{t} f{f}");
-        }
-        for pe in 0..p {
-            for r in 0..asc_isa::NUM_GPRS {
-                assert_eq!(
-                    a.array().gpr(pe, t, r),
-                    b.array().gpr(pe, t, r),
-                    "{label}: t{t} PE{pe} p{r}"
-                );
-            }
-            for f in 0..asc_isa::NUM_FLAGS {
-                assert_eq!(
-                    a.array().flag(pe, t, f),
-                    b.array().flag(pe, t, f),
-                    "{label}: t{t} PE{pe} pf{f}"
-                );
-            }
+            assert!(x.flag_plane(t, f) == y.flag_plane(t, f), "{label}: t{t} pf{f}");
         }
     }
-    for pe in 0..p {
-        for addr in 0..a.config().lmem_words as u32 {
-            assert_eq!(
-                a.array().lmem_word(pe, addr).unwrap(),
-                b.array().lmem_word(pe, addr).unwrap(),
-                "{label}: PE{pe} lmem[{addr}]"
-            );
-        }
+    for addr in 0..a.config().lmem_words as u32 {
+        assert!(x.lmem_row(addr).unwrap() == y.lmem_row(addr).unwrap(), "{label}: lmem[{addr}]");
     }
-    for addr in 0..a.config().smem_words as u32 {
-        assert_eq!(a.smem().read(addr), b.smem().read(addr), "{label}: smem[{addr}]");
-    }
+    assert!(a.smem().as_slice() == b.smem().as_slice(), "{label}: scalar memory");
 }
 
 /// The saturating tree sum is order-sensitive, so the segmented reducer
@@ -338,207 +318,177 @@ fn saturating_sum_order_is_pinned_across_segment_boundaries() {
     }
 }
 
+/// `len` random straight-line instructions, three in four drawn among the
+/// fusible ones so that fused blocks are common and long; about one in six
+/// is then a `plw` or `psw`. Scalar-memory offsets are kept below 128, so
+/// a W8 base (at most 255) stays inside the 1024-word scalar memory. With
+/// `clamp`, local-memory offsets are kept below 127 too, inside a 512-word
+/// local memory, and half the local-memory accesses take `p0` as base: a
+/// row access that cannot fault joins a fused block, where a per-lane base
+/// cuts it. Without `clamp` they stay as generated and may fault. A
+/// `race_free` body has no loads and no `tid`: threads that run it from
+/// cleared registers store the same values in the same order, so every
+/// word ends the same under any interleaving of them.
+fn random_body(rng: &mut StdRng, len: usize, clamp: bool, race_free: bool) -> Vec<Instr> {
+    let mut body = Vec::with_capacity(len);
+    for _ in 0..len {
+        let fusible = rng.random_bool(0.75);
+        let mut i = asc_isa::gen::random_straightline_instr(rng);
+        while fusible && !i.is_fusible() {
+            i = asc_isa::gen::random_straightline_instr(rng);
+        }
+        match &mut i {
+            Instr::Lw { .. } | Instr::Plw { .. } | Instr::TId { .. } if race_free => i = Instr::Nop,
+            Instr::Lw { off, .. } | Instr::Sw { off, .. } => *off = off.rem_euclid(128),
+            Instr::Plw { base, off, .. } | Instr::Psw { base, off, .. } if clamp => {
+                *off = off.rem_euclid(127);
+                if rng.random_bool(0.5) {
+                    *base = asc_isa::PReg::R0;
+                }
+            }
+            _ => {}
+        }
+        body.push(i);
+    }
+    body
+}
+
+/// `body` on `threads` threads. Thread 0 spawns `threads - 1` workers
+/// that run the body, joins them, spawns a second wave into the contexts
+/// the first freed (so each `tspawn` clears planes the first wave wrote),
+/// joins those, and then runs the body alone, where its fusible runs fuse.
+fn on_threads(body: &[Instr], threads: usize) -> asc_asm::Program {
+    let body: String =
+        body.iter().map(|i| format!("        {}\n", asc_asm::disassemble(i))).collect();
+    let mut main = String::from("        li   s1, worker\n");
+    for _wave in 0..2 {
+        // handles in registers, where the workers' stores cannot reach them
+        for w in 2..=threads {
+            main.push_str(&format!("        tspawn s{w}, s1\n"));
+        }
+        for w in 2..=threads {
+            main.push_str(&format!("        tjoin s{w}\n"));
+        }
+    }
+    asc_asm::assemble(&format!("{main}{body}        halt\nworker:\n{body}        texit\n")).unwrap()
+}
+
+/// The strategy cells of `cfg`: fusion {on, off} × SIMD {host widest,
+/// scalar} × segments {auto, 1, `ragged`}, each resolved segment count
+/// once, since requests that resolve to one count slice the array alike.
+/// At 4096 PEs or fewer auto is one segment, and at one tile every
+/// request is. A request of 2 or more leaves the last segment ragged on
+/// most shapes with more than one tile.
+fn cells(cfg: MachineConfig, ragged: usize) -> Vec<MachineConfig> {
+    let count = |c: &MachineConfig| c.segment_geometry().count();
+    let mut geometries: Vec<MachineConfig> = Vec::with_capacity(3);
+    for segments in [0, 1, ragged] {
+        let c = MachineConfig { segments, ..cfg };
+        if geometries.iter().all(|g| count(g) != count(&c)) {
+            geometries.push(c);
+        }
+    }
+    let mut out = Vec::with_capacity(12);
+    for fusion in [true, false] {
+        for simd in [true, false] {
+            out.extend(geometries.iter().map(|&g| MachineConfig { fusion, simd, ..g }));
+        }
+    }
+    out
+}
+
 proptest! {
-    /// Block fusion and SIMD dispatch are architecturally invisible: a
-    /// random straight-line program leaves bit-identical machine state,
-    /// cycle counts, and statistics across every (fusion × SIMD)
-    /// combination — compiled SIMD kernels, compiled scalar kernels, and
-    /// the instruction-major executor at both tiers — on one short tile
-    /// and on one full tile plus a short tail tile.
+    /// The strategy matrix: fusion, SIMD tier and segment count are
+    /// architecturally invisible, and a race-free program is schedule
+    /// invariant. Each case is a random body on 1 to 8 threads with a
+    /// second spawn wave ([`on_threads`]); local-memory offsets clamped,
+    /// or left free to fault in 32 words; a full cycle budget or one below
+    /// the reference run's cycle count; fine or coarse grain, forwarding
+    /// off, or a sequential multiplier; and 1 to past 4096 PEs. In every
+    /// cell of [`cells`], with a ragged segment request of 2 to 7, at
+    /// scheduler seed 0 and, on more than one thread, at a drawn one, the
+    /// run returns the same result (the `Stats`, or the same `RunError`)
+    /// and leaves the same machine and cycle-attribution profile as the
+    /// first cell, and a completed run's profile conserves its cycles. A
+    /// cell without fusion fuses nothing, and a scalar cell runs no SIMD
+    /// op. A multithreaded race-free body that completes at seed 0
+    /// completes at the drawn seed with the same `arch_digest`; cycles
+    /// may differ (docs/static-analysis.md, "Why architectural state and
+    /// not cycles"). Workers that load, each in a private window, and
+    /// run distinct bodies are left to
+    /// [`race_free_random_programs_are_schedule_invariant`].
     #[test]
-    fn fusion_is_bit_identical(seed in any::<u64>(), short_tail in any::<bool>()) {
-        use asc_isa::gen::random_straightline_instr;
-        use asc_isa::Instr;
+    fn strategy_matrix_is_bit_identical(seed in any::<u64>(), threads in 1usize..=8) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut words = Vec::new();
-        for _ in 0..60 {
-            let mut i = random_straightline_instr(&mut rng);
-            // W8 base registers hold at most 255; a non-negative offset
-            // below 256 keeps every access within the 512-word local
-            // memory (and 128 within scalar memory), so runs never fault.
-            match &mut i {
-                Instr::Lw { off, .. } | Instr::Sw { off, .. } => *off = off.rem_euclid(128),
-                Instr::Plw { off, .. } | Instr::Psw { off, .. } => *off = off.rem_euclid(127),
-                _ => {}
-            }
-            words.push(asc_isa::encode(&i));
-        }
-        words.push(asc_isa::encode(&Instr::Halt));
-
-        let cfg = MachineConfig::new(if short_tail { 100 } else { 8 }).with_width(Width::W8);
-        let run = |cfg: MachineConfig| {
-            let mut m = Machine::new(cfg);
-            m.load_words(&words).unwrap();
-            m.run(10_000_000).unwrap();
-            m
-        };
-        let fused = run(cfg);
-        let unfused = run(cfg.without_fusion());
-        let fused_scalar = run(cfg.without_simd());
-        let unfused_scalar = run(cfg.without_fusion().without_simd());
-
-        assert_machines_identical(&fused, &unfused, &format!("seed {seed} fused vs unfused"));
-        assert_machines_identical(
-            &fused,
-            &fused_scalar,
-            &format!("seed {seed} fused simd vs fused scalar"),
-        );
-        assert_machines_identical(
-            &fused,
-            &unfused_scalar,
-            &format!("seed {seed} fused simd vs unfused scalar"),
-        );
-        prop_assert_eq!(unfused.fusion_stats().instrs_fused, 0);
-        prop_assert_eq!(fused_scalar.fusion_stats().simd_ops, 0);
-    }
-
-    /// Block fusion and SIMD dispatch stay invisible when a run stops at a
-    /// memory fault: the generator of `fusion_is_bit_identical` with its
-    /// `plw`/`psw` offsets left as generated, on a machine with 32 words
-    /// of local memory, so most programs stop with a `PeMemoryFault`.
-    /// Across every (fusion × SIMD) combination the run returns the same
-    /// result and leaves bit-identical machine state, cycle count and
-    /// statistics.
-    #[test]
-    fn fusion_is_bit_identical_after_a_fault(seed in any::<u64>(), short_tail in any::<bool>()) {
-        use asc_isa::gen::random_straightline_instr;
-        use asc_isa::Instr;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut words = Vec::new();
-        for _ in 0..60 {
-            let mut i = random_straightline_instr(&mut rng);
-            // scalar memory stays in range, as in `fusion_is_bit_identical`
-            if let Instr::Lw { off, .. } | Instr::Sw { off, .. } = &mut i {
-                *off = off.rem_euclid(128);
-            }
-            words.push(asc_isa::encode(&i));
-        }
-        words.push(asc_isa::encode(&Instr::Halt));
-
-        let mut cfg = MachineConfig::new(if short_tail { 100 } else { 8 }).with_width(Width::W8);
-        cfg.lmem_words = 32;
-        let run = |cfg: MachineConfig| {
-            let mut m = Machine::new(cfg);
-            m.load_words(&words).unwrap();
-            (m.run(10_000_000), m)
-        };
-        let (fused_result, fused) = run(cfg);
-        for (how, cfg) in [
-            ("unfused", cfg.without_fusion()),
-            ("fused scalar", cfg.without_simd()),
-            ("unfused scalar", cfg.without_fusion().without_simd()),
-        ] {
-            let (result, other) = run(cfg);
-            prop_assert_eq!(&fused_result, &result, "seed {} fused simd vs {}", seed, how);
-            assert_machines_identical(&fused, &other, &format!("seed {seed} fused simd vs {how}"));
-        }
-    }
-
-    /// Segmentation is architecturally invisible: the same
-    /// random straight-line program leaves bit-identical machine state,
-    /// cycle counts, statistics and cycle-attribution profiles at every
-    /// requested segment count — including counts that do not divide the
-    /// tile total, so the last segment is ragged.
-    #[test]
-    fn segmented_execution_is_bit_identical(seed in any::<u64>(), req in 0usize..=7) {
-        use asc_isa::gen::random_straightline_instr;
-        use asc_isa::Instr;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut words = Vec::new();
-        for _ in 0..60 {
-            let mut i = random_straightline_instr(&mut rng);
-            // same bounds argument as `fusion_is_bit_identical`
-            match &mut i {
-                Instr::Lw { off, .. } | Instr::Sw { off, .. } => *off = off.rem_euclid(128),
-                Instr::Plw { off, .. } | Instr::Psw { off, .. } => *off = off.rem_euclid(127),
-                _ => {}
-            }
-            words.push(asc_isa::encode(&i));
-        }
-        words.push(asc_isa::encode(&Instr::Halt));
-
-        // 320 PEs = 5 tiles: the requested counts resolve to 1, 2, 3 or 5
-        // segments, ragged whenever the split is uneven.
-        let cfg = MachineConfig::new(320).with_width(Width::W8);
-        let run = |cfg: MachineConfig| {
-            let mut m = Machine::new(cfg);
-            m.attach_profiler();
-            m.load_words(&words).unwrap();
-            m.run(10_000_000).unwrap();
-            m
-        };
-        let mut mono = run(cfg.with_segments(1));
-        let mut seg = run(cfg.with_segments(req));
-        assert_machines_identical(&mono, &seg, &format!("seed {seed} segments {req}"));
-        let cycles = seg.stats().cycles;
-        let seg_profile = seg.take_profile().unwrap();
-        prop_assert_eq!(seg_profile.attributed_cycles(), cycles,
-            "segmented profile conserves cycles (seed {}, segments {})", seed, req);
-        prop_assert!(seg_profile == mono.take_profile().unwrap(),
-            "profiles bit-identical across segment counts (seed {}, segments {})", seed, req);
-    }
-
-    /// The cycle-attribution profiler conserves cycles exactly on random
-    /// programs (1–8 threads, straight-line bodies behind spawn/join
-    /// scaffolding), and block fusion is invisible to it: the fused and
-    /// unfused profiles are bit-for-bit identical — ghost-issued fused
-    /// instructions attribute exactly like their unfused execution.
-    #[test]
-    fn profiles_conserve_and_fusion_is_invisible(seed in any::<u64>(), threads in 1usize..=8) {
-        use asc_isa::gen::random_straightline_instr;
-        use asc_isa::Instr;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut body = String::new();
-        for _ in 0..24 {
-            let mut i = random_straightline_instr(&mut rng);
-            // same bounds argument as `fusion_is_bit_identical`: W8 bases
-            // stay under 256, so these offsets keep every access in range
-            match &mut i {
-                Instr::Lw { off, .. } | Instr::Sw { off, .. } => *off = off.rem_euclid(128),
-                Instr::Plw { off, .. } | Instr::Psw { off, .. } => *off = off.rem_euclid(127),
-                _ => {}
-            }
-            body.push_str("        ");
-            body.push_str(&asc_asm::disassemble(&i));
-            body.push('\n');
-        }
-        let src = if threads == 1 {
-            format!("{body}        halt\n")
+        let (clamp, race_free) = (rng.random_bool(0.5), rng.random_bool(0.5));
+        let program = on_threads(&random_body(&mut rng, 24, clamp, race_free), threads);
+        let pes = if rng.random_bool(0.125) {
+            4096 + rng.random_range(1..=128)
         } else {
-            // spawn `threads - 1` workers into distinct handle registers
-            // (registers, not shared memory, so random worker stores
-            // cannot clobber the join handles), each running the body
-            let mut main = String::from("        li   s1, worker\n");
-            for w in 0..threads - 1 {
-                main.push_str(&format!("        tspawn s{}, s1\n", w + 2));
-            }
-            for w in 0..threads - 1 {
-                main.push_str(&format!("        tjoin s{}\n", w + 2));
-            }
-            main.push_str("        halt\nworker:\n");
-            format!("{main}{body}        texit\n")
+            rng.random_range(1..=640)
         };
-        let program = asc_asm::assemble(&src).unwrap();
-        let cfg = MachineConfig::new(8).with_width(Width::W8).with_threads(8);
-
-        let run = |fusion: bool| {
-            let cfg = if fusion { cfg } else { cfg.without_fusion() };
+        let mut cfg = MachineConfig::new(pes).with_width(Width::W8).with_threads(threads);
+        // `MTASC_NO_SIMD` would fold the SIMD axis onto the scalar tier
+        prop_assert_eq!(cfg.simd_level(), asc_pe::SimdLevel::detect_hw());
+        if !clamp {
+            cfg.lmem_words = 32;
+        }
+        cfg = match rng.random_range(0..4) {
+            0 => cfg,
+            1 => cfg.coarse_grain(3),
+            2 => cfg.without_forwarding(),
+            // the divider is sequential already
+            _ => MachineConfig { multiplier: asc_pe::MultiplierKind::default_sequential(8), ..cfg },
+        };
+        let run = |cfg: MachineConfig, budget: u64| {
             let mut m = Machine::with_program(cfg, &program).unwrap();
             m.attach_profiler();
-            m.run(10_000_000).unwrap();
-            let cycles = m.stats().cycles;
-            (m.take_profile().unwrap(), cycles)
+            let result = m.run(budget);
+            let profile = m.take_profile().unwrap();
+            (result, m, profile)
         };
-        let (fused, fused_cycles) = run(true);
-        let (unfused, unfused_cycles) = run(false);
-
-        prop_assert_eq!(fused.attributed_cycles(), fused_cycles,
-            "fused conservation (seed {}, {} threads)", seed, threads);
-        prop_assert_eq!(unfused.attributed_cycles(), unfused_cycles,
-            "unfused conservation (seed {}, {} threads)", seed, threads);
-        prop_assert_eq!(fused_cycles, unfused_cycles, "cycle counts agree");
-        prop_assert!(fused == unfused,
-            "profiles bit-identical (seed {}, {} threads)", seed, threads);
+        const FULL: u64 = 10_000_000;
+        let (reference_result, reference, _) = run(cfg, FULL);
+        let (sched_seed, ragged) = (rng.random_range(1..=1000u64), rng.random_range(2..=7));
+        // perturbation only reorders threads: one thread has one schedule
+        let seeds: &[u64] = if threads > 1 { &[0, sched_seed] } else { &[0] };
+        if race_free && threads > 1 && reference_result.is_ok() {
+            let (result, perturbed, _) = run(cfg.with_sched_seed(sched_seed), FULL);
+            prop_assert!(
+                result.is_ok() && perturbed.arch_digest() == reference.arch_digest(),
+                "seed {}, {} threads: race-free program diverged at sched seed {}",
+                seed, threads, sched_seed
+            );
+        }
+        // a full budget, or one that stops the run in its last 32 cycles:
+        // where thread 0 runs the body alone and its blocks fuse, or
+        // shortly before a fault
+        let budget = if rng.random_bool(0.5) {
+            FULL
+        } else {
+            reference.cycle().saturating_sub(rng.random_range(1..=32))
+        };
+        drop(reference); // its planes become the first cell's spare
+        for &sched in seeds {
+            let cells = cells(cfg.with_sched_seed(sched), ragged);
+            let mut runs = cells.into_iter().map(|c| (c, run(c, budget)));
+            let (_, (result, first, profile)) = runs.next().unwrap();
+            if let Ok(stats) = &result {
+                prop_assert_eq!(profile.attributed_cycles(), stats.cycles, "conservation");
+            }
+            for (c, (other_result, other, other_profile)) in runs {
+                let label = format!(
+                    "seed {seed}, {threads} threads, sched seed {sched}: fusion {} simd {} \
+                     segments {}",
+                    c.fusion, c.simd, c.segments
+                );
+                prop_assert_eq!(&other_result, &result, "{}: run result", label);
+                assert_machines_identical(&first, &other, &label);
+                prop_assert!(other_profile == profile, "{}: profile", label);
+                prop_assert!(c.fusion || other.fusion_stats().instrs_fused == 0, "{}", label);
+                prop_assert!(c.simd || other.fusion_stats().simd_ops == 0, "{}", label);
+            }
+        }
     }
 }
 
@@ -546,7 +496,7 @@ proptest! {
 /// in every lane: each thread's GPRs 1 to 15 and flags, through the
 /// executor's own entry point, and every local-memory row from the host.
 fn poison_every_plane(m: &mut Machine) {
-    use asc_isa::{FlagOp, Instr, Mask, PFlag, PReg};
+    use asc_isa::{FlagOp, Mask, PFlag, PReg};
     use asc_pe::{ActiveMask, LaneOp};
     let c = *m.array().config();
     let all = ActiveMask::all(c.num_pes);
@@ -571,36 +521,33 @@ fn poison_every_plane(m: &mut Machine) {
 }
 
 proptest! {
-    /// Plane reuse is invisible to fused and unfused execution: on one
-    /// freshly spawned thread, program B run on planes that two machines
-    /// of its shape used before it returns the same result and leaves the
-    /// same machine state as B run first, when the thread held no spare.
-    /// The first of the two machines writes every plane and row, more bytes
-    /// than a spare zeroed at construction may hold, so the next one gets
-    /// them stale. The second runs a program that touches no plane, so B is
-    /// clear of the poison only if that machine's drop zeroes the planes it
-    /// left stale. Then the thread is poisoned again, and B runs straight on
-    /// the stale planes, which it must zero or overwrite as it goes. B is
-    /// `fusion_is_bit_identical`'s generator on 1 to 4 threads, with its
-    /// flag writes moved off flags 6 and 7 and half of its masks moved onto
-    /// them, so its `?pf6`/`?pf7` ops, fused ones among them, run under
-    /// flags B never writes.
+    /// Plane reuse is invisible to every strategy: on one freshly spawned
+    /// thread, program B run on planes that two machines of its shape used
+    /// before it returns the same result and leaves the same machine state
+    /// as B run first, when the thread held no spare. The first of the two
+    /// machines writes every plane and row, more bytes than a spare zeroed
+    /// at construction may hold, so the next one gets them stale. The
+    /// second runs a program that touches no plane, so B is clear of the
+    /// poison only if that machine's drop zeroes the planes it left stale.
+    /// Then the thread is poisoned again, and B runs straight on the stale
+    /// planes, which it must zero or overwrite as it goes. The poisoning
+    /// machine and B each run in a cell of [`cells`], drawn apart, since
+    /// a spare's commit map may be recorded at another segment count than
+    /// the array that takes it. B is a clamped [`random_body`] on 1 to 4
+    /// threads ([`on_threads`]), with its flag writes moved off flags 6
+    /// and 7 and half of its masks moved onto them, so its `?pf6`/`?pf7`
+    /// ops, fused ones among them, run under flags B never writes.
     #[test]
     fn fusion_on_reused_planes_matches_a_fresh_thread(
         seed in any::<u64>(),
         threads in 1usize..=4,
     ) {
-        use asc_isa::gen::random_straightline_instr;
-        use asc_isa::{Instr, Mask, PFlag};
+        use asc_isa::{Mask, PFlag};
         let mut rng = StdRng::seed_from_u64(seed);
         let never_written = |f: PFlag| PFlag::from_index(6 + f.index() as u8 % 2);
-        let mut body = String::new();
-        for _ in 0..40 {
-            let mut i = random_straightline_instr(&mut rng);
-            match &mut i {
-                // the bounds of `fusion_is_bit_identical`: no access faults
-                Instr::Lw { off, .. } | Instr::Sw { off, .. } => *off = off.rem_euclid(128),
-                Instr::Plw { off, .. } | Instr::Psw { off, .. } => *off = off.rem_euclid(127),
+        let mut body = random_body(&mut rng, 40, true, false);
+        for i in &mut body {
+            match i {
                 Instr::PCmp { fd, .. }
                 | Instr::PCmpS { fd, .. }
                 | Instr::PCmpImm { fd, .. }
@@ -608,7 +555,7 @@ proptest! {
                 | Instr::PFirst { fd, .. } => *fd = PFlag::from_index(fd.index() as u8 % 6),
                 _ => {}
             }
-            match &mut i {
+            match i {
                 Instr::PAlu { mask, .. }
                 | Instr::PAluS { mask, .. }
                 | Instr::PAluImm { mask, .. }
@@ -634,27 +581,15 @@ proptest! {
                 }
                 _ => {}
             }
-            body.push_str(&format!("        {}\n", asc_asm::disassemble(&i)));
         }
-        let src = if threads == 1 {
-            format!("{body}        halt\n")
-        } else {
-            // the scaffolding of `profiles_conserve_and_fusion_is_invisible`
-            let mut main = String::from("        li   s1, worker\n");
-            for w in 0..threads - 1 {
-                main.push_str(&format!("        tspawn s{}, s1\n", w + 2));
-            }
-            for w in 0..threads - 1 {
-                main.push_str(&format!("        tjoin s{}\n", w + 2));
-            }
-            main.push_str("        halt\nworker:\n");
-            format!("{main}{body}        texit\n")
-        };
-        let b = asc_asm::assemble(&src).unwrap();
+        let b = on_threads(&body, threads);
         let idle = asc_asm::assemble("li s1, 7\nhalt").unwrap();
         // 520 PEs: an 8-lane tail tile, and 4 threads x 15 GPRs plus 512
         // rows marked, past what a spare zeroed at construction holds
-        let cfg = MachineConfig::new(520).with_width(Width::W8).with_threads(4);
+        let shape = MachineConfig::new(520).with_width(Width::W8).with_threads(4);
+        let cells = cells(shape, rng.random_range(2..=7));
+        let mut cell = || cells[rng.random_range(0..cells.len())];
+        let (poison_cfg, cfg) = (cell(), cell());
         let run = move |program: &asc_asm::Program| {
             let mut m = Machine::with_program(cfg, program).unwrap();
             (m.run(10_000_000), m)
@@ -665,7 +600,7 @@ proptest! {
         let outcome = std::thread::spawn(move || {
             let fresh = run(&b);
             let poison_and_drop = || {
-                let mut poison = Machine::new(cfg);
+                let mut poison = Machine::new(poison_cfg);
                 poison_every_plane(&mut poison);
                 assert!(poison.array().committed_bytes() > asc_pe::array::EAGER_SCRUB_BYTES);
                 poison.array().gpr_plane(0, 0).as_ptr()
@@ -716,7 +651,6 @@ proptest! {
     ) {
         use asc_isa::gen::random_straightline_instr;
         use asc_isa::reg::{PReg, SReg};
-        use asc_isa::Instr;
         let mut rng = StdRng::seed_from_u64(seed);
         let workers = threads - 1;
         let mut src = String::new();

@@ -19,14 +19,6 @@ fn obs_enabled() -> bool {
     std::env::var("MTASC_KERNEL_OBS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// `MTASC_NO_FUSE=1` disables the block-fusion engine for every kernel
-/// run through this harness — the blunt-instrument form of
-/// `mtasc run --no-fuse`, used by the differential tests and for timing
-/// the instruction-major executor from the benches.
-fn fusion_disabled() -> bool {
-    std::env::var("MTASC_NO_FUSE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Render the top-5 stall reasons of a profiled run, largest first, each
 /// with its hottest (thread, pc) site (empty string if the run never
 /// stalled).
@@ -64,7 +56,6 @@ pub fn run_kernel(
     setup: impl FnOnce(&mut Machine),
 ) -> Result<(Machine, Stats), RunError> {
     let program = assemble_kernel(src);
-    let cfg = if fusion_disabled() { cfg.without_fusion() } else { cfg };
     let mut m = Machine::with_program(cfg, &program)?;
     let mut rec = None;
     if obs_enabled() {

@@ -227,8 +227,8 @@ pub fn program_hash(source: &str) -> String {
 
 /// The registry's one-line config fingerprint for a machine geometry,
 /// including the host execution strategy the run executed with — the
-/// SIMD dispatch tier and the resolved segment count (env-overridable via
-/// `MTASC_NO_SIMD` / `MTASC_SEGMENTS`). Two runs with the same geometry
+/// SIMD dispatch tier (`--no-simd`, or `MTASC_NO_SIMD`) and the resolved
+/// segment count (`--segments`). Two runs with the same geometry
 /// but different strategies are not comparable on wall time, so both are
 /// part of the machine-config identity.
 pub fn config_fingerprint(meta: &MachineMeta) -> String {

@@ -31,10 +31,9 @@ pub const AUTO_TILES_PER_SEG: usize = 64;
 
 /// How the PE array is sliced into segments, the units of its commit map.
 ///
-/// Constructed once per machine from the configured (or
-/// `MTASC_SEGMENTS`-overridden) segment count and carried by the array's
-/// config. Purely an execution strategy: results, cycle counts, stats and
-/// profiles are bit-identical at every count.
+/// Constructed once per machine from the configured segment count and
+/// carried by the array's config. Purely an execution strategy: results,
+/// cycle counts, stats and profiles are bit-identical at every count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentGeometry {
     num_pes: usize,

@@ -123,6 +123,43 @@ fn memory_faults_keep_their_identity_under_fusion() {
     }
 }
 
+/// A run stopped by its cycle budget inside a fusible block leaves what
+/// `--no-fuse` leaves. Under every limit from one cycle until the program
+/// completes, the fused and unfused runs return the same result and leave
+/// the same machine and statistics. The fuel gate is what keeps a block
+/// that could outlast the budget unfused; on the full budget it fuses.
+#[test]
+fn cycle_limits_inside_a_block_match_no_fuse() {
+    let src = "
+        pidx   p1
+        paddi  p1, p1, 1
+        paddi  p1, p1, 2
+        paddi  p1, p1, 3
+        paddi  p1, p1, 4
+        paddi  p1, p1, 5
+        rsum   s1, p1
+        halt
+    ";
+    let program = asc::asm::assemble(src).unwrap();
+    let cfg = MachineConfig::new(16);
+    let run = |cfg: MachineConfig, limit: u64| {
+        let mut m = Machine::with_program(cfg, &program).unwrap();
+        let result = m.run(limit);
+        (result, m.arch_digest(), m.stats().clone(), m.fusion_stats().blocks_executed)
+    };
+    assert_eq!(run(cfg, 100_000).3, 1, "the block fuses on a full budget");
+    for limit in 1.. {
+        let (fused, fused_digest, fused_stats, _) = run(cfg, limit);
+        let (unfused, unfused_digest, unfused_stats, _) = run(cfg.without_fusion(), limit);
+        assert_eq!(fused, unfused, "limit {limit}: run result");
+        assert_eq!(fused_digest, unfused_digest, "limit {limit}: state at the stop");
+        assert_eq!(fused_stats, unfused_stats, "limit {limit}: statistics at the stop");
+        if fused.is_ok() {
+            break;
+        }
+    }
+}
+
 /// Per-lane `plw` and `psw` that would fault in different occupancy
 /// groups at different ops, after a fused block of two uniform loads, on
 /// an array large enough (2¹⁸ + 70 PEs, 65 groups) for that block's tile

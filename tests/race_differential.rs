@@ -111,24 +111,33 @@ fn race_fixtures_cover_the_whole_family() {
 
 /// The analyzer stays silent on the shipped kernel corpus, and the
 /// machine agrees: every corpus program reaches the same architectural
-/// state under every perturbed schedule. Run by ci.sh under the default
-/// geometry and again under `MTASC_SEGMENTS=4` and `MTASC_NO_SIMD=1`.
+/// state under every perturbed schedule, at the host's SIMD tier and at
+/// the scalar one. The machine has 16 PEs, one tile and so one segment
+/// at any request; the strategy matrix in `asc-core`'s property tests
+/// covers the segment axis.
 #[test]
 fn kernel_corpus_is_race_clean_and_schedule_invariant() {
     // The full machine (pipelined multiplier) so every corpus kernel runs.
     let cfg = MachineConfig::new(16);
+    // `MTASC_NO_SIMD` would fold the two tiers into one
+    assert_eq!(cfg.simd_level(), asc::pe::SimdLevel::detect_hw(), "SIMD tier overridden");
     for (name, src) in harness::corpus() {
         let program = asc::asm::assemble(&src).unwrap();
         let report = asc::verify::analyze(&program, &cfg);
         let fam6: Vec<_> =
             report.diagnostics.iter().filter(|d| d.code.as_bytes()[1] == b'6').collect();
         assert!(fam6.is_empty(), "{name}: corpus kernel flagged by the race passes: {fam6:?}");
-        let (digests, faults) = explore(&program, cfg, CORPUS_SEEDS);
-        assert_eq!(faults, 0, "{name}: corpus kernel faulted under a perturbed schedule");
+        let mut digests = BTreeSet::new();
+        for tier in [cfg, cfg.without_simd()] {
+            let (tier_digests, faults) = explore(&program, tier, CORPUS_SEEDS);
+            assert_eq!(faults, 0, "{name}: corpus kernel faulted under a perturbed schedule");
+            digests.extend(tier_digests);
+        }
         assert_eq!(
             digests.len(),
             1,
-            "{name}: corpus kernel reaches {} distinct states across {CORPUS_SEEDS} seeds",
+            "{name}: corpus kernel reaches {} distinct states across {CORPUS_SEEDS} seeds \
+             and two SIMD tiers",
             digests.len()
         );
     }
