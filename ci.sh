@@ -276,9 +276,10 @@ echo "==> 2^20-PE planes and split sweeps (release)"
 cargo test --release -p asc-pe --features proptest -q -- \
     sparse_million_pe_array_constructs_cheaply reused_planes_read_zero \
     occupied_groups_across_occupancy_words split_sweeps_match_per_pe_reference \
+    split_scatter_matches_a_serial_copy \
     word_span_kernels_match_a_word_loop refills_match_a_fresh_mask_of_each_plane
 cargo test --release -p asc-network -q -- units_match_lane_references_at_scale \
-    group_by_group_counts_sum_to_the_whole
+    group_by_group_counts_sum_to_the_whole upper_tile_levels_match_the_canonical_tree
 cargo test --release --test fusion -q -- split_block_faults_keep_their_identity \
     aliased_operands_fuse_when_split
 
@@ -293,11 +294,12 @@ if command -v taskset > /dev/null; then
     taskset -c 0 cargo test --release -p asc-pe --features proptest -q \
         --test workers --test workers_alloc
     taskset -c 0 cargo test --release -p asc-pe --features proptest -q --lib -- \
-        split_sweeps_match_per_pe_reference word_span_kernels_match_a_word_loop \
+        split_sweeps_match_per_pe_reference split_scatter_matches_a_serial_copy \
+        word_span_kernels_match_a_word_loop \
         refills_match_a_fresh_mask_of_each_plane reused_planes_read_zero \
         occupied_groups_across_occupancy_words
     taskset -c 0 cargo test --release -p asc-network -q -- units_match_lane_references_at_scale \
-        group_by_group_counts_sum_to_the_whole
+        group_by_group_counts_sum_to_the_whole upper_tile_levels_match_the_canonical_tree
     taskset -c 0 cargo test --release --test fusion -q -- split_block_faults_keep_their_identity \
         aliased_operands_fuse_when_split
 else

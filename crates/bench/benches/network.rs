@@ -26,9 +26,12 @@ fn bench_reductions(c: &mut Criterion) {
 /// Reductions at 2²⁰ PEs: the saturating sum, unsigned max and logic OR,
 /// each unmasked and masked to one 1024-PE cluster (the clustered
 /// key/value layout of the `pe_scaling` bench), at the detected SIMD tier
-/// (`MTASC_NO_SIMD=1` for scalar). The dense rows measure the sum's tile
-/// kernel and the one-pass units' word loops; the clustered rows measure
-/// occupancy pruning.
+/// (`MTASC_NO_SIMD=1` for scalar). The values are non-negative, so the
+/// sum rows measure its same-sign pass, and `rsum-mixed-dense` measures
+/// the tile tree it falls back to on groups that hold both signs (with
+/// what the pass costs before it gives up); the other dense rows measure
+/// the one-pass units' word loops, and the clustered rows occupancy
+/// pruning.
 fn bench_reductions_at_scale(c: &mut Criterion) {
     let mut g = c.benchmark_group("network_reduce");
     let p = 1usize << 20;
@@ -45,6 +48,10 @@ fn bench_reductions_at_scale(c: &mut Criterion) {
             });
         }
     }
+    let mixed: Vec<Word> = (0..p).map(|i| Word::from_i64(((i as i64 * 7) & 31) - 16, w)).collect();
+    g.bench_with_input(BenchmarkId::new("rsum-mixed-dense", p), &p, |b, _| {
+        b.iter(|| black_box(net.reduce(ReduceOp::Sum, &mixed, &dense, w)))
+    });
     g.finish();
 }
 

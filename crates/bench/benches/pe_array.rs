@@ -4,8 +4,9 @@
 //! issued back to back), the build-touch-drop cycle of a 2²⁰-PE machine
 //! (plane construction and first-touch writes), single lane-local
 //! instructions through the ALU and compare span kernels, the query
-//! fleet's round-robin issue of lane-local ops over 16 threads, and the
-//! stencil workload's fused block at 2¹⁶ PEs.
+//! fleet's round-robin issue of lane-local ops over 16 threads, the
+//! stencil workload's fused block at 2¹⁶ PEs, and the host preload's
+//! column scatter at 2¹⁶ to 2²⁰ PEs.
 //! These are the workloads the structure-of-arrays PE array is optimised
 //! for; run them before and after datapath changes.
 
@@ -222,11 +223,30 @@ fn bench_run_block_stencil(c: &mut Criterion) {
     black_box(a.gpr_plane(0, 8));
 }
 
+/// One host `scatter_column` into a local-memory row of a single-thread
+/// array at 2¹⁶, 2¹⁸ and 2²⁰ PEs: below the worker pool's gate (one copy
+/// on the caller), at it and above it (a sweep split across the host
+/// cores). The row is overwritten each iteration, so after the first one
+/// its pages are resident.
+fn bench_scatter_column(c: &mut Criterion) {
+    for pes in [1usize << 16, 1 << 18, 1 << 20] {
+        let mut cfg = MachineConfig::new(pes).single_threaded();
+        cfg.lmem_words = 2;
+        let mut a = PeArray::new(cfg.array());
+        let data: Vec<Word> = (0..pes as u32).map(|pe| Word(pe.wrapping_mul(7) & 31)).collect();
+        c.bench_function(&format!("pe_array/scatter_column_{pes}"), |b| {
+            b.iter(|| a.scatter_column(1, black_box(&data)).unwrap())
+        });
+        black_box(a.lmem_row(1).unwrap());
+    }
+}
+
 criterion_group!(
     benches,
     bench_sort_4096,
     bench_rcount_16k,
     bench_build_touch_1m,
+    bench_scatter_column,
     bench_single_sweeps,
     bench_run_op_rotating,
     bench_run_block_stencil

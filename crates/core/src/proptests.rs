@@ -494,13 +494,26 @@ proptest! {
 
 /// Every plane and row of a machine shaped like `cfg` written non-zero
 /// in every lane: each thread's GPRs 1 to 15 and flags, through the
-/// executor's own entry point, and every local-memory row from the host.
+/// executor's own entry point, the first 128 local-memory rows through
+/// per-lane stores (a `psw` off a computed base, whose rows the commit
+/// map learns only as every row), and the other rows from the host.
 fn poison_every_plane(m: &mut Machine) {
     use asc_isa::{FlagOp, Mask, PFlag, PReg};
     use asc_pe::{ActiveMask, LaneOp};
     let c = *m.array().config();
     let all = ActiveMask::all(c.num_pes);
     let lower = |i| LaneOp::lower(&i, c.width, c.simd, c.lmem_words).expect("lane-local");
+    let (base, value) = (PReg::from_index(1), PReg::from_index(2));
+    let set =
+        |pd, imm| lower(Instr::PAluImm { op: AluOp::Add, pd, pa: PReg::R0, imm, mask: Mask::All });
+    m.array_mut().run_op(0, &set(base, 0), &all).unwrap();
+    let stored = c.lmem_words.min(128);
+    for row in 0..stored {
+        m.array_mut().run_op(0, &set(value, (row * 37 % 127 + 1) as i8), &all).unwrap();
+        let store = lower(Instr::Psw { ps: value, base, off: row as i8, mask: Mask::All });
+        assert!(store.can_fault(), "a store off a computed base is per-lane");
+        m.array_mut().run_op(0, &store, &all).unwrap();
+    }
     for t in 0..c.threads {
         for r in 1..c.gprs {
             let (pd, imm) = (PReg::from_index(r as u8), (r * 16 + t) as i8 | 1);
@@ -514,7 +527,7 @@ fn poison_every_plane(m: &mut Machine) {
             m.array_mut().run_op(t, &op, &all).unwrap();
         }
     }
-    for row in 0..c.lmem_words {
+    for row in stored..c.lmem_words {
         let v = Word::new((row * 37 % 255 + 1) as u32, c.width);
         m.array_mut().scatter_column(row as u32, &vec![v; c.num_pes]).unwrap();
     }

@@ -31,8 +31,9 @@
 //! Each reduction unit has one functional path. The logic unit's AND/OR
 //! walks the active mask's tiles ([`asc_pe::ActiveMask::active_tiles`]),
 //! the max/min unit folds a plane span per occupied 4096-lane group with
-//! a span kernel of the machine's SIMD tier, and the sum unit reduces a
-//! tree of 64-lane tiles. The responder units (the counter, the resolver
+//! a span kernel of the machine's SIMD tier, and the sum unit sums each
+//! group whose active lanes share one sign in one pass and reduces every
+//! other group as a tree of 64-lane tiles. The responder units (the counter, the resolver
 //! and the logic unit's any/all) work on packed flag words: each carries
 //! a word-span kernel of the machine's SIMD tier ([`asc_pe::simd`]),
 //! selected once at construction, and calls it once per occupied
@@ -132,9 +133,10 @@ pub struct NetworkConfig {
     /// Arity (k) of the broadcast tree — "variable and chosen so as to
     /// maximize system performance".
     pub broadcast_arity: usize,
-    /// SIMD tier of the sum unit's tile kernel (see
-    /// [`asc_pe::SumTileKernel`]) and of the responder units' word-span
-    /// kernels; results are identical at every tier.
+    /// SIMD tier of the sum unit's tile and same-sign kernels (see
+    /// [`asc_pe::SumTileKernel`] and [`asc_pe::SameSignSumKernel`]), of
+    /// the max/min unit's span kernel and of the responder units'
+    /// word-span kernels; results are identical at every tier.
     pub simd: SimdLevel,
 }
 
@@ -312,9 +314,11 @@ mod tests {
     /// gate at 2²⁴ + 70 lanes), and the resolver and any/all never split,
     /// so those run group by group on the calling thread at both sizes. The
     /// larger array holds full-range W8 values, so the sum's tree nodes
-    /// saturate and any change of association would show. The value
-    /// reductions run at every SIMD tier the host can run, whose sum tile
-    /// and max/min span kernels differ.
+    /// saturate and any change of association would show. The sum also
+    /// runs over the values' magnitudes, each sign's, whose groups take the
+    /// same-sign pass (split past the gate) where the mixed values take the
+    /// tile tree. The value reductions run at every SIMD tier the host can
+    /// run, whose sum kernels and max/min span kernels differ.
     #[test]
     fn units_match_lane_references_at_scale() {
         use asc_isa::FlagReduceOp;
@@ -352,6 +356,9 @@ mod tests {
                     "{name}: the count stays on the caller"
                 );
             }
+            let magnitude = |v: &Word| v.to_i64(w).abs().min(w.smax());
+            let pos: Vec<Word> = vals.iter().map(|v| Word::from_i64(magnitude(v), w)).collect();
+            let neg: Vec<Word> = vals.iter().map(|v| Word::from_i64(-magnitude(v), w)).collect();
             let pattern: Vec<bool> = (0..n).map(|i| i * 7 % 5 != 0).collect();
             let net = Network::new(NetworkConfig::new(n, 4));
             let tiers: Vec<Network> = SimdLevel::available()
@@ -360,13 +367,18 @@ mod tests {
                 .collect();
             for (name, active) in &masks {
                 let lanes: Vec<usize> = (0..n).filter(|&i| active.is_active(i)).collect();
-                let leaves: Vec<Word> = (0..n)
-                    .map(|i| if active.is_active(i) { vals[i] } else { Word::ZERO })
-                    .collect();
-                let sum = tree_reduce(&leaves, Word::ZERO, |a, b| a.saturating_add_signed(b, w));
-                for net in &tiers {
-                    let at = format!("{n} {name} {:?}", net.config().simd);
-                    assert_eq!(net.reduce(ReduceOp::Sum, &vals, active, w), sum, "{at} Sum");
+                for (signs, vals) in
+                    [("mixed", &vals), ("non-negative", &pos), ("non-positive", &neg)]
+                {
+                    let leaves: Vec<Word> = (0..n)
+                        .map(|i| if active.is_active(i) { vals[i] } else { Word::ZERO })
+                        .collect();
+                    let sum =
+                        tree_reduce(&leaves, Word::ZERO, |a, b| a.saturating_add_signed(b, w));
+                    for net in &tiers {
+                        let at = format!("{n} {name} {signs} {:?}", net.config().simd);
+                        assert_eq!(net.reduce(ReduceOp::Sum, vals, active, w), sum, "{at} Sum");
+                    }
                 }
                 for op in [
                     ReduceOp::Max,

@@ -27,12 +27,35 @@
 //! them on every host core ([`asc_pe::workers::map_groups`]); the caller
 //! then combines the levels above them in the same order as the serial
 //! walk, which computes each group's partial where the walk reaches it.
+//!
+//! ## Same-sign groups
+//!
+//! A group whose active lanes are all non-negative, or all non-positive,
+//! needs no tree: its partial is the exact sum of those lanes, clamped
+//! once. Take non-negative leaves (the other case is the mirror image),
+//! write `M` for the width's largest value and `S(v)` for the exact sum of
+//! the leaves under node `v`. Every node is at least zero, so only the
+//! upper clamp can act, and each node is `min(S(v), M)`: true of a leaf,
+//! and if it holds for the children `a` and `b` of `v`, then either both
+//! sums are below `M`, the children are exact and `v = min(S(a) + S(b),
+//! M)`, or one child is `M`, the other at least zero, and `v = M =
+//! min(S(v), M)`, as `S(v) >= M` there. Zero leaves (inactive lanes
+//! included) carry either sign. The [`asc_pe::SameSignSumKernel`] of the
+//! unit's tier makes one pass over a group's masked lanes, summing them
+//! and tracking the least and greatest, and gives up (`None`) at the
+//! first tile after which both signs have been seen; the group then runs
+//! the tile tree. Either way the group's partial is the same word, so the
+//! levels above the groups, which still saturate node by node, are
+//! unchanged.
 
 use std::ops::Range;
 
 use asc_isa::{ReduceOp, Width, Word};
 use asc_pe::workers::{self, GROUP_LANES};
-use asc_pe::{select_sum_tile, ActiveMask, SimdLevel, SumTileKernel, TILE_LANES};
+use asc_pe::{
+    select_same_sign_sum, select_sum_tile, ActiveMask, SameSignSumKernel, SimdLevel, SumTileKernel,
+    TILE_LANES,
+};
 
 /// Children of one node of the tile tree (tiles, or runs of tiles): the
 /// tile kernel's 64 inputs.
@@ -42,16 +65,17 @@ const RADIX: usize = TILE_LANES;
 const GROUP_TILES: usize = GROUP_LANES / TILE_LANES;
 
 /// Functional model of the saturating sum reduction unit, carrying the
-/// tile kernel of the machine's SIMD tier.
+/// tile and same-sign span kernels of the machine's SIMD tier.
 #[derive(Debug, Clone, Copy)]
 pub struct SumUnit {
     tile: SumTileKernel,
+    same_sign: SameSignSumKernel,
 }
 
 impl SumUnit {
-    /// The unit at a SIMD tier; the tile kernel is selected here, once.
+    /// The unit at a SIMD tier; the kernels are selected here, once.
     pub fn new(level: SimdLevel) -> SumUnit {
-        SumUnit { tile: select_sum_tile(level) }
+        SumUnit { tile: select_sum_tile(level), same_sign: select_same_sign_sum(level) }
     }
 
     /// Saturating signed sum over the active set (inactive PEs contribute
@@ -79,9 +103,15 @@ impl SumUnit {
     }
 
     /// The subtree over one occupancy group's (at most 64) tiles: the
-    /// perfect tree over the tiles' partials, inactive tiles entering as
-    /// zero.
+    /// exact sum of its active lanes clamped once if they share one sign
+    /// (see the [module docs](self)), else the perfect tree over the
+    /// tiles' partials, inactive tiles entering as zero.
     fn group(&self, values: &[Word], active: &ActiveMask, tiles: Range<usize>, w: Width) -> Word {
+        let lanes = tiles.start * TILE_LANES..values.len().min(tiles.end * TILE_LANES);
+        let masks = &active.words()[tiles.clone()];
+        if let Some(sum) = (self.same_sign)(&values[lanes], w, masks) {
+            return Word::from_i64(sum.clamp(w.smin(), w.smax()), w);
+        }
         let mut partials = [Word::ZERO; RADIX];
         let mut occupied = 0u64;
         for (i, t) in tiles.enumerate() {
@@ -242,25 +272,82 @@ mod tests {
         assert_eq!(SumUnit::exact_clamped(&vals, &all, w).to_i64(w), 100);
     }
 
+    /// Past 64 tiles the unit recurses over runs of tiles and prunes on
+    /// the occupancy summary, and a group whose active lanes share one sign
+    /// takes the same-sign pass instead of its tile tree; the proptest
+    /// below stays under one group. From just under one group to 64 groups
+    /// and a lane (262,145 lanes take three radix-64 levels above the
+    /// tiles), at every width and tier, under dense, sparse, single-cluster
+    /// and stale masks, the unit must match the canonical tree over
+    /// full-range values; over values drawn from `0..=smax` and from
+    /// `smin..=0`, all zero, and a lone `smin` among zeros, each of which
+    /// must also equal the exact sum clamped once; and over groups that
+    /// cycle through non-negative, mixed, non-positive and mixed, so that
+    /// groups summed in one pass and groups summed by the tile tree meet
+    /// at the nodes above them. Dense groups of one sign sum far past
+    /// `smax` or `smin`, which the pass clamps once.
     #[test]
     fn upper_tile_levels_match_the_canonical_tree() {
-        // Past 64 tiles the unit recurses over runs of tiles and prunes on
-        // the occupancy summary; the proptest below stays under that size.
-        // 262_145 lanes take three radix-64 levels above the tiles.
         let mut rng = StdRng::seed_from_u64(12);
         for n in [4095usize, 4097, 70_001, 262_145] {
+            let sparse: Vec<bool> = (0..n).map(|_| rng.random_bool(0.001)).collect();
+            let cluster: Vec<bool> = (0..n).map(|i| (n / 3..n / 3 + 1024).contains(&i)).collect();
+            // a cleared lane leaves its occupancy bit set: the summary is
+            // conservative, and an all-zero "occupied" group must still
+            // come out as zero
+            let mut stale = ActiveMask::new(n);
+            stale.set(0, true);
+            stale.set(n - 1, true);
+            stale.set(n - 1, false);
+            let masks = [
+                ("dense", ActiveMask::all(n)),
+                ("sparse", ActiveMask::from_bools(&sparse)),
+                ("cluster", ActiveMask::from_bools(&cluster)),
+                ("stale", stale),
+            ];
             for w in [Width::W8, Width::W16, Width::W32] {
-                let vals = full_range(&mut rng, n, w);
-                let sparse: Vec<bool> = (0..n).map(|_| rng.random_bool(0.001)).collect();
-                // a cleared lane leaves its occupancy bit set: the summary
-                // is conservative, and an all-zero "occupied" group must
-                // still come out as zero
-                let mut stale = ActiveMask::new(n);
-                stale.set(0, true);
-                stale.set(n - 1, true);
-                stale.set(n - 1, false);
-                for act in [ActiveMask::all(n), ActiveMask::from_bools(&sparse), stale] {
-                    check_every_tier(&vals, &act, w, identity_padded_tree(&vals, &act, w));
+                let (lo, hi) = (w.smin(), w.smax());
+                let mut draw = |range: &dyn Fn(usize) -> (i64, i64)| -> Vec<Word> {
+                    (0..n)
+                        .map(|i| {
+                            let (a, b) = range(i);
+                            Word::from_i64(rng.random_range(a..=b), w)
+                        })
+                        .collect()
+                };
+                let mixed = draw(&|_| (lo, hi));
+                let pos = draw(&|_| (0, hi));
+                let neg = draw(&|_| (lo, 0));
+                let meet = draw(&|i| match i / GROUP_LANES % 4 {
+                    0 => (0, hi),
+                    2 => (lo, 0),
+                    _ => (lo, hi),
+                });
+                let zero = vec![Word::ZERO; n];
+                let mut lone = zero.clone();
+                lone[n / 3 + 5] = Word::from_i64(lo, w);
+                for (name, vals) in [
+                    ("full-range", &mixed),
+                    ("meet", &meet),
+                    ("non-negative", &pos),
+                    ("non-positive", &neg),
+                    ("zero", &zero),
+                    ("lone smin", &lone),
+                ] {
+                    for (shape, act) in &masks {
+                        let want = identity_padded_tree(vals, act, w);
+                        check_every_tier(vals, act, w, want);
+                        let at = format!("{w} n={n} {name} {shape}");
+                        if !matches!(name, "full-range" | "meet") {
+                            let once = SumUnit::exact_clamped(vals, act, w);
+                            assert_eq!(want, once, "{at}: one sign, clamped once");
+                        }
+                        match (*shape, name) {
+                            ("dense", "non-negative") => assert_eq!(want.to_i64(w), hi, "{at}"),
+                            ("dense", "non-positive") => assert_eq!(want.to_i64(w), lo, "{at}"),
+                            _ => {}
+                        }
+                    }
                 }
             }
         }

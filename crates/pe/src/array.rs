@@ -111,7 +111,7 @@ use crate::lane_op::{self, LaneOp, PlaneRef};
 use crate::memory::MemFault;
 use crate::segments::SegmentGeometry;
 use crate::simd::SimdLevel;
-use crate::tiles::ThreadTiles;
+use crate::tiles::{Plane, ThreadTiles};
 
 /// Geometry of the PE array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1129,13 +1129,23 @@ impl PeArray {
     /// Distribute one value per PE into local memory at `addr` (column
     /// layout: `lmem[addr]` of PE `i` = `data[i]`). Contiguous in the
     /// column-major buffer.
+    ///
+    /// The copy is a sweep of `num_pes` lanes over the row's occupancy
+    /// groups: past the worker pool's gate each participant copies the
+    /// groups it claims, which are the groups its later sweeps over the
+    /// row claim first; below it the caller copies the whole row at once.
     pub fn scatter_column(&mut self, addr: u32, data: &[Word]) -> Result<(), PeFault> {
         let n = self.cfg.num_pes;
         assert_eq!(data.len(), n, "one value per PE");
         let a = Self::check_addr(addr as i64, self.cfg.lmem_words, true)
             .map_err(|fault| PeFault { pe: 0, fault })?;
         self.settle(0, PlaneRef::Row(a), true);
-        self.lmem[a * n..(a + 1) * n].copy_from_slice(data);
+        self.thread_tiles(0).sweep(n, |groups| {
+            let mut win = groups.whole();
+            let base = win.base();
+            let (row, []) = win.split(Plane::Row(a), []);
+            row.copy_from_slice(&data[base..base + row.len()]);
+        });
         self.mark_lmem_row(a);
         Ok(())
     }

@@ -49,8 +49,8 @@ pub use regfile::{FlagFile, RegFile};
 pub use segments::SegmentGeometry;
 pub use simd::{
     alu_vectorizes, select_alu_rr, select_alu_rs, select_cmp_rr, select_cmp_rs, select_first_set,
-    select_maxmin, select_popcount, select_sum_tile, simd_disabled, AluRrKernel, AluRsKernel,
-    CmpRrKernel, CmpRsKernel, FirstSetKernel, MaxMinKernel, PopcountKernel, SimdLevel,
-    SumTileKernel,
+    select_maxmin, select_popcount, select_same_sign_sum, select_sum_tile, simd_disabled,
+    AluRrKernel, AluRsKernel, CmpRrKernel, CmpRsKernel, FirstSetKernel, MaxMinKernel,
+    PopcountKernel, SameSignSumKernel, SimdLevel, SumTileKernel,
 };
 pub use tiles::TILE_LANES;

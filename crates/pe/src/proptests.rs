@@ -9,7 +9,8 @@
 //! `PeArray::run_op`.
 //! `split_sweeps_match_per_pe_reference` holds the same model against an
 //! array large enough for the lane-local sweeps to run on every host
-//! worker (see `crate::workers`).
+//! worker (see `crate::workers`), and `split_scatter_matches_a_serial_copy`
+//! against the host's column scatter at that size.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -301,6 +302,59 @@ fn split_sweeps_match_per_pe_reference() {
         }
     }
     assert_state_matches(&soa, &reference).expect("split sweeps match the per-PE model");
+}
+
+/// The host's column scatter at 2¹⁸ + 70 PEs (65 occupancy groups, the
+/// last one 70 lanes), whose `num_pes` lanes pass the worker pool's gate,
+/// so every host core copies the groups it claims: on a fresh array and
+/// on one built over a dirty spare, whose rows are stale and read as
+/// zero until written, several rows are scattered, one of them twice.
+/// Every scattered row must hold its data, the array must match a per-PE
+/// reference that copied the same columns lane by lane, and the rows
+/// never scattered must read zero.
+#[test]
+fn split_scatter_matches_a_serial_copy() {
+    use crate::workers::{splits, GROUP_LANES};
+    let n = (1 << 18) + 70;
+    let c = ArrayConfig {
+        num_pes: n,
+        threads: 1,
+        lmem_words: 6,
+        width: Width::W16,
+        segments: SegmentGeometry::new(n, 0),
+        ..cfg()
+    };
+    let groups = n.div_ceil(GROUP_LANES);
+    assert_eq!(groups, 65);
+    assert!(splits(groups, n), "the scatter stays below the gate");
+    let column = |salt: usize| -> Vec<Word> {
+        (0..n)
+            .map(|i| Word::new((i * 40_503 + salt * 977) as u32 >> 3 ^ i as u32, c.width))
+            .collect()
+    };
+    let mut dirty = PeArray::new(c);
+    for row in 0..c.lmem_words as u32 {
+        dirty.scatter_column(row, &vec![Word(0xbeef); n]).unwrap();
+    }
+    let planes = dirty.gpr_plane(0, 0).as_ptr();
+    drop(dirty);
+    let reused = PeArray::new(c);
+    assert_eq!(reused.gpr_plane(0, 0).as_ptr(), planes, "the spare planes were not reused");
+    for (label, mut a) in [("reused", reused), ("fresh", PeArray::new(c))] {
+        let mut reference = RefArray::of(&c);
+        for (row, salt) in [(0, 1), (3, 2), (5, 3), (3, 4)] {
+            let data = column(salt);
+            a.scatter_column(row, &data).unwrap();
+            for (pe, &v) in data.iter().enumerate() {
+                reference.pes[pe].2.write(row, v).unwrap();
+            }
+            assert!(a.lmem_row(row).unwrap() == &data[..], "{label}: row {row} holds its data");
+        }
+        assert_state_matches(&a, &reference).expect(label);
+        for row in [1, 2, 4] {
+            assert!(a.lmem_row(row).unwrap().iter().all(|&w| w == Word::ZERO), "{label}: {row}");
+        }
+    }
 }
 
 proptest! {

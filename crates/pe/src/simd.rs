@@ -32,6 +32,17 @@
 //! the vector kernel falls back to the scalar tree there. The sum tile
 //! has one vector kernel, AVX2, which the AVX-512 tier uses too.
 //!
+//! The sum unit's other primitive is the *same-sign sum* span
+//! ([`SameSignSumKernel`]): over one occupancy group's masked lanes, the
+//! exact sum if no lane is negative or none is positive, which the unit
+//! clamps once in place of the group's tile tree, else `None`. The vector
+//! tiers sign-extend `W8`/`W16` lanes into 32-bit lanes that accumulate
+//! the sum and the least and greatest lane (AVX-512 through zeroing
+//! masked loads under the mask word's 16-bit slices, AVX2 through
+//! `vpmaskmovd`), and stop at the first tile after which both signs have
+//! been seen; `W32` sums can leave `i32`, so that width runs the scalar
+//! body, compiled for the tier.
+//!
 //! Two *word-span* primitives serve the responder units, on packed flag
 //! words with one mask word per 64 lanes: a popcount of `flags & mask`
 //! ([`PopcountKernel`], the response counter) and a first-set scan that
@@ -103,7 +114,7 @@
 
 use asc_isa::{AluOp, CmpOp, FlagOp, Width, Word};
 
-use crate::bitmask::for_each_set;
+use crate::bitmask::{for_each_set, OCC_GROUP_WORDS};
 use crate::tiles::TILE_LANES;
 
 /// Is the x86 SIMD code path compiled in at all?
@@ -213,6 +224,11 @@ pub type CmpRsKernel = fn(flags: &mut [u64], a: &[Word], s: Word, w: Width, mask
 /// 64-lane tile, saturating at every node, with the lanes whose `mw` bit
 /// is clear (and lanes at or above `values.len()`) entering as zero.
 pub type SumTileKernel = fn(values: &[Word], w: Width, mw: u64) -> Word;
+/// Same-sign sum span primitive: the exact sum of the lanes of `values`
+/// set in `masks`, one word per 64-lane tile, if none of them is negative
+/// or none is positive; `None` if they hold both signs. The span is at
+/// most one 4096-lane occupancy group.
+pub type SameSignSumKernel = fn(values: &[Word], w: Width, masks: &[u64]) -> Option<i64>;
 /// Responder-count span primitive: the number of lanes set in both
 /// `flags` and `masks`, one word of each per 64-lane tile.
 pub type PopcountKernel = fn(flags: &[u64], masks: &[u64]) -> u64;
@@ -542,6 +558,65 @@ fn sum_tile_scalar(values: &[Word], w: Width, mw: u64) -> Word {
     Word::from_i64(node[0], w)
 }
 
+/// A same-sign sum in progress: the exact sum of the lanes seen, and the
+/// least and the greatest of them and zero.
+#[derive(Clone, Copy)]
+struct SignedSum {
+    sum: i64,
+    lo: i64,
+    hi: i64,
+}
+
+impl SignedSum {
+    const ZERO: SignedSum = SignedSum { sum: 0, lo: 0, hi: 0 };
+
+    #[inline(always)]
+    fn add(&mut self, x: i64) {
+        self.sum += x;
+        self.lo = self.lo.min(x);
+        self.hi = self.hi.max(x);
+    }
+
+    /// The sum, unless lanes of both signs were seen.
+    #[inline(always)]
+    fn same_sign(self) -> Option<i64> {
+        (self.lo == 0 || self.hi == 0).then_some(self.sum)
+    }
+}
+
+/// Check a same-sign sum span's shape: a span (see [`check_span`]) of at
+/// most one occupancy group, so that the vector tiers' 32-bit lane sums
+/// of `W8`/`W16` values cannot overflow.
+#[inline(always)]
+fn check_group_span(n: usize, masks: &[u64]) {
+    check_span(n, masks);
+    assert!(masks.len() <= OCC_GROUP_WORDS, "a same-sign sum spans at most one occupancy group");
+}
+
+/// The same-sign sum body (see [`SameSignSumKernel`]) over the tiles of
+/// `masks`, continuing `acc`, and stopping at the first tile after which
+/// both signs have been seen: the scalar tier, the vector tiers' ragged
+/// last tile, and their `W32` span, whose sums can leave `i32`.
+#[inline(always)]
+fn same_sign_body(values: &[Word], w: Width, masks: &[u64], mut acc: SignedSum) -> Option<i64> {
+    check_group_span(values.len(), masks);
+    for (t, &mw) in masks.iter().enumerate() {
+        let lanes = &values[tile_lanes(t, values.len())];
+        if mw == u64::MAX {
+            lanes.iter().for_each(|&v| acc.add(v.to_i64(w)));
+        } else {
+            for_each_set(mw, 0, |i| acc.add(lanes[i].to_i64(w)));
+        }
+        acc.same_sign()?;
+    }
+    acc.same_sign()
+}
+
+/// The scalar tier's same-sign sum.
+fn same_sign_scalar(values: &[Word], w: Width, masks: &[u64]) -> Option<i64> {
+    same_sign_body(values, w, masks, SignedSum::ZERO)
+}
+
 /// Words a first-set scan tests per step before it looks for the hit.
 const SCAN_STEP: usize = 8;
 
@@ -693,6 +768,18 @@ pub fn select_sum_tile(level: SimdLevel) -> SumTileKernel {
     }
     let _ = level;
     sum_tile_scalar
+}
+
+/// The same-sign sum span kernel for a tier.
+pub fn select_same_sign_sum(level: SimdLevel) -> SameSignSumKernel {
+    #[cfg(all(target_arch = "x86_64", not(mtasc_force_scalar)))]
+    match level {
+        SimdLevel::Avx2 => return x86::same_sign_avx2,
+        SimdLevel::Avx512 => return x86::same_sign_avx512,
+        SimdLevel::Scalar => {}
+    }
+    let _ = level;
+    same_sign_scalar
 }
 
 /// The responder-count kernel for a tier.
@@ -1416,6 +1503,91 @@ mod x86 {
         }
     }
 
+    // ------------------------------------------------ same-sign sums
+    //
+    // W8/W16 lanes sign-extend into i32 lanes that accumulate the sum and
+    // the least and greatest lane (inactive lanes load as zero, which
+    // moves neither sign); a group's 4096 lanes cannot overflow them. A
+    // tile after which some lane is negative and some positive ends the
+    // span. W32 lanes would overflow, so they run the scalar body,
+    // compiled for the tier.
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn same_sign_span256(values: &[Word], w: Width, masks: &[u64]) -> Option<i64> {
+        if w == Width::W32 {
+            return same_sign_body(values, w, masks, SignedSum::ZERO);
+        }
+        check_group_span(values.len(), masks);
+        let whole = values.len() / TILE_LANES;
+        let (p, bits, zero) = (lanes_ptr(values), w.bits(), _mm256_setzero_si256());
+        let (mut sum, mut lo, mut hi) = (zero, zero, zero);
+        for (t, &mw) in masks[..whole].iter().enumerate().filter(|&(_, &mw)| mw != 0) {
+            for g in 0..8 {
+                // SAFETY: the caller guarantees AVX2; tile `t` is a full
+                // tile of `values`, and `g < 8`
+                let x = unsafe { sum_load256(p.add(t * TILE_LANES), g, mw, bits) };
+                sum = _mm256_add_epi32(sum, x);
+                lo = _mm256_min_epi32(lo, x);
+                hi = _mm256_max_epi32(hi, x);
+            }
+            let neg = _mm256_movemask_ps(_mm256_castsi256_ps(lo));
+            let pos = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(hi, zero)));
+            if neg != 0 && pos != 0 {
+                return None;
+            }
+        }
+        let lanes = |v: __m256i| {
+            let mut out = [0i32; 8];
+            // SAFETY: `out` holds the eight 32-bit lanes the store writes
+            unsafe { _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, v) };
+            out.map(i64::from)
+        };
+        let acc = SignedSum {
+            sum: lanes(sum).iter().sum(),
+            lo: lanes(lo).into_iter().fold(0, i64::min),
+            hi: lanes(hi).into_iter().fold(0, i64::max),
+        };
+        same_sign_body(&values[whole * TILE_LANES..], w, &masks[whole..], acc)
+    }
+
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn same_sign_span512(values: &[Word], w: Width, masks: &[u64]) -> Option<i64> {
+        if w == Width::W32 {
+            return same_sign_body(values, w, masks, SignedSum::ZERO);
+        }
+        check_group_span(values.len(), masks);
+        let whole = values.len() / TILE_LANES;
+        let (p, bits, zero) = (lanes_ptr(values), w.bits(), _mm512_setzero_si512());
+        let (mut sum, mut lo, mut hi) = (zero, zero, zero);
+        for (t, &mw) in masks[..whole].iter().enumerate().filter(|&(_, &mw)| mw != 0) {
+            for q in 0..4 {
+                let k = (mw >> (q * 16)) as u16;
+                // SAFETY: the caller guarantees AVX-512F; lanes 64t + 16q..
+                // lie in a full tile of `values`, and the lanes `k` leaves
+                // out load as zero
+                let x = unsafe {
+                    sext512(_mm512_maskz_loadu_epi32(k, p.add(t * TILE_LANES + q * 16)), bits)
+                };
+                sum = _mm512_add_epi32(sum, x);
+                lo = _mm512_min_epi32(lo, x);
+                hi = _mm512_max_epi32(hi, x);
+            }
+            if _mm512_cmplt_epi32_mask(lo, zero) != 0 && _mm512_cmpgt_epi32_mask(hi, zero) != 0 {
+                return None;
+            }
+        }
+        let acc = SignedSum {
+            sum: i64::from(_mm512_reduce_add_epi32(sum)),
+            lo: i64::from(_mm512_reduce_min_epi32(lo)),
+            hi: i64::from(_mm512_reduce_max_epi32(hi)),
+        };
+        same_sign_body(&values[whole * TILE_LANES..], w, &masks[whole..], acc)
+    }
+
     // ------------------------------------------------------- max/min
 
     /// AVX2 max/min span: each full tile as eight 8-lane folds into eight
@@ -1587,6 +1759,14 @@ mod x86 {
 
     pub(super) fn sum_tile_avx2(values: &[Word], w: Width, mw: u64) -> Word {
         unsafe { sum_tile_avx2_impl(values, w, mw) }
+    }
+
+    pub(super) fn same_sign_avx2(values: &[Word], w: Width, masks: &[u64]) -> Option<i64> {
+        unsafe { same_sign_span256(values, w, masks) }
+    }
+
+    pub(super) fn same_sign_avx512(values: &[Word], w: Width, masks: &[u64]) -> Option<i64> {
+        unsafe { same_sign_span512(values, w, masks) }
     }
 
     /// # Safety
@@ -1987,6 +2167,54 @@ mod tests {
                                     );
                                 }
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same-sign sum kernels at every tier against a lane-by-lane
+    /// sum, at every width, over the kernel spans of at most one group,
+    /// and a whole group, under their dense and mixed masks. The values:
+    /// the sample plane, whose lanes hold both signs; its magnitudes, one
+    /// sign each way, `smin` included; and the non-negative magnitudes
+    /// with one lane of -1 planted in the first lane or in the last, so
+    /// that the kernel meets the second sign at once or only at the end.
+    #[test]
+    fn same_sign_kernels_match_a_lane_sum() {
+        for level in SimdLevel::available() {
+            let kernel = select_same_sign_sum(level);
+            for w in Width::ALL {
+                let word = |x: i64| Word::from_i64(x, w);
+                for n in SPANS.into_iter().filter(|&n| n <= 4096).chain([4096]) {
+                    let sample = sample_plane(w, 3, n);
+                    let abs: Vec<i64> = sample.iter().map(|v| v.to_i64(w).abs()).collect();
+                    let pos: Vec<Word> = abs.iter().map(|&x| word(x.min(w.smax()))).collect();
+                    let neg: Vec<Word> = abs.iter().map(|&x| word(-x)).collect();
+                    let (mut first, mut last) = (pos.clone(), pos.clone());
+                    first[0] = word(-1);
+                    last[n - 1] = word(-1);
+                    for masks in span_masks(n) {
+                        for (name, values) in [
+                            ("sample", &sample),
+                            ("non-negative", &pos),
+                            ("non-positive", &neg),
+                            ("first negative", &first),
+                            ("last negative", &last),
+                        ] {
+                            let lanes: Vec<i64> = (0..n)
+                                .filter(|&i| active(&masks, i))
+                                .map(|i| values[i].to_i64(w))
+                                .collect();
+                            let mixed =
+                                lanes.iter().any(|&x| x < 0) && lanes.iter().any(|&x| x > 0);
+                            let want = (!mixed).then(|| lanes.iter().sum::<i64>());
+                            assert_eq!(
+                                kernel(values, w, &masks),
+                                want,
+                                "{level:?} {w} n={n} {name}"
+                            );
                         }
                     }
                 }

@@ -37,11 +37,13 @@
 //!   claimed it; a smaller one runs the body once over every group on the
 //!   calling thread. Tiles of different groups share no lane, flag word
 //!   or local-memory column, so the split cannot be observed. A sweep
-//!   runs only ops that cannot fault, so it always covers every group; a
-//!   per-lane `plw`/`psw`, which can fault, walks its groups on the
-//!   caller instead (see [`crate::lane_op`]).
+//!   runs only ops that cannot fault (and `PeArray::scatter_column`'s
+//!   copy), so it always covers every group; a per-lane `plw`/`psw`,
+//!   which can fault, walks its groups on the caller instead (see
+//!   [`crate::lane_op`]).
 //! * [`TileWindow`] — the window over one group's tiles, made by
-//!   [`GroupTiles::window`], which borrows the groups mutably, so one
+//!   [`GroupTiles::window`], or over all of a call's tiles, made by
+//!   [`GroupTiles::whole`]; both borrow the groups mutably, so one
 //!   window is live at a time. Every access it offers is confined to its
 //!   tiles' lanes, and every register, flag, row and lane index it is given
 //!   is checked against the view's counts, so safe code cannot reach past
@@ -157,7 +159,8 @@ impl<'a> ThreadTiles<'a> {
     /// Either way each group is covered exactly once and a call writes
     /// only its own tiles, so a body whose effects are lane-local gives the
     /// same state both ways. The body cannot stop the sweep: only the
-    /// lane-local ops that cannot fault run through it.
+    /// lane-local ops that cannot fault, and the host's column scatter,
+    /// run through it.
     #[inline(always)]
     pub(crate) fn sweep(&mut self, lane_ops: usize, body: impl Fn(&mut GroupTiles<'_>) + Sync) {
         if workers::splits(self.num_tiles().div_ceil(OCC_GROUP_WORDS), lane_ops) {
@@ -209,6 +212,14 @@ impl GroupTiles<'_> {
             self.tiles
         );
         self.raw.window(tiles)
+    }
+
+    /// The window over every tile covered: the whole view below the
+    /// pool's gate, one group of a split sweep. One window is live at a
+    /// time.
+    #[inline]
+    pub(crate) fn whole(&mut self) -> TileWindow<'_> {
+        self.raw.window(self.tiles.clone())
     }
 }
 

@@ -75,10 +75,13 @@ pub const GROUP_LANES: usize = OCC_GROUP_WORDS * BITS_PER_WORD;
 /// Measured on a 2-core x86-64 VM: a parked helper starts its first group
 /// a median 21–28 µs after a dispatch that follows 200 µs of idle (at
 /// most 73 µs), and 17–18 µs after one that follows the previous
-/// dispatch at once. 2¹⁸ lane-ops is roughly 40–110 µs of serial work
-/// there (a compare sweep at the low end; a fused 22-op block or a
-/// saturating sum near the top), so a split sweep lasts several wake-ups;
-/// below it a helper would mostly arrive after the caller had finished.
+/// dispatch at once. 2¹⁸ lane-ops is roughly 35–115 µs of serial work
+/// there at the AVX-512 tier (on one core, `taskset -c 0`): 35–50 µs for
+/// a compare, a fused 22-op block, a max or a saturating sum whose groups
+/// each hold one sign; about 80 µs for the preload's column copy; 80–115
+/// µs for a saturating sum whose groups hold both signs, which runs the
+/// tile tree. So a split sweep lasts several wake-ups; below the gate a
+/// helper would mostly arrive after the caller had finished.
 pub const SPLIT_LANE_OPS: usize = 1 << 18;
 
 /// The work a one-op sweep over the active lanes of `active` brings to

@@ -1,6 +1,7 @@
 //! After the first split dispatch, the host worker pool allocates
 //! nothing: 1,000 more dispatches of 1–64 groups, and of per-group
-//! partials, make no allocation on any thread, the helpers included.
+//! partials, and 100 split column scatters into a 65-group array make no
+//! allocation on any thread, the helpers included.
 //!
 //! A counting `#[global_allocator]` sees every thread of the process, so
 //! this file runs without the test harness (`harness = false`): the
@@ -10,7 +11,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
+use asc_isa::{Width, Word};
 use asc_pe::workers::{for_each_group, map_groups, SPLIT_LANE_OPS};
+use asc_pe::{ArrayConfig, PeArray, SegmentGeometry, SimdLevel};
 
 /// Global allocator that counts allocations while `COUNTING` is set.
 struct CountingAlloc;
@@ -67,6 +70,22 @@ fn main() {
     // the first dispatch spawns the helpers and sizes this thread's slots
     for_each_group(64, SPLIT_LANE_OPS, body);
     let want = map_groups(64, SPLIT_LANE_OPS, busy_work, reduce);
+    // 2^18 + 70 lanes: a scatter passes the gate and splits its 65 groups
+    let n = (1 << 18) + 70;
+    let mut array = PeArray::new(ArrayConfig {
+        num_pes: n,
+        threads: 1,
+        gprs: 16,
+        flags: 8,
+        lmem_words: 2,
+        width: Width::W16,
+        simd: SimdLevel::detect(),
+        segments: SegmentGeometry::new(n, 0),
+    });
+    let columns: [Vec<Word>; 2] =
+        [0, 1].map(|salt| (0..n as u32).map(|i| Word((i * 7 + salt) & 0xffff)).collect());
+    array.scatter_column(0, &columns[0]).unwrap();
+    array.scatter_column(1, &columns[1]).unwrap();
 
     ALLOC_CALLS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
@@ -74,12 +93,19 @@ fn main() {
     for i in 0..1_000 {
         for_each_group(1 + i % 64, SPLIT_LANE_OPS, body);
         same &= map_groups(64, SPLIT_LANE_OPS, busy_work, reduce) == want;
+        if i % 10 == 0 {
+            let row = i / 10 % 2;
+            array.scatter_column(row as u32, &columns[1 - row]).unwrap();
+        }
     }
     COUNTING.store(false, Ordering::SeqCst);
 
     assert_eq!(ALLOC_CALLS.load(Ordering::SeqCst), 0, "dispatching allocated");
     assert!(same, "split partials differ from the first dispatch's");
+    // rows 0 and 1 were last scattered at i = 980 and 990
+    assert!(array.lmem_row(0).unwrap() == &columns[1][..], "row 0 holds its last column");
+    assert!(array.lmem_row(1).unwrap() == &columns[0][..], "row 1 holds its last column");
     let runs: u32 = hits.iter().map(|h| h.load(Ordering::Relaxed)).sum();
     assert_eq!(runs as usize, 64 + (0..1_000).map(|i| 1 + i % 64).sum::<usize>());
-    println!("workers_alloc: 1000 dispatches after the first allocated nothing");
+    println!("workers_alloc: 1000 dispatches and 100 scatters after the first allocated nothing");
 }

@@ -19,7 +19,9 @@
 //! A machine reaches two SIMD tiers through [`MachineConfig`]: the
 //! scalar loops (`without_simd`) and the widest tier the host supports.
 //! On a host with AVX-512 the AVX2 tier is not reachable from a machine;
-//! `asc-pe`'s kernel tests cover it against the scalar reference.
+//! `asc-pe`'s kernel tests cover it against the scalar reference. Under
+//! `MTASC_NO_SIMD` the widest cell would run the scalar loops under the
+//! hardware tier's label, so the test fails there instead.
 //!
 //! After an intended timing-model change, regenerate the fixture with
 //! `UPDATE_STATS_GOLDEN=1 cargo test --release --test stats_golden` and
@@ -179,6 +181,8 @@ fn timings(pes: usize) -> [(&'static str, MachineConfig); 4] {
 /// tier a machine can be built at here (see the module docs).
 fn strategies(cfg: MachineConfig) -> Vec<(String, MachineConfig)> {
     let widest = SimdLevel::detect_hw();
+    // `MTASC_NO_SIMD` would fold the two tiers into one
+    assert_eq!(cfg.simd_level(), widest, "SIMD tier overridden");
     let tiers: Vec<(SimdLevel, MachineConfig)> = SimdLevel::available()
         .into_iter()
         .filter_map(|level| match level {
